@@ -44,7 +44,6 @@ from .fem import (
     boundary_projection,
     dirichlet_rows,
     l2_error,
-    neo_hookean_step,
     newton_load_stepping,
 )
 from .linsys import AssembledSystem, NumericalError, linear_solve

@@ -31,7 +31,7 @@ from .fem import (
     assemble_linear_elasticity,
     assemble_neumann,
     assemble_poisson,
-    cell_quadrature,
+    cell_blocks,
     dirichlet_rows,
     evaluate_cell,
     l2_error,
@@ -707,17 +707,22 @@ def field_difference_l2(field_a: SolutionField, field_b: SolutionField,
     """L2 norm of the difference of two fields on identically parameterized patches."""
     total = 0.0
     da = field_a.values.reshape(-1, field_a.ncomp)
-    for cell in field_a.mesh.cells:
-        n1 = cell.degrees[0] + quad_extra
-        n2 = cell.degrees[1] + quad_extra
-        x1, x2, w = cell_quadrature(cell, n1, n2)
-        ev = evaluate_cell(cell, x1, x2)
-        va = ev["basis"] @ da[cell.rows]
-        wdet = w * ev["detJ"]
-        for q in range(len(x1)):
-            vb = field_b.eval(cell.patch, float(x1[q]), float(x2[q]))
-            d = va[q] - vb
-            total += wdet[q] * float(d @ d)
+    db = field_b.values.reshape(-1, field_b.ncomp)
+    for index, rows, ev in cell_blocks(field_a.mesh, quad_extra):
+        va = (ev["basis"] @ da[rows]).reshape(-1, field_a.ncomp)
+        xi = ev["xi"].reshape(-1, 2)
+        patches = np.repeat([field_a.mesh.cells[k].patch for k in index], ev["xi"].shape[1])
+        # field_b at the same points, one evaluation per cell of field_b hit
+        hits = {}
+        for q, (patch, (s, t)) in enumerate(zip(patches, xi)):
+            cell = field_b.mesh.locate(int(patch), s, t)
+            hits.setdefault(id(cell), (cell, []))[1].append(q)
+        vb = np.empty_like(va)
+        for cell, qs in hits.values():
+            ev_b = evaluate_cell(cell, xi[qs, 0], xi[qs, 1], grad=False)
+            vb[qs] = ev_b["basis"] @ db[cell.rows]
+        d = va - vb
+        total += float(np.sum(ev["wdet"].reshape(-1) * np.sum(d * d, axis=1)))
     return math.sqrt(total)
 
 

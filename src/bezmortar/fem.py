@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,12 +25,14 @@ __all__ = [
     "SolutionField",
     "cell_quadrature",
     "evaluate_cell",
+    "cell_blocks",
     "assemble_poisson",
     "assemble_linear_elasticity",
     "assemble_neumann",
     "boundary_projection",
     "dirichlet_rows",
     "assemble_neo_hookean",
+    "deformation_gradients",
     "newton_load_stepping",
     "l2_error",
     "l2_norm",
@@ -66,6 +69,15 @@ class MaterialModel:
 
 # --------------------------------------------------------------------------
 # cell evaluation
+#
+# A cell's basis is (ophom @ B) / sum(ophom @ B) over the tensor Bernstein
+# basis B of its rectangle, and its geometry comes from geo_ophom the same
+# way.  Cells of one degree share B at the reference Gauss points, so a stack
+# of same-shaped cells is evaluated with a few batched products;
+# ``evaluate_cell`` is the one-cell case of the same code at given points.
+
+# Cells evaluated together; bounds the transient arrays of one batch.
+_BLOCK = 128
 
 
 def cell_quadrature(cell: Cell, n1: int, n2: int):
@@ -79,6 +91,75 @@ def cell_quadrature(cell: Cell, n1: int, n2: int):
     return X1, X2, W
 
 
+def _tensor_tables(iv1: BernsteinInterval, iv2: BernsteinInterval, x1, x2, grad: bool):
+    """Tensor Bernstein values (m, nb) and, with ``grad``, derivatives (2, m, nb)."""
+    D1 = bernstein_derivatives(iv1, x1, 1 if grad else 0)
+    D2 = bernstein_derivatives(iv2, x2, 1 if grad else 0)
+    m = len(x1)
+    B = (D1[0][:, :, None] * D2[0][:, None, :]).reshape(m, -1)
+    if not grad:
+        return B, None
+    dB = np.stack([(D1[1][:, :, None] * D2[0][:, None, :]).reshape(m, -1),
+                   (D1[0][:, :, None] * D2[1][:, None, :]).reshape(m, -1)])
+    return B, dB
+
+
+@lru_cache(maxsize=None)
+def _reference_tables(p1: int, p2: int, n1: int, n2: int):
+    """Gauss points (m, 2), weights (m,) and Bernstein tables on the unit square."""
+    t1, w1 = gauss_on(0.0, 1.0, n1)
+    t2, w2 = gauss_on(0.0, 1.0, n2)
+    t = np.column_stack([np.repeat(t1, n2), np.tile(t2, n1)])
+    B, dB = _tensor_tables(BernsteinInterval(0.0, 1.0, p1), BernsteinInterval(0.0, 1.0, p2),
+                           t[:, 0], t[:, 1], True)
+    tables = (t, np.outer(w1, w2).reshape(-1), B, dB)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True) -> dict:
+    """Rational basis and geometry of a stack of cells at shared points.
+
+    ``B`` (m, nb) holds tensor Bernstein values and ``dB`` (2, m, nb) their
+    parametric derivatives, rescaled per cell by ``scale`` (nc, 2).  The cells
+    are stacked as ``ophom`` (nc, nr, nb), ``geo_ophom`` (nc, ng, nb) and
+    ``geo_pts`` (nc, ng, 2).  Returns the :func:`evaluate_cell` keys with a
+    leading cell axis.
+    """
+    op_t = ophom.transpose(0, 2, 1)
+    geo_t = geo_ophom.transpose(0, 2, 1)
+    vhom = B @ op_t
+    ghom = B @ geo_t
+    W = vhom.sum(axis=2)
+    Wg = ghom.sum(axis=2)
+    basis = vhom / W[:, :, None]
+    x = (ghom @ geo_pts) / Wg[:, :, None]
+    out = {"basis": basis, "x": x}
+    if not grad:
+        return out
+    s = scale[:, None, None, :]
+    dv = np.stack([dB[0] @ op_t, dB[1] @ op_t], axis=3) * s
+    dg = np.stack([dB[0] @ geo_t, dB[1] @ geo_t], axis=3) * s
+    dW = dv.sum(axis=2)
+    dWg = dg.sum(axis=2)
+    dbasis = (dv - basis[..., None] * dW[:, :, None, :]) / W[:, :, None, None]
+    # jac[c, q, k, d] = d x_k / d xi_d
+    jac = (
+        np.einsum("cqnd,cnk->cqkd", dg, geo_pts)
+        - x[..., :, None] * dWg[:, :, None, :]
+    ) / Wg[:, :, None, None]
+    detJ = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    if np.any(detJ <= 0):
+        raise NumericalError("non-positive geometric Jacobian")
+    # d/dx_k = sum_d d/dxi_d * dxi_d/dx_k, with J^{-1} = adj(J) / det J
+    inv = np.stack([np.stack([jac[..., 1, 1], -jac[..., 0, 1]], axis=-1),
+                    np.stack([-jac[..., 1, 0], jac[..., 0, 0]], axis=-1)], axis=-2)
+    inv /= detJ[..., None, None]
+    out.update({"grad_phys": dbasis @ inv, "detJ": detJ, "jac": jac})
+    return out
+
+
 def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True):
     """Basis, geometry and Jacobians of one cell at parametric points.
 
@@ -87,45 +168,41 @@ def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True)
     """
     (a1, b1), (a2, b2) = cell.rect
     p1, p2 = cell.degrees
-    iv1 = BernsteinInterval(a1, b1, p1)
-    iv2 = BernsteinInterval(a2, b2, p2)
-    nd = 1 if grad else 0
-    D1 = bernstein_derivatives(iv1, x1, nd)
-    D2 = bernstein_derivatives(iv2, x2, nd)
-    cols = np.einsum("qi,qj->qij", D1[0], D2[0]).reshape(len(x1), -1)
-    vhom = cols @ cell.ophom.T
-    ghom = cols @ cell.geo_ophom.T
-    W = vhom.sum(axis=1)
-    Wg = ghom.sum(axis=1)
-    basis = vhom / W[:, None]
-    x = (ghom @ cell.geo_pts) / Wg[:, None]
-    out = {"basis": basis, "x": x}
-    if not grad:
-        return out
-    dcols1 = np.einsum("qi,qj->qij", D1[1], D2[0]).reshape(len(x1), -1)
-    dcols2 = np.einsum("qi,qj->qij", D1[0], D2[1]).reshape(len(x1), -1)
-    dv = np.stack([dcols1 @ cell.ophom.T, dcols2 @ cell.ophom.T], axis=2)
-    dW = dv.sum(axis=1)
-    dbasis = (dv - basis[:, :, None] * dW[:, None, :]) / W[:, None, None]
-    dg = np.stack([dcols1 @ cell.geo_ophom.T, dcols2 @ cell.geo_ophom.T], axis=2)
-    dWg = dg.sum(axis=1)
-    jac = (
-        np.einsum("qnd,nk->qkd", dg, cell.geo_pts)
-        - np.einsum("qk,qd->qkd", x, dWg)
-    ) / Wg[:, None, None]
-    detJ = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    if np.any(detJ <= 0):
-        raise NumericalError("non-positive geometric Jacobian")
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv /= detJ[:, None, None]
-    # d/dx_k = sum_d d/dxi_d * dxi_d/dx_k, with inv[q] = J^{-1}
-    grad_phys = np.einsum("qnd,qdk->qnk", dbasis, inv)
-    out.update({"grad_phys": grad_phys, "detJ": detJ, "jac": jac})
-    return out
+    B, dB = _tensor_tables(BernsteinInterval(a1, b1, p1), BernsteinInterval(a2, b2, p2),
+                           x1, x2, grad)
+    ev = _rational(B, dB, np.ones((1, 2)), cell.ophom[None], cell.geo_ophom[None],
+                   cell.geo_pts[None], grad)
+    return {k: v[0] for k, v in ev.items()}
+
+
+def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1):
+    """Evaluate every cell at its tensor Gauss rule of order degree + ``quad_extra``.
+
+    Cells are grouped by exact shape (degrees and operator shapes, so nothing
+    is padded) and evaluated up to ``_BLOCK`` at a time.  Yields
+    ``(index, rows, ev)`` per block: ``index`` the positions in
+    ``mesh.cells``, ``rows`` (nc, nr) their dof ids, and ``ev`` the
+    :func:`evaluate_cell` keys with a leading cell axis plus ``xi``
+    (nc, m, 2), the parametric points, and ``wdet`` (nc, m), the quadrature
+    weight times det J.
+    """
+    groups: dict = {}
+    for k, c in enumerate(mesh.cells):
+        groups.setdefault((c.degrees, c.ophom.shape, c.geo_ophom.shape), []).append(k)
+    for ((p1, p2), _, _), members in groups.items():
+        t, w, B, dB = _reference_tables(p1, p2, p1 + quad_extra, p2 + quad_extra)
+        for start in range(0, len(members), _BLOCK):
+            index = np.array(members[start : start + _BLOCK])
+            cells = [mesh.cells[k] for k in index]
+            rect = np.array([c.rect for c in cells])
+            lo, h = rect[:, :, 0], rect[:, :, 1] - rect[:, :, 0]
+            ev = _rational(B, dB, 1.0 / h,
+                           np.stack([c.ophom for c in cells]),
+                           np.stack([c.geo_ophom for c in cells]),
+                           np.stack([c.geo_pts for c in cells]))
+            ev["xi"] = lo[:, None, :] + h[:, None, :] * t
+            ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
+            yield index, np.stack([c.rows for c in cells]), ev
 
 
 def evaluate_side_cell(side: SideCell, xs: np.ndarray):
@@ -155,39 +232,66 @@ def evaluate_side_cell(side: SideCell, xs: np.ndarray):
 # linear assembly
 
 
-def _scatter(triplets, rows, ncomp, local):
-    """Append a local (n*ncomp, n*ncomp) block to triplet lists."""
-    data, ri, cj = triplets
-    vec = (rows[:, None] * ncomp + np.arange(ncomp)[None, :]).reshape(-1)
-    ri.append(np.repeat(vec, len(vec)))
-    cj.append(np.tile(vec, len(vec)))
-    data.append(local.reshape(-1))
+def _local_dofs(rows: np.ndarray, ncomp: int) -> np.ndarray:
+    """(nc, nr*ncomp) global ids of stacked cell rows, component fastest."""
+    return (rows[:, :, None] * ncomp + np.arange(ncomp)).reshape(len(rows), -1)
 
 
-def _quad_counts(cell: Cell, extra: int = 1) -> tuple[int, int]:
-    return cell.degrees[0] + extra, cell.degrees[1] + extra
+def _sparsity(dofs: list, n: int):
+    """CSR pattern of summed local matrices and the CSR slot of every entry.
+
+    ``dofs`` lists (nc, L) local-to-global maps; the entries of the matching
+    (nc, L, L) local matrices, flattened in order, go to ``slot``.
+    """
+    keys = np.concatenate([(d[:, :, None].astype(np.int64) * n + d[:, None, :]).reshape(-1)
+                           for d in dofs])
+    uniq, slot = np.unique(keys, return_inverse=True)
+    indptr = np.searchsorted(uniq, np.arange(n + 1) * n)
+    return indptr, uniq % n, slot
+
+
+def _csr(pattern, local: list, n: int) -> sp.csr_matrix:
+    """Sum local matrices into the CSR ``pattern`` from :func:`_sparsity`."""
+    indptr, indices, slot = pattern
+    data = np.bincount(slot, weights=np.concatenate([a.reshape(-1) for a in local]),
+                       minlength=len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _vector(dofs: list, local: list, n: int) -> np.ndarray:
+    """Sum local (nc, L) vectors into a length-``n`` vector."""
+    return np.bincount(np.concatenate([d.reshape(-1) for d in dofs]),
+                       weights=np.concatenate([a.reshape(-1) for a in local]), minlength=n)
+
+
+def _wgram(A: np.ndarray, B: np.ndarray, wdet: np.ndarray) -> np.ndarray:
+    """Per cell, sum over points q and axis k of wdet[q] A[q, k, i] B[q, k, j].
+
+    ``A`` (nc, m, K, I) and ``B`` (nc, m, K, J) give (nc, I, J).
+    """
+    nc, m, k, _ = A.shape
+    Aw = (A * wdet[:, :, None, None]).reshape(nc, m * k, -1)
+    return np.swapaxes(Aw, 1, 2) @ B.reshape(nc, m * k, -1)
+
+
+def _pointwise(fn, x: np.ndarray) -> np.ndarray:
+    """A pointwise callable ``fn(x, y)`` at every point of an (..., 2) array."""
+    flat = x.reshape(-1, 2)
+    return np.array([fn(p[0], p[1]) for p in flat]).reshape(x.shape[:-1] + (-1,))
 
 
 def assemble_poisson(mesh: ExtractedMesh, forcing=None) -> AssembledSystem:
     """Stiffness int grad u . grad v and load int f v of the Laplace operator."""
-    triplets = ([], [], [])
-    f = np.zeros(mesh.ndof)
-    for cell in mesh.cells:
-        n1, n2 = _quad_counts(cell)
-        x1, x2, w = cell_quadrature(cell, n1, n2)
-        ev = evaluate_cell(cell, x1, x2)
-        dphi = ev["grad_phys"]
-        wdet = w * ev["detJ"]
-        local = np.einsum("qid,qjd,q->ij", dphi, dphi, wdet)
-        _scatter(triplets, cell.rows, 1, local)
+    dofs, local, loads = [], [], []
+    for _, rows, ev in cell_blocks(mesh):
+        G = np.swapaxes(ev["grad_phys"], 2, 3)
+        dofs.append(rows)
+        local.append(_wgram(G, G, ev["wdet"]))
         if forcing is not None:
-            fv = np.array([forcing(xy[0], xy[1]) for xy in ev["x"]])
-            f[cell.rows] += ev["basis"].T @ (wdet * fv)
-    K = sp.coo_matrix(
-        (np.concatenate(triplets[0]),
-         (np.concatenate(triplets[1]), np.concatenate(triplets[2]))),
-        shape=(mesh.ndof, mesh.ndof),
-    ).tocsr()
+            fv = _pointwise(forcing, ev["x"])[..., 0]
+            loads.append(np.einsum("cqi,cq->ci", ev["basis"], ev["wdet"] * fv))
+    K = _csr(_sparsity(dofs, mesh.ndof), local, mesh.ndof)
+    f = _vector(dofs, loads, mesh.ndof) if loads else np.zeros(mesh.ndof)
     return AssembledSystem(K, f, 1)
 
 
@@ -202,33 +306,23 @@ def assemble_linear_elasticity(mesh: ExtractedMesh, material: MaterialModel,
                                body_force=None) -> AssembledSystem:
     """Small-strain isotropic elasticity in Voigt form (2 components per dof)."""
     D = _elastic_D(material)
-    triplets = ([], [], [])
-    f = np.zeros(mesh.ndof * 2)
-    for cell in mesh.cells:
-        n1, n2 = _quad_counts(cell)
-        x1, x2, w = cell_quadrature(cell, n1, n2)
-        ev = evaluate_cell(cell, x1, x2)
+    n = mesh.ndof * 2
+    dofs, local, loads = [], [], []
+    for _, rows, ev in cell_blocks(mesh):
         dphi = ev["grad_phys"]
-        wdet = w * ev["detJ"]
-        nr = len(cell.rows)
-        B = np.zeros((len(x1), 3, 2 * nr))
-        B[:, 0, 0::2] = dphi[:, :, 0]
-        B[:, 1, 1::2] = dphi[:, :, 1]
-        B[:, 2, 0::2] = dphi[:, :, 1]
-        B[:, 2, 1::2] = dphi[:, :, 0]
-        local = np.einsum("qai,ab,qbj,q->ij", B, D, B, wdet)
-        _scatter(triplets, cell.rows, 2, local)
+        nc, m, nr, _ = dphi.shape
+        B = np.zeros((nc, m, 3, 2 * nr))
+        B[:, :, 0, 0::2] = dphi[..., 0]
+        B[:, :, 1, 1::2] = dphi[..., 1]
+        B[:, :, 2, 0::2] = dphi[..., 1]
+        B[:, :, 2, 1::2] = dphi[..., 0]
+        dofs.append(_local_dofs(rows, 2))
+        local.append(_wgram(B, D @ B, ev["wdet"]))
         if body_force is not None:
-            bf = np.array([body_force(xy[0], xy[1]) for xy in ev["x"]])
-            fv = np.einsum("qi,qc,q->ic", ev["basis"], bf, wdet)
-            rows = (cell.rows[:, None] * 2 + np.arange(2)[None, :]).reshape(-1)
-            f[rows] += fv.reshape(-1)
-    K = sp.coo_matrix(
-        (np.concatenate(triplets[0]),
-         (np.concatenate(triplets[1]), np.concatenate(triplets[2]))),
-        shape=(mesh.ndof * 2, mesh.ndof * 2),
-    ).tocsr()
-    return AssembledSystem(K, f, 2)
+            bf = _pointwise(body_force, ev["x"])
+            loads.append(np.einsum("cqi,cqk,cq->cik", ev["basis"], bf, ev["wdet"]))
+    K = _csr(_sparsity(dofs, n), local, n)
+    return AssembledSystem(K, _vector(dofs, loads, n) if loads else np.zeros(n), 2)
 
 
 def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> None:
@@ -249,11 +343,10 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
                     continue
             xs, ws = gauss_on(a, b, sc.degree + 2)
             ev = evaluate_side_cell(sc, xs)
-            for q in range(len(xs)):
-                t = np.atleast_1d(traction(ev["x"][q], ev["normal"][q]))
-                contrib = np.outer(ev["basis"][q], t) * ws[q] * ev["speed"][q]
-                rows = (sc.rows[:, None] * ncomp + np.arange(ncomp)[None, :]).reshape(-1)
-                system.f[rows] += contrib.reshape(-1)
+            t = np.array([np.atleast_1d(traction(x, nrm))
+                          for x, nrm in zip(ev["x"], ev["normal"])])
+            rows = (sc.rows[:, None] * ncomp + np.arange(ncomp)[None, :]).reshape(-1)
+            system.f[rows] += (ev["basis"].T @ ((ws * ev["speed"])[:, None] * t)).reshape(-1)
 
 
 # --------------------------------------------------------------------------
@@ -339,6 +432,44 @@ def strain_energy_density(mat: MaterialModel, F: np.ndarray) -> float:
     )
 
 
+def _neo_hookean_geometry(mesh: ExtractedMesh):
+    """Quadrature geometry and sparsity of the neo-Hookean kernel, memoised.
+
+    Newton iterations reassemble the same mesh at new states, so the
+    state-independent part is built once and kept in the mesh cache:
+    per block the (nc, 2 nr) dof map, ``grad_phys`` and ``wdet``, then the
+    CSR pattern of the tangent.
+    """
+    cached = mesh._cache.get("neo-hookean")
+    if cached is None:
+        blocks = [(_local_dofs(rows, 2), ev["grad_phys"], ev["wdet"])
+                  for _, rows, ev in cell_blocks(mesh)]
+        pattern = _sparsity([dofs for dofs, _, _ in blocks], mesh.ndof * 2)
+        cached = mesh._cache["neo-hookean"] = (blocks, pattern)
+    return cached
+
+
+def deformation_gradients(mesh: ExtractedMesh, state: np.ndarray) -> list:
+    """Deformation gradients F and det F at the neo-Hookean quadrature points.
+
+    Returns one (F, J) pair per cached block, F of shape (nc, m, 2, 2); raises
+    :class:`NumericalError` when any J <= 0.  This is the Newton feasibility
+    guard: it inspects a trial state without assembling anything.
+    """
+    blocks, _ = _neo_hookean_geometry(mesh)
+    d = np.asarray(state).reshape(-1)
+    out = []
+    for dofs, G, _ in blocks:
+        # F_iJ = delta_iJ + sum_n d_ni dphi_nJ
+        u = d[dofs].reshape(len(dofs), -1, 2)
+        F = np.swapaxes(u, 1, 2)[:, None] @ G + np.eye(2)
+        J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+        if np.any(J <= 0):
+            raise NumericalError("element inversion (J <= 0)")
+        out.append((F, J))
+    return out
+
+
 def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
                          state: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
     """Internal residual and consistent tangent at displacement ``state``.
@@ -348,56 +479,32 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
     tangent; raises on element inversion.
     """
     lam, mu = material.lam, material.mu
-    triplets = ([], [], [])
-    r = np.zeros(mesh.ndof * 2)
-    d = state.reshape(-1, 2)
-    eye = np.eye(2)
-    for cell in mesh.cells:
-        n1, n2 = _quad_counts(cell)
-        x1, x2, w = cell_quadrature(cell, n1, n2)
-        ev = evaluate_cell(cell, x1, x2)
-        dphi = ev["grad_phys"]
-        wdet = w * ev["detJ"]
-        dloc = d[cell.rows]
-        nr = len(cell.rows)
-        rloc = np.zeros((nr, 2))
-        kloc = np.zeros((nr * 2, nr * 2))
-        for q in range(len(x1)):
-            gradu = dloc.T @ dphi[q]
-            F = eye + gradu
-            J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-            if J <= 0:
-                raise NumericalError("element inversion (J <= 0)")
-            Finv = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]]) / J
-            FinvT = Finv.T
-            P = 0.5 * lam * (J**2 - 1.0) * FinvT + mu * (F - FinvT)
-            rloc += wdet[q] * dphi[q] @ P.T
-            # A_iJkL = lam J^2 FinvT_iJ FinvT_kL
-            #        + (mu - lam/2 (J^2-1)) FinvT_iL FinvT_kJ + mu d_ik d_JL
-            gA = dphi[q] @ FinvT.T          # (nr, i-row dotted): g_ni = dphi_nJ FinvT_iJ
-            c1 = lam * J**2
-            c2 = mu - 0.5 * lam * (J**2 - 1.0)
-            t1 = np.einsum("ni,mk->nimk", gA, gA) * c1
-            t2 = np.einsum("nk,mi->nimk", gA, gA) * c2
-            t3 = np.einsum("nm,ik->nimk", dphi[q] @ dphi[q].T, eye) * mu
-            kloc += wdet[q] * (t1 + t2 + t3).reshape(nr * 2, nr * 2)
-        r2 = (cell.rows[:, None] * 2 + np.arange(2)[None, :]).reshape(-1)
-        r[r2] += rloc.reshape(-1)
-        _scatter(triplets, cell.rows, 2, kloc)
-    K = sp.coo_matrix(
-        (np.concatenate(triplets[0]),
-         (np.concatenate(triplets[1]), np.concatenate(triplets[2]))),
-        shape=(mesh.ndof * 2, mesh.ndof * 2),
-    ).tocsr()
-    return r, K
-
-
-def neo_hookean_step(mesh: ExtractedMesh, material: MaterialModel,
-                     external_load: np.ndarray, state: np.ndarray,
-                     load_scale: float = 1.0):
-    """Out-of-balance residual and consistent tangent at one load scale."""
-    rint, K = assemble_neo_hookean(mesh, material, state)
-    return rint - load_scale * np.asarray(external_load), K
+    blocks, pattern = _neo_hookean_geometry(mesh)
+    n = mesh.ndof * 2
+    residuals, tangents = [], []
+    for (dofs, G, wdet), (F, J) in zip(blocks, deformation_gradients(mesh, state)):
+        nc, m, nr, _ = G.shape
+        FinvT = np.stack([np.stack([F[..., 1, 1], -F[..., 1, 0]], axis=-1),
+                          np.stack([-F[..., 0, 1], F[..., 0, 0]], axis=-1)], axis=-2)
+        FinvT /= J[..., None, None]
+        J2 = J * J
+        P = (0.5 * lam * (J2 - 1.0))[..., None, None] * FinvT + mu * (F - FinvT)
+        # r_ni = sum_q wdet dphi_nJ P_iJ
+        residuals.append(((G * wdet[..., None, None]) @ np.swapaxes(P, 2, 3))
+                         .sum(axis=1).reshape(nc, -1))
+        # A_iJkL = lam J^2 FinvT_iJ FinvT_kL
+        #        + (mu - lam/2 (J^2-1)) FinvT_iL FinvT_kJ + mu d_ik d_JL,
+        # contracted with dphi_nJ dphi_mL; g_ni = dphi_nJ FinvT_iJ
+        g = (G @ np.swapaxes(FinvT, 2, 3)).reshape(nc, m, 1, 2 * nr)
+        k1 = _wgram(g, g, wdet * lam * J2)
+        k2 = _wgram(g, g, wdet * (mu - 0.5 * lam * (J2 - 1.0)))
+        Gt = np.swapaxes(G, 2, 3)
+        k3 = mu * _wgram(Gt, Gt, wdet)[:, :, None, :, None] * np.eye(2)[:, None, :]
+        # k2 holds g_ni g_mk at [(n, i), (m, k)]; the tangent needs g_nk g_mi
+        k2 = k2.reshape(nc, nr, 2, nr, 2).transpose(0, 1, 4, 3, 2)
+        tangents.append(k1.reshape(nc, nr, 2, nr, 2) + k2 + k3)
+    r = _vector([dofs for dofs, _, _ in blocks], residuals, n)
+    return r, _csr(pattern, tangents, n)
 
 
 def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
@@ -419,12 +526,16 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     fixed = sorted({int(r) for r, _ in constraints})
     free = np.setdiff1d(np.arange(nred), fixed)
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
+    # the assembly at the current iterate; the load is dead, so a converged
+    # increment's assembly also starts the next increment
+    rint = K = None
     for inc in range(1, increments + 1):
         scale = inc / increments
         fext = scale * external_load
         res0 = None
         for it in range(max_iter + 1):
-            rint, K = assemble_neo_hookean(mesh, material, expand(dred))
+            if rint is None:
+                rint, K = assemble_neo_hookean(mesh, material, expand(dred))
             if condenser is not None:
                 rred = condenser.reduce_vec(rint - fext)
                 Kred = condenser.reduce_mat(K)
@@ -448,7 +559,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
             alpha = 1.0
             for _ in range(12):
                 try:
-                    assemble_neo_hookean(mesh, material, expand(dred + alpha * step))
+                    deformation_gradients(mesh, expand(dred + alpha * step))
                     break
                 except NumericalError:
                     alpha *= 0.5
@@ -457,6 +568,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                     f"element inversion in increment {inc} could not be avoided"
                 )
             dred = dred + alpha * step
+            rint = K = None
         if callback is not None:
             callback(inc, dred)
     return dred
@@ -497,27 +609,22 @@ def l2_error(field: SolutionField, exact, quad_extra: int = 2,
     """
     total = 0.0
     d = field.values.reshape(-1, field.ncomp)
-    for cell in field.mesh.cells:
-        n1 = cell.degrees[0] + quad_extra
-        n2 = cell.degrees[1] + quad_extra
-        x1, x2, w = cell_quadrature(cell, n1, n2)
-        ev = evaluate_cell(cell, x1, x2)
-        wdet = w * ev["detJ"]
-        coeffs = d[cell.rows]
-        vals = ev["basis"] @ coeffs
+    for _, rows, ev in cell_blocks(field.mesh, quad_extra):
+        coeffs = d[rows]
+        vals = (ev["basis"] @ coeffs).reshape(-1, field.ncomp)
+        x = ev["x"].reshape(-1, 2)
         if quantity is not None:
-            grads = np.einsum("qnd,nc->qcd", ev["grad_phys"], coeffs)
-            vals = np.array([quantity(vals[q], grads[q], ev["x"][q])
-                             for q in range(len(x1))])[:, None]
-            ex = np.array([exact(xy[0], xy[1]) for xy in ev["x"]])[:, None]
+            grads = np.einsum("cqnd,cnk->cqkd", ev["grad_phys"], coeffs)
+            grads = grads.reshape(len(x), field.ncomp, 2)
+            vals = np.array([quantity(vals[q], grads[q], x[q])
+                             for q in range(len(x))])[:, None]
+            ex = np.array([exact(xy[0], xy[1]) for xy in x])[:, None]
         else:
-            ex = np.atleast_2d(
-                np.array([exact(xy[0], xy[1]) for xy in ev["x"]])
-            )
-            if ex.shape[0] != len(x1):
+            ex = np.atleast_2d(np.array([exact(xy[0], xy[1]) for xy in x]))
+            if ex.shape[0] != len(x):
                 ex = ex.T
         diff = vals - ex
-        total += float(np.sum(wdet * np.sum(diff * diff, axis=1)))
+        total += float(np.sum(ev["wdet"].reshape(-1) * np.sum(diff * diff, axis=1)))
     return math.sqrt(total)
 
 

@@ -74,26 +74,63 @@ class SideCell:
 
 @dataclass
 class ExtractedMesh:
-    """Element stream plus dof count; the input to Galerkin assembly."""
+    """Element stream plus dof count; the input to Galerkin assembly.
+
+    ``_cache`` holds data derived from the cells on first use (the point
+    locator, the neo-Hookean kernel's geometry and sparsity), so the cells
+    must not change once the mesh is in use.
+    """
 
     patches: list[Patch2D]
     cells: list[Cell]
     ndof: int
     route: str
-    _locator: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cells_of_patch(self, patch: int) -> list[Cell]:
         return [c for c in self.cells if c.patch == patch]
 
     def locate(self, patch: int, xi1: float, xi2: float) -> Cell:
-        """Cell of ``patch`` containing the parametric point."""
-        for c in self.cells:
-            if c.patch != patch:
-                continue
-            (a1, b1), (a2, b2) = c.rect
-            if a1 - 1e-12 <= xi1 <= b1 + 1e-12 and a2 - 1e-12 <= xi2 <= b2 + 1e-12:
-                return c
+        """Cell of ``patch`` containing the parametric point.
+
+        Of the cells whose rectangle, widened by 1e-12, holds the point, the
+        first in stream order is returned.
+        """
+        grid = self._locator().get(patch)
+        if grid is not None:
+            (lo1, hi1), (lo2, hi2), owner = grid
+            # grid boxes i with lo[i] <= xi <= hi[i] form a contiguous range
+            i0, i1 = np.searchsorted(hi1, xi1, "left"), np.searchsorted(lo1, xi1, "right")
+            j0, j1 = np.searchsorted(hi2, xi2, "left"), np.searchsorted(lo2, xi2, "right")
+            if i0 < i1 and j0 < j1:
+                k = owner[i0:i1, j0:j1].min()
+                if k < len(self.cells):
+                    return self.cells[k]
         raise ValueError(f"point ({xi1}, {xi2}) not inside patch {patch}")
+
+    def _locator(self) -> dict:
+        """Per patch: the grid of all cell breakpoints and each box's first cell.
+
+        Every cell rectangle is a union of grid boxes, so a point lies within
+        the 1e-12 slack of a cell exactly when it lies within the slack of one
+        of that cell's boxes; ``owner`` holds the lowest index of the cells
+        covering each box (``len(cells)`` where none does).
+        """
+        if "locator" not in self._cache:
+            by_patch: dict = {}
+            for k, c in enumerate(self.cells):
+                by_patch.setdefault(c.patch, []).append(k)
+            grids = {}
+            for patch, ks in by_patch.items():
+                rects = np.array([self.cells[k].rect for k in ks])
+                bps = [np.unique(rects[:, a]) for a in (0, 1)]
+                ends = [np.searchsorted(bps[a], rects[:, a]) for a in (0, 1)]
+                owner = np.full((len(bps[0]) - 1, len(bps[1]) - 1), len(self.cells))
+                for k, (a1, b1), (a2, b2) in reversed(list(zip(ks, *ends))):
+                    owner[a1:b1, a2:b2] = k
+                grids[patch] = tuple((bp[:-1] - 1e-12, bp[1:] + 1e-12) for bp in bps) + (owner,)
+            self._cache["locator"] = grids
+        return self._cache["locator"]
 
     def side_cells(self, patch: int, side: str) -> list[SideCell]:
         """Restrict the cells adjacent to one patch side."""
