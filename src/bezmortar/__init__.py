@@ -9,7 +9,6 @@ identical linear systems.
 
 from .coupling import (
     CompositionalMap,
-    Condenser,
     CouplingMatrix,
     InterfaceCoupling,
     InterfaceGeometryError,
@@ -66,7 +65,6 @@ from .splines import (
     uniform_open_knots,
 )
 from .weakmesh import (
-    build_weak_mesh,
     interface_operator_report,
     refined_weak_interface_operator,
     tensor_weak_patch_operator,

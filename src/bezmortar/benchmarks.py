@@ -46,6 +46,7 @@ from .splines import (
     bspline_basis,
     gauss_on,
     greville_abscissae,
+    side_index,
     uniform_open_knots,
 )
 
@@ -176,14 +177,7 @@ def _perturb_edge(patch: Patch2D, side: str, magnitude: float,
     unchanged while the boundary parameterization becomes nonlinear.
     """
     pts = patch.points.copy()
-    if side == "west":
-        edge = pts[0]
-    elif side == "east":
-        edge = pts[-1]
-    elif side == "south":
-        edge = pts[:, 0]
-    else:
-        edge = pts[:, -1]
+    edge = pts[side_index(side)]
     direction = edge[-1] - edge[0]
     direction = direction / np.linalg.norm(direction)
     n = edge.shape[0]
@@ -510,11 +504,9 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
         sad = apply_dirichlet(sad, rows)
         x = linear_solve(sad)
         field = SolutionField(mesh, x[: mesh.ndof * ncomp], ncomp)
-    h = max(p.max_element_diameter() for p in model.patches)
     return {
         "field": field,
         "model": model,
-        "h": h,
         "dofs": model.n_retained * ncomp,
         "exact": exact_u,
     }
@@ -583,7 +575,8 @@ def run_convergence(case: BenchmarkCase, levels: int | None = None,
             break
         # uniform bisection halves the mesh size exactly; measuring the
         # physical diameter per level would only add parameterization noise
-        h0 = solved["h"] if h0 is None else h0
+        if h0 is None:
+            h0 = max(p.max_element_diameter() for p in solved["model"].patches)
         report.add(lv, h0 / 2**lv, solved["dofs"], err)
     return report
 
@@ -613,9 +606,7 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
     for ci, coup in enumerate(model.couplings):
         mp, ms = coup.spec.master
         mcurve = model.patches[mp].boundary(ms)
-        from .model import _edge_indices
-
-        m_ids = [model.grids[mp][pos] for pos in _edge_indices(model.patches[mp], ms)]
+        m_ids = model.grids[mp][side_index(ms)]
         m_coeffs = vals[m_ids]
         s_ids = model.trace_ids[ci]
         s_coeffs = vals[s_ids]

@@ -135,9 +135,10 @@ def main(argv=None) -> int:
                 solved = solve_case(case, args.level, args.method)
                 field = solved["field"]
                 dofs = solved["dofs"]
+                h = max(p.max_element_diameter() for p in solved["model"].patches)
                 summary = [("case", case.case), ("method", args.method),
                            ("level", args.level), ("dofs", dofs),
-                           ("h", format(solved["h"], ".17g"))]
+                           ("h", format(h, ".17g"))]
                 err = case_error(case, solved)
                 summary.append(("l2_error", format(err, ".17g")))
             coeffs = [format(float(v), ".17g") for v in field.values]

@@ -17,7 +17,9 @@ from .dualbasis import DualBasis, dual_extraction, rational_dual
 from .linsys import AssembledSystem, NumericalError
 from .splines import (
     BoundaryCurve,
+    ElementExtraction,
     KnotVector,
+    bezier_extraction,
     bspline_basis,
     gauss_on,
     refinement_operator,
@@ -35,7 +37,6 @@ __all__ = [
     "assemble_coupling",
     "InterfaceCoupling",
     "build_interface_coupling",
-    "Condenser",
     "condense",
     "assemble_saddle",
 ]
@@ -174,9 +175,10 @@ class RefinedDualSpace:
     Level 0 keeps the original space; level 1 inserts the pulled-back master
     knots; each further level bisects every span.  ``refine_op`` maps
     original interface coefficients to refined ones.  ``segments`` are the
-    quadrature breakpoints for coupling integrals, and
-    :meth:`cells_in` yields the subdivision cells of one original slave
-    element (empty at level 0, where no new continuity lines exist).
+    quadrature breakpoints for coupling integrals, ``extraction`` holds the
+    refined space's element extraction operators, and :meth:`cells_in`
+    yields the subdivision cells of one original slave element (empty at
+    level 0, where no new continuity lines exist).
     """
 
     base: KnotVector
@@ -184,6 +186,7 @@ class RefinedDualSpace:
     level: int
     refine_op: np.ndarray
     segments: np.ndarray
+    extraction: list[ElementExtraction]
 
     @property
     def n(self) -> int:
@@ -219,7 +222,7 @@ def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
             refined = refined.bisected()
     _, T = refinement_operator(slave_kv, _missing_knots(slave_kv, refined))
     segments = refined.breakpoints() if level >= 1 else np.asarray(merged_breakpoints)
-    return RefinedDualSpace(slave_kv, refined, level, T, segments)
+    return RefinedDualSpace(slave_kv, refined, level, T, segments, bezier_extraction(refined))
 
 
 def _missing_knots(coarse: KnotVector, fine: KnotVector) -> list[float]:
@@ -259,8 +262,7 @@ class CouplingMatrix:
 
 
 def assemble_coupling(dual: DualBasis, master_kv: KnotVector, phi: CompositionalMap,
-                      segments: np.ndarray, quad_order: int | None = None,
-                      slave_weights: np.ndarray | None = None,
+                      segments: np.ndarray, slave_weights: np.ndarray | None = None,
                       master_weights: np.ndarray | None = None,
                       refine_level: int = 0) -> CouplingMatrix:
     """Integrate the coupling matrix segment by segment.
@@ -271,7 +273,7 @@ def assemble_coupling(dual: DualBasis, master_kv: KnotVector, phi: Compositional
     """
     p_s = dual.space.degree
     p_m = master_kv.degree
-    nq = quad_order or max(p_m, p_s) + 1
+    nq = max(p_m, p_s) + 1
     wm = None if master_weights is None else np.asarray(master_weights, dtype=float)
     G = np.zeros((dual.n, master_kv.n))
     for a, b in zip(segments[:-1], segments[1:]):
@@ -309,8 +311,7 @@ class InterfaceCoupling:
 
 
 def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
-                             master_curve: BoundaryCurve, level: int,
-                             quad_order: int | None = None) -> InterfaceCoupling:
+                             master_curve: BoundaryCurve, level: int) -> InterfaceCoupling:
     """Build phi, the refined dual space and the coupling matrix of one interface."""
     phi = build_phi(slave_curve, master_curve, spec.reversed)
     merged = project_master_knots(phi)
@@ -327,7 +328,6 @@ def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
         master_curve.kv,
         phi,
         refined.segments,
-        quad_order,
         slave_weights=w_refined if rational else None,
         master_weights=w_master if rational else None,
         refine_level=level,
@@ -336,30 +336,6 @@ def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
         spec, phi, merged, refined, dual, coupling,
         w_slave, w_refined, w_master,
     )
-
-
-class Condenser:
-    """Vector-dof view of a model's prolongation operator.
-
-    ``reduce``/``expand`` move loads, residuals and tangents between the full
-    mortar numbering and the retained dofs.
-    """
-
-    def __init__(self, layout, ncomp: int):
-        self.P = layout.prolongation_vec(ncomp)
-
-    @property
-    def nred(self) -> int:
-        return self.P.shape[1]
-
-    def reduce_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.P.T @ v
-
-    def reduce_mat(self, K) -> sp.csr_matrix:
-        return (self.P.T @ K @ self.P).tocsr()
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        return self.P @ v
 
 
 def condense(system: AssembledSystem, layout) -> AssembledSystem:
@@ -379,7 +355,7 @@ def condense(system: AssembledSystem, layout) -> AssembledSystem:
     # slave interface dofs are dependent and must never be constrained
     if any(row >= K.shape[0] for row in system.constraints):
         raise ValueError("Dirichlet constraint on an eliminated interface dof")
-    return AssembledSystem(K, f, system.ncomp, dict(system.constraints), None)
+    return AssembledSystem(K, f, system.ncomp, dict(system.constraints))
 
 
 def assemble_saddle(system: AssembledSystem, layout) -> tuple[AssembledSystem, int]:
@@ -404,5 +380,5 @@ def assemble_saddle(system: AssembledSystem, layout) -> tuple[AssembledSystem, i
         format="csr",
     )
     f = np.concatenate([system.f, np.zeros(nl)])
-    sys2 = AssembledSystem(K, f, ncomp, dict(system.constraints), None)
+    sys2 = AssembledSystem(K, f, ncomp, dict(system.constraints))
     return sys2, nl

@@ -16,9 +16,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .coupling import condense
 from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
 from .model import Cell, ExtractedMesh, SideCell
-from .splines import BernsteinInterval, bernstein_derivatives, gauss_on
+from .splines import BernsteinInterval, bernstein_derivatives, gauss_on, side_index
 
 __all__ = [
     "MaterialModel",
@@ -391,8 +392,8 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     return vals
 
 
-def dirichlet_rows(model_or_none, mesh: ExtractedMesh, ncomp: int, specs,
-                   grids=None) -> list[tuple[int, float]]:
+def dirichlet_rows(model_or_none, mesh: ExtractedMesh, ncomp: int,
+                   specs) -> list[tuple[int, float]]:
     """Translate per-side Dirichlet specs into (row, value) pairs.
 
     Specs are (patch, side, comp, fn).  Dofs replaced by interface traces are
@@ -407,13 +408,9 @@ def dirichlet_rows(model_or_none, mesh: ExtractedMesh, ncomp: int, specs,
             grid = model_or_none.grids[patch]
         else:
             grid = np.arange(p.shape[0] * p.shape[1]).reshape(p.shape)
-        from .model import _edge_indices
-
-        for k, pos in enumerate(_edge_indices(p, side)):
-            dof = grid[pos]
-            if dof < 0:
-                continue
-            out.append((int(dof) * ncomp + comp, float(vals[k])))
+        for dof, val in zip(grid[side_index(side)], vals):
+            if dof >= 0:
+                out.append((int(dof) * ncomp + comp, float(val)))
     return out
 
 
@@ -510,21 +507,22 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
 def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                          external_load: np.ndarray, constraints,
                          increments: int = 20, tol_factor: float = 1e8,
-                         max_iter: int = 25, condenser=None,
-                         callback=None) -> np.ndarray:
+                         max_iter: int = 25, layout=None) -> np.ndarray:
     """Incremental Newton solve with a dead external load.
 
     The load is scaled in ``increments`` equal steps; each step iterates
     until the residual drops by ``tol_factor`` (with an absolute floor).
-    ``external_load`` lives in the mesh numbering; ``condenser`` (mortar
-    route) maps full residuals/tangents to the retained dofs and expands
-    iterates back.  Constraints are (row, 0.0) pairs in the solved numbering.
+    ``external_load`` lives in the mesh numbering.  On the mortar route,
+    ``layout`` is the model: residuals and tangents are reduced to its
+    retained dofs with :func:`~bezmortar.coupling.condense` and iterates are
+    expanded back through its prolongation.  Constraints are (row, 0.0) pairs
+    in the solved numbering.
     """
-    nred = condenser.nred if condenser is not None else mesh.ndof * 2
-    dred = np.zeros(nred)
-    expand = (lambda v: v) if condenser is None else condenser.expand
+    P = None if layout is None else layout.prolongation_vec(2)
+    dred = np.zeros(mesh.ndof * 2 if P is None else P.shape[1])
+    expand = (lambda v: v) if P is None else (lambda v: P @ v)
     fixed = sorted({int(r) for r, _ in constraints})
-    free = np.setdiff1d(np.arange(nred), fixed)
+    free = np.setdiff1d(np.arange(dred.size), fixed)
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
     # the assembly at the current iterate; the load is dead, so a converged
     # increment's assembly also starts the next increment
@@ -536,9 +534,9 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
         for it in range(max_iter + 1):
             if rint is None:
                 rint, K = assemble_neo_hookean(mesh, material, expand(dred))
-            if condenser is not None:
-                rred = condenser.reduce_vec(rint - fext)
-                Kred = condenser.reduce_mat(K)
+            if layout is not None:
+                red = condense(AssembledSystem(K, rint - fext, 2), layout)
+                rred, Kred = red.f, red.K
             else:
                 rred = rint - fext
                 Kred = K
@@ -569,8 +567,6 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                 )
             dred = dred + alpha * step
             rint = K = None
-        if callback is not None:
-            callback(inc, dred)
     return dred
 
 

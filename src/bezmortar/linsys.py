@@ -22,16 +22,12 @@ class AssembledSystem:
     Rows are vector degrees of freedom: scalar dof ``d`` and component ``c``
     map to row ``d * ncomp + c``.  ``constraints`` maps constrained rows to
     prescribed values; it is filled by :func:`apply_dirichlet`.
-
-    ``partition`` optionally labels scalar dofs for interface condensation
-    ('distinct', or per-interface master/slave groups).
     """
 
     K: sp.csr_matrix
     f: np.ndarray
     ncomp: int = 1
     constraints: dict[int, float] = field(default_factory=dict)
-    partition: dict | None = None
 
     @property
     def nrows(self) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coupling import InterfaceSpec
 from .model import MultiPatchModel
-from .splines import KnotVector, Patch2D
+from .splines import SIDES, KnotVector, Patch2D
 
 __all__ = [
     "MeshFormatError",
@@ -32,7 +32,6 @@ __all__ = [
 
 FORMAT_NAME = "bezmortar-mesh"
 FORMAT_VERSION = 1
-_SIDES = ("west", "east", "south", "north")
 
 CSV_COLUMNS = ("case", "p", "ratio", "matched", "n", "level", "h", "dofs",
                "l2_error", "rate")
@@ -199,7 +198,7 @@ def validate_mesh_document(doc) -> None:
             spatch, sside = s["slave"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshFormatError("bad-interface", str(exc)) from exc
-        if mside not in _SIDES or sside not in _SIDES:
+        if not all(side in tuple(SIDES) for side in (mside, sside)):
             raise MeshFormatError("bad-side", f"{mside}/{sside}")
         if not (0 <= int(mp) < len(patches) and 0 <= int(spatch) < len(patches)):
             raise MeshFormatError("bad-interface", "patch index out of range")

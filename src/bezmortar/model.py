@@ -9,6 +9,10 @@ the same data:
 * the *mortar* stream keeps trace dofs explicit (assemble, then condense),
 * the *weak* stream contracts them element by element, producing standard
   extracted elements a solver can assemble directly.
+
+The layout rests on one sparse operator per interface: its master edge's
+functions as rows over the full dofs.  The prolongation P and the saddle
+blocks are sparse products of these with the coupling matrices.
 """
 
 from __future__ import annotations
@@ -24,18 +28,15 @@ from .coupling import (
     build_interface_coupling,
 )
 from .splines import (
+    SIDES,
     BernsteinInterval,
     Patch2D,
     bernstein_transform,
     bezier_extraction,
+    side_index,
 )
 
 __all__ = ["Cell", "SideCell", "ExtractedMesh", "MultiPatchModel", "single_patch_mesh"]
-
-_SIDE_AXIS = {"west": 0, "east": 0, "south": 1, "north": 1}
-_SIDE_END = {"west": False, "east": True, "south": False, "north": True}
-# outward normal from curve tangent: (a,b) -> ccw (-b,a) or cw (b,-a)
-_SIDE_CCW = {"north": True, "west": True, "south": False, "east": False}
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ class ExtractedMesh:
     route: str
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def cells_of_patch(self, patch: int) -> list[Cell]:
-        return [c for c in self.cells if c.patch == patch]
-
     def locate(self, patch: int, xi1: float, xi2: float) -> Cell:
         """Cell of ``patch`` containing the parametric point.
 
@@ -134,8 +132,7 @@ class ExtractedMesh:
 
     def side_cells(self, patch: int, side: str) -> list[SideCell]:
         """Restrict the cells adjacent to one patch side."""
-        axis = _SIDE_AXIS[side]
-        at_end = _SIDE_END[side]
+        axis, at_end = SIDES[side]
         kv = self.patches[patch].kvs[axis]
         edge_val = kv.domain[1] if at_end else kv.domain[0]
         out = []
@@ -146,33 +143,23 @@ class ExtractedMesh:
             boundary = hi if at_end else lo
             if abs(boundary - edge_val) > 1e-12:
                 continue
-            out.append(_restrict(c, side, axis, at_end))
+            out.append(_restrict(c, side))
         out.sort(key=lambda s: s.interval[0])
         return out
 
 
-def _restrict(cell: Cell, side: str, axis: int, at_end: bool) -> SideCell:
+def _restrict(cell: Cell, side: str) -> SideCell:
+    axis, at_end = SIDES[side]
     p1, p2 = cell.degrees
-    n1, n2 = p1 + 1, p2 + 1
-    cols = np.arange(n1 * n2).reshape(n1, n2)
-    if axis == 0:
-        sel = cols[-1 if at_end else 0, :]
-        deg = p2
-        interval = cell.rect[1]
-    else:
-        sel = cols[:, -1 if at_end else 0]
-        deg = p1
-        interval = cell.rect[0]
+    sel = np.arange((p1 + 1) * (p2 + 1)).reshape(p1 + 1, p2 + 1)[side_index(side)]
     op = cell.ophom[:, sel]
     keep = np.flatnonzero(np.abs(op).sum(axis=1) > 0)
+    # outward normal from the side tangent (a,b): ccw (-b,a) on the west and
+    # north sides, cw (b,-a) on the east and south sides
     return SideCell(
-        cell.patch, side, interval, cell.rows[keep], op[keep],
-        cell.geo_pts, cell.geo_ophom[:, sel], deg, _SIDE_CCW[side],
+        cell.patch, side, cell.rect[1 - axis], cell.rows[keep], op[keep],
+        cell.geo_pts, cell.geo_ophom[:, sel], cell.degrees[1 - axis], at_end == (axis == 1),
     )
-
-
-def _kron_row(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    return np.kron(r1, r2)
 
 
 class MultiPatchModel:
@@ -187,8 +174,7 @@ class MultiPatchModel:
         original slave interface basis).
     """
 
-    def __init__(self, patches, interfaces, dual_refine: int = 0,
-                 coupling_quad: int | None = None):
+    def __init__(self, patches, interfaces, dual_refine: int = 0):
         self.patches = list(patches)
         self.interfaces = list(interfaces)
         self.dual_refine = int(dual_refine)
@@ -201,7 +187,6 @@ class MultiPatchModel:
                 self.patches[sp_].boundary(ss),
                 self.patches[mp].boundary(ms),
                 self.dual_refine,
-                coupling_quad,
             )
             self.couplings.append(coup)
         self._build_layout()
@@ -209,137 +194,117 @@ class MultiPatchModel:
     # ------------------------------------------------------------------ dofs
 
     def _build_layout(self):
-        self.grids: list[np.ndarray] = []
-        owner: list[dict[tuple[int, int], int]] = []  # (i1,i2) -> coupling idx
-        for patch in self.patches:
-            n1, n2 = patch.shape
-            self.grids.append(np.full((n1, n2), -2, dtype=int))
-            owner.append({})
-        # mark slave trace edges
-        for ci, coup in enumerate(self.couplings):
+        """Number the dofs and build the prolongation operator.
+
+        Retained dofs are the patch functions off the slave edges, numbered
+        patch by patch in row-major order (``grids`` holds them, -1 on slave
+        edges); each interface then appends one trace dof per refined
+        interface function (``trace_ids``).
+        """
+        slave = [np.zeros(p.shape, dtype=bool) for p in self.patches]
+        for coup in self.couplings:
             pi, side = coup.spec.slave
-            idx = _edge_indices(self.patches[pi], side)
-            for pos in idx:
-                if pos in owner[pi]:
-                    raise ValueError(
-                        "chained slave dependency: a dof is slave on two interfaces"
-                    )
-                owner[pi][pos] = ci
-        # number grid dofs (retained)
+            edge = slave[pi][side_index(side)]
+            if edge.any():
+                raise ValueError(
+                    "chained slave dependency: a dof is slave on two interfaces"
+                )
+            edge[...] = True
+        self.grids: list[np.ndarray] = []
         count = 0
-        for pi, patch in enumerate(self.patches):
-            n1, n2 = patch.shape
-            for i1 in range(n1):
-                for i2 in range(n2):
-                    if (i1, i2) in owner[pi]:
-                        self.grids[pi][i1, i2] = -1
-                    else:
-                        self.grids[pi][i1, i2] = count
-                        count += 1
+        for mask in slave:
+            grid = np.full(mask.shape, -1)
+            n = int(np.count_nonzero(~mask))
+            grid[~mask] = np.arange(count, count + n)
+            count += n
+            self.grids.append(grid)
         self.n_retained = count
-        # number trace blocks
         self.trace_ids: list[np.ndarray] = []
         for coup in self.couplings:
-            n_r = coup.refined.n
-            self.trace_ids.append(np.arange(count, count + n_r))
-            count += n_r
+            self.trace_ids.append(np.arange(count, count + coup.refined.n))
+            count += coup.refined.n
         self.ndof_full = count
-        self._owner = owner
-        self._build_prolongation()
+        masters = [c.spec.master for c in self.couplings]
+        fmaps = {mp: self._function_map(mp) for mp, _ in masters}
+        self._master_edges = [fmaps[mp][_flat(self.patches[mp])[side_index(ms)]]
+                              for mp, ms in masters]
+        self.P = self._prolongation()
 
-    def _function_row(self, pi: int, i1: int, i2: int) -> dict[int, float]:
-        """A patch tensor function as combination of full dofs."""
-        gid = self.grids[pi][i1, i2]
-        if gid >= 0:
-            return {int(gid): 1.0}
-        ci = self._owner[pi][(i1, i2)]
-        coup = self.couplings[ci]
-        side = coup.spec.slave[1]
-        k = i2 if _SIDE_AXIS[side] == 0 else i1
-        T = coup.refined.refine_op
-        ids = self.trace_ids[ci]
-        return {
-            int(ids[r]): float(T[r, k])
-            for r in range(T.shape[0])
-            if abs(T[r, k]) > 1e-15
-        }
+    def _function_map(self, pi: int) -> sp.csr_matrix:
+        """Every tensor function of patch ``pi`` as a row over the full dofs.
 
-    def _build_prolongation(self):
-        """Rows of P: trace dofs expressed through retained dofs."""
-        rows: dict[int, dict[int, float]] = {
-            d: {d: 1.0} for d in range(self.n_retained)
-        }
-        pending = list(range(len(self.couplings)))
-        while pending:
-            progressed = False
-            for ci in list(pending):
-                coup = self.couplings[ci]
-                mp, ms = coup.spec.master
-                cols = _edge_indices(self.patches[mp], ms)
-                master_rows = [self._function_row(mp, i1, i2) for (i1, i2) in cols]
-                if any(
-                    any(d not in rows for d in mr) for mr in master_rows
-                ):
-                    continue
-                G = coup.coupling.std
-                for I, tid in enumerate(self.trace_ids[ci]):
-                    acc: dict[int, float] = {}
-                    for J, mr in enumerate(master_rows):
-                        g = G[I, J]
-                        if abs(g) < 1e-15:
-                            continue
-                        for d, c in mr.items():
-                            for rd, rc in rows[d].items():
-                                acc[rd] = acc.get(rd, 0.0) + g * c * rc
-                    rows[int(tid)] = acc
-                pending.remove(ci)
-                progressed = True
-            if not progressed:
-                raise ValueError("cyclic interface dependency; cannot condense")
-        data, ri, cj = [], [], []
-        for r, entries in rows.items():
-            for c, v in entries.items():
-                ri.append(r)
-                cj.append(c)
-                data.append(v)
-        self.P = sp.csr_matrix(
-            (data, (ri, cj)), shape=(self.ndof_full, self.n_retained)
+        Retained functions are unit rows; a slave-edge function is its column
+        of the interface refinement operator over that interface's trace dofs.
+        """
+        grid = self.grids[pi].reshape(-1)
+        keep = np.flatnonzero(grid >= 0)
+        rows, cols, vals = [keep], [grid[keep]], [np.ones(keep.size)]
+        flat = _flat(self.patches[pi])
+        for ci, coup in enumerate(self.couplings):
+            if coup.spec.slave[0] == pi:
+                T = coup.refined.refine_op
+                r, k = np.nonzero(np.abs(T) > 1e-15)
+                rows.append(flat[side_index(coup.spec.slave[1])][k])
+                cols.append(self.trace_ids[ci][r])
+                vals.append(T[r, k])
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(grid.size, self.ndof_full),
         )
+
+    def _prolongation(self) -> sp.csr_matrix:
+        """P with full dofs = P @ retained dofs.
+
+        Interface i's trace rows are G_i E_i P, with E_i its master-edge
+        operator, so they are formed once the rows of every trace dof E_i
+        reaches exist: interfaces are taken in dependency order.
+        """
+        ident = sp.identity(self.n_retained, format="csr")
+        blocks = [sp.csr_matrix((ids.size, self.n_retained)) for ids in self.trace_ids]
+        deps = [{cj for cj, ids in enumerate(self.trace_ids) if E[:, ids].nnz}
+                for E in self._master_edges]
+        done: set[int] = set()
+        while len(done) < len(self.couplings):
+            ready = [ci for ci, d in enumerate(deps) if ci not in done and d <= done]
+            if not ready:
+                raise ValueError("cyclic interface dependency; cannot condense")
+            P = sp.vstack([ident] + blocks, format="csr")
+            for ci in ready:
+                G = _pruned(self.couplings[ci].coupling.std)
+                blocks[ci] = G @ self._master_edges[ci] @ P
+            done.update(ready)
+        P = sp.vstack([ident] + blocks, format="csr")
+        P.sort_indices()  # the sparse products leave column order unsorted
+        return P
 
     def prolongation_vec(self, ncomp: int) -> sp.csr_matrix:
         if ncomp == 1:
             return self.P
         return sp.kron(self.P, sp.eye(ncomp), format="csr")
 
-    def retained_of_full(self, dof: int) -> int:
-        return dof if dof < self.n_retained else -1
-
     def multiplier_blocks(self, ncomp: int):
-        """Constraint blocks (master side, slave side) for the saddle system."""
-        nl = sum(c.refined.n for c in self.couplings)
-        Bm = sp.lil_matrix((nl, self.ndof_full))
-        Bs = sp.lil_matrix((nl, self.ndof_full))
-        off = 0
-        for ci, coup in enumerate(self.couplings):
+        """Constraint blocks (master side, slave side) for the saddle system.
+
+        Interface i contributes the rows G_i E_i to ``Bm`` and the selection of
+        its trace dofs to ``Bs``.
+        """
+        for coup in self.couplings:
             mp, ms = coup.spec.master
-            cols = _edge_indices(self.patches[mp], ms)
-            for J, pos in enumerate(cols):
-                gid = self.grids[mp][pos]
-                if gid < 0:
-                    raise ValueError(
-                        "saddle assembly requires unreplaced master edges"
-                    )
-                col = coup.coupling.std[:, J]
-                for I in range(coup.refined.n):
-                    if abs(col[I]) > 1e-15:
-                        Bm[off + I, gid] = col[I]
-            for I, tid in enumerate(self.trace_ids[ci]):
-                Bs[off + I, tid] = 1.0
-            off += coup.refined.n
+            if np.any(self.grids[mp][side_index(ms)] < 0):
+                raise ValueError("saddle assembly requires unreplaced master edges")
+        Bm = sp.vstack(
+            [sp.csr_matrix((0, self.ndof_full))]
+            + [_pruned(c.coupling.std) @ E for c, E in zip(self.couplings, self._master_edges)],
+            format="csr",
+        )
+        trace = np.arange(self.n_retained, self.ndof_full)
+        Bs = sp.csr_matrix((np.ones(trace.size), (np.arange(trace.size), trace)),
+                           shape=(trace.size, self.ndof_full))
+        Bm.sort_indices()  # the sparse product leaves column order unsorted
         if ncomp > 1:
-            Bm = sp.kron(Bm.tocsr(), sp.eye(ncomp))
-            Bs = sp.kron(Bs.tocsr(), sp.eye(ncomp))
-        return Bm.tocsr(), Bs.tocsr()
+            Bm = sp.kron(Bm, sp.eye(ncomp)).tocsr()
+            Bs = sp.kron(Bs, sp.eye(ncomp)).tocsr()
+        return Bm, Bs
 
     def dof_partition(self) -> dict:
         """Scalar-dof labels: distinct dofs and per-interface master/slave sets."""
@@ -347,11 +312,8 @@ class MultiPatchModel:
         per_iface = []
         for ci, coup in enumerate(self.couplings):
             mp, ms = coup.spec.master
-            master = [
-                int(self.grids[mp][pos])
-                for pos in _edge_indices(self.patches[mp], ms)
-                if self.grids[mp][pos] >= 0
-            ]
+            edge = self.grids[mp][side_index(ms)]
+            master = [int(d) for d in edge if d >= 0]
             slave = [int(t) for t in self.trace_ids[ci]]
             per_iface.append({"master": np.array(master), "slave": np.array(slave)})
             on_iface.update(master)
@@ -420,10 +382,10 @@ class MultiPatchModel:
         patch = self.patches[pi]
         hit = None
         for side in slave_sides:
-            axis = _SIDE_AXIS[side]
+            axis, at_end = SIDES[side]
             op = (op1, op2)[axis]
             n = patch.kvs[axis].n
-            edge = n - 1 - patch.degrees[axis] if _SIDE_END[side] else 0
+            edge = n - 1 - patch.degrees[axis] if at_end else 0
             if op.first == edge:
                 if hit is not None:
                     raise ValueError(
@@ -456,15 +418,15 @@ class MultiPatchModel:
         patch = self.patches[pi]
         coup = self.couplings[ci]
         p1, p2 = patch.degrees
-        axis_f = _SIDE_AXIS[side]     # direction the side pins
+        axis_f, at_end = SIDES[side]  # direction the side pins
         axis_i = 1 - axis_f           # direction along the interface
         op_f = (op1, op2)[axis_f]
         op_i = (op1, op2)[axis_i]
         p_f, p_i = patch.degrees[axis_f], patch.degrees[axis_i]
         n_f = patch.kvs[axis_f].n
-        edge_global = n_f - 1 if _SIDE_END[side] else 0
+        edge_global = n_f - 1 if at_end else 0
         refined = coup.refined.refined
-        r_ops = bezier_extraction(refined)
+        r_ops = coup.refined.extraction
         w_r = coup.refined_edge_weights
         tids = self.trace_ids[ci]
         parent = BernsteinInterval(op_i.span[0], op_i.span[1], p_i)
@@ -527,24 +489,21 @@ def _axis_kron(row_f: np.ndarray, row_i: np.ndarray, axis_f: int) -> np.ndarray:
     return np.kron(row_f, row_i) if axis_f == 0 else np.kron(row_i, row_f)
 
 
-def _edge_indices(patch: Patch2D, side: str) -> list[tuple[int, int]]:
-    n1, n2 = patch.shape
-    if side == "west":
-        return [(0, j) for j in range(n2)]
-    if side == "east":
-        return [(n1 - 1, j) for j in range(n2)]
-    if side == "south":
-        return [(i, 0) for i in range(n1)]
-    if side == "north":
-        return [(i, n2 - 1) for i in range(n1)]
-    raise ValueError(f"unknown side {side}")
+def _flat(patch: Patch2D) -> np.ndarray:
+    """Row-major index of every tensor function of a patch, shaped like its net."""
+    return np.arange(patch.shape[0] * patch.shape[1]).reshape(patch.shape)
+
+
+def _pruned(G: np.ndarray) -> sp.csr_matrix:
+    """Sparse coupling matrix without its quadrature-noise entries."""
+    return sp.csr_matrix(np.where(np.abs(G) < 1e-15, 0.0, G))
 
 
 def single_patch_mesh(patch: Patch2D) -> ExtractedMesh:
     """Standard extracted mesh of one uncoupled patch."""
     p1, p2 = patch.degrees
     cells = []
-    grid = np.arange(patch.shape[0] * patch.shape[1]).reshape(patch.shape)
+    grid = _flat(patch)
     for op1 in bezier_extraction(patch.kvs[0]):
         for op2 in bezier_extraction(patch.kvs[1]):
             f1, f2 = op1.first, op2.first

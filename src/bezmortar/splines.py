@@ -31,6 +31,8 @@ __all__ = [
     "uniform_open_knots",
     "gauss_rule",
     "BoundaryCurve",
+    "SIDES",
+    "side_index",
     "Patch2D",
 ]
 
@@ -479,7 +481,20 @@ class BoundaryCurve:
         return float(np.linalg.norm(self.derivatives(xi, 1)[1]))
 
 
-_SIDES = ("west", "east", "south", "north")
+# patch side -> (parametric axis the side fixes, whether at that axis's end)
+SIDES = {"west": (0, False), "east": (0, True), "south": (1, False), "north": (1, True)}
+
+
+def side_index(side: str) -> tuple:
+    """Index of one side's entries in an (n1, n2, ...) net, in side-parameter order.
+
+    ``net[side_index(side)]`` is a view, so it also writes to the side.
+    """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {tuple(SIDES)}")
+    axis, at_end = SIDES[side]
+    k = -1 if at_end else 0
+    return (k, slice(None)) if axis == 0 else (slice(None), k)
 
 
 class Patch2D:
@@ -553,15 +568,8 @@ class Patch2D:
 
     def boundary(self, side: str) -> BoundaryCurve:
         """Extract one of the four sides as a rational curve."""
-        if side not in _SIDES:
-            raise ValueError(f"side must be one of {_SIDES}")
-        if side == "west":
-            return BoundaryCurve(self.kvs[1], self.points[0], self.weights[0])
-        if side == "east":
-            return BoundaryCurve(self.kvs[1], self.points[-1], self.weights[-1])
-        if side == "south":
-            return BoundaryCurve(self.kvs[0], self.points[:, 0], self.weights[:, 0])
-        return BoundaryCurve(self.kvs[0], self.points[:, -1], self.weights[:, -1])
+        ix = side_index(side)
+        return BoundaryCurve(self.kvs[1 - SIDES[side][0]], self.points[ix], self.weights[ix])
 
     def refined(self, new_knots1=(), new_knots2=()) -> "Patch2D":
         """Insert knots in either direction; geometry unchanged pointwise."""

@@ -1,19 +1,21 @@
-"""Weakly continuous element extraction operators.
+"""Reference formulas of the weakly continuous element extraction operators.
 
 Interface continuity can be compiled into the element extraction operators of
 the slave patch: each interface-adjacent element's trace rows are replaced by
 master-function rows obtained by contracting the localized coupling matrix.
-The compiled mesh is a standard extracted-element stream, so any solver that
-understands extraction can process multi-patch models directly, with no
-mortaring at assembly time.
+The compiled mesh itself comes from :meth:`MultiPatchModel.weak_mesh`, which
+contracts through the prolongation operator; the functions here spell the
+same operators out factor by factor for one element, so that
+:func:`interface_operator_report` can pin them to exact values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ExtractedMesh, MultiPatchModel
+from .model import MultiPatchModel
 from .splines import (
+    SIDES,
     BernsteinInterval,
     bernstein_transform,
     bezier_extraction,
@@ -23,7 +25,6 @@ __all__ = [
     "weak_interface_operator",
     "refined_weak_interface_operator",
     "tensor_weak_patch_operator",
-    "build_weak_mesh",
     "interface_operator_report",
 ]
 
@@ -72,17 +73,6 @@ def tensor_weak_patch_operator(transverse: np.ndarray, trace_row: int,
     return np.vstack([top, bottom])
 
 
-def build_weak_mesh(model: MultiPatchModel) -> ExtractedMesh:
-    """Compile a coupled model into a weakly continuous element stream.
-
-    The returned mesh numbers only the retained dofs (slave interface dofs
-    are gone); its total count equals the conforming-union count minus the
-    slave interface function count, independent of the dual refinement
-    level.
-    """
-    return model.weak_mesh()
-
-
 def interface_operator_report(model: MultiPatchModel, interface: int = 0,
                               element: int | None = None,
                               subcell: int = 0) -> dict[str, np.ndarray]:
@@ -97,7 +87,7 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     coup = model.couplings[interface]
     pi, side = coup.spec.slave
     patch = model.patches[pi]
-    axis_f = 0 if side in ("west", "east") else 1
+    axis_f, at_end = SIDES[side]
     axis_i = 1 - axis_f
     kv_i = patch.kvs[axis_i]
     kv_f = patch.kvs[axis_f]
@@ -115,8 +105,7 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     parent = ops_i[element]
     cells = coup.refined.cells_in(parent.span) or [parent.span]
     cell = cells[subcell]
-    r_ops = bezier_extraction(refined)
-    r_op = r_ops[refined.element_index(0.5 * (cell[0] + cell[1]))]
+    r_op = coup.refined.extraction[refined.element_index(0.5 * (cell[0] + cell[1]))]
     M = bernstein_transform(
         BernsteinInterval(parent.span[0], parent.span[1], p_i),
         BernsteinInterval(cell[0], cell[1], p_i),
@@ -131,8 +120,8 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     weak_1d = refined_weak_interface_operator(G_local, r_op.matrix, M)
     # transverse factor: the element layer adjacent to the interface
     ops_f = bezier_extraction(kv_f)
-    op_f = ops_f[-1] if side in ("east", "north") else ops_f[0]
-    trace_row = kv_f.degree if side in ("east", "north") else 0
+    op_f = ops_f[-1] if at_end else ops_f[0]
+    trace_row = kv_f.degree if at_end else 0
     tensor = tensor_weak_patch_operator(
         op_f.matrix, trace_row, parent.matrix, weak_1d
     )

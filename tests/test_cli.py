@@ -98,6 +98,14 @@ def test_schema_error_codes(mutate, code):
     assert err.value.code == code
 
 
+def test_non_string_side_is_a_schema_error():
+    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc["interfaces"][0]["slave"] = [0, ["north"]]
+    with pytest.raises(MeshFormatError) as err:
+        validate_mesh_document(doc)
+    assert err.value.code == "bad-side"
+
+
 # ---------------------------------------------------------------------- CLI
 
 

@@ -327,7 +327,23 @@ def test_chained_slave_dof_rejected():
         MultiPatchModel([a, b, c], specs, 0)
 
 
-def test_master_edge_through_condensed_corner():
+def test_pinwheel_dependency_cycle_rejected():
+    # four patches around the origin, each master on one side and slave on
+    # the next: every master edge runs through the previous slave corner
+    quads = [((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (0.0, 1.0)),
+             ((-1.0, 0.0), (-1.0, 0.0)), ((0.0, 1.0), (-1.0, 0.0))]
+    patches = [rect_patch(2, 2, 2, x, y) for x, y in quads]
+    specs = [
+        InterfaceSpec(master=(0, "west"), slave=(1, "east")),
+        InterfaceSpec(master=(1, "south"), slave=(2, "north")),
+        InterfaceSpec(master=(2, "east"), slave=(3, "west")),
+        InterfaceSpec(master=(3, "north"), slave=(0, "south")),
+    ]
+    with pytest.raises(ValueError, match="cyclic"):
+        MultiPatchModel(patches, specs, 1)
+
+
+def _corner_chain_model():
     # patch 1 is slave on its west side and master on its north side; the
     # shared corner dof is substituted through the first interface
     a = rect_patch(2, 2, 2, (0.0, 1.0), (0.0, 1.0))
@@ -337,7 +353,11 @@ def test_master_edge_through_condensed_corner():
         InterfaceSpec(master=(0, "east"), slave=(1, "west")),
         InterfaceSpec(master=(1, "north"), slave=(2, "south")),
     ]
-    model = MultiPatchModel([a, b, c], specs, 1)
+    return MultiPatchModel([a, b, c], specs, 1)
+
+
+def test_master_edge_through_condensed_corner():
+    model = _corner_chain_model()
     system = assemble_poisson(model.mortar_mesh())
     red = condense(system, model)
     weak = assemble_poisson(model.weak_mesh())
@@ -351,6 +371,13 @@ def test_master_edge_through_condensed_corner():
     x = linear_solve(apply_dirichlet(weak, rows))
     field = SolutionField(model.weak_mesh(), x, 1)
     assert l2_error(field, u) < 1e-10
+
+
+def test_saddle_rejects_master_edge_through_condensed_corner():
+    model = _corner_chain_model()
+    system = assemble_poisson(model.mortar_mesh())
+    with pytest.raises(ValueError, match="unreplaced"):
+        assemble_saddle(system, model)
 
 
 def test_sparsity_stays_local(side_by_side):

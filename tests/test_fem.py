@@ -340,7 +340,6 @@ def test_quadrature_subdivision_is_necessary():
 def test_nonlinear_mortar_route_matches_weak_route():
     # condensed tangent stepping and compiled-mesh stepping solve the same
     # nonlinear system
-    from bezmortar import Condenser
     from bezmortar.benchmarks import largedef_model
 
     model = largedef_model(0, weak=True)
@@ -360,8 +359,7 @@ def test_nonlinear_mortar_route_matches_weak_route():
     sys_m = AssembledSystem(sp.csr_matrix((mortar_mesh.ndof * 2, mortar_mesh.ndof * 2)),
                             np.zeros(mortar_mesh.ndof * 2), 2)
     assemble_neumann(mortar_mesh, sys_m, [(0, "north", None, down)])
-    cond = Condenser(model, 2)
     d_red = newton_load_stepping(mortar_mesh, mat, sys_m.f, rows, increments=4,
-                                 condenser=cond)
+                                 layout=model)
     scale = np.abs(d_weak).max()
     assert np.abs(d_weak - d_red).max() / scale < 1e-8

@@ -15,8 +15,9 @@ from bezmortar.benchmarks import (
     gen_square_two_patch,
     rect_patch,
 )
+from bezmortar.fem import evaluate_cell
+from bezmortar.splines import BernsteinInterval, bernstein_basis, side_index
 from bezmortar.weakmesh import (
-    build_weak_mesh,
     interface_operator_report,
     refined_weak_interface_operator,
     tensor_weak_patch_operator,
@@ -82,8 +83,35 @@ def test_weak_operator_column_sums(demo_model):
     rep = interface_operator_report(demo_model)
     assert np.abs(rep["weak_1d"].sum(axis=0) - 1.0).max() < 1e-12
     assert np.abs(rep["tensor_operator"].sum(axis=0) - 1.0).max() < 1e-12
-    for cell in build_weak_mesh(demo_model).cells:
+    for cell in demo_model.weak_mesh().cells:
         assert np.abs(cell.ophom.sum(axis=0) - 1.0).max() < 1e-12
+
+
+def test_report_operator_matches_emitted_weak_cell(demo_model):
+    # the reference tensor operator and the cell weak_mesh() emits on the
+    # same subcell are the same functions, row for row by dof id
+    rep = interface_operator_report(demo_model)
+    coup = demo_model.couplings[0]
+    (pi, _), (mp, ms) = coup.spec.slave, coup.spec.master
+    grid = demo_model.grids[pi]
+    # demo subcell: slave elements [1/3, 1/2] along the north side, [1/2, 1] across it
+    parent = BernsteinInterval(1 / 3, 2 / 3, 2)
+    transverse = BernsteinInterval(0.5, 1.0, 2)
+    x1 = np.linspace(1 / 3 + 1e-3, 0.5 - 1e-3, 4).repeat(4)
+    x2 = np.tile(np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 4), 4)
+    cell = demo_model.weak_mesh().locate(pi, 0.4, 0.75)
+    assert np.allclose(cell.rect, ((1 / 3, 0.5), (0.5, 1.0)), rtol=0, atol=1e-15)
+    # report rows: interior transverse functions x parent functions, then
+    # the master functions active on the subcell's image
+    m_first = coup.phi.master.kv.find_span(coup.phi(5 / 12)) - 2
+    rows = [grid[1 + a1, 1 + a2] for a2 in range(2) for a1 in range(3)]
+    rows += list(demo_model.grids[mp][side_index(ms)][m_first : m_first + 3])
+    B = np.einsum("qf,qi->qfi", bernstein_basis(transverse, x2), bernstein_basis(parent, x1))
+    ref = dict(zip(rows, (rep["tensor_operator"] @ B.reshape(len(x1), -1).T)))
+    got = dict(zip(cell.rows, evaluate_cell(cell, x1, x2, grad=False)["basis"].T))
+    zero = np.zeros(len(x1))
+    for dof in set(ref) | set(got):
+        assert np.abs(ref.get(dof, zero) - got.get(dof, zero)).max() <= 1e-14, dof
 
 
 def test_pointwise_master_trace_identity(demo_model):
@@ -124,8 +152,10 @@ def test_weak_trace_sampling_both_sides(demo_model):
 def test_dof_count_identity(demo_model):
     union = sum(p.shape[0] * p.shape[1] for p in demo_model.patches)
     slave_edge = demo_model.patches[0].shape[0]
-    mesh = build_weak_mesh(demo_model)
+    mesh = demo_model.weak_mesh()
     assert mesh.ndof == union - slave_edge
+    # plain ints, so that counts serialize as JSON
+    assert type(mesh.ndof) is int and type(demo_model.ndof_full) is int
 
 
 def test_conforming_weak_mesh_is_standard():
@@ -134,7 +164,7 @@ def test_conforming_weak_mesh_is_standard():
     model = MultiPatchModel(
         [master, slave], [InterfaceSpec((0, "east"), (1, "west"))], 0
     )
-    mesh = build_weak_mesh(model)
+    mesh = model.weak_mesh()
     for cell in mesh.cells:
         assert np.abs(cell.ophom.sum(axis=0) - 1.0).max() < 1e-12
         # identity coupling: operators stay 9-row standard tensor blocks
@@ -156,6 +186,13 @@ def test_conforming_weak_mesh_is_standard():
 )
 def test_weak_assembly_equals_condensed_mortar(model_fn):
     model = model_fn()
+    P = model.P.toarray()
+    n = model.n_retained
+    assert np.array_equal(P[:n], np.eye(n))
+    for ids, coup in zip(model.trace_ids, model.couplings):
+        mp, ms = coup.spec.master
+        master = model.grids[mp][side_index(ms)]
+        assert np.abs(P[ids] - coup.coupling.std @ P[master]).max() <= 1e-15
     full = assemble_poisson(model.mortar_mesh())
     red = condense(full, model)
     weak = assemble_poisson(model.weak_mesh())
