@@ -43,8 +43,9 @@ from .splines import (
     KnotVector,
     OutOfDomainError,
     Patch2D,
-    bspline_basis,
+    bspline_table,
     gauss_on,
+    gauss_on_breaks,
     greville_abscissae,
     side_index,
     uniform_open_knots,
@@ -585,12 +586,11 @@ def run_convergence(case: BenchmarkCase, levels: int | None = None,
 # interface jump
 
 
-def _edge_field_value(kv: KnotVector, weights, coeffs, xi: float) -> np.ndarray:
-    first, N = bspline_basis(kv, xi)
-    w = weights[first : first + kv.degree + 1]
-    R = N * w
-    R = R / R.sum()
-    return R @ coeffs[first : first + kv.degree + 1]
+def _edge_field_values(kv: KnotVector, weights, coeffs, xs: np.ndarray) -> np.ndarray:
+    cols, N = bspline_table(kv, xs)
+    R = N * weights[cols]
+    R /= R.sum(axis=1, keepdims=True)
+    return np.einsum("qj,qjc->qc", R, coeffs[cols])
 
 
 def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
@@ -613,14 +613,10 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
         rkv = coup.refined.refined
         w_r = coup.refined_edge_weights
         scurve = coup.phi.slave
-        for a, b in zip(coup.refined.segments[:-1], coup.refined.segments[1:]):
-            xs, ws = gauss_on(float(a), float(b), rkv.degree + 2)
-            for xq, wq in zip(xs, ws):
-                us = _edge_field_value(rkv, w_r, s_coeffs, xq)
-                um = _edge_field_value(
-                    mcurve.kv, mcurve.weights, m_coeffs, coup.phi(float(xq))
-                )
-                total += wq * scurve.speed(float(xq)) * float(np.sum((um - us) ** 2))
+        xs, ws = gauss_on_breaks(coup.refined.segments, rkv.degree + 2)
+        us = _edge_field_values(rkv, w_r, s_coeffs, xs)
+        um = _edge_field_values(mcurve.kv, mcurve.weights, m_coeffs, coup.phi(xs))
+        total += float(np.sum(ws * scurve.speed(xs) * np.sum((um - us) ** 2, axis=1)))
     return math.sqrt(total)
 
 

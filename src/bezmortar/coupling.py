@@ -17,11 +17,9 @@ from .dualbasis import DualBasis, dual_extraction, rational_dual
 from .linsys import AssembledSystem, NumericalError
 from .splines import (
     BoundaryCurve,
-    ElementExtraction,
     KnotVector,
-    bezier_extraction,
-    bspline_basis,
-    gauss_on,
+    bspline_table,
+    gauss_on_breaks,
     refinement_operator,
 )
 
@@ -88,53 +86,61 @@ class CompositionalMap:
         b = np.linalg.norm(self.slave.point(s_hi) - self.master.point(m_hi))
         return float(max(a, b)) / self._scale
 
-    def _project(self, curve: BoundaryCurve, y: np.ndarray, eta0: float) -> float:
+    def _project(self, curve: BoundaryCurve, y: np.ndarray, eta0: np.ndarray) -> np.ndarray:
+        """Closest-point Newton iteration for all points ``y`` (m, 2) at once.
+
+        Each point stops at its first step within ``tol`` of the curve's
+        parameter span; the iterates are clamped to the curve's domain.
+        """
         lo, hi = curve.domain
-        span = hi - lo
-        eta = min(max(eta0, lo), hi)
+        eta = np.clip(eta0, lo, hi)
+        todo = np.arange(eta.size)
         for _ in range(self.maxiter):
-            d = curve.derivatives(eta, 2)
-            r = d[0] - y
-            g = float(r @ d[1])
-            gp = float(d[1] @ d[1] + r @ d[2])
-            if gp <= 0.0:
-                gp = float(d[1] @ d[1])
-            step = -g / gp
-            eta = min(max(eta + step, lo), hi)
-            if abs(step) <= self.tol * span:
-                if np.linalg.norm(curve.point(eta) - y) > 1e-8 * self._scale:
-                    raise InterfaceGeometryError(
-                        "interface curves do not coincide at the projected point"
-                    )
+            d = curve.derivatives(eta[todo], 2)
+            r = d[0] - y[todo]
+            g = np.einsum("qc,qc->q", r, d[1])
+            tangent = np.einsum("qc,qc->q", d[1], d[1])
+            gp = tangent + np.einsum("qc,qc->q", r, d[2])
+            step = -g / np.where(gp <= 0.0, tangent, gp)
+            eta[todo] = np.clip(eta[todo] + step, lo, hi)
+            done = np.abs(step) <= self.tol * (hi - lo)
+            stop = todo[done]
+            gap = np.linalg.norm(curve.point(eta[stop]) - y[stop], axis=-1)
+            if np.any(gap > 1e-8 * self._scale):
+                raise InterfaceGeometryError(
+                    "interface curves do not coincide at the projected point"
+                )
+            todo = todo[~done]
+            if not todo.size:
                 return eta
         raise InterfaceGeometryError("Newton projection did not converge")
 
-    def _guess(self, xi: float, source: BoundaryCurve, target: BoundaryCurve, flip: bool) -> float:
+    def _map(self, xi, source: BoundaryCurve, target: BoundaryCurve):
+        x = np.asarray(xi, dtype=float)
+        flat = x.reshape(-1)
         s_lo, s_hi = source.domain
         t_lo, t_hi = target.domain
-        s = (xi - s_lo) / (s_hi - s_lo)
-        if flip:
+        s = (flat - s_lo) / (s_hi - s_lo)
+        if self.reversed:
             s = 1.0 - s
-        return t_lo + s * (t_hi - t_lo)
+        eta = self._project(target, source.point(flat), t_lo + s * (t_hi - t_lo))
+        return float(eta[0]) if x.ndim == 0 else eta.reshape(x.shape)
 
-    def __call__(self, xi: float) -> float:
-        y = self.slave.point(xi)
-        return self._project(self.master, y, self._guess(xi, self.slave, self.master, self.reversed))
+    def __call__(self, xi):
+        """Master parameters of slave parameters: a float for a scalar, else an array."""
+        return self._map(xi, self.slave, self.master)
 
-    def inverse(self, eta: float) -> float:
-        y = self.master.point(eta)
-        return self._project(self.slave, y, self._guess(eta, self.master, self.slave, self.reversed))
+    def inverse(self, eta):
+        """Slave parameters of master parameters: a float for a scalar, else an array."""
+        return self._map(eta, self.master, self.slave)
 
     def is_affine(self, tol: float = 1e-10) -> bool:
         """True when the reparameterization is linear (matched case)."""
         s_lo, s_hi = self.slave.domain
-        probes = s_lo + np.array([0.25, 0.5, 0.75]) * (s_hi - s_lo)
-        a, b = self(s_lo), self(s_hi)
-        span = abs(b - a)
-        for t, xi in zip((0.25, 0.5, 0.75), probes):
-            if abs(self(xi) - (a + t * (b - a))) > tol * max(span, 1.0):
-                return False
-        return True
+        t = np.array([0.25, 0.5, 0.75])
+        eta = self(np.concatenate([[s_lo, s_hi], s_lo + t * (s_hi - s_lo)]))
+        a, b = eta[0], eta[1]
+        return not np.any(np.abs(eta[2:] - (a + t * (b - a))) > tol * max(abs(b - a), 1.0))
 
 
 def build_phi(slave_curve: BoundaryCurve, master_curve: BoundaryCurve,
@@ -157,7 +163,7 @@ def project_master_knots(phi: CompositionalMap, dedupe_tol: float = 1e-10) -> np
     """
     slave_bp = phi.slave.kv.breakpoints()
     master_bp = phi.master.kv.breakpoints()[1:-1]
-    pulled = [phi.inverse(float(k)) for k in master_bp]
+    pulled = phi.inverse(master_bp)
     merged = np.sort(np.concatenate([slave_bp, pulled]))
     span = merged[-1] - merged[0]
     keep = [merged[0]]
@@ -175,8 +181,7 @@ class RefinedDualSpace:
     Level 0 keeps the original space; level 1 inserts the pulled-back master
     knots; each further level bisects every span.  ``refine_op`` maps
     original interface coefficients to refined ones.  ``segments`` are the
-    quadrature breakpoints for coupling integrals, ``extraction`` holds the
-    refined space's element extraction operators, and :meth:`cells_in`
+    quadrature breakpoints for coupling integrals, and :meth:`cells_in`
     yields the subdivision cells of one original slave element (empty at
     level 0, where no new continuity lines exist).
     """
@@ -186,7 +191,6 @@ class RefinedDualSpace:
     level: int
     refine_op: np.ndarray
     segments: np.ndarray
-    extraction: list[ElementExtraction]
 
     @property
     def n(self) -> int:
@@ -222,7 +226,7 @@ def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
             refined = refined.bisected()
     _, T = refinement_operator(slave_kv, _missing_knots(slave_kv, refined))
     segments = refined.breakpoints() if level >= 1 else np.asarray(merged_breakpoints)
-    return RefinedDualSpace(slave_kv, refined, level, T, segments, bezier_extraction(refined))
+    return RefinedDualSpace(slave_kv, refined, level, T, segments)
 
 
 def _missing_knots(coarse: KnotVector, fine: KnotVector) -> list[float]:
@@ -265,28 +269,29 @@ def assemble_coupling(dual: DualBasis, master_kv: KnotVector, phi: Compositional
                       segments: np.ndarray, slave_weights: np.ndarray | None = None,
                       master_weights: np.ndarray | None = None,
                       refine_level: int = 0) -> CouplingMatrix:
-    """Integrate the coupling matrix segment by segment.
+    """Integrate the coupling matrix over the merged segments.
 
     Each merged segment lies in a single dual element and maps into a single
     master element, so a Gauss rule of max(p_m, p_s)+1 points integrates the
-    matched case exactly.
+    matched case exactly.  phi and the master basis are evaluated at the
+    quadrature points of all segments at once.
     """
     p_s = dual.space.degree
     p_m = master_kv.degree
     nq = max(p_m, p_s) + 1
+    x, wq = gauss_on_breaks(segments, nq)
+    cols, Nm = bspline_table(master_kv, phi(x))
     wm = None if master_weights is None else np.asarray(master_weights, dtype=float)
+    if wm is not None:
+        Nm = Nm / np.einsum("qj,qj->q", Nm, wm[cols])[:, None]
+    rows = np.empty((x.size, p_s + 1), dtype=int)
+    dv = np.empty((x.size, p_s + 1))
+    for q in range(0, x.size, nq):
+        first_s, dv[q : q + nq] = dual.evaluate(x[q : q + nq])
+        rows[q : q + nq] = first_s + np.arange(p_s + 1)
     G = np.zeros((dual.n, master_kv.n))
-    for a, b in zip(segments[:-1], segments[1:]):
-        x, wq = gauss_on(float(a), float(b), nq)
-        first_s, dv = dual.evaluate(x)
-        for q in range(len(x)):
-            eta = phi(float(x[q]))
-            first_m, Nm = bspline_basis(master_kv, eta)
-            if wm is not None:
-                Nm = Nm / (Nm @ wm[first_m : first_m + p_m + 1])
-            G[first_s : first_s + p_s + 1, first_m : first_m + p_m + 1] += (
-                wq[q] * np.outer(dv[q], Nm)
-            )
+    np.add.at(G, (rows[:, :, None], cols[:, None, :]),
+              wq[:, None, None] * (dv[:, :, None] * Nm[:, None, :]))
     std = G.copy()
     if slave_weights is not None:
         std /= np.asarray(slave_weights, dtype=float)[:, None]

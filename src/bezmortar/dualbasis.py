@@ -21,7 +21,7 @@ from .splines import (
     KnotVector,
     bernstein_basis,
     bezier_extraction,
-    bspline_basis,
+    bspline_table,
 )
 
 __all__ = [
@@ -133,7 +133,8 @@ class DualBasis:
 
     * ``"parametric"`` - plain parametric inner product,
     * ``"rational"`` - duals scaled by the interface weight function W so
-      they pair with the rational basis N_J / W,
+      they pair with the rational basis N_J / W (``weight_fn`` maps an
+      array of points to W at each),
     * ``"physical"`` - duals scaled by 1/|J| so they pair with N_J under the
       physical arc-length measure.
     """
@@ -141,7 +142,7 @@ class DualBasis:
     space: KnotVector
     elements: tuple[DualElement, ...]
     measure: str = "parametric"
-    weight_fn: Callable[[float], float] | None = None
+    weight_fn: Callable[[np.ndarray], np.ndarray] | None = None
     jacobian_fn: Callable[[float], float] | None = None
 
     @property
@@ -166,7 +167,7 @@ class DualBasis:
 
     def _scale(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
         if self.measure == "rational":
-            w = np.array([self.weight_fn(x) for x in pts])
+            w = self.weight_fn(pts)
             vals = vals * w[:, None]
         elif self.measure == "physical":
             j = np.array([self.jacobian_fn(x) for x in pts])
@@ -206,9 +207,9 @@ def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:
         raise ValueError("weights must be strictly positive")
     kv = dual.space
 
-    def weight_fn(xi: float) -> float:
-        first, vals = bspline_basis(kv, xi)
-        return float(vals @ w[first : first + kv.degree + 1])
+    def weight_fn(xi: np.ndarray) -> np.ndarray:
+        index, vals = bspline_table(kv, xi)
+        return np.einsum("qj,qj->q", vals, w[index])
 
     return replace(dual, measure="rational", weight_fn=weight_fn)
 

@@ -19,7 +19,14 @@ import scipy.sparse as sp
 from .coupling import condense
 from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
 from .model import Cell, ExtractedMesh, SideCell
-from .splines import BernsteinInterval, bernstein_derivatives, gauss_on, side_index
+from .splines import (
+    BernsteinInterval,
+    bernstein_derivatives,
+    bspline_table,
+    gauss_on,
+    gauss_on_breaks,
+    side_index,
+)
 
 __all__ = [
     "MaterialModel",
@@ -365,22 +372,18 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     curve = patch.boundary(side)
     kv = curve.kv
     n = kv.n
+    xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
+    cols, N = bspline_table(kv, xs)
+    R = N * curve.weights[cols]
+    R /= R.sum(axis=1, keepdims=True)
+    d = curve.derivatives(xs, 1)
+    c = ws * np.linalg.norm(d[1], axis=1)
+    f = np.array([fn(x, y) for x, y in d[0]], dtype=float)
     M = np.zeros((n, n))
+    np.add.at(M, (cols[:, :, None], cols[:, None, :]),
+              c[:, None, None] * (R[:, :, None] * R[:, None, :]))
     rhs = np.zeros(n)
-    from .splines import bspline_basis  # local import to avoid cycle noise
-
-    for a, b in kv.spans():
-        xs, ws = gauss_on(a, b, kv.degree + 2)
-        for xq, wq in zip(xs, ws):
-            first, N = bspline_basis(kv, xq)
-            w = curve.weights[first : first + kv.degree + 1]
-            R = N * w
-            R /= R.sum()
-            d = curve.derivatives(xq, 1)
-            sp_ = float(np.linalg.norm(d[1]))
-            sl = slice(first, first + kv.degree + 1)
-            M[sl, sl] += wq * sp_ * np.outer(R, R)
-            rhs[sl] += wq * sp_ * fn(*d[0]) * R
+    np.add.at(rhs, cols, (c * f)[:, None] * R)
     lo, hi = kv.domain
     vals = np.zeros(n)
     vals[0] = fn(*curve.point(lo))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 
 import numpy as np
 
@@ -45,18 +44,6 @@ class MeshFormatError(ValueError):
         self.code = code
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return '"nan"'
-        return format(x, ".17g")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    raise TypeError(type(x))
-
-
 def _emit(obj, out: io.StringIO, indent: int):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -68,8 +55,14 @@ def _emit(obj, out: io.StringIO, indent: int):
             out.write(",\n" if i + 1 < len(keys) else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
+        # fast paths: lists whose items are all exactly float or exactly int
+        # (bool and numpy scalars take the generic path below)
+        types = set(map(type, obj))
+        if types == {float}:
+            out.write("[" + ("%.17g, " * len(obj))[:-2] % tuple(obj) + "]")
+        elif types == {int}:
+            out.write("[" + ", ".join(map(str, obj)) + "]")
+        elif all(not isinstance(v, (dict, list, tuple)) for v in obj):
             out.write("[" + ", ".join(_scalar(v) for v in obj) + "]")
         else:
             out.write("[\n")
@@ -103,11 +96,9 @@ def mesh_document(model: MultiPatchModel, weak: bool = False,
         "patches": [
             {
                 "degrees": list(p.degrees),
-                "knots": [list(map(float, kv.values)) for kv in p.kvs],
-                "control_points": [
-                    [float(x), float(y)] for x, y in p.points.reshape(-1, 2)
-                ],
-                "weights": list(map(float, p.weights.reshape(-1))),
+                "knots": [kv.values.tolist() for kv in p.kvs],
+                "control_points": p.points.reshape(-1, 2).tolist(),
+                "weights": p.weights.reshape(-1).tolist(),
             }
             for p in model.patches
         ],
@@ -130,7 +121,7 @@ def mesh_document(model: MultiPatchModel, weak: bool = False,
                 "patch": c.patch,
                 "rect": [list(map(float, c.rect[0])), list(map(float, c.rect[1]))],
                 "rows": [int(r) for r in c.rows],
-                "matrix": [[float(v) for v in row] for row in c.ophom],
+                "matrix": np.asarray(c.ophom, dtype=float).tolist(),
             }
             for c in mesh.cells
         ]
@@ -162,22 +153,27 @@ def validate_mesh_document(doc) -> None:
     for k, p in enumerate(patches):
         try:
             p1, p2 = (int(d) for d in p["degrees"])
-            knots = p["knots"]
-            cps = p["control_points"]
-            wts = p["weights"]
+            knots = [_numbers(kv) for kv in p["knots"]]
+            cps = _numbers(p["control_points"])
+            wts = _numbers(p["weights"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshFormatError("bad-format", f"patch {k}: {exc}") from exc
+        if len(knots) != 2 or any(kv.ndim != 1 for kv in knots):
+            raise MeshFormatError("bad-format", f"patch {k}: expected two knot vectors")
+        if wts.ndim != 1 or (cps.size and (cps.ndim != 2 or cps.shape[1] != 2)):
+            raise MeshFormatError("bad-format", f"patch {k}: control net is not a list of 2D points")
+        if not all(np.all(np.isfinite(a)) for a in (*knots, cps, wts)):
+            raise MeshFormatError("non-finite", f"patch {k}: NaN or infinite value")
         ns = []
-        for deg, kv in zip((p1, p2), knots):
-            arr = np.asarray(kv, dtype=float)
+        for deg, arr in zip((p1, p2), knots):
             if np.any(np.diff(arr) < 0):
                 raise MeshFormatError(
                     "knots-not-nondecreasing", f"patch {k}"
                 )
             if not (
-                np.allclose(arr[: deg + 1], arr[0])
+                len(arr) >= 2 * (deg + 1)
+                and np.allclose(arr[: deg + 1], arr[0])
                 and np.allclose(arr[-deg - 1 :], arr[-1])
-                and len(arr) >= 2 * (deg + 1)
             ):
                 raise MeshFormatError("knots-not-open", f"patch {k}")
             ns.append(len(arr) - deg - 1)
@@ -190,7 +186,7 @@ def validate_mesh_document(doc) -> None:
             raise MeshFormatError(
                 "control-net-mismatch", f"patch {k}: weight count mismatch"
             )
-        if any(w <= 0 for w in wts):
+        if np.any(wts <= 0):
             raise MeshFormatError("weights-nonpositive", f"patch {k}")
     for s in doc.get("interfaces", []):
         try:
@@ -200,8 +196,19 @@ def validate_mesh_document(doc) -> None:
             raise MeshFormatError("bad-interface", str(exc)) from exc
         if not all(side in tuple(SIDES) for side in (mside, sside)):
             raise MeshFormatError("bad-side", f"{mside}/{sside}")
-        if not (0 <= int(mp) < len(patches) and 0 <= int(spatch) < len(patches)):
+        for index in (mp, spatch):
+            if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+                raise MeshFormatError("bad-interface", f"patch index {index!r} is not an integer")
+        if not (0 <= mp < len(patches) and 0 <= spatch < len(patches)):
             raise MeshFormatError("bad-interface", "patch index out of range")
+
+
+def _numbers(values) -> np.ndarray:
+    """A rectangular nest of numbers as a float array; ValueError for anything else."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected numbers, got {arr.dtype} data")
+    return arr.astype(float)
 
 
 def model_from_document(doc: dict) -> MultiPatchModel:

@@ -302,8 +302,11 @@ class MultiPatchModel:
                            shape=(trace.size, self.ndof_full))
         Bm.sort_indices()  # the sparse product leaves column order unsorted
         if ncomp > 1:
-            Bm = sp.kron(Bm, sp.eye(ncomp)).tocsr()
-            Bs = sp.kron(Bs, sp.eye(ncomp)).tocsr()
+            # the CSR route stores no zeros from the identity blocks
+            Bm = sp.kron(Bm, sp.eye(ncomp), format="csr")
+            Bs = sp.kron(Bs, sp.eye(ncomp), format="csr")
+            Bm.eliminate_zeros()
+            Bs.eliminate_zeros()
         return Bm, Bs
 
     def dof_partition(self) -> dict:
@@ -426,7 +429,7 @@ class MultiPatchModel:
         n_f = patch.kvs[axis_f].n
         edge_global = n_f - 1 if at_end else 0
         refined = coup.refined.refined
-        r_ops = coup.refined.extraction
+        r_ops = bezier_extraction(refined)
         w_r = coup.refined_edge_weights
         tids = self.trace_ids[ci]
         parent = BernsteinInterval(op_i.span[0], op_i.span[1], p_i)

@@ -24,12 +24,14 @@ __all__ = [
     "bernstein_transform",
     "bspline_basis",
     "bspline_derivatives",
+    "bspline_table",
     "knot_insert",
     "refinement_operator",
     "bezier_extraction",
     "greville_abscissae",
     "uniform_open_knots",
     "gauss_rule",
+    "gauss_on_breaks",
     "BoundaryCurve",
     "SIDES",
     "side_index",
@@ -56,6 +58,17 @@ def gauss_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule mapped onto [lo, hi]."""
     pts, wts = gauss_rule(n)
     return lo + (hi - lo) * pts, (hi - lo) * wts
+
+
+def gauss_on_breaks(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rules on every interval between consecutive breakpoints.
+
+    Points and weights are flattened interval by interval, ``n`` per interval.
+    """
+    b = np.asarray(breaks, dtype=float)
+    pts, wts = gauss_rule(n)
+    h = (b[1:] - b[:-1])[:, None]
+    return (b[:-1, None] + h * pts).reshape(-1), (h * wts).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -124,20 +137,16 @@ def bernstein_derivatives(interval: BernsteinInterval, xi, nders: int = 1) -> np
     t = (x - interval.lo) / h
     out = np.zeros((nders + 1, x.shape[0], p + 1))
     out[0] = _bernstein_unit(p, t)
-    for k in range(1, nders + 1):
-        if p - k < 0:
-            break
-        low = _bernstein_unit(p - k, t)
+    for k in range(1, min(nders, p) + 1):
+        # k-th derivative by repeated degree reduction with alternating signs:
+        # column i collects sum_j C(k,j) (-1)^j B^{p-k}_{i-k+j}, zero-padded
+        low = np.zeros((x.shape[0], p + k + 1))
+        low[:, k : p + 1] = _bernstein_unit(p - k, t)
         fac = math.factorial(p) / math.factorial(p - k) / h**k
-        # k-th derivative by repeated degree reduction with alternating signs
-        coeff = np.array([math.comb(k, j) * (-1.0) ** j for j in range(k + 1)])
-        for i in range(p + 1):
-            acc = np.zeros_like(t)
-            for j in range(k + 1):
-                idx = i - k + j
-                if 0 <= idx <= p - k:
-                    acc += coeff[j] * low[:, idx]
-            out[k, :, i] = fac * acc
+        acc = np.zeros((x.shape[0], p + 1))
+        for j in range(k + 1):
+            acc += math.comb(k, j) * (-1.0) ** j * low[:, j : j + p + 1]
+        out[k] = fac * acc
     return out[:, 0, :] if scalar else out
 
 
@@ -168,6 +177,10 @@ def bernstein_transform(source: BernsteinInterval, target: BernsteinInterval) ->
     return M
 
 
+# knots closer than this are copies of one knot (see KnotVector)
+KNOT_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class KnotVector:
     """Open knot vector with degree ``p``.
@@ -176,7 +189,8 @@ class KnotVector:
     ----------
     values : ndarray
         Non-decreasing knot sequence; first and last knots must have
-        multiplicity p+1.
+        multiplicity p+1.  Knots closer than ``KNOT_TOL`` to their
+        predecessor are stored as copies of it, so they form one breakpoint.
     degree : int
     """
 
@@ -185,13 +199,18 @@ class KnotVector:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
         p = self.degree
         if p < 1:
             raise ValueError("degree must be at least 1")
-        if np.any(np.diff(vals) < 0):
+        gaps = np.diff(vals)
+        if np.any(gaps < 0):
             raise ValueError("knots must be non-decreasing")
+        if np.any((gaps > 0) & (gaps <= KNOT_TOL)):
+            # a knot within KNOT_TOL of its predecessor is another copy of it
+            start = np.concatenate([[True], gaps > KNOT_TOL])
+            vals = vals[np.maximum.accumulate(np.where(start, np.arange(vals.size), 0))]
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
         if len(vals) < 2 * (p + 1):
             raise ValueError("too few knots for an open knot vector")
         if not (np.allclose(vals[: p + 1], vals[0]) and np.allclose(vals[-p - 1 :], vals[-1])):
@@ -241,7 +260,7 @@ class KnotVector:
         k = int(np.searchsorted(bp, xi, side="right") - 1)
         return min(max(k, 0), len(bp) - 2)
 
-    def multiplicity(self, xi: float, tol: float = 1e-12) -> int:
+    def multiplicity(self, xi: float, tol: float = KNOT_TOL) -> int:
         return int(np.sum(np.abs(self.values - xi) <= tol))
 
     def with_knot(self, xi: float) -> "KnotVector":
@@ -365,19 +384,24 @@ def knot_insert(kv: KnotVector, coeffs: np.ndarray, xi: float) -> tuple[KnotVect
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[0] != kv.n:
         raise ValueError("coefficient count does not match basis size")
-    p = kv.degree
-    k = kv.find_span(xi)
-    knots = kv.values
-    out = np.empty((kv.n + 1,) + coeffs.shape[1:])
-    for i in range(kv.n + 1):
-        if i <= k - p:
-            out[i] = coeffs[i]
-        elif i >= k + 1:
-            out[i] = coeffs[i - 1]
-        else:
-            alpha = (xi - knots[i]) / (knots[i + p] - knots[i])
-            out[i] = alpha * coeffs[i] + (1.0 - alpha) * coeffs[i - 1]
-    return kv.with_knot(xi), out
+    knots, out = _insert(kv.values, kv.degree, coeffs, xi)
+    return KnotVector(knots, kv.degree), out
+
+
+def _insert(knots: np.ndarray, p: int, coeffs: np.ndarray, xi: float):
+    """Boehm insertion of ``xi`` (strictly inside the domain) on raw arrays.
+
+    Rows up to k-p are copied, rows after k shift down by one, and the p rows
+    in between blend their two neighbours with alpha_i (Piegl & Tiller A5.1).
+    """
+    k = int(np.searchsorted(knots, xi, side="right")) - 1
+    out = np.empty((coeffs.shape[0] + 1,) + coeffs.shape[1:])
+    out[: k - p + 1] = coeffs[: k - p + 1]
+    out[k + 1 :] = coeffs[k:]
+    i = np.arange(k - p + 1, k + 1)
+    alpha = ((xi - knots[i]) / (knots[i + p] - knots[i])).reshape((p,) + (1,) * (coeffs.ndim - 1))
+    out[k - p + 1 : k + 1] = alpha * coeffs[k - p + 1 : k + 1] + (1.0 - alpha) * coeffs[k - p : k]
+    return np.insert(knots, k + 1, xi), out
 
 
 def refinement_operator(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
@@ -386,11 +410,15 @@ def refinement_operator(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarr
     Inserting ``new_knots`` one by one; T has shape (n_fine, n_coarse) and
     satisfies ``N_coarse = T^T N_fine`` as basis functions.
     """
-    T = np.eye(kv.n)
-    out = kv
-    for xi in sorted(np.atleast_1d(np.asarray(new_knots, dtype=float))):
-        out, T = knot_insert(out, T, float(xi))
-    return out, T
+    xs = sorted(np.atleast_1d(np.asarray(new_knots, dtype=float)))
+    lo, hi = kv.domain
+    for xi in xs:
+        if not (lo < xi < hi):
+            raise OutOfDomainError(f"insertion point {xi} not strictly inside ({lo}, {hi})")
+    knots, T = kv.values, np.eye(kv.n)
+    for xi in xs:
+        knots, T = _insert(knots, kv.degree, T, float(xi))
+    return (KnotVector(knots, kv.degree) if xs else kv), T
 
 
 @dataclass(frozen=True)
@@ -417,32 +445,97 @@ class ElementExtraction:
         return np.arange(self.first, self.first + self.matrix.shape[0])
 
 
-def bezier_extraction(kv: KnotVector) -> list[ElementExtraction]:
+def bezier_extraction(kv: KnotVector) -> tuple[ElementExtraction, ...]:
     """Per-element extraction operators of an open knot vector.
 
-    Computed by raising every interior knot multiplicity to p (the C0 form);
-    the rows of the global refinement operator restricted to one element give
-    that element's operator.
+    Borden et al. 2011 (IJNME 87:15-47), Algorithm 1: sweeping the
+    breakpoints left to right, each interior knot is raised to multiplicity
+    p by column blends of the current element's operator, and the overlap is
+    carried into the next element's operator; O(n_el p^2) in all.  The result
+    equals the rows of the global operator that raises every interior knot to
+    multiplicity p (the C0 form), restricted to each element.  It is computed
+    once per knot vector and kept on it, with read-only matrices.
     """
-    p = kv.degree
-    spans = kv.spans()
-    extra = []
-    for a, b in spans:
-        for _ in range(p - kv.multiplicity(a) if a != kv.domain[0] else 0):
-            extra.append(a)
-    c0, T = refinement_operator(kv, extra)
-    ops = []
-    for e, (a, b) in enumerate(spans):
-        # first active function on the span in the original and C0 vectors
-        first = kv.find_span(0.5 * (a + b)) - p
-        c0_first = c0.find_span(0.5 * (a + b)) - p
-        block = T[c0_first : c0_first + p + 1, first : first + p + 1]
-        ops.append(ElementExtraction(e, (a, b), first, np.ascontiguousarray(block.T)))
+    ops = kv.__dict__.get("_extraction")
+    if ops is None:
+        ops = kv.__dict__["_extraction"] = _borden_extraction(kv)
     return ops
 
 
+def _borden_extraction(kv: KnotVector) -> tuple[ElementExtraction, ...]:
+    U, p = kv.values, kv.degree
+    n_el = len(kv.breakpoints()) - 1
+    C = np.tile(np.eye(p + 1), (n_el, 1, 1))
+    spans = []
+    a = p  # last copy of the element's left knot
+    for e in range(n_el):
+        i = b = a + 1  # first copy of its right knot
+        if e + 1 < n_el:
+            while U[b + 1] == U[b]:
+                b += 1
+            mult = b - i + 1
+            r = p - mult
+            if r > 0:
+                alphas = (U[b] - U[a]) / (U[a + mult + 1 : a + p + 1] - U[a])
+                for j in range(1, r + 1):
+                    s = mult + j
+                    al = alphas[: p - s + 1]
+                    C[e, :, s:] = al * C[e, :, s:] + (1.0 - al) * C[e, :, s - 1 : p]
+                    C[e + 1, r - j : r + 1, r - j] = C[e, p - j :, p]
+        spans.append(((float(U[a]), float(U[i])), a - p))
+        a = b
+    C.setflags(write=False)
+    return tuple(ElementExtraction(e, span, first, C[e]) for e, (span, first) in enumerate(spans))
+
+
+def bspline_table(kv: KnotVector, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-vanishing basis functions at the points of a 1-D array, in Bezier form.
+
+    Returns ``index`` and ``values``, both of shape (m, p+1): ``values[q, j]``
+    is function ``index[q, j]`` at ``xi[q]``, the Bernstein values of the
+    point's element times its extraction operator.
+    """
+    e, D = _bernstein_table(kv, xi, 0)
+    _, first, C = _element_tables(kv)
+    return first[e][:, None] + np.arange(kv.degree + 1), np.einsum("qb,qjb->qj", D[0], C[e])
+
+
+def _element_tables(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints, first functions and stacked operators of the elements of ``kv``."""
+    tables = kv.__dict__.get("_element_tables")
+    if tables is None:
+        ops = bezier_extraction(kv)
+        tables = kv.__dict__["_element_tables"] = (
+            np.array([op.span[0] for op in ops] + [ops[-1].span[1]]),
+            np.array([op.first for op in ops]),
+            np.stack([op.matrix for op in ops]),
+        )
+    return tables
+
+
+def _bernstein_table(kv: KnotVector, xi, nders: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element of each point of a 1-D array and its Bernstein derivatives in xi.
+
+    Returns the element indices (m,) and d^k B / d xi^k, shape (nders+1, m, p+1).
+    """
+    x = np.asarray(xi, dtype=float)
+    lo, hi = kv.domain
+    if x.size and (x.min() < lo - KNOT_TOL or x.max() > hi + KNOT_TOL):
+        raise OutOfDomainError(f"point outside [{lo}, {hi}]")
+    bp = _element_tables(kv)[0]
+    e = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(bp) - 2)
+    h = bp[e + 1] - bp[e]
+    D = bernstein_derivatives(BernsteinInterval(0.0, 1.0, kv.degree), (x - bp[e]) / h, nders)
+    return e, D / h[None, :, None] ** np.arange(nders + 1)[:, None, None]
+
+
 class BoundaryCurve:
-    """Rational curve extracted from one side of a tensor-product patch."""
+    """Rational curve extracted from one side of a tensor-product patch.
+
+    It is evaluated in Bezier form: per element, the homogeneous Bezier
+    control points are the extraction operator applied to the element's
+    homogeneous control points, and a point needs one Bernstein table.
+    """
 
     def __init__(self, kv: KnotVector, points: np.ndarray, weights: np.ndarray):
         self.kv = kv
@@ -452,33 +545,42 @@ class BoundaryCurve:
             raise ValueError("control data does not match basis size")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be strictly positive")
-        self._hom = np.column_stack([self.points * self.weights[:, None], self.weights])
+        hom = np.column_stack([self.points * self.weights[:, None], self.weights])
+        _, first, C = _element_tables(kv)
+        local = hom[first[:, None] + np.arange(kv.degree + 1)]
+        self._bezier = np.einsum("eij,eic->ejc", C, local)
 
     @property
     def domain(self):
         return self.kv.domain
 
-    def point(self, xi: float) -> np.ndarray:
-        first, vals = bspline_basis(self.kv, xi)
-        h = vals @ self._hom[first : first + self.kv.degree + 1]
-        return h[:2] / h[2]
+    def point(self, xi) -> np.ndarray:
+        """Curve point, shape (2,) for scalar ``xi`` or (m, 2) for an array."""
+        return self.derivatives(xi, 0)[0]
 
-    def derivatives(self, xi: float, nders: int = 2):
-        """Curve point and derivatives d^k x / d xi^k, k = 0..nders."""
-        first, ders = bspline_derivatives(self.kv, xi, nders)
-        h = ders @ self._hom[first : first + self.kv.degree + 1]  # (nders+1, 3)
-        A, W = h[:, :2], h[:, 2]
-        x = np.empty((nders + 1, 2))
-        x[0] = A[0] / W[0]
+    def derivatives(self, xi, nders: int = 2) -> np.ndarray:
+        """Curve point and derivatives d^k x / d xi^k, k = 0..nders (at most 2).
+
+        Shape (nders+1, 2) for scalar ``xi`` or (nders+1, m, 2) for an array.
+        """
+        if nders > 2:
+            raise ValueError("curve derivatives are available up to second order")
+        x = np.asarray(xi, dtype=float)
+        e, D = _bernstein_table(self.kv, x.reshape(-1), nders)
+        h = np.einsum("kqj,qjc->kqc", D, self._bezier[e])
+        A, W = h[..., :2], h[..., 2:]
+        out = np.empty_like(A)
+        out[0] = A[0] / W[0]
         if nders >= 1:
-            x[1] = (A[1] - x[0] * W[1]) / W[0]
+            out[1] = (A[1] - out[0] * W[1]) / W[0]
         if nders >= 2:
-            x[2] = (A[2] - 2.0 * x[1] * W[1] - x[0] * W[2]) / W[0]
-        return x
+            out[2] = (A[2] - 2.0 * out[1] * W[1] - out[0] * W[2]) / W[0]
+        return out[:, 0] if x.ndim == 0 else out
 
-    def speed(self, xi: float) -> float:
-        """Arc-length rate |dx/dxi|."""
-        return float(np.linalg.norm(self.derivatives(xi, 1)[1]))
+    def speed(self, xi):
+        """Arc-length rate |dx/dxi|: a float for scalar ``xi``, else an array."""
+        v = np.linalg.norm(self.derivatives(xi, 1)[1], axis=-1)
+        return float(v) if np.ndim(xi) == 0 else v
 
 
 # patch side -> (parametric axis the side fixes, whether at that axis's end)

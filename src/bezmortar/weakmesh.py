@@ -105,7 +105,7 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     parent = ops_i[element]
     cells = coup.refined.cells_in(parent.span) or [parent.span]
     cell = cells[subcell]
-    r_op = coup.refined.extraction[refined.element_index(0.5 * (cell[0] + cell[1]))]
+    r_op = bezier_extraction(refined)[refined.element_index(0.5 * (cell[0] + cell[1]))]
     M = bernstein_transform(
         BernsteinInterval(parent.span[0], parent.span[1], p_i),
         BernsteinInterval(cell[0], cell[1], p_i),

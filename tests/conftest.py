@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# generated-input tests run the same bounded examples every time
+settings.register_profile("bezmortar", derandomize=True, max_examples=30, deadline=None,
+                          database=None)
+settings.load_profile("bezmortar")
 
 from bezmortar import InterfaceSpec, MultiPatchModel
 from bezmortar.benchmarks import gen_demo_two_patch, rect_patch

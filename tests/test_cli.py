@@ -4,7 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bezmortar import mesh_io
 from bezmortar.cli import main
 from bezmortar.mesh_io import (
     CSV_COLUMNS,
@@ -104,6 +107,65 @@ def test_non_string_side_is_a_schema_error():
     with pytest.raises(MeshFormatError) as err:
         validate_mesh_document(doc)
     assert err.value.code == "bad-side"
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        (lambda d: d["patches"][0]["control_points"][0].__setitem__(0, float("nan")),
+         "non-finite"),
+        (lambda d: d["patches"][0]["weights"].__setitem__(0, float("inf")), "non-finite"),
+        (lambda d: d["patches"][0]["knots"].pop(), "bad-format"),
+        (lambda d: d["patches"][0]["weights"].__setitem__(0, "1.0"), "bad-format"),
+        (lambda d: d["patches"][0]["control_points"].__setitem__(0, [0.0]), "bad-format"),
+        (lambda d: d["interfaces"][0]["master"].__setitem__(0, 0.5), "bad-interface"),
+    ],
+    ids=["nan-point", "inf-weight", "one-knot-vector", "string-weight", "ragged-point",
+         "fractional-patch-index"],
+)
+def test_loader_rejects_malformed_input_with_a_code(mutate, code):
+    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    mutate(doc)
+    with pytest.raises(MeshFormatError) as err:
+        model_from_document(doc)
+    assert err.value.code == code
+
+
+def generic_dump(obj) -> str:
+    """The mesh layout with every scalar formatted one by one."""
+
+    def emit(obj, indent):
+        pad = "  " * indent
+        if isinstance(obj, dict):
+            items = [f'{pad}  "{k}": {emit(v, indent + 1)}' for k, v in obj.items()]
+            return "{\n" + "".join(item + ",\n" for item in items[:-1]) + (
+                items[-1] + "\n" if items else "") + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+                return "[" + ", ".join(mesh_io._scalar(v) for v in obj) + "]"
+            return "[\n" + ",\n".join(pad + "  " + emit(v, indent + 1) for v in obj) + (
+                "\n" + pad + "]")
+        return mesh_io._scalar(obj)
+
+    return emit(obj, 0) + "\n"
+
+
+_scalars = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(-10**20, 10**20),
+    st.booleans(), st.text(max_size=5),
+)
+_documents = st.recursive(
+    st.lists(_scalars, max_size=6) | st.lists(st.floats(), max_size=6)
+    | st.lists(st.integers(), max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("abcxyz_", min_size=1, max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text("abcxyz_", min_size=1, max_size=4), _documents, max_size=4))
+def test_typed_writer_matches_generic_emitter(doc):
+    assert dump_mesh(doc) == generic_dump(doc)
 
 
 # ---------------------------------------------------------------------- CLI

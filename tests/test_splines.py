@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bezmortar import (
     BernsteinInterval,
@@ -254,6 +256,80 @@ def test_extraction_matches_refinement_operator_oracle():
     for e, op in enumerate(bezier_extraction(kv)):
         block = T[e * p : e * p + p + 1, op.first : op.first + p + 1]
         assert np.abs(op.matrix - block.T).max() < 1e-14
+
+
+def dense_c0_extraction(kv):
+    """Element operators from the dense global operator that raises every
+    interior breakpoint to multiplicity p (the C0 form), one row block per
+    element."""
+    p = kv.degree
+    extra = []
+    for bp in kv.breakpoints()[1:-1]:
+        extra.extend([bp] * max(p - kv.multiplicity(bp), 0))
+    c0, T = refinement_operator(kv, extra)
+    out = []
+    for a, b in kv.spans():
+        mid = 0.5 * (a + b)
+        first, c0_first = kv.find_span(mid) - p, c0.find_span(mid) - p
+        out.append((first, T[c0_first : c0_first + p + 1, first : first + p + 1].T))
+    return out
+
+
+@st.composite
+def open_knot_values(draw):
+    """Open knot values of degree 1-4: interior knots of multiplicity 1..p,
+    some of them followed by a knot 1e-13 away."""
+    p = draw(st.integers(1, 4))
+    interior = draw(st.lists(st.floats(0.02, 0.98), max_size=6))
+    vals = []
+    for x in interior:
+        vals += [x] * draw(st.integers(1, p))
+        if draw(st.booleans()):
+            vals += [x + 1e-13] * draw(st.integers(1, p))
+    return np.concatenate([np.zeros(p + 1), np.sort(vals), np.ones(p + 1)]), p
+
+
+@given(open_knot_values())
+def test_extraction_equals_dense_c0_insertion(knots):
+    vals, p = knots
+    kv = KnotVector(vals, p)
+    ops = bezier_extraction(kv)
+    oracle = dense_c0_extraction(kv)
+    assert [op.span for op in ops] == kv.spans()
+    for op, (first, block) in zip(ops, oracle, strict=True):
+        assert op.first == first
+        assert np.abs(op.matrix - block).max() <= 1e-14
+
+
+@given(open_knot_values())
+def test_knots_within_tolerance_are_one_knot(knots):
+    vals, p = knots
+    snapped = vals.copy()
+    for i in range(1, len(vals)):
+        if vals[i] - snapped[i - 1] <= 1e-12:
+            snapped[i] = snapped[i - 1]
+    kv, merged = KnotVector(vals, p), KnotVector(snapped, p)
+    assert np.array_equal(kv.values, merged.values)
+    for a, b in zip(bezier_extraction(kv), bezier_extraction(merged), strict=True):
+        assert a.span == b.span and np.array_equal(a.matrix, b.matrix)
+
+
+def test_extraction_is_built_once_and_read_only():
+    kv = KnotVector([0, 0, 0, 0.25, 0.6, 1, 1, 1], 2)
+    ops = bezier_extraction(kv)
+    assert bezier_extraction(kv) is ops
+    with pytest.raises(ValueError):
+        ops[0].matrix[0, 0] = 2.0
+    # an equal but distinct knot vector builds its own
+    assert bezier_extraction(KnotVector(kv.values.copy(), 2)) is not ops
+
+
+def test_refinement_operator_without_knots_keeps_the_knot_vector():
+    kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
+    fine, T = refinement_operator(kv, [])
+    assert fine is kv and np.array_equal(T, np.eye(kv.n))
+    with pytest.raises(OutOfDomainError):
+        refinement_operator(kv, [0.25, 1.0])
 
 
 # --------------------------------------------------------------------- NURBS
