@@ -278,14 +278,15 @@ def dense_c0_extraction(kv):
 @st.composite
 def open_knot_values(draw):
     """Open knot values of degree 1-4: interior knots of multiplicity 1..p,
-    some of them followed by a knot 1e-13 away."""
+    some of them followed by copies of a knot 1e-13 away (at most p+1 in all)."""
     p = draw(st.integers(1, 4))
-    interior = draw(st.lists(st.floats(0.02, 0.98), max_size=6))
+    interior = draw(st.lists(st.floats(0.02, 0.98), max_size=6, unique=True))
     vals = []
     for x in interior:
-        vals += [x] * draw(st.integers(1, p))
+        m = draw(st.integers(1, p))
+        vals += [x] * m
         if draw(st.booleans()):
-            vals += [x + 1e-13] * draw(st.integers(1, p))
+            vals += [x + 1e-13] * draw(st.integers(1, p + 1 - m))
     return np.concatenate([np.zeros(p + 1), np.sort(vals), np.ones(p + 1)]), p
 
 
@@ -312,6 +313,31 @@ def test_knots_within_tolerance_are_one_knot(knots):
     assert np.array_equal(kv.values, merged.values)
     for a, b in zip(bezier_extraction(kv), bezier_extraction(merged), strict=True):
         assert a.span == b.span and np.array_equal(a.matrix, b.matrix)
+
+
+def row_loop_knot_insert(kv, coeffs, xi):
+    """Boehm insertion of one knot, one output row at a time."""
+    p, k, knots = kv.degree, kv.find_span(xi), kv.values
+    out = np.empty((kv.n + 1,) + coeffs.shape[1:])
+    for i in range(kv.n + 1):
+        if i <= k - p:
+            out[i] = coeffs[i]
+        elif i >= k + 1:
+            out[i] = coeffs[i - 1]
+        else:
+            alpha = (xi - knots[i]) / (knots[i + p] - knots[i])
+            out[i] = alpha * coeffs[i] + (1.0 - alpha) * coeffs[i - 1]
+    return out
+
+
+@given(open_knot_values(), st.floats(0.01, 0.99), st.sampled_from([(), (2,), (3, 2)]))
+def test_knot_insert_equals_row_loop(knots, xi, trailing):
+    vals, p = knots
+    kv = KnotVector(vals, p)
+    coeffs = np.sin(np.arange(kv.n * int(np.prod(trailing))) + 1.0).reshape((kv.n,) + trailing)
+    fine, out = knot_insert(kv, coeffs, xi)
+    assert np.array_equal(out, row_loop_knot_insert(kv, coeffs, xi))
+    assert np.array_equal(fine.values, np.sort(np.append(kv.values, xi)))
 
 
 def test_extraction_is_built_once_and_read_only():
