@@ -631,6 +631,8 @@ def largedef_model(level: int, weak: bool = True) -> MultiPatchModel:
     interface in the vertical direction; the conforming variant matches the
     master mesh on both sides (identity coupling, a C0 interface).
     """
+    if level < 0:
+        raise ValueError("refinement level must be non-negative")
     n = 2 ** (level + 1)
     master = rect_patch(2, n, 2 * n, (0.0, 0.5), (0.0, 1.0))
     ns = 2 * n + 1 if weak else 2 * n

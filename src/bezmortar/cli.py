@@ -122,7 +122,7 @@ def main(argv=None) -> int:
                 if args.method != "weak":
                     ap.error("largedef cases run on the weakly continuous mesh "
                              "(use --method weak)")
-                pressure = args.pressure if args.pressure else LARGEDEF_PRESSURE
+                pressure = LARGEDEF_PRESSURE if args.pressure is None else args.pressure
                 field = run_largedef(
                     case.case, args.level, args.increments, args.tol_factor,
                     weak=True, pressure=pressure,

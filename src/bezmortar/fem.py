@@ -521,6 +521,8 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     expanded back through its prolongation.  Constraints are (row, 0.0) pairs
     in the solved numbering.
     """
+    if increments < 1:
+        raise ValueError("need at least one load increment")
     P = None if layout is None else layout.prolongation_vec(2)
     dred = np.zeros(mesh.ndof * 2 if P is None else P.shape[1])
     expand = (lambda v: v) if P is None else (lambda v: P @ v)

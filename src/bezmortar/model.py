@@ -7,8 +7,12 @@ those trace dofs through master dofs.  Two element streams are derived from
 the same data:
 
 * the *mortar* stream keeps trace dofs explicit (assemble, then condense),
-* the *weak* stream contracts them element by element, producing standard
-  extracted elements a solver can assemble directly.
+* the *weak* stream contracts them through the prolongation, producing
+  standard extracted elements a solver can assemble directly.
+
+Both come from one tensor-product builder over a patch's stacked element
+extraction operators; along a slave interface the edge row group is swapped
+for the refined interface extraction.
 
 The layout rests on one sparse operator per interface: its master edge's
 functions as rows over the full dofs.  The prolongation P and the saddle
@@ -31,6 +35,7 @@ from .splines import (
     SIDES,
     BernsteinInterval,
     Patch2D,
+    _element_tables,
     bernstein_transform,
     bezier_extraction,
     side_index,
@@ -311,28 +316,22 @@ class MultiPatchModel:
 
     def dof_partition(self) -> dict:
         """Scalar-dof labels: distinct dofs and per-interface master/slave sets."""
-        on_iface = set()
         per_iface = []
+        on_iface = np.zeros(0, dtype=int)
         for ci, coup in enumerate(self.couplings):
             mp, ms = coup.spec.master
             edge = self.grids[mp][side_index(ms)]
-            master = [int(d) for d in edge if d >= 0]
-            slave = [int(t) for t in self.trace_ids[ci]]
-            per_iface.append({"master": np.array(master), "slave": np.array(slave)})
-            on_iface.update(master)
-            on_iface.update(slave)
-        distinct = np.array(
-            [d for d in range(self.ndof_full) if d not in on_iface]
-        )
+            master, slave = edge[edge >= 0], self.trace_ids[ci].copy()
+            per_iface.append({"master": master, "slave": slave})
+            on_iface = np.concatenate([on_iface, master, slave])
+        distinct = np.setdiff1d(np.arange(self.ndof_full), on_iface)
         return {"distinct": distinct, "interfaces": per_iface}
 
     # ----------------------------------------------------------------- cells
 
     def mortar_mesh(self) -> ExtractedMesh:
         """Element stream in full numbering (trace dofs explicit)."""
-        cells = []
-        for pi in range(len(self.patches)):
-            cells.extend(self._patch_cells(pi))
+        cells = [c for pi in range(len(self.patches)) for c in self._patch_cells(pi)]
         return ExtractedMesh(self.patches, cells, self.ndof_full, "mortar")
 
     def weak_mesh(self) -> ExtractedMesh:
@@ -340,156 +339,142 @@ class MultiPatchModel:
 
         Trace rows are contracted through the prolongation operator, which
         localizes the coupling matrix to each element; the result is a
-        standard extracted mesh over the retained dofs only.
+        standard extracted mesh over the retained dofs only.  Cells of one
+        degree pair are contracted together: every entry of ``P[rows]`` is
+        keyed by its cell and retained dof, and one sparse aggregation of the
+        stacked operators sums each key's rows.
         """
-        P = self.P.tocsr()
-        cells = []
-        for c in self.mortar_mesh().cells:
-            if c.rows.size and c.rows.max() < self.n_retained:
-                cells.append(c)
-                continue
-            sub = P[c.rows]
-            cols = np.unique(sub.indices)
-            op = np.asarray(sub[:, cols].T @ c.ophom)
+        cells = self.mortar_mesh().cells
+        groups: dict = {}
+        for k, c in enumerate(cells):
+            if c.rows.max() >= self.n_retained:
+                groups.setdefault(c.degrees, []).append(k)
+        for ks in groups.values():
+            sub = self.P[np.concatenate([cells[k].rows for k in ks])]
+            nloc = cells[ks[0]].rows.size
+            row = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
+            keys, key = np.unique(row // nloc * self.n_retained + sub.indices,
+                                  return_inverse=True)
+            A = sp.csr_matrix((sub.data, (key, row)), shape=(keys.size, sub.shape[0]))
+            op = A @ np.concatenate([cells[k].ophom for k in ks])
+            owner, cols = np.divmod(keys, self.n_retained)
             # drop rows whose coupling weight is pure quadrature noise
-            keep = np.abs(op).max(axis=1) > 1e-13 * max(np.abs(op).max(), 1.0)
-            cells.append(
-                Cell(c.patch, c.rect, cols[keep], op[keep],
-                     c.geo_pts, c.geo_ophom, c.degrees)
-            )
+            rowmax = np.abs(op).max(axis=1)
+            cellmax = np.ones(len(ks))
+            np.maximum.at(cellmax, owner, rowmax)
+            keep = np.flatnonzero(rowmax > 1e-13 * cellmax[owner])
+            cuts = np.searchsorted(owner[keep], np.arange(1, len(ks)))
+            for k, rows, ophom in zip(ks, np.split(cols[keep], cuts), np.split(op[keep], cuts)):
+                c = cells[k]
+                cells[k] = Cell(c.patch, c.rect, rows, ophom, c.geo_pts, c.geo_ophom, c.degrees)
         return ExtractedMesh(self.patches, cells, self.n_retained, "weak")
 
     def _patch_cells(self, pi: int) -> list[Cell]:
-        patch = self.patches[pi]
-        p1, p2 = patch.degrees
-        ops1 = bezier_extraction(patch.kvs[0])
-        ops2 = bezier_extraction(patch.kvs[1])
-        slave_sides = {
-            coup.spec.slave[1]: ci
-            for ci, coup in enumerate(self.couplings)
-            if coup.spec.slave[0] == pi
-        }
-        cells = []
-        for op1 in ops1:
-            for op2 in ops2:
-                side = self._strip_side(pi, slave_sides, op1, op2)
-                if side is None:
-                    cells.append(self._standard_cell(pi, op1, op2))
-                else:
-                    cells.extend(
-                        self._trace_cells(pi, slave_sides[side], side, op1, op2)
-                    )
-        return cells
+        """Cells of patch ``pi`` in row-major element order.
 
-    def _strip_side(self, pi, slave_sides, op1, op2):
-        patch = self.patches[pi]
-        hit = None
-        for side in slave_sides:
-            axis, at_end = SIDES[side]
-            op = (op1, op2)[axis]
-            n = patch.kvs[axis].n
-            edge = n - 1 - patch.degrees[axis] if at_end else 0
-            if op.first == edge:
-                if hit is not None:
-                    raise ValueError(
-                        "element adjacent to two slave interfaces; refine the patch"
-                    )
-                hit = side
-        return hit
-
-    def _standard_cell(self, pi, op1, op2) -> Cell:
-        patch = self.patches[pi]
-        p1, p2 = patch.degrees
-        f1, f2 = op1.first, op2.first
-        w = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
-        pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
-        kron = np.kron(op1.matrix, op2.matrix)
-        geo = w[:, None] * kron
-        rows = self.grids[pi][f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
-        if np.any(rows < 0):
+        Every element gives one standard cell, except those along a slave
+        interface, whose slot takes that interface's trace cells.
+        """
+        cells, rows = _grid_cells(pi, self.patches[pi], self.grids[pi])
+        slots = [[c] for c in cells]
+        hits = np.zeros(len(cells), dtype=int)
+        for ci, coup in enumerate(self.couplings):
+            if coup.spec.slave[0] == pi:
+                strip, subcells = self._trace_cells(pi, ci)
+                hits[strip] += 1
+                for k, sub in zip(strip, subcells):
+                    slots[k] = sub
+        if hits.max() > 1:
+            raise ValueError("element adjacent to two slave interfaces; refine the patch")
+        if np.any(rows[hits == 0] < 0):
             raise RuntimeError("trace dof leaked into a standard element")
-        return Cell(pi, (op1.span, op2.span), rows.copy(), geo, pts, geo, (p1, p2))
+        return [c for slot in slots for c in slot]
 
-    def _trace_cells(self, pi, ci, side, op1, op2) -> list[Cell]:
-        """Cells of a slave-interface-adjacent element.
+    def _trace_cells(self, pi: int, ci: int) -> tuple[np.ndarray, list[list[Cell]]]:
+        """Elements along slave interface ``ci`` (row-major indices) and their cells.
 
-        The element is subdivided at the refined interface's new continuity
-        lines; on each subcell the trace row group uses the refined interface
-        extraction while interior rows keep the parent extraction pulled into
-        subcell Bernstein coordinates.
+        Each element is subdivided at the refined interface's new continuity
+        lines.  A subcell is the tensor cell of the element's transverse
+        extraction and its interface-direction extraction pulled into subcell
+        Bernstein coordinates; its rows are put in transverse-major order and
+        the edge row group is swapped for the refined interface extraction
+        over the trace dofs.
         """
         patch = self.patches[pi]
         coup = self.couplings[ci]
-        p1, p2 = patch.degrees
-        axis_f, at_end = SIDES[side]  # direction the side pins
-        axis_i = 1 - axis_f           # direction along the interface
-        op_f = (op1, op2)[axis_f]
-        op_i = (op1, op2)[axis_i]
-        p_f, p_i = patch.degrees[axis_f], patch.degrees[axis_i]
-        n_f = patch.kvs[axis_f].n
-        edge_global = n_f - 1 if at_end else 0
+        axis_f, at_end = SIDES[coup.spec.slave[1]]  # direction the side pins
+        kv_f, kv_i = patch.kvs[axis_f], patch.kvs[1 - axis_f]
+        p_f, p_i = kv_f.degree, kv_i.degree
+        bp_f, first_f, C_f = _element_tables(kv_f)
+        e_f = first_f.size - 1 if at_end else 0
+        ops_i = bezier_extraction(kv_i)
         refined = coup.refined.refined
-        r_ops = bezier_extraction(refined)
-        w_r = coup.refined_edge_weights
-        tids = self.trace_ids[ci]
-        parent = BernsteinInterval(op_i.span[0], op_i.span[1], p_i)
-        sub = coup.refined.cells_in(op_i.span) or [op_i.span]
-        f_f = op_f.first
-        f_i = op_i.first
-        cells = []
-        for a, b in sub:
-            r_op = r_ops[refined.element_index(0.5 * (a + b))]
-            if (abs(a - parent.lo) < 1e-14) and (abs(b - parent.hi) < 1e-14):
-                Ci_cell = op_i.matrix
-            else:
-                M = bernstein_transform(parent, BernsteinInterval(a, b, p_i))
-                Ci_cell = op_i.matrix @ M.T
-            rows, op_rows = [], []
-            for a_f in range(p_f + 1):
-                g_f = f_f + a_f
-                if g_f == edge_global:
-                    for r in range(p_i + 1):
-                        rows.append(int(tids[r_op.first + r]))
-                        op_rows.append(
-                            w_r[r_op.first + r]
-                            * _axis_kron(op_f.matrix[a_f], r_op.matrix[r], axis_f)
-                        )
+        owner, rects, Cs, e_r = [], [], [], []
+        for op in ops_i:
+            parent = op.interval
+            for a, b in coup.refined.cells_in(op.span) or [op.span]:
+                if abs(a - parent.lo) < 1e-14 and abs(b - parent.hi) < 1e-14:
+                    Cs.append(op.matrix)
                 else:
-                    for a_i in range(p_i + 1):
-                        pos = (g_f, f_i + a_i) if axis_f == 0 else (f_i + a_i, g_f)
-                        rows.append(int(self.grids[pi][pos]))
-                        op_rows.append(
-                            patch.weights[pos]
-                            * _axis_kron(op_f.matrix[a_f], Ci_cell[a_i], axis_f)
-                        )
-            # geometry: parent functions pulled to subcell coordinates
-            if axis_f == 0:
-                f1, f2 = f_f, f_i
-                kron = np.kron(op_f.matrix, Ci_cell)
-                rect = (op_f.span, (a, b))
-            else:
-                f1, f2 = f_i, f_f
-                kron = np.kron(Ci_cell, op_f.matrix)
-                rect = ((a, b), op_f.span)
-            wg = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
-            pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
-            cells.append(
-                Cell(
-                    pi,
-                    rect,
-                    np.array(rows),
-                    np.array(op_rows),
-                    pts,
-                    wg[:, None] * kron,
-                    (p1, p2),
-                )
-            )
-        return cells
+                    M = bernstein_transform(parent, BernsteinInterval(a, b, p_i))
+                    Cs.append(op.matrix @ M.T)
+                owner.append(op.element)
+                rects.append((a, b))
+                e_r.append(refined.element_index(0.5 * (a + b)))
+        m, owner = len(owner), np.array(owner)
+        transverse = (np.full(m, first_f[e_f]), np.broadcast_to(C_f[e_f], (m,) + C_f.shape[1:]))
+        along = (_element_tables(kv_i)[1][owner], np.stack(Cs))
+        pairs = transverse + along if axis_f == 0 else along + transverse
+        rows, geo, pts = _tensor_cells(patch, self.grids[pi], *pairs)
+        perm = np.arange(rows.shape[1]).reshape(patch.degrees[0] + 1, -1)
+        perm = (perm.T if axis_f else perm).reshape(-1)
+        rows, op = rows[:, perm], geo[:, perm]
+        # the edge row group: refined interface functions over the trace dofs
+        _, first_r, C_r = _element_tables(refined)
+        r = first_r[e_r][:, None] + np.arange(p_i + 1)
+        edge = p_f if at_end else 0  # local index of the side's functions
+        grp = slice(edge * (p_i + 1), (edge + 1) * (p_i + 1))
+        kron = np.einsum("mrl,k->mrlk" if axis_f else "mrl,k->mrkl", C_r[e_r], C_f[e_f, edge])
+        op[:, grp] = coup.refined_edge_weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
+        rows[:, grp] = self.trace_ids[ci][r]
+        span_f = (float(bp_f[e_f]), float(bp_f[e_f + 1]))
+        subcells = [[] for _ in ops_i]
+        for s, (k, ab) in enumerate(zip(owner.tolist(), rects)):
+            rect = (ab, span_f) if axis_f else (span_f, ab)
+            subcells[k].append(Cell(pi, rect, rows[s], op[s], pts[s], geo[s], patch.degrees))
+        e_i, n2 = np.arange(len(ops_i)), _element_tables(patch.kvs[1])[1].size
+        return (e_i * n2 + e_f if axis_f else e_f * n2 + e_i), subcells
 
 
-def _axis_kron(row_f: np.ndarray, row_i: np.ndarray, axis_f: int) -> np.ndarray:
-    """Tensor row in dir1-major column ordering."""
-    return np.kron(row_f, row_i) if axis_f == 0 else np.kron(row_i, row_f)
+def _tensor_cells(patch: Patch2D, grid: np.ndarray, first1, C1, first2, C2):
+    """Rows, operators and control points of stacked tensor-product cells.
+
+    Cell k pairs the element with first function ``first1[k]`` and extraction
+    operator ``C1[k]`` in direction 1 with ``first2[k]``, ``C2[k]`` in
+    direction 2.  Its rows are the ``grid`` entries of the (p1+1) x (p2+1)
+    active functions in row-major order and its operator is
+    ``w * (C1[k] kron C2[k])`` with ``w`` their weights.
+    """
+    p1, p2 = patch.degrees
+    n = (p1 + 1) * (p2 + 1)
+    i = first1[:, None, None] + np.arange(p1 + 1)[:, None]
+    j = first2[:, None, None] + np.arange(p2 + 1)
+    kron = np.einsum("mik,mjl->mijkl", C1, C2).reshape(-1, n, n)
+    return (grid[i, j].reshape(-1, n), patch.weights[i, j].reshape(-1, n, 1) * kron,
+            patch.points[i, j].reshape(-1, n, 2))
+
+
+def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray) -> tuple[list[Cell], np.ndarray]:
+    """Standard cells of every element of a patch in row-major element order,
+    and their stacked rows."""
+    (bp1, first1, C1), (bp2, first2, C2) = (_element_tables(kv) for kv in patch.kvs)
+    e1, e2 = np.divmod(np.arange(first1.size * first2.size), first2.size)
+    rows, geo, pts = _tensor_cells(patch, grid, first1[e1], C1[e1], first2[e2], C2[e2])
+    spans1, spans2 = (list(zip(bp[:-1].tolist(), bp[1:].tolist())) for bp in (bp1, bp2))
+    degrees = patch.degrees
+    cells = [Cell(pi, (spans1[a], spans2[b]), rows[k], geo[k], pts[k], geo[k], degrees)
+             for k, (a, b) in enumerate(zip(e1.tolist(), e2.tolist()))]
+    return cells, rows
 
 
 def _flat(patch: Patch2D) -> np.ndarray:
@@ -504,15 +489,5 @@ def _pruned(G: np.ndarray) -> sp.csr_matrix:
 
 def single_patch_mesh(patch: Patch2D) -> ExtractedMesh:
     """Standard extracted mesh of one uncoupled patch."""
-    p1, p2 = patch.degrees
-    cells = []
-    grid = _flat(patch)
-    for op1 in bezier_extraction(patch.kvs[0]):
-        for op2 in bezier_extraction(patch.kvs[1]):
-            f1, f2 = op1.first, op2.first
-            w = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
-            pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
-            geo = w[:, None] * np.kron(op1.matrix, op2.matrix)
-            rows = grid[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
-            cells.append(Cell(0, (op1.span, op2.span), rows.copy(), geo, pts, geo, (p1, p2)))
+    cells, _ = _grid_cells(0, patch, _flat(patch))
     return ExtractedMesh([patch], cells, patch.shape[0] * patch.shape[1], "single")

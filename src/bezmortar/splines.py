@@ -688,6 +688,8 @@ class Patch2D:
         return Patch2D((kv1, kv2), pts, w)
 
     def refined_uniform(self, levels: int = 1) -> "Patch2D":
+        if levels < 0:
+            raise ValueError("refinement level must be non-negative")
         patch = self
         for _ in range(levels):
             mids1 = [0.5 * (a + b) for a, b in patch.kvs[0].spans()]

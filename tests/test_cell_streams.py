@@ -1,0 +1,225 @@
+"""The batched cell builder against a per-element reference builder.
+
+The reference below builds every cell on its own: one ``np.kron`` per
+standard element, and trace cells row by row, with the refined interface
+extraction in the edge row group.  The mortar stream must equal it bit for
+bit (cell order and every field); the weak stream, contracted cell by cell
+through ``P[c.rows]``, must give the same rows and operators to rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
+
+from bezmortar import InterfaceSpec, MultiPatchModel
+from bezmortar.benchmarks import (
+    gen_annulus_two_patch,
+    gen_demo_two_patch,
+    gen_plate_hole,
+    gen_square_two_patch,
+    largedef_model,
+    rect_patch,
+)
+from bezmortar.coupling import InterfaceGeometryError
+from bezmortar.model import Cell
+from bezmortar.splines import (
+    SIDES,
+    BernsteinInterval,
+    Patch2D,
+    bernstein_transform,
+    bezier_extraction,
+)
+
+# ------------------------------------------------------- reference builder
+
+
+def reference_mortar_cells(model) -> list[Cell]:
+    cells = []
+    for pi in range(len(model.patches)):
+        slave_sides = {coup.spec.slave[1]: ci for ci, coup in enumerate(model.couplings)
+                       if coup.spec.slave[0] == pi}
+        for op1 in bezier_extraction(model.patches[pi].kvs[0]):
+            for op2 in bezier_extraction(model.patches[pi].kvs[1]):
+                side = _strip_side(model, pi, slave_sides, op1, op2)
+                if side is None:
+                    cells.append(_standard_cell(model, pi, op1, op2))
+                else:
+                    cells.extend(_trace_cells(model, pi, slave_sides[side], side, op1, op2))
+    return cells
+
+
+def reference_weak_cells(model) -> list[Cell]:
+    P = model.P.tocsr()
+    cells = []
+    for c in reference_mortar_cells(model):
+        if c.rows.max() < model.n_retained:
+            cells.append(c)
+            continue
+        sub = P[c.rows]
+        cols = np.unique(sub.indices)
+        op = np.asarray(sub[:, cols].T @ c.ophom)
+        keep = np.abs(op).max(axis=1) > 1e-13 * max(np.abs(op).max(), 1.0)
+        cells.append(Cell(c.patch, c.rect, cols[keep], op[keep], c.geo_pts, c.geo_ophom,
+                          c.degrees))
+    return cells
+
+
+def _strip_side(model, pi, slave_sides, op1, op2):
+    patch = model.patches[pi]
+    hit = None
+    for side in slave_sides:
+        axis, at_end = SIDES[side]
+        edge = patch.kvs[axis].n - 1 - patch.degrees[axis] if at_end else 0
+        if (op1, op2)[axis].first == edge:
+            if hit is not None:
+                raise ValueError("element adjacent to two slave interfaces; refine the patch")
+            hit = side
+    return hit
+
+
+def _standard_cell(model, pi, op1, op2) -> Cell:
+    patch = model.patches[pi]
+    p1, p2 = patch.degrees
+    f1, f2 = op1.first, op2.first
+    w = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
+    pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
+    geo = w[:, None] * np.kron(op1.matrix, op2.matrix)
+    rows = model.grids[pi][f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
+    return Cell(pi, (op1.span, op2.span), rows.copy(), geo, pts, geo, (p1, p2))
+
+
+def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
+    patch = model.patches[pi]
+    coup = model.couplings[ci]
+    p1, p2 = patch.degrees
+    axis_f, at_end = SIDES[side]
+    op_f, op_i = (op1, op2)[axis_f], (op1, op2)[1 - axis_f]
+    p_f, p_i = patch.degrees[axis_f], patch.degrees[1 - axis_f]
+    edge_global = patch.kvs[axis_f].n - 1 if at_end else 0
+    refined = coup.refined.refined
+    r_ops = bezier_extraction(refined)
+    w_r = coup.refined_edge_weights
+    tids = model.trace_ids[ci]
+    parent = BernsteinInterval(op_i.span[0], op_i.span[1], p_i)
+    cells = []
+    for a, b in coup.refined.cells_in(op_i.span) or [op_i.span]:
+        r_op = r_ops[refined.element_index(0.5 * (a + b))]
+        if abs(a - parent.lo) < 1e-14 and abs(b - parent.hi) < 1e-14:
+            Ci_cell = op_i.matrix
+        else:
+            Ci_cell = op_i.matrix @ bernstein_transform(parent, BernsteinInterval(a, b, p_i)).T
+        rows, op_rows = [], []
+        for a_f in range(p_f + 1):
+            g_f = op_f.first + a_f
+            if g_f == edge_global:
+                for r in range(p_i + 1):
+                    rows.append(int(tids[r_op.first + r]))
+                    op_rows.append(w_r[r_op.first + r]
+                                   * _axis_kron(op_f.matrix[a_f], r_op.matrix[r], axis_f))
+            else:
+                for a_i in range(p_i + 1):
+                    pos = (g_f, op_i.first + a_i) if axis_f == 0 else (op_i.first + a_i, g_f)
+                    rows.append(int(model.grids[pi][pos]))
+                    op_rows.append(patch.weights[pos]
+                                   * _axis_kron(op_f.matrix[a_f], Ci_cell[a_i], axis_f))
+        if axis_f == 0:
+            f1, f2 = op_f.first, op_i.first
+            kron = np.kron(op_f.matrix, Ci_cell)
+            rect = (op_f.span, (a, b))
+        else:
+            f1, f2 = op_i.first, op_f.first
+            kron = np.kron(Ci_cell, op_f.matrix)
+            rect = ((a, b), op_f.span)
+        wg = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
+        pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
+        cells.append(Cell(pi, rect, np.array(rows), np.array(op_rows), pts,
+                          wg[:, None] * kron, (p1, p2)))
+    return cells
+
+
+def _axis_kron(row_f, row_i, axis_f):
+    return np.kron(row_f, row_i) if axis_f == 0 else np.kron(row_i, row_f)
+
+
+# ------------------------------------------------------------- comparison
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_streams_match(model):
+    got, want = model.mortar_mesh().cells, reference_mortar_cells(model)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.patch, g.rect, g.degrees) == (w.patch, w.rect, w.degrees)
+        for name in ("rows", "ophom", "geo_pts", "geo_ophom"):
+            assert _bitwise(getattr(g, name), getattr(w, name)), name
+    got, want = model.weak_mesh().cells, reference_weak_cells(model)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.patch, g.rect, g.degrees) == (w.patch, w.rect, w.degrees)
+        assert np.array_equal(g.rows, w.rows)
+        assert g.ophom.shape == w.ophom.shape
+        assert np.abs(g.ophom - w.ophom).max() <= 1e-15 * np.abs(w.ophom).max()
+        assert _bitwise(g.geo_ophom, w.geo_ophom) and _bitwise(g.geo_pts, w.geo_pts)
+
+
+# ------------------------------------------------------------------ models
+
+# the master sits across the slave side; ``reversed`` turns it by 180
+# degrees, so its interface side is the opposite one and runs backwards
+_OFFSET = {"west": (-1, 0), "east": (1, 0), "south": (0, -1), "north": (0, 1)}
+_OPPOSITE = {"west": "east", "east": "west", "south": "north", "north": "south"}
+
+
+def _weighted(patch: Patch2D, weights: np.ndarray, turned: bool) -> Patch2D:
+    points = patch.points[::-1, ::-1] if turned else patch.points
+    return Patch2D(patch.kvs, points, weights)
+
+
+@st.composite
+def two_patch_models(draw):
+    side = draw(st.sampled_from(sorted(SIDES)))
+    turned = draw(st.booleans())
+    ps = [draw(st.integers(1, 3)) for _ in range(2)]
+    ns = [(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(2)]
+    dx, dy = _OFFSET[side]
+    slave = rect_patch(ps[0], *ns[0])
+    master = rect_patch(ps[1], *ns[1], (dx, dx + 1.0), (dy, dy + 1.0))
+    patches = []
+    for patch, turn in ((slave, False), (master, turned)):
+        w = draw(st.lists(st.floats(0.5, 2.0), min_size=patch.weights.size,
+                          max_size=patch.weights.size))
+        patches.append(_weighted(patch, np.reshape(w, patch.weights.shape), turn))
+    master_side = side if turned else _OPPOSITE[side]
+    spec = InterfaceSpec(master=(1, master_side), slave=(0, side), reversed=turned)
+    try:
+        return MultiPatchModel(patches, [spec], draw(st.integers(0, 2)))
+    except InterfaceGeometryError:
+        # the phi projection may stop at a speed jump of a rational C0 edge;
+        # that model has no cell stream (test_coupling covers the failure)
+        reject()
+
+
+@given(two_patch_models())
+def test_batched_streams_match_reference(model):
+    assert_streams_match(model)
+
+
+@pytest.mark.parametrize(
+    "model_fn",
+    [
+        lambda: gen_demo_two_patch(dual_refine=1),
+        lambda: gen_demo_two_patch(dual_refine=0),
+        lambda: gen_square_two_patch((2, 3), False, 3, 1, dual_refine=1),
+        lambda: gen_square_two_patch((3, 2), False, 4, 0, dual_refine=2),
+        lambda: gen_annulus_two_patch((2, 3), 2, 1, dual_refine=1),
+        lambda: gen_plate_hole(3, False, 2, 0, dual_refine=1),
+        lambda: largedef_model(1),
+    ],
+)
+def test_named_models_match_reference(model_fn):
+    assert_streams_match(model_fn())

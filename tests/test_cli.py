@@ -234,3 +234,28 @@ def test_cli_entrypoint_subprocess(tmp_path):
     proc = subprocess.run([sys.executable, "-c", env_script], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
+    prefix = tmp_path / "zero"
+    assert run_cli(["solve", "--case", "largedef-case1", "--method", "weak",
+                    "--pressure", "0", "--increments", "1", "-o", str(prefix)]) == 0
+    coeffs = json.loads((tmp_path / "zero.coeffs.json").read_text())
+    assert coeffs and all(v == 0 for v in coeffs)
+    header, row = (tmp_path / "zero.summary.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["pressure"] == "0"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--case", "square-mixed", "--level", "-1"],
+        ["--case", "largedef-case1", "--method", "weak", "--level", "-1"],
+        ["--case", "largedef-case1", "--method", "weak", "--increments", "0"],
+    ],
+)
+def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
+    prefix = tmp_path / "bad"
+    assert run_cli(["solve", *args, "-o", str(prefix)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "bad.coeffs.json").exists()

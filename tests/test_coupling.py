@@ -416,6 +416,21 @@ def test_chained_slave_dof_rejected():
         MultiPatchModel([a, b, c], specs, 0)
 
 
+def test_element_on_two_slave_sides_rejected():
+    # a one-element-wide slave patch between two masters: its only element
+    # column touches both slave interfaces
+    a = rect_patch(2, 2, 2, (0.0, 1.0), (0.0, 1.0))
+    b = rect_patch(2, 1, 2, (1.0, 2.0), (0.0, 1.0))
+    c = rect_patch(2, 2, 2, (2.0, 3.0), (0.0, 1.0))
+    specs = [
+        InterfaceSpec(master=(0, "east"), slave=(1, "west")),
+        InterfaceSpec(master=(2, "west"), slave=(1, "east")),
+    ]
+    model = MultiPatchModel([a, b, c], specs, 0)
+    with pytest.raises(ValueError, match="element adjacent to two slave interfaces"):
+        model.mortar_mesh()
+
+
 def test_pinwheel_dependency_cycle_rejected():
     # four patches around the origin, each master on one side and slave on
     # the next: every master edge runs through the previous slave corner
