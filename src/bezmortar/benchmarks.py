@@ -420,8 +420,12 @@ class BenchmarkCase:
 
 
 def build_case(case: BenchmarkCase, level: int) -> MultiPatchModel:
+    if level < 0:
+        raise ValueError("refinement level must be non-negative")
     if case.case.startswith("square"):
         if case.case == "square-demo":
+            if level != 0:
+                raise ValueError("square-demo has one fixed geometry (level 0)")
             return gen_demo_two_patch(case.dual_refine)
         return gen_square_two_patch(case.ratio, case.matched, case.p, level,
                                     case.seed, case.dual_refine)

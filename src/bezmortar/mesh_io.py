@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 import json
+import struct
+from itertools import chain, islice
 
 import numpy as np
 
@@ -44,31 +46,59 @@ class MeshFormatError(ValueError):
         self.code = code
 
 
-def _emit(obj, out: io.StringIO, indent: int):
+class _Memo(dict):
+    """One call's memo: ``__missing__`` converts each distinct key once."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _float_text(bits: int) -> str:
+    return "%.17g" % struct.unpack("d", struct.pack("Q", bits))
+
+
+def _bit_patterns(values) -> tuple:
+    n = len(values)
+    return struct.unpack(f"{n}Q", struct.pack(f"{n}d", *values))
+
+
+def _emit(obj, out: io.StringIO, indent: int, text: _Memo):
     pad = "  " * indent
     if isinstance(obj, dict):
         out.write("{\n")
         keys = list(obj.keys())
         for i, k in enumerate(keys):
             out.write(f'{pad}  "{k}": ')
-            _emit(obj[k], out, indent + 1)
+            _emit(obj[k], out, indent + 1, text)
             out.write(",\n" if i + 1 < len(keys) else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        # fast paths: lists whose items are all exactly float or exactly int
-        # (bool and numpy scalars take the generic path below)
+        # fast paths: lists whose items are all exactly float or exactly int,
+        # and lists of rows of exact floats; bool, numpy scalars and mixed
+        # lists take the generic paths below
         types = set(map(type, obj))
         if types == {float}:
-            out.write("[" + ("%.17g, " * len(obj))[:-2] % tuple(obj) + "]")
+            out.write("[" + ", ".join(map(text.__getitem__, _bit_patterns(obj))) + "]")
         elif types == {int}:
             out.write("[" + ", ".join(map(str, obj)) + "]")
         elif all(not isinstance(v, (dict, list, tuple)) for v in obj):
             out.write("[" + ", ".join(_scalar(v) for v in obj) + "]")
+        elif (types <= {list, tuple}
+              and set(map(type, flat := list(chain.from_iterable(obj)))) == {float}):
+            words = map(text.__getitem__, _bit_patterns(flat))
+            rows = [", ".join(islice(words, len(row))) for row in obj]
+            row_pad = pad + "  ["
+            out.write("[\n" + row_pad + ("],\n" + row_pad).join(rows) + "]\n" + pad + "]")
         else:
             out.write("[\n")
             for i, v in enumerate(obj):
                 out.write(pad + "  ")
-                _emit(v, out, indent + 1)
+                _emit(v, out, indent + 1, text)
                 out.write(",\n" if i + 1 < len(obj) else "\n")
             out.write(pad + "]")
     else:
@@ -130,15 +160,29 @@ def mesh_document(model: MultiPatchModel, weak: bool = False,
 
 
 def dump_mesh(doc: dict) -> str:
-    """Serialize a mesh document with 17-significant-digit floats."""
+    """Serialize a mesh document with 17-significant-digit floats.
+
+    Each distinct float in a float list is formatted once per call.
+    """
     out = io.StringIO()
-    _emit(doc, out, 0)
+    # keyed by bit pattern, not by value: 0.0 == -0.0 would share one text
+    _emit(doc, out, 0, _Memo(_float_text))
     out.write("\n")
     return out.getvalue()
 
 
+def _json_int(token: str):
+    # dump_mesh writes -0.0 as "-0"; read it back as a float, keeping its sign
+    return -0.0 if token == "-0" else int(token)
+
+
 def load_mesh(text: str) -> dict:
-    doc = json.loads(text)
+    """Parse and validate a mesh document; each distinct number token is read once."""
+    try:
+        doc = json.loads(text, parse_float=_Memo(float).__getitem__,
+                         parse_int=_Memo(_json_int).__getitem__)
+    except ValueError as exc:
+        raise MeshFormatError("bad-json", str(exc)) from exc
     validate_mesh_document(doc)
     return doc
 

@@ -1,12 +1,17 @@
 import json
+import math
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bezmortar
 from bezmortar import mesh_io
 from bezmortar.cli import main
 from bezmortar.mesh_io import (
@@ -43,6 +48,16 @@ def test_roundtrip_byte_identity(tmp_path):
     text = dump_mesh(mesh_document(model, weak=True))
     doc = load_mesh(text)
     assert dump_mesh(doc) == text
+
+
+def test_negative_zero_survives_a_round_trip():
+    doc = mesh_document(gen_demo_two_patch(0))
+    doc["patches"][0]["control_points"][0][0] = -0.0
+    text = dump_mesh(doc)
+    assert "[-0, 0]" in text
+    loaded = load_mesh(text)
+    assert math.copysign(1.0, loaded["patches"][0]["control_points"][0][0]) == -1.0
+    assert dump_mesh(loaded) == text
 
 
 def test_document_rebuilds_model():
@@ -131,6 +146,15 @@ def test_loader_rejects_malformed_input_with_a_code(mutate, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("text", ["", "{", '{"format": "bezmortar-mesh",}', "[1, 2"],
+                         ids=["empty", "open-brace", "trailing-comma", "unclosed-list"])
+def test_loader_rejects_malformed_json_with_a_code(text):
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(text)
+    assert err.value.code == "bad-json"
+    assert isinstance(err.value, ValueError)
+
+
 def generic_dump(obj) -> str:
     """The mesh layout with every scalar formatted one by one."""
 
@@ -166,6 +190,74 @@ _documents = st.recursive(
 @given(st.dictionaries(st.text("abcxyz_", min_size=1, max_size=4), _documents, max_size=4))
 def test_typed_writer_matches_generic_emitter(doc):
     assert dump_mesh(doc) == generic_dump(doc)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324], [1e17, -0.0, 0.0]],
+        [[1.0], [2.5, 3.0, 4.0], [0.5, 0.25]],
+        [[1.0, 2.0], [], [3.0]],
+        [[1.0, True], [2.0, 0.5]],
+        [[np.float64(1.5), 2.0], [3.0, 0.1]],
+        ([0.1, -0.0], (0.2, 0.0)),
+    ],
+    ids=["specials", "ragged", "empty-row", "bool-item", "numpy-item", "tuples"],
+)
+def test_float_matrix_writer_matches_generic_emitter(matrix):
+    doc = {"cells": [{"matrix": matrix}], "matrix": matrix}
+    assert dump_mesh(doc) == generic_dump(doc)
+
+
+def _finite_floats():
+    specials = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e17, 1.0])
+    return st.floats(allow_nan=False, allow_infinity=False) | specials
+
+
+@given(
+    st.lists(st.lists(_finite_floats(), max_size=6), min_size=1, max_size=5),
+    st.lists(st.tuples(_finite_floats(), _finite_floats()), min_size=1, max_size=12),
+)
+def test_generated_document_round_trip_is_byte_identical(matrix, points):
+    # integral floats are written without a fraction and read back as ints;
+    # the next dump writes them the same way
+    doc = mesh_document(gen_demo_two_patch(0))
+    doc["patches"][0]["control_points"][:len(points)] = [list(p) for p in points]
+    doc["weak_cells"] = [{"patch": 0, "rect": [[0.0, 0.5], [0.0, 1.0]],
+                          "rows": list(range(len(matrix))), "matrix": matrix}]
+    text = dump_mesh(doc)
+    loaded = load_mesh(text)
+    assert dump_mesh(loaded) == text
+    assert loaded == json.loads(text)
+
+
+def _floats_in(obj):
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, list):
+        return [obj] if type(obj) is float else []
+    return [v for item in obj for v in _floats_in(item)]
+
+
+def test_round_trip_converts_each_distinct_number_once(monkeypatch):
+    calls = []
+    missing = mesh_io._Memo.__missing__
+
+    def counted(memo, key):
+        calls.append(key)
+        return missing(memo, key)
+
+    monkeypatch.setattr(mesh_io._Memo, "__missing__", counted)
+    doc = mesh_document(gen_demo_two_patch(1), weak=True)
+    text = dump_mesh(doc)
+    floats = _floats_in(doc)
+    assert len(calls) == len({struct.pack("d", v) for v in floats}) < len(floats)
+
+    calls.clear()
+    tokens = set()
+    json.loads(text, parse_float=tokens.add, parse_int=tokens.add)
+    load_mesh(text)
+    assert sorted(calls) == sorted(tokens)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -231,7 +323,11 @@ def test_cli_entrypoint_subprocess(tmp_path):
         "from bezmortar.cli import main; "
         f"raise SystemExit(main(['mesh','--case','square-demo','-o', r'{out}']))"
     )
-    proc = subprocess.run([sys.executable, "-c", env_script], capture_output=True)
+    # the child imports the same package as the tests, wherever it was found
+    src = str(Path(bezmortar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", env_script], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -259,3 +355,14 @@ def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
     assert run_cli(["solve", *args, "-o", str(prefix)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "bad.coeffs.json").exists()
+
+
+@pytest.mark.parametrize("level", ["-1", "2"])
+def test_square_demo_takes_only_level_0(tmp_path, level, capsys):
+    out = tmp_path / "demo.json"
+    assert run_cli(["mesh", "--case", "square-demo", "--level", level, "-o", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["mesh", "--case", "square-demo", "--level", "0", "-o", str(out)]) == 0
+    meta = {"case": "square-demo", "level": 0, "seed": 1234}
+    assert out.read_text() == dump_mesh(mesh_document(gen_demo_two_patch(1), meta=meta))
