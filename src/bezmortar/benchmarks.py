@@ -288,36 +288,41 @@ def gen_demo_two_patch(dual_refine: int = 1) -> MultiPatchModel:
 # exact solutions
 
 
-def exact_plate_stress(r: float, theta: float, Tx: float = PLATE_TENSION,
-                       R: float = PLATE_RADIUS):
+def exact_plate_stress(r, theta, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
     """Polar stresses of an infinite plate with a traction-free hole.
 
     Classical solution for uniaxial far-field tension Tx; the hole boundary
-    r = R is traction free (sigma_rr = sigma_rt = 0).
+    r = R is traction free (sigma_rr = sigma_rt = 0).  ``r`` and ``theta``
+    are numbers or arrays of one shape.
     """
-    if r < R - 1e-12:
+    if np.any(r < R - 1e-12):
         raise OutOfDomainError("stress requested inside the hole")
     q = (R / r) ** 2
     q2 = q * q
-    c = math.cos(2 * theta)
-    s = math.sin(2 * theta)
+    c = np.cos(2 * theta)
+    s = np.sin(2 * theta)
     srr = 0.5 * Tx * (1 - q) + 0.5 * Tx * (1 - 4 * q + 3 * q2) * c
     stt = 0.5 * Tx * (1 + q) - 0.5 * Tx * (1 + 3 * q2) * c
     srt = -0.5 * Tx * (1 + 2 * q - 3 * q2) * s
     return srr, stt, srt
 
 
-def kirsch_cartesian(x: float, y: float, Tx: float = PLATE_TENSION,
-                     R: float = PLATE_RADIUS):
+def kirsch_cartesian(x, y, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
     """Cartesian stresses (sxx, syy, sxy) of the hole-in-plate solution."""
-    r = math.hypot(x, y)
-    theta = math.atan2(y, x)
-    srr, stt, srt = exact_plate_stress(r, theta, Tx, R)
-    c, s = math.cos(theta), math.sin(theta)
+    theta = np.arctan2(y, x)
+    srr, stt, srt = exact_plate_stress(np.hypot(x, y), theta, Tx, R)
+    c, s = np.cos(theta), np.sin(theta)
     sxx = srr * c * c + stt * s * s - 2 * srt * s * c
     syy = srr * s * s + stt * c * c + 2 * srt * s * c
     sxy = (srr - stt) * s * c + srt * (c * c - s * s)
     return sxx, syy, sxy
+
+
+def _kirsch_traction(x, n, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
+    """Traction sigma . n of the hole-in-plate solution at (..., 2) points."""
+    sxx, syy, sxy = kirsch_cartesian(x[..., 0], x[..., 1], Tx, R)
+    return np.stack([sxx * n[..., 0] + sxy * n[..., 1],
+                     sxy * n[..., 0] + syy * n[..., 1]], axis=-1)
 
 
 def plate_traction_residual(Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS,
@@ -328,52 +333,48 @@ def plate_traction_residual(Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS,
     """
     total = np.zeros(2)
 
-    def edge(pts, normals, weights):
-        out = np.zeros(2)
-        for xy, n, w in zip(pts, normals, weights):
-            sxx, syy, sxy = kirsch_cartesian(xy[0], xy[1], Tx, R)
-            sig = np.array([[sxx, sxy], [sxy, syy]])
-            out += w * (sig @ n)
-        return out
+    def edge(x, n, w):
+        return w @ _kirsch_traction(x, np.broadcast_to(n, x.shape), Tx, R)
 
     # x = L edge (outward +x): y from 0 to L
     ys, wy = gauss_on(0.0, L, nq)
-    total += edge([(L, y) for y in ys], [(1.0, 0.0)] * nq, wy)
+    total += edge(np.column_stack([np.full(nq, L), ys]), (1.0, 0.0), wy)
     # y = L edge (outward +y)
     xs, wx = gauss_on(0.0, L, nq)
-    total += edge([(x, L) for x in xs], [(0.0, 1.0)] * nq, wx)
+    total += edge(np.column_stack([xs, np.full(nq, L)]), (0.0, 1.0), wx)
     # x = 0 symmetry edge (outward -x), y from R to L
     ys, wy = gauss_on(R, L, nq)
-    total += edge([(0.0, y) for y in ys], [(-1.0, 0.0)] * nq, wy)
+    total += edge(np.column_stack([np.zeros(nq), ys]), (-1.0, 0.0), wy)
     # y = 0 symmetry edge (outward -y)
     xs, wx = gauss_on(R, L, nq)
-    total += edge([(x, 0.0) for x in xs], [(0.0, -1.0)] * nq, wx)
+    total += edge(np.column_stack([xs, np.zeros(nq)]), (0.0, -1.0), wx)
     # hole edge (outward toward the center): traction free, contributes zero
     angs, wa = gauss_on(0.0, math.pi / 2, nq)
-    total += edge(
-        [(R * math.cos(a), R * math.sin(a)) for a in angs],
-        [(-math.cos(a), -math.sin(a)) for a in angs],
-        wa * R,
-    )
+    rim = np.column_stack([np.cos(angs), np.sin(angs)])
+    total += edge(R * rim, -rim, wa * R)
     return float(np.abs(total).max())
 
 
 def manufactured_fields(case: str):
-    """Exact solution, gradient and forcing of the manufactured cases."""
+    """Exact solution, gradient and forcing of the manufactured cases.
+
+    Each takes coordinates (numbers or arrays of one shape); the gradient
+    returns its two components as a tuple.
+    """
     if case.startswith("square"):
-        u = lambda x, y: math.sin(math.pi * y) * math.sinh(math.pi * x)
+        u = lambda x, y: np.sin(math.pi * y) * np.sinh(math.pi * x)
         grad = lambda x, y: (
-            math.pi * math.cosh(math.pi * x) * math.sin(math.pi * y),
-            math.pi * math.sinh(math.pi * x) * math.cos(math.pi * y),
+            math.pi * np.cosh(math.pi * x) * np.sin(math.pi * y),
+            math.pi * np.sinh(math.pi * x) * np.cos(math.pi * y),
         )
         f = None  # harmonic
     elif case == "annulus":
-        u = lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y)
+        u = lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y)
         grad = lambda x, y: (
-            math.pi * math.cos(math.pi * x) * math.sin(math.pi * y),
-            math.pi * math.sin(math.pi * x) * math.cos(math.pi * y),
+            math.pi * np.cos(math.pi * x) * np.sin(math.pi * y),
+            math.pi * np.sin(math.pi * x) * np.cos(math.pi * y),
         )
-        f = lambda x, y: 2 * math.pi**2 * math.sin(math.pi * x) * math.sin(math.pi * y)
+        f = lambda x, y: 2 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y)
     else:
         raise ValueError(f"no manufactured solution for case {case}")
     return u, grad, f
@@ -442,7 +443,11 @@ def build_case(case: BenchmarkCase, level: int) -> MultiPatchModel:
 
 def _poisson_bcs(case: BenchmarkCase):
     u, grad, f = manufactured_fields(case.case)
-    flux = lambda x, n: np.array([np.dot(grad(x[0], x[1]), n)])
+
+    def flux(x, n):
+        gx, gy = grad(x[..., 0], x[..., 1])
+        return gx * n[..., 0] + gy * n[..., 1]
+
     if case.case == "square-dirichlet":
         diri = [(0, "west", 0, u), (0, "south", 0, u), (0, "north", 0, u),
                 (1, "east", 0, u), (1, "south", 0, u), (1, "north", 0, u)]
@@ -461,15 +466,10 @@ def _poisson_bcs(case: BenchmarkCase):
 
 
 def _plate_bcs(npatches: int):
-    def traction(x, n):
-        sxx, syy, sxy = kirsch_cartesian(x[0], x[1])
-        sig = np.array([[sxx, sxy], [sxy, syy]])
-        return sig @ n
-
     zero = lambda x, y: 0.0
     last = npatches - 1
     diri = [(0, "south", 1, zero), (last, "north", 0, zero)]
-    neum = [(pi, "east", None, traction) for pi in range(npatches)]
+    neum = [(pi, "east", None, _kirsch_traction) for pi in range(npatches)]
     return diri, neum
 
 
@@ -521,9 +521,7 @@ def _sigma_xx(mat: MaterialModel):
     lam, mu = mat.lam, mat.mu
 
     def quantity(vals, grad, x):
-        exx = grad[0, 0]
-        eyy = grad[1, 1]
-        return (lam + 2 * mu) * exx + lam * eyy
+        return (lam + 2 * mu) * grad[..., 0, 0] + lam * grad[..., 1, 1]
 
     return quantity
 
@@ -701,7 +699,7 @@ def field_difference_l2(field_a: SolutionField, field_b: SolutionField,
     total = 0.0
     da = field_a.values.reshape(-1, field_a.ncomp)
     db = field_b.values.reshape(-1, field_b.ncomp)
-    for index, rows, ev in cell_blocks(field_a.mesh, quad_extra):
+    for index, rows, ev in cell_blocks(field_a.mesh, quad_extra, grad=False):
         va = (ev["basis"] @ da[rows]).reshape(-1, field_a.ncomp)
         xi = ev["xi"].reshape(-1, 2)
         patches = np.repeat([field_a.mesh.cells[k].patch for k in index], ev["xi"].shape[1])

@@ -20,6 +20,7 @@ from .splines import (
     KnotVector,
     bspline_table,
     gauss_on_breaks,
+    isclose,
     refinement_operator,
 )
 
@@ -230,13 +231,12 @@ def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
 
 
 def _missing_knots(coarse: KnotVector, fine: KnotVector) -> list[float]:
-    out = []
-    cv = list(coarse.values)
-    for x in fine.values:
-        if cv and np.isclose(cv[0], x, atol=1e-14):
-            cv.pop(0)
+    out, cv, i = [], coarse.values.tolist(), 0
+    for x in fine.values.tolist():
+        if i < len(cv) and isclose(cv[i], x, atol=1e-14):
+            i += 1
         else:
-            out.append(float(x))
+            out.append(x)
     return out
 
 

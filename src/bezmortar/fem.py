@@ -43,7 +43,6 @@ __all__ = [
     "deformation_gradients",
     "newton_load_stepping",
     "l2_error",
-    "l2_norm",
 ]
 
 
@@ -126,14 +125,16 @@ def _reference_tables(p1: int, p2: int, n1: int, n2: int):
     return tables
 
 
-def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True) -> dict:
+def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True,
+              jac: bool = True) -> dict:
     """Rational basis and geometry of a stack of cells at shared points.
 
     ``B`` (m, nb) holds tensor Bernstein values and ``dB`` (2, m, nb) their
     parametric derivatives, rescaled per cell by ``scale`` (nc, 2).  The cells
     are stacked as ``ophom`` (nc, nr, nb), ``geo_ophom`` (nc, ng, nb) and
     ``geo_pts`` (nc, ng, 2).  Returns the :func:`evaluate_cell` keys with a
-    leading cell axis.
+    leading cell axis: ``basis`` and ``x``, with ``jac`` also ``jac`` and
+    ``detJ``, with ``grad`` (which needs ``jac``) also ``grad_phys``.
     """
     op_t = ophom.transpose(0, 2, 1)
     geo_t = geo_ophom.transpose(0, 2, 1)
@@ -144,27 +145,30 @@ def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True) -> dic
     basis = vhom / W[:, :, None]
     x = (ghom @ geo_pts) / Wg[:, :, None]
     out = {"basis": basis, "x": x}
-    if not grad:
+    if not jac:
         return out
     s = scale[:, None, None, :]
-    dv = np.stack([dB[0] @ op_t, dB[1] @ op_t], axis=3) * s
     dg = np.stack([dB[0] @ geo_t, dB[1] @ geo_t], axis=3) * s
-    dW = dv.sum(axis=2)
     dWg = dg.sum(axis=2)
-    dbasis = (dv - basis[..., None] * dW[:, :, None, :]) / W[:, :, None, None]
-    # jac[c, q, k, d] = d x_k / d xi_d
-    jac = (
+    # J[c, q, k, d] = d x_k / d xi_d
+    J = (
         np.einsum("cqnd,cnk->cqkd", dg, geo_pts)
         - x[..., :, None] * dWg[:, :, None, :]
     ) / Wg[:, :, None, None]
-    detJ = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     if np.any(detJ <= 0):
         raise NumericalError("non-positive geometric Jacobian")
+    out.update({"detJ": detJ, "jac": J})
+    if not grad:
+        return out
+    dv = np.stack([dB[0] @ op_t, dB[1] @ op_t], axis=3) * s
+    dW = dv.sum(axis=2)
+    dbasis = (dv - basis[..., None] * dW[:, :, None, :]) / W[:, :, None, None]
     # d/dx_k = sum_d d/dxi_d * dxi_d/dx_k, with J^{-1} = adj(J) / det J
-    inv = np.stack([np.stack([jac[..., 1, 1], -jac[..., 0, 1]], axis=-1),
-                    np.stack([-jac[..., 1, 0], jac[..., 0, 0]], axis=-1)], axis=-2)
+    inv = np.stack([np.stack([J[..., 1, 1], -J[..., 0, 1]], axis=-1),
+                    np.stack([-J[..., 1, 0], J[..., 0, 0]], axis=-1)], axis=-2)
     inv /= detJ[..., None, None]
-    out.update({"grad_phys": dbasis @ inv, "detJ": detJ, "jac": jac})
+    out["grad_phys"] = dbasis @ inv
     return out
 
 
@@ -179,11 +183,11 @@ def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True)
     B, dB = _tensor_tables(BernsteinInterval(a1, b1, p1), BernsteinInterval(a2, b2, p2),
                            x1, x2, grad)
     ev = _rational(B, dB, np.ones((1, 2)), cell.ophom[None], cell.geo_ophom[None],
-                   cell.geo_pts[None], grad)
+                   cell.geo_pts[None], grad, grad)
     return {k: v[0] for k, v in ev.items()}
 
 
-def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1):
+def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1, grad: bool = True):
     """Evaluate every cell at its tensor Gauss rule of order degree + ``quad_extra``.
 
     Cells are grouped by exact shape (degrees and operator shapes, so nothing
@@ -192,7 +196,7 @@ def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1):
     ``mesh.cells``, ``rows`` (nc, nr) their dof ids, and ``ev`` the
     :func:`evaluate_cell` keys with a leading cell axis plus ``xi``
     (nc, m, 2), the parametric points, and ``wdet`` (nc, m), the quadrature
-    weight times det J.
+    weight times det J.  Without ``grad`` there is no ``grad_phys``.
     """
     groups: dict = {}
     for k, c in enumerate(mesh.cells):
@@ -207,33 +211,70 @@ def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1):
             ev = _rational(B, dB, 1.0 / h,
                            np.stack([c.ophom for c in cells]),
                            np.stack([c.geo_ophom for c in cells]),
-                           np.stack([c.geo_pts for c in cells]))
+                           np.stack([c.geo_pts for c in cells]), grad)
             ev["xi"] = lo[:, None, :] + h[:, None, :] * t
             ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
             yield index, np.stack([c.rows for c in cells]), ev
 
 
+def _side_rational(cells: list, xs: np.ndarray) -> dict:
+    """Basis, geometry, arc-length rate and outward normal of side cells.
+
+    The cells share one shape; ``xs`` (nc, m) holds each cell's parametric
+    points.  Returns ``basis`` (nc, m, nr), ``x`` and ``normal`` (nc, m, 2)
+    and ``speed`` (nc, m).
+    """
+    lo, hi = np.array([c.interval for c in cells]).T
+    h = (hi - lo)[:, None]
+    D = bernstein_derivatives(BernsteinInterval(0.0, 1.0, cells[0].degree),
+                              ((xs - lo[:, None]) / h).reshape(-1), 1)
+    B, dB = D.reshape(2, *xs.shape, -1)
+    vhom = B @ np.stack([c.ophom for c in cells]).transpose(0, 2, 1)
+    geo_t = np.stack([c.geo_ophom for c in cells]).transpose(0, 2, 1)
+    geo_pts = np.stack([c.geo_pts for c in cells])
+    ghom = B @ geo_t
+    Wg = ghom.sum(axis=2, keepdims=True)
+    x = (ghom @ geo_pts) / Wg
+    dg = (dB @ geo_t) / h[:, :, None]
+    tangent = (dg @ geo_pts - x * dg.sum(axis=2, keepdims=True)) / Wg
+    speed = np.linalg.norm(tangent, axis=2)
+    # outward normal: ccw (-b, a) of the tangent (a, b) on the west and north
+    # sides, cw (b, -a) on the east and south sides
+    sign = np.where([c.ccw_normal for c in cells], 1.0, -1.0)[:, None, None]
+    normal = sign * np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
+    return {"basis": vhom / vhom.sum(axis=2, keepdims=True), "x": x,
+            "speed": speed, "normal": normal / speed[..., None]}
+
+
 def evaluate_side_cell(side: SideCell, xs: np.ndarray):
     """Basis, geometry, arc-length rate and outward normal on a side cell."""
-    a, b = side.interval
-    iv = BernsteinInterval(a, b, side.degree)
-    D = bernstein_derivatives(iv, xs, 1)
-    vhom = D[0] @ side.ophom.T
-    W = vhom.sum(axis=1)
-    basis = vhom / W[:, None]
-    ghom = D[0] @ side.geo_ophom.T
-    Wg = ghom.sum(axis=1)
-    x = (ghom @ side.geo_pts) / Wg[:, None]
-    dg = D[1] @ side.geo_ophom.T
-    dWg = dg.sum(axis=1)
-    tangent = (dg @ side.geo_pts - x * dWg[:, None]) / Wg[:, None]
-    speed = np.linalg.norm(tangent, axis=1)
-    if side.ccw_normal:
-        normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
-    else:
-        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-    normal /= speed[:, None]
-    return {"basis": basis, "x": x, "speed": speed, "normal": normal}
+    return {k: v[0] for k, v in _side_rational([side], np.asarray(xs)[None]).items()}
+
+
+def _side_blocks(cells: list, span):
+    """Evaluate side cells at Gauss rules of order degree + 2, by shape.
+
+    Each cell's interval is clipped to ``span`` (None: the whole side) and
+    cells left shorter than 1e-14 are skipped.  Yields ``(rows, ev)`` per
+    shape group: ``rows`` (nc, nr) and ``ev`` the :func:`_side_rational`
+    keys plus ``wlen`` (nc, m), the quadrature weight times the arc-length
+    rate.
+    """
+    groups: dict = {}
+    for c in cells:
+        groups.setdefault((c.degree, c.ophom.shape, c.geo_ophom.shape), []).append(c)
+    for (p, _, _), members in groups.items():
+        a, b = np.array([c.interval for c in members]).T
+        if span is not None:
+            a, b = np.maximum(a, span[0]), np.minimum(b, span[1])
+        keep = np.flatnonzero(b - a > 1e-14)
+        if keep.size == 0:
+            continue
+        members, a, b = [members[k] for k in keep], a[keep, None], b[keep, None]
+        pts, wts = gauss_on(0.0, 1.0, p + 2)
+        ev = _side_rational(members, a + (b - a) * pts)
+        ev["wlen"] = (b - a) * wts * ev["speed"]
+        yield np.stack([c.rows for c in members]), ev
 
 
 # --------------------------------------------------------------------------
@@ -282,10 +323,16 @@ def _wgram(A: np.ndarray, B: np.ndarray, wdet: np.ndarray) -> np.ndarray:
     return np.swapaxes(Aw, 1, 2) @ B.reshape(nc, m * k, -1)
 
 
-def _pointwise(fn, x: np.ndarray) -> np.ndarray:
-    """A pointwise callable ``fn(x, y)`` at every point of an (..., 2) array."""
-    flat = x.reshape(-1, 2)
-    return np.array([fn(p[0], p[1]) for p in flat]).reshape(x.shape[:-1] + (-1,))
+def _at_points(value, shape: tuple, ncomp: int) -> np.ndarray:
+    """A user callable's return at points of ``shape``, as (*shape, ncomp).
+
+    One value per point (an array of ``shape``) gains the component axis; a
+    scalar or a constant (ncomp,) vector is broadcast to every point.
+    """
+    v = np.asarray(value, dtype=float)
+    if v.shape == shape:
+        v = v[..., None]
+    return np.broadcast_to(v, shape + (ncomp,))
 
 
 def assemble_poisson(mesh: ExtractedMesh, forcing=None) -> AssembledSystem:
@@ -296,7 +343,8 @@ def assemble_poisson(mesh: ExtractedMesh, forcing=None) -> AssembledSystem:
         dofs.append(rows)
         local.append(_wgram(G, G, ev["wdet"]))
         if forcing is not None:
-            fv = _pointwise(forcing, ev["x"])[..., 0]
+            x = ev["x"]
+            fv = _at_points(forcing(x[..., 0], x[..., 1]), x.shape[:-1], 1)[..., 0]
             loads.append(np.einsum("cqi,cq->ci", ev["basis"], ev["wdet"] * fv))
     K = _csr(_sparsity(dofs, mesh.ndof), local, mesh.ndof)
     f = _vector(dofs, loads, mesh.ndof) if loads else np.zeros(mesh.ndof)
@@ -327,7 +375,8 @@ def assemble_linear_elasticity(mesh: ExtractedMesh, material: MaterialModel,
         dofs.append(_local_dofs(rows, 2))
         local.append(_wgram(B, D @ B, ev["wdet"]))
         if body_force is not None:
-            bf = _pointwise(body_force, ev["x"])
+            x = ev["x"]
+            bf = _at_points(body_force(x[..., 0], x[..., 1]), x.shape[:-1], 2)
             loads.append(np.einsum("cqi,cqk,cq->cik", ev["basis"], bf, ev["wdet"]))
     K = _csr(_sparsity(dofs, n), local, n)
     return AssembledSystem(K, _vector(dofs, loads, n) if loads else np.zeros(n), 2)
@@ -337,24 +386,22 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
     """Add boundary tractions to the load vector (in place).
 
     Each spec is (patch, side, span_or_None, traction) where traction is a
-    callable (x, normal) -> array of ncomp values; ``span`` restricts the
-    load to a sub-interval of the side parameter (intervals are split so the
-    quadrature never crosses the load boundary).
+    callable (x, normal) -> ncomp values, called once per shape group of the
+    side's cells with (..., 2) arrays of all their quadrature points and
+    outward normals; ``span`` restricts the load to a sub-interval of the
+    side parameter (intervals are clipped so the quadrature never crosses
+    the load boundary).
     """
     ncomp = system.ncomp
+    dofs, loads = [], []
     for patch, side, span, traction in specs:
-        for sc in mesh.side_cells(patch, side):
-            a, b = sc.interval
-            if span is not None:
-                a, b = max(a, span[0]), min(b, span[1])
-                if b - a <= 1e-14:
-                    continue
-            xs, ws = gauss_on(a, b, sc.degree + 2)
-            ev = evaluate_side_cell(sc, xs)
-            t = np.array([np.atleast_1d(traction(x, nrm))
-                          for x, nrm in zip(ev["x"], ev["normal"])])
-            rows = (sc.rows[:, None] * ncomp + np.arange(ncomp)[None, :]).reshape(-1)
-            system.f[rows] += (ev["basis"].T @ ((ws * ev["speed"])[:, None] * t)).reshape(-1)
+        for rows, ev in _side_blocks(mesh.side_cells(patch, side), span):
+            x = ev["x"]
+            t = _at_points(traction(x, ev["normal"]), x.shape[:-1], ncomp)
+            dofs.append(_local_dofs(rows, ncomp))
+            loads.append(np.einsum("cqi,cq,cqk->cik", ev["basis"], ev["wlen"], t))
+    if dofs:
+        system.f += _vector(dofs, loads, system.f.size)
 
 
 # --------------------------------------------------------------------------
@@ -378,16 +425,17 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     R /= R.sum(axis=1, keepdims=True)
     d = curve.derivatives(xs, 1)
     c = ws * np.linalg.norm(d[1], axis=1)
-    f = np.array([fn(x, y) for x, y in d[0]], dtype=float)
+    lo, hi = kv.domain
+    # the quadrature points, then the two corners
+    x = np.vstack([d[0], curve.point(lo), curve.point(hi)])
+    f = _at_points(fn(x[:, 0], x[:, 1]), (len(x),), 1)[:, 0]
     M = np.zeros((n, n))
     np.add.at(M, (cols[:, :, None], cols[:, None, :]),
               c[:, None, None] * (R[:, :, None] * R[:, None, :]))
     rhs = np.zeros(n)
-    np.add.at(rhs, cols, (c * f)[:, None] * R)
-    lo, hi = kv.domain
+    np.add.at(rhs, cols, (c * f[:-2])[:, None] * R)
     vals = np.zeros(n)
-    vals[0] = fn(*curve.point(lo))
-    vals[-1] = fn(*curve.point(hi))
+    vals[0], vals[-1] = f[-2:]
     interior = np.arange(1, n - 1)
     if interior.size:
         rhs_i = rhs[interior] - M[interior][:, [0, n - 1]] @ vals[[0, n - 1]]
@@ -604,30 +652,23 @@ def l2_error(field: SolutionField, exact, quad_extra: int = 2,
              quantity=None) -> float:
     """Gauss-quadrature L2 distance between a field and an exact function.
 
-    ``exact(x, y)`` returns ncomp values.  ``quantity`` optionally maps
-    (values, gradients, x) at the quadrature points to a derived quantity
-    (e.g. a stress component) compared against ``exact`` instead.
+    ``exact(x, y)`` takes the coordinate arrays of a block of quadrature
+    points and returns ncomp values per point.  ``quantity`` optionally maps
+    (values (..., ncomp), gradients (..., ncomp, 2), x (..., 2)) at the
+    points to one derived value per point (e.g. a stress component),
+    compared against ``exact`` instead.
     """
     total = 0.0
     d = field.values.reshape(-1, field.ncomp)
-    for _, rows, ev in cell_blocks(field.mesh, quad_extra):
+    for _, rows, ev in cell_blocks(field.mesh, quad_extra, grad=quantity is not None):
         coeffs = d[rows]
-        vals = (ev["basis"] @ coeffs).reshape(-1, field.ncomp)
-        x = ev["x"].reshape(-1, 2)
+        vals = ev["basis"] @ coeffs
+        x = ev["x"]
+        shape = x.shape[:-1]
         if quantity is not None:
             grads = np.einsum("cqnd,cnk->cqkd", ev["grad_phys"], coeffs)
-            grads = grads.reshape(len(x), field.ncomp, 2)
-            vals = np.array([quantity(vals[q], grads[q], x[q])
-                             for q in range(len(x))])[:, None]
-            ex = np.array([exact(xy[0], xy[1]) for xy in x])[:, None]
-        else:
-            ex = np.atleast_2d(np.array([exact(xy[0], xy[1]) for xy in x]))
-            if ex.shape[0] != len(x):
-                ex = ex.T
-        diff = vals - ex
-        total += float(np.sum(ev["wdet"].reshape(-1) * np.sum(diff * diff, axis=1)))
+            vals = _at_points(quantity(vals, grads, x), shape, 1)
+        diff = vals - _at_points(exact(x[..., 0], x[..., 1]), shape, vals.shape[-1])
+        total += float(np.sum(ev["wdet"] * np.sum(diff * diff, axis=-1)))
     return math.sqrt(total)
 
-
-def l2_norm(field: SolutionField, quad_extra: int = 2) -> float:
-    return l2_error(field, lambda x, y: np.zeros(field.ncomp), quad_extra)

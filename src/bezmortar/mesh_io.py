@@ -176,11 +176,18 @@ def _json_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+def _json_constant(token: str):
+    raise MeshFormatError("non-finite", f"{token} in the document")
+
+
 def load_mesh(text: str) -> dict:
     """Parse and validate a mesh document; each distinct number token is read once."""
     try:
         doc = json.loads(text, parse_float=_Memo(float).__getitem__,
-                         parse_int=_Memo(_json_int).__getitem__)
+                         parse_int=_Memo(_json_int).__getitem__,
+                         parse_constant=_json_constant)
+    except MeshFormatError:
+        raise
     except ValueError as exc:
         raise MeshFormatError("bad-json", str(exc)) from exc
     validate_mesh_document(doc)
@@ -241,10 +248,56 @@ def validate_mesh_document(doc) -> None:
         if not all(side in tuple(SIDES) for side in (mside, sside)):
             raise MeshFormatError("bad-side", f"{mside}/{sside}")
         for index in (mp, spatch):
-            if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            if not _is_int(index):
                 raise MeshFormatError("bad-interface", f"patch index {index!r} is not an integer")
         if not (0 <= mp < len(patches) and 0 <= spatch < len(patches)):
             raise MeshFormatError("bad-interface", "patch index out of range")
+    if "weak_cells" in doc or "weak_dofs" in doc:
+        _validate_weak_cells(doc.get("weak_cells"), doc.get("weak_dofs"), len(patches))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _validate_weak_cells(cells, ndof, npatches: int) -> None:
+    """Structure of the compiled weak cells; the matrix entries are not read."""
+    if not (_is_int(ndof) and ndof >= 0):
+        raise MeshFormatError("bad-weak-cell", f"weak_dofs {ndof!r} is not a count")
+    if not isinstance(cells, list):
+        raise MeshFormatError("bad-weak-cell", "weak_cells is not a list")
+    # all cells are checked at once; only a failure is looked up cell by cell
+    if _weak_cell_problem(cells, ndof, npatches):
+        for k, c in enumerate(cells):
+            problem = _weak_cell_problem([c], ndof, npatches)
+            if problem:
+                raise MeshFormatError("bad-weak-cell", f"weak cell {k}: {problem}")
+
+
+def _weak_cell_problem(cells: list, ndof: int, npatches: int) -> str:
+    """What is wrong with some of ``cells``, or '' if nothing is."""
+    if not cells:
+        return ""
+    if not all(isinstance(c, dict) for c in cells):
+        return "not an object"
+    patch, rect, rows, matrix = ([c.get(k) for c in cells]
+                                 for k in ("patch", "rect", "rows", "matrix"))
+    if not (all(map(_is_int, patch)) and min(patch) >= 0 and max(patch) < npatches):
+        return f"patch index not in [0, {npatches})"
+    if not (set(map(type, rect)) == {list} and set(map(len, rect)) == {2}
+            and set(map(type, pairs := list(chain.from_iterable(rect)))) == {list}
+            and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+        return "rect is not 2x2 numbers"
+    if not (set(map(type, rows)) == {list}
+            and set(map(type, ids := list(chain.from_iterable(rows)))) <= {int}
+            and (not ids or (min(ids) >= 0 and max(ids) < ndof))):
+        return f"rows not in [0, {ndof})"
+    if not (set(map(type, matrix)) == {list} and list(map(len, matrix)) == list(map(len, rows))
+            and set(map(type, chain.from_iterable(matrix))) <= {list}
+            and all(len(set(map(len, m))) <= 1 for m in matrix)):
+        return "matrix is not one row of one length per row id"
+    return ""
 
 
 def _numbers(values) -> np.ndarray:

@@ -181,6 +181,11 @@ def bernstein_transform(source: BernsteinInterval, target: BernsteinInterval) ->
 KNOT_TOL = 1e-12
 
 
+def isclose(a: float, b: float, atol: float = 1e-8, rtol: float = 1e-5) -> bool:
+    """``np.isclose`` of two floats (NaN is never close) without numpy's call cost."""
+    return a == b or abs(a - b) <= atol + rtol * abs(b)
+
+
 @dataclass(frozen=True)
 class KnotVector:
     """Open knot vector with degree ``p``.
@@ -213,7 +218,8 @@ class KnotVector:
         object.__setattr__(self, "values", vals)
         if len(vals) < 2 * (p + 1):
             raise ValueError("too few knots for an open knot vector")
-        if not (np.allclose(vals[: p + 1], vals[0]) and np.allclose(vals[-p - 1 :], vals[-1])):
+        head, tail = vals[: p + 1].tolist(), vals[-p - 1 :].tolist()
+        if not all([isclose(v, head[0]) for v in head] + [isclose(v, tail[-1]) for v in tail]):
             raise ValueError("knot vector is not open (end multiplicity != p+1)")
         if self.n < p + 1:
             raise ValueError("fewer basis functions than degree allows")

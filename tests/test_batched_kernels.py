@@ -3,6 +3,8 @@
 The references walk the cells one at a time at ``cell_quadrature`` points
 and build the matrix through a COO triplet list, as a plain extracted-element
 code would; the batched kernels must give the same systems to rounding.
+Boundary loads are checked the same way against a side-cell-by-side-cell
+loop, and every user callable must see the points of a block at once.
 """
 
 import dataclasses
@@ -30,10 +32,21 @@ from bezmortar.benchmarks import (
     field_difference_l2,
     gen_annulus_two_patch,
     gen_plate_hole,
+    kirsch_cartesian,
     largedef_model,
+    manufactured_fields,
     rect_patch,
 )
-from bezmortar.fem import cell_quadrature, deformation_gradients, evaluate_cell
+from bezmortar.fem import (
+    assemble_neumann,
+    boundary_projection,
+    cell_quadrature,
+    deformation_gradients,
+    dirichlet_rows,
+    evaluate_cell,
+)
+from bezmortar.linsys import AssembledSystem
+from bezmortar.splines import BernsteinInterval, Patch2D, bernstein_derivatives, gauss_on
 
 RNG = np.random.default_rng(7)
 TOL = 1e-12
@@ -94,7 +107,7 @@ def _assert_close(v, ref):
 
 
 def _forcing(x, y):
-    return math.sin(x) + y * y
+    return np.sin(x) + y * y
 
 
 def test_poisson_matches_reference(mesh):
@@ -179,7 +192,7 @@ def test_neo_hookean_matches_reference(mesh):
 
 def test_l2_error_matches_reference(mesh):
     values = RNG.normal(size=mesh.ndof * 2)
-    exact = lambda x, y: np.array([x * y, math.cos(y)])
+    exact = lambda x, y: np.stack([x * y, np.cos(y)], axis=-1)
     total = 0.0
     for cell, ev, wdet in _cells(mesh, quad_extra=2):
         diff = ev["basis"] @ values.reshape(-1, 2)[cell.rows]
@@ -262,3 +275,167 @@ def test_locate_returns_the_first_of_overlapping_cells():
     for xi1, xi2 in RNG.uniform(0.0, 1.0, (20, 2)):
         assert last.locate(0, xi1, xi2) is _scan(base, 0, xi1, xi2)
         assert first.locate(0, xi1, xi2) is whole
+
+
+# ------------------------------------------------------------ boundary loads
+
+
+def _side_cell_reference(side, xs):
+    """One side cell at its own points, Bernstein basis on its interval."""
+    a, b = side.interval
+    D = bernstein_derivatives(BernsteinInterval(a, b, side.degree), xs, 1)
+    vhom = D[0] @ side.ophom.T
+    basis = vhom / vhom.sum(axis=1)[:, None]
+    ghom = D[0] @ side.geo_ophom.T
+    Wg = ghom.sum(axis=1)
+    x = (ghom @ side.geo_pts) / Wg[:, None]
+    dg = D[1] @ side.geo_ophom.T
+    tangent = (dg @ side.geo_pts - x * dg.sum(axis=1)[:, None]) / Wg[:, None]
+    speed = np.linalg.norm(tangent, axis=1)
+    if side.ccw_normal:
+        normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    else:
+        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    return {"basis": basis, "x": x, "speed": speed, "normal": normal / speed[:, None]}
+
+
+def _neumann_reference(mesh, specs, ncomp):
+    """Side cell by side cell, the traction called at one point at a time."""
+    f = np.zeros(mesh.ndof * ncomp)
+    for patch, side, span, traction in specs:
+        for sc in mesh.side_cells(patch, side):
+            a, b = sc.interval
+            if span is not None:
+                a, b = max(a, span[0]), min(b, span[1])
+                if b - a <= 1e-14:
+                    continue
+            xs, ws = gauss_on(a, b, sc.degree + 2)
+            ev = _side_cell_reference(sc, xs)
+            t = np.array([np.broadcast_to(traction(x, n), (ncomp,))
+                          for x, n in zip(ev["x"], ev["normal"])])
+            f[_dofs(sc, ncomp)] += (ev["basis"].T @ ((ws * ev["speed"])[:, None] * t)).reshape(-1)
+    return f
+
+
+def _flux(x, n):
+    gx, gy = manufactured_fields("annulus")[1](x[..., 0], x[..., 1])
+    return gx * n[..., 0] + gy * n[..., 1]
+
+
+def _kirsch(x, n):
+    sxx, syy, sxy = kirsch_cartesian(x[..., 0], x[..., 1])
+    return np.stack([sxx * n[..., 0] + sxy * n[..., 1], sxy * n[..., 0] + syy * n[..., 1]],
+                    axis=-1)
+
+
+def _reversed_model():
+    # the slave turned by 180 degrees: its interface parameter runs backwards
+    master = rect_patch(2, 2, 2, (0.0, 0.5), (0.0, 1.0))
+    slave = rect_patch(2, 3, 3, (0.5, 1.0), (0.0, 1.0))
+    turned = Patch2D(slave.kvs, slave.points[::-1, ::-1].copy(), slave.weights[::-1, ::-1].copy())
+    return MultiPatchModel([master, turned],
+                           [InterfaceSpec(master=(0, "east"), slave=(1, "east"), reversed=True)], 1)
+
+
+_SIDES = ("west", "east", "south", "north")
+_PUSH = lambda x, n: np.array([3.0, -2.0])
+_SHEAR = lambda x, n: np.stack([x[..., 1] * n[..., 0], x[..., 0] ** 2 + n[..., 1]], axis=-1)
+
+NEUMANN_CASES = {
+    "mortar-annulus-flux": (
+        lambda: gen_annulus_two_patch((2, 3), p=2, level=0, dual_refine=1).mortar_mesh(), 1,
+        [(k, s, None, _flux) for k in (0, 1) for s in _SIDES]),
+    "weak-plate-3patch-kirsch": (
+        lambda: gen_plate_hole(3, False, 2, 0).weak_mesh(), 2,
+        [(k, s, None, _kirsch) for k in (0, 1, 2) for s in _SIDES]),
+    "weak-largedef-spans": (
+        lambda: largedef_model(1, weak=True).weak_mesh(), 2,
+        [(0, "north", (0.5, 1.0), _PUSH), (1, "north", (0.0, 0.5), _PUSH),
+         (0, "west", (0.25, 0.75), _SHEAR), (1, "south", (0.3, 0.62), _SHEAR),
+         (1, "east", (2.0, 3.0), _PUSH), (0, "south", None, _SHEAR)]),
+    "mortar-reversed": (lambda: _reversed_model().mortar_mesh(), 2,
+                        [(k, s, (0.1, 0.8), _SHEAR) for k in (0, 1) for s in _SIDES]),
+    "weak-reversed": (lambda: _reversed_model().weak_mesh(), 1,
+                      [(k, s, None, lambda x, n: x[..., 0] - n[..., 1])
+                       for k in (0, 1) for s in _SIDES]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEUMANN_CASES))
+def test_neumann_matches_side_cell_loop(name):
+    make, ncomp, specs = NEUMANN_CASES[name]
+    mesh = make()
+    system = AssembledSystem(sp.csr_matrix((mesh.ndof * ncomp,) * 2),
+                             np.zeros(mesh.ndof * ncomp), ncomp)
+    assemble_neumann(mesh, system, specs)
+    ref = _neumann_reference(mesh, specs, ncomp)
+    assert np.abs(ref).max() > 0
+    _assert_close(system.f, ref)
+
+
+def test_side_cell_evaluation_matches_reference():
+    mesh = gen_plate_hole(3, False, 2, 0).weak_mesh()
+    for patch in range(3):
+        for side in _SIDES:
+            for sc in mesh.side_cells(patch, side):
+                xs = RNG.uniform(*sc.interval, 4)
+                ev, ref = fem.evaluate_side_cell(sc, xs), _side_cell_reference(sc, xs)
+                for key in ref:
+                    _assert_close(ev[key], ref[key])
+
+
+# ------------------------------------------------------ callables take arrays
+
+
+class _Counted:
+    """A user callable that records the shape of its last argument per call."""
+
+    def __init__(self, fn):
+        self.fn, self.shapes = fn, []
+
+    def __call__(self, *args):
+        self.shapes.append(np.shape(args[-1]))
+        return self.fn(*args)
+
+
+def _block_points(mesh, quad_extra):
+    return [ev["wdet"].size for _, _, ev in fem.cell_blocks(mesh, quad_extra)]
+
+
+def test_cell_callables_are_called_once_per_block(mesh):
+    # each call gets every point of one block: (x, y) of the block's shape
+    mat = MaterialModel("linear-elastic", E=7.0, nu=0.3)
+    forcing = _Counted(_forcing)
+    body = _Counted(lambda x, y: np.stack([x, y * y], axis=-1))
+    assemble_poisson(mesh, forcing)
+    assemble_linear_elasticity(mesh, mat, body)
+    for fn in (forcing, body):
+        assert [math.prod(s) for s in fn.shapes] == _block_points(mesh, 1)
+    field = SolutionField(mesh, RNG.normal(size=mesh.ndof * 2), 2)
+    exact = _Counted(lambda x, y: np.stack([x * y, np.cos(y)], axis=-1))
+    l2_error(field, exact)
+    assert [math.prod(s) for s in exact.shapes] == _block_points(mesh, 2)
+    # with ``quantity``: (values, gradients, x) with x of shape (..., 2)
+    exact = _Counted(lambda x, y: x - y)
+    quantity = _Counted(lambda v, g, x: g[..., 0, 0] + v[..., 1])
+    l2_error(field, exact, quantity=quantity)
+    assert [math.prod(s) for s in exact.shapes] == _block_points(mesh, 2)
+    assert [math.prod(s[:-1]) for s in quantity.shapes] == _block_points(mesh, 2)
+
+
+def test_boundary_callables_are_called_once_per_spec():
+    model = largedef_model(1, weak=True)
+    mesh = model.weak_mesh()
+    push, shear = _Counted(_PUSH), _Counted(_SHEAR)
+    system = AssembledSystem(sp.csr_matrix((mesh.ndof * 2,) * 2), np.zeros(mesh.ndof * 2), 2)
+    assemble_neumann(mesh, system, [(0, "north", None, push), (1, "east", None, shear)])
+    for fn, (patch, side) in ((push, (0, "north")), (shear, (1, "east"))):
+        # (x, normal), each (..., 2), once per shape group of the side cells
+        blocks = fem._side_blocks(mesh.side_cells(patch, side), None)
+        assert [math.prod(s[:-1]) for s in fn.shapes] == [ev["wlen"].size for _, ev in blocks]
+    data = _Counted(lambda x, y: x + y)
+    boundary_projection(model.patches[1], "south", data)
+    assert len(data.shapes) == 1 and math.prod(data.shapes[0]) > 4
+    data.shapes.clear()
+    dirichlet_rows(model, mesh, 2, [(0, "south", 1, data), (1, "east", 0, data)])
+    assert len(data.shapes) == 2

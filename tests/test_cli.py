@@ -146,6 +146,65 @@ def test_loader_rejects_malformed_input_with_a_code(mutate, code):
     assert err.value.code == code
 
 
+def _weak_document():
+    return json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0), weak=True)))
+
+
+def _ragged_negative_rows(d):
+    d["weak_cells"][0]["rows"] = [-1]
+    d["weak_cells"][0]["matrix"] = [[1.0, 2.0], [3.0]]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(weak_cells="junk"),
+        lambda d: d.update(weak_dofs=-3),
+        lambda d: d["weak_cells"][0].update(patch=7),
+        _ragged_negative_rows,
+        lambda d: d["weak_cells"][-1]["matrix"].pop(),
+        lambda d: d["weak_cells"][-1]["matrix"][0].pop(),
+        lambda d: d["weak_cells"][1]["rows"].__setitem__(0, d["weak_dofs"]),
+        lambda d: d["weak_cells"][1]["rows"].__setitem__(0, True),
+        lambda d: d["weak_cells"][2]["rect"].pop(),
+        lambda d: d["weak_cells"][2]["rect"][1].__setitem__(0, "0"),
+        lambda d: d["weak_cells"][2].pop("matrix"),
+        lambda d: d.pop("weak_dofs"),
+        lambda d: d["weak_cells"].append(5),
+    ],
+    ids=["junk-cells", "negative-dofs", "patch-out-of-range", "negative-row-ragged-matrix",
+         "missing-matrix-row", "short-matrix-row", "row-past-dofs", "bool-row",
+         "one-rect-interval", "string-rect-bound", "no-matrix", "cells-without-dofs",
+         "cell-not-an-object"],
+)
+def test_loader_rejects_malformed_weak_cells(mutate):
+    doc = _weak_document()
+    validate_mesh_document(doc)
+    mutate(doc)
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(json.dumps(doc))
+    assert err.value.code == "bad-weak-cell"
+
+
+def test_bad_weak_cell_names_the_first_bad_cell():
+    doc = _weak_document()
+    doc["weak_cells"][3]["patch"] = 2
+    doc["weak_cells"][5]["patch"] = -1
+    with pytest.raises(MeshFormatError, match="weak cell 3: patch"):
+        validate_mesh_document(doc)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_loader_reports_non_finite_tokens(token):
+    text = dump_mesh(mesh_document(gen_demo_two_patch(0), weak=True))
+    for key in ('"weights": [', '"matrix": ['):
+        bad = text.replace(key, key + token + ", ", 1)
+        assert bad != text
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(bad)
+        assert err.value.code == "non-finite"
+
+
 @pytest.mark.parametrize("text", ["", "{", '{"format": "bezmortar-mesh",}', "[1, 2"],
                          ids=["empty", "open-brace", "trailing-comma", "unclosed-list"])
 def test_loader_rejects_malformed_json_with_a_code(text):
@@ -220,11 +279,13 @@ def _finite_floats():
 )
 def test_generated_document_round_trip_is_byte_identical(matrix, points):
     # integral floats are written without a fraction and read back as ints;
-    # the next dump writes them the same way
+    # the next dump writes them the same way.  The rows have many lengths,
+    # and a weak cell's matrix rows share one, so each row is its own cell.
     doc = mesh_document(gen_demo_two_patch(0))
     doc["patches"][0]["control_points"][:len(points)] = [list(p) for p in points]
     doc["weak_cells"] = [{"patch": 0, "rect": [[0.0, 0.5], [0.0, 1.0]],
-                          "rows": list(range(len(matrix))), "matrix": matrix}]
+                          "rows": [k], "matrix": [row]} for k, row in enumerate(matrix)]
+    doc["weak_dofs"] = len(matrix)
     text = dump_mesh(doc)
     loaded = load_mesh(text)
     assert dump_mesh(loaded) == text

@@ -124,7 +124,7 @@ def test_uniaxial_traction_exact():
     field = SolutionField(mesh, x, 2)
     exx = T * (1 - mat.nu**2) / mat.E
     eyy = -T * mat.nu * (1 + mat.nu) / mat.E
-    exact = lambda xx, yy: np.array([exx * xx, eyy * yy])
+    exact = lambda xx, yy: np.stack([exx * xx, eyy * yy], axis=-1)
     assert l2_error(field, exact) < 1e-12
     g = field.eval_gradient(0, 0.5, 0.5)
     sxx = (mat.lam + 2 * mat.mu) * g[0, 0] + mat.lam * g[1, 1]
