@@ -46,7 +46,7 @@ from .fem import (
     newton_load_stepping,
 )
 from .linsys import AssembledSystem, NumericalError, linear_solve
-from .model import Cell, ExtractedMesh, MultiPatchModel, single_patch_mesh
+from .model import Cell, CellGroup, ExtractedMesh, MultiPatchModel, single_patch_mesh
 from .splines import (
     BernsteinInterval,
     ElementExtraction,

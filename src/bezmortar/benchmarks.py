@@ -699,17 +699,20 @@ def field_difference_l2(field_a: SolutionField, field_b: SolutionField,
     total = 0.0
     da = field_a.values.reshape(-1, field_a.ncomp)
     db = field_b.values.reshape(-1, field_b.ncomp)
+    patch_of = np.empty(len(field_a.mesh), dtype=int)
+    for g in field_a.mesh.groups:
+        patch_of[g.index] = g.patch
+    cells_b = field_b.mesh.cells
     for index, rows, ev in cell_blocks(field_a.mesh, quad_extra, grad=False):
         va = (ev["basis"] @ da[rows]).reshape(-1, field_a.ncomp)
         xi = ev["xi"].reshape(-1, 2)
-        patches = np.repeat([field_a.mesh.cells[k].patch for k in index], ev["xi"].shape[1])
+        patches = np.repeat(patch_of[index], ev["xi"].shape[1])
         # field_b at the same points, one evaluation per cell of field_b hit
-        hits = {}
-        for q, (patch, (s, t)) in enumerate(zip(patches, xi)):
-            cell = field_b.mesh.locate(int(patch), s, t)
-            hits.setdefault(id(cell), (cell, []))[1].append(q)
+        ks = field_b.mesh.cell_index(patches, xi[:, 0], xi[:, 1])
         vb = np.empty_like(va)
-        for cell, qs in hits.values():
+        for k in np.unique(ks).tolist():
+            qs = np.flatnonzero(ks == k)
+            cell = cells_b[k]
             ev_b = evaluate_cell(cell, xi[qs, 0], xi[qs, 1], grad=False)
             vb[qs] = ev_b["basis"] @ db[cell.rows]
         d = va - vb

@@ -18,8 +18,9 @@ import scipy.sparse as sp
 
 from .coupling import condense
 from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
-from .model import Cell, ExtractedMesh, SideCell
+from .model import Cell, ExtractedMesh
 from .splines import (
+    SIDES,
     BernsteinInterval,
     bernstein_derivatives,
     bspline_table,
@@ -127,14 +128,16 @@ def _reference_tables(p1: int, p2: int, n1: int, n2: int):
 
 def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True,
               jac: bool = True) -> dict:
-    """Rational basis and geometry of a stack of cells at shared points.
+    """Rational basis and geometry of a stack of cells.
 
-    ``B`` (m, nb) holds tensor Bernstein values and ``dB`` (2, m, nb) their
-    parametric derivatives, rescaled per cell by ``scale`` (nc, 2).  The cells
-    are stacked as ``ophom`` (nc, nr, nb), ``geo_ophom`` (nc, ng, nb) and
-    ``geo_pts`` (nc, ng, 2).  Returns the :func:`evaluate_cell` keys with a
-    leading cell axis: ``basis`` and ``x``, with ``jac`` also ``jac`` and
-    ``detJ``, with ``grad`` (which needs ``jac``) also ``grad_phys``.
+    ``B`` (m, nb) holds tensor Bernstein values at points shared by the cells,
+    or (nc, m, nb) at each cell's own points, and ``dB`` (2, m, nb) or
+    (2, nc, m, nb) their parametric derivatives, rescaled per cell by
+    ``scale`` (nc, 2).  The cells are stacked as ``ophom`` (nc, nr, nb),
+    ``geo_ophom`` (nc, ng, nb) and ``geo_pts`` (nc, ng, 2).  Returns the
+    :func:`evaluate_cell` keys with a leading cell axis: ``basis`` and ``x``,
+    with ``jac`` also ``jac`` and ``detJ``, with ``grad`` (which needs
+    ``jac``) also ``grad_phys``.
     """
     op_t = ophom.transpose(0, 2, 1)
     geo_t = geo_ophom.transpose(0, 2, 1)
@@ -156,7 +159,7 @@ def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True,
         - x[..., :, None] * dWg[:, :, None, :]
     ) / Wg[:, :, None, None]
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(detJ <= 0):
+    if not np.all(detJ > 0):
         raise NumericalError("non-positive geometric Jacobian")
     out.update({"detJ": detJ, "jac": J})
     if not grad:
@@ -190,91 +193,25 @@ def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True)
 def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1, grad: bool = True):
     """Evaluate every cell at its tensor Gauss rule of order degree + ``quad_extra``.
 
-    Cells are grouped by exact shape (degrees and operator shapes, so nothing
-    is padded) and evaluated up to ``_BLOCK`` at a time.  Yields
-    ``(index, rows, ev)`` per block: ``index`` the positions in
-    ``mesh.cells``, ``rows`` (nc, nr) their dof ids, and ``ev`` the
-    :func:`evaluate_cell` keys with a leading cell axis plus ``xi``
-    (nc, m, 2), the parametric points, and ``wdet`` (nc, m), the quadrature
-    weight times det J.  Without ``grad`` there is no ``grad_phys``.
+    The mesh's shape groups (nothing is padded) are evaluated up to
+    ``_BLOCK`` cells at a time.  Yields ``(index, rows, ev)`` per block:
+    ``index`` the positions in ``mesh.cells``, ``rows`` (nc, nr) their dof
+    ids, and ``ev`` the :func:`evaluate_cell` keys with a leading cell axis
+    plus ``xi`` (nc, m, 2), the parametric points, and ``wdet`` (nc, m), the
+    quadrature weight times det J.  Without ``grad`` there is no
+    ``grad_phys``.
     """
-    groups: dict = {}
-    for k, c in enumerate(mesh.cells):
-        groups.setdefault((c.degrees, c.ophom.shape, c.geo_ophom.shape), []).append(k)
-    for ((p1, p2), _, _), members in groups.items():
+    for g in mesh.groups:
+        p1, p2 = g.degrees
         t, w, B, dB = _reference_tables(p1, p2, p1 + quad_extra, p2 + quad_extra)
-        for start in range(0, len(members), _BLOCK):
-            index = np.array(members[start : start + _BLOCK])
-            cells = [mesh.cells[k] for k in index]
-            rect = np.array([c.rect for c in cells])
+        for start in range(0, len(g.index), _BLOCK):
+            blk = slice(start, start + _BLOCK)
+            rect = g.rect[blk]
             lo, h = rect[:, :, 0], rect[:, :, 1] - rect[:, :, 0]
-            ev = _rational(B, dB, 1.0 / h,
-                           np.stack([c.ophom for c in cells]),
-                           np.stack([c.geo_ophom for c in cells]),
-                           np.stack([c.geo_pts for c in cells]), grad)
+            ev = _rational(B, dB, 1.0 / h, g.ophom[blk], g.geo_ophom[blk], g.geo_pts[blk], grad)
             ev["xi"] = lo[:, None, :] + h[:, None, :] * t
             ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
-            yield index, np.stack([c.rows for c in cells]), ev
-
-
-def _side_rational(cells: list, xs: np.ndarray) -> dict:
-    """Basis, geometry, arc-length rate and outward normal of side cells.
-
-    The cells share one shape; ``xs`` (nc, m) holds each cell's parametric
-    points.  Returns ``basis`` (nc, m, nr), ``x`` and ``normal`` (nc, m, 2)
-    and ``speed`` (nc, m).
-    """
-    lo, hi = np.array([c.interval for c in cells]).T
-    h = (hi - lo)[:, None]
-    D = bernstein_derivatives(BernsteinInterval(0.0, 1.0, cells[0].degree),
-                              ((xs - lo[:, None]) / h).reshape(-1), 1)
-    B, dB = D.reshape(2, *xs.shape, -1)
-    vhom = B @ np.stack([c.ophom for c in cells]).transpose(0, 2, 1)
-    geo_t = np.stack([c.geo_ophom for c in cells]).transpose(0, 2, 1)
-    geo_pts = np.stack([c.geo_pts for c in cells])
-    ghom = B @ geo_t
-    Wg = ghom.sum(axis=2, keepdims=True)
-    x = (ghom @ geo_pts) / Wg
-    dg = (dB @ geo_t) / h[:, :, None]
-    tangent = (dg @ geo_pts - x * dg.sum(axis=2, keepdims=True)) / Wg
-    speed = np.linalg.norm(tangent, axis=2)
-    # outward normal: ccw (-b, a) of the tangent (a, b) on the west and north
-    # sides, cw (b, -a) on the east and south sides
-    sign = np.where([c.ccw_normal for c in cells], 1.0, -1.0)[:, None, None]
-    normal = sign * np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
-    return {"basis": vhom / vhom.sum(axis=2, keepdims=True), "x": x,
-            "speed": speed, "normal": normal / speed[..., None]}
-
-
-def evaluate_side_cell(side: SideCell, xs: np.ndarray):
-    """Basis, geometry, arc-length rate and outward normal on a side cell."""
-    return {k: v[0] for k, v in _side_rational([side], np.asarray(xs)[None]).items()}
-
-
-def _side_blocks(cells: list, span):
-    """Evaluate side cells at Gauss rules of order degree + 2, by shape.
-
-    Each cell's interval is clipped to ``span`` (None: the whole side) and
-    cells left shorter than 1e-14 are skipped.  Yields ``(rows, ev)`` per
-    shape group: ``rows`` (nc, nr) and ``ev`` the :func:`_side_rational`
-    keys plus ``wlen`` (nc, m), the quadrature weight times the arc-length
-    rate.
-    """
-    groups: dict = {}
-    for c in cells:
-        groups.setdefault((c.degree, c.ophom.shape, c.geo_ophom.shape), []).append(c)
-    for (p, _, _), members in groups.items():
-        a, b = np.array([c.interval for c in members]).T
-        if span is not None:
-            a, b = np.maximum(a, span[0]), np.minimum(b, span[1])
-        keep = np.flatnonzero(b - a > 1e-14)
-        if keep.size == 0:
-            continue
-        members, a, b = [members[k] for k in keep], a[keep, None], b[keep, None]
-        pts, wts = gauss_on(0.0, 1.0, p + 2)
-        ev = _side_rational(members, a + (b - a) * pts)
-        ev["wlen"] = (b - a) * wts * ev["speed"]
-        yield np.stack([c.rows for c in members]), ev
+            yield g.index[blk], g.rows[blk], ev
 
 
 # --------------------------------------------------------------------------
@@ -387,19 +324,49 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
 
     Each spec is (patch, side, span_or_None, traction) where traction is a
     callable (x, normal) -> ncomp values, called once per shape group of the
-    side's cells with (..., 2) arrays of all their quadrature points and
+    cells on the side with (..., 2) arrays of all their quadrature points and
     outward normals; ``span`` restricts the load to a sub-interval of the
     side parameter (intervals are clipped so the quadrature never crosses
-    the load boundary).
+    the load boundary, and cells left shorter than 1e-14 are skipped).  A
+    cell on the side is evaluated as a 2D cell at Gauss points of order
+    degree + 2 along its edge.
     """
     ncomp = system.ncomp
     dofs, loads = [], []
     for patch, side, span, traction in specs:
-        for rows, ev in _side_blocks(mesh.side_cells(patch, side), span):
+        axis, at_end = SIDES[side]
+        along = 1 - axis
+        edge = mesh.patches[patch].kvs[axis].domain[1 if at_end else 0]
+        for g in mesh.groups:
+            on = np.flatnonzero((g.patch == patch)
+                                & (np.abs(g.rect[:, axis, int(at_end)] - edge) <= 1e-12))
+            a, b = g.rect[on, along].T
+            if span is not None:
+                a, b = np.maximum(a, span[0]), np.minimum(b, span[1])
+            keep = np.flatnonzero(b - a > 1e-14)
+            if keep.size == 0:
+                continue
+            sel, a, b = on[keep], a[keep, None], b[keep, None]
+            lo, h = g.rect[sel, :, 0], g.rect[sel, :, 1] - g.rect[sel, :, 0]
+            pts, wts = gauss_on(0.0, 1.0, g.degrees[along] + 2)
+            # unit-square coordinates: on the edge, and at the clipped Gauss points
+            u = np.full((sel.size, pts.size, 2), float(at_end))
+            u[..., along] = (a + (b - a) * pts - lo[:, along, None]) / h[:, along, None]
+            B, dB = _tensor_tables(*(BernsteinInterval(0.0, 1.0, p) for p in g.degrees),
+                                   u[..., 0].reshape(-1), u[..., 1].reshape(-1), True)
+            ev = _rational(B.reshape(u.shape[:2] + (-1,)), dB.reshape((2,) + u.shape[:2] + (-1,)),
+                           1.0 / h, g.ophom[sel], g.geo_ophom[sel], g.geo_pts[sel], False)
+            tangent = ev["jac"][..., along]
+            speed = np.linalg.norm(tangent, axis=-1)
+            # outward normal: ccw (-b, a) of the tangent (a, b) on the west and
+            # north sides, cw (b, -a) on the east and south sides
+            sign = 1.0 if at_end == (axis == 1) else -1.0
+            normal = sign * np.stack([-tangent[..., 1], tangent[..., 0]], -1) / speed[..., None]
             x = ev["x"]
-            t = _at_points(traction(x, ev["normal"]), x.shape[:-1], ncomp)
-            dofs.append(_local_dofs(rows, ncomp))
-            loads.append(np.einsum("cqi,cq,cqk->cik", ev["basis"], ev["wlen"], t))
+            t = _at_points(traction(x, normal), x.shape[:-1], ncomp)
+            wlen = (b - a) * wts * speed
+            dofs.append(_local_dofs(g.rows[sel], ncomp))
+            loads.append(np.einsum("cqi,cq,cqk->cik", ev["basis"], wlen, t))
     if dofs:
         system.f += _vector(dofs, loads, system.f.size)
 

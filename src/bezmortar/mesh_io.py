@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from itertools import chain, islice
 
@@ -59,7 +60,10 @@ class _Memo(dict):
 
 
 def _float_text(bits: int) -> str:
-    return "%.17g" % struct.unpack("d", struct.pack("Q", bits))
+    v = struct.unpack("d", struct.pack("Q", bits))[0]
+    if not math.isfinite(v):
+        raise MeshFormatError("non-finite", f"cannot write {v} as JSON")
+    return "%.17g" % v
 
 
 def _bit_patterns(values) -> tuple:
@@ -113,7 +117,7 @@ def _scalar(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
+        return _float_text(*_bit_patterns([float(v)]))
     raise TypeError(f"unsupported scalar {type(v)}")
 
 

@@ -21,7 +21,7 @@ blocks are sparse products of these with the coupling matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +41,7 @@ from .splines import (
     side_index,
 )
 
-__all__ = ["Cell", "SideCell", "ExtractedMesh", "MultiPatchModel", "single_patch_mesh"]
+__all__ = ["Cell", "CellGroup", "ExtractedMesh", "MultiPatchModel", "single_patch_mesh"]
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Cell:
     Field basis values at a point are ``(ophom @ B) / sum(ophom @ B)`` with B
     the tensor Bernstein basis on ``rect``; geometry comes from ``geo_ophom``
     and ``geo_pts`` the same way.  ``rows`` are scalar dof ids of the owning
-    mesh.
+    mesh.  :attr:`ExtractedMesh.cells` holds one read-only view per cell.
     """
 
     patch: int
@@ -64,107 +64,129 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class SideCell:
-    """Restriction of a 2D cell to one patch side (for loads and traces)."""
+class CellGroup:
+    """Cells of one shape stacked along a leading cell axis, in stream order.
 
-    patch: int
-    side: str
-    interval: tuple[float, float]
+    ``index`` (nc,) holds their positions in the stream, ``patch`` (nc,) and
+    ``rect`` (nc, 2, 2) their patches and parameter rectangles; ``rows``
+    (nc, nr), ``ophom`` (nc, nr, nb), ``geo_pts`` (nc, ng, 2) and
+    ``geo_ophom`` (nc, ng, nb) are the :class:`Cell` fields stacked.
+    """
+
+    index: np.ndarray
+    patch: np.ndarray
+    rect: np.ndarray
     rows: np.ndarray
     ophom: np.ndarray
     geo_pts: np.ndarray
     geo_ophom: np.ndarray
-    degree: int
-    ccw_normal: bool
+    degrees: tuple[int, int]
+
+    def take(self, sel, **fields) -> CellGroup:
+        """The cells ``sel``; ``fields`` replace stacked fields (already selected)."""
+        return CellGroup(*(fields[f] if f in fields else getattr(self, f)[sel] for f in _STACKED),
+                         self.degrees)
 
 
-@dataclass
+_STACKED = ("index", "patch", "rect", "rows", "ophom", "geo_pts", "geo_ophom")
+
+
 class ExtractedMesh:
     """Element stream plus dof count; the input to Galerkin assembly.
 
-    ``_cache`` holds data derived from the cells on first use (the point
-    locator, the neo-Hookean kernel's geometry and sparsity), so the cells
-    must not change once the mesh is in use.
+    The stream is held as shape groups: ``pieces`` (each in stream order)
+    that share degrees and operator shapes are merged into one
+    :class:`CellGroup`, ordered by position, and the groups are ordered by
+    their first position.  ``_cache`` holds data derived from the groups on
+    first use (the cell views, the point locator, the neo-Hookean kernel's
+    geometry and sparsity), so the groups are read-only.
     """
 
-    patches: list[Patch2D]
-    cells: list[Cell]
-    ndof: int
-    route: str
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, patches: list[Patch2D], pieces, ndof: int):
+        self.patches = patches
+        self.ndof = ndof
+        self._cache: dict = {}
+        by_shape: dict = {}
+        for p in pieces:
+            if len(p.index):
+                key = (p.degrees, p.ophom.shape[1:], p.geo_ophom.shape[1:])
+                by_shape.setdefault(key, []).append(p)
+        self.groups: list[CellGroup] = []
+        for ps in by_shape.values():
+            if len(ps) > 1:
+                order = np.argsort(np.concatenate([p.index for p in ps]), kind="stable")
+                ps = [CellGroup(*(np.concatenate([getattr(p, f) for p in ps])[order]
+                                  for f in _STACKED), ps[0].degrees)]
+            for f in _STACKED:
+                getattr(ps[0], f).setflags(write=False)
+            self.groups.append(ps[0])
+        self.groups.sort(key=lambda g: g.index[0])
+
+    def __len__(self) -> int:
+        return sum(len(g.index) for g in self.groups)
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """Every cell as a :class:`Cell` view, in stream order."""
+        if "cells" not in self._cache:
+            cells = [None] * len(self)
+            for g in self.groups:
+                for k, patch, rect, *arrays in zip(g.index.tolist(), g.patch.tolist(),
+                                                   g.rect.tolist(), g.rows, g.ophom,
+                                                   g.geo_pts, g.geo_ophom):
+                    cells[k] = Cell(patch, tuple(map(tuple, rect)), *arrays, g.degrees)
+            self._cache["cells"] = tuple(cells)
+        return self._cache["cells"]
 
     def locate(self, patch: int, xi1: float, xi2: float) -> Cell:
-        """Cell of ``patch`` containing the parametric point.
+        """Cell of ``patch`` containing the parametric point (see :meth:`cell_index`)."""
+        return self.cells[self.cell_index(np.array([patch]), np.array([xi1]), np.array([xi2]))[0]]
+
+    def cell_index(self, patch: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
+        """Stream position of the cell of ``patch[q]`` holding each point q.
 
         Of the cells whose rectangle, widened by 1e-12, holds the point, the
-        first in stream order is returned.
+        first in stream order is taken; a point no cell holds raises
+        ``ValueError``.
         """
-        grid = self._locator().get(patch)
-        if grid is not None:
-            (lo1, hi1), (lo2, hi2), owner = grid
+        out = np.full(len(patch), len(self))
+        for pi, ((lo1, hi1), (lo2, hi2), owner) in self._locator().items():
+            at = np.flatnonzero(patch == pi)
+            s, t = xi1[at], xi2[at]
             # grid boxes i with lo[i] <= xi <= hi[i] form a contiguous range
-            i0, i1 = np.searchsorted(hi1, xi1, "left"), np.searchsorted(lo1, xi1, "right")
-            j0, j1 = np.searchsorted(hi2, xi2, "left"), np.searchsorted(lo2, xi2, "right")
-            if i0 < i1 and j0 < j1:
-                k = owner[i0:i1, j0:j1].min()
-                if k < len(self.cells):
-                    return self.cells[k]
-        raise ValueError(f"point ({xi1}, {xi2}) not inside patch {patch}")
+            i0, i1 = np.searchsorted(hi1, s, "left"), np.searchsorted(lo1, s, "right")
+            j0, j1 = np.searchsorted(hi2, t, "left"), np.searchsorted(lo2, t, "right")
+            for di in range(int((i1 - i0).max(initial=0))):
+                for dj in range(int((j1 - j0).max(initial=0))):
+                    ok = (i0 + di < i1) & (j0 + dj < j1)
+                    out[at[ok]] = np.minimum(out[at[ok]], owner[i0[ok] + di, j0[ok] + dj])
+        if np.any(out == len(self)):
+            q = np.argmax(out == len(self))
+            raise ValueError(f"point ({xi1[q]}, {xi2[q]}) not inside patch {patch[q]}")
+        return out
 
     def _locator(self) -> dict:
         """Per patch: the grid of all cell breakpoints and each box's first cell.
 
         Every cell rectangle is a union of grid boxes, so a point lies within
         the 1e-12 slack of a cell exactly when it lies within the slack of one
-        of that cell's boxes; ``owner`` holds the lowest index of the cells
-        covering each box (``len(cells)`` where none does).
+        of that cell's boxes; ``owner`` holds the lowest position of the cells
+        covering each box (the cell count where none does).
         """
         if "locator" not in self._cache:
-            by_patch: dict = {}
-            for k, c in enumerate(self.cells):
-                by_patch.setdefault(c.patch, []).append(k)
+            index, patch, rect = (np.concatenate([getattr(g, f) for g in self.groups])
+                                  for f in ("index", "patch", "rect"))
             grids = {}
-            for patch, ks in by_patch.items():
-                rects = np.array([self.cells[k].rect for k in ks])
+            for pi in np.unique(patch).tolist():
+                ks, rects = index[patch == pi], rect[patch == pi]
                 bps = [np.unique(rects[:, a]) for a in (0, 1)]
-                ends = [np.searchsorted(bps[a], rects[:, a]) for a in (0, 1)]
-                owner = np.full((len(bps[0]) - 1, len(bps[1]) - 1), len(self.cells))
-                for k, (a1, b1), (a2, b2) in reversed(list(zip(ks, *ends))):
+                ends = [np.searchsorted(bps[a], rects[:, a]).tolist() for a in (0, 1)]
+                owner = np.full((len(bps[0]) - 1, len(bps[1]) - 1), len(index))
+                for k, (a1, b1), (a2, b2) in sorted(zip(ks.tolist(), *ends), reverse=True):
                     owner[a1:b1, a2:b2] = k
-                grids[patch] = tuple((bp[:-1] - 1e-12, bp[1:] + 1e-12) for bp in bps) + (owner,)
+                grids[pi] = tuple((bp[:-1] - 1e-12, bp[1:] + 1e-12) for bp in bps) + (owner,)
             self._cache["locator"] = grids
         return self._cache["locator"]
-
-    def side_cells(self, patch: int, side: str) -> list[SideCell]:
-        """Restrict the cells adjacent to one patch side."""
-        axis, at_end = SIDES[side]
-        kv = self.patches[patch].kvs[axis]
-        edge_val = kv.domain[1] if at_end else kv.domain[0]
-        out = []
-        for c in self.cells:
-            if c.patch != patch:
-                continue
-            lo, hi = c.rect[axis]
-            boundary = hi if at_end else lo
-            if abs(boundary - edge_val) > 1e-12:
-                continue
-            out.append(_restrict(c, side))
-        out.sort(key=lambda s: s.interval[0])
-        return out
-
-
-def _restrict(cell: Cell, side: str) -> SideCell:
-    axis, at_end = SIDES[side]
-    p1, p2 = cell.degrees
-    sel = np.arange((p1 + 1) * (p2 + 1)).reshape(p1 + 1, p2 + 1)[side_index(side)]
-    op = cell.ophom[:, sel]
-    keep = np.flatnonzero(np.abs(op).sum(axis=1) > 0)
-    # outward normal from the side tangent (a,b): ccw (-b,a) on the west and
-    # north sides, cw (b,-a) on the east and south sides
-    return SideCell(
-        cell.patch, side, cell.rect[1 - axis], cell.rows[keep], op[keep],
-        cell.geo_pts, cell.geo_ophom[:, sel], cell.degrees[1 - axis], at_end == (axis == 1),
-    )
 
 
 class MultiPatchModel:
@@ -331,74 +353,90 @@ class MultiPatchModel:
 
     def mortar_mesh(self) -> ExtractedMesh:
         """Element stream in full numbering (trace dofs explicit)."""
-        cells = [c for pi in range(len(self.patches)) for c in self._patch_cells(pi)]
-        return ExtractedMesh(self.patches, cells, self.ndof_full, "mortar")
+        pieces, count = [], 0
+        for pi in range(len(self.patches)):
+            patch_pieces, count = self._patch_cells(pi, count)
+            pieces += patch_pieces
+        return ExtractedMesh(self.patches, pieces, self.ndof_full)
 
     def weak_mesh(self) -> ExtractedMesh:
         """Element stream with interface constraints compiled into operators.
 
         Trace rows are contracted through the prolongation operator, which
         localizes the coupling matrix to each element; the result is a
-        standard extracted mesh over the retained dofs only.  Cells of one
-        degree pair are contracted together: every entry of ``P[rows]`` is
-        keyed by its cell and retained dof, and one sparse aggregation of the
-        stacked operators sums each key's rows.
+        standard extracted mesh over the retained dofs only.  The trace cells
+        of one mortar group are contracted together: every entry of
+        ``P[rows]`` is keyed by its cell and retained dof, and one sparse
+        aggregation of the stacked operators sums each key's rows.  The
+        contracted cells are regrouped by their retained-row count.
         """
-        cells = self.mortar_mesh().cells
-        groups: dict = {}
-        for k, c in enumerate(cells):
-            if c.rows.max() >= self.n_retained:
-                groups.setdefault(c.degrees, []).append(k)
-        for ks in groups.values():
-            sub = self.P[np.concatenate([cells[k].rows for k in ks])]
-            nloc = cells[ks[0]].rows.size
+        pieces = []
+        for g in self.mortar_mesh().groups:
+            trace = g.rows.max(axis=1) >= self.n_retained
+            pieces.append(g.take(~trace))
+            ks = np.flatnonzero(trace)
+            if ks.size == 0:
+                continue
+            sub = self.P[g.rows[ks].reshape(-1)]
+            nloc, nb = g.ophom.shape[1:]
             row = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
             keys, key = np.unique(row // nloc * self.n_retained + sub.indices,
                                   return_inverse=True)
             A = sp.csr_matrix((sub.data, (key, row)), shape=(keys.size, sub.shape[0]))
-            op = A @ np.concatenate([cells[k].ophom for k in ks])
+            op = A @ g.ophom[ks].reshape(-1, nb)
             owner, cols = np.divmod(keys, self.n_retained)
             # drop rows whose coupling weight is pure quadrature noise
             rowmax = np.abs(op).max(axis=1)
-            cellmax = np.ones(len(ks))
+            cellmax = np.ones(ks.size)
             np.maximum.at(cellmax, owner, rowmax)
             keep = np.flatnonzero(rowmax > 1e-13 * cellmax[owner])
-            cuts = np.searchsorted(owner[keep], np.arange(1, len(ks)))
-            for k, rows, ophom in zip(ks, np.split(cols[keep], cuts), np.split(op[keep], cuts)):
-                c = cells[k]
-                cells[k] = Cell(c.patch, c.rect, rows, ophom, c.geo_pts, c.geo_ophom, c.degrees)
-        return ExtractedMesh(self.patches, cells, self.n_retained, "weak")
+            owner, cols, op = owner[keep], cols[keep], op[keep]
+            count = np.bincount(owner, minlength=ks.size)
+            for n in np.unique(count).tolist():
+                at = count[owner] == n  # the rows of the cells with n rows, in order
+                pieces.append(g.take(ks[count == n], rows=cols[at].reshape(-1, n),
+                                     ophom=op[at].reshape(-1, n, nb)))
+        return ExtractedMesh(self.patches, pieces, self.n_retained)
 
-    def _patch_cells(self, pi: int) -> list[Cell]:
-        """Cells of patch ``pi`` in row-major element order.
+    def _patch_cells(self, pi: int, start: int) -> tuple[list[CellGroup], int]:
+        """Cells of patch ``pi`` in row-major element order, from position ``start``.
 
         Every element gives one standard cell, except those along a slave
-        interface, whose slot takes that interface's trace cells.
+        interface, whose position takes that interface's trace cells.
+        Returns the pieces and the position after the patch.
         """
-        cells, rows = _grid_cells(pi, self.patches[pi], self.grids[pi])
-        slots = [[c] for c in cells]
-        hits = np.zeros(len(cells), dtype=int)
-        for ci, coup in enumerate(self.couplings):
-            if coup.spec.slave[0] == pi:
-                strip, subcells = self._trace_cells(pi, ci)
-                hits[strip] += 1
-                for k, sub in zip(strip, subcells):
-                    slots[k] = sub
+        grid = _grid_cells(pi, self.patches[pi], self.grids[pi])
+        traces = [self._trace_cells(pi, ci) for ci, coup in enumerate(self.couplings)
+                  if coup.spec.slave[0] == pi]
+        hits = np.zeros(len(grid.index), dtype=int)
+        counts = np.ones(len(grid.index), dtype=int)  # cells per element
+        for t in traces:
+            elements, n = np.unique(t.index, return_counts=True)
+            hits[elements] += 1
+            counts[elements] = n
         if hits.max() > 1:
             raise ValueError("element adjacent to two slave interfaces; refine the patch")
-        if np.any(rows[hits == 0] < 0):
+        standard = hits == 0
+        if np.any(grid.rows[standard] < 0):
             raise RuntimeError("trace dof leaked into a standard element")
-        return [c for slot in slots for c in slot]
+        first = start + np.cumsum(counts) - counts
+        pieces = [grid.take(standard, index=first[standard])]
+        for t in traces:
+            # subcells of one element are consecutive, in interface order
+            rank = np.arange(len(t.index)) - np.searchsorted(t.index, t.index)
+            pieces.append(t.take(slice(None), index=first[t.index] + rank))
+        return pieces, start + int(counts.sum())
 
-    def _trace_cells(self, pi: int, ci: int) -> tuple[np.ndarray, list[list[Cell]]]:
-        """Elements along slave interface ``ci`` (row-major indices) and their cells.
+    def _trace_cells(self, pi: int, ci: int) -> CellGroup:
+        """Cells along slave interface ``ci``, ``index`` holding their elements.
 
         Each element is subdivided at the refined interface's new continuity
-        lines.  A subcell is the tensor cell of the element's transverse
-        extraction and its interface-direction extraction pulled into subcell
-        Bernstein coordinates; its rows are put in transverse-major order and
-        the edge row group is swapped for the refined interface extraction
-        over the trace dofs.
+        lines; ``index`` is the row-major element index of every subcell, in
+        increasing order.  A subcell is the tensor cell of the element's
+        transverse extraction and its interface-direction extraction pulled
+        into subcell Bernstein coordinates; its rows are put in
+        transverse-major order and the edge row group is swapped for the
+        refined interface extraction over the trace dofs.
         """
         patch = self.patches[pi]
         coup = self.couplings[ci]
@@ -437,13 +475,11 @@ class MultiPatchModel:
         kron = np.einsum("mrl,k->mrlk" if axis_f else "mrl,k->mrkl", C_r[e_r], C_f[e_f, edge])
         op[:, grp] = coup.refined_edge_weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
         rows[:, grp] = self.trace_ids[ci][r]
-        span_f = (float(bp_f[e_f]), float(bp_f[e_f + 1]))
-        subcells = [[] for _ in ops_i]
-        for s, (k, ab) in enumerate(zip(owner.tolist(), rects)):
-            rect = (ab, span_f) if axis_f else (span_f, ab)
-            subcells[k].append(Cell(pi, rect, rows[s], op[s], pts[s], geo[s], patch.degrees))
-        e_i, n2 = np.arange(len(ops_i)), _element_tables(patch.kvs[1])[1].size
-        return (e_i * n2 + e_f if axis_f else e_f * n2 + e_i), subcells
+        rect = np.empty((m, 2, 2))
+        rect[:, axis_f], rect[:, 1 - axis_f] = bp_f[e_f : e_f + 2], rects
+        n2 = _element_tables(patch.kvs[1])[1].size
+        elements = owner * n2 + e_f if axis_f else e_f * n2 + owner
+        return CellGroup(elements, np.full(m, pi), rect, rows, op, pts, geo, patch.degrees)
 
 
 def _tensor_cells(patch: Patch2D, grid: np.ndarray, first1, C1, first2, C2):
@@ -464,17 +500,16 @@ def _tensor_cells(patch: Patch2D, grid: np.ndarray, first1, C1, first2, C2):
             patch.points[i, j].reshape(-1, n, 2))
 
 
-def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray) -> tuple[list[Cell], np.ndarray]:
-    """Standard cells of every element of a patch in row-major element order,
-    and their stacked rows."""
+def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray) -> CellGroup:
+    """Standard cells of every element of a patch, ``index`` the row-major
+    element order."""
     (bp1, first1, C1), (bp2, first2, C2) = (_element_tables(kv) for kv in patch.kvs)
     e1, e2 = np.divmod(np.arange(first1.size * first2.size), first2.size)
     rows, geo, pts = _tensor_cells(patch, grid, first1[e1], C1[e1], first2[e2], C2[e2])
-    spans1, spans2 = (list(zip(bp[:-1].tolist(), bp[1:].tolist())) for bp in (bp1, bp2))
-    degrees = patch.degrees
-    cells = [Cell(pi, (spans1[a], spans2[b]), rows[k], geo[k], pts[k], geo[k], degrees)
-             for k, (a, b) in enumerate(zip(e1.tolist(), e2.tolist()))]
-    return cells, rows
+    rect = np.stack([np.column_stack([bp[:-1], bp[1:]])[e] for bp, e in ((bp1, e1), (bp2, e2))],
+                    axis=1)
+    return CellGroup(np.arange(e1.size), np.full(e1.size, pi), rect, rows, geo, pts, geo,
+                     patch.degrees)
 
 
 def _flat(patch: Patch2D) -> np.ndarray:
@@ -489,5 +524,4 @@ def _pruned(G: np.ndarray) -> sp.csr_matrix:
 
 def single_patch_mesh(patch: Patch2D) -> ExtractedMesh:
     """Standard extracted mesh of one uncoupled patch."""
-    cells, _ = _grid_cells(0, patch, _flat(patch))
-    return ExtractedMesh([patch], cells, patch.shape[0] * patch.shape[1], "single")
+    return ExtractedMesh([patch], [_grid_cells(0, patch, _flat(patch))], patch.weights.size)

@@ -624,13 +624,15 @@ class Patch2D:
         n1, n2 = self.kvs[0].n, self.kvs[1].n
         if self.points.shape != (n1, n2, 2):
             raise ValueError(f"control net must have shape ({n1}, {n2}, 2)")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("control points must be finite")
         if weights is None:
             weights = np.ones((n1, n2))
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (n1, n2):
             raise ValueError("weight net shape mismatch")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("weights must be finite and strictly positive")
         self._hom = np.concatenate(
             [self.points * self.weights[..., None], self.weights[..., None]], axis=2
         )

@@ -3,8 +3,9 @@
 The references walk the cells one at a time at ``cell_quadrature`` points
 and build the matrix through a COO triplet list, as a plain extracted-element
 code would; the batched kernels must give the same systems to rounding.
-Boundary loads are checked the same way against a side-cell-by-side-cell
-loop, and every user callable must see the points of a block at once.
+Boundary loads are checked the same way against a loop over 1D side cells
+(each 2D cell on the side restricted to its edge functions), and every user
+callable must see the points of a block at once.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from bezmortar import (
+    Cell,
     ExtractedMesh,
     InterfaceSpec,
     MaterialModel,
@@ -32,6 +34,7 @@ from bezmortar.benchmarks import (
     field_difference_l2,
     gen_annulus_two_patch,
     gen_plate_hole,
+    gen_square_two_patch,
     kirsch_cartesian,
     largedef_model,
     manufactured_fields,
@@ -46,7 +49,14 @@ from bezmortar.fem import (
     evaluate_cell,
 )
 from bezmortar.linsys import AssembledSystem
-from bezmortar.splines import BernsteinInterval, Patch2D, bernstein_derivatives, gauss_on
+from bezmortar.splines import (
+    SIDES,
+    BernsteinInterval,
+    Patch2D,
+    bernstein_derivatives,
+    gauss_on,
+    side_index,
+)
 
 RNG = np.random.default_rng(7)
 TOL = 1e-12
@@ -218,6 +228,46 @@ def test_field_difference_matches_pointwise_reference():
     assert abs(got - math.sqrt(total)) <= TOL * math.sqrt(total)
 
 
+def _field_difference_per_point(field_a, field_b, quad_extra=2):
+    """field_difference_l2 with one ``locate`` per point, hits grouped in a dict."""
+    total = 0.0
+    da = field_a.values.reshape(-1, field_a.ncomp)
+    db = field_b.values.reshape(-1, field_b.ncomp)
+    for index, rows, ev in fem.cell_blocks(field_a.mesh, quad_extra, grad=False):
+        va = (ev["basis"] @ da[rows]).reshape(-1, field_a.ncomp)
+        xi = ev["xi"].reshape(-1, 2)
+        patches = np.repeat([field_a.mesh.cells[k].patch for k in index], ev["xi"].shape[1])
+        hits = {}
+        for q, (patch, (s, t)) in enumerate(zip(patches, xi)):
+            cell = field_b.mesh.locate(int(patch), s, t)
+            hits.setdefault(id(cell), (cell, []))[1].append(q)
+        vb = np.empty_like(va)
+        for cell, qs in hits.values():
+            ev_b = evaluate_cell(cell, xi[qs, 0], xi[qs, 1], grad=False)
+            vb[qs] = ev_b["basis"] @ db[cell.rows]
+        d = va - vb
+        total += float(np.sum(ev["wdet"].reshape(-1) * np.sum(d * d, axis=1)))
+    return math.sqrt(total)
+
+
+def _square_mortar_weak():
+    model = gen_square_two_patch((2, 3), True, 2, 1, dual_refine=1)
+    return model.mortar_mesh(), model.weak_mesh()
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (largedef_model(0, weak=True).weak_mesh(),
+             largedef_model(0, weak=False).weak_mesh()),
+    _square_mortar_weak,
+], ids=["largedef-weak-conforming", "square-mortar-weak"])
+def test_field_difference_matches_per_point_locate(pair):
+    mesh_a, mesh_b = pair()
+    fa = SolutionField(mesh_a, RNG.normal(size=mesh_a.ndof * 2), 2)
+    fb = SolutionField(mesh_b, RNG.normal(size=mesh_b.ndof * 2), 2)
+    ref = _field_difference_per_point(fa, fb)
+    assert abs(field_difference_l2(fa, fb) - ref) <= 1e-14 * ref
+
+
 def test_inverting_one_element_raises_from_assembly_and_guard():
     model = largedef_model(0, weak=True)
     mesh = model.weak_mesh()
@@ -269,15 +319,67 @@ def test_locate_matches_linear_scan(mesh):
 
 def test_locate_returns_the_first_of_overlapping_cells():
     base = single_patch_mesh(rect_patch(2, 2, 2))
-    whole = dataclasses.replace(base.cells[-1], rect=((0.0, 1.0), (0.0, 1.0)))
-    last = ExtractedMesh(base.patches, base.cells + [whole], base.ndof, "single")
-    first = ExtractedMesh(base.patches, [whole] + base.cells, base.ndof, "single")
+    (grid,) = base.groups
+    n = len(base)
+    whole = dataclasses.replace(grid.take([n - 1]), rect=np.array([[[0.0, 1.0], [0.0, 1.0]]]))
+    last = ExtractedMesh(base.patches, [grid, dataclasses.replace(whole, index=np.array([n]))],
+                         base.ndof)
+    first = ExtractedMesh(base.patches, [dataclasses.replace(grid, index=grid.index + 1),
+                                         dataclasses.replace(whole, index=np.array([0]))],
+                          base.ndof)
     for xi1, xi2 in RNG.uniform(0.0, 1.0, (20, 2)):
-        assert last.locate(0, xi1, xi2) is _scan(base, 0, xi1, xi2)
-        assert first.locate(0, xi1, xi2) is whole
+        assert last.locate(0, xi1, xi2) is last.cells[base.cells.index(_scan(base, 0, xi1, xi2))]
+        assert first.locate(0, xi1, xi2) is first.cells[0]
 
 
 # ------------------------------------------------------------ boundary loads
+
+
+@dataclasses.dataclass(frozen=True)
+class SideCell:
+    """Restriction of a 2D cell to one patch side: its edge functions only."""
+
+    patch: int
+    side: str
+    interval: tuple[float, float]
+    rows: np.ndarray
+    ophom: np.ndarray
+    geo_pts: np.ndarray
+    geo_ophom: np.ndarray
+    degree: int
+    ccw_normal: bool
+
+
+def _restrict(cell: Cell, side: str) -> SideCell:
+    axis, at_end = SIDES[side]
+    p1, p2 = cell.degrees
+    sel = np.arange((p1 + 1) * (p2 + 1)).reshape(p1 + 1, p2 + 1)[side_index(side)]
+    op = cell.ophom[:, sel]
+    keep = np.flatnonzero(np.abs(op).sum(axis=1) > 0)
+    # outward normal from the side tangent (a,b): ccw (-b,a) on the west and
+    # north sides, cw (b,-a) on the east and south sides
+    return SideCell(
+        cell.patch, side, cell.rect[1 - axis], cell.rows[keep], op[keep],
+        cell.geo_pts, cell.geo_ophom[:, sel], cell.degrees[1 - axis], at_end == (axis == 1),
+    )
+
+
+def side_cells(mesh, patch: int, side: str) -> list[SideCell]:
+    """Restrict the cells adjacent to one patch side."""
+    axis, at_end = SIDES[side]
+    kv = mesh.patches[patch].kvs[axis]
+    edge_val = kv.domain[1] if at_end else kv.domain[0]
+    out = []
+    for c in mesh.cells:
+        if c.patch != patch:
+            continue
+        lo, hi = c.rect[axis]
+        boundary = hi if at_end else lo
+        if abs(boundary - edge_val) > 1e-12:
+            continue
+        out.append(_restrict(c, side))
+    out.sort(key=lambda s: s.interval[0])
+    return out
 
 
 def _side_cell_reference(side, xs):
@@ -303,7 +405,7 @@ def _neumann_reference(mesh, specs, ncomp):
     """Side cell by side cell, the traction called at one point at a time."""
     f = np.zeros(mesh.ndof * ncomp)
     for patch, side, span, traction in specs:
-        for sc in mesh.side_cells(patch, side):
+        for sc in side_cells(mesh, patch, side):
             a, b = sc.interval
             if span is not None:
                 a, b = max(a, span[0]), min(b, span[1])
@@ -373,17 +475,6 @@ def test_neumann_matches_side_cell_loop(name):
     _assert_close(system.f, ref)
 
 
-def test_side_cell_evaluation_matches_reference():
-    mesh = gen_plate_hole(3, False, 2, 0).weak_mesh()
-    for patch in range(3):
-        for side in _SIDES:
-            for sc in mesh.side_cells(patch, side):
-                xs = RNG.uniform(*sc.interval, 4)
-                ev, ref = fem.evaluate_side_cell(sc, xs), _side_cell_reference(sc, xs)
-                for key in ref:
-                    _assert_close(ev[key], ref[key])
-
-
 # ------------------------------------------------------ callables take arrays
 
 
@@ -430,9 +521,17 @@ def test_boundary_callables_are_called_once_per_spec():
     system = AssembledSystem(sp.csr_matrix((mesh.ndof * 2,) * 2), np.zeros(mesh.ndof * 2), 2)
     assemble_neumann(mesh, system, [(0, "north", None, push), (1, "east", None, shear)])
     for fn, (patch, side) in ((push, (0, "north")), (shear, (1, "east"))):
-        # (x, normal), each (..., 2), once per shape group of the side cells
-        blocks = fem._side_blocks(mesh.side_cells(patch, side), None)
-        assert [math.prod(s[:-1]) for s in fn.shapes] == [ev["wlen"].size for _, ev in blocks]
+        # (x, normal), each (..., 2), once per shape group with cells on the
+        # side, at degree + 2 points per cell
+        axis, at_end = SIDES[side]
+        edge = mesh.patches[patch].kvs[axis].domain[int(at_end)]
+        points = []
+        for g in mesh.groups:
+            n = np.count_nonzero((g.patch == patch) & (g.rect[:, axis, int(at_end)] == edge))
+            if n:
+                points.append(n * (g.degrees[1 - axis] + 2))
+        assert points
+        assert [math.prod(s[:-1]) for s in fn.shapes] == points
     data = _Counted(lambda x, y: x + y)
     boundary_projection(model.patches[1], "south", data)
     assert len(data.shapes) == 1 and math.prod(data.shapes[0]) > 4

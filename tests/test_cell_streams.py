@@ -5,6 +5,8 @@ standard element, and trace cells row by row, with the refined interface
 extraction in the edge row group.  The mortar stream must equal it bit for
 bit (cell order and every field); the weak stream, contracted cell by cell
 through ``P[c.rows]``, must give the same rows and operators to rounding.
+The blocks ``cell_blocks`` reads from the mesh's shape groups must equal,
+bit for bit, those of regrouping the cells by shape.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from bezmortar import InterfaceSpec, MultiPatchModel
+from bezmortar import InterfaceSpec, MultiPatchModel, single_patch_mesh
+from bezmortar import fem
 from bezmortar.benchmarks import (
     gen_annulus_two_patch,
     gen_demo_two_patch,
@@ -142,6 +145,27 @@ def _axis_kron(row_f, row_i, axis_f):
     return np.kron(row_f, row_i) if axis_f == 0 else np.kron(row_i, row_f)
 
 
+def reference_cell_blocks(mesh, quad_extra=1, grad=True):
+    """``cell_blocks`` over cells regrouped by shape in stream order."""
+    groups: dict = {}
+    for k, c in enumerate(mesh.cells):
+        groups.setdefault((c.degrees, c.ophom.shape, c.geo_ophom.shape), []).append(k)
+    for ((p1, p2), _, _), members in groups.items():
+        t, w, B, dB = fem._reference_tables(p1, p2, p1 + quad_extra, p2 + quad_extra)
+        for start in range(0, len(members), fem._BLOCK):
+            index = np.array(members[start : start + fem._BLOCK])
+            cells = [mesh.cells[k] for k in index]
+            rect = np.array([c.rect for c in cells])
+            lo, h = rect[:, :, 0], rect[:, :, 1] - rect[:, :, 0]
+            ev = fem._rational(B, dB, 1.0 / h,
+                               np.stack([c.ophom for c in cells]),
+                               np.stack([c.geo_ophom for c in cells]),
+                               np.stack([c.geo_pts for c in cells]), grad)
+            ev["xi"] = lo[:, None, :] + h[:, None, :] * t
+            ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
+            yield index, np.stack([c.rows for c in cells]), ev
+
+
 # ------------------------------------------------------------- comparison
 
 
@@ -165,6 +189,18 @@ def assert_streams_match(model):
         assert g.ophom.shape == w.ophom.shape
         assert np.abs(g.ophom - w.ophom).max() <= 1e-15 * np.abs(w.ophom).max()
         assert _bitwise(g.geo_ophom, w.geo_ophom) and _bitwise(g.geo_pts, w.geo_pts)
+
+
+def assert_blocks_match(mesh):
+    for quad_extra, grad in ((1, True), (2, False)):
+        got = list(fem.cell_blocks(mesh, quad_extra, grad))
+        want = list(reference_cell_blocks(mesh, quad_extra, grad))
+        assert len(got) == len(want)
+        for (gi, gr, gev), (wi, wr, wev) in zip(got, want):
+            assert _bitwise(gi, wi) and _bitwise(gr, wr)
+            assert sorted(gev) == sorted(wev)
+            for key in wev:
+                assert _bitwise(gev[key], wev[key]), key
 
 
 # ------------------------------------------------------------------ models
@@ -207,6 +243,42 @@ def two_patch_models(draw):
 @given(two_patch_models())
 def test_batched_streams_match_reference(model):
     assert_streams_match(model)
+
+
+@given(two_patch_models())
+def test_generated_cell_blocks_match_regrouped_cells(model):
+    assert_blocks_match(model.mortar_mesh())
+    assert_blocks_match(model.weak_mesh())
+
+
+def _reversed_model():
+    # the slave turned by 180 degrees: its interface parameter runs backwards
+    master = rect_patch(2, 2, 2, (0.0, 0.5), (0.0, 1.0))
+    slave = rect_patch(2, 3, 3, (0.5, 1.0), (0.0, 1.0))
+    return MultiPatchModel([master, _weighted(slave, slave.weights, True)],
+                           [InterfaceSpec(master=(0, "east"), slave=(1, "east"), reversed=True)], 1)
+
+
+@pytest.mark.parametrize(
+    "mesh_fn",
+    [
+        lambda: single_patch_mesh(rect_patch(3, 4, 3)),
+        lambda: gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1).mortar_mesh(),
+        lambda: gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1).weak_mesh(),
+        lambda: _reversed_model().mortar_mesh(),
+        lambda: _reversed_model().weak_mesh(),
+        lambda: gen_plate_hole(3, False, 2, 0, dual_refine=1).mortar_mesh(),
+        lambda: gen_plate_hole(3, False, 2, 0, dual_refine=1).weak_mesh(),
+    ],
+    ids=["single", "square-mortar", "square-weak", "reversed-mortar", "reversed-weak",
+         "plate-3patch-mortar", "plate-3patch-weak"],
+)
+def test_cell_blocks_match_regrouped_cells(mesh_fn, monkeypatch):
+    mesh = mesh_fn()
+    assert_blocks_match(mesh)
+    # blocks cut inside the groups
+    monkeypatch.setattr(fem, "_BLOCK", 5)
+    assert_blocks_match(mesh)
 
 
 @pytest.mark.parametrize(

@@ -246,9 +246,17 @@ _documents = st.recursive(
 )
 
 
+def _dumped(dump, doc) -> str:
+    """The text, or the error code of a document the writer refuses."""
+    try:
+        return dump(doc)
+    except MeshFormatError as err:
+        return err.code
+
+
 @given(st.dictionaries(st.text("abcxyz_", min_size=1, max_size=4), _documents, max_size=4))
 def test_typed_writer_matches_generic_emitter(doc):
-    assert dump_mesh(doc) == generic_dump(doc)
+    assert _dumped(dump_mesh, doc) == _dumped(generic_dump, doc)
 
 
 @pytest.mark.parametrize(
@@ -265,7 +273,18 @@ def test_typed_writer_matches_generic_emitter(doc):
 )
 def test_float_matrix_writer_matches_generic_emitter(matrix):
     doc = {"cells": [{"matrix": matrix}], "matrix": matrix}
-    assert dump_mesh(doc) == generic_dump(doc)
+    assert _dumped(dump_mesh, doc) == _dumped(generic_dump, doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_refuses_non_finite_numbers(bad):
+    # JSON has no NaN or Infinity: the file would not load back
+    doc = mesh_document(gen_demo_two_patch(0))
+    doc["patches"][0]["control_points"][1][0] = bad
+    for part in (doc, [[0.5, bad]], [bad], bad, np.float64(bad)):
+        with pytest.raises(MeshFormatError) as err:
+            dump_mesh(part)
+        assert err.value.code == "non-finite"
 
 
 def _finite_floats():

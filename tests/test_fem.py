@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from bezmortar.benchmarks import gen_demo_two_patch, manufactured_fields, rect_p
 from bezmortar.fem import (
     cell_quadrature,
     evaluate_cell,
-    evaluate_side_cell,
     strain_energy_density,
 )
 from bezmortar.linsys import AssembledSystem
@@ -38,13 +38,15 @@ RNG = np.random.default_rng(99)
 
 
 def test_side_cell_normals_point_outward():
+    # traction n.e_x or n.e_y on a unit-square side loads the side by n_x or
+    # n_y in total: the normal points outward and the side length is 1
     mesh = single_patch_mesh(rect_patch(2, 2, 2))
     expected = {"west": (-1, 0), "east": (1, 0), "south": (0, -1), "north": (0, 1)}
     for side, n in expected.items():
-        sc = mesh.side_cells(0, side)[0]
-        ev = evaluate_side_cell(sc, np.array([0.3]))
-        assert np.abs(ev["normal"][0] - n).max() < 1e-13
-        assert abs(ev["speed"][0] - 1.0) < 1e-13
+        for k in (0, 1):
+            system = AssembledSystem(sp.csr_matrix((mesh.ndof,) * 2), np.zeros(mesh.ndof), 1)
+            assemble_neumann(mesh, system, [(0, side, None, lambda x, nrm: nrm[..., k])])
+            assert abs(system.f.sum() - n[k]) < 1e-13
 
 
 def test_cell_evaluation_geometry():
@@ -53,6 +55,14 @@ def test_cell_evaluation_geometry():
     ev = evaluate_cell(cell, np.array([0.2]), np.array([0.1]))
     assert np.abs(ev["x"][0] - [1 + 2 * 0.2, 0.1]).max() < 1e-13
     assert np.abs(ev["jac"][0] - np.diag([2.0, 1.0])).max() < 1e-12
+
+
+def test_nan_jacobian_raises():
+    cell = single_patch_mesh(rect_patch(2, 2, 2)).cells[0]
+    bad = dataclasses.replace(cell, geo_pts=np.where(np.arange(9)[:, None] == 4, np.nan,
+                                                     cell.geo_pts))
+    with pytest.raises(NumericalError, match="Jacobian"):
+        evaluate_cell(bad, np.array([0.2]), np.array([0.3]))
 
 
 # ----------------------------------------------------------------- Poisson

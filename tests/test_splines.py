@@ -396,6 +396,24 @@ def test_patch_invariants():
         Patch2D((kv, kv), pts, w)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_patch_rejects_non_finite_control_points(bad):
+    kv = uniform_open_knots(2, 2)
+    pts = np.zeros((4, 4, 2))
+    pts[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Patch2D((kv, kv), pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_patch_rejects_non_finite_weights(bad):
+    kv = uniform_open_knots(2, 2)
+    w = np.ones((4, 4))
+    w[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Patch2D((kv, kv), np.zeros((4, 4, 2)), w)
+
+
 def test_greville_linear_reproduction():
     kv = uniform_open_knots(3, 4)
     g = greville_abscissae(kv)
