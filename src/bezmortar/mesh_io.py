@@ -150,15 +150,12 @@ def mesh_document(model: MultiPatchModel, weak: bool = False,
         doc["meta"] = meta
     if weak:
         mesh = model.weak_mesh()
-        doc["weak_cells"] = [
-            {
-                "patch": c.patch,
-                "rect": [list(map(float, c.rect[0])), list(map(float, c.rect[1]))],
-                "rows": [int(r) for r in c.rows],
-                "matrix": np.asarray(c.ophom, dtype=float).tolist(),
-            }
-            for c in mesh.cells
-        ]
+        cells = [None] * len(mesh)
+        for g in mesh.groups:
+            for k, patch, rect, rows, matrix in zip(*(getattr(g, f).tolist() for f in (
+                    "index", "patch", "rect", "rows", "ophom"))):
+                cells[k] = {"patch": patch, "rect": rect, "rows": rows, "matrix": matrix}
+        doc["weak_cells"] = cells
         doc["weak_dofs"] = mesh.ndof
     return doc
 

@@ -21,7 +21,7 @@ blocks are sparse products of these with the coupling matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,10 +94,9 @@ _STACKED = ("index", "patch", "rect", "rows", "ophom", "geo_pts", "geo_ophom")
 class ExtractedMesh:
     """Element stream plus dof count; the input to Galerkin assembly.
 
-    The stream is held as shape groups: ``pieces`` (each in stream order)
-    that share degrees and operator shapes are merged into one
-    :class:`CellGroup`, ordered by position, and the groups are ordered by
-    their first position.  ``_cache`` holds data derived from the groups on
+    The stream is held as shape groups: ``pieces`` that share degrees and
+    operator shapes are merged into one :class:`CellGroup`, ordered by
+    position, and the groups are ordered by their first position.  ``_cache`` holds data derived from the groups on
     first use (the cell views, the point locator, the neo-Hookean kernel's
     geometry and sparsity), so the groups are read-only.
     """
@@ -113,13 +112,14 @@ class ExtractedMesh:
                 by_shape.setdefault(key, []).append(p)
         self.groups: list[CellGroup] = []
         for ps in by_shape.values():
-            if len(ps) > 1:
-                order = np.argsort(np.concatenate([p.index for p in ps]), kind="stable")
-                ps = [CellGroup(*(np.concatenate([getattr(p, f) for p in ps])[order]
-                                  for f in _STACKED), ps[0].degrees)]
+            ps.sort(key=lambda p: p.index[0])
+            g = ps[0] if len(ps) == 1 else CellGroup(
+                *(np.concatenate([getattr(p, f) for p in ps]) for f in _STACKED), ps[0].degrees)
+            if np.any(np.diff(g.index) < 0):  # interleaved pieces
+                g = g.take(np.argsort(g.index))
             for f in _STACKED:
-                getattr(ps[0], f).setflags(write=False)
-            self.groups.append(ps[0])
+                getattr(g, f).setflags(write=False)
+            self.groups.append(g)
         self.groups.sort(key=lambda g: g.index[0])
 
     def __len__(self) -> int:
@@ -353,11 +353,7 @@ class MultiPatchModel:
 
     def mortar_mesh(self) -> ExtractedMesh:
         """Element stream in full numbering (trace dofs explicit)."""
-        pieces, count = [], 0
-        for pi in range(len(self.patches)):
-            patch_pieces, count = self._patch_cells(pi, count)
-            pieces += patch_pieces
-        return ExtractedMesh(self.patches, pieces, self.ndof_full)
+        return ExtractedMesh(self.patches, self._mortar_pieces(), self.ndof_full)
 
     def weak_mesh(self) -> ExtractedMesh:
         """Element stream with interface constraints compiled into operators.
@@ -365,67 +361,67 @@ class MultiPatchModel:
         Trace rows are contracted through the prolongation operator, which
         localizes the coupling matrix to each element; the result is a
         standard extracted mesh over the retained dofs only.  The trace cells
-        of one mortar group are contracted together: every entry of
+        of one interface are contracted together: every entry of
         ``P[rows]`` is keyed by its cell and retained dof, and one sparse
         aggregation of the stacked operators sums each key's rows.  The
         contracted cells are regrouped by their retained-row count.
         """
         pieces = []
-        for g in self.mortar_mesh().groups:
-            trace = g.rows.max(axis=1) >= self.n_retained
-            pieces.append(g.take(~trace))
-            ks = np.flatnonzero(trace)
-            if ks.size == 0:
+        for g in self._mortar_pieces():
+            if not np.any(g.rows >= self.n_retained):  # standard cells
+                pieces.append(g)
                 continue
-            sub = self.P[g.rows[ks].reshape(-1)]
+            sub = self.P[g.rows.reshape(-1)]
             nloc, nb = g.ophom.shape[1:]
             row = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
             keys, key = np.unique(row // nloc * self.n_retained + sub.indices,
                                   return_inverse=True)
             A = sp.csr_matrix((sub.data, (key, row)), shape=(keys.size, sub.shape[0]))
-            op = A @ g.ophom[ks].reshape(-1, nb)
+            op = A @ g.ophom.reshape(-1, nb)
             owner, cols = np.divmod(keys, self.n_retained)
             # drop rows whose coupling weight is pure quadrature noise
             rowmax = np.abs(op).max(axis=1)
-            cellmax = np.ones(ks.size)
+            cellmax = np.ones(len(g.index))
             np.maximum.at(cellmax, owner, rowmax)
             keep = np.flatnonzero(rowmax > 1e-13 * cellmax[owner])
             owner, cols, op = owner[keep], cols[keep], op[keep]
-            count = np.bincount(owner, minlength=ks.size)
+            count = np.bincount(owner, minlength=len(g.index))
             for n in np.unique(count).tolist():
                 at = count[owner] == n  # the rows of the cells with n rows, in order
-                pieces.append(g.take(ks[count == n], rows=cols[at].reshape(-1, n),
+                pieces.append(g.take(count == n, rows=cols[at].reshape(-1, n),
                                      ophom=op[at].reshape(-1, n, nb)))
         return ExtractedMesh(self.patches, pieces, self.n_retained)
 
-    def _patch_cells(self, pi: int, start: int) -> tuple[list[CellGroup], int]:
-        """Cells of patch ``pi`` in row-major element order, from position ``start``.
+    def _mortar_pieces(self) -> list[CellGroup]:
+        """The mortar stream: per patch, in row-major element order, one piece
+        of standard cells and one per slave interface.
 
         Every element gives one standard cell, except those along a slave
         interface, whose position takes that interface's trace cells.
-        Returns the pieces and the position after the patch.
         """
-        grid = _grid_cells(pi, self.patches[pi], self.grids[pi])
-        traces = [self._trace_cells(pi, ci) for ci, coup in enumerate(self.couplings)
-                  if coup.spec.slave[0] == pi]
-        hits = np.zeros(len(grid.index), dtype=int)
-        counts = np.ones(len(grid.index), dtype=int)  # cells per element
-        for t in traces:
-            elements, n = np.unique(t.index, return_counts=True)
-            hits[elements] += 1
-            counts[elements] = n
-        if hits.max() > 1:
-            raise ValueError("element adjacent to two slave interfaces; refine the patch")
-        standard = hits == 0
-        if np.any(grid.rows[standard] < 0):
-            raise RuntimeError("trace dof leaked into a standard element")
-        first = start + np.cumsum(counts) - counts
-        pieces = [grid.take(standard, index=first[standard])]
-        for t in traces:
-            # subcells of one element are consecutive, in interface order
-            rank = np.arange(len(t.index)) - np.searchsorted(t.index, t.index)
-            pieces.append(t.take(slice(None), index=first[t.index] + rank))
-        return pieces, start + int(counts.sum())
+        pieces, start = [], 0
+        for pi, patch in enumerate(self.patches):
+            traces = [self._trace_cells(pi, ci) for ci, coup in enumerate(self.couplings)
+                      if coup.spec.slave[0] == pi]
+            n = _element_tables(patch.kvs[0])[1].size * _element_tables(patch.kvs[1])[1].size
+            hits = np.zeros(n, dtype=int)
+            counts = np.ones(n, dtype=int)  # cells per element
+            for t in traces:
+                elements, k = np.unique(t.index, return_counts=True)
+                hits[elements] += 1
+                counts[elements] = k
+            if hits.max() > 1:
+                raise ValueError("element adjacent to two slave interfaces; refine the patch")
+            standard = _grid_cells(pi, patch, self.grids[pi], hits == 0)
+            if np.any(standard.rows < 0):
+                raise RuntimeError("trace dof leaked into a standard element")
+            first = start + np.cumsum(counts) - counts
+            for t in [standard] + traces:
+                # subcells of one element are consecutive, in interface order
+                rank = np.arange(len(t.index)) - np.searchsorted(t.index, t.index)
+                pieces.append(replace(t, index=first[t.index] + rank))
+            start += int(counts.sum())
+        return pieces
 
     def _trace_cells(self, pi: int, ci: int) -> CellGroup:
         """Cells along slave interface ``ci``, ``index`` holding their elements.
@@ -500,16 +496,16 @@ def _tensor_cells(patch: Patch2D, grid: np.ndarray, first1, C1, first2, C2):
             patch.points[i, j].reshape(-1, n, 2))
 
 
-def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray) -> CellGroup:
-    """Standard cells of every element of a patch, ``index`` the row-major
-    element order."""
+def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray, keep) -> CellGroup:
+    """Standard cells of the elements ``keep`` selects (a mask or slice over the
+    row-major element order) of a patch, ``index`` holding their elements."""
     (bp1, first1, C1), (bp2, first2, C2) = (_element_tables(kv) for kv in patch.kvs)
-    e1, e2 = np.divmod(np.arange(first1.size * first2.size), first2.size)
+    elements = np.arange(first1.size * first2.size)[keep]
+    e1, e2 = np.divmod(elements, first2.size)
     rows, geo, pts = _tensor_cells(patch, grid, first1[e1], C1[e1], first2[e2], C2[e2])
     rect = np.stack([np.column_stack([bp[:-1], bp[1:]])[e] for bp, e in ((bp1, e1), (bp2, e2))],
                     axis=1)
-    return CellGroup(np.arange(e1.size), np.full(e1.size, pi), rect, rows, geo, pts, geo,
-                     patch.degrees)
+    return CellGroup(elements, np.full(e1.size, pi), rect, rows, geo, pts, geo, patch.degrees)
 
 
 def _flat(patch: Patch2D) -> np.ndarray:
@@ -524,4 +520,5 @@ def _pruned(G: np.ndarray) -> sp.csr_matrix:
 
 def single_patch_mesh(patch: Patch2D) -> ExtractedMesh:
     """Standard extracted mesh of one uncoupled patch."""
-    return ExtractedMesh([patch], [_grid_cells(0, patch, _flat(patch))], patch.weights.size)
+    return ExtractedMesh([patch], [_grid_cells(0, patch, _flat(patch), slice(None))],
+                         patch.weights.size)
