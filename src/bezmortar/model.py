@@ -12,7 +12,8 @@ the same data:
 
 Both come from one tensor-product builder over a patch's stacked element
 extraction operators; along a slave interface the edge row group is swapped
-for the refined interface extraction.
+for the refined interface extraction.  A stream is held as stacked cell
+groups, one per cell shape.
 
 The layout rests on one sparse operator per interface: its master edge's
 functions as rows over the full dofs.  The prolongation P and the saddle
