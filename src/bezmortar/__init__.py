@@ -24,7 +24,6 @@ from .coupling import (
 )
 from .dualbasis import (
     DualBasis,
-    DualElement,
     bernstein_gramian,
     dual_extraction,
     physical_dual,
@@ -64,11 +63,6 @@ from .splines import (
     refinement_operator,
     uniform_open_knots,
 )
-from .weakmesh import (
-    interface_operator_report,
-    refined_weak_interface_operator,
-    tensor_weak_patch_operator,
-    weak_interface_operator,
-)
+from .weakmesh import interface_operator_report
 
 __version__ = "0.1.0"

@@ -40,13 +40,12 @@ from .fem import (
 from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
 from .model import MultiPatchModel
 from .splines import (
-    KnotVector,
     OutOfDomainError,
     Patch2D,
-    bspline_table,
     gauss_on,
     gauss_on_breaks,
     greville_abscissae,
+    rational_table,
     side_index,
     uniform_open_knots,
 )
@@ -588,13 +587,6 @@ def run_convergence(case: BenchmarkCase, levels: int | None = None,
 # interface jump
 
 
-def _edge_field_values(kv: KnotVector, weights, coeffs, xs: np.ndarray) -> np.ndarray:
-    cols, N = bspline_table(kv, xs)
-    R = N * weights[cols]
-    R /= R.sum(axis=1, keepdims=True)
-    return np.einsum("qj,qjc->qc", R, coeffs[cols])
-
-
 def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
                         ncomp: int = 1) -> float:
     """L2(arc-length) norm of the master-slave trace mismatch.
@@ -607,18 +599,13 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
     total = 0.0
     for ci, coup in enumerate(model.couplings):
         mp, ms = coup.spec.master
-        mcurve = model.patches[mp].boundary(ms)
-        m_ids = model.grids[mp][side_index(ms)]
-        m_coeffs = vals[m_ids]
-        s_ids = model.trace_ids[ci]
-        s_coeffs = vals[s_ids]
-        rkv = coup.refined.refined
-        w_r = coup.refined_edge_weights
-        scurve = coup.phi.slave
+        master, rkv = coup.phi.master, coup.refined.refined
         xs, ws = gauss_on_breaks(coup.refined.segments, rkv.degree + 2)
-        us = _edge_field_values(rkv, w_r, s_coeffs, xs)
-        um = _edge_field_values(mcurve.kv, mcurve.weights, m_coeffs, coup.phi(xs))
-        total += float(np.sum(ws * scurve.speed(xs) * np.sum((um - us) ** 2, axis=1)))
+        cs, Rs, _ = rational_table(rkv, coup.refined_edge_weights, xs)
+        cm, Rm, _ = rational_table(master.kv, master.weights, coup.phi(xs))
+        us = np.einsum("qj,qjc->qc", Rs, vals[model.trace_ids[ci]][cs])
+        um = np.einsum("qj,qjc->qc", Rm, vals[model.grids[mp][side_index(ms)]][cm])
+        total += float(np.sum(ws * coup.phi.slave.speed(xs) * np.sum((um - us) ** 2, axis=1)))
     return math.sqrt(total)
 
 

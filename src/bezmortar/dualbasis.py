@@ -1,10 +1,11 @@
 """Local dual bases built from element extraction and projection weights.
 
 A dual basis is a set of functions biorthogonal to the spline basis of an
-interface under the parametric (or, optionally, physical) L2 inner product.
-It is stored element-wise: each element carries a small dense operator that
-turns Bernstein values into dual-function values, mirroring the extraction
-architecture of :mod:`bezmortar.splines`.
+interface under the parametric L2 inner product; a pointwise scale makes it
+pair with the rational basis or under the arc-length measure instead.  It is
+stored like the extraction operators of :mod:`bezmortar.splines`: one small
+dense operator per element, all stacked, turning Bernstein values into
+dual-function values.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ from .splines import (
     BernsteinInterval,
     ElementExtraction,
     KnotVector,
-    bernstein_basis,
-    bezier_extraction,
-    bspline_table,
+    _bernstein_table,
+    _element_tables,
+    rational_table,
 )
 
 __all__ = [
     "bernstein_gramian",
     "reconstruction_operator",
     "projection_weights",
-    "DualElement",
     "DualBasis",
     "dual_extraction",
     "rational_dual",
@@ -56,10 +56,10 @@ def bernstein_gramian(interval: BernsteinInterval) -> np.ndarray:
 
 
 def reconstruction_operator(extraction: ElementExtraction | np.ndarray) -> np.ndarray:
-    """Inverse of an element extraction operator.
+    """Inverse of an element extraction operator, or of a stack of them.
 
     Expresses the element Bernstein basis in terms of the restricted spline
-    basis; raises if the operator is singular (which would indicate an
+    basis; raises if an operator is singular (which would indicate an
     invalid extraction).
     """
     C = extraction.matrix if isinstance(extraction, ElementExtraction) else np.asarray(extraction)
@@ -72,126 +72,72 @@ def reconstruction_operator(extraction: ElementExtraction | np.ndarray) -> np.nd
     return R
 
 
-def integrate_basis(kv: KnotVector) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-element and total integrals of every basis function.
+def projection_weights(kv: KnotVector) -> np.ndarray:
+    """Per-element projection weights w_i^e = int_e N_i / int N_I, shape (n_el, p+1).
 
     Exact: on an element of length h every Bernstein polynomial integrates
-    to h/(p+1), so the element integrals are C^e 1 h/(p+1).
+    to h/(p+1), so the element integrals are C^e 1 h/(p+1).  For each global
+    function the weights over its supporting elements sum to one, and all
+    weights are non-negative.
     """
-    p = kv.degree
-    per_element = []
-    total = np.zeros(kv.n)
-    for op in bezier_extraction(kv):
-        h = op.span[1] - op.span[0]
-        ints = op.matrix.sum(axis=1) * (h / (p + 1))
-        per_element.append(ints)
-        total[op.first : op.first + p + 1] += ints
-    return per_element, total
-
-
-def projection_weights(kv: KnotVector) -> list[np.ndarray]:
-    """Per-element projection weights w_i^e = int_e N_i / int N_I.
-
-    For each global function the weights over its supporting elements sum to
-    one, and all weights are non-negative.
-    """
-    per_element, total = integrate_basis(kv)
-    return [ints / total[op.first : op.first + kv.degree + 1]
-            for ints, op in zip(per_element, bezier_extraction(kv))]
-
-
-@dataclass(frozen=True)
-class DualElement:
-    """Element-local dual operator.
-
-    ``matrix`` D turns Bernstein values on the element into the p+1 dual
-    function values; ``weights`` are the projection weights that went into
-    its construction, and ``first`` indexes the global dual functions.
-    """
-
-    element: int
-    span: tuple[float, float]
-    first: int
-    matrix: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def interval(self) -> BernsteinInterval:
-        return BernsteinInterval(self.span[0], self.span[1], self.matrix.shape[0] - 1)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return np.arange(self.first, self.first + self.matrix.shape[0])
+    bp, first, C = _element_tables(kv)
+    ints = C.sum(axis=2) * (np.diff(bp) / (kv.degree + 1))[:, None]
+    index = first[:, None] + np.arange(kv.degree + 1)
+    total = np.bincount(index.reshape(-1), ints.reshape(-1), minlength=kv.n)
+    return ints / total[index]
 
 
 @dataclass(frozen=True)
 class DualBasis:
-    """Dual basis of an interface spline space, stored element-wise.
+    """Dual basis of an interface spline space, as stacked element operators.
 
-    The assembled functions satisfy int dual_I N_J = delta_IJ with respect
-    to ``measure``:
-
-    * ``"parametric"`` - plain parametric inner product,
-    * ``"rational"`` - duals scaled by the interface weight function W so
-      they pair with the rational basis N_J / W (``weight_fn`` maps an
-      array of points to W at each),
-    * ``"physical"`` - duals scaled by 1/|J| so they pair with N_J under the
-      physical arc-length measure.
+    ``matrices[e]`` (p+1, p+1) turns the Bernstein values on element e into
+    the values of the duals of its p+1 active spline functions, and
+    ``weights[e]`` are the projection weights that went into it.  The
+    assembled functions satisfy int dual_I N_J = delta_IJ.  ``scale``, when
+    set, maps an array of points to a factor applied to the values there:
+    the weight function W (:func:`rational_dual`) or 1/|J|
+    (:func:`physical_dual`).
     """
 
     space: KnotVector
-    elements: tuple[DualElement, ...]
-    measure: str = "parametric"
-    weight_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    jacobian_fn: Callable[[float], float] | None = None
+    matrices: np.ndarray
+    weights: np.ndarray
+    scale: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    def element_containing(self, xi: float) -> DualElement:
-        return self.elements[self.space.element_index(xi)]
+    def evaluate(self, xi) -> tuple[np.ndarray, np.ndarray]:
+        """Dual function values at the points of a 1-D array, in any elements.
 
-    def evaluate(self, xi) -> tuple[int, np.ndarray]:
-        """Dual function values at points ``xi`` inside one element.
-
-        Returns (first, values) where values has shape (m, p+1) for array
-        input.  All points must lie in the same element.
+        Returns ``index`` and ``values``, both of shape (m, p+1), as
+        :func:`~bezmortar.splines.bspline_table` does.
         """
-        pts = np.atleast_1d(np.asarray(xi, dtype=float))
-        el = self.element_containing(float(pts[0]))
-        B = bernstein_basis(el.interval, pts)
-        vals = B @ el.matrix.T
-        vals = self._scale(pts, vals)
-        return el.first, (vals[0] if np.isscalar(xi) else vals)
-
-    def _scale(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        if self.measure == "rational":
-            w = self.weight_fn(pts)
-            vals = vals * w[:, None]
-        elif self.measure == "physical":
-            j = np.array([self.jacobian_fn(x) for x in pts])
-            if np.any(j <= 0):
-                raise ValueError("degenerate interface Jacobian")
-            vals = vals / j[:, None]
-        return vals
+        x = np.asarray(xi, dtype=float)
+        e, B = _bernstein_table(self.space, x, 0)
+        vals = np.einsum("qb,qjb->qj", B[0], self.matrices[e])
+        if self.scale is not None:
+            vals *= self.scale(x)[:, None]
+        first = _element_tables(self.space)[1]
+        return first[e][:, None] + np.arange(self.space.degree + 1), vals
 
 
 def dual_extraction(kv: KnotVector) -> DualBasis:
     """Build the biorthogonal dual basis of an interface spline space.
 
-    Each element operator is diag(w^e) (C^e)^-T inv(Gram_B); assembling the
-    element contributions makes int dual_I N_J = delta_IJ over the whole
-    interface.
+    All element operators at once: diag(w^e) (C^e)^-T inv(Gram) / h_e, with
+    Gram the Bernstein Gramian of the unit interval and h_e the element
+    length; assembling the element contributions makes
+    int dual_I N_J = delta_IJ over the whole interface.
     """
-    weights = projection_weights(kv)
-    elements = []
-    for op, w in zip(bezier_extraction(kv), weights):
-        R = reconstruction_operator(op)
-        G = bernstein_gramian(op.interval)
-        D = np.diag(w) @ R.T @ np.linalg.inv(G)
-        elements.append(DualElement(op.element, op.span, op.first, D, w))
-    return DualBasis(kv, tuple(elements))
+    bp, _, C = _element_tables(kv)
+    gram = bernstein_gramian(BernsteinInterval(0.0, 1.0, kv.degree))
+    w = projection_weights(kv)
+    RT = np.swapaxes(reconstruction_operator(C), 1, 2)
+    D = w[:, :, None] * (RT @ np.linalg.inv(gram)) / np.diff(bp)[:, None, None]
+    return DualBasis(kv, D, w)
 
 
 def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:
@@ -201,23 +147,24 @@ def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:
     duals pair biorthogonally with the rational functions N_J / W.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape[0] != dual.space.n:
+    if w.shape[0] != dual.n:
         raise ValueError("weight count does not match interface basis")
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
-    kv = dual.space
-
-    def weight_fn(xi: np.ndarray) -> np.ndarray:
-        index, vals = bspline_table(kv, xi)
-        return np.einsum("qj,qj->q", vals, w[index])
-
-    return replace(dual, measure="rational", weight_fn=weight_fn)
+    return replace(dual, scale=lambda xi: rational_table(dual.space, w, xi)[2])
 
 
-def physical_dual(dual: DualBasis, speed_fn: Callable[[float], float]) -> DualBasis:
+def physical_dual(dual: DualBasis, speed_fn: Callable[[np.ndarray], np.ndarray]) -> DualBasis:
     """Rescale a dual basis for biorthogonality under the arc-length measure.
 
-    ``speed_fn`` must return the positive arc-length rate |dx/dxi| of the
-    interface geometry map.
+    ``speed_fn`` maps an array of points to the positive arc-length rate
+    |dx/dxi| of the interface geometry map there (a scalar is broadcast).
     """
-    return replace(dual, measure="physical", jacobian_fn=speed_fn)
+
+    def scale(xi: np.ndarray) -> np.ndarray:
+        j = np.broadcast_to(np.asarray(speed_fn(xi), dtype=float), xi.shape)
+        if not np.all(j > 0):
+            raise ValueError("degenerate interface Jacobian")
+        return 1.0 / j
+
+    return replace(dual, scale=scale)

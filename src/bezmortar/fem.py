@@ -23,9 +23,9 @@ from .splines import (
     SIDES,
     BernsteinInterval,
     bernstein_derivatives,
-    bspline_table,
     gauss_on,
     gauss_on_breaks,
+    rational_table,
     side_index,
 )
 
@@ -387,9 +387,7 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     kv = curve.kv
     n = kv.n
     xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
-    cols, N = bspline_table(kv, xs)
-    R = N * curve.weights[cols]
-    R /= R.sum(axis=1, keepdims=True)
+    cols, R, _ = rational_table(kv, curve.weights, xs)
     d = curve.derivatives(xs, 1)
     c = ws * np.linalg.norm(d[1], axis=1)
     lo, hi = kv.domain
@@ -479,7 +477,7 @@ def deformation_gradients(mesh: ExtractedMesh, state: np.ndarray) -> list:
         u = d[dofs].reshape(len(dofs), -1, 2)
         F = np.swapaxes(u, 1, 2)[:, None] @ G + np.eye(2)
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-        if np.any(J <= 0):
+        if not np.all(J > 0):
             raise NumericalError("element inversion (J <= 0)")
         out.append((F, J))
     return out

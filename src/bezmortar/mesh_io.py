@@ -197,6 +197,14 @@ def load_mesh(text: str) -> dict:
 
 def validate_mesh_document(doc) -> None:
     """Schema check; raises MeshFormatError with a specific code."""
+    _validate_model_fields(doc)
+    if "weak_cells" in doc or "weak_dofs" in doc:
+        _validate_weak_cells(doc.get("weak_cells"), doc.get("weak_dofs"), len(doc["patches"]))
+
+
+def _validate_model_fields(doc) -> None:
+    """Schema check of the fields a model is built from: patches, interfaces
+    and ``dual_refine``."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise MeshFormatError("bad-format", "not a mesh document")
     patches = doc.get("patches")
@@ -253,8 +261,11 @@ def validate_mesh_document(doc) -> None:
                 raise MeshFormatError("bad-interface", f"patch index {index!r} is not an integer")
         if not (0 <= mp < len(patches) and 0 <= spatch < len(patches)):
             raise MeshFormatError("bad-interface", "patch index out of range")
-    if "weak_cells" in doc or "weak_dofs" in doc:
-        _validate_weak_cells(doc.get("weak_cells"), doc.get("weak_dofs"), len(patches))
+        if not isinstance(s.get("reversed", False), bool):
+            raise MeshFormatError("bad-interface", f"reversed {s['reversed']!r} is not a bool")
+    level = doc.get("dual_refine", 0)
+    if not (_is_int(level) and level >= 0):
+        raise MeshFormatError("bad-dual-refine", f"dual_refine {level!r} is not a count")
 
 
 def _is_int(v) -> bool:
@@ -310,7 +321,8 @@ def _numbers(values) -> np.ndarray:
 
 
 def model_from_document(doc: dict) -> MultiPatchModel:
-    validate_mesh_document(doc)
+    """The model a document describes; only the fields it reads are checked."""
+    _validate_model_fields(doc)
     patches = []
     for p in doc["patches"]:
         p1, p2 = (int(d) for d in p["degrees"])
@@ -323,11 +335,11 @@ def model_from_document(doc: dict) -> MultiPatchModel:
         InterfaceSpec(
             (int(s["master"][0]), s["master"][1]),
             (int(s["slave"][0]), s["slave"][1]),
-            bool(s.get("reversed", False)),
+            s.get("reversed", False),
         )
         for s in doc.get("interfaces", [])
     ]
-    return MultiPatchModel(patches, specs, int(doc.get("dual_refine", 0)))
+    return MultiPatchModel(patches, specs, doc.get("dual_refine", 0))
 
 
 def convergence_csv(report) -> str:

@@ -31,6 +31,7 @@ from .coupling import (
     InterfaceCoupling,
     InterfaceSpec,
     build_interface_coupling,
+    is_noise,
 )
 from .splines import (
     SIDES,
@@ -271,7 +272,7 @@ class MultiPatchModel:
         for ci, coup in enumerate(self.couplings):
             if coup.spec.slave[0] == pi:
                 T = coup.refined.refine_op
-                r, k = np.nonzero(np.abs(T) > 1e-15)
+                r, k = np.nonzero(T)
                 rows.append(flat[side_index(coup.spec.slave[1])][k])
                 cols.append(self.trace_ids[ci][r])
                 vals.append(T[r, k])
@@ -298,7 +299,7 @@ class MultiPatchModel:
                 raise ValueError("cyclic interface dependency; cannot condense")
             P = sp.vstack([ident] + blocks, format="csr")
             for ci in ready:
-                G = _pruned(self.couplings[ci].coupling.std)
+                G = sp.csr_matrix(self.couplings[ci].coupling.std)
                 blocks[ci] = G @ self._master_edges[ci] @ P
             done.update(ready)
         P = sp.vstack([ident] + blocks, format="csr")
@@ -322,7 +323,8 @@ class MultiPatchModel:
                 raise ValueError("saddle assembly requires unreplaced master edges")
         Bm = sp.vstack(
             [sp.csr_matrix((0, self.ndof_full))]
-            + [_pruned(c.coupling.std) @ E for c, E in zip(self.couplings, self._master_edges)],
+            + [sp.csr_matrix(c.coupling.std) @ E
+               for c, E in zip(self.couplings, self._master_edges)],
             format="csr",
         )
         trace = np.arange(self.n_retained, self.ndof_full)
@@ -380,11 +382,11 @@ class MultiPatchModel:
             A = sp.csr_matrix((sub.data, (key, row)), shape=(keys.size, sub.shape[0]))
             op = A @ g.ophom.reshape(-1, nb)
             owner, cols = np.divmod(keys, self.n_retained)
-            # drop rows whose coupling weight is pure quadrature noise
+            # drop the rows that are noise next to their cell's largest row
             rowmax = np.abs(op).max(axis=1)
-            cellmax = np.ones(len(g.index))
+            cellmax = np.zeros(len(g.index))
             np.maximum.at(cellmax, owner, rowmax)
-            keep = np.flatnonzero(rowmax > 1e-13 * cellmax[owner])
+            keep = np.flatnonzero(~is_noise(rowmax, cellmax[owner]))
             owner, cols, op = owner[keep], cols[keep], op[keep]
             count = np.bincount(owner, minlength=len(g.index))
             for n in np.unique(count).tolist():
@@ -512,11 +514,6 @@ def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray, keep) -> CellGroup:
 def _flat(patch: Patch2D) -> np.ndarray:
     """Row-major index of every tensor function of a patch, shaped like its net."""
     return np.arange(patch.shape[0] * patch.shape[1]).reshape(patch.shape)
-
-
-def _pruned(G: np.ndarray) -> sp.csr_matrix:
-    """Sparse coupling matrix without its quadrature-noise entries."""
-    return sp.csr_matrix(np.where(np.abs(G) < 1e-15, 0.0, G))
 
 
 def single_patch_mesh(patch: Patch2D) -> ExtractedMesh:

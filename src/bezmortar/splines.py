@@ -25,6 +25,7 @@ __all__ = [
     "bspline_basis",
     "bspline_derivatives",
     "bspline_table",
+    "rational_table",
     "knot_insert",
     "refinement_operator",
     "bezier_extraction",
@@ -269,23 +270,6 @@ class KnotVector:
     def multiplicity(self, xi: float, tol: float = KNOT_TOL) -> int:
         return int(np.sum(np.abs(self.values - xi) <= tol))
 
-    def with_knot(self, xi: float) -> "KnotVector":
-        """Knot vector with one additional knot at ``xi``."""
-        k = self.find_span(xi)
-        vals = np.insert(self.values, k + 1, xi)
-        return KnotVector(vals, self.degree)
-
-    def refined_with(self, new_knots) -> "KnotVector":
-        kv = self
-        for xi in sorted(np.atleast_1d(new_knots)):
-            kv = kv.with_knot(float(xi))
-        return kv
-
-    def bisected(self) -> "KnotVector":
-        """Insert the midpoint of every non-empty span."""
-        mids = [0.5 * (a + b) for a, b in self.spans()]
-        return self.refined_with(mids)
-
 
 def uniform_open_knots(p: int, n_elems: int, lo: float = 0.0, hi: float = 1.0) -> KnotVector:
     """Maximally smooth open knot vector with ``n_elems`` uniform elements."""
@@ -506,6 +490,19 @@ def bspline_table(kv: KnotVector, xi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return first[e][:, None] + np.arange(kv.degree + 1), np.einsum("qb,qjb->qj", D[0], C[e])
 
 
+def rational_table(kv: KnotVector, weights: np.ndarray,
+                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Non-vanishing rational functions N_j w_j / W at the points of a 1-D array.
+
+    Returns ``index`` and ``values`` as :func:`bspline_table` does, with the
+    functions divided by the weight function W, and W itself, shape (m,).
+    """
+    index, N = bspline_table(kv, xi)
+    R = N * weights[index]
+    W = R.sum(axis=1)
+    return index, R / W[:, None], W
+
+
 def _element_tables(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breakpoints, first functions and stacked operators of the elements of ``kv``."""
     tables = kv.__dict__.get("_element_tables")
@@ -549,7 +546,7 @@ class BoundaryCurve:
         self.weights = np.asarray(weights, dtype=float)
         if self.points.shape[0] != kv.n or self.weights.shape[0] != kv.n:
             raise ValueError("control data does not match basis size")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise ValueError("weights must be strictly positive")
         hom = np.column_stack([self.points * self.weights[:, None], self.weights])
         _, first, C = _element_tables(kv)

@@ -1,12 +1,12 @@
-"""Reference formulas of the weakly continuous element extraction operators.
+"""Named operators of one weakly continuous interface cell.
 
 Interface continuity can be compiled into the element extraction operators of
 the slave patch: each interface-adjacent element's trace rows are replaced by
 master-function rows obtained by contracting the localized coupling matrix.
-The compiled mesh itself comes from :meth:`MultiPatchModel.weak_mesh`, which
-contracts through the prolongation operator; the functions here spell the
-same operators out factor by factor for one element, so that
-:func:`interface_operator_report` can pin them to exact values.
+:meth:`MultiPatchModel.weak_mesh` emits these cells;
+:func:`interface_operator_report` reads one of them back in the factored form
+of the paper (parent Bernstein coordinates, transverse-major rows) next to
+the coupling and extraction operators it was built from.
 """
 
 from __future__ import annotations
@@ -19,58 +19,10 @@ from .splines import (
     BernsteinInterval,
     bernstein_transform,
     bezier_extraction,
+    side_index,
 )
 
-__all__ = [
-    "weak_interface_operator",
-    "refined_weak_interface_operator",
-    "tensor_weak_patch_operator",
-    "interface_operator_report",
-]
-
-
-def weak_interface_operator(G_local: np.ndarray, extraction: np.ndarray) -> np.ndarray:
-    """Element operator expressing master functions in slave Bernstein form.
-
-    ``G_local`` is the coupling matrix restricted to the interface functions
-    active on the element (rows) and the master functions active on its image
-    (columns); ``extraction`` is the slave element extraction operator.  The
-    result maps element Bernstein values to master basis values, so a
-    conforming interface (identity coupling block) returns the extraction
-    operator unchanged.
-    """
-    return np.asarray(G_local).T @ np.asarray(extraction)
-
-
-def refined_weak_interface_operator(G_local: np.ndarray, refined_extraction: np.ndarray,
-                                    transform: np.ndarray) -> np.ndarray:
-    """Weak operator of a refined subelement in parent Bernstein coordinates.
-
-    ``transform`` is the Bernstein transformation matrix from the parent
-    element interval to the subelement interval; with no refinement it is the
-    identity and the plain interface operator is recovered.
-    """
-    M = np.asarray(transform)
-    return np.asarray(G_local).T @ np.asarray(refined_extraction) @ np.linalg.inv(M).T
-
-
-def tensor_weak_patch_operator(transverse: np.ndarray, trace_row: int,
-                               standard_1d: np.ndarray, weak_1d: np.ndarray) -> np.ndarray:
-    """Two-dimensional weak element operator from its 1D factors.
-
-    The transverse operator is split into interior rows and the single row
-    supported on the interface; only the interface row group is modified:
-
-        [ interior_rows x standard_1d ]
-        [ trace_row     x weak_1d     ]
-
-    Columns follow transverse-major tensor ordering.
-    """
-    tr = np.asarray(transverse)
-    interior = np.delete(np.arange(tr.shape[0]), trace_row)
-    top = np.kron(tr[interior], np.asarray(standard_1d))
-    bottom = np.kron(tr[[trace_row]], np.asarray(weak_1d))
-    return np.vstack([top, bottom])
+__all__ = ["interface_operator_report"]
 
 
 def interface_operator_report(model: MultiPatchModel, interface: int = 0,
@@ -80,17 +32,21 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
 
     Collects, for one slave element crossed by a refined-interface knot, the
     coupling matrix, its localized block, the refined and parent extraction
-    operators in both directions, the Bernstein transformation matrix and the
-    assembled 1D and tensor weak operators.  Used by the demo pipeline and
-    the regression tests that pin these matrices to exact rationals.
+    operators in both directions and the Bernstein transformation matrix.
+    The tensor weak operator is the cell ``weak_mesh()`` emits there, pulled
+    back to parent Bernstein coordinates along the interface, with rows in
+    transverse-major order (the slave functions by transverse, then
+    interface index, then the master functions along the master edge) and
+    columns transverse-major; ``weak_1d`` is its master rows on the edge's
+    transverse Bernstein column group.  Used by the demo pipeline and the
+    regression tests that pin these matrices to exact rationals.
     """
     coup = model.couplings[interface]
     pi, side = coup.spec.slave
+    mp, ms = coup.spec.master
     patch = model.patches[pi]
     axis_f, at_end = SIDES[side]
-    axis_i = 1 - axis_f
-    kv_i = patch.kvs[axis_i]
-    kv_f = patch.kvs[axis_f]
+    kv_i, kv_f = patch.kvs[1 - axis_f], patch.kvs[axis_f]
     p_i = kv_i.degree
     refined = coup.refined.refined
     # pick the slave element that was actually subdivided (fall back to the
@@ -101,36 +57,37 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
              if len(coup.refined.cells_in(s)) > 1),
             0,
         )
-    ops_i = bezier_extraction(kv_i)
-    parent = ops_i[element]
-    cells = coup.refined.cells_in(parent.span) or [parent.span]
-    cell = cells[subcell]
-    r_op = bezier_extraction(refined)[refined.element_index(0.5 * (cell[0] + cell[1]))]
-    M = bernstein_transform(
-        BernsteinInterval(parent.span[0], parent.span[1], p_i),
-        BernsteinInterval(cell[0], cell[1], p_i),
-    )
+    parent = bezier_extraction(kv_i)[element]
+    a, b = (coup.refined.cells_in(parent.span) or [parent.span])[subcell]
+    r_op = bezier_extraction(refined)[refined.element_index(0.5 * (a + b))]
+    M = bernstein_transform(parent.interval, BernsteinInterval(a, b, p_i))
     mkv = coup.phi.master.kv
-    eta = coup.phi(0.5 * (cell[0] + cell[1]))
-    m_first = mkv.find_span(eta) - mkv.degree
+    m_first = mkv.find_span(coup.phi(0.5 * (a + b))) - mkv.degree
     G = coup.coupling.values
-    G_local = G[
-        r_op.first : r_op.first + p_i + 1, m_first : m_first + mkv.degree + 1
-    ]
-    weak_1d = refined_weak_interface_operator(G_local, r_op.matrix, M)
+    G_local = G[r_op.first : r_op.first + p_i + 1, m_first : m_first + mkv.degree + 1]
     # transverse factor: the element layer adjacent to the interface
-    ops_f = bezier_extraction(kv_f)
-    op_f = ops_f[-1] if at_end else ops_f[0]
-    trace_row = kv_f.degree if at_end else 0
-    tensor = tensor_weak_patch_operator(
-        op_f.matrix, trace_row, parent.matrix, weak_1d
-    )
+    op_f = bezier_extraction(kv_f)[-1 if at_end else 0]
+    xi = [0.0, 0.0]
+    xi[axis_f], xi[1 - axis_f] = 0.5 * sum(op_f.span), 0.5 * (a + b)
+    cell = model.weak_mesh().locate(pi, *xi)
+    grid = model.grids[pi]
+    order = np.concatenate([(grid.T if axis_f else grid).reshape(-1),
+                            model.grids[mp][side_index(ms)]])
+    rank = {dof: k for k, dof in enumerate(order.tolist()) if dof >= 0}
+    rows = np.argsort([rank[dof] for dof in cell.rows.tolist()], kind="stable")
+    op = cell.ophom[rows].reshape(len(rows), patch.degrees[0] + 1, patch.degrees[1] + 1)
+    if axis_f:
+        op = op.transpose(0, 2, 1)
+    op = op @ np.linalg.inv(M).T
+    tensor = op.reshape(len(rows), -1)
+    edge = kv_f.degree if at_end else 0
+    n_int = kv_f.degree * (p_i + 1)
     return {
         "coupling": G,
         "coupling_local": G_local,
         "refined_extraction": r_op.matrix,
         "transform": M,
-        "weak_1d": weak_1d,
+        "weak_1d": op[n_int:, edge],
         "parent_extraction": parent.matrix,
         "transverse_extraction": op_f.matrix,
         "tensor_operator": tensor,

@@ -286,6 +286,14 @@ def test_inverting_one_element_raises_from_assembly_and_guard():
         assemble_neo_hookean(mesh, mat, state)
 
 
+def test_guard_rejects_nan_state():
+    mesh = largedef_model(0, weak=True).weak_mesh()
+    state = np.zeros(mesh.ndof * 2)
+    state[3] = np.nan
+    with pytest.raises(NumericalError, match="inversion"):
+        deformation_gradients(mesh, state)
+
+
 def _scan(mesh, patch, xi1, xi2):
     for c in mesh.cells:
         (a1, b1), (a2, b2) = c.rect

@@ -44,7 +44,6 @@ def test_square_level0_element_counts():
 def test_square_matched_phi_affine():
     model = gen_square_two_patch((2, 3), True, 2, 0)
     assert model.couplings[0].phi.is_affine()
-    assert model.couplings[0].coupling.matched
 
 
 def test_square_mismatched_geometry_coincident():

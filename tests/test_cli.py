@@ -134,9 +134,15 @@ def test_non_string_side_is_a_schema_error():
         (lambda d: d["patches"][0]["weights"].__setitem__(0, "1.0"), "bad-format"),
         (lambda d: d["patches"][0]["control_points"].__setitem__(0, [0.0]), "bad-format"),
         (lambda d: d["interfaces"][0]["master"].__setitem__(0, 0.5), "bad-interface"),
+        (lambda d: d.update(dual_refine=1.7), "bad-dual-refine"),
+        (lambda d: d.update(dual_refine=True), "bad-dual-refine"),
+        (lambda d: d.update(dual_refine="x"), "bad-dual-refine"),
+        (lambda d: d.update(dual_refine=-1), "bad-dual-refine"),
+        (lambda d: d["interfaces"][0].update(reversed="false"), "bad-interface"),
     ],
     ids=["nan-point", "inf-weight", "one-knot-vector", "string-weight", "ragged-point",
-         "fractional-patch-index"],
+         "fractional-patch-index", "fractional-dual-refine", "bool-dual-refine",
+         "string-dual-refine", "negative-dual-refine", "string-reversed"],
 )
 def test_loader_rejects_malformed_input_with_a_code(mutate, code):
     doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
@@ -144,6 +150,15 @@ def test_loader_rejects_malformed_input_with_a_code(mutate, code):
     with pytest.raises(MeshFormatError) as err:
         model_from_document(doc)
     assert err.value.code == code
+
+
+def test_model_reads_no_weak_cells():
+    # the loader checks every field; the model builder only those it reads
+    doc = _weak_document()
+    doc["weak_cells"] = "junk"
+    with pytest.raises(MeshFormatError):
+        validate_mesh_document(doc)
+    assert model_from_document(doc).n_retained == gen_demo_two_patch(0).n_retained
 
 
 def _weak_document():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from bezmortar import (
@@ -11,16 +11,22 @@ from bezmortar import (
     assemble_poisson,
     assemble_saddle,
     apply_dirichlet,
+    build_interface_coupling,
     build_phi,
     condense,
+    dual_extraction,
     linear_solve,
     project_master_knots,
+    rational_dual,
     refine_dual_space,
     refinement_operator,
 )
 from bezmortar.benchmarks import (
     BenchmarkCase,
     build_case,
+    gen_annulus_two_patch,
+    gen_demo_two_patch,
+    gen_plate_hole,
     gen_square_two_patch,
     manufactured_fields,
     rect_patch,
@@ -29,7 +35,10 @@ from bezmortar.fem import SolutionField, assemble_neumann, dirichlet_rows, l2_er
 from bezmortar.splines import (
     BoundaryCurve,
     KnotVector,
+    Patch2D,
     bspline_derivatives,
+    bspline_table,
+    gauss_on_breaks,
     greville_abscissae,
     uniform_open_knots,
 )
@@ -161,6 +170,107 @@ def test_batched_phi_equals_scalar_newton(reverse, slave_data, master_data):
             if w is not None:
                 got = fn(float(x))
                 assert isinstance(got, float) and abs(got - w) <= 1e-13
+
+
+# ------------------------------------------------------ generated invariants
+
+
+@st.composite
+def open_knots(draw, degrees=(1, 4)):
+    """A random open knot vector with simple interior knots at least 0.02 apart."""
+    p = draw(st.integers(*degrees))
+    interior = sorted(draw(st.lists(st.floats(0.02, 0.98), max_size=5)))
+    if np.any(np.diff(np.concatenate([[0.0], interior, [1.0]])) < 0.02):
+        interior = []
+    return KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)
+
+
+def positive_weights(draw, n):
+    return np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+
+
+@given(st.data())
+def test_generated_stacked_dual_is_biorthogonal(data):
+    kv = data.draw(open_knots())
+    w = positive_weights(data.draw, kv.n)
+    dual = rational_dual(dual_extraction(kv), w)
+    # one call over the Gauss points of every element
+    x, wq = gauss_on_breaks(kv.breakpoints(), kv.degree + 3)
+    rows, dv = dual.evaluate(x)
+    cols, N = bspline_table(kv, x)
+    N /= np.einsum("qj,qj->q", N, w[cols])[:, None]
+    G = np.zeros((kv.n, kv.n))
+    np.add.at(G, (rows[:, :, None], cols[:, None, :]),
+              wq[:, None, None] * dv[:, :, None] * N[:, None, :])
+    assert np.abs(G - np.eye(kv.n)).max() <= 1e-11
+
+
+@st.composite
+def straight_edge(draw):
+    """A rational B-spline on random open knots tracing the segment from
+    (0, 0) to (0.6, 0.8), with random weights and control points at the
+    Greville abscissae."""
+    kv = draw(open_knots(degrees=(2, 4)))
+    w = positive_weights(draw, kv.n)
+    return BoundaryCurve(kv, greville_abscissae(kv)[:, None] * np.array([0.6, 0.8]), w)
+
+
+@given(straight_edge(), straight_edge(), st.booleans(), st.integers(0, 2))
+def test_generated_coupling_rows_sum_to_one(slave, master, reverse, level):
+    if reverse:
+        master = BoundaryCurve(master.kv, master.points[::-1], master.weights[::-1])
+    spec = InterfaceSpec(master=(1, "west"), slave=(0, "east"), reversed=reverse)
+    try:
+        coup = build_interface_coupling(spec, slave, master, level)
+    except InterfaceGeometryError:
+        # the phi Newton projection does not converge on some of these edges
+        # (an open fault, ROADMAP item 4); the batched and scalar
+        # projections fail alike (test_batched_phi_equals_scalar_newton)
+        reject()
+    # the same bound as the hand-picked row-sum tests: at p=4 on refined
+    # elements a few thousandths long the duals reach 1e5 and rows sum to 1
+    # within about 2e-11
+    assert coup.coupling.row_sum_error() < 1e-10
+
+
+def _tangentially_perturbed(model, seed):
+    """The model with every control point moved along its straight interface
+    by up to 1e-14."""
+    rng = np.random.default_rng(seed)
+    curve = model.couplings[0].phi.slave
+    t = curve.point(curve.domain[1]) - curve.point(curve.domain[0])
+    t /= np.linalg.norm(t)
+    patches = [Patch2D(p.kvs, p.points + 1e-14 * rng.uniform(-1, 1, p.weights.shape + (1,)) * t,
+                       p.weights) for p in model.patches]
+    return MultiPatchModel(patches, model.interfaces, model.dual_refine)
+
+
+@pytest.mark.parametrize(
+    "model_fn",
+    [
+        lambda: gen_demo_two_patch(1),
+        lambda: gen_annulus_two_patch((2, 3), 2, 1, dual_refine=1),
+        lambda: gen_annulus_two_patch((2, 3), 2, 0, dual_refine=0),
+        lambda: gen_square_two_patch((2, 3), False, 2, 2, dual_refine=1),
+        lambda: gen_square_two_patch((6, 9), False, 4, 1, dual_refine=2),
+        lambda: gen_plate_hole(2, True, 2, 1, dual_refine=1),
+    ],
+    ids=["demo", "annulus", "annulus-level-0", "square-p2-mismatched",
+         "square-p4-mismatched", "plate-2patch"],
+)
+def test_sparsity_stable_under_tangential_perturbation(model_fn):
+    # rounding noise is cut relative to each row, so a perturbation at the
+    # rounding level does not move entries across the cut.  Not on this
+    # list: a matched p=3 model, where the perturbation moves phi off affine
+    # and so creates true coupling entries of about 1e-13 of their row
+    # (ROADMAP item 4)
+    def nnz(model):
+        return (model.P.nnz,) + tuple(B.nnz for B in model.multiplier_blocks(1))
+
+    model = model_fn()
+    want = nnz(model)
+    for seed in range(4):
+        assert nnz(_tangentially_perturbed(model, seed)) == want
 
 
 # ------------------------------------------------------- projected knots

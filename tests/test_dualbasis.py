@@ -30,7 +30,8 @@ def assembled_gram(dual, kv, weights=None, measure=None):
         cuts = np.linspace(a, b, 4) if measure is not None else [a, b]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             xs, ws = gauss_on(float(lo), float(hi), p + 3)
-            fd, dv = dual.evaluate(xs)
+            index, dv = dual.evaluate(xs)
+            fd = index[0, 0]
             for x, w, row in zip(xs, ws, dv):
                 fs, N = bspline_basis(kv, float(x))
                 if weights is not None:
@@ -162,21 +163,21 @@ def test_weights_quadrature_oracle_and_partition():
 
 def test_single_linear_element_dual():
     dual = dual_extraction(KnotVector([0, 0, 1, 1], 1))
-    assert np.abs(dual.elements[0].matrix - np.array([[4, -2], [-2, 4]])).max() < 1e-13
+    assert np.abs(dual.matrices[0] - np.array([[4, -2], [-2, 4]])).max() < 1e-13
 
 
 def test_elementwise_product_is_weight_diagonal():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     dual = dual_extraction(kv)
-    for el, op in zip(dual.elements, bezier_extraction(kv)):
-        a, b = el.span
+    for w_e, op in zip(dual.weights, bezier_extraction(kv)):
+        a, b = op.span
         xs, ws = gauss_on(a, b, 4)
         M = np.zeros((3, 3))
         for x, w in zip(xs, ws):
             _, dv = dual.evaluate(np.array([x]))
             _, N = bspline_basis(kv, float(x))
             M += w * np.outer(dv[0], N)
-        assert np.abs(M - np.diag(el.weights)).max() < 1e-12
+        assert np.abs(M - np.diag(w_e)).max() < 1e-12
 
 
 def test_biorthogonality_random_knots():
@@ -207,7 +208,7 @@ def test_rational_dual_unit_weights_unchanged():
     xs = np.array([0.03, 0.04])
     f1, v1 = dual.evaluate(xs)
     f2, v2 = rat.evaluate(xs)
-    assert f1 == f2 and np.abs(v1 - v2).max() < 1e-14
+    assert np.array_equal(f1, f2) and np.abs(v1 - v2).max() < 1e-14
 
 
 def test_rational_dual_quarter_arc_weights():
@@ -231,6 +232,14 @@ def test_rational_dual_rejects_bad_weights():
     kv = random_kv(2)
     with pytest.raises(ValueError):
         rational_dual(dual_extraction(kv), np.zeros(kv.n))
+
+
+def test_rational_dual_rejects_nan_weight():
+    kv = random_kv(2)
+    w = np.ones(kv.n)
+    w[1] = np.nan
+    with pytest.raises(ValueError, match="strictly positive"):
+        rational_dual(dual_extraction(kv), w)
 
 
 # ---------------------------------------------------------------- physical
@@ -269,3 +278,10 @@ def test_physical_dual_degenerate_jacobian():
     phys = physical_dual(dual_extraction(kv), lambda x: 0.0)
     with pytest.raises(ValueError):
         phys.evaluate(np.array([0.03]))
+
+
+def test_physical_dual_rejects_nan_jacobian():
+    kv = random_kv(1)
+    phys = physical_dual(dual_extraction(kv), lambda x: np.where(x < 0.5, 1.0, np.nan))
+    with pytest.raises(ValueError, match="degenerate"):
+        phys.evaluate(np.array([0.3, 0.7]))

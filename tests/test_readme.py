@@ -28,3 +28,19 @@ def test_exported_names_resolve():
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 assert hasattr(bezmortar, alias.asname or alias.name), alias.name
+
+
+def test_library_tour_names_resolve():
+    # every backticked ``module.name`` in the library-tour table must exist,
+    # so a deleted name cannot linger in the docs
+    table = README.read_text().split("## Library tour", 1)[1].split("\n#", 1)[0]
+    modules = {info.name for info in pkgutil.iter_modules(bezmortar.__path__)}
+    names = [n for n in re.findall(r"`([A-Za-z_][\w.]*)`", table)
+             if "." in n and n.split(".")[0] in modules]
+    assert names
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"bezmortar.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)

@@ -414,6 +414,13 @@ def test_patch_rejects_non_finite_weights(bad):
         Patch2D((kv, kv), np.zeros((4, 4, 2)), w)
 
 
+def test_boundary_curve_rejects_nan_weight():
+    from bezmortar.splines import BoundaryCurve
+
+    with pytest.raises(ValueError, match="strictly positive"):
+        BoundaryCurve(uniform_open_knots(2, 2), np.zeros((4, 2)), [1.0, np.nan, 1.0, 1.0])
+
+
 def test_greville_linear_reproduction():
     kv = uniform_open_knots(3, 4)
     g = greville_abscissae(kv)

@@ -17,12 +17,58 @@ from bezmortar.benchmarks import (
 )
 from bezmortar.fem import evaluate_cell
 from bezmortar.splines import BernsteinInterval, bernstein_basis, side_index
-from bezmortar.weakmesh import (
-    interface_operator_report,
-    refined_weak_interface_operator,
-    tensor_weak_patch_operator,
-    weak_interface_operator,
-)
+from bezmortar.weakmesh import interface_operator_report
+
+# ------------------------------------------------- reference formulas
+#
+# The weakly continuous element operators spelled out factor by factor for
+# one element; interface_operator_report reads the emitted cell, which must
+# equal them.
+
+
+def weak_interface_operator(G_local: np.ndarray, extraction: np.ndarray) -> np.ndarray:
+    """Element operator expressing master functions in slave Bernstein form.
+
+    ``G_local`` is the coupling matrix restricted to the interface functions
+    active on the element (rows) and the master functions active on its image
+    (columns); ``extraction`` is the slave element extraction operator.  The
+    result maps element Bernstein values to master basis values, so a
+    conforming interface (identity coupling block) returns the extraction
+    operator unchanged.
+    """
+    return np.asarray(G_local).T @ np.asarray(extraction)
+
+
+def refined_weak_interface_operator(G_local: np.ndarray, refined_extraction: np.ndarray,
+                                    transform: np.ndarray) -> np.ndarray:
+    """Weak operator of a refined subelement in parent Bernstein coordinates.
+
+    ``transform`` is the Bernstein transformation matrix from the parent
+    element interval to the subelement interval; with no refinement it is the
+    identity and the plain interface operator is recovered.
+    """
+    M = np.asarray(transform)
+    return np.asarray(G_local).T @ np.asarray(refined_extraction) @ np.linalg.inv(M).T
+
+
+def tensor_weak_patch_operator(transverse: np.ndarray, trace_row: int,
+                               standard_1d: np.ndarray, weak_1d: np.ndarray) -> np.ndarray:
+    """Two-dimensional weak element operator from its 1D factors.
+
+    The transverse operator is split into interior rows and the single row
+    supported on the interface; only the interface row group is modified:
+
+        [ interior_rows x standard_1d ]
+        [ trace_row     x weak_1d     ]
+
+    Columns follow transverse-major tensor ordering.
+    """
+    tr = np.asarray(transverse)
+    interior = np.delete(np.arange(tr.shape[0]), trace_row)
+    top = np.kron(tr[interior], np.asarray(standard_1d))
+    bottom = np.kron(tr[[trace_row]], np.asarray(weak_1d))
+    return np.vstack([top, bottom])
+
 
 # Exact rational values of the demo-configuration operators, derived by hand:
 # the coupling matrix is the knot-insertion refinement operator from the
@@ -72,6 +118,18 @@ def test_reference_operator_pipeline(demo_model):
         ("tensor_operator", TENSOR_9),
     ]:
         assert np.abs(rep[key] - expected).max() <= 1e-14, key
+
+
+def test_emitted_cell_equals_reference_formulas(demo_model):
+    # the report reads weak_1d and the tensor operator from the cell
+    # weak_mesh() emits; the factor formulas must give the same matrices
+    rep = interface_operator_report(demo_model)
+    weak_1d = refined_weak_interface_operator(rep["coupling_local"], rep["refined_extraction"],
+                                              rep["transform"])
+    tensor = tensor_weak_patch_operator(rep["transverse_extraction"], 2,
+                                        rep["parent_extraction"], weak_1d)
+    assert np.abs(rep["weak_1d"] - weak_1d).max() <= 1e-14
+    assert np.abs(rep["tensor_operator"] - tensor).max() <= 1e-14
 
 
 def test_tensor_operator_from_factors():
