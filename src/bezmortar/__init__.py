@@ -38,13 +38,12 @@ from .fem import (
     assemble_neo_hookean,
     assemble_neumann,
     assemble_poisson,
-    apply_dirichlet,
     boundary_projection,
     dirichlet_rows,
     l2_error,
     newton_load_stepping,
 )
-from .linsys import AssembledSystem, NumericalError, linear_solve
+from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
 from .model import Cell, CellGroup, ExtractedMesh, MultiPatchModel, single_patch_mesh
 from .splines import (
     BernsteinInterval,

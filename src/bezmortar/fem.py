@@ -15,9 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 
 from .coupling import condense
-from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
+from .linsys import AssembledSystem, NumericalError, linear_solve
 from .model import Cell, ExtractedMesh
 from .splines import (
     SIDES,
@@ -381,12 +382,14 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     Corner coefficients are set by interpolation (the basis is interpolatory
     at open-knot endpoints) and the interior coefficients solve the
     constrained L2 projection under the physical arc-length measure, so
-    adjacent sides agree at shared corners.
+    adjacent sides agree at shared corners.  The mass matrix is SPD with
+    bandwidth p; it is summed in banded form and its interior block is
+    solved by a banded Cholesky factorization.
     """
     curve = patch.boundary(side)
     kv = curve.kv
-    n = kv.n
-    xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
+    n, p = kv.n, kv.degree
+    xs, ws = gauss_on_breaks(kv.breakpoints(), p + 2)
     cols, R, _ = rational_table(kv, curve.weights, xs)
     d = curve.derivatives(xs, 1)
     c = ws * np.linalg.norm(d[1], axis=1)
@@ -394,17 +397,23 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     # the quadrature points, then the two corners
     x = np.vstack([d[0], curve.point(lo), curve.point(hi)])
     f = _at_points(fn(x[:, 0], x[:, 1]), (len(x),), 1)[:, 0]
-    M = np.zeros((n, n))
-    np.add.at(M, (cols[:, :, None], cols[:, None, :]),
-              c[:, None, None] * (R[:, :, None] * R[:, None, :]))
-    rhs = np.zeros(n)
-    np.add.at(rhs, cols, (c * f[:-2])[:, None] * R)
     vals = np.zeros(n)
     vals[0], vals[-1] = f[-2:]
-    interior = np.arange(1, n - 1)
-    if interior.size:
-        rhs_i = rhs[interior] - M[interior][:, [0, n - 1]] @ vals[[0, n - 1]]
-        vals[interior] = np.linalg.solve(M[np.ix_(interior, interior)], rhs_i)
+    if n > 2:
+        # upper band: M[i, j] (i <= j) at band[p + i - j, j]; a point's
+        # functions are consecutive, so j - i = b - a
+        a, b = np.triu_indices(p + 1)
+        band = np.bincount(((p - b + a) * n + cols[:, b]).reshape(-1),
+                           (c[:, None] * R[:, a] * R[:, b]).reshape(-1),
+                           minlength=(p + 1) * n).reshape(p + 1, n)
+        # the load minus the corner columns of M, (f - R . vals) tested at
+        # every point
+        resid = c * (f[:-2] - np.sum(R * vals[cols], axis=1))
+        rhs = np.bincount(cols.reshape(-1), (resid[:, None] * R).reshape(-1), minlength=n)
+        # no wider band than the interior block can hold (a 1x1 block with
+        # two band rows would take the tridiagonal path, which rejects it)
+        k = min(p, n - 3)
+        vals[1:-1] = solveh_banded(band[p - k:, 1:-1], rhs[1:-1])
     return vals
 
 
@@ -450,14 +459,19 @@ def _neo_hookean_geometry(mesh: ExtractedMesh):
 
     Newton iterations reassemble the same mesh at new states, so the
     state-independent part is built once and kept in the mesh cache:
-    per block the (nc, 2 nr) dof map, ``grad_phys`` and ``wdet``, then the
-    CSR pattern of the tangent.
+    per block the (nc, 2 nr) dof map, ``grad_phys``, ``wdet`` and the
+    tangent's geometric term int dphi_n . dphi_m d_ik (per unit shear
+    modulus, shaped (nc, nr, 2, nr, 2)), then the CSR pattern of the tangent.
     """
     cached = mesh._cache.get("neo-hookean")
     if cached is None:
-        blocks = [(_local_dofs(rows, 2), ev["grad_phys"], ev["wdet"])
-                  for _, rows, ev in cell_blocks(mesh)]
-        pattern = _sparsity([dofs for dofs, _, _ in blocks], mesh.ndof * 2)
+        blocks = []
+        for _, rows, ev in cell_blocks(mesh):
+            G, wdet = ev["grad_phys"], ev["wdet"]
+            Gt = np.swapaxes(G, 2, 3)
+            k3 = _wgram(Gt, Gt, wdet)[:, :, None, :, None] * np.eye(2)[:, None, :]
+            blocks.append((_local_dofs(rows, 2), G, wdet, k3))
+        pattern = _sparsity([b[0] for b in blocks], mesh.ndof * 2)
         cached = mesh._cache["neo-hookean"] = (blocks, pattern)
     return cached
 
@@ -466,13 +480,12 @@ def deformation_gradients(mesh: ExtractedMesh, state: np.ndarray) -> list:
     """Deformation gradients F and det F at the neo-Hookean quadrature points.
 
     Returns one (F, J) pair per cached block, F of shape (nc, m, 2, 2); raises
-    :class:`NumericalError` when any J <= 0.  This is the Newton feasibility
-    guard: it inspects a trial state without assembling anything.
+    :class:`NumericalError` when any J <= 0, before any stress is formed.
     """
     blocks, _ = _neo_hookean_geometry(mesh)
     d = np.asarray(state).reshape(-1)
     out = []
-    for dofs, G, _ in blocks:
+    for dofs, G, _, _ in blocks:
         # F_iJ = delta_iJ + sum_n d_ni dphi_nJ
         u = d[dofs].reshape(len(dofs), -1, 2)
         F = np.swapaxes(u, 1, 2)[:, None] @ G + np.eye(2)
@@ -495,7 +508,7 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
     blocks, pattern = _neo_hookean_geometry(mesh)
     n = mesh.ndof * 2
     residuals, tangents = [], []
-    for (dofs, G, wdet), (F, J) in zip(blocks, deformation_gradients(mesh, state)):
+    for (dofs, G, wdet, k3), (F, J) in zip(blocks, deformation_gradients(mesh, state)):
         nc, m, nr, _ = G.shape
         FinvT = np.stack([np.stack([F[..., 1, 1], -F[..., 1, 0]], axis=-1),
                           np.stack([-F[..., 0, 1], F[..., 0, 0]], axis=-1)], axis=-2)
@@ -511,12 +524,10 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
         g = (G @ np.swapaxes(FinvT, 2, 3)).reshape(nc, m, 1, 2 * nr)
         k1 = _wgram(g, g, wdet * lam * J2)
         k2 = _wgram(g, g, wdet * (mu - 0.5 * lam * (J2 - 1.0)))
-        Gt = np.swapaxes(G, 2, 3)
-        k3 = mu * _wgram(Gt, Gt, wdet)[:, :, None, :, None] * np.eye(2)[:, None, :]
         # k2 holds g_ni g_mk at [(n, i), (m, k)]; the tangent needs g_nk g_mi
         k2 = k2.reshape(nc, nr, 2, nr, 2).transpose(0, 1, 4, 3, 2)
-        tangents.append(k1.reshape(nc, nr, 2, nr, 2) + k2 + k3)
-    r = _vector([dofs for dofs, _, _ in blocks], residuals, n)
+        tangents.append(k1.reshape(nc, nr, 2, nr, 2) + k2 + mu * k3)
+    r = _vector([b[0] for b in blocks], residuals, n)
     return r, _csr(pattern, tangents, n)
 
 
@@ -533,25 +544,27 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     retained dofs with :func:`~bezmortar.coupling.condense` and iterates are
     expanded back through its prolongation.  Constraints are (row, 0.0) pairs
     in the solved numbering.
+
+    The feasibility guard halves an update while the assembly at the trial
+    state raises on an inverted element; the assembly that succeeds is the
+    next iteration's residual and tangent.
     """
     if increments < 1:
         raise ValueError("need at least one load increment")
     P = None if layout is None else layout.prolongation_vec(2)
     dred = np.zeros(mesh.ndof * 2 if P is None else P.shape[1])
     expand = (lambda v: v) if P is None else (lambda v: P @ v)
-    fixed = sorted({int(r) for r, _ in constraints})
-    free = np.setdiff1d(np.arange(dred.size), fixed)
+    zero = dict.fromkeys(sorted({int(r) for r, _ in constraints}), 0.0)
+    free = np.setdiff1d(np.arange(dred.size), list(zero))
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
-    # the assembly at the current iterate; the load is dead, so a converged
-    # increment's assembly also starts the next increment
-    rint = K = None
+    # the load is dead, so the assembly at the current iterate serves every
+    # increment until the iterate moves
+    rint, K = assemble_neo_hookean(mesh, material, expand(dred))
     for inc in range(1, increments + 1):
         scale = inc / increments
         fext = scale * external_load
         res0 = None
         for it in range(max_iter + 1):
-            if rint is None:
-                rint, K = assemble_neo_hookean(mesh, material, expand(dred))
             if layout is not None:
                 red = condense(AssembledSystem(K, rint - fext, 2), layout)
                 rred, Kred = red.f, red.K
@@ -568,14 +581,12 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                     f"Newton did not converge in increment {inc} "
                     f"(residual {rnorm:.3e})"
                 )
-            sysk = AssembledSystem(Kred.tocsr(), -rred, 2)
-            sysk = apply_dirichlet(sysk, [(r, 0.0) for r in fixed])
-            step = linear_solve(sysk)
-            # feasibility guard: halve the update while it inverts an element
+            step = linear_solve(AssembledSystem(Kred, -rred, 2, zero))
             alpha = 1.0
             for _ in range(12):
+                trial = dred + alpha * step
                 try:
-                    deformation_gradients(mesh, expand(dred + alpha * step))
+                    rint, K = assemble_neo_hookean(mesh, material, expand(trial))
                     break
                 except NumericalError:
                     alpha *= 0.5
@@ -583,8 +594,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                 raise NumericalError(
                     f"element inversion in increment {inc} could not be avoided"
                 )
-            dred = dred + alpha * step
-            rint = K = None
+            dred = trial
     return dred
 
 

@@ -68,28 +68,49 @@ def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
     """Direct sparse solve with symmetric elimination of constrained rows.
 
     Returns the full solution vector (constrained rows carry their
-    prescribed values).  Raises :class:`NumericalError` when factorization
+    prescribed values).  The free block is selected in one pass over K's
+    CSR arrays: the entries whose row and column are both free are kept, in
+    their order, and renumbered.  Its CSR arrays are the CSC arrays of its
+    transpose, so SuperLU factors the transpose as it stands and solves
+    with ``trans="T"``; no further copy or format conversion is made.
+
+    Raises ValueError when a constrained row lies outside the system or its
+    value is not finite, and :class:`NumericalError` when factorization
     fails or the relative residual on the free rows exceeds ``rtol``.
     """
     n = system.nrows
     K = system.K.tocsr()
     f = np.asarray(system.f, dtype=float)
-    fixed = np.fromiter(system.constraints.keys(), dtype=int, count=len(system.constraints))
+    c = system.constraints
+    fixed = np.fromiter(c.keys(), dtype=np.int64, count=len(c))
+    values = np.fromiter(c.values(), dtype=float, count=len(c))
+    bad = (fixed < 0) | (fixed >= n)
+    if bad.any():
+        raise ValueError(f"Dirichlet row {fixed[bad][0]} outside the system's rows 0..{n - 1}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite Dirichlet value on row {fixed[~np.isfinite(values)][0]}")
     x = np.zeros(n)
-    if fixed.size:
-        x[fixed] = [system.constraints[int(i)] for i in fixed]
-    free = np.setdiff1d(np.arange(n), fixed, assume_unique=False)
-    if free.size == 0:
+    x[fixed] = values
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    nfree = n - fixed.size
+    if nfree == 0:
         return x
-    rhs = f[free] - K[free][:, fixed] @ x[fixed] if fixed.size else f[free]
-    Kff = K[free][:, free].tocsc()
+    rhs = (f - K @ x)[free]
+    renumber = np.cumsum(free, dtype=K.indices.dtype) - 1
+    row = np.repeat(np.arange(n), np.diff(K.indptr))
+    keep = free[row] & free[K.indices]
+    rows, cols, data = renumber[row[keep]], renumber[K.indices[keep]], K.data[keep]
+    indptr = np.zeros(nfree + 1, dtype=K.indptr.dtype)
+    np.cumsum(np.bincount(rows, minlength=nfree), out=indptr[1:])
     try:
-        sol = spla.spsolve(Kff, rhs)
+        sol = spla.splu(sp.csc_matrix((data, cols, indptr), shape=(nfree, nfree))).solve(
+            rhs, trans="T")
     except RuntimeError as exc:
         raise NumericalError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("singular system (non-finite solution)")
-    resid = np.linalg.norm(Kff @ sol - rhs)
+    resid = np.linalg.norm(np.bincount(rows, data * sol[cols], minlength=nfree) - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and resid / scale > rtol:
         raise NumericalError(f"solver residual {resid / scale:.2e} exceeds {rtol:.0e}")

@@ -704,12 +704,20 @@ class Patch2D:
 
     def max_element_diameter(self) -> float:
         """Largest physical diagonal over all Bezier elements."""
-        h = 0.0
-        for a1, b1 in self.kvs[0].spans():
-            for a2, b2 in self.kvs[1].spans():
-                c0 = self.eval(a1, a2)[0]
-                c1 = self.eval(b1, b2)[0]
-                c2 = self.eval(a1, b2)[0]
-                c3 = self.eval(b1, a2)[0]
-                h = max(h, float(np.linalg.norm(c1 - c0)), float(np.linalg.norm(c3 - c2)))
-        return h
+        # every function of each direction at its breakpoints, dense: there an
+        # element's Bernstein basis is its first unit vector (the last one at
+        # the domain end), so the values are columns of the extraction operators
+        tables = []
+        for kv in self.kvs:
+            _, first, C = _element_tables(kv)
+            B = np.zeros((len(first) + 1, kv.n))
+            B[np.arange(len(first))[:, None], first[:, None] + np.arange(kv.degree + 1)] = C[..., 0]
+            B[-1, -kv.degree - 1:] = C[-1, :, -1]
+            tables.append(B)
+        B1, B2 = tables
+        # homogeneous points on the grid of element corners, then projected
+        hom = B2 @ np.tensordot(B1, self._hom, axes=1)
+        x = hom[..., :2] / hom[..., 2:]
+        d1 = np.linalg.norm(x[1:, 1:] - x[:-1, :-1], axis=2)
+        d2 = np.linalg.norm(x[1:, :-1] - x[:-1, 1:], axis=2)
+        return float(max(d1.max(), d2.max()))

@@ -200,6 +200,17 @@ def test_neo_hookean_matches_reference(mesh):
         _assert_same_matrix(K, K_ref)
 
 
+def test_cached_geometric_tangent_equals_the_in_loop_formula(mesh):
+    # mu int dphi_n . dphi_m d_ik, as the kernel formed it at every assembly
+    mu = MaterialModel("neo-hookean", E=10.0, nu=0.3).mu
+    blocks, _ = fem._neo_hookean_geometry(mesh)
+    for (_, _, ev), (_, G, _, k3) in zip(fem.cell_blocks(mesh), blocks, strict=True):
+        Gt = np.swapaxes(ev["grad_phys"], 2, 3)
+        ref = mu * fem._wgram(Gt, Gt, ev["wdet"])[:, :, None, :, None] * np.eye(2)[:, None, :]
+        assert np.array_equal(G, ev["grad_phys"])
+        assert np.array_equal(mu * k3, ref)
+
+
 def test_l2_error_matches_reference(mesh):
     values = RNG.normal(size=mesh.ndof * 2)
     exact = lambda x, y: np.stack([x * y, np.cos(y)], axis=-1)

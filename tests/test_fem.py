@@ -1,9 +1,12 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bezmortar import (
     MaterialModel,
@@ -28,8 +31,19 @@ from bezmortar.fem import (
     evaluate_cell,
     strain_energy_density,
 )
+from bezmortar import linsys
 from bezmortar.linsys import AssembledSystem
-from bezmortar.splines import BernsteinInterval, bernstein_derivatives, gauss_on
+from bezmortar.splines import (
+    SIDES,
+    BernsteinInterval,
+    KnotVector,
+    Patch2D,
+    bernstein_derivatives,
+    gauss_on,
+    gauss_on_breaks,
+    greville_abscissae,
+    rational_table,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -181,6 +195,57 @@ def test_constraining_everything_returns_projection():
     assert np.allclose(x, [1, 2, 3, 4])
 
 
+def _dense_boundary_projection(patch, side, fn):
+    """boundary_projection through a dense mass matrix and a dense solve."""
+    curve = patch.boundary(side)
+    kv = curve.kv
+    n = kv.n
+    xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
+    cols, R, _ = rational_table(kv, curve.weights, xs)
+    d = curve.derivatives(xs, 1)
+    c = ws * np.linalg.norm(d[1], axis=1)
+    x = np.vstack([d[0], curve.point(kv.domain[0]), curve.point(kv.domain[1])])
+    f = fn(x[:, 0], x[:, 1])
+    M = np.zeros((n, n))
+    np.add.at(M, (cols[:, :, None], cols[:, None, :]),
+              c[:, None, None] * (R[:, :, None] * R[:, None, :]))
+    rhs = np.zeros(n)
+    np.add.at(rhs, cols, (c * f[:-2])[:, None] * R)
+    vals = np.zeros(n)
+    vals[0], vals[-1] = f[-2:]
+    inner = np.arange(1, n - 1)
+    if inner.size:
+        rhs_i = rhs[inner] - M[inner][:, [0, n - 1]] @ vals[[0, n - 1]]
+        vals[inner] = np.linalg.solve(M[np.ix_(inner, inner)], rhs_i)
+    return vals
+
+
+@st.composite
+def rational_patches(draw):
+    """Rational patches of degree 1-4 over random knots with repeated interior
+    knots, control points a jittered Greville grid of the unit square."""
+    kvs = []
+    for _ in range(2):
+        p = draw(st.integers(1, 4))
+        interior = draw(st.lists(st.floats(0.05, 0.95), max_size=5, unique=True))
+        vals = sorted(x for x in interior for _ in range(draw(st.integers(1, p))))
+        kvs.append(KnotVector(np.concatenate([np.zeros(p + 1), vals, np.ones(p + 1)]), p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g1, g2 = (greville_abscissae(kv) for kv in kvs)
+    points = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1)
+    points += 0.01 * rng.uniform(-1.0, 1.0, points.shape)
+    return Patch2D(kvs, points, rng.uniform(0.5, 2.0, points.shape[:2]))
+
+
+@given(rational_patches())
+def test_banded_boundary_projection_matches_dense(patch):
+    fn = lambda x, y: np.sin(2 * x) + y * y + 1.0
+    for side in SIDES:
+        got = boundary_projection(patch, side, fn)
+        ref = _dense_boundary_projection(patch, side, fn)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_boundary_projection_rate():
     u, grad, _ = manufactured_fields("square-dirichlet")
     errs = []
@@ -220,11 +285,108 @@ def test_linear_solve_vs_dense_oracle():
     assert np.abs(x - np.linalg.solve(K.toarray(), f)).max() < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_linear_solve_singular_raises():
     K = sp.csr_matrix((2, 2))
     with pytest.raises(NumericalError):
         linear_solve(AssembledSystem(K, np.ones(2), 1))
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ({-1: 2.0}, "row -1 outside"),
+    ({5: 2.0}, "row 5 outside"),
+    ({0: float("nan")}, "non-finite Dirichlet value on row 0"),
+], ids=["negative-row", "row-past-the-end", "nan-value"])
+def test_linear_solve_rejects_bad_constraints(constraints, message):
+    system = AssembledSystem(sp.eye(3, format="csr"), np.ones(3), 1, constraints)
+    with pytest.raises(ValueError, match=message):
+        linear_solve(system)
+
+
+@st.composite
+def constrained_systems(draw):
+    """A random square CSR matrix and load with constrained rows (none to all).
+
+    Rows may hold explicit zeros and may list their columns in descending
+    order, as a non-canonical CSR array does.
+    """
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = sp.random(n, n, density=draw(st.floats(0.05, 0.7)), random_state=rng, format="csr")
+    if draw(st.booleans()):
+        K.data[::3] = 0.0
+    if draw(st.booleans()):
+        order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(K.indptr, K.indptr[1:])])
+        K = sp.csr_matrix((K.data[order], K.indices[order], K.indptr), shape=K.shape)
+    fixed = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return K, rng.normal(size=n), {r: float(v) for r, v in zip(fixed, rng.normal(size=n))}
+
+
+class _Factored(Exception):
+    pass
+
+
+@given(constrained_systems())
+def test_free_block_is_the_fancy_index_selection(case):
+    K, f, constraints = case
+    free = np.ones(K.shape[0], dtype=bool)
+    free[list(constraints)] = False
+    seen = []
+
+    def factor(A):
+        seen.append((A.format, A.shape, A.indptr.copy(), A.indices.copy(), A.data.copy()))
+        raise _Factored
+
+    system = AssembledSystem(K, f, 1, constraints)
+    with mock.patch.object(linsys.spla, "splu", side_effect=factor):
+        if free.any():
+            with pytest.raises(_Factored):
+                linear_solve(system)
+        else:
+            x = linear_solve(system)
+            assert np.array_equal(x, [constraints[r] for r in range(K.shape[0])])
+    if not free.any():
+        assert not seen
+        return
+    # the CSR arrays of K[free][:, free], handed over as the CSC arrays of its
+    # transpose
+    ref = K[free][:, free]
+    (fmt, shape, indptr, indices, data), = seen
+    assert fmt == "csc" and shape == ref.shape
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert np.array_equal(data, ref.data)
+
+
+def _dense_constrained_solve(K, f, constraints):
+    x = np.zeros(K.shape[0])
+    fixed = np.array(sorted(constraints), dtype=int)
+    x[fixed] = [constraints[r] for r in fixed]
+    free = np.setdiff1d(np.arange(K.shape[0]), fixed)
+    Kd = K.toarray()
+    x[free] = np.linalg.solve(Kd[np.ix_(free, free)], f[free] - Kd[np.ix_(free, fixed)] @ x[fixed])
+    return x
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(0, 6), st.data())
+def test_linear_solve_matches_dense_solve(seed, n, m, data):
+    # an SPD block A, and with m > 0 the saddle system [[A, B^T], [B, 0]]:
+    # its zero block has no usable diagonal pivot
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=0.3, random_state=rng)
+    A = (R @ R.T + n * sp.eye(n)).tocsr()
+    m = min(m, n // 2)
+    if m:
+        B = sp.csr_matrix(rng.normal(size=(m, n)))
+        K = sp.bmat([[A, B.T], [B, None]], format="csr")
+    else:
+        K = A
+    fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 2 * m))
+    constraints = {r: float(v) for r, v in zip(fixed, rng.normal(size=len(fixed)))}
+    f = rng.normal(size=K.shape[0])
+    x = linear_solve(AssembledSystem(K, f, 1, constraints))
+    ref = _dense_constrained_solve(K, f, constraints)
+    assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    assert all(x[r] == v for r, v in constraints.items())
 
 
 # -------------------------------------------------------------- neo-Hookean

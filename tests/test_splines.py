@@ -396,6 +396,31 @@ def test_patch_invariants():
         Patch2D((kv, kv), pts, w)
 
 
+def max_diagonal_per_element(patch):
+    """Largest element diagonal, four pointwise evaluations per element."""
+    h = 0.0
+    for a1, b1 in patch.kvs[0].spans():
+        for a2, b2 in patch.kvs[1].spans():
+            c0 = patch.eval(a1, a2)[0]
+            c1 = patch.eval(b1, b2)[0]
+            c2 = patch.eval(a1, b2)[0]
+            c3 = patch.eval(b1, a2)[0]
+            h = max(h, float(np.linalg.norm(c1 - c0)), float(np.linalg.norm(c3 - c2)))
+    return h
+
+
+@given(open_knot_values(), open_knot_values(), st.integers(0, 2**32 - 1))
+def test_max_element_diameter_equals_element_loop(knots1, knots2, seed):
+    kvs = [KnotVector(vals, p) for vals, p in (knots1, knots2)]
+    rng = np.random.default_rng(seed)
+    g1, g2 = (greville_abscissae(kv) for kv in kvs)
+    points = np.stack(np.meshgrid(g1, 2.0 * g2, indexing="ij"), axis=-1)
+    points += 0.05 * rng.uniform(-1.0, 1.0, points.shape)
+    patch = Patch2D(kvs, points, rng.uniform(0.3, 3.0, points.shape[:2]))
+    ref = max_diagonal_per_element(patch)
+    assert abs(patch.max_element_diameter() - ref) <= 1e-14 * ref
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_patch_rejects_non_finite_control_points(bad):
     kv = uniform_open_knots(2, 2)
