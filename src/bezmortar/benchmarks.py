@@ -657,6 +657,8 @@ def run_largedef(case_id: str, level: int, increments: int = 20,
                  pressure: float = LARGEDEF_PRESSURE,
                  material: MaterialModel = LARGEDEF_MATERIAL) -> SolutionField:
     """Load-stepped neo-Hookean solve on the weak or conforming mesh."""
+    if not math.isfinite(pressure):
+        raise ValueError("pressure must be finite")
     model = largedef_model(level, weak)
     mesh = model.weak_mesh()
     neum, diri, corners = _largedef_loads(case_id, pressure)

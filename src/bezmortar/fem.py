@@ -58,11 +58,15 @@ class MaterialModel:
     plane_stress: bool = False
 
     def __post_init__(self):
-        if self.variant in ("linear-elastic", "neo-hookean"):
-            if self.mu <= 0:
-                raise ValueError("shear modulus must be positive")
-            if self.variant == "neo-hookean" and self.nu >= 0.5:
-                raise ValueError("neo-hookean model requires nu < 1/2")
+        if self.variant not in ("poisson", "linear-elastic", "neo-hookean"):
+            raise ValueError(f"unknown material variant {self.variant!r}")
+        if not (math.isfinite(self.E) and self.E > 0):
+            raise ValueError("Young's modulus E must be finite and positive")
+        # lam stays finite up to nu = 1 in plane stress; the neo-Hookean
+        # energy is plane strain
+        upper = 1.0 if self.plane_stress and self.variant != "neo-hookean" else 0.5
+        if not -1.0 < self.nu < upper:
+            raise ValueError(f"Poisson's ratio nu must lie in (-1, {upper:g})")
 
     @property
     def lam(self) -> float:
@@ -224,31 +228,41 @@ def _local_dofs(rows: np.ndarray, ncomp: int) -> np.ndarray:
     return (rows[:, :, None] * ncomp + np.arange(ncomp)).reshape(len(rows), -1)
 
 
-def _sparsity(dofs: list, n: int):
-    """CSR pattern of summed local matrices and the CSR slot of every entry.
+def _pattern(mesh: ExtractedMesh, ncomp: int):
+    """CSR pattern of summed local matrices with ``ncomp`` components, cached.
 
-    ``dofs`` lists (nc, L) local-to-global maps; the entries of the matching
-    (nc, L, L) local matrices, flattened in order, go to ``slot``.
+    Returns (dofs, indptr, indices, slot): the groups' (nc, L) dof maps in
+    :func:`cell_blocks` order, flattened; index arrays all matrices on the
+    mesh share; the CSR slot of each entry of the (nc, L, L) local matrices.
     """
-    keys = np.concatenate([(d[:, :, None].astype(np.int64) * n + d[:, None, :]).reshape(-1)
-                           for d in dofs])
-    uniq, slot = np.unique(keys, return_inverse=True)
-    indptr = np.searchsorted(uniq, np.arange(n + 1) * n)
-    return indptr, uniq % n, slot
+    pattern = mesh._cache.get(("pattern", ncomp))
+    if pattern is None:
+        n = mesh.ndof * ncomp
+        dofs = [_local_dofs(g.rows, ncomp) for g in mesh.groups]
+        keys = np.concatenate([d[:, :, None] * n + d[:, None, :] for d in dofs], axis=None)
+        uniq, slot = np.unique(keys, return_inverse=True)
+        shell = sp.csr_matrix((np.zeros(uniq.size), uniq % n,
+                               np.searchsorted(uniq, np.arange(n + 1) * n)), shape=(n, n))
+        pattern = mesh._cache[("pattern", ncomp)] = (np.concatenate(dofs, axis=None),
+                                                     shell.indptr, shell.indices, slot)
+        for a in pattern:
+            a.setflags(write=False)
+    return pattern
 
 
-def _csr(pattern, local: list, n: int) -> sp.csr_matrix:
-    """Sum local matrices into the CSR ``pattern`` from :func:`_sparsity`."""
-    indptr, indices, slot = pattern
-    data = np.bincount(slot, weights=np.concatenate([a.reshape(-1) for a in local]),
-                       minlength=len(indices))
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+def _system(mesh: ExtractedMesh, ncomp: int, local: list, loads: list) -> AssembledSystem:
+    """Sum local matrices (nc, L, L) and loads (nc, L), per block in
+    :func:`cell_blocks` order, into K and f (zero without ``loads``)."""
+    dofs, indptr, indices, slot = _pattern(mesh, ncomp)
+    n = mesh.ndof * ncomp
+    data = np.bincount(slot, np.concatenate(local, axis=None), minlength=indices.size)
+    f = np.bincount(dofs, np.concatenate(loads, axis=None), minlength=n) if loads else np.zeros(n)
+    return AssembledSystem(sp.csr_matrix((data, indices, indptr), shape=(n, n)), f, ncomp)
 
 
-def _vector(dofs: list, local: list, n: int) -> np.ndarray:
-    """Sum local (nc, L) vectors into a length-``n`` vector."""
-    return np.bincount(np.concatenate([d.reshape(-1) for d in dofs]),
-                       weights=np.concatenate([a.reshape(-1) for a in local]), minlength=n)
+def _load(basis: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per cell, sum over points q of w[q] basis[q, i] values[q, k], as (nc, nr, ncomp)."""
+    return np.einsum("cqi,cq,cqk->cik", basis, w, values)
 
 
 def _wgram(A: np.ndarray, B: np.ndarray, wdet: np.ndarray) -> np.ndarray:
@@ -261,6 +275,15 @@ def _wgram(A: np.ndarray, B: np.ndarray, wdet: np.ndarray) -> np.ndarray:
     return np.swapaxes(Aw, 1, 2) @ B.reshape(nc, m * k, -1)
 
 
+def _side_patch(mesh: ExtractedMesh, patch, side: str):
+    """The patch of a (patch, side) spec; a bad patch or side raises ``ValueError``."""
+    if not (isinstance(patch, (int, np.integer)) and 0 <= patch < len(mesh.patches)):
+        raise ValueError(f"no patch {patch!r}: the mesh has {len(mesh.patches)} patches")
+    if side not in SIDES:
+        raise ValueError(f"unknown side {side!r}; expected one of {', '.join(SIDES)}")
+    return mesh.patches[patch]
+
+
 def _at_points(value, shape: tuple, ncomp: int) -> np.ndarray:
     """A user callable's return at points of ``shape``, as (*shape, ncomp).
 
@@ -268,6 +291,8 @@ def _at_points(value, shape: tuple, ncomp: int) -> np.ndarray:
     scalar or a constant (ncomp,) vector is broadcast to every point.
     """
     v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("a user function returned a non-finite value")
     if v.shape == shape:
         v = v[..., None]
     return np.broadcast_to(v, shape + (ncomp,))
@@ -275,18 +300,15 @@ def _at_points(value, shape: tuple, ncomp: int) -> np.ndarray:
 
 def assemble_poisson(mesh: ExtractedMesh, forcing=None) -> AssembledSystem:
     """Stiffness int grad u . grad v and load int f v of the Laplace operator."""
-    dofs, local, loads = [], [], []
-    for _, rows, ev in cell_blocks(mesh):
+    local, loads = [], []
+    for _, _, ev in cell_blocks(mesh):
         G = np.swapaxes(ev["grad_phys"], 2, 3)
-        dofs.append(rows)
         local.append(_wgram(G, G, ev["wdet"]))
         if forcing is not None:
             x = ev["x"]
-            fv = _at_points(forcing(x[..., 0], x[..., 1]), x.shape[:-1], 1)[..., 0]
-            loads.append(np.einsum("cqi,cq->ci", ev["basis"], ev["wdet"] * fv))
-    K = _csr(_sparsity(dofs, mesh.ndof), local, mesh.ndof)
-    f = _vector(dofs, loads, mesh.ndof) if loads else np.zeros(mesh.ndof)
-    return AssembledSystem(K, f, 1)
+            fv = _at_points(forcing(x[..., 0], x[..., 1]), x.shape[:-1], 1)
+            loads.append(_load(ev["basis"], ev["wdet"], fv))
+    return _system(mesh, 1, local, loads)
 
 
 def _elastic_D(mat: MaterialModel) -> np.ndarray:
@@ -300,9 +322,8 @@ def assemble_linear_elasticity(mesh: ExtractedMesh, material: MaterialModel,
                                body_force=None) -> AssembledSystem:
     """Small-strain isotropic elasticity in Voigt form (2 components per dof)."""
     D = _elastic_D(material)
-    n = mesh.ndof * 2
-    dofs, local, loads = [], [], []
-    for _, rows, ev in cell_blocks(mesh):
+    local, loads = [], []
+    for _, _, ev in cell_blocks(mesh):
         dphi = ev["grad_phys"]
         nc, m, nr, _ = dphi.shape
         B = np.zeros((nc, m, 3, 2 * nr))
@@ -310,14 +331,12 @@ def assemble_linear_elasticity(mesh: ExtractedMesh, material: MaterialModel,
         B[:, :, 1, 1::2] = dphi[..., 1]
         B[:, :, 2, 0::2] = dphi[..., 1]
         B[:, :, 2, 1::2] = dphi[..., 0]
-        dofs.append(_local_dofs(rows, 2))
         local.append(_wgram(B, D @ B, ev["wdet"]))
         if body_force is not None:
             x = ev["x"]
             bf = _at_points(body_force(x[..., 0], x[..., 1]), x.shape[:-1], 2)
-            loads.append(np.einsum("cqi,cqk,cq->cik", ev["basis"], bf, ev["wdet"]))
-    K = _csr(_sparsity(dofs, n), local, n)
-    return AssembledSystem(K, _vector(dofs, loads, n) if loads else np.zeros(n), 2)
+            loads.append(_load(ev["basis"], ev["wdet"], bf))
+    return _system(mesh, 2, local, loads)
 
 
 def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> None:
@@ -335,9 +354,12 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
     ncomp = system.ncomp
     dofs, loads = [], []
     for patch, side, span, traction in specs:
+        kvs = _side_patch(mesh, patch, side).kvs
+        if span is not None and not span[0] < span[1]:
+            raise ValueError(f"load span {tuple(span)} must be an increasing interval")
         axis, at_end = SIDES[side]
         along = 1 - axis
-        edge = mesh.patches[patch].kvs[axis].domain[1 if at_end else 0]
+        edge = kvs[axis].domain[1 if at_end else 0]
         for g in mesh.groups:
             on = np.flatnonzero((g.patch == patch)
                                 & (np.abs(g.rect[:, axis, int(at_end)] - edge) <= 1e-12))
@@ -366,10 +388,11 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
             x = ev["x"]
             t = _at_points(traction(x, normal), x.shape[:-1], ncomp)
             wlen = (b - a) * wts * speed
-            dofs.append(_local_dofs(g.rows[sel], ncomp))
-            loads.append(np.einsum("cqi,cq,cqk->cik", ev["basis"], wlen, t))
+            dofs.append(_local_dofs(g.rows[sel], ncomp).ravel())
+            loads.append(_load(ev["basis"], wlen, t).ravel())
     if dofs:
-        system.f += _vector(dofs, loads, system.f.size)
+        system.f += np.bincount(np.concatenate(dofs), np.concatenate(loads),
+                                minlength=system.f.size)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +450,9 @@ def dirichlet_rows(model_or_none, mesh: ExtractedMesh, ncomp: int,
     """
     out = []
     for patch, side, comp, fn in specs:
-        p = mesh.patches[patch]
+        p = _side_patch(mesh, patch, side)
+        if not 0 <= comp < ncomp:
+            raise ValueError(f"component {comp} out of range for {ncomp} components")
         vals = boundary_projection(p, side, fn if callable(fn) else (lambda x, y: fn))
         if model_or_none is not None:
             grid = model_or_none.grids[patch]
@@ -454,41 +479,39 @@ def strain_energy_density(mat: MaterialModel, F: np.ndarray) -> float:
     )
 
 
-def _neo_hookean_geometry(mesh: ExtractedMesh):
-    """Quadrature geometry and sparsity of the neo-Hookean kernel, memoised.
+def _neo_hookean_geometry(mesh: ExtractedMesh) -> list:
+    """Quadrature geometry of the neo-Hookean kernel, memoised.
 
     Newton iterations reassemble the same mesh at new states, so the
-    state-independent part is built once and kept in the mesh cache:
-    per block the (nc, 2 nr) dof map, ``grad_phys``, ``wdet`` and the
-    tangent's geometric term int dphi_n . dphi_m d_ik (per unit shear
-    modulus, shaped (nc, nr, 2, nr, 2)), then the CSR pattern of the tangent.
+    state-independent part is built once and kept in the mesh cache: per
+    block ``grad_phys``, ``wdet`` and the tangent's geometric term
+    int dphi_n . dphi_m d_ik (per unit shear modulus, shaped (nc, nr, 2, nr, 2)).
     """
-    cached = mesh._cache.get("neo-hookean")
-    if cached is None:
+    if "neo-hookean" not in mesh._cache:
         blocks = []
-        for _, rows, ev in cell_blocks(mesh):
-            G, wdet = ev["grad_phys"], ev["wdet"]
-            Gt = np.swapaxes(G, 2, 3)
-            k3 = _wgram(Gt, Gt, wdet)[:, :, None, :, None] * np.eye(2)[:, None, :]
-            blocks.append((_local_dofs(rows, 2), G, wdet, k3))
-        pattern = _sparsity([b[0] for b in blocks], mesh.ndof * 2)
-        cached = mesh._cache["neo-hookean"] = (blocks, pattern)
-    return cached
+        for _, _, ev in cell_blocks(mesh):
+            Gt = np.swapaxes(ev["grad_phys"], 2, 3)
+            k3 = _wgram(Gt, Gt, ev["wdet"])[:, :, None, :, None] * np.eye(2)[:, None, :]
+            blocks.append((ev["grad_phys"], ev["wdet"], k3))
+        mesh._cache["neo-hookean"] = blocks
+    return mesh._cache["neo-hookean"]
 
 
 def deformation_gradients(mesh: ExtractedMesh, state: np.ndarray) -> list:
     """Deformation gradients F and det F at the neo-Hookean quadrature points.
 
     Returns one (F, J) pair per cached block, F of shape (nc, m, 2, 2); raises
-    :class:`NumericalError` when any J <= 0, before any stress is formed.
+    :class:`NumericalError` when any J <= 0, before any stress is formed, and
+    ``ValueError`` when ``state`` is not two values per mesh dof.
     """
-    blocks, _ = _neo_hookean_geometry(mesh)
     d = np.asarray(state).reshape(-1)
-    out = []
-    for dofs, G, _, _ in blocks:
-        # F_iJ = delta_iJ + sum_n d_ni dphi_nJ
-        u = d[dofs].reshape(len(dofs), -1, 2)
-        F = np.swapaxes(u, 1, 2)[:, None] @ G + np.eye(2)
+    if d.size != mesh.ndof * 2:
+        raise ValueError(f"state has {d.size} values, the mesh {mesh.ndof * 2} displacement dofs")
+    u, out, end = d[_pattern(mesh, 2)[0]], [], 0
+    for G, _, _ in _neo_hookean_geometry(mesh):
+        # the block's (nc, nr, 2) displacements; F_iJ = delta_iJ + sum_n d_ni dphi_nJ
+        start, end = end, end + G.size // G.shape[1]
+        F = np.swapaxes(u[start:end].reshape(len(G), -1, 2), 1, 2)[:, None] @ G + np.eye(2)
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
         if not np.all(J > 0):
             raise NumericalError("element inversion (J <= 0)")
@@ -505,10 +528,9 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
     tangent; raises on element inversion.
     """
     lam, mu = material.lam, material.mu
-    blocks, pattern = _neo_hookean_geometry(mesh)
-    n = mesh.ndof * 2
+    blocks = _neo_hookean_geometry(mesh)
     residuals, tangents = [], []
-    for (dofs, G, wdet, k3), (F, J) in zip(blocks, deformation_gradients(mesh, state)):
+    for (G, wdet, k3), (F, J) in zip(blocks, deformation_gradients(mesh, state)):
         nc, m, nr, _ = G.shape
         FinvT = np.stack([np.stack([F[..., 1, 1], -F[..., 1, 0]], axis=-1),
                           np.stack([-F[..., 0, 1], F[..., 0, 0]], axis=-1)], axis=-2)
@@ -527,8 +549,8 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
         # k2 holds g_ni g_mk at [(n, i), (m, k)]; the tangent needs g_nk g_mi
         k2 = k2.reshape(nc, nr, 2, nr, 2).transpose(0, 1, 4, 3, 2)
         tangents.append(k1.reshape(nc, nr, 2, nr, 2) + k2 + mu * k3)
-    r = _vector([b[0] for b in blocks], residuals, n)
-    return r, _csr(pattern, tangents, n)
+    system = _system(mesh, 2, tangents, residuals)
+    return system.f, system.K
 
 
 def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
@@ -551,6 +573,11 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     """
     if increments < 1:
         raise ValueError("need at least one load increment")
+    # a factor <= 1 would accept the unsolved state of every increment
+    if not (math.isfinite(tol_factor) and tol_factor > 1):
+        raise ValueError("tol_factor must be finite and greater than 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     P = None if layout is None else layout.prolongation_vec(2)
     dred = np.zeros(mesh.ndof * 2 if P is None else P.shape[1])
     expand = (lambda v: v) if P is None else (lambda v: P @ v)
@@ -609,6 +636,11 @@ class SolutionField:
     mesh: ExtractedMesh
     values: np.ndarray
     ncomp: int = 1
+
+    def __post_init__(self):
+        if np.size(self.values) != self.mesh.ndof * self.ncomp:
+            raise ValueError(f"field has {np.size(self.values)} values, the mesh "
+                             f"{self.mesh.ndof} dofs of {self.ncomp} components")
 
     def eval(self, patch: int, xi1: float, xi2: float) -> np.ndarray:
         cell = self.mesh.locate(patch, xi1, xi2)

@@ -98,9 +98,10 @@ class ExtractedMesh:
 
     The stream is held as shape groups: ``pieces`` that share degrees and
     operator shapes are merged into one :class:`CellGroup`, ordered by
-    position, and the groups are ordered by their first position.  ``_cache`` holds data derived from the groups on
-    first use (the cell views, the point locator, the neo-Hookean kernel's
-    geometry and sparsity), so the groups are read-only.
+    position, and the groups are ordered by their first position.  ``_cache``
+    holds data derived from the groups on first use (the cell views, the point
+    locator, the assembly pattern per component count and the neo-Hookean
+    kernel's quadrature geometry), so the groups are read-only.
     """
 
     def __init__(self, patches: list[Patch2D], pieces, ndof: int):

@@ -120,16 +120,21 @@ def _forcing(x, y):
     return np.sin(x) + y * y
 
 
-def test_poisson_matches_reference(mesh):
+def _poisson_reference(mesh):
     blocks, f = [], np.zeros(mesh.ndof)
     for cell, ev, wdet in _cells(mesh):
         dphi = ev["grad_phys"]
         blocks.append((cell.rows, np.einsum("qid,qjd,q->ij", dphi, dphi, wdet)))
         fv = np.array([_forcing(*xy) for xy in ev["x"]])
         f[cell.rows] += ev["basis"].T @ (wdet * fv)
+    return _coo(blocks, mesh.ndof), f
+
+
+def test_poisson_matches_reference(mesh):
+    K_ref, f_ref = _poisson_reference(mesh)
     system = assemble_poisson(mesh, _forcing)
-    _assert_same_matrix(system.K, _coo(blocks, mesh.ndof))
-    _assert_close(system.f, f)
+    _assert_same_matrix(system.K, K_ref)
+    _assert_close(system.f, f_ref)
 
 
 def test_block_size_does_not_change_the_system(mesh, monkeypatch):
@@ -138,8 +143,10 @@ def test_block_size_does_not_change_the_system(mesh, monkeypatch):
     _assert_same_matrix(assemble_poisson(mesh, _forcing).K, K)
 
 
-def test_elasticity_matches_reference(mesh):
-    mat = MaterialModel("linear-elastic", E=7.0, nu=0.3)
+_ELASTIC = MaterialModel("linear-elastic", E=7.0, nu=0.3)
+
+
+def _elasticity_reference(mesh, mat):
     lam, mu = mat.lam, mat.mu
     D = np.array([[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0], [0.0, 0.0, mu]])
     blocks = []
@@ -152,8 +159,12 @@ def test_elasticity_matches_reference(mesh):
         B[:, 2, 0::2] = dphi[:, :, 1]
         B[:, 2, 1::2] = dphi[:, :, 0]
         blocks.append((_dofs(cell, 2), np.einsum("qai,ab,qbj,q->ij", B, D, B, wdet)))
-    system = assemble_linear_elasticity(mesh, mat)
-    _assert_same_matrix(system.K, _coo(blocks, mesh.ndof * 2))
+    return _coo(blocks, mesh.ndof * 2)
+
+
+def test_elasticity_matches_reference(mesh):
+    system = assemble_linear_elasticity(mesh, _ELASTIC)
+    _assert_same_matrix(system.K, _elasticity_reference(mesh, _ELASTIC))
     assert not system.f.any()
 
 
@@ -203,12 +214,101 @@ def test_neo_hookean_matches_reference(mesh):
 def test_cached_geometric_tangent_equals_the_in_loop_formula(mesh):
     # mu int dphi_n . dphi_m d_ik, as the kernel formed it at every assembly
     mu = MaterialModel("neo-hookean", E=10.0, nu=0.3).mu
-    blocks, _ = fem._neo_hookean_geometry(mesh)
-    for (_, _, ev), (_, G, _, k3) in zip(fem.cell_blocks(mesh), blocks, strict=True):
+    blocks = fem._neo_hookean_geometry(mesh)
+    for (_, _, ev), (G, _, k3) in zip(fem.cell_blocks(mesh), blocks, strict=True):
         Gt = np.swapaxes(ev["grad_phys"], 2, 3)
         ref = mu * fem._wgram(Gt, Gt, ev["wdet"])[:, :, None, :, None] * np.eye(2)[:, None, :]
         assert np.array_equal(G, ev["grad_phys"])
         assert np.array_equal(mu * k3, ref)
+
+
+# ------------------------------------------------------------ the one sum
+
+
+def _sparsity(dofs: list, n: int):
+    """CSR pattern and slots built from scratch for one sum: the cached pattern's oracle."""
+    keys = np.concatenate([(d[:, :, None].astype(np.int64) * n + d[:, None, :]).reshape(-1)
+                           for d in dofs])
+    uniq, slot = np.unique(keys, return_inverse=True)
+    indptr = np.searchsorted(uniq, np.arange(n + 1) * n)
+    return indptr, uniq % n, slot
+
+
+def _csr(pattern, local: list, n: int) -> sp.csr_matrix:
+    indptr, indices, slot = pattern
+    data = np.bincount(slot, weights=np.concatenate([a.reshape(-1) for a in local]),
+                       minlength=len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _vector(dofs: list, local: list, n: int) -> np.ndarray:
+    return np.bincount(np.concatenate([d.reshape(-1) for d in dofs]),
+                       weights=np.concatenate([a.reshape(-1) for a in local]), minlength=n)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments and result of every call of a ``fem`` function."""
+    calls, real = [], getattr(fem, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(fem, name, spy)
+    return calls
+
+
+def _gentle_state(mesh):
+    """A small displacement from a private generator, leaving ``RNG`` to the other tests."""
+    size = max(np.ptp(p.points[..., 0]) for p in mesh.patches)
+    return 0.002 * size * np.random.default_rng(5).uniform(-1.0, 1.0, mesh.ndof * 2)
+
+
+def test_assembly_reuses_the_pattern_of_its_component_count(mesh):
+    first, second = assemble_poisson(mesh).K, assemble_poisson(mesh, _forcing).K
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    elastic = assemble_linear_elasticity(mesh, _ELASTIC).K
+    _, tangent = assemble_neo_hookean(mesh, MaterialModel("neo-hookean", E=10.0, nu=0.3),
+                                      _gentle_state(mesh))
+    assert np.shares_memory(elastic.indices, tangent.indices)
+    assert np.shares_memory(elastic.indptr, tangent.indptr)
+    assert not np.shares_memory(first.indices, elastic.indices)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_one_mesh_serves_scalar_and_vector_systems(name):
+    # a fresh mesh: Poisson caches the one-component pattern first
+    mesh = MESHES[name]()
+    K_ref, f_ref = _poisson_reference(mesh)
+    system = assemble_poisson(mesh, _forcing)
+    _assert_same_matrix(system.K, K_ref)
+    _assert_close(system.f, f_ref)
+    _assert_same_matrix(assemble_linear_elasticity(mesh, _ELASTIC).K,
+                        _elasticity_reference(mesh, _ELASTIC))
+
+
+def test_cached_sum_equals_the_per_call_sum(mesh, monkeypatch):
+    calls = _spy(monkeypatch, "_system")
+    body = lambda x, y: np.stack([np.cos(x * y), x - y * y], axis=-1)
+    assemble_poisson(mesh, _forcing)
+    assemble_linear_elasticity(mesh, _ELASTIC, body)
+    r, K = assemble_neo_hookean(mesh, MaterialModel("neo-hookean", E=10.0, nu=0.3),
+                                _gentle_state(mesh))
+    assert [args[1] for args, _ in calls] == [1, 2, 2]
+    assert calls[-1][1].f is r and calls[-1][1].K is K
+    for (_, ncomp, local, loads), system in calls:
+        n = mesh.ndof * ncomp
+        dofs = [fem._local_dofs(rows, ncomp) for _, rows, _ in fem.cell_blocks(mesh, grad=False)]
+        ref = _csr(_sparsity(dofs, n), local, n)
+        for attr in ("indptr", "indices", "data"):
+            assert _same_bits(getattr(system.K, attr), getattr(ref, attr))
+        assert _same_bits(system.f, _vector(dofs, loads, n))
 
 
 def test_l2_error_matches_reference(mesh):
@@ -492,6 +592,19 @@ def test_neumann_matches_side_cell_loop(name):
     ref = _neumann_reference(mesh, specs, ncomp)
     assert np.abs(ref).max() > 0
     _assert_close(system.f, ref)
+
+
+@pytest.mark.parametrize("name", sorted(NEUMANN_CASES))
+def test_neumann_sum_equals_the_per_call_sum(name, monkeypatch):
+    make, ncomp, specs = NEUMANN_CASES[name]
+    mesh = make()
+    dofs, loads = _spy(monkeypatch, "_local_dofs"), _spy(monkeypatch, "_load")
+    f0 = np.random.default_rng(5).normal(size=mesh.ndof * ncomp)
+    system = AssembledSystem(sp.csr_matrix((f0.size,) * 2), f0.copy(), ncomp)
+    assemble_neumann(mesh, system, specs)
+    assert dofs and len(dofs) == len(loads)
+    ref = f0 + _vector([d for _, d in dofs], [v for _, v in loads], f0.size)
+    assert _same_bits(system.f, ref)
 
 
 # ------------------------------------------------------ callables take arrays

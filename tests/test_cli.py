@@ -443,6 +443,14 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
         ["--case", "square-mixed", "--level", "-1"],
         ["--case", "largedef-case1", "--method", "weak", "--level", "-1"],
         ["--case", "largedef-case1", "--method", "weak", "--increments", "0"],
+        # would accept the unsolved (zero) state
+        ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
+         "--tol-factor", "0.5"],
+        # would run to max_iter and report a numerical failure
+        ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
+         "--tol-factor", "nan"],
+        ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
+         "--pressure", "nan"],
     ],
 )
 def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):

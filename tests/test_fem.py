@@ -162,6 +162,29 @@ def test_plane_stress_flag_changes_stiffness():
     assert strain.mu == stress.mu
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(variant="bogus"), "variant"),
+    (dict(variant="linear-elastic", E=math.nan), "Young"),
+    (dict(variant="linear-elastic", E=0.0), "Young"),
+    (dict(variant="linear-elastic", E=-2.0), "Young"),
+    (dict(variant="linear-elastic", nu=0.5), r"\(-1, 0.5\)"),
+    (dict(variant="linear-elastic", nu=0.7), r"\(-1, 0.5\)"),
+    (dict(variant="linear-elastic", nu=math.nan), "ratio"),
+    (dict(variant="neo-hookean", nu=-1.0), r"\(-1, 0.5\)"),
+    (dict(variant="linear-elastic", nu=1.0, plane_stress=True), r"\(-1, 1\)"),
+    (dict(variant="neo-hookean", nu=0.6, plane_stress=True), r"\(-1, 0.5\)"),
+])
+def test_material_rejects_invalid_constants(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MaterialModel(**kwargs)
+
+
+def test_material_bounds_are_open_but_reachable():
+    assert MaterialModel("linear-elastic", nu=0.7, plane_stress=True).lam > 0
+    assert MaterialModel("linear-elastic", nu=-0.9).mu > 0
+    assert MaterialModel("poisson").variant == "poisson"
+
+
 # ---------------------------------------------------------------- Dirichlet
 
 
@@ -184,6 +207,77 @@ def test_homogeneous_dirichlet_zero_trace():
     for t in np.linspace(0, 1, 7):
         assert abs(field.eval(0, t, 0.0)[0]) < 1e-12
         assert abs(field.eval(0, 1.0, t)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("spec, message", [
+    ((0, "west", 1, 0.0), "component 1 out of range for 1 components"),
+    ((0, "west", -1, 0.0), "component -1 out of range"),
+    ((1, "west", 0, 0.0), "no patch 1"),
+    ((-1, "west", 0, 0.0), "no patch -1"),
+    ((0, "up", 0, 0.0), "unknown side 'up'"),
+])
+def test_dirichlet_rows_reject_bad_specs(spec, message):
+    # on a 4x4 patch, (0, "west", 5, 0.0) would name rows 5-8, another dof's
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    assert mesh.ndof == 16
+    with pytest.raises(ValueError, match=message):
+        dirichlet_rows(None, mesh, 1, [spec])
+    with pytest.raises(ValueError, match="component 5 out of range for 2"):
+        dirichlet_rows(None, mesh, 2, [(0, "west", 5, 0.0)])
+
+
+@pytest.mark.parametrize("spec, message", [
+    ((0, "north", (0.8, 0.2), None), "increasing"),
+    ((0, "north", (0.5, 0.5), None), "increasing"),
+    ((0, "north", (math.nan, 1.0), None), "increasing"),
+    ((2, "north", None, None), "no patch 2"),
+    ((0, "top", None, None), "unknown side 'top'"),
+])
+def test_neumann_rejects_bad_specs(spec, message):
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    system = AssembledSystem(sp.csr_matrix((mesh.ndof,) * 2), np.zeros(mesh.ndof), 1)
+    with pytest.raises(ValueError, match=message):
+        assemble_neumann(mesh, system, [spec[:3] + (lambda x, n: 1.0,)])
+    assert not system.f.any()
+
+
+@pytest.mark.parametrize("where", ["forcing", "body_force", "traction", "exact", "quantity",
+                                   "boundary"])
+def test_non_finite_user_values_are_rejected(where):
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+
+    def bad(*args):
+        # NaN where x > 1/2; traction and quantity see points as (..., 2)
+        x = args[0][..., 0] if where in ("traction", "quantity") else args[0]
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    field = SolutionField(mesh, np.zeros(mesh.ndof), 1)
+    run = {
+        "forcing": lambda: assemble_poisson(mesh, bad),
+        "body_force": lambda: assemble_linear_elasticity(
+            mesh, MaterialModel("linear-elastic"), bad),
+        "traction": lambda: assemble_neumann(
+            mesh, assemble_poisson(mesh), [(0, "east", None, lambda x, n: bad(x))]),
+        "exact": lambda: l2_error(field, bad),
+        "quantity": lambda: l2_error(field, lambda x, y: 0.0,
+                                     quantity=lambda v, g, x: bad(x)),
+        "boundary": lambda: dirichlet_rows(None, mesh, 1, [(0, "east", 0, bad)]),
+    }[where]
+    with pytest.raises(ValueError, match="non-finite"):
+        run()
+
+
+def test_field_and_state_sizes_are_checked():
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    with pytest.raises(ValueError, match="field has 15 values"):
+        SolutionField(mesh, np.zeros(mesh.ndof - 1), 1)
+    with pytest.raises(ValueError, match="field has 16 values"):
+        SolutionField(mesh, np.zeros(mesh.ndof), 2)
+    mat = MaterialModel("neo-hookean", E=10.0, nu=0.3)
+    with pytest.raises(ValueError, match="state has 16 values"):
+        assemble_neo_hookean(mesh, mat, np.zeros(mesh.ndof))
+    with pytest.raises(ValueError, match="state has 33 values"):
+        assemble_neo_hookean(mesh, mat, np.zeros(mesh.ndof * 2 + 1))
 
 
 def test_constraining_everything_returns_projection():
@@ -468,6 +562,25 @@ def test_nonconvergence_reports_increment():
     rows = dirichlet_rows(None, mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
     with pytest.raises(NumericalError, match="increment"):
         newton_load_stepping(mesh, mat, system.f, rows, increments=2, max_iter=4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(tol_factor=0.5), "tol_factor"),
+    (dict(tol_factor=1.0), "tol_factor"),
+    (dict(tol_factor=math.nan), "tol_factor"),
+    (dict(tol_factor=math.inf), "tol_factor"),
+    (dict(max_iter=-1), "max_iter"),
+])
+def test_newton_rejects_settings_that_skip_the_solve(kwargs, message):
+    # each would return the unloaded start state or spin to max_iter
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mat = MaterialModel("neo-hookean", E=100.0, nu=0.3)
+    load = np.zeros(mesh.ndof * 2)
+    load[1::2] = -1.0
+    zero = lambda x, y: 0.0
+    rows = dirichlet_rows(None, mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
+    with pytest.raises(ValueError, match=message):
+        newton_load_stepping(mesh, mat, load, rows, increments=1, **kwargs)
 
 
 # ------------------------------------------------- quadrature subdivision
