@@ -66,13 +66,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def _ratio(text: str):
     try:
-        a, b = text.split(":")
-        r = (int(a), int(b))
-        if r[0] < 1 or r[1] < 1:
-            raise ValueError
-        return r
+        m, s = (int(v) for v in text.split(":"))
     except ValueError:
-        raise SystemExit(2)
+        m = s = 0
+    if m < 1 or s < 1:
+        raise ValueError(f"--ratio takes M:S with positive integers M and S, got {text!r}")
+    return m, s
 
 
 def main(argv=None) -> int:

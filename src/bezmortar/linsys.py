@@ -1,4 +1,4 @@
-"""Assembled linear systems, Dirichlet elimination and sparse solves."""
+"""Assembled linear systems, Dirichlet elimination and direct solves."""
 
 from __future__ import annotations
 
@@ -9,6 +9,24 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = ["NumericalError", "AssembledSystem", "apply_dirichlet", "linear_solve"]
+
+
+# Systems of at most this many rows are solved dense (see linear_solve).  Whole
+# linear_solve calls on the benchmark cases' own systems, one BLAS thread:
+#
+#   rows (free)   dense µs   SuperLU µs
+#     36 (27)          64          271
+#     90 (81)         163          574
+#    154 (136)        292          973
+#    282 (258)       1093         1883
+#    331 (305)       1816         2075
+#    384 (356)       1708         3388
+#    564 (540)       6586         3352
+#    974 (930)      24199         8325
+#
+# Dense wins below about 450 rows; the bound leaves a margin below that
+# crossover and keeps the dense copy of K under 0.75 MB.
+_DENSE_ROWS = 300
 
 
 class NumericalError(RuntimeError):
@@ -65,14 +83,22 @@ def apply_dirichlet(system: AssembledSystem, constraints, tol: float = 1e-8) -> 
 
 
 def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
-    """Direct sparse solve with symmetric elimination of constrained rows.
+    """Direct solve with symmetric elimination of constrained rows.
 
     Returns the full solution vector (constrained rows carry their
-    prescribed values).  The free block is selected in one pass over K's
-    CSR arrays: the entries whose row and column are both free are kept, in
-    their order, and renumbered.  Its CSR arrays are the CSC arrays of its
-    transpose, so SuperLU factors the transpose as it stands and solves
-    with ``trans="T"``; no further copy or format conversion is made.
+    prescribed values).  The factorization is chosen from the system's row
+    count ``n``:
+
+    - up to ``_DENSE_ROWS`` rows, K is densified (at most n² doubles, with
+      duplicate entries summed) and its free block is solved by LAPACK's LU
+      with partial pivoting (``numpy.linalg.solve``).  At this size
+      SuperLU's fixed costs (ordering, symbolic analysis, supernode set-up)
+      outweigh the dense arithmetic it saves;
+    - above it, the free block is selected in one pass over K's CSR arrays:
+      the entries whose row and column are both free are kept, in their
+      order, and renumbered.  Its CSR arrays are the CSC arrays of its
+      transpose, so SuperLU factors the transpose as it stands and solves
+      with ``trans="T"``; no further copy or format conversion is made.
 
     Raises ValueError when a constrained row lies outside the system or its
     value is not finite, and :class:`NumericalError` when factorization
@@ -97,20 +123,27 @@ def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
     if nfree == 0:
         return x
     rhs = (f - K @ x)[free]
-    renumber = np.cumsum(free, dtype=K.indices.dtype) - 1
-    row = np.repeat(np.arange(n), np.diff(K.indptr))
-    keep = free[row] & free[K.indices]
-    rows, cols, data = renumber[row[keep]], renumber[K.indices[keep]], K.data[keep]
-    indptr = np.zeros(nfree + 1, dtype=K.indptr.dtype)
-    np.cumsum(np.bincount(rows, minlength=nfree), out=indptr[1:])
-    try:
-        sol = spla.splu(sp.csc_matrix((data, cols, indptr), shape=(nfree, nfree))).solve(
-            rhs, trans="T")
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse factorization failed: {exc}") from exc
+    if n <= _DENSE_ROWS:
+        block = K.toarray()[free][:, free]
+        try:
+            sol = np.linalg.solve(block, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"dense factorization failed: {exc}") from exc
+    else:
+        renumber = np.cumsum(free, dtype=K.indices.dtype) - 1
+        row = np.repeat(np.arange(n), np.diff(K.indptr))
+        keep = free[row] & free[K.indices]
+        rows, cols = renumber[row[keep]], renumber[K.indices[keep]]
+        indptr = np.zeros(nfree + 1, dtype=K.indptr.dtype)
+        np.cumsum(np.bincount(rows, minlength=nfree), out=indptr[1:])
+        block = sp.csr_matrix((K.data[keep], cols, indptr), shape=(nfree, nfree))
+        try:
+            sol = spla.splu(block.T).solve(rhs, trans="T")
+        except RuntimeError as exc:
+            raise NumericalError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("singular system (non-finite solution)")
-    resid = np.linalg.norm(np.bincount(rows, data * sol[cols], minlength=nfree) - rhs)
+    resid = np.linalg.norm(block @ sol - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and resid / scale > rtol:
         raise NumericalError(f"solver residual {resid / scale:.2e} exceeds {rtol:.0e}")

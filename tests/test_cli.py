@@ -451,11 +451,18 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
          "--tol-factor", "nan"],
         ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
          "--pressure", "nan"],
+        ["--case", "square-mixed", "--ratio", "abc"],
+        ["--case", "square-mixed", "--ratio", "2:0"],
+        ["--case", "square-mixed", "--ratio", "2"],
     ],
 )
 def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
     prefix = tmp_path / "bad"
-    assert run_cli(["solve", *args, "-o", str(prefix)]) == 2
+    try:
+        code = run_cli(["solve", *args, "-o", str(prefix)])
+    except SystemExit as exc:  # a malformed option, reported as a usage error
+        code = exc.code
+    assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "bad.coeffs.json").exists()
 

@@ -379,10 +379,14 @@ def test_linear_solve_vs_dense_oracle():
     assert np.abs(x - np.linalg.solve(K.toarray(), f)).max() < 1e-8
 
 
+# the row bound between linear_solve's dense and SuperLU routes
+_DENSE_ROWS = linsys._DENSE_ROWS
+
+
 def test_linear_solve_singular_raises():
-    K = sp.csr_matrix((2, 2))
-    with pytest.raises(NumericalError):
-        linear_solve(AssembledSystem(K, np.ones(2), 1))
+    for n in (2, _DENSE_ROWS + 1):  # dense and SuperLU routes
+        with pytest.raises(NumericalError):
+            linear_solve(AssembledSystem(sp.csr_matrix((n, n)), np.ones(n), 1))
 
 
 @pytest.mark.parametrize("constraints, message", [
@@ -400,10 +404,12 @@ def test_linear_solve_rejects_bad_constraints(constraints, message):
 def constrained_systems(draw):
     """A random square CSR matrix and load with constrained rows (none to all).
 
-    Rows may hold explicit zeros and may list their columns in descending
-    order, as a non-canonical CSR array does.
+    The matrix is small or has ``_DENSE_ROWS`` rows (dense route), or has a
+    few rows more (SuperLU route).  Rows may hold explicit zeros and may list
+    their columns in descending order, as a non-canonical CSR array does.
     """
-    n = draw(st.integers(1, 25))
+    n = draw(st.one_of(st.integers(1, 25), st.just(_DENSE_ROWS),
+                       st.integers(_DENSE_ROWS + 1, _DENSE_ROWS + 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     K = sp.random(n, n, density=draw(st.floats(0.05, 0.7)), random_state=rng, format="csr")
     if draw(st.booleans()):
@@ -426,12 +432,13 @@ def test_free_block_is_the_fancy_index_selection(case):
     free[list(constraints)] = False
     seen = []
 
-    def factor(A):
-        seen.append((A.format, A.shape, A.indptr.copy(), A.indices.copy(), A.data.copy()))
+    def factor(A, *args):
+        seen.append(A.copy())
         raise _Factored
 
     system = AssembledSystem(K, f, 1, constraints)
-    with mock.patch.object(linsys.spla, "splu", side_effect=factor):
+    with mock.patch.object(linsys.spla, "splu", side_effect=factor), \
+            mock.patch.object(linsys.np.linalg, "solve", side_effect=factor):
         if free.any():
             with pytest.raises(_Factored):
                 linear_solve(system)
@@ -441,14 +448,20 @@ def test_free_block_is_the_fancy_index_selection(case):
     if not free.any():
         assert not seen
         return
+    ref = K[free][:, free]
+    (A,) = seen
+    if K.shape[0] <= _DENSE_ROWS:
+        # K[free][:, free] as a dense array, for LAPACK
+        assert isinstance(A, np.ndarray)
+        assert A.dtype == float and A.shape == ref.shape
+        assert A.tobytes() == ref.toarray().tobytes()
+        return
     # the CSR arrays of K[free][:, free], handed over as the CSC arrays of its
     # transpose
-    ref = K[free][:, free]
-    (fmt, shape, indptr, indices, data), = seen
-    assert fmt == "csc" and shape == ref.shape
-    assert np.array_equal(indptr, ref.indptr)
-    assert np.array_equal(indices, ref.indices)
-    assert np.array_equal(data, ref.data)
+    assert A.format == "csc" and A.shape == ref.shape
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
 
 
 def _dense_constrained_solve(K, f, constraints):
@@ -481,6 +494,40 @@ def test_linear_solve_matches_dense_solve(seed, n, m, data):
     ref = _dense_constrained_solve(K, f, constraints)
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     assert all(x[r] == v for r, v in constraints.items())
+
+
+def _spd_or_saddle(rng, n, m):
+    """An n-row SPD matrix, or with m > 0 an n-row saddle system [[A, B^T], [B, 0]]."""
+    na = n - m
+    R = sp.random(na, na, density=0.02, random_state=rng)
+    A = (R @ R.T + na * sp.eye(na)).tocsr()
+    if not m:
+        return A
+    B = sp.csr_matrix(rng.normal(size=(m, na)) * np.sqrt(na))
+    return sp.bmat([[A, B.T], [B, None]], format="csr")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.data())
+def test_dense_and_superlu_routes_agree_at_the_bound(seed, m, data):
+    # the same free system, solved dense at _DENSE_ROWS rows and by SuperLU
+    # with one more row, coupled to every other row and constrained
+    rng = np.random.default_rng(seed)
+    n = _DENSE_ROWS
+    K = _spd_or_saddle(rng, n, m)
+    k = data.draw(st.integers(0, n - 2 * m))
+    fixed = rng.choice(n - m, size=k, replace=False)
+    constraints = {int(r): float(v) for r, v in zip(fixed, rng.normal(size=k))}
+    f = rng.normal(size=n)
+    col, value = rng.normal(size=n), float(rng.normal())
+    K1 = sp.bmat([[K, col[:, None]], [col[None, :], [[1.0]]]], format="csr")
+    f1 = np.append(f + value * col, 0.0)
+    with mock.patch.object(linsys.spla, "splu", wraps=linsys.spla.splu) as splu:
+        x = linear_solve(AssembledSystem(K, f, 1, constraints))
+        assert splu.call_count == 0
+        x1 = linear_solve(AssembledSystem(K1, f1, 1, {**constraints, n: value}))
+        assert splu.call_count == 1
+    assert np.abs(x1[:n] - x).max() <= 1e-12 * np.abs(x).max()
+    assert x1[n] == value
 
 
 # -------------------------------------------------------------- neo-Hookean
