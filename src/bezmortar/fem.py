@@ -19,7 +19,7 @@ from scipy.linalg import solveh_banded
 
 from .coupling import condense
 from .linsys import AssembledSystem, NumericalError, linear_solve
-from .model import Cell, ExtractedMesh
+from .model import Cell, CellGroup, ExtractedMesh
 from .splines import (
     SIDES,
     BernsteinInterval,
@@ -33,7 +33,6 @@ from .splines import (
 __all__ = [
     "MaterialModel",
     "SolutionField",
-    "cell_quadrature",
     "evaluate_cell",
     "cell_blocks",
     "assemble_poisson",
@@ -85,35 +84,27 @@ class MaterialModel:
 #
 # A cell's basis is (ophom @ B) / sum(ophom @ B) over the tensor Bernstein
 # basis B of its rectangle, and its geometry comes from geo_ophom the same
-# way.  Cells of one degree share B at the reference Gauss points, so a stack
-# of same-shaped cells is evaluated with a few batched products;
-# ``evaluate_cell`` is the one-cell case of the same code at given points.
+# way, B always tabled on the unit square.  Cells of one degree share B at
+# the reference Gauss points, so same-shaped cells take a few batched products;
+# boundary loads and point evaluation take cells of a group at their own
+# points, and ``evaluate_cell`` is the one-cell case.
 
-# Cells evaluated together; bounds the transient arrays of one batch.
-_BLOCK = 128
-
-
-def cell_quadrature(cell: Cell, n1: int, n2: int):
-    """Tensor Gauss points and weights on the cell rectangle."""
-    (a1, b1), (a2, b2) = cell.rect
-    x1, w1 = gauss_on(a1, b1, n1)
-    x2, w2 = gauss_on(a2, b2, n2)
-    X1 = np.repeat(x1, n2)
-    X2 = np.tile(x2, n1)
-    W = np.outer(w1, w2).reshape(-1)
-    return X1, X2, W
+# Cells, and points as one-point cells, evaluated together; bounds the
+# transient arrays of one batch.
+_BLOCK, _POINTS = 128, 4096
 
 
-def _tensor_tables(iv1: BernsteinInterval, iv2: BernsteinInterval, x1, x2, grad: bool):
-    """Tensor Bernstein values (m, nb) and, with ``grad``, derivatives (2, m, nb)."""
-    D1 = bernstein_derivatives(iv1, x1, 1 if grad else 0)
-    D2 = bernstein_derivatives(iv2, x2, 1 if grad else 0)
-    m = len(x1)
-    B = (D1[0][:, :, None] * D2[0][:, None, :]).reshape(m, -1)
+def _tensor_tables(p1: int, p2: int, u: np.ndarray, grad: bool):
+    """Tensor Bernstein values (..., nb) on the unit square at points ``u``
+    (..., 2) and, with ``grad``, their derivatives (2, ..., nb)."""
+    D1, D2 = (bernstein_derivatives(BernsteinInterval(0.0, 1.0, p), u[..., k].reshape(-1),
+                                    int(grad)) for k, p in enumerate((p1, p2)))
+    shape = u.shape[:-1] + (-1,)
+    B = (D1[0][:, :, None] * D2[0][:, None, :]).reshape(shape)
     if not grad:
         return B, None
-    dB = np.stack([(D1[1][:, :, None] * D2[0][:, None, :]).reshape(m, -1),
-                   (D1[0][:, :, None] * D2[1][:, None, :]).reshape(m, -1)])
+    dB = np.stack([(D1[1][:, :, None] * D2[0][:, None, :]).reshape(shape),
+                   (D1[0][:, :, None] * D2[1][:, None, :]).reshape(shape)])
     return B, dB
 
 
@@ -123,8 +114,7 @@ def _reference_tables(p1: int, p2: int, n1: int, n2: int):
     t1, w1 = gauss_on(0.0, 1.0, n1)
     t2, w2 = gauss_on(0.0, 1.0, n2)
     t = np.column_stack([np.repeat(t1, n2), np.tile(t2, n1)])
-    B, dB = _tensor_tables(BernsteinInterval(0.0, 1.0, p1), BernsteinInterval(0.0, 1.0, p2),
-                           t[:, 0], t[:, 1], True)
+    B, dB = _tensor_tables(p1, p2, t, True)
     tables = (t, np.outer(w1, w2).reshape(-1), B, dB)
     for a in tables:
         a.setflags(write=False)
@@ -180,6 +170,13 @@ def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True,
     return out
 
 
+def _group_at(g: CellGroup, sel: np.ndarray, xi: np.ndarray, grad: bool, jac: bool) -> dict:
+    """:func:`_rational` of a group's cells ``sel`` at their own points ``xi`` (nsel, m, 2)."""
+    lo, h = g.rect[sel, :, 0], g.rect[sel, :, 1] - g.rect[sel, :, 0]
+    B, dB = _tensor_tables(*g.degrees, (xi - lo[:, None]) / h[:, None], jac)
+    return _rational(B, dB, 1.0 / h, g.ophom[sel], g.geo_ophom[sel], g.geo_pts[sel], grad, jac)
+
+
 def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True):
     """Basis, geometry and Jacobians of one cell at parametric points.
 
@@ -187,11 +184,10 @@ def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True)
     ``grad`` is set, ``grad_phys`` (m, nrows, 2), ``detJ`` (m,) and ``jac``.
     """
     (a1, b1), (a2, b2) = cell.rect
-    p1, p2 = cell.degrees
-    B, dB = _tensor_tables(BernsteinInterval(a1, b1, p1), BernsteinInterval(a2, b2, p2),
-                           x1, x2, grad)
-    ev = _rational(B, dB, np.ones((1, 2)), cell.ophom[None], cell.geo_ophom[None],
-                   cell.geo_pts[None], grad, grad)
+    h1, h2 = b1 - a1, b2 - a2
+    B, dB = _tensor_tables(*cell.degrees, np.column_stack([(x1 - a1) / h1, (x2 - a2) / h2]), grad)
+    ev = _rational(B, dB, np.array([[1.0 / h1, 1.0 / h2]]), cell.ophom[None],
+                   cell.geo_ophom[None], cell.geo_pts[None], grad, grad)
     return {k: v[0] for k, v in ev.items()}
 
 
@@ -370,15 +366,12 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
             if keep.size == 0:
                 continue
             sel, a, b = on[keep], a[keep, None], b[keep, None]
-            lo, h = g.rect[sel, :, 0], g.rect[sel, :, 1] - g.rect[sel, :, 0]
             pts, wts = gauss_on(0.0, 1.0, g.degrees[along] + 2)
-            # unit-square coordinates: on the edge, and at the clipped Gauss points
-            u = np.full((sel.size, pts.size, 2), float(at_end))
-            u[..., along] = (a + (b - a) * pts - lo[:, along, None]) / h[:, along, None]
-            B, dB = _tensor_tables(*(BernsteinInterval(0.0, 1.0, p) for p in g.degrees),
-                                   u[..., 0].reshape(-1), u[..., 1].reshape(-1), True)
-            ev = _rational(B.reshape(u.shape[:2] + (-1,)), dB.reshape((2,) + u.shape[:2] + (-1,)),
-                           1.0 / h, g.ophom[sel], g.geo_ophom[sel], g.geo_pts[sel], False)
+            # on the cells' edge, at the clipped Gauss points
+            xi = np.empty((sel.size, pts.size, 2))
+            xi[..., axis] = g.rect[sel, axis, int(at_end), None]
+            xi[..., along] = a + (b - a) * pts
+            ev = _group_at(g, sel, xi, False, True)
             tangent = ev["jac"][..., along]
             speed = np.linalg.norm(tangent, axis=-1)
             # outward normal: ccw (-b, a) of the tangent (a, b) on the west and
@@ -642,17 +635,34 @@ class SolutionField:
             raise ValueError(f"field has {np.size(self.values)} values, the mesh "
                              f"{self.mesh.ndof} dofs of {self.ncomp} components")
 
-    def eval(self, patch: int, xi1: float, xi2: float) -> np.ndarray:
-        cell = self.mesh.locate(patch, xi1, xi2)
-        ev = evaluate_cell(cell, np.array([xi1]), np.array([xi2]), grad=False)
-        coeffs = self.values.reshape(-1, self.ncomp)[cell.rows]
-        return ev["basis"][0] @ coeffs
+    def evaluate(self, patch, xi1, xi2, grad: bool = False):
+        """Values (n, ncomp) at n parametric points of ``patch`` (one index or
+        n); with ``grad`` the pair of values and physical gradients (n, ncomp, 2).
 
-    def eval_gradient(self, patch: int, xi1: float, xi2: float) -> np.ndarray:
-        cell = self.mesh.locate(patch, xi1, xi2)
-        ev = evaluate_cell(cell, np.array([xi1]), np.array([xi2]))
-        coeffs = self.values.reshape(-1, self.ncomp)[cell.rows]
-        return np.einsum("nd,nc->cd", ev["grad_phys"][0], coeffs)
+        Points are evaluated as one-point cells of the cells that
+        :meth:`ExtractedMesh.cell_index` finds, per shape group in batches of
+        ``_POINTS``; unequal counts, non-finite or outside points raise ValueError.
+        """
+        xi1, xi2 = np.atleast_1d(np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float))
+        patch = np.full(xi1.shape, patch) if np.ndim(patch) == 0 else np.asarray(patch)
+        if not (xi1.ndim == 1 and patch.shape == xi1.shape == xi2.shape):
+            raise ValueError(f"patch, xi1 and xi2 have shapes {patch.shape}, {xi1.shape} and "
+                             f"{xi2.shape}; expected one value per point")
+        if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
+            raise ValueError("non-finite parameter")
+        k = self.mesh.cell_index(patch, xi1, xi2)
+        xi, d = np.column_stack([xi1, xi2])[:, None], self.values.reshape(-1, self.ncomp)
+        vals, grads = np.empty((k.size, self.ncomp)), np.empty((k.size, self.ncomp, 2))
+        for g in self.mesh.groups:
+            pos = np.minimum(np.searchsorted(g.index, k), len(g.index) - 1)
+            hit = np.flatnonzero(g.index[pos] == k)
+            for at in (hit[s : s + _POINTS] for s in range(0, hit.size, _POINTS)):
+                ev = _group_at(g, pos[at], xi[at], grad, grad)
+                coeffs = d[g.rows[pos[at]]]
+                vals[at] = np.einsum("cqn,cnk->ck", ev["basis"], coeffs)
+                if grad:
+                    grads[at] = np.einsum("cqnd,cnk->ckd", ev["grad_phys"], coeffs)
+        return (vals, grads) if grad else vals
 
 
 def l2_error(field: SolutionField, exact, quad_extra: int = 2,

@@ -96,9 +96,9 @@ def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
       outweigh the dense arithmetic it saves;
     - above it, the free block is selected in one pass over K's CSR arrays:
       the entries whose row and column are both free are kept, in their
-      order, and renumbered.  Its CSR arrays are the CSC arrays of its
-      transpose, so SuperLU factors the transpose as it stands and solves
-      with ``trans="T"``; no further copy or format conversion is made.
+      order, and renumbered.  SuperLU factors the block itself, in CSC
+      form: its transpose, whose CSC arrays are the block's CSR arrays,
+      left relative residuals above 1e-10 on the plate saddle systems.
 
     Raises ValueError when a constrained row lies outside the system or its
     value is not finite, and :class:`NumericalError` when factorization
@@ -138,7 +138,7 @@ def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
         np.cumsum(np.bincount(rows, minlength=nfree), out=indptr[1:])
         block = sp.csr_matrix((K.data[keep], cols, indptr), shape=(nfree, nfree))
         try:
-            sol = spla.splu(block.T).solve(rhs, trans="T")
+            sol = spla.splu(block.tocsc()).solve(rhs)
         except RuntimeError as exc:
             raise NumericalError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):

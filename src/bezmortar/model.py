@@ -35,11 +35,9 @@ from .coupling import (
 )
 from .splines import (
     SIDES,
-    BernsteinInterval,
     Patch2D,
     _element_tables,
-    bernstein_transform,
-    bezier_extraction,
+    _subdivision,
     side_index,
 )
 
@@ -99,9 +97,9 @@ class ExtractedMesh:
     The stream is held as shape groups: ``pieces`` that share degrees and
     operator shapes are merged into one :class:`CellGroup`, ordered by
     position, and the groups are ordered by their first position.  ``_cache``
-    holds data derived from the groups on first use (the cell views, the point
-    locator, the assembly pattern per component count and the neo-Hookean
-    kernel's quadrature geometry), so the groups are read-only.
+    holds data derived from the groups on first use (the cell views, the grids
+    of :meth:`cell_index`, the assembly pattern per component count and the
+    neo-Hookean kernel's quadrature geometry), so the groups are read-only.
     """
 
     def __init__(self, patches: list[Patch2D], pieces, ndof: int):
@@ -140,10 +138,6 @@ class ExtractedMesh:
                     cells[k] = Cell(patch, tuple(map(tuple, rect)), *arrays, g.degrees)
             self._cache["cells"] = tuple(cells)
         return self._cache["cells"]
-
-    def locate(self, patch: int, xi1: float, xi2: float) -> Cell:
-        """Cell of ``patch`` containing the parametric point (see :meth:`cell_index`)."""
-        return self.cells[self.cell_index(np.array([patch]), np.array([xi1]), np.array([xi2]))[0]]
 
     def cell_index(self, patch: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
         """Stream position of the cell of ``patch[q]`` holding each point q.
@@ -430,9 +424,9 @@ class MultiPatchModel:
     def _trace_cells(self, pi: int, ci: int) -> CellGroup:
         """Cells along slave interface ``ci``, ``index`` holding their elements.
 
-        Each element is subdivided at the refined interface's new continuity
-        lines; ``index`` is the row-major element index of every subcell, in
-        increasing order.  A subcell is the tensor cell of the element's
+        Each element is subdivided at the refined interface's breakpoints
+        inside it; ``index`` is the row-major element index of every subcell,
+        in increasing order.  A subcell is the tensor cell of the element's
         transverse extraction and its interface-direction extraction pulled
         into subcell Bernstein coordinates; its rows are put in
         transverse-major order and the edge row group is swapped for the
@@ -445,23 +439,23 @@ class MultiPatchModel:
         p_f, p_i = kv_f.degree, kv_i.degree
         bp_f, first_f, C_f = _element_tables(kv_f)
         e_f = first_f.size - 1 if at_end else 0
-        ops_i = bezier_extraction(kv_i)
+        bp_i, first_i, C_i = _element_tables(kv_i)
         refined = coup.refined.refined
-        owner, rects, Cs, e_r = [], [], [], []
-        for op in ops_i:
-            parent = op.interval
-            for a, b in coup.refined.cells_in(op.span) or [op.span]:
-                if abs(a - parent.lo) < 1e-14 and abs(b - parent.hi) < 1e-14:
-                    Cs.append(op.matrix)
-                else:
-                    M = bernstein_transform(parent, BernsteinInterval(a, b, p_i))
-                    Cs.append(op.matrix @ M.T)
-                owner.append(op.element)
-                rects.append((a, b))
-                e_r.append(refined.element_index(0.5 * (a + b)))
-        m, owner = len(owner), np.array(owner)
+        bp_r = refined.breakpoints()
+        cuts = np.union1d(bp_i, bp_r)
+        a, b = cuts[:-1], cuts[1:]
+        owner = np.searchsorted(bp_i, a, "right") - 1
+        lo, hi = bp_i[owner], bp_i[owner + 1]
+        # a subcell that is its whole element keeps the element's operator
+        part = np.flatnonzero((np.abs(a - lo) >= 1e-14) | (np.abs(b - hi) >= 1e-14))
+        h = (hi - lo)[part]
+        M = _subdivision(p_i, (a - lo)[part] / h, (b - lo)[part] / h)
+        Cs = C_i[owner]
+        Cs[part] = Cs[part] @ np.swapaxes(M, 1, 2)
+        e_r = np.clip(np.searchsorted(bp_r, 0.5 * (a + b), "right") - 1, 0, bp_r.size - 2)
+        m = owner.size
         transverse = (np.full(m, first_f[e_f]), np.broadcast_to(C_f[e_f], (m,) + C_f.shape[1:]))
-        along = (_element_tables(kv_i)[1][owner], np.stack(Cs))
+        along = (first_i[owner], Cs)
         pairs = transverse + along if axis_f == 0 else along + transverse
         rows, geo, pts = _tensor_cells(patch, self.grids[pi], *pairs)
         perm = np.arange(rows.shape[1]).reshape(patch.degrees[0] + 1, -1)
@@ -476,7 +470,7 @@ class MultiPatchModel:
         op[:, grp] = coup.refined_edge_weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
         rows[:, grp] = self.trace_ids[ci][r]
         rect = np.empty((m, 2, 2))
-        rect[:, axis_f], rect[:, 1 - axis_f] = bp_f[e_f : e_f + 2], rects
+        rect[:, axis_f], rect[:, 1 - axis_f] = bp_f[e_f : e_f + 2], np.column_stack([a, b])
         n2 = _element_tables(patch.kvs[1])[1].size
         elements = owner * n2 + e_f if axis_f else e_f * n2 + owner
         return CellGroup(elements, np.full(m, pi), rect, rows, op, pts, geo, patch.degrees)

@@ -156,25 +156,29 @@ def bernstein_transform(source: BernsteinInterval, target: BernsteinInterval) ->
 
     M satisfies ``B_target(x) = M^{-T} B_source(x)`` pointwise, with both
     bases evaluated at the same physical parameter ``x`` (the polynomials are
-    extended outside their native interval where needed).  Entry (j, k) is a
-    product sum of source-interval Bernstein values at the target endpoints.
+    extended outside their native interval where needed).  The one-pair
+    case of :func:`_subdivision`.
     """
     if source.degree != target.degree:
         raise ValueError("transformation requires equal degrees")
-    p = source.degree
     # target endpoints in source-local coordinates
-    a = (target.lo - source.lo) / source.length
-    b = (target.hi - source.lo) / source.length
-    M = np.zeros((p + 1, p + 1))
+    a, b = (np.array([(t - source.lo) / source.length]) for t in (target.lo, target.hi))
+    return _subdivision(source.degree, a, b)[0]
+
+
+def _subdivision(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Transformation matrices (n, p+1, p+1) from [0, 1] to the intervals [a, b].
+
+    Entry (j, k) is a product sum of Bernstein values on [0, 1] at the
+    endpoints ``a`` and ``b`` (n,), summed in the same order for every pair.
+    """
+    M = np.zeros((len(a), p + 1, p + 1))
     for j in range(1, p + 2):
-        Bj = _bernstein_unit(j - 1, np.array([b]))[0]  # degree j-1 at b
-        Bp = _bernstein_unit(p - j + 1, np.array([a]))[0]  # degree p-j+1 at a
+        Bj = _bernstein_unit(j - 1, b)  # degree j-1 at b
+        Bp = _bernstein_unit(p - j + 1, a)  # degree p-j+1 at a
         for k in range(1, p + 2):
-            lo = max(1, j + k - p - 1)
-            hi = min(j, k)
-            M[j - 1, k - 1] = sum(
-                Bj[l - 1] * Bp[k - l] for l in range(lo, hi + 1)
-            )
+            for l in range(max(1, j + k - p - 1), min(j, k) + 1):
+                M[:, j - 1, k - 1] += Bj[:, l - 1] * Bp[:, k - l]
     return M
 
 

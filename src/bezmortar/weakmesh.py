@@ -69,7 +69,8 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     op_f = bezier_extraction(kv_f)[-1 if at_end else 0]
     xi = [0.0, 0.0]
     xi[axis_f], xi[1 - axis_f] = 0.5 * sum(op_f.span), 0.5 * (a + b)
-    cell = model.weak_mesh().locate(pi, *xi)
+    mesh = model.weak_mesh()
+    cell = mesh.cells[mesh.cell_index(np.array([pi]), np.array([xi[0]]), np.array([xi[1]]))[0]]
     grid = model.grids[pi]
     order = np.concatenate([(grid.T if axis_f else grid).reshape(-1),
                             model.grids[mp][side_index(ms)]])

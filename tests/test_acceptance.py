@@ -193,7 +193,7 @@ def test_criterion_7_plate_with_hole():
     rep = run_convergence(case, levels=4)
     rate = last_two_rate(rep)
     solved = solve_case(case, 2, "mortar")
-    g = solved["field"].eval_gradient(1, 1e-12, 1.0 - 1e-12)
+    _, (g,) = solved["field"].evaluate(1, 1e-12, 1.0 - 1e-12, grad=True)
     mat = PLATE_MATERIAL
     sxx = (mat.lam + 2 * mat.mu) * g[0, 0] + mat.lam * g[1, 1]
     crown_err = abs(sxx - 30.0) / 30.0

@@ -1,6 +1,6 @@
 """The batched cell kernels against per-cell reference loops over evaluate_cell.
 
-The references walk the cells one at a time at ``cell_quadrature`` points
+The references walk the cells one at a time at their tensor Gauss points
 and build the matrix through a COO triplet list, as a plain extracted-element
 code would; the batched kernels must give the same systems to rounding.
 Boundary loads are checked the same way against a loop over 1D side cells
@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bezmortar import (
     Cell,
@@ -43,7 +45,6 @@ from bezmortar.benchmarks import (
 from bezmortar.fem import (
     assemble_neumann,
     boundary_projection,
-    cell_quadrature,
     deformation_gradients,
     dirichlet_rows,
     evaluate_cell,
@@ -86,11 +87,19 @@ def mesh(request):
     return MESHES[request.param]()
 
 
+def _cell_quadrature(cell, n1, n2):
+    """Tensor Gauss points and weights on the cell rectangle."""
+    (a1, b1), (a2, b2) = cell.rect
+    x1, w1 = gauss_on(a1, b1, n1)
+    x2, w2 = gauss_on(a2, b2, n2)
+    return np.repeat(x1, n2), np.tile(x2, n1), np.outer(w1, w2).reshape(-1)
+
+
 def _cells(mesh, quad_extra=1):
     """(cell, ev, wdet) at the cell's tensor Gauss rule, one cell at a time."""
     for cell in mesh.cells:
         n1, n2 = cell.degrees[0] + quad_extra, cell.degrees[1] + quad_extra
-        x1, x2, w = cell_quadrature(cell, n1, n2)
+        x1, x2, w = _cell_quadrature(cell, n1, n2)
         ev = evaluate_cell(cell, x1, x2)
         yield cell, ev, w * ev["detJ"]
 
@@ -112,8 +121,8 @@ def _assert_same_matrix(K, ref):
     assert np.abs(K.data - ref.data).max() <= TOL * np.abs(ref.data).max()
 
 
-def _assert_close(v, ref):
-    assert np.abs(v - ref).max() <= TOL * np.abs(ref).max()
+def _assert_close(v, ref, tol=TOL):
+    assert np.abs(v - ref).max() <= tol * np.abs(ref).max()
 
 
 def _forcing(x, y):
@@ -335,17 +344,32 @@ def test_field_difference_matches_pointwise_reference():
     fb = SolutionField(conforming, RNG.normal(size=conforming.ndof * 2), 2)
     total = 0.0
     for cell, ev, wdet in _cells(weak, quad_extra=2):
-        x1, x2, _ = cell_quadrature(cell, cell.degrees[0] + 2, cell.degrees[1] + 2)
+        x1, x2, _ = _cell_quadrature(cell, cell.degrees[0] + 2, cell.degrees[1] + 2)
         va = ev["basis"] @ fa.values.reshape(-1, 2)[cell.rows]
         for q in range(len(wdet)):
-            d = va[q] - fb.eval(cell.patch, float(x1[q]), float(x2[q]))
+            d = va[q] - _point_value(fb, cell.patch, float(x1[q]), float(x2[q]))
             total += wdet[q] * float(d @ d)
     got = field_difference_l2(fa, fb)
     assert abs(got - math.sqrt(total)) <= TOL * math.sqrt(total)
 
 
+def _locate(mesh, patch, xi1, xi2):
+    """The cell ``cell_index`` finds for one point."""
+    return mesh.cells[mesh.cell_index(np.array([patch]), np.array([xi1]), np.array([xi2]))[0]]
+
+
+def _point_value(field, patch, xi1, xi2, grad=False):
+    """A field's values (ncomp,) at one point, with ``grad`` also its gradients
+    (ncomp, 2), from that point's cell alone."""
+    cell = _locate(field.mesh, patch, xi1, xi2)
+    ev = evaluate_cell(cell, np.array([xi1]), np.array([xi2]), grad)
+    coeffs = field.values.reshape(-1, field.ncomp)[cell.rows]
+    value = ev["basis"][0] @ coeffs
+    return (value, np.einsum("nd,nk->kd", ev["grad_phys"][0], coeffs)) if grad else value
+
+
 def _field_difference_per_point(field_a, field_b, quad_extra=2):
-    """field_difference_l2 with one ``locate`` per point, hits grouped in a dict."""
+    """field_difference_l2 with one ``_locate`` per point, hits grouped in a dict."""
     total = 0.0
     da = field_a.values.reshape(-1, field_a.ncomp)
     db = field_b.values.reshape(-1, field_b.ncomp)
@@ -355,7 +379,7 @@ def _field_difference_per_point(field_a, field_b, quad_extra=2):
         patches = np.repeat([field_a.mesh.cells[k].patch for k in index], ev["xi"].shape[1])
         hits = {}
         for q, (patch, (s, t)) in enumerate(zip(patches, xi)):
-            cell = field_b.mesh.locate(int(patch), s, t)
+            cell = _locate(field_b.mesh, int(patch), s, t)
             hits.setdefault(id(cell), (cell, []))[1].append(q)
         vb = np.empty_like(va)
         for cell, qs in hits.values():
@@ -420,6 +444,7 @@ def _scan(mesh, patch, xi1, xi2):
 
 
 def test_locate_matches_linear_scan(mesh):
+    # cell_index, the point locator, against a scan over every cell
     for patch in range(len(mesh.patches)):
         rects = np.array([c.rect for c in mesh.cells if c.patch == patch])
         b1, b2 = np.unique(rects[:, 0]), np.unique(rects[:, 1])
@@ -429,19 +454,23 @@ def test_locate_matches_linear_scan(mesh):
                              RNG.uniform(b1[0], b1[-1], 20)])
         s2 = np.concatenate([(b2[:, None] + offsets).ravel(),
                              RNG.uniform(b2[0], b2[-1], 20)])
-        for xi1 in s1:
-            for xi2 in s2:
-                ref = _scan(mesh, patch, xi1, xi2)
-                if ref is None:
-                    with pytest.raises(ValueError, match="not inside"):
-                        mesh.locate(patch, xi1, xi2)
-                else:
-                    assert mesh.locate(patch, xi1, xi2) is ref
+        xi1, xi2 = np.repeat(s1, s2.size), np.tile(s2, s1.size)
+        refs = [_scan(mesh, patch, a, b) for a, b in zip(xi1, xi2)]
+        inside = np.array([r is not None for r in refs])
+        # one call for every point some cell holds ...
+        got = mesh.cell_index(np.full(inside.sum(), patch), xi1[inside], xi2[inside])
+        want = [r for r in refs if r is not None]
+        assert len(got) == len(want) and all(mesh.cells[k] is r for k, r in zip(got, want))
+        # ... and each point no cell holds raises
+        for a, b in zip(xi1[~inside], xi2[~inside]):
+            with pytest.raises(ValueError, match="not inside"):
+                mesh.cell_index(np.array([patch]), np.array([a]), np.array([b]))
     with pytest.raises(ValueError, match="not inside"):
-        mesh.locate(len(mesh.patches), 0.5, 0.5)
+        mesh.cell_index(np.array([len(mesh.patches)]), np.array([0.5]), np.array([0.5]))
 
 
 def test_locate_returns_the_first_of_overlapping_cells():
+    # cell_index takes the first in stream order of the cells holding a point
     base = single_patch_mesh(rect_patch(2, 2, 2))
     (grid,) = base.groups
     n = len(base)
@@ -451,9 +480,58 @@ def test_locate_returns_the_first_of_overlapping_cells():
     first = ExtractedMesh(base.patches, [dataclasses.replace(grid, index=grid.index + 1),
                                          dataclasses.replace(whole, index=np.array([0]))],
                           base.ndof)
-    for xi1, xi2 in RNG.uniform(0.0, 1.0, (20, 2)):
-        assert last.locate(0, xi1, xi2) is last.cells[base.cells.index(_scan(base, 0, xi1, xi2))]
-        assert first.locate(0, xi1, xi2) is first.cells[0]
+    xi1, xi2 = RNG.uniform(0.0, 1.0, (2, 20))
+    patch = np.zeros(20, dtype=int)
+    want = [base.cells.index(_scan(base, 0, a, b)) for a, b in zip(xi1, xi2)]
+    assert last.cell_index(patch, xi1, xi2).tolist() == want
+    assert first.cell_index(patch, xi1, xi2).tolist() == [0] * 20
+
+
+# ---------------------------------------------------------- point evaluation
+
+
+def _coordinate(breaks):
+    """A parameter in the span of ``breaks``, or a breakpoint within the slack."""
+    return st.one_of(st.floats(float(breaks[0]), float(breaks[-1])),
+                     st.tuples(st.sampled_from(breaks.tolist()),
+                               st.sampled_from([0.0, 5e-13, -5e-13])).map(sum))
+
+
+@given(data=st.data())
+def test_evaluate_matches_per_point_reference(mesh, data):
+    breaks = [[np.unique(np.array([c.rect[a] for c in mesh.cells if c.patch == p]))
+               for a in (0, 1)] for p in range(len(mesh.patches))]
+    point = st.integers(0, len(mesh.patches) - 1).flatmap(
+        lambda p: st.tuples(st.just(p), *map(_coordinate, breaks[p])))
+    patch, xi1, xi2 = map(np.array, zip(*data.draw(st.lists(point, min_size=1, max_size=12))))
+    field = SolutionField(mesh, np.random.default_rng(5).normal(size=mesh.ndof * 2), 2)
+    vals, grads = field.evaluate(patch, xi1, xi2, grad=True)
+    ref = [_point_value(field, *q, grad=True) for q in zip(patch.tolist(), xi1, xi2)]
+    ref_vals, ref_grads = (np.array(r) for r in zip(*ref))
+    # the same arithmetic on one point or many, up to the matrix products' order
+    _assert_close(vals, ref_vals, 1e-14)
+    _assert_close(field.evaluate(patch, xi1, xi2), ref_vals, 1e-14)
+    _assert_close(grads, ref_grads, 1e-14)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, [0.5, 0.5], [0.5]), "shapes"),
+    (([0, 0], [0.5], [0.5]), "shapes"),
+    ((0, [[0.5]], [[0.5]]), "shapes"),
+    ((1, [0.5], [0.5]), "not inside patch 1"),
+    ((-1, [0.5], [0.5]), "not inside patch -1"),
+    ((0.5, [0.5], [0.5]), "not inside patch 0.5"),
+    ((0, [0.5, 1.5], [0.5, 0.5]), "not inside patch 0"),
+    ((0, [np.nan], [0.5]), "non-finite"),
+    ((0, [0.5], [np.inf]), "non-finite"),
+], ids=["short-xi2", "long-patch", "two-dimensional", "patch-past-the-end", "negative-patch",
+        "fractional-patch", "outside-the-patch", "nan-xi1", "infinite-xi2"])
+def test_evaluate_rejects_bad_input(args, message):
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    field = SolutionField(mesh, np.zeros(mesh.ndof))
+    for grad in (False, True):
+        with pytest.raises(ValueError, match=message):
+            field.evaluate(*args, grad=grad)
 
 
 # ------------------------------------------------------------ boundary loads

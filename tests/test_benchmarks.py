@@ -236,6 +236,17 @@ def test_validation_of_case_configuration():
         solve_case(BenchmarkCase("square-mixed"), 0, "bogus")
 
 
+@pytest.mark.parametrize("case_id", ["plate-hole-2patch", "plate-hole-3patch"])
+def test_saddle_route_solves_the_sparse_plate_systems(case_id):
+    # level 2 puts the saddle system (636 and 888 rows) on the SuperLU route,
+    # where factoring the transposed free block left relative residuals of
+    # 1.05e-10 and 1.65e-10, above the solver's 1e-10 bound
+    case = BenchmarkCase(case_id)
+    saddle = solve_case(case, 2, "saddle")["field"].values
+    mortar = solve_case(case, 2, "mortar")["field"].values
+    assert np.abs(saddle - mortar).max() <= 1e-8 * np.abs(mortar).max()
+
+
 # ------------------------------------------------------------ interface jump
 
 

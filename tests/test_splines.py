@@ -20,6 +20,7 @@ from bezmortar import (
     uniform_open_knots,
 )
 from bezmortar.benchmarks import annulus_sector_patch, rect_patch
+from bezmortar.splines import _bernstein_unit, _subdivision
 
 RNG = np.random.default_rng(20240917)
 
@@ -104,6 +105,32 @@ def test_transform_pointwise_identity_random():
         lhs = bernstein_basis(tgt, xs)
         rhs = np.linalg.solve(M.T, bernstein_basis(src, xs).T).T
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _transform_entries(p, a, b):
+    """One transform's product sums written out entry by entry, in Python."""
+    M = np.zeros((p + 1, p + 1))
+    for j in range(1, p + 2):
+        Bj = _bernstein_unit(j - 1, np.array([b]))[0]
+        Bp = _bernstein_unit(p - j + 1, np.array([a]))[0]
+        for k in range(1, p + 2):
+            M[j - 1, k - 1] = sum(Bj[l - 1] * Bp[k - l]
+                                  for l in range(max(1, j + k - p - 1), min(j, k) + 1))
+    return M
+
+
+def test_subdivision_rows_equal_single_transforms_bitwise():
+    rng = np.random.default_rng(11)
+    for p in range(6):
+        a = rng.uniform(-0.5, 1.0, 40)
+        b = a + rng.uniform(1e-6, 1.0, 40)
+        M = _subdivision(p, a, b)
+        assert M.shape == (40, p + 1, p + 1)
+        for k in range(40):
+            one = bernstein_transform(BernsteinInterval(0.0, 1.0, p),
+                                      BernsteinInterval(a[k], b[k], p))
+            assert M[k].tobytes() == one.tobytes()
+            assert M[k].tobytes() == _transform_entries(p, a[k], b[k]).tobytes()
 
 
 def test_transform_degree_mismatch():

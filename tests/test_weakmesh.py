@@ -157,7 +157,8 @@ def test_report_operator_matches_emitted_weak_cell(demo_model):
     transverse = BernsteinInterval(0.5, 1.0, 2)
     x1 = np.linspace(1 / 3 + 1e-3, 0.5 - 1e-3, 4).repeat(4)
     x2 = np.tile(np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 4), 4)
-    cell = demo_model.weak_mesh().locate(pi, 0.4, 0.75)
+    mesh = demo_model.weak_mesh()
+    cell = mesh.cells[mesh.cell_index(np.array([pi]), np.array([0.4]), np.array([0.75]))[0]]
     assert np.allclose(cell.rect, ((1 / 3, 0.5), (0.5, 1.0)), rtol=0, atol=1e-15)
     # report rows: interior transverse functions x parent functions, then
     # the master functions active on the subcell's image
