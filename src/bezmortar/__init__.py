@@ -46,12 +46,9 @@ from .fem import (
 from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
 from .model import Cell, CellGroup, ExtractedMesh, MultiPatchModel, single_patch_mesh
 from .splines import (
-    BernsteinInterval,
-    ElementExtraction,
     KnotVector,
     OutOfDomainError,
     Patch2D,
-    bernstein_basis,
     bernstein_derivatives,
     bernstein_transform,
     bezier_extraction,

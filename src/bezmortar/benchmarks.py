@@ -213,12 +213,11 @@ def gen_square_two_patch(ratio=(2, 3), matched: bool = True, p: int = 2,
 
 
 def gen_annulus_two_patch(ratio=(2, 3), p: int = 2, level: int = 0,
-                          dual_refine: int = 0,
-                          r0: float = 0.4, r1: float = 4.0) -> MultiPatchModel:
+                          dual_refine: int = 0) -> MultiPatchModel:
     """Quarter-ring 0.4 <= r <= 4, pi/2 <= angle <= pi, split at 3 pi / 4."""
-    master = annulus_sector_patch(math.pi / 2, 3 * math.pi / 4, r0, r1,
+    master = annulus_sector_patch(math.pi / 2, 3 * math.pi / 4, 0.4, 4.0,
                                   ratio[0], ratio[0], p).refined_uniform(level)
-    slave = annulus_sector_patch(3 * math.pi / 4, math.pi, r0, r1,
+    slave = annulus_sector_patch(3 * math.pi / 4, math.pi, 0.4, 4.0,
                                  ratio[1], ratio[1], p).refined_uniform(level)
     spec = InterfaceSpec(master=(0, "north"), slave=(1, "south"))
     return MultiPatchModel([master, slave], [spec], dual_refine)
@@ -233,13 +232,13 @@ def _plate_outer(theta: float, L: float) -> np.ndarray:
 
 def gen_plate_hole(npatches: int = 2, matched: bool = True, p: int = 2,
                    level: int = 0, seed: int = 1234, dual_refine: int = 1,
-                   ratio=(2, 3), R: float = PLATE_RADIUS,
-                   L: float = PLATE_SIDE) -> MultiPatchModel:
+                   ratio=(2, 3)) -> MultiPatchModel:
     """Quarter plate with a circular hole as 2 or 3 coupled ruled patches.
 
     The 3-patch variant splits the upper sector once more, making the middle
     patch master on one interface and slave on the other.
     """
+    R, L = PLATE_RADIUS, PLATE_SIDE
     outer = lambda th: _plate_outer(th, L)
     nm, ns = ratio
     if npatches == 2:
@@ -287,13 +286,14 @@ def gen_demo_two_patch(dual_refine: int = 1) -> MultiPatchModel:
 # exact solutions
 
 
-def exact_plate_stress(r, theta, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
+def exact_plate_stress(r, theta):
     """Polar stresses of an infinite plate with a traction-free hole.
 
-    Classical solution for uniaxial far-field tension Tx; the hole boundary
-    r = R is traction free (sigma_rr = sigma_rt = 0).  ``r`` and ``theta``
-    are numbers or arrays of one shape.
+    Classical solution for uniaxial far-field tension Tx = ``PLATE_TENSION``;
+    the hole boundary r = R = ``PLATE_RADIUS`` is traction free (sigma_rr =
+    sigma_rt = 0).  ``r`` and ``theta`` are numbers or arrays of one shape.
     """
+    Tx, R = PLATE_TENSION, PLATE_RADIUS
     if np.any(r < R - 1e-12):
         raise OutOfDomainError("stress requested inside the hole")
     q = (R / r) ** 2
@@ -306,10 +306,10 @@ def exact_plate_stress(r, theta, Tx: float = PLATE_TENSION, R: float = PLATE_RAD
     return srr, stt, srt
 
 
-def kirsch_cartesian(x, y, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
+def kirsch_cartesian(x, y):
     """Cartesian stresses (sxx, syy, sxy) of the hole-in-plate solution."""
     theta = np.arctan2(y, x)
-    srr, stt, srt = exact_plate_stress(np.hypot(x, y), theta, Tx, R)
+    srr, stt, srt = exact_plate_stress(np.hypot(x, y), theta)
     c, s = np.cos(theta), np.sin(theta)
     sxx = srr * c * c + stt * s * s - 2 * srt * s * c
     syy = srr * s * s + stt * c * c + 2 * srt * s * c
@@ -317,23 +317,24 @@ def kirsch_cartesian(x, y, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
     return sxx, syy, sxy
 
 
-def _kirsch_traction(x, n, Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS):
+def _kirsch_traction(x, n):
     """Traction sigma . n of the hole-in-plate solution at (..., 2) points."""
-    sxx, syy, sxy = kirsch_cartesian(x[..., 0], x[..., 1], Tx, R)
+    sxx, syy, sxy = kirsch_cartesian(x[..., 0], x[..., 1])
     return np.stack([sxx * n[..., 0] + sxy * n[..., 1],
                      sxy * n[..., 0] + syy * n[..., 1]], axis=-1)
 
 
-def plate_traction_residual(Tx: float = PLATE_TENSION, R: float = PLATE_RADIUS,
-                            L: float = PLATE_SIDE, nq: int = 64) -> float:
+def plate_traction_residual() -> float:
     """Net force of the exact tractions over the whole quarter-plate boundary.
 
     Includes the symmetry-plane reactions; equilibrium demands (near) zero.
+    Each edge takes a 64-point Gauss rule.
     """
+    R, L, nq = PLATE_RADIUS, PLATE_SIDE, 64
     total = np.zeros(2)
 
     def edge(x, n, w):
-        return w @ _kirsch_traction(x, np.broadcast_to(n, x.shape), Tx, R)
+        return w @ _kirsch_traction(x, np.broadcast_to(n, x.shape))
 
     # x = L edge (outward +x): y from 0 to L
     ys, wy = gauss_on(0.0, L, nq)
@@ -654,8 +655,7 @@ def _largedef_loads(case_id: str, pressure: float):
 
 def run_largedef(case_id: str, level: int, increments: int = 20,
                  tol_factor: float = 1e8, weak: bool = True,
-                 pressure: float = LARGEDEF_PRESSURE,
-                 material: MaterialModel = LARGEDEF_MATERIAL) -> SolutionField:
+                 pressure: float = LARGEDEF_PRESSURE) -> SolutionField:
     """Load-stepped neo-Hookean solve on the weak or conforming mesh."""
     if not math.isfinite(pressure):
         raise ValueError("pressure must be finite")
@@ -677,7 +677,7 @@ def run_largedef(case_id: str, level: int, increments: int = 20,
             raise ValueError("corner constraint fell on an interface dof")
         rows.append((dof * 2 + comp, 0.0))
     values = newton_load_stepping(
-        mesh, material, fext, rows, increments, tol_factor
+        mesh, LARGEDEF_MATERIAL, fext, rows, increments, tol_factor
     )
     return SolutionField(mesh, values, 2)
 

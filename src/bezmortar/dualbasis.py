@@ -16,14 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .splines import (
-    BernsteinInterval,
-    ElementExtraction,
-    KnotVector,
-    _bernstein_table,
-    _element_tables,
-    rational_table,
-)
+from .splines import KnotVector, _bernstein_table, _element_tables, rational_table
 
 __all__ = [
     "bernstein_gramian",
@@ -36,14 +29,12 @@ __all__ = [
 ]
 
 
-def bernstein_gramian(interval: BernsteinInterval) -> np.ndarray:
-    """Gramian int B_i B_j over the interval, from the closed-form moments.
+def bernstein_gramian(p: int) -> np.ndarray:
+    """Gramian int B_i B_j of the degree-p Bernstein basis over [0, 1].
 
-    For the unit interval the entries are
-    C(p,i) C(p,j) / (C(2p,i+j) (2p+1)); a general interval scales the whole
-    matrix by its length.  The result is symmetric positive definite.
+    Closed-form moments C(p,i) C(p,j) / (C(2p,i+j) (2p+1)); an element of
+    length h scales it by h.  The result is symmetric positive definite.
     """
-    p = interval.degree
     G = np.empty((p + 1, p + 1))
     for i in range(p + 1):
         for j in range(p + 1):
@@ -52,17 +43,16 @@ def bernstein_gramian(interval: BernsteinInterval) -> np.ndarray:
                 * math.comb(p, j)
                 / (math.comb(2 * p, i + j) * (2 * p + 1))
             )
-    return G * interval.length
+    return G
 
 
-def reconstruction_operator(extraction: ElementExtraction | np.ndarray) -> np.ndarray:
+def reconstruction_operator(C: np.ndarray) -> np.ndarray:
     """Inverse of an element extraction operator, or of a stack of them.
 
     Expresses the element Bernstein basis in terms of the restricted spline
     basis; raises if an operator is singular (which would indicate an
     invalid extraction).
     """
-    C = extraction.matrix if isinstance(extraction, ElementExtraction) else np.asarray(extraction)
     try:
         R = np.linalg.inv(C)
     except np.linalg.LinAlgError as exc:
@@ -133,7 +123,7 @@ def dual_extraction(kv: KnotVector) -> DualBasis:
     int dual_I N_J = delta_IJ over the whole interface.
     """
     bp, _, C = _element_tables(kv)
-    gram = bernstein_gramian(BernsteinInterval(0.0, 1.0, kv.degree))
+    gram = bernstein_gramian(kv.degree)
     w = projection_weights(kv)
     RT = np.swapaxes(reconstruction_operator(C), 1, 2)
     D = w[:, :, None] * (RT @ np.linalg.inv(gram)) / np.diff(bp)[:, None, None]

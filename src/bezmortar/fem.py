@@ -22,7 +22,6 @@ from .linsys import AssembledSystem, NumericalError, linear_solve
 from .model import Cell, CellGroup, ExtractedMesh
 from .splines import (
     SIDES,
-    BernsteinInterval,
     bernstein_derivatives,
     gauss_on,
     gauss_on_breaks,
@@ -97,8 +96,8 @@ _BLOCK, _POINTS = 128, 4096
 def _tensor_tables(p1: int, p2: int, u: np.ndarray, grad: bool):
     """Tensor Bernstein values (..., nb) on the unit square at points ``u``
     (..., 2) and, with ``grad``, their derivatives (2, ..., nb)."""
-    D1, D2 = (bernstein_derivatives(BernsteinInterval(0.0, 1.0, p), u[..., k].reshape(-1),
-                                    int(grad)) for k, p in enumerate((p1, p2)))
+    D1, D2 = (bernstein_derivatives(p, u[..., k].reshape(-1), int(grad))
+              for k, p in enumerate((p1, p2)))
     shape = u.shape[:-1] + (-1,)
     B = (D1[0][:, :, None] * D2[0][:, None, :]).reshape(shape)
     if not grad:
@@ -196,7 +195,7 @@ def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1, grad: bool = True):
 
     The mesh's shape groups (nothing is padded) are evaluated up to
     ``_BLOCK`` cells at a time.  Yields ``(index, rows, ev)`` per block:
-    ``index`` the positions in ``mesh.cells``, ``rows`` (nc, nr) their dof
+    ``index`` their stream positions, ``rows`` (nc, nr) their dof
     ids, and ``ev`` the :func:`evaluate_cell` keys with a leading cell axis
     plus ``xi`` (nc, m, 2), the parametric points, and ``wdet`` (nc, m), the
     quadrature weight times det J.  Without ``grad`` there is no
@@ -641,15 +640,10 @@ class SolutionField:
 
         Points are evaluated as one-point cells of the cells that
         :meth:`ExtractedMesh.cell_index` finds, per shape group in batches of
-        ``_POINTS``; unequal counts, non-finite or outside points raise ValueError.
+        ``_POINTS``; the ``ValueError``s of ``cell_index`` reject bad points.
         """
         xi1, xi2 = np.atleast_1d(np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float))
         patch = np.full(xi1.shape, patch) if np.ndim(patch) == 0 else np.asarray(patch)
-        if not (xi1.ndim == 1 and patch.shape == xi1.shape == xi2.shape):
-            raise ValueError(f"patch, xi1 and xi2 have shapes {patch.shape}, {xi1.shape} and "
-                             f"{xi2.shape}; expected one value per point")
-        if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
-            raise ValueError("non-finite parameter")
         k = self.mesh.cell_index(patch, xi1, xi2)
         xi, d = np.column_stack([xi1, xi2])[:, None], self.values.reshape(-1, self.ncomp)
         vals, grads = np.empty((k.size, self.ncomp)), np.empty((k.size, self.ncomp, 2))

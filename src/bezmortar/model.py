@@ -37,7 +37,7 @@ from .splines import (
     SIDES,
     Patch2D,
     _element_tables,
-    _subdivision,
+    bernstein_transform,
     side_index,
 )
 
@@ -143,9 +143,15 @@ class ExtractedMesh:
         """Stream position of the cell of ``patch[q]`` holding each point q.
 
         Of the cells whose rectangle, widened by 1e-12, holds the point, the
-        first in stream order is taken; a point no cell holds raises
-        ``ValueError``.
+        first in stream order is taken.  Unequal or non-1-D shapes, non-finite
+        parameters and a point no cell holds raise ``ValueError``.
         """
+        patch, xi1, xi2 = np.asarray(patch), np.asarray(xi1, float), np.asarray(xi2, float)
+        if not (xi1.ndim == 1 and patch.shape == xi1.shape == xi2.shape):
+            raise ValueError(f"patch, xi1 and xi2 have shapes {patch.shape}, {xi1.shape} and "
+                             f"{xi2.shape}; expected one value per point")
+        if not np.all(np.isfinite(xi1) & np.isfinite(xi2)):
+            raise ValueError("non-finite parameter")
         out = np.full(len(patch), len(self))
         for pi, ((lo1, hi1), (lo2, hi2), owner) in self._locator().items():
             at = np.flatnonzero(patch == pi)
@@ -449,7 +455,7 @@ class MultiPatchModel:
         # a subcell that is its whole element keeps the element's operator
         part = np.flatnonzero((np.abs(a - lo) >= 1e-14) | (np.abs(b - hi) >= 1e-14))
         h = (hi - lo)[part]
-        M = _subdivision(p_i, (a - lo)[part] / h, (b - lo)[part] / h)
+        M = bernstein_transform(p_i, (a - lo)[part] / h, (b - lo)[part] / h)
         Cs = C_i[owner]
         Cs[part] = Cs[part] @ np.swapaxes(M, 1, 2)
         e_r = np.clip(np.searchsorted(bp_r, 0.5 * (a + b), "right") - 1, 0, bp_r.size - 2)

@@ -1,25 +1,25 @@
 """Univariate Bernstein/B-spline/NURBS machinery and tensor-product patches.
 
-Everything in this module is exact spline algebra: basis evaluation,
-interval transformations, knot insertion, element extraction operators and
-rational geometry evaluation.  All objects are immutable after construction
-and every function is pure, so they can be shared freely between threads.
+Everything in this module is exact spline algebra in one Bezier form: the
+Bernstein functions and their subdivision matrices live on the unit
+interval, and a knot vector's extraction operators, one (p+1, p+1) operator
+per element over that basis, are stacked arrays kept on it.  On top of that
+come knot insertion and rational curve and patch geometry.  All objects are
+immutable after construction and every function is pure, so they can be
+shared freely between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "OutOfDomainError",
-    "BernsteinInterval",
     "KnotVector",
-    "ElementExtraction",
-    "bernstein_basis",
     "bernstein_derivatives",
     "bernstein_transform",
     "bspline_basis",
@@ -72,49 +72,6 @@ def gauss_on_breaks(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (b[:-1, None] + h * pts).reshape(-1), (h * wts).reshape(-1)
 
 
-@dataclass(frozen=True)
-class BernsteinInterval:
-    """Bernstein polynomial space of a given degree on the interval [lo, hi]."""
-
-    lo: float
-    hi: float
-    degree: int
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-
-def bernstein_basis(interval: BernsteinInterval, xi) -> np.ndarray:
-    """Evaluate all degree-p Bernstein polynomials on ``interval``.
-
-    Parameters
-    ----------
-    interval : BernsteinInterval
-    xi : float or array of shape (m,)
-        Evaluation points inside the interval.
-
-    Returns
-    -------
-    ndarray of shape (p+1,) for scalar input, (m, p+1) otherwise.
-    The values are non-negative and sum to one at every point.
-    """
-    scalar = np.isscalar(xi)
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    if x.min() < interval.lo - 1e-12 or x.max() > interval.hi + 1e-12:
-        raise OutOfDomainError(
-            f"point outside [{interval.lo}, {interval.hi}]"
-        )
-    vals = _bernstein_unit(interval.degree, (x - interval.lo) / interval.length)
-    return vals[0] if scalar else vals
-
-
 def _bernstein_unit(p: int, t: np.ndarray) -> np.ndarray:
     """Bernstein values on [0, 1] for points ``t``; shape (m, p+1)."""
     m = t.shape[0]
@@ -125,52 +82,39 @@ def _bernstein_unit(p: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def bernstein_derivatives(interval: BernsteinInterval, xi, nders: int = 1) -> np.ndarray:
-    """Bernstein values and derivatives up to order ``nders``.
+def bernstein_derivatives(p: int, t, nders: int = 1) -> np.ndarray:
+    """Degree-p Bernstein values and derivatives on [0, 1] up to order ``nders``.
 
-    Returns an array of shape (nders+1, p+1) for scalar ``xi`` or
-    (nders+1, m, p+1) for an array; index 0 holds the values.
+    Returns an array of shape (nders+1, p+1) for scalar ``t`` or
+    (nders+1, m, p+1) for an array; index 0 holds the values, which are
+    non-negative and sum to one on [0, 1].  Points outside [0, 1] evaluate
+    the polynomials' extension.
     """
-    scalar = np.isscalar(xi)
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    p = interval.degree
-    h = interval.length
-    t = (x - interval.lo) / h
-    out = np.zeros((nders + 1, x.shape[0], p + 1))
+    scalar = np.isscalar(t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((nders + 1, t.shape[0], p + 1))
     out[0] = _bernstein_unit(p, t)
     for k in range(1, min(nders, p) + 1):
         # k-th derivative by repeated degree reduction with alternating signs:
         # column i collects sum_j C(k,j) (-1)^j B^{p-k}_{i-k+j}, zero-padded
-        low = np.zeros((x.shape[0], p + k + 1))
+        low = np.zeros((t.shape[0], p + k + 1))
         low[:, k : p + 1] = _bernstein_unit(p - k, t)
-        fac = math.factorial(p) / math.factorial(p - k) / h**k
-        acc = np.zeros((x.shape[0], p + 1))
+        fac = math.factorial(p) / math.factorial(p - k)
+        acc = np.zeros((t.shape[0], p + 1))
         for j in range(k + 1):
             acc += math.comb(k, j) * (-1.0) ** j * low[:, j : j + p + 1]
         out[k] = fac * acc
     return out[:, 0, :] if scalar else out
 
 
-def bernstein_transform(source: BernsteinInterval, target: BernsteinInterval) -> np.ndarray:
-    """Basis transformation matrix M between two Bernstein intervals.
+def bernstein_transform(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Transformation matrices M (n, p+1, p+1) from [0, 1] to the intervals [a, b].
 
-    M satisfies ``B_target(x) = M^{-T} B_source(x)`` pointwise, with both
-    bases evaluated at the same physical parameter ``x`` (the polynomials are
-    extended outside their native interval where needed).  The one-pair
-    case of :func:`_subdivision`.
-    """
-    if source.degree != target.degree:
-        raise ValueError("transformation requires equal degrees")
-    # target endpoints in source-local coordinates
-    a, b = (np.array([(t - source.lo) / source.length]) for t in (target.lo, target.hi))
-    return _subdivision(source.degree, a, b)[0]
-
-
-def _subdivision(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transformation matrices (n, p+1, p+1) from [0, 1] to the intervals [a, b].
-
-    Entry (j, k) is a product sum of Bernstein values on [0, 1] at the
-    endpoints ``a`` and ``b`` (n,), summed in the same order for every pair.
+    ``a`` and ``b`` (n,) are the interval ends in [0, 1] coordinates, and
+    ``B_[a,b](x) = M^{-T} B_[0,1](x)`` pointwise, both bases evaluated at the
+    same parameter (extended outside their interval where needed).  Entry
+    (j, k) is a product sum of Bernstein values at ``a`` and ``b``, summed in
+    the same order for every interval.
     """
     M = np.zeros((len(a), p + 1, p + 1))
     for j in range(1, p + 2):
@@ -186,9 +130,9 @@ def _subdivision(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 KNOT_TOL = 1e-12
 
 
-def isclose(a: float, b: float, atol: float = 1e-8, rtol: float = 1e-5) -> bool:
+def isclose(a: float, b: float) -> bool:
     """``np.isclose`` of two floats (NaN is never close) without numpy's call cost."""
-    return a == b or abs(a - b) <= atol + rtol * abs(b)
+    return a == b or abs(a - b) <= 1e-8 + 1e-5 * abs(b)
 
 
 @dataclass(frozen=True)
@@ -254,7 +198,7 @@ class KnotVector:
         evaluable.
         """
         lo, hi = self.domain
-        if xi < lo - 1e-12 or xi > hi + 1e-12:
+        if not lo - 1e-12 <= xi <= hi + 1e-12:
             raise OutOfDomainError(f"{xi} outside [{lo}, {hi}]")
         v = self.values
         if xi >= v[self.n]:
@@ -265,20 +209,14 @@ class KnotVector:
             return i
         return int(np.searchsorted(v, xi, side="right") - 1)
 
-    def element_index(self, xi: float) -> int:
-        """Index of the Bezier element containing ``xi``."""
-        bp = self.breakpoints()
-        k = int(np.searchsorted(bp, xi, side="right") - 1)
-        return min(max(k, 0), len(bp) - 2)
-
-    def multiplicity(self, xi: float, tol: float = KNOT_TOL) -> int:
-        return int(np.sum(np.abs(self.values - xi) <= tol))
+    def multiplicity(self, xi: float) -> int:
+        return int(np.sum(np.abs(self.values - xi) <= KNOT_TOL))
 
 
-def uniform_open_knots(p: int, n_elems: int, lo: float = 0.0, hi: float = 1.0) -> KnotVector:
-    """Maximally smooth open knot vector with ``n_elems`` uniform elements."""
-    interior = np.linspace(lo, hi, n_elems + 1)[1:-1]
-    vals = np.concatenate([np.full(p + 1, lo), interior, np.full(p + 1, hi)])
+def uniform_open_knots(p: int, n_elems: int) -> KnotVector:
+    """Maximally smooth open knot vector on [0, 1] with ``n_elems`` uniform elements."""
+    interior = np.linspace(0.0, 1.0, n_elems + 1)[1:-1]
+    vals = np.concatenate([np.full(p + 1, 0.0), interior, np.full(p + 1, 1.0)])
     return KnotVector(vals, p)
 
 
@@ -415,32 +353,14 @@ def refinement_operator(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarr
     return (KnotVector(knots, kv.degree) if xs else kv), T
 
 
-@dataclass(frozen=True)
-class ElementExtraction:
-    """Extraction operator of one Bezier element.
+def bezier_extraction(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element extraction operators of an open knot vector, stacked.
 
-    ``matrix`` C satisfies N^e = C B on the element span, where N^e are the
-    p+1 non-vanishing spline functions (first global index ``first``) and B
-    the Bernstein basis on the span.  Columns of C sum to one and C is
-    invertible.
-    """
-
-    element: int
-    span: tuple[float, float]
-    first: int
-    matrix: np.ndarray
-
-    @property
-    def interval(self) -> BernsteinInterval:
-        return BernsteinInterval(self.span[0], self.span[1], self.matrix.shape[0] - 1)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return np.arange(self.first, self.first + self.matrix.shape[0])
-
-
-def bezier_extraction(kv: KnotVector) -> tuple[ElementExtraction, ...]:
-    """Per-element extraction operators of an open knot vector.
+    Returns the breakpoints (n_el+1,), the first non-vanishing function of
+    each element (n_el,) and the operators C (n_el, p+1, p+1): on element e,
+    N^e = C[e] B with N^e the p+1 non-vanishing spline functions and B the
+    Bernstein basis of the unit element.  Columns of C[e] sum to one and
+    C[e] is invertible.
 
     Borden et al. 2011 (IJNME 87:15-47), Algorithm 1: sweeping the
     breakpoints left to right, each interior knot is raised to multiplicity
@@ -448,22 +368,19 @@ def bezier_extraction(kv: KnotVector) -> tuple[ElementExtraction, ...]:
     carried into the next element's operator; O(n_el p^2) in all.  The result
     equals the rows of the global operator that raises every interior knot to
     multiplicity p (the C0 form), restricted to each element.  It is computed
-    once per knot vector and kept on it, with read-only matrices.
+    once per knot vector and kept on it, as read-only arrays.
     """
-    ops = kv.__dict__.get("_extraction")
-    if ops is None:
-        ops = kv.__dict__["_extraction"] = _borden_extraction(kv)
-    return ops
-
-
-def _borden_extraction(kv: KnotVector) -> tuple[ElementExtraction, ...]:
+    tables = kv.__dict__.get("_extraction")
+    if tables is not None:
+        return tables
     U, p = kv.values, kv.degree
     n_el = len(kv.breakpoints()) - 1
     C = np.tile(np.eye(p + 1), (n_el, 1, 1))
-    spans = []
+    pos = np.empty(n_el + 1, dtype=int)  # a position of each breakpoint in U
     a = p  # last copy of the element's left knot
     for e in range(n_el):
-        i = b = a + 1  # first copy of its right knot
+        pos[e] = a
+        i = b = a + 1  # first copy of the element's right knot
         if e + 1 < n_el:
             while U[b + 1] == U[b]:
                 b += 1
@@ -476,10 +393,13 @@ def _borden_extraction(kv: KnotVector) -> tuple[ElementExtraction, ...]:
                     al = alphas[: p - s + 1]
                     C[e, :, s:] = al * C[e, :, s:] + (1.0 - al) * C[e, :, s - 1 : p]
                     C[e + 1, r - j : r + 1, r - j] = C[e, p - j :, p]
-        spans.append(((float(U[a]), float(U[i])), a - p))
         a = b
-    C.setflags(write=False)
-    return tuple(ElementExtraction(e, span, first, C[e]) for e, (span, first) in enumerate(spans))
+    pos[-1] = a
+    tables = U[pos], pos[:-1] - p, C
+    for t in tables:
+        t.setflags(write=False)
+    kv.__dict__["_extraction"] = tables
+    return tables
 
 
 def bspline_table(kv: KnotVector, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,16 +428,9 @@ def rational_table(kv: KnotVector, weights: np.ndarray,
 
 
 def _element_tables(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints, first functions and stacked operators of the elements of ``kv``."""
-    tables = kv.__dict__.get("_element_tables")
-    if tables is None:
-        ops = bezier_extraction(kv)
-        tables = kv.__dict__["_element_tables"] = (
-            np.array([op.span[0] for op in ops] + [ops[-1].span[1]]),
-            np.array([op.first for op in ops]),
-            np.stack([op.matrix for op in ops]),
-        )
-    return tables
+    """:func:`bezier_extraction` of ``kv``; once built it is read from the knot
+    vector without a call, so each call of the public function is one sweep."""
+    return kv.__dict__.get("_extraction") or bezier_extraction(kv)
 
 
 def _bernstein_table(kv: KnotVector, xi, nders: int) -> tuple[np.ndarray, np.ndarray]:
@@ -527,12 +440,12 @@ def _bernstein_table(kv: KnotVector, xi, nders: int) -> tuple[np.ndarray, np.nda
     """
     x = np.asarray(xi, dtype=float)
     lo, hi = kv.domain
-    if x.size and (x.min() < lo - KNOT_TOL or x.max() > hi + KNOT_TOL):
+    if not np.all((x >= lo - KNOT_TOL) & (x <= hi + KNOT_TOL)):  # NaN fails both
         raise OutOfDomainError(f"point outside [{lo}, {hi}]")
     bp = _element_tables(kv)[0]
     e = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(bp) - 2)
     h = bp[e + 1] - bp[e]
-    D = bernstein_derivatives(BernsteinInterval(0.0, 1.0, kv.degree), (x - bp[e]) / h, nders)
+    D = bernstein_derivatives(kv.degree, (x - bp[e]) / h, nders)
     return e, D / h[None, :, None] ** np.arange(nders + 1)[:, None, None]
 
 

@@ -14,25 +14,19 @@ from __future__ import annotations
 import numpy as np
 
 from .model import MultiPatchModel
-from .splines import (
-    SIDES,
-    BernsteinInterval,
-    bernstein_transform,
-    bezier_extraction,
-    side_index,
-)
+from .splines import SIDES, _element_tables, bernstein_transform, side_index
 
 __all__ = ["interface_operator_report"]
 
 
-def interface_operator_report(model: MultiPatchModel, interface: int = 0,
-                              element: int | None = None,
-                              subcell: int = 0) -> dict[str, np.ndarray]:
-    """Named operators of one refined interface subelement.
+def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
+    """Named operators of one refined subelement of the first interface.
 
-    Collects, for one slave element crossed by a refined-interface knot, the
-    coupling matrix, its localized block, the refined and parent extraction
-    operators in both directions and the Bernstein transformation matrix.
+    Collects, for the first slave element crossed by a refined-interface
+    knot (the first element when no refinement crossed any) and its first
+    subcell, the coupling matrix, its localized block, the refined and parent
+    extraction operators in both directions and the Bernstein transformation
+    matrix, all read from the knot vectors' stacked extraction tables.
     The tensor weak operator is the cell ``weak_mesh()`` emits there, pulled
     back to parent Bernstein coordinates along the interface, with rows in
     transverse-major order (the slave functions by transverse, then
@@ -41,42 +35,39 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     transverse Bernstein column group.  Used by the demo pipeline and the
     regression tests that pin these matrices to exact rationals.
     """
-    coup = model.couplings[interface]
+    coup = model.couplings[0]
     pi, side = coup.spec.slave
     mp, ms = coup.spec.master
     patch = model.patches[pi]
     axis_f, at_end = SIDES[side]
     kv_i, kv_f = patch.kvs[1 - axis_f], patch.kvs[axis_f]
     p_i = kv_i.degree
-    refined = coup.refined.refined
-    # pick the slave element that was actually subdivided (fall back to the
-    # first element when no refinement crossed any element)
-    if element is None:
-        element = next(
-            (k for k, s in enumerate(kv_i.spans())
-             if len(coup.refined.cells_in(s)) > 1),
-            0,
-        )
-    parent = bezier_extraction(kv_i)[element]
-    a, b = (coup.refined.cells_in(parent.span) or [parent.span])[subcell]
-    r_op = bezier_extraction(refined)[refined.element_index(0.5 * (a + b))]
-    M = bernstein_transform(parent.interval, BernsteinInterval(a, b, p_i))
+    spans = kv_i.spans()
+    element = next((k for k, s in enumerate(spans) if len(coup.refined.cells_in(s)) > 1), 0)
+    lo, hi = spans[element]
+    a, b = (coup.refined.cells_in((lo, hi)) or [(lo, hi)])[0]
+    M = bernstein_transform(p_i, *(np.array([(t - lo) / (hi - lo)]) for t in (a, b)))[0]
+    bp_r, first_r, C_r = _element_tables(coup.refined.refined)
+    e_r = np.searchsorted(bp_r, 0.5 * (a + b)) - 1
     mkv = coup.phi.master.kv
     m_first = mkv.find_span(coup.phi(0.5 * (a + b))) - mkv.degree
     G = coup.coupling.values
-    G_local = G[r_op.first : r_op.first + p_i + 1, m_first : m_first + mkv.degree + 1]
+    G_local = G[first_r[e_r] : first_r[e_r] + p_i + 1, m_first : m_first + mkv.degree + 1]
     # transverse factor: the element layer adjacent to the interface
-    op_f = bezier_extraction(kv_f)[-1 if at_end else 0]
+    bp_f, _, C_f = _element_tables(kv_f)
+    e_f = len(bp_f) - 2 if at_end else 0
     xi = [0.0, 0.0]
-    xi[axis_f], xi[1 - axis_f] = 0.5 * sum(op_f.span), 0.5 * (a + b)
+    xi[axis_f], xi[1 - axis_f] = 0.5 * (bp_f[e_f] + bp_f[e_f + 1]), 0.5 * (a + b)
     mesh = model.weak_mesh()
-    cell = mesh.cells[mesh.cell_index(np.array([pi]), np.array([xi[0]]), np.array([xi[1]]))[0]]
+    pos = mesh.cell_index(np.array([pi]), np.array([xi[0]]), np.array([xi[1]]))[0]
+    g = next(g for g in mesh.groups if pos in g.index)
+    c = np.searchsorted(g.index, pos)
     grid = model.grids[pi]
     order = np.concatenate([(grid.T if axis_f else grid).reshape(-1),
                             model.grids[mp][side_index(ms)]])
     rank = {dof: k for k, dof in enumerate(order.tolist()) if dof >= 0}
-    rows = np.argsort([rank[dof] for dof in cell.rows.tolist()], kind="stable")
-    op = cell.ophom[rows].reshape(len(rows), patch.degrees[0] + 1, patch.degrees[1] + 1)
+    rows = np.argsort([rank[dof] for dof in g.rows[c].tolist()], kind="stable")
+    op = g.ophom[c][rows].reshape(len(rows), patch.degrees[0] + 1, patch.degrees[1] + 1)
     if axis_f:
         op = op.transpose(0, 2, 1)
     op = op @ np.linalg.inv(M).T
@@ -86,10 +77,10 @@ def interface_operator_report(model: MultiPatchModel, interface: int = 0,
     return {
         "coupling": G,
         "coupling_local": G_local,
-        "refined_extraction": r_op.matrix,
+        "refined_extraction": C_r[e_r],
         "transform": M,
         "weak_1d": op[n_int:, edge],
-        "parent_extraction": parent.matrix,
-        "transverse_extraction": op_f.matrix,
+        "parent_extraction": _element_tables(kv_i)[2][element],
+        "transverse_extraction": C_f[e_f],
         "tensor_operator": tensor,
     }

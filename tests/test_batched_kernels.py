@@ -52,7 +52,6 @@ from bezmortar.fem import (
 from bezmortar.linsys import AssembledSystem
 from bezmortar.splines import (
     SIDES,
-    BernsteinInterval,
     Patch2D,
     bernstein_derivatives,
     gauss_on,
@@ -534,6 +533,18 @@ def test_evaluate_rejects_bad_input(args, message):
             field.evaluate(*args, grad=grad)
 
 
+@pytest.mark.parametrize("patch, xi1, xi2", [
+    ([0], [0.2, 0.7], [0.5, 0.5]),
+    ([0, 0], [0.5], [0.5]),
+    ([0], [0.5], [0.5, 0.6]),
+    ([[0]], [[0.5]], [[0.5]]),
+], ids=["one-patch-two-points", "two-patches-one-point", "short-xi1", "two-dimensional"])
+def test_cell_index_rejects_unequal_shapes(patch, xi1, xi2):
+    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    with pytest.raises(ValueError, match="shapes"):
+        mesh.cell_index(np.array(patch), np.array(xi1), np.array(xi2))
+
+
 # ------------------------------------------------------------ boundary loads
 
 
@@ -587,7 +598,8 @@ def side_cells(mesh, patch: int, side: str) -> list[SideCell]:
 def _side_cell_reference(side, xs):
     """One side cell at its own points, Bernstein basis on its interval."""
     a, b = side.interval
-    D = bernstein_derivatives(BernsteinInterval(a, b, side.degree), xs, 1)
+    h = b - a
+    D = bernstein_derivatives(side.degree, (xs - a) / h, 1) / np.array([1.0, h])[:, None, None]
     vhom = D[0] @ side.ophom.T
     basis = vhom / vhom.sum(axis=1)[:, None]
     ghom = D[0] @ side.geo_ophom.T

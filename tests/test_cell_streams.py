@@ -9,6 +9,8 @@ The blocks ``cell_blocks`` reads from the mesh's shape groups must equal,
 bit for bit, those of regrouping the cells by shape.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, reject
@@ -28,7 +30,6 @@ from bezmortar.coupling import InterfaceGeometryError
 from bezmortar.model import Cell
 from bezmortar.splines import (
     SIDES,
-    BernsteinInterval,
     Patch2D,
     bernstein_transform,
     bezier_extraction,
@@ -36,14 +37,25 @@ from bezmortar.splines import (
 
 # ------------------------------------------------------- reference builder
 
+# one element of a knot vector: first function, extraction operator, span
+Element = namedtuple("Element", "first matrix span")
+
+
+def elements(kv) -> list[Element]:
+    """The elements of ``kv``, one by one, from its stacked extraction tables."""
+    bp, first, C = bezier_extraction(kv)
+    return [Element(f, Ce, (a, b))
+            for f, Ce, a, b in zip(first.tolist(), C, bp[:-1].tolist(), bp[1:].tolist())]
+
+
 
 def reference_mortar_cells(model) -> list[Cell]:
     cells = []
     for pi in range(len(model.patches)):
         slave_sides = {coup.spec.slave[1]: ci for ci, coup in enumerate(model.couplings)
                        if coup.spec.slave[0] == pi}
-        for op1 in bezier_extraction(model.patches[pi].kvs[0]):
-            for op2 in bezier_extraction(model.patches[pi].kvs[1]):
+        for op1 in elements(model.patches[pi].kvs[0]):
+            for op2 in elements(model.patches[pi].kvs[1]):
                 side = _strip_side(model, pi, slave_sides, op1, op2)
                 if side is None:
                     cells.append(_standard_cell(model, pi, op1, op2))
@@ -101,17 +113,20 @@ def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
     p_f, p_i = patch.degrees[axis_f], patch.degrees[1 - axis_f]
     edge_global = patch.kvs[axis_f].n - 1 if at_end else 0
     refined = coup.refined.refined
-    r_ops = bezier_extraction(refined)
+    r_ops = elements(refined)
+    r_bp = [op.span[0] for op in r_ops]
     w_r = coup.refined_edge_weights
     tids = model.trace_ids[ci]
-    parent = BernsteinInterval(op_i.span[0], op_i.span[1], p_i)
+    lo, hi = op_i.span
     cells = []
     for a, b in coup.refined.cells_in(op_i.span) or [op_i.span]:
-        r_op = r_ops[refined.element_index(0.5 * (a + b))]
-        if abs(a - parent.lo) < 1e-14 and abs(b - parent.hi) < 1e-14:
+        r_op = r_ops[max(int(np.searchsorted(r_bp, 0.5 * (a + b), side="right")) - 1, 0)]
+        if abs(a - lo) < 1e-14 and abs(b - hi) < 1e-14:
             Ci_cell = op_i.matrix
         else:
-            Ci_cell = op_i.matrix @ bernstein_transform(parent, BernsteinInterval(a, b, p_i)).T
+            M = bernstein_transform(p_i, np.array([(a - lo) / (hi - lo)]),
+                                    np.array([(b - lo) / (hi - lo)]))[0]
+            Ci_cell = op_i.matrix @ M.T
         rows, op_rows = [], []
         for a_f in range(p_f + 1):
             g_f = op_f.first + a_f

@@ -74,13 +74,12 @@ def test_weak_payload_contains_reference_tensor_operator():
     # operator, stored in cell-local Bernstein coordinates; pulling the
     # interface direction back onto the parent element must reproduce the
     # transverse-major reference up to row/column ordering
-    from bezmortar.splines import BernsteinInterval, bernstein_transform
+    from bezmortar.splines import bernstein_transform
 
     model = gen_demo_two_patch(1)
     doc = mesh_document(model, weak=True)
-    M = bernstein_transform(
-        BernsteinInterval(1 / 3, 2 / 3, 2), BernsteinInterval(1 / 3, 0.5, 2)
-    )
+    # [1/3, 1/2] in the coordinates of the parent element [1/3, 2/3]
+    M = bernstein_transform(2, np.array([0.0]), np.array([(0.5 - 1 / 3) / (2 / 3 - 1 / 3)]))[0]
     pullback = np.kron(np.linalg.inv(M).T, np.eye(3))
     found = False
     for cell in doc["weak_cells"]:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bezmortar import (
-    BernsteinInterval,
     KnotVector,
     bernstein_gramian,
     bspline_basis,
@@ -13,7 +12,7 @@ from bezmortar import (
     reconstruction_operator,
 )
 from bezmortar.benchmarks import annulus_sector_patch
-from bezmortar.splines import bezier_extraction, gauss_on
+from bezmortar.splines import bernstein_derivatives, bezier_extraction, gauss_on
 
 RNG = np.random.default_rng(7130)
 
@@ -57,39 +56,41 @@ def random_kv(p, n_interior=3, rng=None, min_gap=0.05):
 
 
 def test_gramian_linear():
-    G = bernstein_gramian(BernsteinInterval(0, 1, 1))
+    G = bernstein_gramian(1)
     assert np.abs(G - np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])).max() < 1e-15
 
 
 def test_gramian_quadratic():
-    G = bernstein_gramian(BernsteinInterval(0, 1, 2))
+    G = bernstein_gramian(2)
     expected = np.array(
         [[1 / 5, 1 / 10, 1 / 30], [1 / 10, 2 / 15, 1 / 10], [1 / 30, 1 / 10, 1 / 5]]
     )
     assert np.abs(G - expected).max() < 1e-15
 
 
+def interval_gramian(p, lo, hi, n):
+    """int B_i B_j over [lo, hi] by an n-point Gauss rule, B the Bernstein basis there."""
+    G = np.zeros((p + 1, p + 1))
+    xs, ws = gauss_on(lo, hi, n)
+    for x, w in zip(xs, ws):
+        B = bernstein_derivatives(p, (x - lo) / (hi - lo), 0)[0]
+        G += w * np.outer(B, B)
+    return G
+
+
 def test_gramian_scales_with_length():
-    G1 = bernstein_gramian(BernsteinInterval(0, 1, 2))
-    G2 = bernstein_gramian(BernsteinInterval(0, 2, 2))
-    assert np.abs(G2 - 2 * G1).max() < 1e-15
+    G2 = interval_gramian(2, 0.0, 2.0, 3)
+    assert np.abs(G2 - 2 * bernstein_gramian(2)).max() < 1e-15
 
 
 def test_gramian_matches_quadrature():
-    from bezmortar.splines import bernstein_basis
-
-    iv = BernsteinInterval(0.3, 1.1, 3)
-    G = np.zeros((4, 4))
-    xs, ws = gauss_on(0.3, 1.1, 6)
-    for x, w in zip(xs, ws):
-        B = bernstein_basis(iv, x)
-        G += w * np.outer(B, B)
-    assert np.abs(G - bernstein_gramian(iv)).max() < 1e-14
+    G = interval_gramian(3, 0.3, 1.1, 6)
+    assert np.abs(G - 0.8 * bernstein_gramian(3)).max() < 1e-14
 
 
 def test_gramian_spd():
     for p in range(1, 5):
-        G = bernstein_gramian(BernsteinInterval(0, 1, p))
+        G = bernstein_gramian(p)
         assert np.linalg.eigvalsh(G).min() > 0
 
 
@@ -102,14 +103,15 @@ def test_reconstruction_identity():
 
 def test_reconstruction_inverts_extraction():
     kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
-    for op in bezier_extraction(kv):
-        R = reconstruction_operator(op)
-        assert np.abs(op.matrix @ R - np.eye(3)).max() < 1e-13
+    C = bezier_extraction(kv)[2]
+    for Ce, R in zip(C, reconstruction_operator(C), strict=True):
+        assert np.abs(Ce @ reconstruction_operator(Ce) - np.eye(3)).max() < 1e-13
+        assert np.array_equal(R, reconstruction_operator(Ce))
 
 
 def test_reconstruction_refined_subelement():
     kv = KnotVector([0, 0, 0, 1 / 3, 0.5, 2 / 3, 1, 1, 1], 2)
-    C = bezier_extraction(kv)[1].matrix  # element [1/3, 1/2]
+    C = bezier_extraction(kv)[2][1]  # element [1/3, 1/2]
     assert np.abs(C - np.array([[1 / 3, 0, 0], [2 / 3, 1, 0.5], [0, 0, 0.5]])).max() < 1e-14
     assert np.abs(C @ reconstruction_operator(C) - np.eye(3)).max() < 1e-13
 
@@ -137,23 +139,22 @@ def test_weights_half_split_from_integral_ratios():
 
 def test_weights_quadrature_oracle_and_partition():
     kv = KnotVector([0, 0, 0, 1 / 3, 1, 1, 1], 2)
-    ops = bezier_extraction(kv)
-    ints = np.zeros((len(ops), kv.n))
-    for e, op in enumerate(ops):
-        a, b = op.span
+    bp, firsts, _ = bezier_extraction(kv)
+    ints = np.zeros((len(firsts), kv.n))
+    for e, (a, b) in enumerate(zip(bp[:-1], bp[1:])):
         xs, ws = gauss_on(a, b, 4)
         for x, w in zip(xs, ws):
             first, N = bspline_basis(kv, float(x))
             ints[e, first : first + 3] += w * N
     total = ints.sum(axis=0)
     weights = projection_weights(kv)
-    for e, op in enumerate(ops):
-        sl = slice(op.first, op.first + 3)
+    for e, f in enumerate(firsts):
+        sl = slice(f, f + 3)
         assert np.abs(weights[e] - ints[e, sl] / total[sl]).max() < 1e-13
     # partition per global function
     acc = np.zeros(kv.n)
-    for e, op in enumerate(ops):
-        acc[op.first : op.first + 3] += weights[e]
+    for e, f in enumerate(firsts):
+        acc[f : f + 3] += weights[e]
     assert np.abs(acc - 1.0).max() < 1e-13
     assert all(np.all(w >= -1e-14) for w in weights)
 
@@ -169,8 +170,8 @@ def test_single_linear_element_dual():
 def test_elementwise_product_is_weight_diagonal():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     dual = dual_extraction(kv)
-    for w_e, op in zip(dual.weights, bezier_extraction(kv)):
-        a, b = op.span
+    bp = bezier_extraction(kv)[0]
+    for w_e, a, b in zip(dual.weights, bp[:-1], bp[1:], strict=True):
         xs, ws = gauss_on(a, b, 4)
         M = np.zeros((3, 3))
         for x, w in zip(xs, ws):

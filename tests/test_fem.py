@@ -34,10 +34,8 @@ from bezmortar import linsys
 from bezmortar.linsys import AssembledSystem
 from bezmortar.splines import (
     SIDES,
-    BernsteinInterval,
     KnotVector,
     Patch2D,
-    bernstein_derivatives,
     gauss_on,
     gauss_on_breaks,
     greville_abscissae,

@@ -4,11 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bezmortar import (
-    BernsteinInterval,
     KnotVector,
     OutOfDomainError,
     Patch2D,
-    bernstein_basis,
     bernstein_derivatives,
     bernstein_transform,
     bezier_extraction,
@@ -20,55 +18,65 @@ from bezmortar import (
     uniform_open_knots,
 )
 from bezmortar.benchmarks import annulus_sector_patch, rect_patch
-from bezmortar.splines import _bernstein_unit, _subdivision
+from bezmortar.splines import (
+    BoundaryCurve,
+    _bernstein_unit,
+    _element_tables,
+    bspline_table,
+    rational_table,
+)
 
 RNG = np.random.default_rng(20240917)
+
+
+def bernstein_on(p, lo, hi, x):
+    """Degree-p Bernstein values on [lo, hi]: the unit basis at (x - lo) / (hi - lo)."""
+    return bernstein_derivatives(p, (np.asarray(x, dtype=float) - lo) / (hi - lo), 0)[0]
+
+
+def transform_between(p, src, tgt):
+    """Transformation matrix from the Bernstein basis on ``src`` to that on ``tgt``."""
+    (lo, hi), (a, b) = src, tgt
+    return bernstein_transform(p, np.array([(a - lo) / (hi - lo)]),
+                               np.array([(b - lo) / (hi - lo)]))[0]
 
 
 # ---------------------------------------------------------------- Bernstein
 
 
 def test_bernstein_endpoint_interpolation():
-    iv = BernsteinInterval(0.0, 1.0, 2)
-    assert np.allclose(bernstein_basis(iv, 0.0), [1, 0, 0])
-    assert np.allclose(bernstein_basis(iv, 1.0), [0, 0, 1])
+    assert np.allclose(bernstein_derivatives(2, 0.0, 0)[0], [1, 0, 0])
+    assert np.allclose(bernstein_derivatives(2, 1.0, 0)[0], [0, 0, 1])
 
 
 def test_bernstein_midpoint_quadratic():
-    vals = bernstein_basis(BernsteinInterval(0.0, 1.0, 2), 0.5)
+    vals = bernstein_derivatives(2, 0.5, 0)[0]
     assert np.allclose(vals, [0.25, 0.5, 0.25])
 
 
 def test_bernstein_shifted_interval_midpoint():
-    vals = bernstein_basis(BernsteinInterval(2.0, 4.0, 1), 3.0)
+    vals = bernstein_on(1, 2.0, 4.0, 3.0)
     assert np.allclose(vals, [0.5, 0.5])
 
 
 def test_bernstein_partition_of_unity_and_positivity():
     for p in range(1, 5):
-        iv = BernsteinInterval(-0.3, 1.7, p)
         xs = RNG.uniform(-0.3, 1.7, 40)
-        vals = bernstein_basis(iv, xs)
+        vals = bernstein_on(p, -0.3, 1.7, xs)
         assert np.all(vals >= -1e-14)
         assert np.abs(vals.sum(axis=1) - 1.0).max() < 1e-13
 
 
 def test_bernstein_out_of_domain():
     with pytest.raises(OutOfDomainError):
-        bernstein_basis(BernsteinInterval(0.0, 1.0, 2), 1.5)
-
-
-def test_bernstein_degenerate_interval_rejected():
-    with pytest.raises(ValueError):
-        BernsteinInterval(1.0, 1.0, 2)
+        bspline_table(KnotVector([0, 0, 0, 1, 1, 1], 2), np.array([1.5]))
 
 
 def test_bernstein_derivatives_match_finite_differences():
-    iv = BernsteinInterval(0.2, 1.9, 3)
     eps = 1e-7
     for x in (0.5, 1.2):
-        d = bernstein_derivatives(iv, x, 1)
-        fd = (bernstein_basis(iv, x + eps) - bernstein_basis(iv, x - eps)) / (2 * eps)
+        d = bernstein_derivatives(3, (x - 0.2) / 1.7, 1) / np.array([[1.0], [1.7]])
+        fd = (bernstein_on(3, 0.2, 1.9, x + eps) - bernstein_on(3, 0.2, 1.9, x - eps)) / (2 * eps)
         assert np.abs(d[1] - fd).max() < 1e-6
 
 
@@ -76,34 +84,29 @@ def test_bernstein_derivatives_match_finite_differences():
 
 
 def test_transform_identity():
-    iv = BernsteinInterval(0.0, 1.0, 3)
-    assert np.allclose(bernstein_transform(iv, iv), np.eye(4), atol=1e-14)
+    assert np.allclose(transform_between(3, (0.0, 1.0), (0.0, 1.0)), np.eye(4), atol=1e-14)
 
 
 def test_transform_first_half_quadratic():
-    M = bernstein_transform(BernsteinInterval(0, 1, 2), BernsteinInterval(0, 0.5, 2))
+    M = transform_between(2, (0, 1), (0, 0.5))
     expected = np.array([[1, 0, 0], [0.5, 0.5, 0], [0.25, 0.5, 0.25]])
     assert np.abs(M - expected).max() < 1e-15
 
 
 def test_transform_second_half_by_sampling():
-    src = BernsteinInterval(0.0, 1.0, 1)
-    tgt = BernsteinInterval(0.5, 1.0, 1)
-    M = bernstein_transform(src, tgt)
+    M = transform_between(1, (0.0, 1.0), (0.5, 1.0))
     for x in np.linspace(0.5, 1.0, 5):
-        lhs = bernstein_basis(tgt, x)
-        rhs = np.linalg.solve(M.T, bernstein_basis(src, x))
+        lhs = bernstein_on(1, 0.5, 1.0, x)
+        rhs = np.linalg.solve(M.T, bernstein_on(1, 0.0, 1.0, x))
         assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_transform_pointwise_identity_random():
     for p in range(1, 5):
-        src = BernsteinInterval(0.1, 1.4, p)
-        tgt = BernsteinInterval(0.35, 0.9, p)
-        M = bernstein_transform(src, tgt)
+        M = transform_between(p, (0.1, 1.4), (0.35, 0.9))
         xs = RNG.uniform(0.35, 0.9, 20)
-        lhs = bernstein_basis(tgt, xs)
-        rhs = np.linalg.solve(M.T, bernstein_basis(src, xs).T).T
+        lhs = bernstein_on(p, 0.35, 0.9, xs)
+        rhs = np.linalg.solve(M.T, bernstein_on(p, 0.1, 1.4, xs).T).T
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -124,18 +127,12 @@ def test_subdivision_rows_equal_single_transforms_bitwise():
     for p in range(6):
         a = rng.uniform(-0.5, 1.0, 40)
         b = a + rng.uniform(1e-6, 1.0, 40)
-        M = _subdivision(p, a, b)
+        M = bernstein_transform(p, a, b)
         assert M.shape == (40, p + 1, p + 1)
         for k in range(40):
-            one = bernstein_transform(BernsteinInterval(0.0, 1.0, p),
-                                      BernsteinInterval(a[k], b[k], p))
+            one = bernstein_transform(p, a[k : k + 1], b[k : k + 1])[0]
             assert M[k].tobytes() == one.tobytes()
             assert M[k].tobytes() == _transform_entries(p, a[k], b[k]).tobytes()
-
-
-def test_transform_degree_mismatch():
-    with pytest.raises(ValueError):
-        bernstein_transform(BernsteinInterval(0, 1, 2), BernsteinInterval(0, 1, 3))
 
 
 # ------------------------------------------------------------------ B-spline
@@ -174,11 +171,11 @@ def test_bspline_out_of_domain():
 
 def test_bspline_matches_extraction_on_element():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    op = bezier_extraction(kv)[0]
+    bp, firsts, C = bezier_extraction(kv)
     first, vals = bspline_basis(kv, 0.25)
-    assert first == op.first
-    B = bernstein_basis(op.interval, 0.25)
-    assert np.abs(vals - op.matrix @ B).max() < 1e-14
+    assert first == firsts[0]
+    B = bernstein_on(2, bp[0], bp[1], 0.25)
+    assert np.abs(vals - C[0] @ B).max() < 1e-14
 
 
 def test_bspline_derivative_partition():
@@ -233,24 +230,24 @@ def test_insert_preserves_curve_pointwise():
 
 def test_single_element_extraction_is_identity():
     kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
-    ops = bezier_extraction(kv)
-    assert len(ops) == 1
-    assert np.allclose(ops[0].matrix, np.eye(3), atol=1e-14)
+    bp, first, C = bezier_extraction(kv)
+    assert bp.shape == (2,) and first.shape == (1,) and C.shape == (1, 3, 3)
+    assert np.allclose(C[0], np.eye(3), atol=1e-14)
 
 
 def test_extraction_half_split():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    C1, C2 = (op.matrix for op in bezier_extraction(kv))
+    C1, C2 = bezier_extraction(kv)[2]
     assert np.abs(C1 - np.array([[1, 0, 0], [0, 1, 0.5], [0, 0, 0.5]])).max() < 1e-15
     assert np.abs(C2 - np.array([[0.5, 0, 0], [0.5, 1, 0], [0, 0, 1]])).max() < 1e-15
 
 
 def test_demo_slave_element_operators():
     kv1 = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
-    mid = bezier_extraction(kv1)[1].matrix
+    mid = bezier_extraction(kv1)[2][1]
     assert np.abs(mid - np.array([[0.5, 0, 0], [0.5, 1, 0.5], [0, 0, 0.5]])).max() < 1e-14
     kv2 = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    top = bezier_extraction(kv2)[1].matrix
+    top = bezier_extraction(kv2)[2][1]
     assert np.abs(top - np.array([[0.5, 0, 0], [0.5, 1, 0], [0, 0, 1]])).max() < 1e-14
 
 
@@ -261,14 +258,14 @@ def test_extraction_identity_and_column_sums():
                 [np.zeros(p + 1), np.sort(RNG.uniform(0, 1, 4)), np.ones(p + 1)]
             )
             kv = KnotVector(vals, p)
-            for op in bezier_extraction(kv):
-                assert np.abs(op.matrix.sum(axis=0) - 1.0).max() < 1e-13
-                a, b = op.span
+            bp, firsts, C = bezier_extraction(kv)
+            for a, b, f, Ce in zip(bp[:-1], bp[1:], firsts, C, strict=True):
+                assert np.abs(Ce.sum(axis=0) - 1.0).max() < 1e-13
                 for x in RNG.uniform(a, b, 20):
                     first, v = bspline_basis(kv, x)
-                    B = bernstein_basis(op.interval, x)
-                    assert first == op.first
-                    assert np.abs(v - op.matrix @ B).max() < 1e-12
+                    B = bernstein_on(p, a, b, x)
+                    assert first == f
+                    assert np.abs(v - Ce @ B).max() < 1e-12
 
 
 def test_extraction_matches_refinement_operator_oracle():
@@ -280,9 +277,10 @@ def test_extraction_matches_refinement_operator_oracle():
     for bp in kv.breakpoints()[1:-1]:
         extra.extend([bp] * (p - kv.multiplicity(bp)))
     c0, T = refinement_operator(kv, extra)
-    for e, op in enumerate(bezier_extraction(kv)):
-        block = T[e * p : e * p + p + 1, op.first : op.first + p + 1]
-        assert np.abs(op.matrix - block.T).max() < 1e-14
+    _, firsts, C = bezier_extraction(kv)
+    for e, (f, Ce) in enumerate(zip(firsts, C)):
+        block = T[e * p : e * p + p + 1, f : f + p + 1]
+        assert np.abs(Ce - block.T).max() < 1e-14
 
 
 def dense_c0_extraction(kv):
@@ -321,12 +319,12 @@ def open_knot_values(draw):
 def test_extraction_equals_dense_c0_insertion(knots):
     vals, p = knots
     kv = KnotVector(vals, p)
-    ops = bezier_extraction(kv)
+    bp, firsts, C = bezier_extraction(kv)
     oracle = dense_c0_extraction(kv)
-    assert [op.span for op in ops] == kv.spans()
-    for op, (first, block) in zip(ops, oracle, strict=True):
-        assert op.first == first
-        assert np.abs(op.matrix - block).max() <= 1e-14
+    assert list(zip(bp[:-1].tolist(), bp[1:].tolist())) == kv.spans()
+    for f, Ce, (first, block) in zip(firsts, C, oracle, strict=True):
+        assert f == first
+        assert np.abs(Ce - block).max() <= 1e-14
 
 
 @given(open_knot_values())
@@ -339,7 +337,7 @@ def test_knots_within_tolerance_are_one_knot(knots):
     kv, merged = KnotVector(vals, p), KnotVector(snapped, p)
     assert np.array_equal(kv.values, merged.values)
     for a, b in zip(bezier_extraction(kv), bezier_extraction(merged), strict=True):
-        assert a.span == b.span and np.array_equal(a.matrix, b.matrix)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def row_loop_knot_insert(kv, coeffs, xi):
@@ -369,12 +367,13 @@ def test_knot_insert_equals_row_loop(knots, xi, trailing):
 
 def test_extraction_is_built_once_and_read_only():
     kv = KnotVector([0, 0, 0, 0.25, 0.6, 1, 1, 1], 2)
-    ops = bezier_extraction(kv)
-    assert bezier_extraction(kv) is ops
-    with pytest.raises(ValueError):
-        ops[0].matrix[0, 0] = 2.0
+    tables = bezier_extraction(kv)
+    assert bezier_extraction(kv) is tables and _element_tables(kv) is tables
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 2
     # an equal but distinct knot vector builds its own
-    assert bezier_extraction(KnotVector(kv.values.copy(), 2)) is not ops
+    assert bezier_extraction(KnotVector(kv.values.copy(), 2)) is not tables
 
 
 def test_refinement_operator_without_knots_keeps_the_knot_vector():
@@ -467,8 +466,6 @@ def test_patch_rejects_non_finite_weights(bad):
 
 
 def test_boundary_curve_rejects_nan_weight():
-    from bezmortar.splines import BoundaryCurve
-
     with pytest.raises(ValueError, match="strictly positive"):
         BoundaryCurve(uniform_open_knots(2, 2), np.zeros((4, 2)), [1.0, np.nan, 1.0, 1.0])
 
@@ -479,3 +476,17 @@ def test_greville_linear_reproduction():
     for x in RNG.uniform(0, 1, 10):
         first, vals = bspline_basis(kv, x)
         assert abs(vals @ g[first : first + 4] - x) < 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_out_of_domain(bad):
+    kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
+    curve = BoundaryCurve(kv, np.column_stack([np.arange(4.0), np.zeros(4)]), np.ones(4))
+    calls = [lambda: bspline_table(kv, np.array([0.2, bad])),
+             lambda: rational_table(kv, np.ones(kv.n), np.array([0.2, bad])),
+             lambda: curve.point(bad), lambda: curve.derivatives(np.array([bad, 0.3]), 2),
+             lambda: kv.find_span(bad), lambda: bspline_basis(kv, bad),
+             lambda: bspline_derivatives(kv, bad)]
+    for call in calls:
+        with pytest.raises(OutOfDomainError):
+            call()

@@ -16,8 +16,9 @@ from bezmortar.benchmarks import (
     rect_patch,
 )
 from bezmortar.fem import evaluate_cell
-from bezmortar.splines import BernsteinInterval, bernstein_basis, side_index
+from bezmortar.splines import side_index
 from bezmortar.weakmesh import interface_operator_report
+from test_splines import bernstein_on
 
 # ------------------------------------------------- reference formulas
 #
@@ -153,8 +154,6 @@ def test_report_operator_matches_emitted_weak_cell(demo_model):
     (pi, _), (mp, ms) = coup.spec.slave, coup.spec.master
     grid = demo_model.grids[pi]
     # demo subcell: slave elements [1/3, 1/2] along the north side, [1/2, 1] across it
-    parent = BernsteinInterval(1 / 3, 2 / 3, 2)
-    transverse = BernsteinInterval(0.5, 1.0, 2)
     x1 = np.linspace(1 / 3 + 1e-3, 0.5 - 1e-3, 4).repeat(4)
     x2 = np.tile(np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 4), 4)
     mesh = demo_model.weak_mesh()
@@ -165,7 +164,7 @@ def test_report_operator_matches_emitted_weak_cell(demo_model):
     m_first = coup.phi.master.kv.find_span(coup.phi(5 / 12)) - 2
     rows = [grid[1 + a1, 1 + a2] for a2 in range(2) for a1 in range(3)]
     rows += list(demo_model.grids[mp][side_index(ms)][m_first : m_first + 3])
-    B = np.einsum("qf,qi->qfi", bernstein_basis(transverse, x2), bernstein_basis(parent, x1))
+    B = np.einsum("qf,qi->qfi", bernstein_on(2, 0.5, 1.0, x2), bernstein_on(2, 1 / 3, 2 / 3, x1))
     ref = dict(zip(rows, (rep["tensor_operator"] @ B.reshape(len(x1), -1).T)))
     got = dict(zip(cell.rows, evaluate_cell(cell, x1, x2, grad=False)["basis"].T))
     zero = np.zeros(len(x1))
@@ -175,14 +174,13 @@ def test_report_operator_matches_emitted_weak_cell(demo_model):
 
 def test_pointwise_master_trace_identity(demo_model):
     # the weak operator evaluates the master basis through the slave element
-    from bezmortar.splines import BernsteinInterval, bernstein_basis, bspline_basis
+    from bezmortar.splines import bspline_basis
 
     rep = interface_operator_report(demo_model)
     coup = demo_model.couplings[0]
-    parent = BernsteinInterval(1 / 3, 2 / 3, 2)
     mkv = coup.phi.master.kv
     for xi in np.linspace(1 / 3 + 1e-9, 0.5 - 1e-9, 20):
-        B = bernstein_basis(parent, xi)
+        B = bernstein_on(2, 1 / 3, 2 / 3, xi)
         vals = rep["weak_1d"] @ B
         fm, Nm = bspline_basis(mkv, coup.phi(float(xi)))
         assert fm == 0
