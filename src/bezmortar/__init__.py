@@ -44,7 +44,7 @@ from .fem import (
     newton_load_stepping,
 )
 from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
-from .model import Cell, CellGroup, ExtractedMesh, MultiPatchModel, single_patch_mesh
+from .model import Cell, CellGroup, ExtractedMesh, MultiPatchModel
 from .splines import (
     KnotVector,
     OutOfDomainError,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .coupling import InterfaceSpec, assemble_saddle, condense
 from .fem import (
@@ -37,7 +36,7 @@ from .fem import (
     l2_error,
     newton_load_stepping,
 )
-from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
+from .linsys import NumericalError, apply_dirichlet, linear_solve
 from .model import MultiPatchModel
 from .splines import (
     OutOfDomainError,
@@ -131,10 +130,8 @@ def _refine_counts(patch: Patch2D, n1: int, n2: int) -> Patch2D:
 
 
 def annulus_sector_patch(theta0: float, theta1: float, r0: float, r1: float,
-                         n_rad: int, n_circ: int, p: int = 2) -> Patch2D:
-    """Exact NURBS ring sector; radial along the first parametric direction."""
-    if p != 2:
-        raise ValueError("exact conic sections are constructed at degree 2")
+                         n_rad: int, n_circ: int) -> Patch2D:
+    """Exact quadratic NURBS ring sector; radial along the first parametric direction."""
     pts_arc, w_arc = _arc_controls(theta0, theta1, 1.0)
     kv = uniform_open_knots(2, 1)
     g = greville_abscissae(kv)
@@ -146,16 +143,14 @@ def annulus_sector_patch(theta0: float, theta1: float, r0: float, r1: float,
 
 
 def ruled_sector_patch(theta0: float, theta1: float, radius: float, outer_fn,
-                       n_rad: int, n_circ: int, p: int = 2) -> Patch2D:
-    """Ruled patch between an exact arc (inner) and a straight outer edge.
+                       n_rad: int, n_circ: int) -> Patch2D:
+    """Quadratic ruled patch between an exact arc (inner) and a straight outer edge.
 
     ``outer_fn(theta)`` returns the outer boundary point at a given angle;
     the first parametric direction runs from the arc to the outer edge and
     weights depend only on the circumferential index, so the hole edge stays
     an exact circle.
     """
-    if p != 2:
-        raise ValueError("exact conic sections are constructed at degree 2")
     pts_arc, w_arc = _arc_controls(theta0, theta1, radius)
     mid = 0.5 * (theta0 + theta1)
     outer = np.array([outer_fn(theta0), outer_fn(mid), outer_fn(theta1)])
@@ -212,13 +207,13 @@ def gen_square_two_patch(ratio=(2, 3), matched: bool = True, p: int = 2,
     return MultiPatchModel([master, slave], [spec], dual_refine)
 
 
-def gen_annulus_two_patch(ratio=(2, 3), p: int = 2, level: int = 0,
+def gen_annulus_two_patch(ratio=(2, 3), level: int = 0,
                           dual_refine: int = 0) -> MultiPatchModel:
     """Quarter-ring 0.4 <= r <= 4, pi/2 <= angle <= pi, split at 3 pi / 4."""
     master = annulus_sector_patch(math.pi / 2, 3 * math.pi / 4, 0.4, 4.0,
-                                  ratio[0], ratio[0], p).refined_uniform(level)
+                                  ratio[0], ratio[0]).refined_uniform(level)
     slave = annulus_sector_patch(3 * math.pi / 4, math.pi, 0.4, 4.0,
-                                 ratio[1], ratio[1], p).refined_uniform(level)
+                                 ratio[1], ratio[1]).refined_uniform(level)
     spec = InterfaceSpec(master=(0, "north"), slave=(1, "south"))
     return MultiPatchModel([master, slave], [spec], dual_refine)
 
@@ -230,8 +225,8 @@ def _plate_outer(theta: float, L: float) -> np.ndarray:
     return np.array([L / math.tan(theta), L])
 
 
-def gen_plate_hole(npatches: int = 2, matched: bool = True, p: int = 2,
-                   level: int = 0, seed: int = 1234, dual_refine: int = 1,
+def gen_plate_hole(npatches: int = 2, matched: bool = True, level: int = 0,
+                   seed: int = 1234, dual_refine: int = 1,
                    ratio=(2, 3)) -> MultiPatchModel:
     """Quarter plate with a circular hole as 2 or 3 coupled ruled patches.
 
@@ -242,8 +237,8 @@ def gen_plate_hole(npatches: int = 2, matched: bool = True, p: int = 2,
     outer = lambda th: _plate_outer(th, L)
     nm, ns = ratio
     if npatches == 2:
-        a = ruled_sector_patch(0.0, math.pi / 4, R, outer, nm, nm, p)
-        b = ruled_sector_patch(math.pi / 4, math.pi / 2, R, outer, ns, ns, p)
+        a = ruled_sector_patch(0.0, math.pi / 4, R, outer, nm, nm)
+        b = ruled_sector_patch(math.pi / 4, math.pi / 2, R, outer, ns, ns)
         patches = [a, b]
         specs = [InterfaceSpec(master=(0, "north"), slave=(1, "south"))]
         if not matched:
@@ -251,9 +246,9 @@ def gen_plate_hole(npatches: int = 2, matched: bool = True, p: int = 2,
             patches[0] = _perturb_edge(patches[0], "north", 0.1 * (L - R) / nm, rng)
             patches[1] = _perturb_edge(patches[1], "south", 0.1 * (L - R) / ns, rng)
     elif npatches == 3:
-        a = ruled_sector_patch(0.0, math.pi / 4, R, outer, nm, nm, p)
-        b = ruled_sector_patch(math.pi / 4, 3 * math.pi / 8, R, outer, ns, ns, p)
-        c = ruled_sector_patch(3 * math.pi / 8, math.pi / 2, R, outer, nm, nm, p)
+        a = ruled_sector_patch(0.0, math.pi / 4, R, outer, nm, nm)
+        b = ruled_sector_patch(math.pi / 4, 3 * math.pi / 8, R, outer, ns, ns)
+        c = ruled_sector_patch(3 * math.pi / 8, math.pi / 2, R, outer, nm, nm)
         patches = [a, b, c]
         specs = [
             InterfaceSpec(master=(0, "north"), slave=(1, "south")),
@@ -431,11 +426,10 @@ def build_case(case: BenchmarkCase, level: int) -> MultiPatchModel:
         return gen_square_two_patch(case.ratio, case.matched, case.p, level,
                                     case.seed, case.dual_refine)
     if case.case == "annulus":
-        return gen_annulus_two_patch(case.ratio, case.p, level, case.dual_refine)
+        return gen_annulus_two_patch(case.ratio, level, case.dual_refine)
     if case.case.startswith("plate-hole"):
         n = 2 if case.case.endswith("2patch") else 3
-        return gen_plate_hole(n, case.matched, case.p, level, case.seed,
-                              case.dual_refine, case.ratio)
+        return gen_plate_hole(n, case.matched, level, case.seed, case.dual_refine, case.ratio)
     if case.case.startswith("largedef"):
         return largedef_model(level, weak=True)
     raise ValueError(case.case)
@@ -474,14 +468,18 @@ def _plate_bcs(npatches: int):
 
 
 def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
-    """Assemble and solve one benchmark level; returns field and metadata."""
+    """Assemble and solve one benchmark level; returns field and metadata.
+
+    ``saddle`` solves the mortar system with multiplier rows; ``mortar`` and
+    ``weak`` condense, constrain, solve and expand on their own meshes.
+    """
     if case.case.startswith("largedef"):
         raise ValueError("use run_largedef for the large-deformation cases")
     if case.case == "square-demo":
         raise ValueError("square-demo is a mesh-only case")
-    model = build_case(case, level)
     if method not in ("mortar", "weak", "saddle"):
         raise ValueError(f"unknown method {method!r}")
+    model = build_case(case, level)
     mesh = model.weak_mesh() if method == "weak" else model.mortar_mesh()
     if case.case.startswith("plate"):
         diri, neum = _plate_bcs(len(model.patches))
@@ -492,25 +490,15 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
         exact_u, f, diri, neum = _poisson_bcs(case)
         system = assemble_poisson(mesh, f)
         ncomp = 1
-    assemble_neumann(mesh, system, neum)
-    rows = dirichlet_rows(model, mesh, ncomp, diri)
-    if method == "weak":
-        system = apply_dirichlet(system, rows)
-        values = linear_solve(system)
-        field = SolutionField(mesh, values, ncomp)
-    elif method == "mortar":
-        red = condense(system, model)
-        red = apply_dirichlet(red, rows)
-        x = linear_solve(red)
-        full = model.prolongation_vec(ncomp) @ x
-        field = SolutionField(mesh, full, ncomp)
+    system.f += assemble_neumann(mesh, ncomp, neum)
+    rows = dirichlet_rows(mesh, ncomp, diri)
+    if method == "saddle":
+        x = linear_solve(apply_dirichlet(assemble_saddle(system, model), rows))
+        values = x[: mesh.ndof * ncomp]
     else:
-        sad, nl = assemble_saddle(system, model)
-        sad = apply_dirichlet(sad, rows)
-        x = linear_solve(sad)
-        field = SolutionField(mesh, x[: mesh.ndof * ncomp], ncomp)
+        values = mesh.expand(linear_solve(apply_dirichlet(condense(system, mesh), rows)), ncomp)
     return {
-        "field": field,
+        "field": SolutionField(mesh, values, ncomp),
         "model": model,
         "dofs": model.n_retained * ncomp,
         "exact": exact_u,
@@ -662,17 +650,10 @@ def run_largedef(case_id: str, level: int, increments: int = 20,
     model = largedef_model(level, weak)
     mesh = model.weak_mesh()
     neum, diri, corners = _largedef_loads(case_id, pressure)
-    dummy = AssembledSystem(
-        sparse.csr_matrix((mesh.ndof * 2, mesh.ndof * 2)),
-        np.zeros(mesh.ndof * 2),
-        2,
-    )
-    assemble_neumann(mesh, dummy, neum)
-    fext = dummy.f
-    rows = dirichlet_rows(model, mesh, 2, diri)
+    fext = assemble_neumann(mesh, 2, neum)
+    rows = dirichlet_rows(mesh, 2, diri)
     for patch, corner, comp in corners:
-        grid = model.grids[patch]
-        dof = int(grid[corner[0], corner[1]])
+        dof = int(mesh.grids[patch][corner])
         if dof < 0:
             raise ValueError("corner constraint fell on an interface dof")
         rows.append((dof * 2 + comp, 0.0))

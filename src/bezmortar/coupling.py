@@ -314,17 +314,22 @@ def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
     return InterfaceCoupling(spec, phi, merged, refined, dual, coupling, w_refined)
 
 
-def condense(system: AssembledSystem, layout) -> AssembledSystem:
-    """Eliminate slave interface (and multiplier) dofs from a full system.
+def condense(system: AssembledSystem, mesh) -> AssembledSystem:
+    """Reduce a system assembled on ``mesh`` to the dofs it is solved for.
 
-    ``layout`` provides the scalar prolongation operator P with
-    d_full = P d_retained; the condensed operator is P^T K P and the load
-    P^T f, which reproduces the familiar master-block formulas
-    K^m_cc + G^T K^s_cc G, G^T K^s_cd, ... while preserving sparsity.
+    On a mesh that carries a prolongation P (d_mesh = P d_solved, the mortar
+    stream) the reduced operator is P^T K P and the load P^T f, which
+    reproduces the familiar master-block formulas K^m_cc + G^T K^s_cc G,
+    G^T K^s_cd, ... while preserving sparsity.  A mesh without one (the weak
+    stream) is solved in its own numbering, and the system is returned as it
+    is.  A system of another size than the mesh raises ``ValueError``.
     """
-    P = layout.prolongation_vec(system.ncomp)
-    if P.shape[0] != system.nrows:
-        raise ValueError("system size does not match layout")
+    n = mesh.ndof * system.ncomp
+    if system.nrows != n:
+        raise ValueError(f"system size {system.nrows} does not match the mesh's {n} rows")
+    if mesh.P is None:
+        return system
+    P = mesh.prolongation_vec(system.ncomp)
     K = (P.T @ system.K @ P).tocsr()
     f = P.T @ system.f
     # retained dofs keep their row ids, so existing constraints carry over;
@@ -334,19 +339,18 @@ def condense(system: AssembledSystem, layout) -> AssembledSystem:
     return AssembledSystem(K, f, system.ncomp, dict(system.constraints))
 
 
-def assemble_saddle(system: AssembledSystem, layout) -> tuple[AssembledSystem, int]:
+def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
     """Indefinite block system with explicit multiplier rows.
 
     The multiplier blocks pair each interface's dual functions with the
     master interface basis (the coupling matrix) and with the slave
-    interface basis (an identity block, by biorthogonality).  Returns the
-    system together with the number of multiplier rows appended after the
-    displacement dofs.
+    interface basis (an identity block, by biorthogonality).  ``system`` is
+    assembled on the model's mortar mesh; the multiplier rows are appended
+    after its displacement dofs.
     """
     ncomp = system.ncomp
-    Bm, Bs = layout.multiplier_blocks(ncomp)
+    Bm, Bs = model.multiplier_blocks(ncomp)
     nl = Bm.shape[0]
-    n = system.nrows
     Z = sp.csr_matrix((nl, nl))
     K = sp.bmat(
         [
@@ -356,5 +360,4 @@ def assemble_saddle(system: AssembledSystem, layout) -> tuple[AssembledSystem, i
         format="csr",
     )
     f = np.concatenate([system.f, np.zeros(nl)])
-    sys2 = AssembledSystem(K, f, ncomp, dict(system.constraints))
-    return sys2, nl
+    return AssembledSystem(K, f, ncomp, dict(system.constraints))

@@ -334,8 +334,8 @@ def assemble_linear_elasticity(mesh: ExtractedMesh, material: MaterialModel,
     return _system(mesh, 2, local, loads)
 
 
-def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> None:
-    """Add boundary tractions to the load vector (in place).
+def assemble_neumann(mesh: ExtractedMesh, ncomp: int, specs) -> np.ndarray:
+    """Load vector of boundary tractions with ``ncomp`` components per mesh dof.
 
     Each spec is (patch, side, span_or_None, traction) where traction is a
     callable (x, normal) -> ncomp values, called once per shape group of the
@@ -346,7 +346,6 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
     cell on the side is evaluated as a 2D cell at Gauss points of order
     degree + 2 along its edge.
     """
-    ncomp = system.ncomp
     dofs, loads = [], []
     for patch, side, span, traction in specs:
         kvs = _side_patch(mesh, patch, side).kvs
@@ -382,9 +381,10 @@ def assemble_neumann(mesh: ExtractedMesh, system: AssembledSystem, specs) -> Non
             wlen = (b - a) * wts * speed
             dofs.append(_local_dofs(g.rows[sel], ncomp).ravel())
             loads.append(_load(ev["basis"], wlen, t).ravel())
-    if dofs:
-        system.f += np.bincount(np.concatenate(dofs), np.concatenate(loads),
-                                minlength=system.f.size)
+    n = mesh.ndof * ncomp
+    if not dofs:
+        return np.zeros(n)
+    return np.bincount(np.concatenate(dofs), np.concatenate(loads), minlength=n)
 
 
 # --------------------------------------------------------------------------
@@ -432,13 +432,12 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     return vals
 
 
-def dirichlet_rows(model_or_none, mesh: ExtractedMesh, ncomp: int,
-                   specs) -> list[tuple[int, float]]:
+def dirichlet_rows(mesh: ExtractedMesh, ncomp: int, specs) -> list[tuple[int, float]]:
     """Translate per-side Dirichlet specs into (row, value) pairs.
 
-    Specs are (patch, side, comp, fn).  Dofs replaced by interface traces are
-    skipped: slave interface dofs never carry Dirichlet data directly.  When
-    ``model_or_none`` is None the mesh must be a single patch.
+    Specs are (patch, side, comp, fn); rows are in the solved numbering of
+    ``mesh.grids``.  Dofs replaced by interface traces are skipped: slave
+    interface dofs never carry Dirichlet data directly.
     """
     out = []
     for patch, side, comp, fn in specs:
@@ -446,11 +445,7 @@ def dirichlet_rows(model_or_none, mesh: ExtractedMesh, ncomp: int,
         if not 0 <= comp < ncomp:
             raise ValueError(f"component {comp} out of range for {ncomp} components")
         vals = boundary_projection(p, side, fn if callable(fn) else (lambda x, y: fn))
-        if model_or_none is not None:
-            grid = model_or_none.grids[patch]
-        else:
-            grid = np.arange(p.shape[0] * p.shape[1]).reshape(p.shape)
-        for dof, val in zip(grid[side_index(side)], vals):
+        for dof, val in zip(mesh.grids[patch][side_index(side)], vals):
             if dof >= 0:
                 out.append((int(dof) * ncomp + comp, float(val)))
     return out
@@ -548,16 +543,16 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
 def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                          external_load: np.ndarray, constraints,
                          increments: int = 20, tol_factor: float = 1e8,
-                         max_iter: int = 25, layout=None) -> np.ndarray:
-    """Incremental Newton solve with a dead external load.
+                         max_iter: int = 25) -> np.ndarray:
+    """Incremental Newton solve with a dead external load; returns the solved dofs.
 
     The load is scaled in ``increments`` equal steps; each step iterates
     until the residual drops by ``tol_factor`` (with an absolute floor).
-    ``external_load`` lives in the mesh numbering.  On the mortar route,
-    ``layout`` is the model: residuals and tangents are reduced to its
-    retained dofs with :func:`~bezmortar.coupling.condense` and iterates are
-    expanded back through its prolongation.  Constraints are (row, 0.0) pairs
-    in the solved numbering.
+    ``external_load`` lives in the mesh numbering.  Residuals and tangents are
+    reduced to the solved dofs with :func:`~bezmortar.coupling.condense` and
+    iterates are expanded back with :meth:`ExtractedMesh.expand` (both act
+    only on a mesh with a prolongation, the mortar stream).  Constraints are
+    (row, 0.0) pairs in the solved numbering.
 
     The feasibility guard halves an update while the assembly at the trial
     state raises on an inverted element; the assembly that succeeds is the
@@ -570,26 +565,20 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
         raise ValueError("tol_factor must be finite and greater than 1")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    P = None if layout is None else layout.prolongation_vec(2)
-    dred = np.zeros(mesh.ndof * 2 if P is None else P.shape[1])
-    expand = (lambda v: v) if P is None else (lambda v: P @ v)
+    dred = np.zeros(2 * (mesh.ndof if mesh.P is None else mesh.P.shape[1]))
     zero = dict.fromkeys(sorted({int(r) for r, _ in constraints}), 0.0)
     free = np.setdiff1d(np.arange(dred.size), list(zero))
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
     # the load is dead, so the assembly at the current iterate serves every
     # increment until the iterate moves
-    rint, K = assemble_neo_hookean(mesh, material, expand(dred))
+    rint, K = assemble_neo_hookean(mesh, material, mesh.expand(dred, 2))
     for inc in range(1, increments + 1):
         scale = inc / increments
         fext = scale * external_load
         res0 = None
         for it in range(max_iter + 1):
-            if layout is not None:
-                red = condense(AssembledSystem(K, rint - fext, 2), layout)
-                rred, Kred = red.f, red.K
-            else:
-                rred = rint - fext
-                Kred = K
+            red = condense(AssembledSystem(K, rint - fext, 2), mesh)
+            rred, Kred = red.f, red.K
             rnorm = np.linalg.norm(rred[free])
             if res0 is None:
                 res0 = rnorm
@@ -605,7 +594,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
             for _ in range(12):
                 trial = dred + alpha * step
                 try:
-                    rint, K = assemble_neo_hookean(mesh, material, expand(trial))
+                    rint, K = assemble_neo_hookean(mesh, material, mesh.expand(trial, 2))
                     break
                 except NumericalError:
                     alpha *= 0.5

@@ -212,12 +212,17 @@ def _validate_model_fields(doc) -> None:
         raise MeshFormatError("bad-format", "missing patches")
     for k, p in enumerate(patches):
         try:
-            p1, p2 = (int(d) for d in p["degrees"])
+            degrees = p["degrees"]
             knots = [_numbers(kv) for kv in p["knots"]]
             cps = _numbers(p["control_points"])
             wts = _numbers(p["weights"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshFormatError("bad-format", f"patch {k}: {exc}") from exc
+        if not (isinstance(degrees, list) and len(degrees) == 2
+                and all(_is_int(d) and d >= 1 for d in degrees)):
+            raise MeshFormatError("bad-degree", f"patch {k}: degrees {degrees!r} are not "
+                                  "two integers >= 1")
+        p1, p2 = degrees
         if len(knots) != 2 or any(kv.ndim != 1 for kv in knots):
             raise MeshFormatError("bad-format", f"patch {k}: expected two knot vectors")
         if wts.ndim != 1 or (cps.size and (cps.ndim != 2 or cps.shape[1] != 2)):
@@ -248,7 +253,11 @@ def _validate_model_fields(doc) -> None:
             )
         if np.any(wts <= 0):
             raise MeshFormatError("weights-nonpositive", f"patch {k}")
-    for s in doc.get("interfaces", []):
+    interfaces = doc.get("interfaces", [])
+    if not isinstance(interfaces, list):
+        raise MeshFormatError("bad-interface", f"interfaces {interfaces!r} is not a list")
+    slaves = set()
+    for s in interfaces:
         try:
             mp, mside = s["master"]
             spatch, sside = s["slave"]
@@ -263,6 +272,12 @@ def _validate_model_fields(doc) -> None:
             raise MeshFormatError("bad-interface", "patch index out of range")
         if not isinstance(s.get("reversed", False), bool):
             raise MeshFormatError("bad-interface", f"reversed {s['reversed']!r} is not a bool")
+        if (mp, mside) == (spatch, sside):
+            raise MeshFormatError("bad-interface", f"side {mside} of patch {mp} is its own slave")
+        if (spatch, sside) in slaves:
+            raise MeshFormatError("bad-interface",
+                                  f"side {sside} of patch {spatch} is slave on two interfaces")
+        slaves.add((spatch, sside))
     level = doc.get("dual_refine", 0)
     if not (_is_int(level) and level >= 0):
         raise MeshFormatError("bad-dual-refine", f"dual_refine {level!r} is not a count")
@@ -325,7 +340,7 @@ def model_from_document(doc: dict) -> MultiPatchModel:
     _validate_model_fields(doc)
     patches = []
     for p in doc["patches"]:
-        p1, p2 = (int(d) for d in p["degrees"])
+        p1, p2 = p["degrees"]
         kv1 = KnotVector(np.asarray(p["knots"][0], dtype=float), p1)
         kv2 = KnotVector(np.asarray(p["knots"][1], dtype=float), p2)
         pts = np.asarray(p["control_points"], dtype=float).reshape(kv1.n, kv2.n, 2)
@@ -339,7 +354,10 @@ def model_from_document(doc: dict) -> MultiPatchModel:
         )
         for s in doc.get("interfaces", [])
     ]
-    return MultiPatchModel(patches, specs, doc.get("dual_refine", 0))
+    try:
+        return MultiPatchModel(patches, specs, doc.get("dual_refine", 0))
+    except ValueError as exc:  # the dof layout refuses the interface structure
+        raise MeshFormatError("bad-interface", str(exc)) from exc
 
 
 def convergence_csv(report) -> str:

@@ -27,12 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .coupling import (
-    InterfaceCoupling,
-    InterfaceSpec,
-    build_interface_coupling,
-    is_noise,
-)
+from .coupling import InterfaceCoupling, build_interface_coupling, is_noise
 from .splines import (
     SIDES,
     Patch2D,
@@ -41,7 +36,7 @@ from .splines import (
     side_index,
 )
 
-__all__ = ["Cell", "CellGroup", "ExtractedMesh", "MultiPatchModel", "single_patch_mesh"]
+__all__ = ["Cell", "CellGroup", "ExtractedMesh", "MultiPatchModel"]
 
 
 @dataclass(frozen=True)
@@ -92,19 +87,26 @@ _STACKED = ("index", "patch", "rect", "rows", "ophom", "geo_pts", "geo_ophom")
 
 
 class ExtractedMesh:
-    """Element stream plus dof count; the input to Galerkin assembly.
+    """Element stream plus the dof numbering it is solved in; the input to assembly.
 
-    The stream is held as shape groups: ``pieces`` that share degrees and
+    ``grids`` holds each patch's solved dof ids (-1 on slave edges) and ``P``
+    the scalar prolongation from the solved dofs to the ``ndof`` mesh dofs,
+    or None where the cells use the solved dofs (the weak stream).  The
+    stream is held as shape groups: ``pieces`` that share degrees and
     operator shapes are merged into one :class:`CellGroup`, ordered by
     position, and the groups are ordered by their first position.  ``_cache``
-    holds data derived from the groups on first use (the cell views, the grids
-    of :meth:`cell_index`, the assembly pattern per component count and the
-    neo-Hookean kernel's quadrature geometry), so the groups are read-only.
+    holds data derived from the groups and ``P`` on first use (the cell views,
+    the breakpoint grids of :meth:`cell_index`, the assembly pattern and the
+    prolongation per component count and the neo-Hookean kernel's quadrature
+    geometry), so the groups are read-only.
     """
 
-    def __init__(self, patches: list[Patch2D], pieces, ndof: int):
+    def __init__(self, patches: list[Patch2D], pieces, ndof: int, grids: list[np.ndarray],
+                 P: sp.csr_matrix | None):
         self.patches = patches
         self.ndof = ndof
+        self.grids = grids
+        self.P = P
         self._cache: dict = {}
         by_shape: dict = {}
         for p in pieces:
@@ -125,6 +127,20 @@ class ExtractedMesh:
 
     def __len__(self) -> int:
         return sum(len(g.index) for g in self.groups)
+
+    def prolongation_vec(self, ncomp: int) -> sp.csr_matrix:
+        """``P`` with ``ncomp`` components per dof, component fastest (cached);
+        None on a mesh without ``P``."""
+        if self.P is None or ncomp == 1:
+            return self.P
+        key = ("prolongation", ncomp)
+        if key not in self._cache:
+            self._cache[key] = sp.kron(self.P, sp.eye(ncomp), format="csr")
+        return self._cache[key]
+
+    def expand(self, x: np.ndarray, ncomp: int) -> np.ndarray:
+        """Mesh-dof values of solved values ``x`` with ``ncomp`` components."""
+        return x if self.P is None else self.prolongation_vec(ncomp) @ x
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -307,11 +323,6 @@ class MultiPatchModel:
         P.sort_indices()  # the sparse products leave column order unsorted
         return P
 
-    def prolongation_vec(self, ncomp: int) -> sp.csr_matrix:
-        if ncomp == 1:
-            return self.P
-        return sp.kron(self.P, sp.eye(ncomp), format="csr")
-
     def multiplier_blocks(self, ncomp: int):
         """Constraint blocks (master side, slave side) for the saddle system.
 
@@ -356,8 +367,9 @@ class MultiPatchModel:
     # ----------------------------------------------------------------- cells
 
     def mortar_mesh(self) -> ExtractedMesh:
-        """Element stream in full numbering (trace dofs explicit)."""
-        return ExtractedMesh(self.patches, self._mortar_pieces(), self.ndof_full)
+        """Element stream in full numbering (trace dofs explicit), carrying ``P``."""
+        return ExtractedMesh(self.patches, self._mortar_pieces(), self.ndof_full, self.grids,
+                             self.P)
 
     def weak_mesh(self) -> ExtractedMesh:
         """Element stream with interface constraints compiled into operators.
@@ -394,7 +406,7 @@ class MultiPatchModel:
                 at = count[owner] == n  # the rows of the cells with n rows, in order
                 pieces.append(g.take(count == n, rows=cols[at].reshape(-1, n),
                                      ophom=op[at].reshape(-1, n, nb)))
-        return ExtractedMesh(self.patches, pieces, self.n_retained)
+        return ExtractedMesh(self.patches, pieces, self.n_retained, self.grids, None)
 
     def _mortar_pieces(self) -> list[CellGroup]:
         """The mortar stream: per patch, in row-major element order, one piece
@@ -516,8 +528,3 @@ def _flat(patch: Patch2D) -> np.ndarray:
     """Row-major index of every tensor function of a patch, shaped like its net."""
     return np.arange(patch.shape[0] * patch.shape[1]).reshape(patch.shape)
 
-
-def single_patch_mesh(patch: Patch2D) -> ExtractedMesh:
-    """Standard extracted mesh of one uncoupled patch."""
-    return ExtractedMesh([patch], [_grid_cells(0, patch, _flat(patch), slice(None))],
-                         patch.weights.size)

@@ -30,7 +30,6 @@ from bezmortar import (
     assemble_poisson,
     fem,
     l2_error,
-    single_patch_mesh,
 )
 from bezmortar.benchmarks import (
     field_difference_l2,
@@ -49,7 +48,6 @@ from bezmortar.fem import (
     dirichlet_rows,
     evaluate_cell,
 )
-from bezmortar.linsys import AssembledSystem
 from bezmortar.splines import (
     SIDES,
     Patch2D,
@@ -72,10 +70,10 @@ def _mixed_degree_model():
 MESHES = {
     "weak-largedef": lambda: largedef_model(1, weak=True).weak_mesh(),
     # rational patches
-    "mortar-annulus": lambda: gen_annulus_two_patch((2, 3), p=2, level=0,
+    "mortar-annulus": lambda: gen_annulus_two_patch((2, 3), level=0,
                                                     dual_refine=1).mortar_mesh(),
     # rational, three shape groups with 9, 10 and 11 rows
-    "weak-plate-3patch": lambda: gen_plate_hole(3, False, 2, 0).weak_mesh(),
+    "weak-plate-3patch": lambda: gen_plate_hole(3, False, 0).weak_mesh(),
     # one group per degree
     "weak-mixed-degree": lambda: _mixed_degree_model().weak_mesh(),
 }
@@ -470,15 +468,15 @@ def test_locate_matches_linear_scan(mesh):
 
 def test_locate_returns_the_first_of_overlapping_cells():
     # cell_index takes the first in stream order of the cells holding a point
-    base = single_patch_mesh(rect_patch(2, 2, 2))
+    base = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     (grid,) = base.groups
     n = len(base)
     whole = dataclasses.replace(grid.take([n - 1]), rect=np.array([[[0.0, 1.0], [0.0, 1.0]]]))
     last = ExtractedMesh(base.patches, [grid, dataclasses.replace(whole, index=np.array([n]))],
-                         base.ndof)
+                         base.ndof, base.grids, None)
     first = ExtractedMesh(base.patches, [dataclasses.replace(grid, index=grid.index + 1),
                                          dataclasses.replace(whole, index=np.array([0]))],
-                          base.ndof)
+                          base.ndof, base.grids, None)
     xi1, xi2 = RNG.uniform(0.0, 1.0, (2, 20))
     patch = np.zeros(20, dtype=int)
     want = [base.cells.index(_scan(base, 0, a, b)) for a, b in zip(xi1, xi2)]
@@ -526,7 +524,7 @@ def test_evaluate_matches_per_point_reference(mesh, data):
 ], ids=["short-xi2", "long-patch", "two-dimensional", "patch-past-the-end", "negative-patch",
         "fractional-patch", "outside-the-patch", "nan-xi1", "infinite-xi2"])
 def test_evaluate_rejects_bad_input(args, message):
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     field = SolutionField(mesh, np.zeros(mesh.ndof))
     for grad in (False, True):
         with pytest.raises(ValueError, match=message):
@@ -540,7 +538,7 @@ def test_evaluate_rejects_bad_input(args, message):
     ([[0]], [[0.5]], [[0.5]]),
 ], ids=["one-patch-two-points", "two-patches-one-point", "short-xi1", "two-dimensional"])
 def test_cell_index_rejects_unequal_shapes(patch, xi1, xi2):
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     with pytest.raises(ValueError, match="shapes"):
         mesh.cell_index(np.array(patch), np.array(xi1), np.array(xi2))
 
@@ -659,10 +657,10 @@ _SHEAR = lambda x, n: np.stack([x[..., 1] * n[..., 0], x[..., 0] ** 2 + n[..., 1
 
 NEUMANN_CASES = {
     "mortar-annulus-flux": (
-        lambda: gen_annulus_two_patch((2, 3), p=2, level=0, dual_refine=1).mortar_mesh(), 1,
+        lambda: gen_annulus_two_patch((2, 3), level=0, dual_refine=1).mortar_mesh(), 1,
         [(k, s, None, _flux) for k in (0, 1) for s in _SIDES]),
     "weak-plate-3patch-kirsch": (
-        lambda: gen_plate_hole(3, False, 2, 0).weak_mesh(), 2,
+        lambda: gen_plate_hole(3, False, 0).weak_mesh(), 2,
         [(k, s, None, _kirsch) for k in (0, 1, 2) for s in _SIDES]),
     "weak-largedef-spans": (
         lambda: largedef_model(1, weak=True).weak_mesh(), 2,
@@ -681,12 +679,10 @@ NEUMANN_CASES = {
 def test_neumann_matches_side_cell_loop(name):
     make, ncomp, specs = NEUMANN_CASES[name]
     mesh = make()
-    system = AssembledSystem(sp.csr_matrix((mesh.ndof * ncomp,) * 2),
-                             np.zeros(mesh.ndof * ncomp), ncomp)
-    assemble_neumann(mesh, system, specs)
+    f = assemble_neumann(mesh, ncomp, specs)
     ref = _neumann_reference(mesh, specs, ncomp)
     assert np.abs(ref).max() > 0
-    _assert_close(system.f, ref)
+    _assert_close(f, ref)
 
 
 @pytest.mark.parametrize("name", sorted(NEUMANN_CASES))
@@ -694,12 +690,9 @@ def test_neumann_sum_equals_the_per_call_sum(name, monkeypatch):
     make, ncomp, specs = NEUMANN_CASES[name]
     mesh = make()
     dofs, loads = _spy(monkeypatch, "_local_dofs"), _spy(monkeypatch, "_load")
-    f0 = np.random.default_rng(5).normal(size=mesh.ndof * ncomp)
-    system = AssembledSystem(sp.csr_matrix((f0.size,) * 2), f0.copy(), ncomp)
-    assemble_neumann(mesh, system, specs)
+    f = assemble_neumann(mesh, ncomp, specs)
     assert dofs and len(dofs) == len(loads)
-    ref = f0 + _vector([d for _, d in dofs], [v for _, v in loads], f0.size)
-    assert _same_bits(system.f, ref)
+    assert _same_bits(f, _vector([d for _, d in dofs], [v for _, v in loads], f.size))
 
 
 # ------------------------------------------------------ callables take arrays
@@ -745,8 +738,7 @@ def test_boundary_callables_are_called_once_per_spec():
     model = largedef_model(1, weak=True)
     mesh = model.weak_mesh()
     push, shear = _Counted(_PUSH), _Counted(_SHEAR)
-    system = AssembledSystem(sp.csr_matrix((mesh.ndof * 2,) * 2), np.zeros(mesh.ndof * 2), 2)
-    assemble_neumann(mesh, system, [(0, "north", None, push), (1, "east", None, shear)])
+    assemble_neumann(mesh, 2, [(0, "north", None, push), (1, "east", None, shear)])
     for fn, (patch, side) in ((push, (0, "north")), (shear, (1, "east"))):
         # (x, normal), each (..., 2), once per shape group with cells on the
         # side, at degree + 2 points per cell
@@ -763,5 +755,5 @@ def test_boundary_callables_are_called_once_per_spec():
     boundary_projection(model.patches[1], "south", data)
     assert len(data.shapes) == 1 and math.prod(data.shapes[0]) > 4
     data.shapes.clear()
-    dirichlet_rows(model, mesh, 2, [(0, "south", 1, data), (1, "east", 0, data)])
+    dirichlet_rows(mesh, 2, [(0, "south", 1, data), (1, "east", 0, data)])
     assert len(data.shapes) == 2

@@ -27,7 +27,7 @@ from bezmortar.benchmarks import (
 )
 from bezmortar.fem import SolutionField, l2_error
 from bezmortar.linsys import NumericalError
-from bezmortar.model import single_patch_mesh
+from bezmortar.model import MultiPatchModel
 
 
 # ---------------------------------------------------------------- geometry
@@ -58,7 +58,7 @@ def test_square_mismatched_geometry_coincident():
 
 
 def test_annulus_radii_and_counts():
-    model = gen_annulus_two_patch((2, 3), 2, 0)
+    model = gen_annulus_two_patch((2, 3), 0)
     for patch in model.patches:
         for side in ("west", "east", "south", "north"):
             curve = patch.boundary(side)
@@ -76,7 +76,7 @@ def test_annulus_radii_and_counts():
 
 def test_plate_hole_edge_and_defaults():
     assert (PLATE_RADIUS, PLATE_SIDE, PLATE_TENSION) == (1.0, 4.0, 10.0)
-    model = gen_plate_hole(2, True, 2, 0)
+    model = gen_plate_hole(2, True, 0)
     for patch in model.patches:
         hole = patch.boundary("west")
         for t in np.linspace(0, 1, 30):
@@ -84,7 +84,7 @@ def test_plate_hole_edge_and_defaults():
 
 
 def test_plate_three_patch_roles():
-    model = gen_plate_hole(3, True, 2, 0)
+    model = gen_plate_hole(3, True, 0)
     assert len(model.interfaces) == 2
     # the middle patch is slave of the first interface and master of the second
     assert model.interfaces[0].slave[0] == 1
@@ -98,8 +98,8 @@ def test_interface_coincidence_all_generators():
     for model in (
         gen_square_two_patch((2, 3), True, 2, 1),
         gen_square_two_patch((3, 2), False, 2, 1),
-        gen_annulus_two_patch((2, 3), 2, 1),
-        gen_plate_hole(2, False, 2, 1),
+        gen_annulus_two_patch((2, 3), 1),
+        gen_plate_hole(2, False, 1),
     ):
         for coup in model.couplings:
             for t in np.linspace(0, 1, 20):
@@ -169,7 +169,7 @@ def test_l2_error_of_exact_interpolant_is_zero():
     from bezmortar.splines import greville_abscissae
 
     patch = rect_patch(1, 2, 2)
-    mesh = single_patch_mesh(patch)
+    mesh = MultiPatchModel([patch], []).weak_mesh()
     g1 = greville_abscissae(patch.kvs[0])
     g2 = greville_abscissae(patch.kvs[1])
     u = lambda x, y: 2 * x + y

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from bezmortar import InterfaceSpec, MultiPatchModel, single_patch_mesh
+from bezmortar import InterfaceSpec, MultiPatchModel
 from bezmortar import fem
 from bezmortar.benchmarks import (
     gen_annulus_two_patch,
@@ -277,13 +277,13 @@ def _reversed_model():
 @pytest.mark.parametrize(
     "mesh_fn",
     [
-        lambda: single_patch_mesh(rect_patch(3, 4, 3)),
+        lambda: MultiPatchModel([rect_patch(3, 4, 3)], []).weak_mesh(),
         lambda: gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1).mortar_mesh(),
         lambda: gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1).weak_mesh(),
         lambda: _reversed_model().mortar_mesh(),
         lambda: _reversed_model().weak_mesh(),
-        lambda: gen_plate_hole(3, False, 2, 0, dual_refine=1).mortar_mesh(),
-        lambda: gen_plate_hole(3, False, 2, 0, dual_refine=1).weak_mesh(),
+        lambda: gen_plate_hole(3, False, 0, dual_refine=1).mortar_mesh(),
+        lambda: gen_plate_hole(3, False, 0, dual_refine=1).weak_mesh(),
     ],
     ids=["single", "square-mortar", "square-weak", "reversed-mortar", "reversed-weak",
          "plate-3patch-mortar", "plate-3patch-weak"],
@@ -303,10 +303,27 @@ def test_cell_blocks_match_regrouped_cells(mesh_fn, monkeypatch):
         lambda: gen_demo_two_patch(dual_refine=0),
         lambda: gen_square_two_patch((2, 3), False, 3, 1, dual_refine=1),
         lambda: gen_square_two_patch((3, 2), False, 4, 0, dual_refine=2),
-        lambda: gen_annulus_two_patch((2, 3), 2, 1, dual_refine=1),
-        lambda: gen_plate_hole(3, False, 2, 0, dual_refine=1),
+        lambda: gen_annulus_two_patch((2, 3), 1, dual_refine=1),
+        lambda: gen_plate_hole(3, False, 0, dual_refine=1),
         lambda: largedef_model(1),
     ],
 )
 def test_named_models_match_reference(model_fn):
     assert_streams_match(model_fn())
+
+
+def test_uncoupled_patch_has_one_stream():
+    # with no interface the weak stream is the mortar stream, and the
+    # numbering is the patch's row-major function order
+    patch = rect_patch(3, 4, 3)
+    model = MultiPatchModel([patch], [])
+    mortar, weak = model.mortar_mesh(), model.weak_mesh()
+    assert mortar.ndof == weak.ndof == patch.weights.size
+    assert len(mortar.groups) == len(weak.groups)
+    for g, w in zip(mortar.groups, weak.groups):
+        assert g.degrees == w.degrees
+        for name in ("index", "patch", "rect", "rows", "ophom", "geo_pts", "geo_ophom"):
+            assert _bitwise(getattr(g, name), getattr(w, name)), name
+    assert _bitwise(weak.grids[0], np.arange(patch.weights.size).reshape(patch.shape))
+    assert weak.P is None and weak.prolongation_vec(2) is None
+    assert np.array_equal(mortar.P.toarray(), np.eye(mortar.ndof))

@@ -151,6 +151,54 @@ def test_loader_rejects_malformed_input_with_a_code(mutate, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("degrees", [[2.5, 2], ["2", 2], [True, 2], [0, 2]],
+                         ids=["fractional", "string", "bool", "zero"])
+def test_loader_rejects_degrees_that_are_not_counts(degrees):
+    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc["patches"][0]["degrees"] = degrees
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(json.dumps(doc))
+    assert err.value.code == "bad-degree"
+
+
+def _own_slave(d):
+    d["interfaces"][0]["master"] = list(d["interfaces"][0]["slave"])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(interfaces=5),
+        lambda d: d.update(interfaces=None),
+        lambda d: d["interfaces"].append(dict(d["interfaces"][0])),
+        _own_slave,
+    ],
+    ids=["number", "null", "duplicate", "own-slave"],
+)
+def test_loader_rejects_bad_interface_structure(mutate):
+    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    mutate(doc)
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(json.dumps(doc))
+    assert err.value.code == "bad-interface"
+    with pytest.raises(MeshFormatError) as err:
+        model_from_document(doc)
+    assert err.value.code == "bad-interface"
+
+
+def test_cyclic_interfaces_are_a_bad_interface():
+    # each patch is master on the side the other interface makes slave: the
+    # schema holds, but no interface can be condensed first
+    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    (spec,) = doc["interfaces"]
+    doc["interfaces"].append({"master": spec["slave"], "slave": spec["master"],
+                              "reversed": False})
+    load_mesh(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        model_from_document(doc)
+    assert err.value.code == "bad-interface"
+
+
 def test_model_reads_no_weak_cells():
     # the loader checks every field; the model builder only those it reads
     doc = _weak_document()

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from bezmortar import (
     InterfaceGeometryError,
     InterfaceSpec,
+    MaterialModel,
     MultiPatchModel,
+    assemble_linear_elasticity,
     assemble_poisson,
     assemble_saddle,
     apply_dirichlet,
@@ -28,10 +30,10 @@ from bezmortar.benchmarks import (
     gen_demo_two_patch,
     gen_plate_hole,
     gen_square_two_patch,
-    manufactured_fields,
     rect_patch,
+    solve_case,
 )
-from bezmortar.fem import SolutionField, assemble_neumann, dirichlet_rows, l2_error
+from bezmortar.fem import SolutionField, dirichlet_rows, l2_error
 from bezmortar.splines import (
     BoundaryCurve,
     KnotVector,
@@ -249,11 +251,11 @@ def _tangentially_perturbed(model, seed):
     "model_fn",
     [
         lambda: gen_demo_two_patch(1),
-        lambda: gen_annulus_two_patch((2, 3), 2, 1, dual_refine=1),
-        lambda: gen_annulus_two_patch((2, 3), 2, 0, dual_refine=0),
+        lambda: gen_annulus_two_patch((2, 3), 1, dual_refine=1),
+        lambda: gen_annulus_two_patch((2, 3), 0, dual_refine=0),
         lambda: gen_square_two_patch((2, 3), False, 2, 2, dual_refine=1),
         lambda: gen_square_two_patch((6, 9), False, 4, 1, dual_refine=2),
-        lambda: gen_plate_hole(2, True, 2, 1, dual_refine=1),
+        lambda: gen_plate_hole(2, True, 1, dual_refine=1),
     ],
     ids=["demo", "annulus", "annulus-level-0", "square-p2-mismatched",
          "square-p4-mismatched", "plate-2patch"],
@@ -400,26 +402,10 @@ def test_master_basis_reproduced_pointwise(demo_model):
 # ------------------------------------------------------------ condensation
 
 
-def _solve_mixed(model, method):
-    u, grad, f = manufactured_fields("square-mixed")
-    flux = lambda x, n: np.sum(np.stack(grad(x[..., 0], x[..., 1]), axis=-1) * n, axis=-1)
-    mesh = model.weak_mesh() if method == "weak" else model.mortar_mesh()
-    system = assemble_poisson(mesh, f)
-    assemble_neumann(mesh, system, [
-        (0, "south", None, flux), (0, "north", None, flux),
-        (1, "south", None, flux), (1, "north", None, flux),
-    ])
-    rows = dirichlet_rows(model, mesh, 1, [(0, "west", 0, u), (1, "east", 0, u)])
-    if method == "mortar":
-        red = apply_dirichlet(condense(system, model), rows)
-        x = model.prolongation_vec(1) @ linear_solve(red)
-        return SolutionField(mesh, x, 1), u
-    if method == "weak":
-        x = linear_solve(apply_dirichlet(system, rows))
-        return SolutionField(mesh, x, 1), u
-    sad, nl = assemble_saddle(system, model)
-    x = linear_solve(apply_dirichlet(sad, rows))
-    return SolutionField(mesh, x[: mesh.ndof], 1), u
+def _solve_mixed(method):
+    """Field and exact solution of square-mixed on the ``side_by_side`` model."""
+    solved = solve_case(BenchmarkCase("square-mixed", dual_refine=1), 0, method)
+    return solved["field"], solved["exact"]
 
 
 def test_conforming_condensation_equals_conforming_assembly():
@@ -428,8 +414,8 @@ def test_conforming_condensation_equals_conforming_assembly():
     model = MultiPatchModel(
         [master, slave], [InterfaceSpec((0, "east"), (1, "west"))], 0
     )
-    full = assemble_poisson(model.mortar_mesh())
-    red = condense(full, model)
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
     weak = assemble_poisson(model.weak_mesh())
     diff = spla.norm(red.K - weak.K) / spla.norm(weak.K)
     assert diff < 1e-13
@@ -437,10 +423,24 @@ def test_conforming_condensation_equals_conforming_assembly():
     assert np.abs(model.couplings[0].coupling.std - np.eye(4)).max() < 1e-13
 
 
+def test_condense_reads_the_numbering_of_its_mesh(side_by_side):
+    weak, mortar = side_by_side.weak_mesh(), side_by_side.mortar_mesh()
+    system = assemble_poisson(weak)
+    assert condense(system, weak) is system
+    with pytest.raises(ValueError, match="does not match"):
+        condense(system, mortar)
+    vector = assemble_linear_elasticity(mortar, MaterialModel("linear-elastic"))
+    red = condense(vector, mortar)
+    assert red.nrows == 2 * weak.ndof
+    with pytest.raises(ValueError, match="does not match"):
+        condense(vector, weak)
+
+
 def test_condensed_block_formula(side_by_side):
     model = side_by_side
-    system = assemble_poisson(model.mortar_mesh())
-    red = condense(system, model)
+    mesh = model.mortar_mesh()
+    system = assemble_poisson(mesh)
+    red = condense(system, mesh)
     part = model.dof_partition()
     iface = part["interfaces"][0]
     m, s = iface["master"], iface["slave"]
@@ -457,11 +457,11 @@ def test_condensed_block_formula(side_by_side):
 
 def test_condensed_symmetric_positive_definite(side_by_side):
     model = side_by_side
-    red = condense(assemble_poisson(model.mortar_mesh()), model)
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
     assert red.symmetry_error() < 1e-12
     u = lambda x, y: 0.0
-    rows = dirichlet_rows(model, model.weak_mesh(), 1,
-                          [(0, "west", 0, u), (1, "east", 0, u)])
+    rows = dirichlet_rows(model.weak_mesh(), 1, [(0, "west", 0, u), (1, "east", 0, u)])
     red = apply_dirichlet(red, rows)
     free = np.setdiff1d(np.arange(red.nrows), sorted(red.constraints))
     Kff = red.K[free][:, free]
@@ -471,7 +471,7 @@ def test_condensed_symmetric_positive_definite(side_by_side):
 
 def test_post_solve_constraint_residual(side_by_side):
     model = side_by_side
-    field, u = _solve_mixed(model, "mortar")
+    field, u = _solve_mixed("mortar")
     vals = field.values
     part = model.dof_partition()
     iface = part["interfaces"][0]
@@ -502,10 +502,10 @@ def test_vector_saddle_blocks_store_no_zeros():
     assert Bm2.nnz == 2 * Bm.nnz
 
 
-def test_saddle_equals_condensed(side_by_side):
-    f1, u = _solve_mixed(side_by_side, "mortar")
-    f2, _ = _solve_mixed(side_by_side, "saddle")
-    f3, _ = _solve_mixed(side_by_side, "weak")
+def test_saddle_equals_condensed():
+    f1, u = _solve_mixed("mortar")
+    f2, _ = _solve_mixed("saddle")
+    f3, _ = _solve_mixed("weak")
     assert np.abs(f1.values - f2.values).max() < 1e-9
     assert abs(l2_error(f1, u) - l2_error(f3, u)) < 1e-10
 
@@ -572,16 +572,15 @@ def _corner_chain_model():
 
 def test_master_edge_through_condensed_corner():
     model = _corner_chain_model()
-    system = assemble_poisson(model.mortar_mesh())
-    red = condense(system, model)
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
     weak = assemble_poisson(model.weak_mesh())
     assert spla.norm(red.K - weak.K) / spla.norm(weak.K) < 1e-12
     # linear patch test through the chain
     u = lambda x, y: 3 * x - 2 * y + 1
     sides = [(0, "west"), (0, "south"), (0, "north"), (1, "south"), (1, "east"),
              (2, "east"), (2, "north"), (2, "west")]
-    rows = dirichlet_rows(model, model.weak_mesh(), 1,
-                          [(p, s, 0, u) for p, s in sides])
+    rows = dirichlet_rows(model.weak_mesh(), 1, [(p, s, 0, u) for p, s in sides])
     x = linear_solve(apply_dirichlet(weak, rows))
     field = SolutionField(model.weak_mesh(), x, 1)
     assert l2_error(field, u) < 1e-10
@@ -596,7 +595,8 @@ def test_saddle_rejects_master_edge_through_condensed_corner():
 
 def test_sparsity_stays_local(side_by_side):
     model = gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1)
-    red = condense(assemble_poisson(model.mortar_mesh()), model)
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
     conforming = gen_square_two_patch((3, 3), True, 2, 2, dual_refine=0)
     conf = assemble_poisson(conforming.weak_mesh())
     assert red.K.nnz <= 1.5 * conf.K.nnz
@@ -615,7 +615,8 @@ def test_reversed_interface_end_to_end():
         [master, rot],
         [InterfaceSpec(master=(0, "east"), slave=(1, "east"), reversed=True)], 1
     )
-    red = condense(assemble_poisson(model.mortar_mesh()), model)
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
     weak = assemble_poisson(model.weak_mesh())
     assert spla.norm(red.K - weak.K) / spla.norm(weak.K) < 1e-12
     assert model.couplings[0].coupling.row_sum_error() < 1e-10
@@ -624,6 +625,6 @@ def test_reversed_interface_end_to_end():
         (1, s, 0, u) for s in ("west", "south", "north")
     ]
     mesh = model.weak_mesh()
-    rows = dirichlet_rows(model, mesh, 1, sides)
+    rows = dirichlet_rows(mesh, 1, sides)
     x = linear_solve(apply_dirichlet(weak, rows))
     assert l2_error(SolutionField(mesh, x, 1), u) < 1e-10

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bezmortar import (
     MaterialModel,
+    MultiPatchModel,
     NumericalError,
     SolutionField,
     assemble_linear_elasticity,
@@ -23,7 +24,6 @@ from bezmortar import (
     l2_error,
     linear_solve,
     newton_load_stepping,
-    single_patch_mesh,
 )
 from bezmortar.benchmarks import gen_demo_two_patch, manufactured_fields, rect_patch
 from bezmortar.fem import (
@@ -51,17 +51,16 @@ RNG = np.random.default_rng(99)
 def test_side_cell_normals_point_outward():
     # traction n.e_x or n.e_y on a unit-square side loads the side by n_x or
     # n_y in total: the normal points outward and the side length is 1
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     expected = {"west": (-1, 0), "east": (1, 0), "south": (0, -1), "north": (0, 1)}
     for side, n in expected.items():
         for k in (0, 1):
-            system = AssembledSystem(sp.csr_matrix((mesh.ndof,) * 2), np.zeros(mesh.ndof), 1)
-            assemble_neumann(mesh, system, [(0, side, None, lambda x, nrm: nrm[..., k])])
-            assert abs(system.f.sum() - n[k]) < 1e-13
+            f = assemble_neumann(mesh, 1, [(0, side, None, lambda x, nrm: nrm[..., k])])
+            assert abs(f.sum() - n[k]) < 1e-13
 
 
 def test_cell_evaluation_geometry():
-    mesh = single_patch_mesh(rect_patch(3, 2, 3, (1.0, 3.0), (0.0, 1.0)))
+    mesh = MultiPatchModel([rect_patch(3, 2, 3, (1.0, 3.0), (0.0, 1.0))], []).weak_mesh()
     cell = mesh.cells[0]
     ev = evaluate_cell(cell, np.array([0.2]), np.array([0.1]))
     assert np.abs(ev["x"][0] - [1 + 2 * 0.2, 0.1]).max() < 1e-13
@@ -69,7 +68,7 @@ def test_cell_evaluation_geometry():
 
 
 def test_nan_jacobian_raises():
-    cell = single_patch_mesh(rect_patch(2, 2, 2)).cells[0]
+    cell = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh().cells[0]
     bad = dataclasses.replace(cell, geo_pts=np.where(np.arange(9)[:, None] == 4, np.nan,
                                                      cell.geo_pts))
     with pytest.raises(NumericalError, match="Jacobian"):
@@ -88,7 +87,7 @@ def _cell_quadrature(cell, n1, n2):
 
 
 def test_poisson_symmetry():
-    mesh = single_patch_mesh(rect_patch(2, 3, 3))
+    mesh = MultiPatchModel([rect_patch(2, 3, 3)], []).weak_mesh()
     system = assemble_poisson(mesh)
     assert system.symmetry_error() < 1e-12
 
@@ -100,7 +99,7 @@ def test_multipatch_linear_patch_test():
     sides = [(0, s, 0, u) for s in ("west", "east", "south")] + [
         (1, s, 0, u) for s in ("west", "east", "north")
     ]
-    system = apply_dirichlet(assemble_poisson(mesh), dirichlet_rows(model, mesh, 1, sides))
+    system = apply_dirichlet(assemble_poisson(mesh), dirichlet_rows(mesh, 1, sides))
     x = linear_solve(system)
     assert l2_error(SolutionField(mesh, x, 1), u) < 1e-10
 
@@ -111,7 +110,7 @@ def test_interpolant_error_rate():
     for p in (2, 3):
         errs = []
         for n in (4, 8):
-            mesh = single_patch_mesh(rect_patch(p, n, n))
+            mesh = MultiPatchModel([rect_patch(p, n, n)], []).weak_mesh()
             M = sp.lil_matrix((mesh.ndof, mesh.ndof))
             b = np.zeros(mesh.ndof)
             for cell in mesh.cells:
@@ -132,7 +131,7 @@ def test_interpolant_error_rate():
 
 
 def test_rigid_translation_zero_energy():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("linear-elastic", E=10.0, nu=0.3)
     system = assemble_linear_elasticity(mesh, mat)
     d = np.tile([0.7, -0.3], mesh.ndof)
@@ -143,12 +142,12 @@ def test_rigid_translation_zero_energy():
 def test_uniaxial_traction_exact():
     # plane strain block pulled in x; exact solution is a constant-strain field
     mat = MaterialModel("linear-elastic", E=200.0, nu=0.3)
-    mesh = single_patch_mesh(rect_patch(2, 1, 1))
+    mesh = MultiPatchModel([rect_patch(2, 1, 1)], []).weak_mesh()
     system = assemble_linear_elasticity(mesh, mat)
     T = 5.0
-    assemble_neumann(mesh, system, [(0, "east", None, lambda x, n: np.array([T, 0.0]))])
+    system.f += assemble_neumann(mesh, 2, [(0, "east", None, lambda x, n: np.array([T, 0.0]))])
     zero = lambda x, y: 0.0
-    rows = dirichlet_rows(None, mesh, 2, [(0, "west", 0, zero), (0, "south", 1, zero)])
+    rows = dirichlet_rows(mesh, 2, [(0, "west", 0, zero), (0, "south", 1, zero)])
     x = linear_solve(apply_dirichlet(system, rows))
     field = SolutionField(mesh, x, 2)
     exx = T * (1 - mat.nu**2) / mat.E
@@ -194,17 +193,17 @@ def test_material_bounds_are_open_but_reachable():
 
 
 def test_dirichlet_conflict_detection():
-    mesh = single_patch_mesh(rect_patch(1, 1, 1))
+    mesh = MultiPatchModel([rect_patch(1, 1, 1)], []).weak_mesh()
     system = assemble_poisson(mesh)
     with pytest.raises(ValueError, match="conflict"):
         apply_dirichlet(system, [(0, 1.0), (0, 2.0)])
 
 
 def test_homogeneous_dirichlet_zero_trace():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     model = None
     zero = lambda x, y: 0.0
-    rows = dirichlet_rows(model, mesh, 1, [(0, s, 0, zero) for s in
+    rows = dirichlet_rows(mesh, 1, [(0, s, 0, zero) for s in
                                            ("west", "east", "south", "north")])
     system = apply_dirichlet(assemble_poisson(mesh, lambda x, y: 1.0), rows)
     x = linear_solve(system)
@@ -223,12 +222,12 @@ def test_homogeneous_dirichlet_zero_trace():
 ])
 def test_dirichlet_rows_reject_bad_specs(spec, message):
     # on a 4x4 patch, (0, "west", 5, 0.0) would name rows 5-8, another dof's
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     assert mesh.ndof == 16
     with pytest.raises(ValueError, match=message):
-        dirichlet_rows(None, mesh, 1, [spec])
+        dirichlet_rows(mesh, 1, [spec])
     with pytest.raises(ValueError, match="component 5 out of range for 2"):
-        dirichlet_rows(None, mesh, 2, [(0, "west", 5, 0.0)])
+        dirichlet_rows(mesh, 2, [(0, "west", 5, 0.0)])
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -239,17 +238,15 @@ def test_dirichlet_rows_reject_bad_specs(spec, message):
     ((0, "top", None, None), "unknown side 'top'"),
 ])
 def test_neumann_rejects_bad_specs(spec, message):
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
-    system = AssembledSystem(sp.csr_matrix((mesh.ndof,) * 2), np.zeros(mesh.ndof), 1)
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     with pytest.raises(ValueError, match=message):
-        assemble_neumann(mesh, system, [spec[:3] + (lambda x, n: 1.0,)])
-    assert not system.f.any()
+        assemble_neumann(mesh, 1, [spec[:3] + (lambda x, n: 1.0,)])
 
 
 @pytest.mark.parametrize("where", ["forcing", "body_force", "traction", "exact", "quantity",
                                    "boundary"])
 def test_non_finite_user_values_are_rejected(where):
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
 
     def bad(*args):
         # NaN where x > 1/2; traction and quantity see points as (..., 2)
@@ -261,19 +258,18 @@ def test_non_finite_user_values_are_rejected(where):
         "forcing": lambda: assemble_poisson(mesh, bad),
         "body_force": lambda: assemble_linear_elasticity(
             mesh, MaterialModel("linear-elastic"), bad),
-        "traction": lambda: assemble_neumann(
-            mesh, assemble_poisson(mesh), [(0, "east", None, lambda x, n: bad(x))]),
+        "traction": lambda: assemble_neumann(mesh, 1, [(0, "east", None, lambda x, n: bad(x))]),
         "exact": lambda: l2_error(field, bad),
         "quantity": lambda: l2_error(field, lambda x, y: 0.0,
                                      quantity=lambda v, g, x: bad(x)),
-        "boundary": lambda: dirichlet_rows(None, mesh, 1, [(0, "east", 0, bad)]),
+        "boundary": lambda: dirichlet_rows(mesh, 1, [(0, "east", 0, bad)]),
     }[where]
     with pytest.raises(ValueError, match="non-finite"):
         run()
 
 
 def test_field_and_state_sizes_are_checked():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     with pytest.raises(ValueError, match="field has 15 values"):
         SolutionField(mesh, np.zeros(mesh.ndof - 1), 1)
     with pytest.raises(ValueError, match="field has 16 values"):
@@ -286,7 +282,7 @@ def test_field_and_state_sizes_are_checked():
 
 
 def test_constraining_everything_returns_projection():
-    mesh = single_patch_mesh(rect_patch(1, 1, 1))
+    mesh = MultiPatchModel([rect_patch(1, 1, 1)], []).weak_mesh()
     system = assemble_poisson(mesh)
     vals = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
     system = apply_dirichlet(system, vals.items())
@@ -539,7 +535,7 @@ def test_dense_and_superlu_routes_agree_at_the_bound(seed, m, data):
 
 
 def test_rest_state_zero_residual():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("neo-hookean", E=10.0, nu=0.3)
     r, K = assemble_neo_hookean(mesh, mat, np.zeros(mesh.ndof * 2))
     assert np.abs(r).max() < 1e-12
@@ -549,7 +545,7 @@ def test_rest_state_zero_residual():
 
 
 def test_tangent_matches_finite_differences():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("neo-hookean", E=10.0, nu=0.3)
     d0 = 0.05 * RNG.normal(size=mesh.ndof * 2)
     r0, K0 = assemble_neo_hookean(mesh, mat, d0)
@@ -581,39 +577,33 @@ def test_inverted_state_raises():
 
 
 def test_zero_load_identity_deformation():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("neo-hookean", E=10.0, nu=0.3)
     zero = lambda x, y: 0.0
-    rows = dirichlet_rows(None, mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
+    rows = dirichlet_rows(mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
     d = newton_load_stepping(mesh, mat, np.zeros(mesh.ndof * 2), rows, increments=3)
     assert np.abs(d).max() < 1e-12
 
 
 def test_path_independence_of_dead_loading():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("neo-hookean", E=100.0, nu=0.3)
-    system = AssembledSystem(sp.csr_matrix((mesh.ndof * 2, mesh.ndof * 2)),
-                             np.zeros(mesh.ndof * 2), 2)
-    assemble_neumann(mesh, system, [(0, "north", None,
-                                     lambda x, n: np.array([0.0, -15.0]))])
+    load = assemble_neumann(mesh, 2, [(0, "north", None, lambda x, n: np.array([0.0, -15.0]))])
     zero = lambda x, y: 0.0
-    rows = dirichlet_rows(None, mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
-    d20 = newton_load_stepping(mesh, mat, system.f, rows, increments=20)
-    d40 = newton_load_stepping(mesh, mat, system.f, rows, increments=40)
+    rows = dirichlet_rows(mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
+    d20 = newton_load_stepping(mesh, mat, load, rows, increments=20)
+    d40 = newton_load_stepping(mesh, mat, load, rows, increments=40)
     assert np.abs(d20 - d40).max() / np.abs(d20).max() < 1e-6
 
 
 def test_nonconvergence_reports_increment():
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("neo-hookean", E=1.0, nu=0.3)
-    system = AssembledSystem(sp.csr_matrix((mesh.ndof * 2, mesh.ndof * 2)),
-                             np.zeros(mesh.ndof * 2), 2)
-    assemble_neumann(mesh, system, [(0, "north", None,
-                                     lambda x, n: np.array([0.0, -50.0]))])
+    load = assemble_neumann(mesh, 2, [(0, "north", None, lambda x, n: np.array([0.0, -50.0]))])
     zero = lambda x, y: 0.0
-    rows = dirichlet_rows(None, mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
+    rows = dirichlet_rows(mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
     with pytest.raises(NumericalError, match="increment"):
-        newton_load_stepping(mesh, mat, system.f, rows, increments=2, max_iter=4)
+        newton_load_stepping(mesh, mat, load, rows, increments=2, max_iter=4)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -625,12 +615,12 @@ def test_nonconvergence_reports_increment():
 ])
 def test_newton_rejects_settings_that_skip_the_solve(kwargs, message):
     # each would return the unloaded start state or spin to max_iter
-    mesh = single_patch_mesh(rect_patch(2, 2, 2))
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
     mat = MaterialModel("neo-hookean", E=100.0, nu=0.3)
     load = np.zeros(mesh.ndof * 2)
     load[1::2] = -1.0
     zero = lambda x, y: 0.0
-    rows = dirichlet_rows(None, mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
+    rows = dirichlet_rows(mesh, 2, [(0, "south", 0, zero), (0, "south", 1, zero)])
     with pytest.raises(ValueError, match=message):
         newton_load_stepping(mesh, mat, load, rows, increments=1, **kwargs)
 
@@ -644,7 +634,8 @@ def test_quadrature_subdivision_is_necessary():
     identical to the condensed mortar route."""
     model = gen_demo_two_patch(1)
     weak = assemble_poisson(model.weak_mesh())
-    red = condense(assemble_poisson(model.mortar_mesh()), model)
+    mortar = model.mortar_mesh()
+    red = condense(assemble_poisson(mortar), mortar)
     import scipy.sparse.linalg as spla
 
     assert spla.norm(weak.K - red.K) / spla.norm(red.K) < 1e-12
@@ -685,18 +676,11 @@ def test_nonlinear_mortar_route_matches_weak_route():
     zero = lambda x, y: 0.0
     diri = [(0, "south", 1, zero), (1, "south", 1, zero), (0, "west", 0, zero)]
 
-    weak_mesh = model.weak_mesh()
-    sys_w = AssembledSystem(sp.csr_matrix((weak_mesh.ndof * 2, weak_mesh.ndof * 2)),
-                            np.zeros(weak_mesh.ndof * 2), 2)
-    assemble_neumann(weak_mesh, sys_w, [(0, "north", None, down)])
-    rows = dirichlet_rows(model, weak_mesh, 2, diri)
-    d_weak = newton_load_stepping(weak_mesh, mat, sys_w.f, rows, increments=4)
+    def solve(mesh):
+        load = assemble_neumann(mesh, 2, [(0, "north", None, down)])
+        return newton_load_stepping(mesh, mat, load, dirichlet_rows(mesh, 2, diri), increments=4)
 
-    mortar_mesh = model.mortar_mesh()
-    sys_m = AssembledSystem(sp.csr_matrix((mortar_mesh.ndof * 2, mortar_mesh.ndof * 2)),
-                            np.zeros(mortar_mesh.ndof * 2), 2)
-    assemble_neumann(mortar_mesh, sys_m, [(0, "north", None, down)])
-    d_red = newton_load_stepping(mortar_mesh, mat, sys_m.f, rows, increments=4,
-                                 layout=model)
+    # the same call on both meshes: the mortar mesh condenses through its P
+    d_weak, d_red = solve(model.weak_mesh()), solve(model.mortar_mesh())
     scale = np.abs(d_weak).max()
     assert np.abs(d_weak - d_red).max() / scale < 1e-8
