@@ -52,10 +52,7 @@ from .splines import (
     bernstein_derivatives,
     bernstein_transform,
     bezier_extraction,
-    bspline_basis,
-    bspline_derivatives,
     greville_abscissae,
-    knot_insert,
     refinement_operator,
     uniform_open_knots,
 )

@@ -196,29 +196,17 @@ class RefinedDualSpace:
     Level 0 keeps the original space; level 1 inserts the pulled-back master
     knots; each further level bisects every span.  ``refine_op`` maps
     original interface coefficients to refined ones (noise entries dropped,
-    see :func:`is_noise`).  ``segments`` are the
-    quadrature breakpoints for coupling integrals, and :meth:`cells_in`
-    yields the subdivision cells of one original slave element (empty at
-    level 0, where no new continuity lines exist).
+    see :func:`is_noise`).  ``segments`` are the quadrature breakpoints for
+    coupling integrals.
     """
 
     refined: KnotVector
-    level: int
     refine_op: np.ndarray
     segments: np.ndarray
 
     @property
     def n(self) -> int:
         return self.refined.n
-
-    def cells_in(self, span: tuple[float, float]) -> list[tuple[float, float]]:
-        """Subdivision cells tiling one original slave element."""
-        if self.level == 0:
-            return []
-        a, b = span
-        inner = [x for x in self.refined.breakpoints() if a < x < b]
-        pts = [a] + inner + [b]
-        return list(zip(pts[:-1], pts[1:]))
 
 
 def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
@@ -239,7 +227,7 @@ def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
             fine = np.union1d(fine, 0.5 * (fine[:-1] + fine[1:]))
     refined, T = refinement_operator(slave_kv, np.setdiff1d(fine, coarse))
     segments = refined.breakpoints() if level >= 1 else np.asarray(merged_breakpoints)
-    return RefinedDualSpace(refined, level, _denoised(T), segments)
+    return RefinedDualSpace(refined, _denoised(T), segments)
 
 
 @dataclass
@@ -257,10 +245,6 @@ class CouplingMatrix:
 
     values: np.ndarray
     std: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
     def row_sum_error(self) -> float:
         return float(np.abs(self.std.sum(axis=1) - 1.0).max())

@@ -454,18 +454,6 @@ def dirichlet_rows(mesh: ExtractedMesh, ncomp: int, specs) -> list[tuple[int, fl
 # --------------------------------------------------------------------------
 # neo-Hookean
 
-def strain_energy_density(mat: MaterialModel, F: np.ndarray) -> float:
-    """Plane-strain energy lam(J^2-1)/4 - lam ln(J)/2 + mu(tr b - 3 - 2 ln J)/2."""
-    J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    if J <= 0:
-        raise NumericalError("element inversion (J <= 0)")
-    trb = float(np.sum(F * F)) + 1.0  # out-of-plane stretch is 1
-    lam, mu = mat.lam, mat.mu
-    return lam * (0.25 * (J**2 - 1.0) - 0.5 * math.log(J)) + 0.5 * mu * (
-        trb - 3.0 - 2.0 * math.log(J)
-    )
-
-
 def _neo_hookean_geometry(mesh: ExtractedMesh) -> list:
     """Quadrature geometry of the neo-Hookean kernel, memoised.
 

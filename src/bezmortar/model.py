@@ -248,6 +248,7 @@ class MultiPatchModel:
         interface function (``trace_ids``).
         """
         slave = [np.zeros(p.shape, dtype=bool) for p in self.patches]
+        pinned = set()  # (patch, axis) of every slave side
         for coup in self.couplings:
             pi, side = coup.spec.slave
             edge = slave[pi][side_index(side)]
@@ -255,6 +256,11 @@ class MultiPatchModel:
                 raise ValueError(
                     "chained slave dependency: a dof is slave on two interfaces"
                 )
+            # opposite slave sides of a patch one element across share its elements
+            axis = SIDES[side][0]
+            if (pi, axis) in pinned and len(self.patches[pi].kvs[axis].breakpoints()) == 2:
+                raise ValueError("element adjacent to two slave interfaces; refine the patch")
+            pinned.add((pi, axis))
             edge[...] = True
         self.grids: list[np.ndarray] = []
         count = 0
@@ -351,19 +357,6 @@ class MultiPatchModel:
             Bs.eliminate_zeros()
         return Bm, Bs
 
-    def dof_partition(self) -> dict:
-        """Scalar-dof labels: distinct dofs and per-interface master/slave sets."""
-        per_iface = []
-        on_iface = np.zeros(0, dtype=int)
-        for ci, coup in enumerate(self.couplings):
-            mp, ms = coup.spec.master
-            edge = self.grids[mp][side_index(ms)]
-            master, slave = edge[edge >= 0], self.trace_ids[ci].copy()
-            per_iface.append({"master": master, "slave": slave})
-            on_iface = np.concatenate([on_iface, master, slave])
-        distinct = np.setdiff1d(np.arange(self.ndof_full), on_iface)
-        return {"distinct": distinct, "interfaces": per_iface}
-
     # ----------------------------------------------------------------- cells
 
     def mortar_mesh(self) -> ExtractedMesh:
@@ -420,15 +413,13 @@ class MultiPatchModel:
             traces = [self._trace_cells(pi, ci) for ci, coup in enumerate(self.couplings)
                       if coup.spec.slave[0] == pi]
             n = _element_tables(patch.kvs[0])[1].size * _element_tables(patch.kvs[1])[1].size
-            hits = np.zeros(n, dtype=int)
             counts = np.ones(n, dtype=int)  # cells per element
+            plain = np.ones(n, dtype=bool)  # elements off every slave interface
             for t in traces:
                 elements, k = np.unique(t.index, return_counts=True)
-                hits[elements] += 1
+                plain[elements] = False
                 counts[elements] = k
-            if hits.max() > 1:
-                raise ValueError("element adjacent to two slave interfaces; refine the patch")
-            standard = _grid_cells(pi, patch, self.grids[pi], hits == 0)
+            standard = _grid_cells(pi, patch, self.grids[pi], plain)
             if np.any(standard.rows < 0):
                 raise RuntimeError("trace dof leaked into a standard element")
             first = start + np.cumsum(counts) - counts

@@ -22,11 +22,8 @@ __all__ = [
     "KnotVector",
     "bernstein_derivatives",
     "bernstein_transform",
-    "bspline_basis",
-    "bspline_derivatives",
     "bspline_table",
     "rational_table",
-    "knot_insert",
     "refinement_operator",
     "bezier_extraction",
     "greville_abscissae",
@@ -186,32 +183,6 @@ class KnotVector:
         """Distinct knots spanning the domain."""
         return np.unique(self.values[self.degree : self.n + 1])
 
-    def spans(self) -> list[tuple[float, float]]:
-        """Non-empty knot intervals (the Bezier elements)."""
-        bp = self.breakpoints()
-        return [(float(a), float(b)) for a, b in zip(bp[:-1], bp[1:])]
-
-    def find_span(self, xi: float) -> int:
-        """Knot span index i with values[i] <= xi < values[i+1].
-
-        The last non-empty span is closed on the right so the domain end is
-        evaluable.
-        """
-        lo, hi = self.domain
-        if not lo - 1e-12 <= xi <= hi + 1e-12:
-            raise OutOfDomainError(f"{xi} outside [{lo}, {hi}]")
-        v = self.values
-        if xi >= v[self.n]:
-            # last span, closed on the right
-            i = self.n - 1
-            while v[i] == v[i + 1]:
-                i -= 1
-            return i
-        return int(np.searchsorted(v, xi, side="right") - 1)
-
-    def multiplicity(self, xi: float) -> int:
-        return int(np.sum(np.abs(self.values - xi) <= KNOT_TOL))
-
 
 def uniform_open_knots(p: int, n_elems: int) -> KnotVector:
     """Maximally smooth open knot vector on [0, 1] with ``n_elems`` uniform elements."""
@@ -224,100 +195,6 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     """Greville points: averages of p consecutive knots per basis function."""
     p = kv.degree
     return np.array([kv.values[i + 1 : i + p + 1].mean() for i in range(kv.n)])
-
-
-def bspline_basis(kv: KnotVector, xi: float) -> tuple[int, np.ndarray]:
-    """Non-vanishing B-spline basis values at ``xi`` (Cox-de Boor recursion).
-
-    Returns
-    -------
-    (first, values)
-        ``first`` is the global index of the first non-vanishing function;
-        ``values`` holds the p+1 values, which are non-negative and sum to 1.
-    """
-    span = kv.find_span(xi)
-    return span - kv.degree, _basis_funs(kv.values, kv.degree, span, xi)
-
-
-def _basis_funs(knots: np.ndarray, p: int, span: int, xi: float) -> np.ndarray:
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    N = np.empty(p + 1)
-    N[0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = xi - knots[span + 1 - j]
-        right[j] = knots[span + j] - xi
-        saved = 0.0
-        for r in range(j):
-            tmp = N[r] / (right[r + 1] + left[j - r])
-            N[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        N[j] = saved
-    return N
-
-
-def bspline_derivatives(kv: KnotVector, xi: float, nders: int = 1) -> tuple[int, np.ndarray]:
-    """Basis values and derivatives; returns (first, array (nders+1, p+1))."""
-    p = kv.degree
-    span = kv.find_span(xi)
-    knots = kv.values
-    ndu = np.empty((p + 1, p + 1))
-    ndu[0, 0] = 1.0
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    for j in range(1, p + 1):
-        left[j] = xi - knots[span + 1 - j]
-        right[j] = knots[span + j] - xi
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            tmp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        ndu[j, j] = saved
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0] = ndu[:, p]
-    a = np.empty((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nders + 1):
-            d = 0.0
-            rk, pk = r - k, p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-    fac = p
-    for k in range(1, nders + 1):
-        ders[k] *= fac
-        fac *= p - k
-    return span - p, ders
-
-
-def knot_insert(kv: KnotVector, coeffs: np.ndarray, xi: float) -> tuple[KnotVector, np.ndarray]:
-    """Insert one knot, returning the refined knot vector and control values.
-
-    The represented spline is unchanged pointwise.  ``coeffs`` may have any
-    trailing shape (scalars, points, homogeneous coordinates).
-    """
-    lo, hi = kv.domain
-    if not (lo < xi < hi):
-        raise OutOfDomainError(f"insertion point {xi} not strictly inside ({lo}, {hi})")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != kv.n:
-        raise ValueError("coefficient count does not match basis size")
-    knots, out = _insert(kv.values, kv.degree, coeffs, xi)
-    return KnotVector(knots, kv.degree), out
 
 
 def _insert(knots: np.ndarray, p: int, coeffs: np.ndarray, xi: float):
@@ -559,37 +436,6 @@ class Patch2D:
     def shape(self) -> tuple[int, int]:
         return self.kvs[0].n, self.kvs[1].n
 
-    def eval(self, xi1: float, xi2: float):
-        """Geometry, rational basis and parametric gradients at one point.
-
-        Returns
-        -------
-        point : ndarray (2,)
-        jac : ndarray (2, 2) with jac[i, j] = d x_i / d xi_j
-        (first1, first2) : global indices of the first active function
-        values : ndarray (p1+1, p2+1) rational basis values (sum to 1)
-        grads : ndarray (p1+1, p2+1, 2) parametric gradients
-        """
-        f1, d1 = bspline_derivatives(self.kvs[0], xi1, 1)
-        f2, d2 = bspline_derivatives(self.kvs[1], xi2, 1)
-        p1, p2 = self.degrees
-        w = self.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1]
-        P = self.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1]
-        Nw = w * np.outer(d1[0], d2[0])
-        Nw1 = w * np.outer(d1[1], d2[0])
-        Nw2 = w * np.outer(d1[0], d2[1])
-        W = Nw.sum()
-        if W <= 0:
-            raise ValueError("non-positive weight function")
-        W1, W2 = Nw1.sum(), Nw2.sum()
-        vals = Nw / W
-        grads = np.empty((p1 + 1, p2 + 1, 2))
-        grads[..., 0] = (Nw1 - vals * W1) / W
-        grads[..., 1] = (Nw2 - vals * W2) / W
-        point = np.einsum("ij,ijk->k", vals, P)
-        jac = np.einsum("ijd,ijk->kd", grads, P)
-        return point, jac, (f1, f2), vals, grads
-
     def boundary(self, side: str) -> BoundaryCurve:
         """Extract one of the four sides as a rational curve."""
         ix = side_index(side)
@@ -614,9 +460,8 @@ class Patch2D:
             raise ValueError("refinement level must be non-negative")
         patch = self
         for _ in range(levels):
-            mids1 = [0.5 * (a + b) for a, b in patch.kvs[0].spans()]
-            mids2 = [0.5 * (a + b) for a, b in patch.kvs[1].spans()]
-            patch = patch.refined(mids1, mids2)
+            bp1, bp2 = (kv.breakpoints() for kv in patch.kvs)
+            patch = patch.refined(0.5 * (bp1[:-1] + bp1[1:]), 0.5 * (bp2[:-1] + bp2[1:]))
         return patch
 
     def max_element_diameter(self) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import MultiPatchModel
-from .splines import SIDES, _element_tables, bernstein_transform, side_index
+from .splines import SIDES, _element_tables, bernstein_transform, bspline_table, side_index
 
 __all__ = ["interface_operator_report"]
 
@@ -42,15 +42,17 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
     axis_f, at_end = SIDES[side]
     kv_i, kv_f = patch.kvs[1 - axis_f], patch.kvs[axis_f]
     p_i = kv_i.degree
-    spans = kv_i.spans()
-    element = next((k for k, s in enumerate(spans) if len(coup.refined.cells_in(s)) > 1), 0)
-    lo, hi = spans[element]
-    a, b = (coup.refined.cells_in((lo, hi)) or [(lo, hi)])[0]
-    M = bernstein_transform(p_i, *(np.array([(t - lo) / (hi - lo)]) for t in (a, b)))[0]
+    bp_i, _, C_i = _element_tables(kv_i)
     bp_r, first_r, C_r = _element_tables(coup.refined.refined)
+    # the first refined breakpoint inside a slave element ends its first subcell
+    cuts = np.setdiff1d(bp_r, bp_i)
+    element = int(np.searchsorted(bp_i, cuts[0])) - 1 if cuts.size else 0
+    lo, hi = bp_i[element], bp_i[element + 1]
+    a, b = lo, (cuts[0] if cuts.size else hi)
+    M = bernstein_transform(p_i, *(np.array([(t - lo) / (hi - lo)]) for t in (a, b)))[0]
     e_r = np.searchsorted(bp_r, 0.5 * (a + b)) - 1
     mkv = coup.phi.master.kv
-    m_first = mkv.find_span(coup.phi(0.5 * (a + b))) - mkv.degree
+    m_first = bspline_table(mkv, np.array([coup.phi(0.5 * (a + b))]))[0][0, 0]
     G = coup.coupling.values
     G_local = G[first_r[e_r] : first_r[e_r] + p_i + 1, m_first : m_first + mkv.degree + 1]
     # transverse factor: the element layer adjacent to the interface
@@ -80,7 +82,7 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
         "refined_extraction": C_r[e_r],
         "transform": M,
         "weak_1d": op[n_int:, edge],
-        "parent_extraction": _element_tables(kv_i)[2][element],
+        "parent_extraction": C_i[element],
         "transverse_extraction": C_f[e_f],
         "tensor_operator": tensor,
     }

@@ -9,19 +9,15 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.sparse.linalg as spla
 
 from bezmortar import (
     InterfaceSpec,
     MultiPatchModel,
     NumericalError,
-    apply_dirichlet,
     assemble_poisson,
-    assemble_saddle,
     condense,
     dual_extraction,
-    linear_solve,
     rational_dual,
 )
 from bezmortar.benchmarks import (
@@ -34,13 +30,11 @@ from bezmortar.benchmarks import (
     interface_jump_norm,
     largedef_model,
     run_convergence,
-    run_largedef,
     solve_case,
     weak_vs_conforming_relative_error,
     rect_patch,
 )
 from bezmortar.fem import assemble_linear_elasticity
-from bezmortar.splines import KnotVector
 from bezmortar.weakmesh import interface_operator_report
 from test_dualbasis import assembled_gram, random_kv
 from test_weakmesh import (

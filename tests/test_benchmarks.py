@@ -10,8 +10,6 @@ from bezmortar.benchmarks import (
     PLATE_TENSION,
     BenchmarkCase,
     ConvergenceReport,
-    build_case,
-    case_error,
     exact_plate_stress,
     field_difference_l2,
     gen_annulus_two_patch,
@@ -35,10 +33,8 @@ from bezmortar.model import MultiPatchModel
 
 def test_square_level0_element_counts():
     model = gen_square_two_patch((2, 3), True, 2, 0)
-    assert len(model.patches[0].kvs[0].spans()) == 2
-    assert len(model.patches[0].kvs[1].spans()) == 2
-    assert len(model.patches[1].kvs[0].spans()) == 3
-    assert len(model.patches[1].kvs[1].spans()) == 3
+    assert [len(kv.breakpoints()) - 1 for kv in model.patches[0].kvs] == [2, 2]
+    assert [len(kv.breakpoints()) - 1 for kv in model.patches[1].kvs] == [3, 3]
 
 
 def test_square_matched_phi_affine():
@@ -70,8 +66,8 @@ def test_annulus_radii_and_counts():
     inner = model.patches[0].boundary("west")
     for t in np.linspace(0, 1, 30):
         assert abs(np.linalg.norm(inner.point(t)) - 0.4) < 1e-12
-    assert len(model.patches[0].kvs[0].spans()) == 2
-    assert len(model.patches[1].kvs[0].spans()) == 3
+    assert len(model.patches[0].kvs[0].breakpoints()) - 1 == 2
+    assert len(model.patches[1].kvs[0].breakpoints()) - 1 == 3
 
 
 def test_plate_hole_edge_and_defaults():

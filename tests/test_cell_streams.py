@@ -118,8 +118,10 @@ def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
     w_r = coup.refined_edge_weights
     tids = model.trace_ids[ci]
     lo, hi = op_i.span
+    # the element's own cut: the refined breakpoints strictly inside it
+    cuts = [lo] + [x for x in refined.breakpoints().tolist() if lo < x < hi] + [hi]
     cells = []
-    for a, b in coup.refined.cells_in(op_i.span) or [op_i.span]:
+    for a, b in zip(cuts[:-1], cuts[1:]):
         r_op = r_ops[max(int(np.searchsorted(r_bp, 0.5 * (a + b), side="right")) - 1, 0)]
         if abs(a - lo) < 1e-14 and abs(b - hi) < 1e-14:
             Ci_cell = op_i.matrix

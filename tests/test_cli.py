@@ -23,7 +23,8 @@ from bezmortar.mesh_io import (
     model_from_document,
     validate_mesh_document,
 )
-from bezmortar.benchmarks import gen_demo_two_patch
+from bezmortar import InterfaceSpec, MultiPatchModel
+from bezmortar.benchmarks import gen_demo_two_patch, rect_patch
 
 TENSOR_9 = np.array(
     [
@@ -195,6 +196,21 @@ def test_cyclic_interfaces_are_a_bad_interface():
                               "reversed": False})
     load_mesh(json.dumps(doc))
     with pytest.raises(MeshFormatError) as err:
+        model_from_document(doc)
+    assert err.value.code == "bad-interface"
+
+
+def test_slave_on_both_sides_of_one_element_is_a_bad_interface():
+    # a patch one element across, slave on its south and north sides: each
+    # element would touch two slave interfaces, which no stream can hold
+    patches = [rect_patch(2, 2, 2, (0.0, 1.0), (y, y + 1.0)) for y in (0.0, 2.0)]
+    patches.insert(1, rect_patch(2, 3, 1, (0.0, 1.0), (1.0, 2.0)))
+    doc = json.loads(dump_mesh(mesh_document(MultiPatchModel(
+        patches, [InterfaceSpec(master=(0, "north"), slave=(1, "south"))]))))
+    doc["interfaces"].append({"master": [2, "south"], "slave": [1, "north"],
+                              "reversed": False})
+    load_mesh(json.dumps(doc))
+    with pytest.raises(MeshFormatError, match="two slave interfaces") as err:
         model_from_document(doc)
     assert err.value.code == "bad-interface"
 

@@ -38,12 +38,13 @@ from bezmortar.splines import (
     BoundaryCurve,
     KnotVector,
     Patch2D,
-    bspline_derivatives,
     bspline_table,
     gauss_on_breaks,
     greville_abscissae,
+    side_index,
     uniform_open_knots,
 )
+from reference import bspline_basis, bspline_derivatives
 
 RNG = np.random.default_rng(515)
 
@@ -303,12 +304,18 @@ def test_projected_knots_satisfy_phi_inverse():
 # ------------------------------------------------------- dual refinement
 
 
+def inner_breaks(space, lo, hi):
+    """The refined breakpoints strictly inside (lo, hi): the subcell cuts there."""
+    bp = space.refined.breakpoints()
+    return bp[(bp > lo) & (bp < hi)]
+
+
 def test_refine_level_zero_unchanged():
     kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
     space = refine_dual_space(kv, merged, 0)
     assert space.refined is kv
-    assert space.cells_in((1 / 3, 2 / 3)) == []
+    assert inner_breaks(space, 1 / 3, 2 / 3).size == 0
     assert np.allclose(space.segments, merged)
 
 
@@ -317,9 +324,7 @@ def test_refine_level_one_splits_crossed_element():
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
     space = refine_dual_space(kv, merged, 1)
     assert space.refined.n == 6
-    cells = space.cells_in((1 / 3, 2 / 3))
-    assert len(cells) == 2
-    assert np.allclose(cells, [(1 / 3, 0.5), (0.5, 2 / 3)])
+    assert np.allclose(inner_breaks(space, 1 / 3, 2 / 3), [0.5])
 
 
 def test_refine_level_two_bisects():
@@ -327,8 +332,8 @@ def test_refine_level_two_bisects():
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
     s1 = refine_dual_space(kv, merged, 1)
     s2 = refine_dual_space(kv, merged, 2)
-    assert s2.refined.n == s1.refined.n + len(s1.refined.spans())
-    assert len(s2.cells_in((1 / 3, 2 / 3))) == 4
+    assert s2.refined.n == s1.refined.n + len(s1.refined.breakpoints()) - 1
+    assert inner_breaks(s2, 1 / 3, 2 / 3).size == 3
 
 
 def test_dof_count_invariant_under_dual_refinement():
@@ -382,8 +387,6 @@ def test_row_sums_one():
 
 
 def test_master_basis_reproduced_pointwise(demo_model):
-    from bezmortar.splines import bspline_basis
-
     coup = demo_model.couplings[0]
     G = coup.coupling.values
     rkv = coup.refined.refined
@@ -400,6 +403,13 @@ def test_master_basis_reproduced_pointwise(demo_model):
 
 
 # ------------------------------------------------------------ condensation
+
+
+def interface_dofs(model):
+    """Master edge dofs and trace dofs of the model's first interface."""
+    mp, ms = model.couplings[0].spec.master
+    edge = model.grids[mp][side_index(ms)]
+    return edge[edge >= 0], model.trace_ids[0]
 
 
 def _solve_mixed(method):
@@ -441,16 +451,14 @@ def test_condensed_block_formula(side_by_side):
     mesh = model.mortar_mesh()
     system = assemble_poisson(mesh)
     red = condense(system, mesh)
-    part = model.dof_partition()
-    iface = part["interfaces"][0]
-    m, s = iface["master"], iface["slave"]
+    m, s = interface_dofs(model)
     G = model.couplings[0].coupling.std
     K = system.K.toarray()
     Kred = red.K.toarray()
     mm = np.ix_(m, m)
     expected_cc = K[mm] + G.T @ K[np.ix_(s, s)] @ G
     assert np.abs(Kred[mm] - expected_cc).max() < 1e-12
-    distinct = [d for d in part["distinct"] if d < model.n_retained]
+    distinct = np.setdiff1d(np.arange(model.n_retained), m)
     expected_cd = K[np.ix_(m, distinct)] + G.T @ K[np.ix_(s, distinct)]
     assert np.abs(Kred[np.ix_(m, distinct)] - expected_cd).max() < 1e-12
 
@@ -473,24 +481,20 @@ def test_post_solve_constraint_residual(side_by_side):
     model = side_by_side
     field, u = _solve_mixed("mortar")
     vals = field.values
-    part = model.dof_partition()
-    iface = part["interfaces"][0]
+    m, s = interface_dofs(model)
     G = model.couplings[0].coupling.std
-    slave_vals = vals[iface["slave"]]
-    master_vals = vals[iface["master"]]
-    assert np.abs(slave_vals - G @ master_vals).max() < 1e-10
+    assert np.abs(vals[s] - G @ vals[m]).max() < 1e-10
 
 
 def test_saddle_blocks(side_by_side):
     model = side_by_side
     Bm, Bs = model.multiplier_blocks(1)
-    part = model.dof_partition()
-    iface = part["interfaces"][0]
+    m, s = interface_dofs(model)
     # slave block is an identity on the trace dofs
-    assert np.abs(Bs[:, iface["slave"]].toarray() - np.eye(len(iface["slave"]))).max() < 1e-14
+    assert np.abs(Bs[:, s].toarray() - np.eye(len(s))).max() < 1e-14
     # master block carries the coupling matrix
     G = model.couplings[0].coupling.std
-    assert np.abs(Bm[:, iface["master"]].toarray() - G).max() < 1e-14
+    assert np.abs(Bm[:, m].toarray() - G).max() < 1e-14
 
 
 def test_vector_saddle_blocks_store_no_zeros():
@@ -536,9 +540,8 @@ def test_element_on_two_slave_sides_rejected():
         InterfaceSpec(master=(0, "east"), slave=(1, "west")),
         InterfaceSpec(master=(2, "west"), slave=(1, "east")),
     ]
-    model = MultiPatchModel([a, b, c], specs, 0)
     with pytest.raises(ValueError, match="element adjacent to two slave interfaces"):
-        model.mortar_mesh()
+        MultiPatchModel([a, b, c], specs, 0)
 
 
 def test_pinwheel_dependency_cycle_rejected():

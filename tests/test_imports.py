@@ -1,13 +1,16 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
 A name imported and never read is dead code that still ties the modules
 together; it is found with the stdlib ``ast`` module, without importing.
+The test oracles in ``reference.py`` are checked to import none of the
+library code they are compared against.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bezmortar"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "bezmortar"
 
 # (module, name) pairs imported on purpose: benchmarks.py holds fem.evaluate_cell
 # only so that the benchmark harness, which wraps every holder of a function,
@@ -40,3 +43,24 @@ def test_library_modules_use_every_import():
              for name in unused_imports(path.read_text())]
     assert set(found) - KEPT == set()
     assert KEPT <= set(found), "a kept import is used now; drop it from KEPT"
+
+
+def test_test_modules_use_every_import():
+    found = [(path.stem, name) for path in sorted(TESTS.glob("*.py"))
+             for name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def test_reference_oracles_import_only_knot_data():
+    # the Cox-de Boor oracles read a knot vector's values and nothing of the
+    # Bezier-form code they check
+    tree = ast.parse((TESTS / "reference.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    library = {name for name in imported if name.startswith("bezmortar")}
+    assert library == {"bezmortar.splines.KnotVector", "bezmortar.splines.OutOfDomainError"}
+    assert imported - library == {"__future__.annotations", "numpy"}

@@ -11,7 +11,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "bezmortar"
 
 # parameters with a default, over every function and lambda in src/bezmortar
-DEFAULTED_PARAMETERS = 62
+DEFAULTED_PARAMETERS = 61
 
 
 def defaulted_parameters(source: str) -> int:

@@ -18,6 +18,7 @@ from bezmortar.benchmarks import (
 from bezmortar.fem import evaluate_cell
 from bezmortar.splines import side_index
 from bezmortar.weakmesh import interface_operator_report
+from reference import bspline_basis, find_span
 from test_splines import bernstein_on
 
 # ------------------------------------------------- reference formulas
@@ -161,7 +162,7 @@ def test_report_operator_matches_emitted_weak_cell(demo_model):
     assert np.allclose(cell.rect, ((1 / 3, 0.5), (0.5, 1.0)), rtol=0, atol=1e-15)
     # report rows: interior transverse functions x parent functions, then
     # the master functions active on the subcell's image
-    m_first = coup.phi.master.kv.find_span(coup.phi(5 / 12)) - 2
+    m_first = find_span(coup.phi.master.kv, coup.phi(5 / 12)) - 2
     rows = [grid[1 + a1, 1 + a2] for a2 in range(2) for a1 in range(3)]
     rows += list(demo_model.grids[mp][side_index(ms)][m_first : m_first + 3])
     B = np.einsum("qf,qi->qfi", bernstein_on(2, 0.5, 1.0, x2), bernstein_on(2, 1 / 3, 2 / 3, x1))
@@ -174,8 +175,6 @@ def test_report_operator_matches_emitted_weak_cell(demo_model):
 
 def test_pointwise_master_trace_identity(demo_model):
     # the weak operator evaluates the master basis through the slave element
-    from bezmortar.splines import bspline_basis
-
     rep = interface_operator_report(demo_model)
     coup = demo_model.couplings[0]
     mkv = coup.phi.master.kv
@@ -190,8 +189,6 @@ def test_pointwise_master_trace_identity(demo_model):
 def test_weak_trace_sampling_both_sides(demo_model):
     # weak basis continuity: master trace equals the coupled combination of
     # refined slave traces along the whole interface
-    from bezmortar.splines import bspline_basis
-
     coup = demo_model.couplings[0]
     G = coup.coupling.values
     rkv = coup.refined.refined
