@@ -95,9 +95,7 @@ def _emit(obj, out: io.StringIO, indent: int, text: _Memo):
         elif (types <= {list, tuple}
               and set(map(type, flat := list(chain.from_iterable(obj)))) == {float}):
             words = map(text.__getitem__, _bit_patterns(flat))
-            rows = [", ".join(islice(words, len(row))) for row in obj]
-            row_pad = pad + "  ["
-            out.write("[\n" + row_pad + ("],\n" + row_pad).join(rows) + "]\n" + pad + "]")
+            _write_rows([", ".join(islice(words, len(row))) for row in obj], out, pad)
         else:
             out.write("[\n")
             for i, v in enumerate(obj):
@@ -105,8 +103,23 @@ def _emit(obj, out: io.StringIO, indent: int, text: _Memo):
                 _emit(v, out, indent + 1, text)
                 out.write(",\n" if i + 1 < len(obj) else "\n")
             out.write(pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        # a weak cell's matrix, in the layout of a list of float rows; an empty
+        # one is written as its list
+        if obj.size:
+            bits = obj.view(np.uint64).ravel().tolist()  # same item size: any strides
+            words, n = list(map(text.__getitem__, bits)), obj.shape[1]
+            _write_rows([", ".join(words[i:i + n]) for i in range(0, len(words), n)], out, pad)
+        else:
+            _emit(obj.tolist(), out, indent, text)
     else:
         out.write(_scalar(obj))
+
+
+def _write_rows(rows: list, out: io.StringIO, pad: str):
+    """A list of rows of formatted numbers, one row a line."""
+    row_pad = pad + "  ["
+    out.write("[\n" + row_pad + ("],\n" + row_pad).join(rows) + "]\n" + pad + "]")
 
 
 def _scalar(v) -> str:
@@ -123,7 +136,11 @@ def _scalar(v) -> str:
 
 def mesh_document(model: MultiPatchModel, weak: bool = False,
                   meta: dict | None = None) -> dict:
-    """JSON-ready document of a model, optionally with compiled weak cells."""
+    """Document of a model for :func:`dump_mesh`, optionally with compiled weak cells.
+
+    Each weak cell's ``matrix`` is a read-only float64 array, a view of the
+    operator stack of the model's weak mesh.
+    """
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -152,8 +169,9 @@ def mesh_document(model: MultiPatchModel, weak: bool = False,
         mesh = model.weak_mesh()
         cells = [None] * len(mesh)
         for g in mesh.groups:
-            for k, patch, rect, rows, matrix in zip(*(getattr(g, f).tolist() for f in (
-                    "index", "patch", "rect", "rows", "ophom"))):
+            for k, patch, rect, rows, matrix in zip(
+                    *(getattr(g, f).tolist() for f in ("index", "patch", "rect", "rows")),
+                    g.ophom):
                 cells[k] = {"patch": patch, "rect": rect, "rows": rows, "matrix": matrix}
         doc["weak_cells"] = cells
         doc["weak_dofs"] = mesh.ndof
@@ -163,7 +181,8 @@ def mesh_document(model: MultiPatchModel, weak: bool = False,
 def dump_mesh(doc: dict) -> str:
     """Serialize a mesh document with 17-significant-digit floats.
 
-    Each distinct float in a float list is formatted once per call.
+    Each distinct float in a float list or float64 matrix is formatted once
+    per call.
     """
     out = io.StringIO()
     # keyed by bit pattern, not by value: 0.0 == -0.0 would share one text
@@ -320,11 +339,23 @@ def _weak_cell_problem(cells: list, ndof: int, npatches: int) -> str:
             and set(map(type, ids := list(chain.from_iterable(rows)))) <= {int}
             and (not ids or (min(ids) >= 0 and max(ids) < ndof))):
         return f"rows not in [0, {ndof})"
-    if not (set(map(type, matrix)) == {list} and list(map(len, matrix)) == list(map(len, rows))
-            and set(map(type, chain.from_iterable(matrix))) <= {list}
-            and all(len(set(map(len, m))) <= 1 for m in matrix)):
+    if not _matrices_fit(matrix, rows):
         return "matrix is not one row of one length per row id"
     return ""
+
+
+def _matrices_fit(matrix: list, rows: list) -> bool:
+    """Whether each matrix has one row of one length per row id: a list of
+    lists as a file holds it, or a 2-D float64 array as :func:`mesh_document`
+    gives it."""
+    if not any(isinstance(m, np.ndarray) for m in matrix):
+        return (set(map(type, matrix)) == {list}
+                and list(map(len, matrix)) == list(map(len, rows))
+                and set(map(type, chain.from_iterable(matrix))) <= {list}
+                and all(len(set(map(len, m))) <= 1 for m in matrix))
+    return all(m.ndim == 2 and m.dtype == np.float64 and len(m) == len(r)
+               if isinstance(m, np.ndarray) else _matrices_fit([m], [r])
+               for m, r in zip(matrix, rows))
 
 
 def _numbers(values) -> np.ndarray:

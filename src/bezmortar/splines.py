@@ -139,7 +139,7 @@ class KnotVector:
     Attributes
     ----------
     values : ndarray
-        Non-decreasing knot sequence; first and last knots must have
+        Finite, non-decreasing knot sequence; first and last knots must have
         multiplicity p+1.  Knots closer than ``KNOT_TOL`` to their
         predecessor are stored as copies of it, so they form one breakpoint.
     degree : int
@@ -153,6 +153,8 @@ class KnotVector:
         p = self.degree
         if p < 1:
             raise ValueError("degree must be at least 1")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("knots must be finite")
         gaps = np.diff(vals)
         if np.any(gaps < 0):
             raise ValueError("knots must be non-decreasing")

@@ -24,7 +24,7 @@ from bezmortar.mesh_io import (
     validate_mesh_document,
 )
 from bezmortar import InterfaceSpec, MultiPatchModel
-from bezmortar.benchmarks import gen_demo_two_patch, rect_patch
+from bezmortar.benchmarks import BenchmarkCase, build_case, gen_demo_two_patch, rect_patch
 
 TENSOR_9 = np.array(
     [
@@ -272,6 +272,46 @@ def test_bad_weak_cell_names_the_first_bad_cell():
         validate_mesh_document(doc)
 
 
+def test_validator_accepts_the_array_matrices_of_a_new_document():
+    doc = mesh_document(gen_demo_two_patch(1), weak=True)
+    assert all(isinstance(c["matrix"], np.ndarray) for c in doc["weak_cells"])
+    validate_mesh_document(doc)
+    # a file's list matrices and a document's arrays may sit side by side
+    doc["weak_cells"][0]["matrix"] = doc["weak_cells"][0]["matrix"].tolist()
+    validate_mesh_document(doc)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda m: m[0], lambda m: m[1:], lambda m: np.vstack([m, m[:1]]),
+     lambda m: m.astype(np.float32), lambda m: m.astype(np.int64), lambda m: m[None]],
+    ids=["1-d", "missing-row", "extra-row", "float32", "int", "3-d"],
+)
+def test_validator_rejects_a_malformed_array_matrix(bad):
+    doc = mesh_document(gen_demo_two_patch(1), weak=True)
+    doc["weak_cells"][2]["matrix"] = bad(doc["weak_cells"][2]["matrix"])
+    with pytest.raises(MeshFormatError, match="weak cell 2: matrix") as err:
+        validate_mesh_document(doc)
+    assert err.value.code == "bad-weak-cell"
+
+
+def _weak_mesh_bytes(model) -> list:
+    return [getattr(g, f).tobytes() for g in model.weak_mesh().groups
+            for f in ("index", "patch", "rect", "rows", "ophom")]
+
+
+def test_document_matrices_are_read_only():
+    model = gen_demo_two_patch(1)
+    before = _weak_mesh_bytes(model)
+    doc = mesh_document(model, weak=True)
+    for cell in doc["weak_cells"]:
+        assert cell["matrix"].dtype == np.float64 and not cell["matrix"].flags.writeable
+    with pytest.raises(ValueError):
+        doc["weak_cells"][0]["matrix"][0, 0] = 1.0
+    dump_mesh(doc)
+    assert _weak_mesh_bytes(model) == before
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_loader_reports_non_finite_tokens(token):
     text = dump_mesh(mesh_document(gen_demo_two_patch(0), weak=True))
@@ -337,21 +377,78 @@ def test_typed_writer_matches_generic_emitter(doc):
     assert _dumped(dump_mesh, doc) == _dumped(generic_dump, doc)
 
 
+_SPECIALS = [[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324], [1e17, -0.0, 0.0]]
+_STRIDED = np.arange(35.0).reshape(5, 7) / 3
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
-        [[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324], [1e17, -0.0, 0.0]],
+        _SPECIALS,
         [[1.0], [2.5, 3.0, 4.0], [0.5, 0.25]],
         [[1.0, 2.0], [], [3.0]],
         [[1.0, True], [2.0, 0.5]],
         [[np.float64(1.5), 2.0], [3.0, 0.1]],
         ([0.1, -0.0], (0.2, 0.0)),
+        np.array(_SPECIALS),
+        np.array([[-0.0, 0.0], [-0.0, -0.0]]),
+        np.array([[5e-324, -5e-324, 2.2250738585072014e-308]]),
+        np.array([[1e17], [-1e17], [1e16 + 2]]),
+        np.array([[1.0, True], [2.0, 0.5]]),
+        np.array([[np.float64(1.5), 2.0], [3.0, 0.1]]),
+        np.array(([0.1, -0.0], (0.2, 0.0))),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        _STRIDED.T,
+        _STRIDED[::2, 1::3],
+        _read_only(_STRIDED.copy()),
     ],
-    ids=["specials", "ragged", "empty-row", "bool-item", "numpy-item", "tuples"],
+    ids=["specials", "ragged", "empty-row", "bool-item", "numpy-item", "tuples",
+         "array-specials", "array-negative-zero", "array-subnormal", "array-1e17",
+         "array-bool-item", "array-numpy-item", "array-tuples", "array-no-rows",
+         "array-no-columns", "array-transposed", "array-strided", "array-read-only"],
 )
 def test_float_matrix_writer_matches_generic_emitter(matrix):
+    # a float64 array is written as its list of rows
     doc = {"cells": [{"matrix": matrix}], "matrix": matrix}
-    assert _dumped(dump_mesh, doc) == _dumped(generic_dump, doc)
+    as_lists = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+    want = _dumped(generic_dump, {"cells": [{"matrix": as_lists}], "matrix": as_lists})
+    assert _dumped(dump_mesh, doc) == want
+    if isinstance(matrix, np.ndarray) and not np.all(np.isfinite(matrix)):
+        assert want == "non-finite"
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.ones(3), np.ones((2, 2), dtype=np.float32), np.ones((2, 2), dtype=np.int64),
+     np.ones((2, 2, 2)), np.ones((2, 2), dtype=">f8"), np.array(1.0)],
+    ids=["1-d", "float32", "int", "3-d", "big-endian", "0-d"],
+)
+def test_writer_refuses_other_arrays(array):
+    with pytest.raises(TypeError):
+        dump_mesh({"matrix": array})
+
+
+def _with_list_matrices(doc: dict) -> dict:
+    return {**doc, "weak_cells": [{**c, "matrix": c["matrix"].tolist()}
+                                  for c in doc["weak_cells"]]}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [lambda: gen_demo_two_patch(1),
+     lambda: build_case(BenchmarkCase("square-mixed", p=4, ratio=(6, 9), matched=False,
+                                      dual_refine=2), 0)],
+    ids=["demo-two-patch", "square-mixed-p4"],
+)
+def test_array_matrices_dump_as_their_lists(model):
+    doc = mesh_document(model(), weak=True)
+    assert dump_mesh(doc) == dump_mesh(_with_list_matrices(doc))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -390,6 +487,8 @@ def test_generated_document_round_trip_is_byte_identical(matrix, points):
 
 
 def _floats_in(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().tolist() if obj.dtype == np.float64 else []
     if isinstance(obj, dict):
         obj = obj.values()
     elif not isinstance(obj, list):

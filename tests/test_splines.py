@@ -445,6 +445,14 @@ def test_max_element_diameter_equals_element_loop(knots1, knots2, seed):
     assert abs(patch.max_element_diameter() - ref) <= 1e-14 * ref
 
 
+@pytest.mark.parametrize("knots", [[0, 0, np.nan, 1, 1], [0, 0, 0.5, 1, np.inf],
+                                   [-np.inf, -np.inf, 0, 1, 1], [np.nan] * 4])
+def test_knot_vector_rejects_non_finite_knots(knots):
+    # NaN passes the non-decreasing check, so finiteness is checked first
+    with pytest.raises(ValueError, match="finite"):
+        KnotVector(knots, 1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_patch_rejects_non_finite_control_points(bad):
     kv = uniform_open_knots(2, 2)
