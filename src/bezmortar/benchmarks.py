@@ -80,8 +80,8 @@ __all__ = [
 PLATE_RADIUS = 1.0
 PLATE_SIDE = 4.0
 PLATE_TENSION = 10.0
-PLATE_MATERIAL = MaterialModel("linear-elastic", E=1e5, nu=0.3)
-LARGEDEF_MATERIAL = MaterialModel("neo-hookean", E=30e9, nu=0.48)
+PLATE_MATERIAL = MaterialModel(E=1e5, nu=0.3)
+LARGEDEF_MATERIAL = MaterialModel(E=30e9, nu=0.48)
 LARGEDEF_PRESSURE = 100e9
 
 
@@ -379,17 +379,21 @@ def manufactured_fields(case: str):
 # cases
 
 
-_CASES = (
-    "square-dirichlet",
-    "square-mixed",
-    "annulus",
-    "plate-hole-2patch",
-    "plate-hole-3patch",
-    "largedef-case1",
-    "largedef-case2",
-    "largedef-case3",
-    "square-demo",
-)
+# Each case and the settings its geometry fixes; any other value of one of
+# them would be ignored, so it is refused.  The seed is not checked: a set
+# seed cannot be told from the default one.
+_LARGEDEF = dict(p=2, ratio=(2, 3), matched=True, dual_refine=1)
+_CASES = {
+    "square-dirichlet": {},
+    "square-mixed": {},
+    "annulus": dict(p=2, matched=True),
+    "plate-hole-2patch": dict(p=2),
+    "plate-hole-3patch": dict(p=2),
+    "largedef-case1": _LARGEDEF,
+    "largedef-case2": _LARGEDEF,
+    "largedef-case3": _LARGEDEF,
+    "square-demo": dict(p=2, ratio=(2, 3), matched=True),
+}
 
 
 @dataclass
@@ -401,17 +405,16 @@ class BenchmarkCase:
     ratio: tuple[int, int] = (2, 3)
     matched: bool = True
     dual_refine: int = 1
-    levels: int = 4
     seed: int = 1234
 
     def __post_init__(self):
         if self.case not in _CASES:
             raise ValueError(f"unknown case {self.case!r}")
-        if self.case in ("annulus", "plate-hole-2patch", "plate-hole-3patch") and self.p != 2:
-            raise ValueError("curved benchmark geometry is constructed at p = 2")
-        if self.case == "annulus" and not self.matched:
-            raise ValueError("the annulus case uses matched parameterizations only")
-        if self.dual_refine < 0 or self.levels < 1:
+        for name, value in _CASES[self.case].items():
+            if getattr(self, name) != value:
+                raise ValueError(f"{self.case} fixes {name} = {value!r}, "
+                                 f"got {getattr(self, name)!r}")
+        if self.dual_refine < 0:
             raise ValueError("invalid refinement configuration")
 
 
@@ -540,18 +543,17 @@ class ConvergenceReport:
              "rate": rate, "status": status}
         )
 
-    def observed_rate(self, window: int = 1) -> float:
-        """Mean of the last ``window`` rate entries."""
+    def observed_rate(self) -> float:
+        """The last rate entry."""
         rates = [r["rate"] for r in self.rows if r["rate"] != ""]
-        if len(rates) < window:
-            raise ValueError("not enough levels for the requested window")
-        return float(np.mean(rates[-window:]))
+        if not rates:
+            raise ValueError("no rate: fewer than two consecutive levels solved")
+        return float(rates[-1])
 
 
-def run_convergence(case: BenchmarkCase, levels: int | None = None,
+def run_convergence(case: BenchmarkCase, levels: int,
                     method: str = "mortar") -> ConvergenceReport:
     """Uniform refinement study; partial report with a flag on failure."""
-    levels = levels if levels is not None else case.levels
     if levels < 1:
         raise ValueError("need at least one level")
     report = ConvergenceReport(case)
@@ -576,14 +578,18 @@ def run_convergence(case: BenchmarkCase, levels: int | None = None,
 # interface jump
 
 
-def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
-                        ncomp: int = 1) -> float:
+def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> float:
     """L2(arc-length) norm of the master-slave trace mismatch.
 
     Evaluates the solved master trace composed with phi against the slave
     trace (held by the refined interface dofs) over the merged quadrature
-    segments.
+    segments.  ``full_values`` holds ncomp values per full dof, component
+    fastest; a size that is no such multiple raises ``ValueError``.
     """
+    ncomp, rest = divmod(full_values.size, model.ndof_full)
+    if rest or not ncomp:
+        raise ValueError(f"{full_values.size} values are no positive multiple of the "
+                         f"model's {model.ndof_full} full dofs")
     vals = full_values.reshape(-1, ncomp)
     total = 0.0
     for ci, coup in enumerate(model.couplings):
@@ -602,7 +608,7 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray,
 # large deformation
 
 
-def largedef_model(level: int, weak: bool = True) -> MultiPatchModel:
+def largedef_model(level: int, weak: bool) -> MultiPatchModel:
     """Two-patch unit square for the pressure cases.
 
     The weakly continuous variant keeps one extra element across the
@@ -641,9 +647,8 @@ def _largedef_loads(case_id: str, pressure: float):
     return neum, diri, corners
 
 
-def run_largedef(case_id: str, level: int, increments: int = 20,
-                 tol_factor: float = 1e8, weak: bool = True,
-                 pressure: float = LARGEDEF_PRESSURE) -> SolutionField:
+def run_largedef(case_id: str, level: int, increments: int, tol_factor: float,
+                 weak: bool = True, *, pressure: float) -> SolutionField:
     """Load-stepped neo-Hookean solve on the weak or conforming mesh."""
     if not math.isfinite(pressure):
         raise ValueError("pressure must be finite")
@@ -663,15 +668,15 @@ def run_largedef(case_id: str, level: int, increments: int = 20,
     return SolutionField(mesh, values, 2)
 
 
-def field_difference_l2(field_a: SolutionField, field_b: SolutionField,
-                        quad_extra: int = 2) -> float:
-    """L2 norm of the difference of two fields on identically parameterized patches."""
+def field_difference_l2(field_a: SolutionField, field_b: SolutionField) -> float:
+    """L2 norm of the difference of two fields on identically parameterized patches,
+    at Gauss rules of order degree + 2."""
     total = 0.0
     da = field_a.values.reshape(-1, field_a.ncomp)
     patch_of = np.empty(len(field_a.mesh), dtype=int)
     for g in field_a.mesh.groups:
         patch_of[g.index] = g.patch
-    for index, rows, ev in cell_blocks(field_a.mesh, quad_extra, grad=False):
+    for index, rows, ev in cell_blocks(field_a.mesh, 2, grad=False):
         va = (ev["basis"] @ da[rows]).reshape(-1, field_a.ncomp)
         xi = ev["xi"].reshape(-1, 2)
         patches = np.repeat(patch_of[index], ev["xi"].shape[1])
@@ -680,13 +685,12 @@ def field_difference_l2(field_a: SolutionField, field_b: SolutionField,
     return math.sqrt(total)
 
 
-def weak_vs_conforming_relative_error(case_id: str, levels: int,
-                                      increments: int = 20,
-                                      tol_factor: float = 1e8,
-                                      pressure: float = LARGEDEF_PRESSURE) -> ConvergenceReport:
+def weak_vs_conforming_relative_error(case_id: str, levels: int, increments: int,
+                                      tol_factor: float, pressure: float) -> ConvergenceReport:
     """Relative displacement error between weak and conforming meshes."""
-    case = BenchmarkCase(case_id, levels=levels)
-    report = ConvergenceReport(case)
+    report = ConvergenceReport(BenchmarkCase(case_id))
+    if levels < 1:
+        raise ValueError("need at least one level")
     for lv in range(levels):
         try:
             fw = run_largedef(case_id, lv, increments, tol_factor, weak=True,

@@ -82,8 +82,7 @@ class CompositionalMap:
     into the slave parameter.
     """
 
-    def __init__(self, slave_curve: BoundaryCurve, master_curve: BoundaryCurve,
-                 reversed: bool = False):
+    def __init__(self, slave_curve: BoundaryCurve, master_curve: BoundaryCurve, reversed: bool):
         self.slave = slave_curve
         self.master = master_curve
         self.reversed = reversed
@@ -149,13 +148,13 @@ class CompositionalMap:
         """Slave parameters of master parameters: a float for a scalar, else an array."""
         return self._map(eta, self.master, self.slave)
 
-    def is_affine(self, tol: float = 1e-10) -> bool:
-        """True when the reparameterization is linear (matched case)."""
+    def is_affine(self) -> bool:
+        """True when the reparameterization is linear (matched case), to 1e-10 of the span."""
         s_lo, s_hi = self.slave.domain
         t = np.array([0.25, 0.5, 0.75])
         eta = self(np.concatenate([[s_lo, s_hi], s_lo + t * (s_hi - s_lo)]))
         a, b = eta[0], eta[1]
-        return not np.any(np.abs(eta[2:] - (a + t * (b - a))) > tol * max(abs(b - a), 1.0))
+        return not np.any(np.abs(eta[2:] - (a + t * (b - a))) > 1e-10 * max(abs(b - a), 1.0))
 
 
 def build_phi(slave_curve: BoundaryCurve, master_curve: BoundaryCurve,
@@ -279,9 +278,7 @@ class InterfaceCoupling:
 
     spec: InterfaceSpec
     phi: CompositionalMap
-    merged: np.ndarray
     refined: RefinedDualSpace
-    dual: DualBasis
     coupling: CouplingMatrix
     refined_edge_weights: np.ndarray
 
@@ -290,12 +287,11 @@ def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
                              master_curve: BoundaryCurve, level: int) -> InterfaceCoupling:
     """Build phi, the refined dual space and the coupling matrix of one interface."""
     phi = build_phi(slave_curve, master_curve, spec.reversed)
-    merged = project_master_knots(phi)
-    refined = refine_dual_space(slave_curve.kv, merged, level)
+    refined = refine_dual_space(slave_curve.kv, project_master_knots(phi), level)
     w_refined = refined.refine_op @ slave_curve.weights
     dual = rational_dual(dual_extraction(refined.refined), w_refined)
     coupling = assemble_coupling(dual, phi, refined.segments, w_refined)
-    return InterfaceCoupling(spec, phi, merged, refined, dual, coupling, w_refined)
+    return InterfaceCoupling(spec, phi, refined, coupling, w_refined)
 
 
 def condense(system: AssembledSystem, mesh) -> AssembledSystem:

@@ -82,8 +82,8 @@ class DualBasis:
     """Dual basis of an interface spline space, as stacked element operators.
 
     ``matrices[e]`` (p+1, p+1) turns the Bernstein values on element e into
-    the values of the duals of its p+1 active spline functions, and
-    ``weights[e]`` are the projection weights that went into it.  The
+    the values of the duals of its p+1 active spline functions (the
+    projection weights of :func:`projection_weights` are built into it).  The
     assembled functions satisfy int dual_I N_J = delta_IJ.  ``scale``, when
     set, maps an array of points to a factor applied to the values there:
     the weight function W (:func:`rational_dual`) or 1/|J|
@@ -92,7 +92,6 @@ class DualBasis:
 
     space: KnotVector
     matrices: np.ndarray
-    weights: np.ndarray
     scale: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
@@ -124,10 +123,9 @@ def dual_extraction(kv: KnotVector) -> DualBasis:
     """
     bp, _, C = _element_tables(kv)
     gram = bernstein_gramian(kv.degree)
-    w = projection_weights(kv)
+    w = projection_weights(kv)[:, :, None]
     RT = np.swapaxes(reconstruction_operator(C), 1, 2)
-    D = w[:, :, None] * (RT @ np.linalg.inv(gram)) / np.diff(bp)[:, None, None]
-    return DualBasis(kv, D, w)
+    return DualBasis(kv, w * (RT @ np.linalg.inv(gram)) / np.diff(bp)[:, None, None])
 
 
 def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:

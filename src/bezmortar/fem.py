@@ -46,23 +46,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MaterialModel:
     """Isotropic material constants with derived Lame parameters."""
 
-    variant: str  # "poisson" | "linear-elastic" | "neo-hookean"
     E: float = 1.0
     nu: float = 0.3
     plane_stress: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("poisson", "linear-elastic", "neo-hookean"):
-            raise ValueError(f"unknown material variant {self.variant!r}")
         if not (math.isfinite(self.E) and self.E > 0):
             raise ValueError("Young's modulus E must be finite and positive")
-        # lam stays finite up to nu = 1 in plane stress; the neo-Hookean
-        # energy is plane strain
-        upper = 1.0 if self.plane_stress and self.variant != "neo-hookean" else 0.5
+        # lam stays finite up to nu = 1 in plane stress
+        upper = 1.0 if self.plane_stress else 0.5
         if not -1.0 < self.nu < upper:
             raise ValueError(f"Poisson's ratio nu must lie in (-1, {upper:g})")
 
@@ -120,8 +116,7 @@ def _reference_tables(p1: int, p2: int, n1: int, n2: int):
     return tables
 
 
-def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool = True,
-              jac: bool = True) -> dict:
+def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool, jac: bool) -> dict:
     """Rational basis and geometry of a stack of cells.
 
     ``B`` (m, nb) holds tensor Bernstein values at points shared by the cells,
@@ -208,7 +203,8 @@ def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1, grad: bool = True):
             blk = slice(start, start + _BLOCK)
             rect = g.rect[blk]
             lo, h = rect[:, :, 0], rect[:, :, 1] - rect[:, :, 0]
-            ev = _rational(B, dB, 1.0 / h, g.ophom[blk], g.geo_ophom[blk], g.geo_pts[blk], grad)
+            ev = _rational(B, dB, 1.0 / h, g.ophom[blk], g.geo_ophom[blk], g.geo_pts[blk], grad,
+                           True)
             ev["xi"] = lo[:, None, :] + h[:, None, :] * t
             ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
             yield g.index[blk], g.rows[blk], ev
@@ -500,8 +496,11 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
 
     Total Lagrangian plane strain: first Piola stress
     P = lam/2 (J^2-1) F^{-T} + mu (F - F^{-T}) and the matching material
-    tangent; raises on element inversion.
+    tangent; raises on element inversion, and ``ValueError`` on a
+    plane-stress material, whose lam the plane-strain energy cannot use.
     """
+    if material.plane_stress:
+        raise ValueError("the neo-Hookean energy is plane strain; got a plane-stress material")
     lam, mu = material.lam, material.mu
     blocks = _neo_hookean_geometry(mesh)
     residuals, tangents = [], []

@@ -57,14 +57,14 @@ class AssembledSystem:
         return spla.norm(d) / nrm if nrm > 0 else 0.0
 
 
-def apply_dirichlet(system: AssembledSystem, constraints, tol: float = 1e-8) -> AssembledSystem:
+def apply_dirichlet(system: AssembledSystem, constraints) -> AssembledSystem:
     """Attach Dirichlet constraints, checking for conflicts.
 
     Parameters
     ----------
     constraints : iterable of (row, value)
         Vector-dof row indices with prescribed values.  A row constrained
-        twice must receive consistent values (within ``tol`` relative),
+        twice must receive consistent values (within 1e-8 relative),
         otherwise a ValueError is raised.
     """
     merged = dict(system.constraints)
@@ -72,7 +72,7 @@ def apply_dirichlet(system: AssembledSystem, constraints, tol: float = 1e-8) -> 
         row = int(row)
         if row in merged:
             scale = max(1.0, abs(merged[row]), abs(value))
-            if abs(merged[row] - value) > tol * scale:
+            if abs(merged[row] - value) > 1e-8 * scale:
                 raise ValueError(
                     f"conflicting Dirichlet values on dof {row}: "
                     f"{merged[row]} vs {value}"
@@ -82,7 +82,7 @@ def apply_dirichlet(system: AssembledSystem, constraints, tol: float = 1e-8) -> 
     return replace(system, constraints=merged)
 
 
-def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
+def linear_solve(system: AssembledSystem) -> np.ndarray:
     """Direct solve with symmetric elimination of constrained rows.
 
     Returns the full solution vector (constrained rows carry their
@@ -102,7 +102,7 @@ def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
 
     Raises ValueError when a constrained row lies outside the system or its
     value is not finite, and :class:`NumericalError` when factorization
-    fails or the relative residual on the free rows exceeds ``rtol``.
+    fails or the relative residual on the free rows exceeds 1e-10.
     """
     n = system.nrows
     K = system.K.tocsr()
@@ -145,7 +145,7 @@ def linear_solve(system: AssembledSystem, rtol: float = 1e-10) -> np.ndarray:
         raise NumericalError("singular system (non-finite solution)")
     resid = np.linalg.norm(block @ sol - rhs)
     scale = np.linalg.norm(rhs)
-    if scale > 0 and resid / scale > rtol:
-        raise NumericalError(f"solver residual {resid / scale:.2e} exceeds {rtol:.0e}")
+    if scale > 0 and resid / scale > 1e-10:
+        raise NumericalError(f"solver residual {resid / scale:.2e} exceeds 1e-10")
     x[free] = sol
     return x

@@ -15,9 +15,10 @@ extraction operators; along a slave interface the edge row group is swapped
 for the refined interface extraction.  A stream is held as stacked cell
 groups, one per cell shape.
 
-The layout rests on one sparse operator per interface: its master edge's
-functions as rows over the full dofs.  The prolongation P and the saddle
-blocks are sparse products of these with the coupling matrices.
+The layout rests on one sparse operator per interface, its constraint rows
+G E: the coupling matrix G times the master edge's functions E as rows over
+the full dofs.  The prolongation P multiplies them, the saddle block stacks
+them.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ class MultiPatchModel:
         self.ndof_full = count
         masters = [c.spec.master for c in self.couplings]
         fmaps = {mp: self._function_map(mp) for mp, _ in masters}
-        self._master_edges = [fmaps[mp][_flat(self.patches[mp])[side_index(ms)]]
-                              for mp, ms in masters]
+        self._constraints = [  # G_i E_i
+            sp.csr_matrix(c.coupling.std) @ fmaps[mp][_flat(self.patches[mp])[side_index(ms)]]
+            for c, (mp, ms) in zip(self.couplings, masters)]
         self.P = self._prolongation()
 
     def _function_map(self, pi: int) -> sp.csr_matrix:
@@ -307,14 +309,14 @@ class MultiPatchModel:
     def _prolongation(self) -> sp.csr_matrix:
         """P with full dofs = P @ retained dofs.
 
-        Interface i's trace rows are G_i E_i P, with E_i its master-edge
-        operator, so they are formed once the rows of every trace dof E_i
-        reaches exist: interfaces are taken in dependency order.
+        Interface i's trace rows are (G_i E_i) P, so they are formed once the
+        rows of every trace dof G_i E_i reaches exist: interfaces are taken in
+        dependency order.
         """
         ident = sp.identity(self.n_retained, format="csr")
         blocks = [sp.csr_matrix((ids.size, self.n_retained)) for ids in self.trace_ids]
-        deps = [{cj for cj, ids in enumerate(self.trace_ids) if E[:, ids].nnz}
-                for E in self._master_edges]
+        deps = [{cj for cj, ids in enumerate(self.trace_ids) if GE[:, ids].nnz}
+                for GE in self._constraints]
         done: set[int] = set()
         while len(done) < len(self.couplings):
             ready = [ci for ci, d in enumerate(deps) if ci not in done and d <= done]
@@ -322,8 +324,7 @@ class MultiPatchModel:
                 raise ValueError("cyclic interface dependency; cannot condense")
             P = sp.vstack([ident] + blocks, format="csr")
             for ci in ready:
-                G = sp.csr_matrix(self.couplings[ci].coupling.std)
-                blocks[ci] = G @ self._master_edges[ci] @ P
+                blocks[ci] = self._constraints[ci] @ P
             done.update(ready)
         P = sp.vstack([ident] + blocks, format="csr")
         P.sort_indices()  # the sparse products leave column order unsorted
@@ -339,12 +340,7 @@ class MultiPatchModel:
             mp, ms = coup.spec.master
             if np.any(self.grids[mp][side_index(ms)] < 0):
                 raise ValueError("saddle assembly requires unreplaced master edges")
-        Bm = sp.vstack(
-            [sp.csr_matrix((0, self.ndof_full))]
-            + [sp.csr_matrix(c.coupling.std) @ E
-               for c, E in zip(self.couplings, self._master_edges)],
-            format="csr",
-        )
+        Bm = sp.vstack([sp.csr_matrix((0, self.ndof_full))] + self._constraints, format="csr")
         trace = np.arange(self.n_retained, self.ndof_full)
         Bs = sp.csr_matrix((np.ones(trace.size), (np.arange(trace.size), trace)),
                            shape=(trace.size, self.ndof_full))

@@ -149,7 +149,7 @@ def test_block_size_does_not_change_the_system(mesh, monkeypatch):
     _assert_same_matrix(assemble_poisson(mesh, _forcing).K, K)
 
 
-_ELASTIC = MaterialModel("linear-elastic", E=7.0, nu=0.3)
+_ELASTIC = MaterialModel(E=7.0, nu=0.3)
 
 
 def _elasticity_reference(mesh, mat):
@@ -212,7 +212,7 @@ def _admissible_state(mesh):
 
 
 def test_neo_hookean_matches_reference(mesh):
-    mat = MaterialModel("neo-hookean", E=10.0, nu=0.3)
+    mat = MaterialModel(E=10.0, nu=0.3)
     state = _admissible_state(mesh)
     r_ref, K_ref = _neo_hookean_reference(mesh, mat, state)
     # twice: the second call runs on the geometry memoised by the first
@@ -224,7 +224,7 @@ def test_neo_hookean_matches_reference(mesh):
 
 def test_cached_geometric_tangent_equals_the_in_loop_formula(mesh):
     # mu int dphi_n . dphi_m d_ik, as the kernel formed it at every assembly
-    mu = MaterialModel("neo-hookean", E=10.0, nu=0.3).mu
+    mu = MaterialModel(E=10.0, nu=0.3).mu
     blocks = fem._neo_hookean_geometry(mesh)
     for (_, _, ev), (G, _, k3) in zip(fem.cell_blocks(mesh), blocks, strict=True):
         Gt = np.swapaxes(ev["grad_phys"], 2, 3)
@@ -285,7 +285,7 @@ def test_assembly_reuses_the_pattern_of_its_component_count(mesh):
     assert np.shares_memory(first.indices, second.indices)
     assert np.shares_memory(first.indptr, second.indptr)
     elastic = assemble_linear_elasticity(mesh, _ELASTIC).K
-    _, tangent = assemble_neo_hookean(mesh, MaterialModel("neo-hookean", E=10.0, nu=0.3),
+    _, tangent = assemble_neo_hookean(mesh, MaterialModel(E=10.0, nu=0.3),
                                       _gentle_state(mesh))
     assert np.shares_memory(elastic.indices, tangent.indices)
     assert np.shares_memory(elastic.indptr, tangent.indptr)
@@ -309,7 +309,7 @@ def test_cached_sum_equals_the_per_call_sum(mesh, monkeypatch):
     body = lambda x, y: np.stack([np.cos(x * y), x - y * y], axis=-1)
     assemble_poisson(mesh, _forcing)
     assemble_linear_elasticity(mesh, _ELASTIC, body)
-    r, K = assemble_neo_hookean(mesh, MaterialModel("neo-hookean", E=10.0, nu=0.3),
+    r, K = assemble_neo_hookean(mesh, MaterialModel(E=10.0, nu=0.3),
                                 _gentle_state(mesh))
     assert [args[1] for args, _ in calls] == [1, 2, 2]
     assert calls[-1][1].f is r and calls[-1][1].K is K
@@ -408,7 +408,7 @@ def test_field_difference_matches_per_point_locate(pair):
 def test_inverting_one_element_raises_from_assembly_and_guard():
     model = largedef_model(0, weak=True)
     mesh = model.weak_mesh()
-    mat = MaterialModel("neo-hookean", E=10.0, nu=0.3)
+    mat = MaterialModel(E=10.0, nu=0.3)
     state = np.zeros(mesh.ndof * 2)
     assert all(np.allclose(F, np.eye(2)) and np.allclose(J, 1.0)
                for F, J in deformation_gradients(mesh, state))
@@ -715,7 +715,7 @@ def _block_points(mesh, quad_extra):
 
 def test_cell_callables_are_called_once_per_block(mesh):
     # each call gets every point of one block: (x, y) of the block's shape
-    mat = MaterialModel("linear-elastic", E=7.0, nu=0.3)
+    mat = MaterialModel(E=7.0, nu=0.3)
     forcing = _Counted(_forcing)
     body = _Counted(lambda x, y: np.stack([x, y * y], axis=-1))
     assemble_poisson(mesh, forcing)

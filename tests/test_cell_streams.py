@@ -177,7 +177,7 @@ def reference_cell_blocks(mesh, quad_extra=1, grad=True):
             ev = fem._rational(B, dB, 1.0 / h,
                                np.stack([c.ophom for c in cells]),
                                np.stack([c.geo_ophom for c in cells]),
-                               np.stack([c.geo_pts for c in cells]), grad)
+                               np.stack([c.geo_pts for c in cells]), grad, True)
             ev["xi"] = lo[:, None, :] + h[:, None, :] * t
             ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
             yield index, np.stack([c.rows for c in cells]), ev
@@ -307,7 +307,7 @@ def test_cell_blocks_match_regrouped_cells(mesh_fn, monkeypatch):
         lambda: gen_square_two_patch((3, 2), False, 4, 0, dual_refine=2),
         lambda: gen_annulus_two_patch((2, 3), 1, dual_refine=1),
         lambda: gen_plate_hole(3, False, 0, dual_refine=1),
-        lambda: largedef_model(1),
+        lambda: largedef_model(1, weak=True),
     ],
 )
 def test_named_models_match_reference(model_fn):

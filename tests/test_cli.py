@@ -559,6 +559,16 @@ def test_unknown_case_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_setting_the_case_ignores_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["mesh", "--case", "largedef-case1", "--p", "5", "--n", "3", "--mismatched",
+                 "--ratio", "7:9", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "largedef-case1 fixes p = 2, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_header_and_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

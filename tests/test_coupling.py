@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, reject
 from hypothesis import strategies as st
@@ -286,15 +287,15 @@ def test_merged_breakpoints_matched_ratio():
 
 
 def test_merged_breakpoints_demo(demo_model):
-    coup = demo_model.couplings[0]
-    assert np.allclose(coup.merged, [0, 1 / 3, 0.5, 2 / 3, 1], atol=1e-12)
+    merged = project_master_knots(demo_model.couplings[0].phi)
+    assert np.allclose(merged, [0, 1 / 3, 0.5, 2 / 3, 1], atol=1e-12)
 
 
 def test_projected_knots_satisfy_phi_inverse():
     model = gen_square_two_patch((2, 3), matched=False, level=0)
     coup = model.couplings[0]
     master_bp = coup.phi.master.kv.breakpoints()[1:-1]
-    projected = [x for x in coup.merged
+    projected = [x for x in project_master_knots(coup.phi)
                  if np.min(np.abs(coup.phi.slave.kv.breakpoints() - x)) > 1e-9]
     assert len(projected) == len(master_bp)
     for xi, eta in zip(projected, master_bp):
@@ -439,7 +440,7 @@ def test_condense_reads_the_numbering_of_its_mesh(side_by_side):
     assert condense(system, weak) is system
     with pytest.raises(ValueError, match="does not match"):
         condense(system, mortar)
-    vector = assemble_linear_elasticity(mortar, MaterialModel("linear-elastic"))
+    vector = assemble_linear_elasticity(mortar, MaterialModel())
     red = condense(vector, mortar)
     assert red.nrows == 2 * weak.ndof
     with pytest.raises(ValueError, match="does not match"):
@@ -495,6 +496,31 @@ def test_saddle_blocks(side_by_side):
     # master block carries the coupling matrix
     G = model.couplings[0].coupling.std
     assert np.abs(Bm[:, m].toarray() - G).max() < 1e-14
+
+
+def test_prolongation_and_saddle_blocks_share_one_constraint_product():
+    # P's trace rows are (G_i E_i) P and Bm stacks G_i E_i, bit for bit; on
+    # this plate every master edge function is retained, so E_i selects them
+    model = gen_plate_hole(3, False, 1, 1234, 1)
+    n, nr = model.ndof_full, model.n_retained
+    GE = []
+    for coup in model.couplings:
+        mp, ms = coup.spec.master
+        ids = model.grids[mp][side_index(ms)]
+        E = sp.csr_matrix((np.ones(ids.size), (np.arange(ids.size), ids)), shape=(ids.size, n))
+        GE.append(sp.csr_matrix(coup.coupling.std) @ E)
+    ident = sp.identity(nr, format="csr")
+    P0 = sp.vstack([ident, sp.csr_matrix((n - nr, nr))], format="csr")
+    P = sp.vstack([ident] + [ge @ P0 for ge in GE], format="csr")
+    Bm = sp.vstack(GE, format="csr")
+    Bs = sp.csr_matrix((np.ones(n - nr), (np.arange(n - nr), np.arange(nr, n))),
+                       shape=(n - nr, n))
+    P.sort_indices()
+    Bm.sort_indices()
+    for got, want in zip((model.P, *model.multiplier_blocks(1)), (P, Bm, Bs)):
+        assert got.shape == want.shape
+        for a in ("indptr", "indices", "data"):
+            assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
 
 
 def test_vector_saddle_blocks_store_no_zeros():

@@ -173,7 +173,7 @@ def test_elementwise_product_is_weight_diagonal():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     dual = dual_extraction(kv)
     bp = bezier_extraction(kv)[0]
-    for w_e, a, b in zip(dual.weights, bp[:-1], bp[1:], strict=True):
+    for w_e, a, b in zip(projection_weights(kv), bp[:-1], bp[1:], strict=True):
         xs, ws = gauss_on(a, b, 4)
         M = np.zeros((3, 3))
         for x, w in zip(xs, ws):
