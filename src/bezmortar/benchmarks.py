@@ -1,5 +1,8 @@
 """Benchmark geometry, exact solutions, solvers and convergence studies.
 
+Each case is one row of the case table ``CASES``: the settings its geometry
+fixes, its model builder and what it solves.
+
 Cases
 -----
 ``square-dirichlet`` / ``square-mixed``
@@ -14,12 +17,15 @@ Cases
 ``largedef-case1/2/3``
     Plane-strain neo-Hookean square under dead pressure loads, comparing a
     weakly continuous mesh against a conforming mesh.
+``square-demo``
+    The small hand-checkable two-patch model; it is only meshed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,13 +62,12 @@ __all__ = [
     "PLATE_MATERIAL",
     "LARGEDEF_MATERIAL",
     "LARGEDEF_PRESSURE",
+    "CASES",
+    "CaseRow",
+    "LinearProblem",
     "BenchmarkCase",
     "ConvergenceReport",
     "rect_patch",
-    "gen_square_two_patch",
-    "gen_annulus_two_patch",
-    "gen_plate_hole",
-    "gen_demo_two_patch",
     "exact_plate_stress",
     "kirsch_cartesian",
     "plate_traction_residual",
@@ -70,6 +75,7 @@ __all__ = [
     "build_case",
     "solve_case",
     "case_error",
+    "mesh_size",
     "run_convergence",
     "interface_jump_norm",
     "run_largedef",
@@ -119,14 +125,8 @@ def _arc_controls(theta0: float, theta1: float, radius: float):
 
 
 def _refine_counts(patch: Patch2D, n1: int, n2: int) -> Patch2D:
-    """Insert uniform knots until each direction has n1 x n2 elements."""
-    new1 = [k / n1 for k in range(1, n1)]
-    new2 = [k / n2 for k in range(1, n2)]
-    old1 = patch.kvs[0].breakpoints()
-    old2 = patch.kvs[1].breakpoints()
-    add1 = [x for x in new1 if np.min(np.abs(old1 - x)) > 1e-12]
-    add2 = [x for x in new2 if np.min(np.abs(old2 - x)) > 1e-12]
-    return patch.refined(add1, add2)
+    """Split a one-element patch uniformly into n1 x n2 elements."""
+    return patch.refined([k / n1 for k in range(1, n1)], [k / n2 for k in range(1, n2)])
 
 
 def annulus_sector_patch(theta0: float, theta1: float, r0: float, r1: float,
@@ -182,99 +182,85 @@ def _perturb_edge(patch: Patch2D, side: str, magnitude: float,
     return Patch2D(patch.kvs, pts, patch.weights)
 
 
-def gen_square_two_patch(ratio=(2, 3), matched: bool = True, p: int = 2,
-                         level: int = 0, seed: int = 1234,
-                         dual_refine: int = 1) -> MultiPatchModel:
-    """Unit square split at x = 1/2 into two maximally smooth patches.
-
-    ``ratio`` gives the level-0 element counts of master and slave per
-    direction; ``level`` applies uniform knot refinement to the level-0
-    geometry.  The mismatched variant perturbs the interior interface
-    control points of both sides tangentially by 10% of the initial edge
-    element size (seeded).  The perturbed geometry is refined by knot
-    insertion, so the interface stays exactly coincident and the slave-to-
-    master reparameterization is the same smooth map on every level.
-    """
-    master = rect_patch(p, ratio[0], ratio[0], (0.0, 0.5), (0.0, 1.0))
-    slave = rect_patch(p, ratio[1], ratio[1], (0.5, 1.0), (0.0, 1.0))
-    if not matched:
-        rng = np.random.default_rng(seed)
-        master = _perturb_edge(master, "east", 0.1 / ratio[0], rng)
-        slave = _perturb_edge(slave, "west", 0.1 / ratio[1], rng)
-    master = master.refined_uniform(level)
-    slave = slave.refined_uniform(level)
-    spec = InterfaceSpec(master=(0, "east"), slave=(1, "west"))
-    return MultiPatchModel([master, slave], [spec], dual_refine)
-
-
-def gen_annulus_two_patch(ratio=(2, 3), level: int = 0,
-                          dual_refine: int = 0) -> MultiPatchModel:
-    """Quarter-ring 0.4 <= r <= 4, pi/2 <= angle <= pi, split at 3 pi / 4."""
-    master = annulus_sector_patch(math.pi / 2, 3 * math.pi / 4, 0.4, 4.0,
-                                  ratio[0], ratio[0]).refined_uniform(level)
-    slave = annulus_sector_patch(3 * math.pi / 4, math.pi, 0.4, 4.0,
-                                 ratio[1], ratio[1]).refined_uniform(level)
-    spec = InterfaceSpec(master=(0, "north"), slave=(1, "south"))
-    return MultiPatchModel([master, slave], [spec], dual_refine)
-
-
-def _plate_outer(theta: float, L: float) -> np.ndarray:
+def _plate_outer(theta: float) -> np.ndarray:
     """Outer boundary of the quarter plate at a given angle."""
     if theta <= math.pi / 4 + 1e-12:
-        return np.array([L, L * math.tan(theta)])
-    return np.array([L / math.tan(theta), L])
+        return np.array([PLATE_SIDE, PLATE_SIDE * math.tan(theta)])
+    return np.array([PLATE_SIDE / math.tan(theta), PLATE_SIDE])
 
 
-def gen_plate_hole(npatches: int = 2, matched: bool = True, level: int = 0,
-                   seed: int = 1234, dual_refine: int = 1,
-                   ratio=(2, 3)) -> MultiPatchModel:
-    """Quarter plate with a circular hole as 2 or 3 coupled ruled patches.
+# --------------------------------------------------------------------------
+# case models: (case, level) -> MultiPatchModel
 
-    The 3-patch variant splits the upper sector once more, making the middle
-    patch master on one interface and slave on the other.
+
+def _chain(sector: Callable, bounds: tuple, sides: tuple, perturbed: list, length: float):
+    """Model builder of a chain of patches, each master of the interface ``sides`` to the next.
+
+    Patch k is ``sector(case, bounds[k], bounds[k + 1], n)`` with n x n level-0
+    elements, n the master and slave counts of ``ratio`` in turn.  A mismatched
+    case moves the interior control points of the ``perturbed`` (patch, side)
+    edges tangentially by up to 10% of ``length`` / n, drawn in list order.
+    Uniform knot refinement to ``level`` follows, so the interface stays exactly
+    coincident and phi is the same smooth map on every level.
     """
-    R, L = PLATE_RADIUS, PLATE_SIDE
-    outer = lambda th: _plate_outer(th, L)
-    nm, ns = ratio
-    if npatches == 2:
-        a = ruled_sector_patch(0.0, math.pi / 4, R, outer, nm, nm)
-        b = ruled_sector_patch(math.pi / 4, math.pi / 2, R, outer, ns, ns)
-        patches = [a, b]
-        specs = [InterfaceSpec(master=(0, "north"), slave=(1, "south"))]
-        if not matched:
-            rng = np.random.default_rng(seed)
-            patches[0] = _perturb_edge(patches[0], "north", 0.1 * (L - R) / nm, rng)
-            patches[1] = _perturb_edge(patches[1], "south", 0.1 * (L - R) / ns, rng)
-    elif npatches == 3:
-        a = ruled_sector_patch(0.0, math.pi / 4, R, outer, nm, nm)
-        b = ruled_sector_patch(math.pi / 4, 3 * math.pi / 8, R, outer, ns, ns)
-        c = ruled_sector_patch(3 * math.pi / 8, math.pi / 2, R, outer, nm, nm)
-        patches = [a, b, c]
-        specs = [
-            InterfaceSpec(master=(0, "north"), slave=(1, "south")),
-            InterfaceSpec(master=(1, "north"), slave=(2, "south")),
-        ]
-        if not matched:
-            rng = np.random.default_rng(seed)
-            patches[1] = _perturb_edge(patches[1], "south", 0.1 * (L - R) / ns, rng)
-            patches[2] = _perturb_edge(patches[2], "south", 0.1 * (L - R) / nm, rng)
-    else:
-        raise ValueError("npatches must be 2 or 3")
-    patches = [q.refined_uniform(level) for q in patches]
-    return MultiPatchModel(patches, specs, dual_refine)
+    def build(case: BenchmarkCase, level: int) -> MultiPatchModel:
+        counts = [case.ratio[k % 2] for k in range(len(bounds) - 1)]
+        patches = [sector(case, a, b, n) for a, b, n in zip(bounds, bounds[1:], counts)]
+        if not case.matched:
+            rng = np.random.default_rng(case.seed)
+            for k, side in perturbed:
+                patches[k] = _perturb_edge(patches[k], side, 0.1 * length / counts[k], rng)
+        specs = [InterfaceSpec(master=(k, sides[0]), slave=(k + 1, sides[1]))
+                 for k in range(len(patches) - 1)]
+        return MultiPatchModel([q.refined_uniform(level) for q in patches], specs, case.dual_refine)
+
+    return build
 
 
-def gen_demo_two_patch(dual_refine: int = 1) -> MultiPatchModel:
+# the unit square split at x = 1/2 into two maximally smooth patches
+_SQUARE = _chain(lambda case, a, b, n: rect_patch(case.p, n, n, (a, b), (0.0, 1.0)),
+                 (0.0, 0.5, 1.0), ("east", "west"), [(0, "east"), (1, "west")], 1.0)
+# the quarter ring 0.4 <= r <= 4, pi/2 <= angle <= pi, split at 3 pi / 4
+_ANNULUS = _chain(lambda case, a, b, n: annulus_sector_patch(a, b, 0.4, 4.0, n, n),
+                  (math.pi / 2, 3 * math.pi / 4, math.pi), ("north", "south"), [], 1.0)
+
+
+def _plate(bounds: tuple, perturbed: list):
+    """The quarter plate with a hole as ruled patches between the ``bounds`` angles."""
+    return _chain(lambda case, a, b, n: ruled_sector_patch(a, b, PLATE_RADIUS, _plate_outer, n, n),
+                  bounds, ("north", "south"), perturbed, PLATE_SIDE - PLATE_RADIUS)
+
+
+def _demo(case: BenchmarkCase, level: int) -> MultiPatchModel:
     """Small stacked two-patch model (master 2x2 above a 3x2 slave).
 
     This is the canonical hand-checkable configuration: inserting the master
     knot 1/2 into the slave interface splits its middle element, and all
     interface operators have simple rational entries.
     """
+    if level != 0:
+        raise ValueError("square-demo has one fixed geometry (level 0)")
     slave = rect_patch(2, 3, 2, (0.0, 1.0), (0.0, 1.0))
     master = rect_patch(2, 2, 2, (0.0, 1.0), (1.0, 2.0))
     spec = InterfaceSpec(master=(1, "south"), slave=(0, "north"))
-    return MultiPatchModel([slave, master], [spec], dual_refine)
+    return MultiPatchModel([slave, master], [spec], case.dual_refine)
+
+
+def largedef_model(level: int, weak: bool) -> MultiPatchModel:
+    """Two-patch unit square for the pressure cases.
+
+    The weakly continuous variant keeps one extra element across the
+    interface in the vertical direction; the conforming variant matches the
+    master mesh on both sides (identity coupling, a C0 interface).
+    """
+    if level < 0:
+        raise ValueError("refinement level must be non-negative")
+    n = 2 ** (level + 1)
+    master = rect_patch(2, n, 2 * n, (0.0, 0.5), (0.0, 1.0))
+    ns = 2 * n + 1 if weak else 2 * n
+    slave = rect_patch(2, n, ns, (0.5, 1.0), (0.0, 1.0))
+    spec = InterfaceSpec(master=(0, "east"), slave=(1, "west"))
+    return MultiPatchModel([master, slave], [spec], dual_refine=1 if weak else 0)
 
 
 # --------------------------------------------------------------------------
@@ -350,55 +336,121 @@ def plate_traction_residual() -> float:
     return float(np.abs(total).max())
 
 
-def manufactured_fields(case: str):
-    """Exact solution, gradient and forcing of the manufactured cases.
-
-    Each takes coordinates (numbers or arrays of one shape); the gradient
-    returns its two components as a tuple.
-    """
-    if case.startswith("square"):
-        u = lambda x, y: np.sin(math.pi * y) * np.sinh(math.pi * x)
-        grad = lambda x, y: (
-            math.pi * np.cosh(math.pi * x) * np.sin(math.pi * y),
-            math.pi * np.sinh(math.pi * x) * np.cos(math.pi * y),
-        )
-        f = None  # harmonic
-    elif case == "annulus":
-        u = lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y)
-        grad = lambda x, y: (
-            math.pi * np.cos(math.pi * x) * np.sin(math.pi * y),
-            math.pi * np.sin(math.pi * x) * np.cos(math.pi * y),
-        )
-        f = lambda x, y: 2 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y)
-    else:
-        raise ValueError(f"no manufactured solution for case {case}")
-    return u, grad, f
+# manufactured (u, grad u, f) of the Poisson cases; each takes coordinates of
+# one shape, and the gradient returns its two components as a tuple
+_HARMONIC = (
+    lambda x, y: np.sin(math.pi * y) * np.sinh(math.pi * x),
+    lambda x, y: (math.pi * np.cosh(math.pi * x) * np.sin(math.pi * y),
+                  math.pi * np.sinh(math.pi * x) * np.cos(math.pi * y)),
+    None,  # harmonic: no forcing
+)
+_SINES = (
+    lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y),
+    lambda x, y: (math.pi * np.cos(math.pi * x) * np.sin(math.pi * y),
+                  math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)),
+    lambda x, y: 2 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y),
+)
 
 
 # --------------------------------------------------------------------------
-# cases
+# the case table
 
 
-# Each case and the settings its geometry fixes; any other value of one of
-# them would be ignored, so it is refused.  The seed is not checked: a set
-# seed cannot be told from the default one.
+class LinearProblem(NamedTuple):
+    """What a linear case solves: its system, side data and error functional."""
+
+    ncomp: int
+    assemble: Callable  # mesh -> AssembledSystem
+    dirichlet: list  # (patch, side, component, value) specs
+    neumann: list  # (patch, side, span, load) specs
+    error: Callable  # solved field -> L2 error of the case-defining quantity
+    fields: tuple | None  # manufactured (u, grad, f); None without one
+
+
+class CaseRow(NamedTuple):
+    """One case: the settings its geometry fixes, its model and what it solves."""
+
+    fixes: dict  # setting -> the one value the geometry allows
+    build: Callable  # (case, level) -> MultiPatchModel
+    linear: LinearProblem | None
+    loads: Callable | None  # pressure -> (neumann, dirichlet, corner) specs
+
+
+_zero = lambda x, y: 0.0
+
+
+def _poisson(fields: tuple, dirichlet: list, neumann: list) -> LinearProblem:
+    """Manufactured Poisson problem: u held on the ``dirichlet`` (patch, side)
+    pairs, its normal flux loading the ``neumann`` ones."""
+    u, grad, f = fields
+
+    def flux(x, n):
+        gx, gy = grad(x[..., 0], x[..., 1])
+        return gx * n[..., 0] + gy * n[..., 1]
+
+    return LinearProblem(1, lambda mesh: assemble_poisson(mesh, f),
+                         [(k, side, 0, u) for k, side in dirichlet],
+                         [(k, side, None, flux) for k, side in neumann],
+                         lambda uh: l2_error(uh, u), fields)
+
+
+def _plate_problem(npatches: int) -> LinearProblem:
+    """Plane-strain plate under the exact tractions on its outer (east) sides,
+    held on its symmetry planes; the error is that of sigma_xx."""
+    lam, mu = PLATE_MATERIAL.lam, PLATE_MATERIAL.mu
+    sigma_xx = lambda vals, grad, x: (lam + 2 * mu) * grad[..., 0, 0] + lam * grad[..., 1, 1]
+    exact = lambda x, y: kirsch_cartesian(x, y)[0]
+    return LinearProblem(2, lambda mesh: assemble_linear_elasticity(mesh, PLATE_MATERIAL),
+                         [(0, "south", 1, _zero), (npatches - 1, "north", 0, _zero)],
+                         [(k, "east", None, _kirsch_traction) for k in range(npatches)],
+                         lambda uh: l2_error(uh, exact, quantity=sigma_xx), None)
+
+
+# a constant pressure traction as a load function
+_down = lambda pressure: lambda x, n: np.array([0.0, -pressure])
+_right = lambda pressure: lambda x, n: np.array([pressure, 0.0])
+_largedef = lambda case, level: largedef_model(level, weak=True)
+
+# One row per case.  Any value but a fixed one would be ignored, so it is
+# refused; no case fixes the seed, since a set seed cannot be told from the
+# default one.
 _LARGEDEF = dict(p=2, ratio=(2, 3), matched=True, dual_refine=1)
-_CASES = {
-    "square-dirichlet": {},
-    "square-mixed": {},
-    "annulus": dict(p=2, matched=True),
-    "plate-hole-2patch": dict(p=2),
-    "plate-hole-3patch": dict(p=2),
-    "largedef-case1": _LARGEDEF,
-    "largedef-case2": _LARGEDEF,
-    "largedef-case3": _LARGEDEF,
-    "square-demo": dict(p=2, ratio=(2, 3), matched=True),
+CASES = {
+    "square-dirichlet": CaseRow({}, _SQUARE, _poisson(
+        _HARMONIC, [(0, "west"), (0, "south"), (0, "north"),
+                    (1, "east"), (1, "south"), (1, "north")], []), None),
+    "square-mixed": CaseRow({}, _SQUARE, _poisson(
+        _HARMONIC, [(0, "west"), (1, "east")],
+        [(0, "south"), (0, "north"), (1, "south"), (1, "north")]), None),
+    "annulus": CaseRow(dict(p=2, matched=True), _ANNULUS, _poisson(
+        _SINES, [(0, "south"), (1, "north")],
+        [(0, "west"), (0, "east"), (1, "west"), (1, "east")]), None),
+    "plate-hole-2patch": CaseRow(
+        dict(p=2), _plate((0.0, math.pi / 4, math.pi / 2), [(0, "north"), (1, "south")]),
+        _plate_problem(2), None),
+    "plate-hole-3patch": CaseRow(
+        dict(p=2), _plate((0.0, math.pi / 4, 3 * math.pi / 8, math.pi / 2),
+                          [(1, "south"), (2, "south")]),
+        _plate_problem(3), None),
+    "largedef-case1": CaseRow(_LARGEDEF, _largedef, None, lambda P: (
+        [(0, "north", (0.5, 1.0), _down(P)), (1, "north", (0.0, 0.5), _down(P))],
+        [(0, "south", 1, _zero), (1, "south", 1, _zero)],
+        [(0, (0, -1), 0), (1, (-1, -1), 0)])),
+    "largedef-case2": CaseRow(_LARGEDEF, _largedef, None, lambda P: (
+        [(0, "north", None, _down(P))],
+        [(0, "south", 1, _zero), (1, "south", 1, _zero), (0, "west", 0, _zero)],
+        [(1, (-1, -1), 0)])),
+    "largedef-case3": CaseRow(_LARGEDEF, _largedef, None, lambda P: (
+        [(0, "west", (0.25, 0.75), _right(P))],
+        [(1, "east", 0, _zero)],
+        [(0, (0, 0), 1), (0, (0, -1), 1)])),
+    "square-demo": CaseRow(dict(p=2, ratio=(2, 3), matched=True), _demo, None, None),
 }
 
 
 @dataclass
 class BenchmarkCase:
-    """Configuration of one benchmark family."""
+    """Configuration of one benchmark family: a row of ``CASES`` and its settings."""
 
     case: str
     p: int = 2
@@ -408,66 +460,36 @@ class BenchmarkCase:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.case not in _CASES:
+        if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}")
-        for name, value in _CASES[self.case].items():
+        for name, value in CASES[self.case].fixes.items():
             if getattr(self, name) != value:
                 raise ValueError(f"{self.case} fixes {name} = {value!r}, "
                                  f"got {getattr(self, name)!r}")
+        if self.p < 1:
+            raise ValueError(f"the spline degree p must be at least 1, got {self.p}")
+        if min(self.ratio) < 1:
+            raise ValueError(f"the ratio takes element counts of at least 1, got {self.ratio!r}")
+        if self.seed < 0:
+            raise ValueError(f"the seed must be non-negative, got {self.seed}")
         if self.dual_refine < 0:
             raise ValueError("invalid refinement configuration")
 
 
+def manufactured_fields(case: str):
+    """Exact solution, gradient and forcing of a manufactured case; each takes
+    coordinates of one shape, and the gradient returns its two components."""
+    linear = CASES[case].linear if case in CASES else None
+    if linear is None or linear.fields is None:
+        raise ValueError(f"no manufactured solution for case {case}")
+    return linear.fields
+
+
 def build_case(case: BenchmarkCase, level: int) -> MultiPatchModel:
+    """The case's model at a uniform refinement level: the one model builder."""
     if level < 0:
         raise ValueError("refinement level must be non-negative")
-    if case.case.startswith("square"):
-        if case.case == "square-demo":
-            if level != 0:
-                raise ValueError("square-demo has one fixed geometry (level 0)")
-            return gen_demo_two_patch(case.dual_refine)
-        return gen_square_two_patch(case.ratio, case.matched, case.p, level,
-                                    case.seed, case.dual_refine)
-    if case.case == "annulus":
-        return gen_annulus_two_patch(case.ratio, level, case.dual_refine)
-    if case.case.startswith("plate-hole"):
-        n = 2 if case.case.endswith("2patch") else 3
-        return gen_plate_hole(n, case.matched, level, case.seed, case.dual_refine, case.ratio)
-    if case.case.startswith("largedef"):
-        return largedef_model(level, weak=True)
-    raise ValueError(case.case)
-
-
-def _poisson_bcs(case: BenchmarkCase):
-    u, grad, f = manufactured_fields(case.case)
-
-    def flux(x, n):
-        gx, gy = grad(x[..., 0], x[..., 1])
-        return gx * n[..., 0] + gy * n[..., 1]
-
-    if case.case == "square-dirichlet":
-        diri = [(0, "west", 0, u), (0, "south", 0, u), (0, "north", 0, u),
-                (1, "east", 0, u), (1, "south", 0, u), (1, "north", 0, u)]
-        neum = []
-    elif case.case == "square-mixed":
-        diri = [(0, "west", 0, u), (1, "east", 0, u)]
-        neum = [(0, "south", None, flux), (0, "north", None, flux),
-                (1, "south", None, flux), (1, "north", None, flux)]
-    elif case.case == "annulus":
-        diri = [(0, "south", 0, u), (1, "north", 0, u)]
-        neum = [(0, "west", None, flux), (0, "east", None, flux),
-                (1, "west", None, flux), (1, "east", None, flux)]
-    else:
-        raise ValueError(case.case)
-    return u, f, diri, neum
-
-
-def _plate_bcs(npatches: int):
-    zero = lambda x, y: 0.0
-    last = npatches - 1
-    diri = [(0, "south", 1, zero), (last, "north", 0, zero)]
-    neum = [(pi, "east", None, _kirsch_traction) for pi in range(npatches)]
-    return diri, neum
+    return CASES[case.case].build(case, level)
 
 
 def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
@@ -476,25 +498,18 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
     ``saddle`` solves the mortar system with multiplier rows; ``mortar`` and
     ``weak`` condense, constrain, solve and expand on their own meshes.
     """
-    if case.case.startswith("largedef"):
-        raise ValueError("use run_largedef for the large-deformation cases")
-    if case.case == "square-demo":
-        raise ValueError("square-demo is a mesh-only case")
+    row = CASES[case.case]
+    if row.linear is None:
+        raise ValueError("use run_largedef for the large-deformation cases" if row.loads
+                         else f"{case.case} is a mesh-only case")
     if method not in ("mortar", "weak", "saddle"):
         raise ValueError(f"unknown method {method!r}")
+    problem, ncomp = row.linear, row.linear.ncomp
     model = build_case(case, level)
     mesh = model.weak_mesh() if method == "weak" else model.mortar_mesh()
-    if case.case.startswith("plate"):
-        diri, neum = _plate_bcs(len(model.patches))
-        system = assemble_linear_elasticity(mesh, PLATE_MATERIAL)
-        ncomp = 2
-        exact_u = None
-    else:
-        exact_u, f, diri, neum = _poisson_bcs(case)
-        system = assemble_poisson(mesh, f)
-        ncomp = 1
-    system.f += assemble_neumann(mesh, ncomp, neum)
-    rows = dirichlet_rows(mesh, ncomp, diri)
+    system = problem.assemble(mesh)
+    system.f += assemble_neumann(mesh, ncomp, problem.neumann)
+    rows = dirichlet_rows(mesh, ncomp, problem.dirichlet)
     if method == "saddle":
         x = linear_solve(apply_dirichlet(assemble_saddle(system, model), rows))
         values = x[: mesh.ndof * ncomp]
@@ -504,25 +519,18 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
         "field": SolutionField(mesh, values, ncomp),
         "model": model,
         "dofs": model.n_retained * ncomp,
-        "exact": exact_u,
+        "exact": problem.fields and problem.fields[0],
     }
-
-
-def _sigma_xx(mat: MaterialModel):
-    lam, mu = mat.lam, mat.mu
-
-    def quantity(vals, grad, x):
-        return (lam + 2 * mu) * grad[..., 0, 0] + lam * grad[..., 1, 1]
-
-    return quantity
 
 
 def case_error(case: BenchmarkCase, solved: dict) -> float:
     """L2 error of the case-defining quantity (u, or sigma_xx for the plate)."""
-    if case.case.startswith("plate"):
-        exact = lambda x, y: kirsch_cartesian(x, y)[0]
-        return l2_error(solved["field"], exact, quantity=_sigma_xx(PLATE_MATERIAL))
-    return l2_error(solved["field"], solved["exact"])
+    return CASES[case.case].linear.error(solved["field"])
+
+
+def mesh_size(patches) -> float:
+    """Largest physical element diagonal over the patches."""
+    return max(p.max_element_diameter() for p in patches)
 
 
 @dataclass
@@ -551,27 +559,41 @@ class ConvergenceReport:
         return float(rates[-1])
 
 
-def run_convergence(case: BenchmarkCase, levels: int,
-                    method: str = "mortar") -> ConvergenceReport:
-    """Uniform refinement study; partial report with a flag on failure."""
+def _level_study(case: BenchmarkCase, levels: int, solve_level: Callable) -> ConvergenceReport:
+    """One report row per level from ``solve_level(level) -> (h, dofs, error)``;
+    a ``NumericalError`` ends the report with a failed row."""
     if levels < 1:
         raise ValueError("need at least one level")
     report = ConvergenceReport(case)
-    h0 = None
     for lv in range(levels):
         try:
-            solved = solve_case(case, lv, method)
-            err = case_error(case, solved)
-        except (NumericalError, ValueError) as exc:
+            h, dofs, err = solve_level(lv)
+        except NumericalError as exc:
             report.failed = True
             report.add(lv, float("nan"), 0, float("nan"), status=f"failed: {exc}")
             break
+        report.add(lv, h, dofs, err)
+    return report
+
+
+def run_convergence(case: BenchmarkCase, levels: int,
+                    method: str = "mortar") -> ConvergenceReport:
+    """Uniform refinement study of a linear case; partial report with a flag
+    on a numerical failure."""
+    if CASES[case.case].linear is None:
+        raise ValueError(f"{case.case} has no linear problem, so no convergence study")
+    h0 = []
+
+    def solve_level(lv):
+        solved = solve_case(case, lv, method)
+        err = case_error(case, solved)
         # uniform bisection halves the mesh size exactly; measuring the
         # physical diameter per level would only add parameterization noise
-        if h0 is None:
-            h0 = max(p.max_element_diameter() for p in solved["model"].patches)
-        report.add(lv, h0 / 2**lv, solved["dofs"], err)
-    return report
+        if not h0:
+            h0.append(mesh_size(solved["model"].patches))
+        return h0[0] / 2**lv, solved["dofs"], err
+
+    return _level_study(case, levels, solve_level)
 
 
 # --------------------------------------------------------------------------
@@ -608,53 +630,17 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> floa
 # large deformation
 
 
-def largedef_model(level: int, weak: bool) -> MultiPatchModel:
-    """Two-patch unit square for the pressure cases.
-
-    The weakly continuous variant keeps one extra element across the
-    interface in the vertical direction; the conforming variant matches the
-    master mesh on both sides (identity coupling, a C0 interface).
-    """
-    if level < 0:
-        raise ValueError("refinement level must be non-negative")
-    n = 2 ** (level + 1)
-    master = rect_patch(2, n, 2 * n, (0.0, 0.5), (0.0, 1.0))
-    ns = 2 * n + 1 if weak else 2 * n
-    slave = rect_patch(2, n, ns, (0.5, 1.0), (0.0, 1.0))
-    spec = InterfaceSpec(master=(0, "east"), slave=(1, "west"))
-    return MultiPatchModel([master, slave], [spec], dual_refine=1 if weak else 0)
-
-
-def _largedef_loads(case_id: str, pressure: float):
-    """Pressure side specs and homogeneous constraints of the three cases."""
-    down = lambda x, n: np.array([0.0, -pressure])
-    right = lambda x, n: np.array([pressure, 0.0])
-    zero = lambda x, y: 0.0
-    if case_id.endswith("case1"):
-        neum = [(0, "north", (0.5, 1.0), down), (1, "north", (0.0, 0.5), down)]
-        diri = [(0, "south", 1, zero), (1, "south", 1, zero)]
-        corners = [(0, (0, -1), 0), (1, (-1, -1), 0)]
-    elif case_id.endswith("case2"):
-        neum = [(0, "north", None, down)]
-        diri = [(0, "south", 1, zero), (1, "south", 1, zero), (0, "west", 0, zero)]
-        corners = [(1, (-1, -1), 0)]
-    elif case_id.endswith("case3"):
-        neum = [(0, "west", (0.25, 0.75), right)]
-        diri = [(1, "east", 0, zero)]
-        corners = [(0, (0, 0), 1), (0, (0, -1), 1)]
-    else:
-        raise ValueError(case_id)
-    return neum, diri, corners
-
-
 def run_largedef(case_id: str, level: int, increments: int, tol_factor: float,
                  weak: bool = True, *, pressure: float) -> SolutionField:
-    """Load-stepped neo-Hookean solve on the weak or conforming mesh."""
+    """Load-stepped neo-Hookean solve of a pressure case on the weak or conforming mesh."""
     if not math.isfinite(pressure):
         raise ValueError("pressure must be finite")
+    loads = CASES[case_id].loads if case_id in CASES else None
+    if loads is None:
+        raise ValueError(f"{case_id!r} is no pressure case")
     model = largedef_model(level, weak)
     mesh = model.weak_mesh()
-    neum, diri, corners = _largedef_loads(case_id, pressure)
+    neum, diri, corners = loads(pressure)
     fext = assemble_neumann(mesh, 2, neum)
     rows = dirichlet_rows(mesh, 2, diri)
     for patch, corner, comp in corners:
@@ -688,20 +674,9 @@ def field_difference_l2(field_a: SolutionField, field_b: SolutionField) -> float
 def weak_vs_conforming_relative_error(case_id: str, levels: int, increments: int,
                                       tol_factor: float, pressure: float) -> ConvergenceReport:
     """Relative displacement error between weak and conforming meshes."""
-    report = ConvergenceReport(BenchmarkCase(case_id))
-    if levels < 1:
-        raise ValueError("need at least one level")
-    for lv in range(levels):
-        try:
-            fw = run_largedef(case_id, lv, increments, tol_factor, weak=True,
-                              pressure=pressure)
-            fc = run_largedef(case_id, lv, increments, tol_factor, weak=False,
-                              pressure=pressure)
-            err = field_difference_l2(fw, fc)
-        except NumericalError as exc:
-            report.failed = True
-            report.add(lv, float("nan"), 0, float("nan"), status=f"failed: {exc}")
-            break
-        h = max(p.max_element_diameter() for p in fw.mesh.patches)
-        report.add(lv, h, fw.mesh.ndof * 2, err)
-    return report
+    def solve_level(lv):
+        fw, fc = (run_largedef(case_id, lv, increments, tol_factor, weak=weak,
+                               pressure=pressure) for weak in (True, False))
+        return mesh_size(fw.mesh.patches), fw.mesh.ndof * 2, field_difference_l2(fw, fc)
+
+    return _level_study(BenchmarkCase(case_id), levels, solve_level)

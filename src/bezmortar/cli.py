@@ -29,14 +29,16 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--case", required=True, help="benchmark case id")
-        p.add_argument("--p", type=int, default=2, help="spline degree")
-        p.add_argument("--ratio", default="2:3", help="master:slave element ratio, e.g. 2:3")
+        # a case setting that is not given takes BenchmarkCase's default
+        p.add_argument("--p", type=int, default=argparse.SUPPRESS, help="spline degree")
+        p.add_argument("--ratio", default=argparse.SUPPRESS,
+                       help="master:slave element ratio, e.g. 2:3")
         p.add_argument("--level", type=int, default=0, help="uniform refinement level")
-        p.add_argument("--n", type=int, default=1, dest="dual_refine",
+        p.add_argument("--n", type=int, default=argparse.SUPPRESS, dest="dual_refine",
                        help="dual space refinement level")
         p.add_argument("--mismatched", action="store_true",
                        help="perturb interface parameterizations")
-        p.add_argument("--seed", type=int, default=1234, help="RNG seed")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="RNG seed")
 
     mesh = sub.add_parser("mesh", help="generate a mesh file")
     common(mesh)
@@ -68,9 +70,8 @@ def _ratio(text: str):
     try:
         m, s = (int(v) for v in text.split(":"))
     except ValueError:
-        m = s = 0
-    if m < 1 or s < 1:
-        raise ValueError(f"--ratio takes M:S with positive integers M and S, got {text!r}")
+        raise ValueError(f"--ratio takes M:S with positive integers M and S, "
+                         f"got {text!r}") from None
     return m, s
 
 
@@ -79,67 +80,46 @@ def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
 
-    from .benchmarks import (
-        BenchmarkCase,
-        LARGEDEF_PRESSURE,
-        build_case,
-        case_error,
-        run_convergence,
-        run_largedef,
-        solve_case,
-    )
+    from .benchmarks import (CASES, LARGEDEF_PRESSURE, BenchmarkCase, build_case, case_error,
+                             mesh_size, run_convergence, run_largedef, solve_case)
     from .linsys import NumericalError
     from .mesh_io import convergence_csv, dump_mesh, mesh_document
 
+    settings = {k: v for k, v in vars(args).items()
+                if k in ("p", "ratio", "dual_refine", "seed")}
     try:
-        case = BenchmarkCase(
-            args.case,
-            p=args.p,
-            ratio=_ratio(args.ratio),
-            matched=not args.mismatched,
-            dual_refine=args.dual_refine,
-            seed=args.seed,
-        )
+        if "ratio" in settings:
+            settings["ratio"] = _ratio(settings["ratio"])
+        case = BenchmarkCase(args.case, matched=not args.mismatched, **settings)
     except ValueError as exc:
         ap.error(str(exc))  # exits 2
 
     try:
         if args.command == "mesh":
-            model = build_case(case, args.level)
-            doc = mesh_document(
-                model,
-                weak=args.weak,
-                meta={"case": case.case, "level": args.level, "seed": args.seed},
-            )
+            doc = mesh_document(build_case(case, args.level), weak=args.weak,
+                                meta={"case": case.case, "level": args.level, "seed": case.seed})
             with open(args.output, "w") as fh:
                 fh.write(dump_mesh(doc))
             print(f"wrote {args.output}")
             return 0
 
         if args.command == "solve":
-            if case.case.startswith("largedef"):
+            if CASES[case.case].loads:
                 if args.method != "weak":
                     ap.error("largedef cases run on the weakly continuous mesh "
                              "(use --method weak)")
                 pressure = LARGEDEF_PRESSURE if args.pressure is None else args.pressure
-                field = run_largedef(
-                    case.case, args.level, args.increments, args.tol_factor,
-                    weak=True, pressure=pressure,
-                )
-                dofs = field.mesh.ndof * 2
-                summary = [("case", case.case), ("method", "weak"),
-                           ("level", args.level), ("dofs", dofs),
-                           ("pressure", format(pressure, ".17g"))]
+                field = run_largedef(case.case, args.level, args.increments, args.tol_factor,
+                                     pressure=pressure)
+                summary = [("case", case.case), ("method", "weak"), ("level", args.level),
+                           ("dofs", field.mesh.ndof * 2), ("pressure", format(pressure, ".17g"))]
             else:
                 solved = solve_case(case, args.level, args.method)
                 field = solved["field"]
-                dofs = solved["dofs"]
-                h = max(p.max_element_diameter() for p in solved["model"].patches)
-                summary = [("case", case.case), ("method", args.method),
-                           ("level", args.level), ("dofs", dofs),
-                           ("h", format(h, ".17g"))]
-                err = case_error(case, solved)
-                summary.append(("l2_error", format(err, ".17g")))
+                summary = [("case", case.case), ("method", args.method), ("level", args.level),
+                           ("dofs", solved["dofs"]),
+                           ("h", format(mesh_size(solved["model"].patches), ".17g")),
+                           ("l2_error", format(case_error(case, solved), ".17g"))]
             coeffs = [format(float(v), ".17g") for v in field.values]
             with open(args.output + ".coeffs.json", "w") as fh:
                 fh.write("[\n" + ",\n".join(coeffs) + "\n]\n")

@@ -9,6 +9,7 @@ byte-identical and regression diffs are exact.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -202,6 +203,10 @@ def _json_constant(token: str):
 
 def load_mesh(text: str) -> dict:
     """Parse and validate a mesh document; each distinct number token is read once."""
+    # the parser's many lists and dicts hold no cycles: the cyclic collector
+    # is paused while it runs, and the caller's setting restored
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text, parse_float=_Memo(float).__getitem__,
                          parse_int=_Memo(_json_int).__getitem__,
@@ -210,6 +215,9 @@ def load_mesh(text: str) -> dict:
         raise
     except ValueError as exc:
         raise MeshFormatError("bad-json", str(exc)) from exc
+    finally:
+        if enabled:
+            gc.enable()
     validate_mesh_document(doc)
     return doc
 

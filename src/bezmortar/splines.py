@@ -457,7 +457,7 @@ class Patch2D:
         pts = hom[..., :2] / w[..., None]
         return Patch2D((kv1, kv2), pts, w)
 
-    def refined_uniform(self, levels: int = 1) -> "Patch2D":
+    def refined_uniform(self, levels: int) -> "Patch2D":
         if levels < 0:
             raise ValueError("refinement level must be non-negative")
         patch = self

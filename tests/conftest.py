@@ -8,13 +8,14 @@ settings.register_profile("bezmortar", derandomize=True, max_examples=30, deadli
 settings.load_profile("bezmortar")
 
 from bezmortar import InterfaceSpec, MultiPatchModel
-from bezmortar.benchmarks import gen_demo_two_patch, rect_patch
+from bezmortar.benchmarks import rect_patch
+from cases import case_model
 
 
 @pytest.fixture(scope="session")
 def demo_model():
     """Stacked two-patch model (3x2 slave below a 2x2 master), refined once."""
-    return gen_demo_two_patch(dual_refine=1)
+    return case_model("square-demo", 0)
 
 
 @pytest.fixture(scope="session")

@@ -24,10 +24,6 @@ from bezmortar.benchmarks import (
     BenchmarkCase,
     LARGEDEF_PRESSURE,
     PLATE_MATERIAL,
-    gen_annulus_two_patch,
-    gen_demo_two_patch,
-    gen_plate_hole,
-    gen_square_two_patch,
     interface_jump_norm,
     largedef_model,
     run_convergence,
@@ -37,6 +33,7 @@ from bezmortar.benchmarks import (
 )
 from bezmortar.fem import assemble_linear_elasticity
 from bezmortar.weakmesh import interface_operator_report
+from cases import case_model
 from test_dualbasis import assembled_gram, random_kv
 from test_weakmesh import (
     G_LOCAL,
@@ -80,7 +77,7 @@ def three_level_slope(rep):
 
 def test_criterion_1_reference_operator_reproduction():
     t0 = time.time()
-    model = gen_demo_two_patch(dual_refine=1)
+    model = case_model("square-demo", 0)
     rep = interface_operator_report(model)
     errs = {
         "coupling": np.abs(rep["coupling"] - DEMO_COUPLING).max(),
@@ -202,14 +199,14 @@ def test_criterion_7_plate_with_hole():
 def test_criterion_8_mortar_weak_equivalence_and_saddle():
     t0 = time.time()
     families = [
-        ("demo", gen_demo_two_patch(1), 1),
-        ("square-matched", gen_square_two_patch((2, 3), True, 2, 1, dual_refine=1), 1),
-        ("square-mismatched", gen_square_two_patch((2, 3), False, 3, 0, dual_refine=2), 1),
-        ("square-3:2", gen_square_two_patch((3, 2), True, 2, 0, dual_refine=1), 1),
-        ("annulus", gen_annulus_two_patch((2, 3), 0, dual_refine=1), 1),
-        ("plate-2", gen_plate_hole(2, True, 0, dual_refine=1), 2),
-        ("plate-3", gen_plate_hole(3, True, 0, dual_refine=1), 2),
-        ("plate-mismatched", gen_plate_hole(2, False, 0, dual_refine=1), 2),
+        ("demo", case_model("square-demo", 0), 1),
+        ("square-matched", case_model("square-mixed", 1), 1),
+        ("square-mismatched", case_model("square-mixed", 0, matched=False, p=3, dual_refine=2), 1),
+        ("square-3:2", case_model("square-mixed", 0, ratio=(3, 2)), 1),
+        ("annulus", case_model("annulus", 0), 1),
+        ("plate-2", case_model("plate-hole-2patch", 0), 2),
+        ("plate-3", case_model("plate-hole-3patch", 0), 2),
+        ("plate-mismatched", case_model("plate-hole-2patch", 0, matched=False), 2),
         ("largedef", largedef_model(0, weak=True), 2),
     ]
     worst = 0.0
@@ -305,7 +302,7 @@ def test_criterion_10_companion_reduced_pressure():
 def test_criterion_11_sparsity():
     t0 = time.time()
     # nonconforming 2:3 family refined to the ~14k-node scale
-    model = gen_square_two_patch((2, 3), True, 2, 5, dual_refine=1)
+    model = case_model("square-mixed", 5)
     nodes = sum(p.shape[0] * p.shape[1] for p in model.patches)
     mesh = model.mortar_mesh()
     red = condense(assemble_poisson(mesh), mesh)

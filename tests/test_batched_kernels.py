@@ -33,9 +33,6 @@ from bezmortar import (
 )
 from bezmortar.benchmarks import (
     field_difference_l2,
-    gen_annulus_two_patch,
-    gen_plate_hole,
-    gen_square_two_patch,
     kirsch_cartesian,
     largedef_model,
     manufactured_fields,
@@ -55,6 +52,7 @@ from bezmortar.splines import (
     gauss_on,
     side_index,
 )
+from cases import case_model
 
 RNG = np.random.default_rng(7)
 TOL = 1e-12
@@ -70,10 +68,9 @@ def _mixed_degree_model():
 MESHES = {
     "weak-largedef": lambda: largedef_model(1, weak=True).weak_mesh(),
     # rational patches
-    "mortar-annulus": lambda: gen_annulus_two_patch((2, 3), level=0,
-                                                    dual_refine=1).mortar_mesh(),
+    "mortar-annulus": lambda: case_model("annulus", 0).mortar_mesh(),
     # rational, three shape groups with 9, 10 and 11 rows
-    "weak-plate-3patch": lambda: gen_plate_hole(3, False, 0).weak_mesh(),
+    "weak-plate-3patch": lambda: case_model("plate-hole-3patch", 0, matched=False).weak_mesh(),
     # one group per degree
     "weak-mixed-degree": lambda: _mixed_degree_model().weak_mesh(),
 }
@@ -388,7 +385,7 @@ def _field_difference_per_point(field_a, field_b, quad_extra=2):
 
 
 def _square_mortar_weak():
-    model = gen_square_two_patch((2, 3), True, 2, 1, dual_refine=1)
+    model = case_model("square-mixed", 1)
     return model.mortar_mesh(), model.weak_mesh()
 
 
@@ -657,10 +654,10 @@ _SHEAR = lambda x, n: np.stack([x[..., 1] * n[..., 0], x[..., 0] ** 2 + n[..., 1
 
 NEUMANN_CASES = {
     "mortar-annulus-flux": (
-        lambda: gen_annulus_two_patch((2, 3), level=0, dual_refine=1).mortar_mesh(), 1,
+        lambda: case_model("annulus", 0).mortar_mesh(), 1,
         [(k, s, None, _flux) for k in (0, 1) for s in _SIDES]),
     "weak-plate-3patch-kirsch": (
-        lambda: gen_plate_hole(3, False, 0).weak_mesh(), 2,
+        lambda: case_model("plate-hole-3patch", 0, matched=False).weak_mesh(), 2,
         [(k, s, None, _kirsch) for k in (0, 1, 2) for s in _SIDES]),
     "weak-largedef-spans": (
         lambda: largedef_model(1, weak=True).weak_mesh(), 2,

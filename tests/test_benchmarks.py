@@ -12,9 +12,6 @@ from bezmortar.benchmarks import (
     ConvergenceReport,
     exact_plate_stress,
     field_difference_l2,
-    gen_annulus_two_patch,
-    gen_plate_hole,
-    gen_square_two_patch,
     interface_jump_norm,
     kirsch_cartesian,
     manufactured_fields,
@@ -27,24 +24,25 @@ from bezmortar.benchmarks import (
 from bezmortar.fem import SolutionField, l2_error
 from bezmortar.linsys import NumericalError
 from bezmortar.model import MultiPatchModel
+from cases import case_model
 
 
 # ---------------------------------------------------------------- geometry
 
 
 def test_square_level0_element_counts():
-    model = gen_square_two_patch((2, 3), True, 2, 0)
+    model = case_model("square-mixed", 0)
     assert [len(kv.breakpoints()) - 1 for kv in model.patches[0].kvs] == [2, 2]
     assert [len(kv.breakpoints()) - 1 for kv in model.patches[1].kvs] == [3, 3]
 
 
 def test_square_matched_phi_affine():
-    model = gen_square_two_patch((2, 3), True, 2, 0)
+    model = case_model("square-mixed", 0)
     assert model.couplings[0].phi.is_affine()
 
 
 def test_square_mismatched_geometry_coincident():
-    model = gen_square_two_patch((2, 3), False, 2, 1)
+    model = case_model("square-mixed", 1, matched=False)
     coup = model.couplings[0]
     assert not coup.phi.is_affine()
     for t in np.linspace(0, 1, 40):
@@ -55,7 +53,7 @@ def test_square_mismatched_geometry_coincident():
 
 
 def test_annulus_radii_and_counts():
-    model = gen_annulus_two_patch((2, 3), 0)
+    model = case_model("annulus", 0, dual_refine=0)
     for patch in model.patches:
         for side in ("west", "east", "south", "north"):
             curve = patch.boundary(side)
@@ -73,7 +71,7 @@ def test_annulus_radii_and_counts():
 
 def test_plate_hole_edge_and_defaults():
     assert (PLATE_RADIUS, PLATE_SIDE, PLATE_TENSION) == (1.0, 4.0, 10.0)
-    model = gen_plate_hole(2, True, 0)
+    model = case_model("plate-hole-2patch", 0)
     for patch in model.patches:
         hole = patch.boundary("west")
         for t in np.linspace(0, 1, 30):
@@ -81,7 +79,7 @@ def test_plate_hole_edge_and_defaults():
 
 
 def test_plate_three_patch_roles():
-    model = gen_plate_hole(3, True, 0)
+    model = case_model("plate-hole-3patch", 0)
     assert len(model.interfaces) == 2
     # the middle patch is slave of the first interface and master of the second
     assert model.interfaces[0].slave[0] == 1
@@ -93,10 +91,10 @@ def test_plate_three_patch_roles():
 
 def test_interface_coincidence_all_generators():
     for model in (
-        gen_square_two_patch((2, 3), True, 2, 1),
-        gen_square_two_patch((3, 2), False, 2, 1),
-        gen_annulus_two_patch((2, 3), 1),
-        gen_plate_hole(2, False, 1),
+        case_model("square-mixed", 1),
+        case_model("square-mixed", 1, ratio=(3, 2), matched=False),
+        case_model("annulus", 1, dual_refine=0),
+        case_model("plate-hole-2patch", 1, matched=False),
     ):
         for coup in model.couplings:
             for t in np.linspace(0, 1, 20):
@@ -325,3 +323,17 @@ def test_largedef_small_pressure_runs_and_compares():
     fc = run_largedef("largedef-case1", 0, increments=4, tol_factor=1e8, pressure=2e9, weak=False)
     er = field_difference_l2(fw, fc)
     assert 0 < er < 1e-2
+
+
+@pytest.mark.parametrize("settings", [dict(p=0), dict(ratio=(2, 0)), dict(ratio=(-1, 3)),
+                                      dict(seed=-5), dict(dual_refine=-1)])
+@pytest.mark.parametrize("case_id", ["square-mixed", "annulus", "plate-hole-3patch"])
+def test_case_refuses_an_out_of_range_setting(case_id, settings):
+    with pytest.raises(ValueError):
+        BenchmarkCase(case_id, **settings)
+
+
+@pytest.mark.parametrize("case_id", ["largedef-case2", "square-demo"])
+def test_convergence_study_refuses_a_case_without_a_linear_problem(case_id):
+    with pytest.raises(ValueError, match="no linear problem"):
+        run_convergence(BenchmarkCase(case_id), levels=1)

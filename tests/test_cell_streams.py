@@ -19,10 +19,6 @@ from hypothesis import strategies as st
 from bezmortar import InterfaceSpec, MultiPatchModel
 from bezmortar import fem
 from bezmortar.benchmarks import (
-    gen_annulus_two_patch,
-    gen_demo_two_patch,
-    gen_plate_hole,
-    gen_square_two_patch,
     largedef_model,
     rect_patch,
 )
@@ -34,6 +30,7 @@ from bezmortar.splines import (
     bernstein_transform,
     bezier_extraction,
 )
+from cases import case_model
 
 # ------------------------------------------------------- reference builder
 
@@ -280,12 +277,12 @@ def _reversed_model():
     "mesh_fn",
     [
         lambda: MultiPatchModel([rect_patch(3, 4, 3)], []).weak_mesh(),
-        lambda: gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1).mortar_mesh(),
-        lambda: gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1).weak_mesh(),
+        lambda: case_model("square-mixed", 2).mortar_mesh(),
+        lambda: case_model("square-mixed", 2).weak_mesh(),
         lambda: _reversed_model().mortar_mesh(),
         lambda: _reversed_model().weak_mesh(),
-        lambda: gen_plate_hole(3, False, 0, dual_refine=1).mortar_mesh(),
-        lambda: gen_plate_hole(3, False, 0, dual_refine=1).weak_mesh(),
+        lambda: case_model("plate-hole-3patch", 0, matched=False).mortar_mesh(),
+        lambda: case_model("plate-hole-3patch", 0, matched=False).weak_mesh(),
     ],
     ids=["single", "square-mortar", "square-weak", "reversed-mortar", "reversed-weak",
          "plate-3patch-mortar", "plate-3patch-weak"],
@@ -301,12 +298,12 @@ def test_cell_blocks_match_regrouped_cells(mesh_fn, monkeypatch):
 @pytest.mark.parametrize(
     "model_fn",
     [
-        lambda: gen_demo_two_patch(dual_refine=1),
-        lambda: gen_demo_two_patch(dual_refine=0),
-        lambda: gen_square_two_patch((2, 3), False, 3, 1, dual_refine=1),
-        lambda: gen_square_two_patch((3, 2), False, 4, 0, dual_refine=2),
-        lambda: gen_annulus_two_patch((2, 3), 1, dual_refine=1),
-        lambda: gen_plate_hole(3, False, 0, dual_refine=1),
+        lambda: case_model("square-demo", 0),
+        lambda: case_model("square-demo", 0, dual_refine=0),
+        lambda: case_model("square-mixed", 1, matched=False, p=3),
+        lambda: case_model("square-mixed", 0, ratio=(3, 2), matched=False, p=4, dual_refine=2),
+        lambda: case_model("annulus", 1),
+        lambda: case_model("plate-hole-3patch", 0, matched=False),
         lambda: largedef_model(1, weak=True),
     ],
 )

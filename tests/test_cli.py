@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -24,7 +25,8 @@ from bezmortar.mesh_io import (
     validate_mesh_document,
 )
 from bezmortar import InterfaceSpec, MultiPatchModel
-from bezmortar.benchmarks import BenchmarkCase, build_case, gen_demo_two_patch, rect_patch
+from bezmortar.benchmarks import CASES, BenchmarkCase, build_case, rect_patch
+from cases import case_model
 
 TENSOR_9 = np.array(
     [
@@ -45,14 +47,14 @@ TENSOR_9 = np.array(
 
 
 def test_roundtrip_byte_identity(tmp_path):
-    model = gen_demo_two_patch(1)
+    model = case_model("square-demo", 0)
     text = dump_mesh(mesh_document(model, weak=True))
     doc = load_mesh(text)
     assert dump_mesh(doc) == text
 
 
 def test_negative_zero_survives_a_round_trip():
-    doc = mesh_document(gen_demo_two_patch(0))
+    doc = mesh_document(case_model("square-demo", 0, dual_refine=0))
     doc["patches"][0]["control_points"][0][0] = -0.0
     text = dump_mesh(doc)
     assert "[-0, 0]" in text
@@ -62,7 +64,7 @@ def test_negative_zero_survives_a_round_trip():
 
 
 def test_document_rebuilds_model():
-    model = gen_demo_two_patch(1)
+    model = case_model("square-demo", 0)
     doc = json.loads(dump_mesh(mesh_document(model)))
     rebuilt = model_from_document(doc)
     assert rebuilt.n_retained == model.n_retained
@@ -77,7 +79,7 @@ def test_weak_payload_contains_reference_tensor_operator():
     # transverse-major reference up to row/column ordering
     from bezmortar.splines import bernstein_transform
 
-    model = gen_demo_two_patch(1)
+    model = case_model("square-demo", 0)
     doc = mesh_document(model, weak=True)
     # [1/3, 1/2] in the coordinates of the parent element [1/3, 2/3]
     M = bernstein_transform(2, np.array([0.0]), np.array([(0.5 - 1 / 3) / (2 / 3 - 1 / 3)]))[0]
@@ -109,7 +111,7 @@ def test_weak_payload_contains_reference_tensor_operator():
     ],
 )
 def test_schema_error_codes(mutate, code):
-    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     mutate(doc)
     with pytest.raises(MeshFormatError) as err:
         validate_mesh_document(doc)
@@ -117,7 +119,7 @@ def test_schema_error_codes(mutate, code):
 
 
 def test_non_string_side_is_a_schema_error():
-    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     doc["interfaces"][0]["slave"] = [0, ["north"]]
     with pytest.raises(MeshFormatError) as err:
         validate_mesh_document(doc)
@@ -145,7 +147,7 @@ def test_non_string_side_is_a_schema_error():
          "string-dual-refine", "negative-dual-refine", "string-reversed"],
 )
 def test_loader_rejects_malformed_input_with_a_code(mutate, code):
-    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     mutate(doc)
     with pytest.raises(MeshFormatError) as err:
         model_from_document(doc)
@@ -155,7 +157,7 @@ def test_loader_rejects_malformed_input_with_a_code(mutate, code):
 @pytest.mark.parametrize("degrees", [[2.5, 2], ["2", 2], [True, 2], [0, 2]],
                          ids=["fractional", "string", "bool", "zero"])
 def test_loader_rejects_degrees_that_are_not_counts(degrees):
-    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     doc["patches"][0]["degrees"] = degrees
     with pytest.raises(MeshFormatError) as err:
         load_mesh(json.dumps(doc))
@@ -177,7 +179,7 @@ def _own_slave(d):
     ids=["number", "null", "duplicate", "own-slave"],
 )
 def test_loader_rejects_bad_interface_structure(mutate):
-    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     mutate(doc)
     with pytest.raises(MeshFormatError) as err:
         load_mesh(json.dumps(doc))
@@ -190,7 +192,7 @@ def test_loader_rejects_bad_interface_structure(mutate):
 def test_cyclic_interfaces_are_a_bad_interface():
     # each patch is master on the side the other interface makes slave: the
     # schema holds, but no interface can be condensed first
-    doc = json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0))))
+    doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     (spec,) = doc["interfaces"]
     doc["interfaces"].append({"master": spec["slave"], "slave": spec["master"],
                               "reversed": False})
@@ -221,11 +223,11 @@ def test_model_reads_no_weak_cells():
     doc["weak_cells"] = "junk"
     with pytest.raises(MeshFormatError):
         validate_mesh_document(doc)
-    assert model_from_document(doc).n_retained == gen_demo_two_patch(0).n_retained
+    assert model_from_document(doc).n_retained == case_model("square-demo", 0, dual_refine=0).n_retained
 
 
 def _weak_document():
-    return json.loads(dump_mesh(mesh_document(gen_demo_two_patch(0), weak=True)))
+    return json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0), weak=True)))
 
 
 def _ragged_negative_rows(d):
@@ -273,7 +275,7 @@ def test_bad_weak_cell_names_the_first_bad_cell():
 
 
 def test_validator_accepts_the_array_matrices_of_a_new_document():
-    doc = mesh_document(gen_demo_two_patch(1), weak=True)
+    doc = mesh_document(case_model("square-demo", 0), weak=True)
     assert all(isinstance(c["matrix"], np.ndarray) for c in doc["weak_cells"])
     validate_mesh_document(doc)
     # a file's list matrices and a document's arrays may sit side by side
@@ -288,7 +290,7 @@ def test_validator_accepts_the_array_matrices_of_a_new_document():
     ids=["1-d", "missing-row", "extra-row", "float32", "int", "3-d"],
 )
 def test_validator_rejects_a_malformed_array_matrix(bad):
-    doc = mesh_document(gen_demo_two_patch(1), weak=True)
+    doc = mesh_document(case_model("square-demo", 0), weak=True)
     doc["weak_cells"][2]["matrix"] = bad(doc["weak_cells"][2]["matrix"])
     with pytest.raises(MeshFormatError, match="weak cell 2: matrix") as err:
         validate_mesh_document(doc)
@@ -301,7 +303,7 @@ def _weak_mesh_bytes(model) -> list:
 
 
 def test_document_matrices_are_read_only():
-    model = gen_demo_two_patch(1)
+    model = case_model("square-demo", 0)
     before = _weak_mesh_bytes(model)
     doc = mesh_document(model, weak=True)
     for cell in doc["weak_cells"]:
@@ -314,7 +316,7 @@ def test_document_matrices_are_read_only():
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_loader_reports_non_finite_tokens(token):
-    text = dump_mesh(mesh_document(gen_demo_two_patch(0), weak=True))
+    text = dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0), weak=True))
     for key in ('"weights": [', '"matrix": ['):
         bad = text.replace(key, key + token + ", ", 1)
         assert bad != text
@@ -441,7 +443,7 @@ def _with_list_matrices(doc: dict) -> dict:
 
 @pytest.mark.parametrize(
     "model",
-    [lambda: gen_demo_two_patch(1),
+    [lambda: case_model("square-demo", 0),
      lambda: build_case(BenchmarkCase("square-mixed", p=4, ratio=(6, 9), matched=False,
                                       dual_refine=2), 0)],
     ids=["demo-two-patch", "square-mixed-p4"],
@@ -454,7 +456,7 @@ def test_array_matrices_dump_as_their_lists(model):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_writer_refuses_non_finite_numbers(bad):
     # JSON has no NaN or Infinity: the file would not load back
-    doc = mesh_document(gen_demo_two_patch(0))
+    doc = mesh_document(case_model("square-demo", 0, dual_refine=0))
     doc["patches"][0]["control_points"][1][0] = bad
     for part in (doc, [[0.5, bad]], [bad], bad, np.float64(bad)):
         with pytest.raises(MeshFormatError) as err:
@@ -475,7 +477,7 @@ def test_generated_document_round_trip_is_byte_identical(matrix, points):
     # integral floats are written without a fraction and read back as ints;
     # the next dump writes them the same way.  The rows have many lengths,
     # and a weak cell's matrix rows share one, so each row is its own cell.
-    doc = mesh_document(gen_demo_two_patch(0))
+    doc = mesh_document(case_model("square-demo", 0, dual_refine=0))
     doc["patches"][0]["control_points"][:len(points)] = [list(p) for p in points]
     doc["weak_cells"] = [{"patch": 0, "rect": [[0.0, 0.5], [0.0, 1.0]],
                           "rows": [k], "matrix": [row]} for k, row in enumerate(matrix)]
@@ -505,7 +507,7 @@ def test_round_trip_converts_each_distinct_number_once(monkeypatch):
         return missing(memo, key)
 
     monkeypatch.setattr(mesh_io._Memo, "__missing__", counted)
-    doc = mesh_document(gen_demo_two_patch(1), weak=True)
+    doc = mesh_document(case_model("square-demo", 0), weak=True)
     text = dump_mesh(doc)
     floats = _floats_in(doc)
     assert len(calls) == len({struct.pack("d", v) for v in floats}) < len(floats)
@@ -515,6 +517,30 @@ def test_round_trip_converts_each_distinct_number_once(monkeypatch):
     json.loads(text, parse_float=tokens.add, parse_int=tokens.add)
     load_mesh(text)
     assert sorted(calls) == sorted(tokens)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_mesh_pauses_and_restores_the_collector(monkeypatch, enabled):
+    seen, parse = [], json.loads
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", recording)
+    text = dump_mesh(mesh_document(case_model("square-demo", 0)))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        load_mesh(text)
+        assert gc.isenabled() is enabled
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh("{")
+        assert err.value.code == "bad-json"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 # ---------------------------------------------------------------------- CLI
@@ -612,31 +638,54 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["--case", "square-mixed", "--level", "-1"],
-        ["--case", "largedef-case1", "--method", "weak", "--level", "-1"],
-        ["--case", "largedef-case1", "--method", "weak", "--increments", "0"],
+        ["solve", "--case", "square-mixed", "--level", "-1"],
+        ["solve", "--case", "largedef-case1", "--method", "weak", "--level", "-1"],
+        ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "0"],
         # would accept the unsolved (zero) state
-        ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
+        ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
          "--tol-factor", "0.5"],
         # would run to max_iter and report a numerical failure
-        ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
+        ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
          "--tol-factor", "nan"],
-        ["--case", "largedef-case1", "--method", "weak", "--increments", "1",
+        ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
          "--pressure", "nan"],
-        ["--case", "square-mixed", "--ratio", "abc"],
-        ["--case", "square-mixed", "--ratio", "2:0"],
-        ["--case", "square-mixed", "--ratio", "2"],
+        ["solve", "--case", "square-mixed", "--ratio", "abc"],
+        ["solve", "--case", "square-mixed", "--ratio", "2:0"],
+        ["solve", "--case", "square-mixed", "--ratio", "2"],
+        # no linear problem to study
+        ["converge", "--case", "largedef-case1"],
+        ["converge", "--case", "square-demo"],
+        # settings out of range for every case
+        ["converge", "--case", "square-mixed", "--p", "0"],
+        ["converge", "--case", "square-mixed", "--mismatched", "--seed", "-5"],
     ],
 )
 def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
-    prefix = tmp_path / "bad"
     try:
-        code = run_cli(["solve", *args, "-o", str(prefix)])
+        code = run_cli([*args, "-o", str(tmp_path / "bad")])
     except SystemExit as exc:  # a malformed option, reported as a usage error
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "bad.coeffs.json").exists()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve", "converge"])
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_every_case_runs_every_command(tmp_path, case_id, command, capsys):
+    # every row of the case table, a new one included: each command either
+    # succeeds or refuses the case as a usage error, never as a numerical
+    # failure and never with an uncaught exception
+    row = CASES[case_id]
+    pressure = ["--method", "weak", "--increments", "1", "--pressure", "1e9"] if row.loads else []
+    args = {"mesh": ["--level", "0"], "solve": ["--level", "0", *pressure],
+            "converge": ["--levels", "1"]}[command]
+    runs = command == "mesh" or row.linear is not None or (command == "solve" and row.loads)
+    code = run_cli([command, "--case", case_id, *args, "-o", str(tmp_path / "out")])
+    assert code == (0 if runs else 2)
+    if not runs:
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("level", ["-1", "2"])
@@ -647,4 +696,4 @@ def test_square_demo_takes_only_level_0(tmp_path, level, capsys):
     assert not out.exists()
     assert run_cli(["mesh", "--case", "square-demo", "--level", "0", "-o", str(out)]) == 0
     meta = {"case": "square-demo", "level": 0, "seed": 1234}
-    assert out.read_text() == dump_mesh(mesh_document(gen_demo_two_patch(1), meta=meta))
+    assert out.read_text() == dump_mesh(mesh_document(case_model("square-demo", 0), meta=meta))

@@ -27,10 +27,6 @@ from bezmortar import (
 from bezmortar.benchmarks import (
     BenchmarkCase,
     build_case,
-    gen_annulus_two_patch,
-    gen_demo_two_patch,
-    gen_plate_hole,
-    gen_square_two_patch,
     rect_patch,
     solve_case,
 )
@@ -45,6 +41,7 @@ from bezmortar.splines import (
     side_index,
     uniform_open_knots,
 )
+from cases import case_model
 from reference import bspline_basis, bspline_derivatives
 
 RNG = np.random.default_rng(515)
@@ -88,7 +85,7 @@ def test_phi_residual_for_speed_varying_master():
 
 
 def test_phi_mismatched_benchmark_residual():
-    model = gen_square_two_patch((2, 3), matched=False, level=0)
+    model = case_model("square-mixed", 0, matched=False)
     phi = model.couplings[0].phi
     for xi in np.linspace(0, 1, 25):
         r = np.linalg.norm(phi.master.point(phi(xi)) - phi.slave.point(xi))
@@ -252,12 +249,12 @@ def _tangentially_perturbed(model, seed):
 @pytest.mark.parametrize(
     "model_fn",
     [
-        lambda: gen_demo_two_patch(1),
-        lambda: gen_annulus_two_patch((2, 3), 1, dual_refine=1),
-        lambda: gen_annulus_two_patch((2, 3), 0, dual_refine=0),
-        lambda: gen_square_two_patch((2, 3), False, 2, 2, dual_refine=1),
-        lambda: gen_square_two_patch((6, 9), False, 4, 1, dual_refine=2),
-        lambda: gen_plate_hole(2, True, 1, dual_refine=1),
+        lambda: case_model("square-demo", 0),
+        lambda: case_model("annulus", 1),
+        lambda: case_model("annulus", 0, dual_refine=0),
+        lambda: case_model("square-mixed", 2, matched=False),
+        lambda: case_model("square-mixed", 1, ratio=(6, 9), matched=False, p=4, dual_refine=2),
+        lambda: case_model("plate-hole-2patch", 1),
     ],
     ids=["demo", "annulus", "annulus-level-0", "square-p2-mismatched",
          "square-p4-mismatched", "plate-2patch"],
@@ -292,7 +289,7 @@ def test_merged_breakpoints_demo(demo_model):
 
 
 def test_projected_knots_satisfy_phi_inverse():
-    model = gen_square_two_patch((2, 3), matched=False, level=0)
+    model = case_model("square-mixed", 0, matched=False)
     coup = model.couplings[0]
     master_bp = coup.phi.master.kv.breakpoints()[1:-1]
     projected = [x for x in project_master_knots(coup.phi)
@@ -340,7 +337,7 @@ def test_refine_level_two_bisects():
 def test_dof_count_invariant_under_dual_refinement():
     counts = []
     for n in (0, 1, 2):
-        model = gen_square_two_patch((2, 3), matched=False, level=1, dual_refine=n)
+        model = case_model("square-mixed", 1, matched=False, dual_refine=n)
         counts.append(model.n_retained)
     assert counts[0] == counts[1] == counts[2]
 
@@ -383,7 +380,7 @@ def test_demo_coupling_matrix_printed_rationals(demo_model):
 
 def test_row_sums_one():
     for matched in (True, False):
-        model = gen_square_two_patch((2, 3), matched=matched, level=0, dual_refine=1)
+        model = case_model("square-mixed", 0, matched=matched)
         assert model.couplings[0].coupling.row_sum_error() < 1e-10
 
 
@@ -501,7 +498,7 @@ def test_saddle_blocks(side_by_side):
 def test_prolongation_and_saddle_blocks_share_one_constraint_product():
     # P's trace rows are (G_i E_i) P and Bm stacks G_i E_i, bit for bit; on
     # this plate every master edge function is retained, so E_i selects them
-    model = gen_plate_hole(3, False, 1, 1234, 1)
+    model = case_model("plate-hole-3patch", 1, matched=False)
     n, nr = model.ndof_full, model.n_retained
     GE = []
     for coup in model.couplings:
@@ -623,10 +620,10 @@ def test_saddle_rejects_master_edge_through_condensed_corner():
 
 
 def test_sparsity_stays_local(side_by_side):
-    model = gen_square_two_patch((2, 3), True, 2, 2, dual_refine=1)
+    model = case_model("square-mixed", 2)
     mesh = model.mortar_mesh()
     red = condense(assemble_poisson(mesh), mesh)
-    conforming = gen_square_two_patch((3, 3), True, 2, 2, dual_refine=0)
+    conforming = case_model("square-mixed", 2, ratio=(3, 3), dual_refine=0)
     conf = assemble_poisson(conforming.weak_mesh())
     assert red.K.nnz <= 1.5 * conf.K.nnz
 

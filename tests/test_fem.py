@@ -26,7 +26,7 @@ from bezmortar import (
     linear_solve,
     newton_load_stepping,
 )
-from bezmortar.benchmarks import gen_demo_two_patch, manufactured_fields, rect_patch
+from bezmortar.benchmarks import manufactured_fields, rect_patch
 from bezmortar.fem import evaluate_cell
 from bezmortar import linsys
 from bezmortar.linsys import AssembledSystem
@@ -39,6 +39,7 @@ from bezmortar.splines import (
     greville_abscissae,
     rational_table,
 )
+from cases import case_model
 from reference import bspline_basis
 
 RNG = np.random.default_rng(99)
@@ -92,7 +93,7 @@ def test_poisson_symmetry():
 
 
 def test_multipatch_linear_patch_test():
-    model = gen_demo_two_patch(1)
+    model = case_model("square-demo", 0)
     mesh = model.weak_mesh()
     u = lambda x, y: 2 * x - 3 * y + 0.5
     sides = [(0, s, 0, u) for s in ("west", "east", "south")] + [
@@ -628,7 +629,7 @@ def test_quadrature_subdivision_is_necessary():
     """Skipping the new continuity lines in the slave elements changes the
     interface stiffness measurably; honoring them keeps the weak route
     identical to the condensed mortar route."""
-    model = gen_demo_two_patch(1)
+    model = case_model("square-demo", 0)
     weak = assemble_poisson(model.weak_mesh())
     mortar = model.mortar_mesh()
     red = condense(assemble_poisson(mortar), mortar)

@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "bezmortar"
 
 # parameters with a default, over every function and lambda in src/bezmortar
-DEFAULTED_PARAMETERS = 44
+DEFAULTED_PARAMETERS = 27
 # fields of every @dataclass class in src/bezmortar
 DATACLASS_FIELDS = 52
 

@@ -44,3 +44,26 @@ def test_library_tour_names_resolve():
         for attr in attrs:
             assert hasattr(obj, attr), name
             obj = getattr(obj, attr)
+
+
+def test_option_table_matches_the_case_table():
+    # the README's "Not every case reads every option" table lists every case
+    # id once, with the settings its row of ``CASES`` fixes and no other
+    from bezmortar.benchmarks import CASES
+
+    text = README.read_text().split("Not every case reads every option", 1)[1]
+    table = text[text.index("\n| case |") + 1:].split("\n\n", 1)[0].splitlines()
+    header, _, *rows = [[c.strip() for c in line.strip("|").split("|")] for line in table]
+    readers = {
+        "`--p`": lambda v: ("p", int(v)),
+        "`--ratio`": lambda v: ("ratio", tuple(int(x) for x in v.split(":"))),
+        "`--mismatched`": lambda v: ("matched", {"not allowed": True}[v]),
+        "`--n`": lambda v: ("dual_refine", int(v)),
+    }
+    listed = []
+    for ids, *values in rows:
+        fixes = dict(readers[opt](v) for opt, v in zip(header[1:], values) if v != "read")
+        for case_id in re.findall(r"`([\w-]+)`", ids):
+            listed.append(case_id)
+            assert fixes == CASES[case_id].fixes, case_id
+    assert sorted(listed) == sorted(CASES)

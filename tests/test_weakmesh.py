@@ -9,15 +9,12 @@ from bezmortar import (
     condense,
 )
 from bezmortar.benchmarks import (
-    gen_annulus_two_patch,
-    gen_demo_two_patch,
-    gen_plate_hole,
-    gen_square_two_patch,
     rect_patch,
 )
 from bezmortar.fem import evaluate_cell
 from bezmortar.splines import side_index
 from bezmortar.weakmesh import interface_operator_report
+from cases import case_model
 from reference import bspline_basis, find_span
 from test_splines import bernstein_on
 
@@ -228,14 +225,14 @@ def test_conforming_weak_mesh_is_standard():
 @pytest.mark.parametrize(
     "model_fn",
     [
-        lambda: gen_demo_two_patch(1),
-        lambda: gen_square_two_patch((2, 3), True, 2, 0, dual_refine=0),
-        lambda: gen_square_two_patch((2, 3), False, 3, 0, dual_refine=1),
-        lambda: gen_square_two_patch((3, 2), True, 2, 1, dual_refine=2),
-        lambda: gen_annulus_two_patch((2, 3), 0, dual_refine=1),
-        lambda: gen_plate_hole(2, True, 0, dual_refine=1),
-        lambda: gen_plate_hole(3, True, 0, dual_refine=1),
-        lambda: gen_plate_hole(2, False, 0, dual_refine=2),
+        lambda: case_model("square-demo", 0),
+        lambda: case_model("square-mixed", 0, dual_refine=0),
+        lambda: case_model("square-mixed", 0, matched=False, p=3),
+        lambda: case_model("square-mixed", 1, ratio=(3, 2), dual_refine=2),
+        lambda: case_model("annulus", 0),
+        lambda: case_model("plate-hole-2patch", 0),
+        lambda: case_model("plate-hole-3patch", 0),
+        lambda: case_model("plate-hole-2patch", 0, matched=False, dual_refine=2),
     ],
 )
 def test_weak_assembly_equals_condensed_mortar(model_fn):
