@@ -33,7 +33,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=argparse.SUPPRESS, help="spline degree")
         p.add_argument("--ratio", default=argparse.SUPPRESS,
                        help="master:slave element ratio, e.g. 2:3")
-        p.add_argument("--level", type=int, default=0, help="uniform refinement level")
         p.add_argument("--n", type=int, default=argparse.SUPPRESS, dest="dual_refine",
                        help="dual space refinement level")
         p.add_argument("--mismatched", action="store_true",
@@ -56,8 +55,12 @@ def _parser() -> argparse.ArgumentParser:
                        help="override the dead-load pressure (largedef cases)")
     solve.add_argument("-o", "--output", required=True,
                        help="output prefix (.coeffs.json and .summary.csv)")
+    for p in (mesh, solve):
+        p.add_argument("--level", type=int, default=0, help="uniform refinement level")
 
-    conv = sub.add_parser("converge", help="run a convergence study")
+    # a study runs levels 0 .. --levels - 1, so it takes no --level, nor
+    # reads --level as an abbreviation of --levels
+    conv = sub.add_parser("converge", help="run a convergence study", allow_abbrev=False)
     common(conv)
     conv.add_argument("--levels", type=int, default=4)
     conv.add_argument("--method", default="mortar",

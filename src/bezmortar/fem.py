@@ -77,12 +77,16 @@ class MaterialModel:
 # --------------------------------------------------------------------------
 # cell evaluation
 #
-# A cell's basis is (ophom @ B) / sum(ophom @ B) over the tensor Bernstein
-# basis B of its rectangle, and its geometry comes from geo_ophom the same
-# way, B always tabled on the unit square.  Cells of one degree share B at
-# the reference Gauss points, so same-shaped cells take a few batched products;
-# boundary loads and point evaluation take cells of a group at their own
-# points, and ``evaluate_cell`` is the one-cell case.
+# A cell is the tensor Bernstein basis B of its rectangle, tabled on the unit
+# square, times its extraction operators (Borden et al., IJNME 2011): its
+# basis is (ophom @ B) / W, with the weight W = (1^T ophom) @ B, and its
+# geometry is rational in the homogeneous Bézier control points
+# (x w, y w, w) = geo_ophom^T @ (geo_pts, 1), one per Bernstein function.
+# Every value and derivative is then a product of B or its derivatives with
+# per-cell columns.  Cells of one degree share B at the reference Gauss
+# points, so same-shaped cells take a few batched products; boundary loads
+# and point evaluation take cells of a group at their own points, and
+# ``evaluate_cell`` is the one-cell case.
 
 # Cells, and points as one-point cells, evaluated together; bounds the
 # transient arrays of one batch.
@@ -117,49 +121,52 @@ def _reference_tables(p1: int, p2: int, n1: int, n2: int):
 
 
 def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool, jac: bool) -> dict:
-    """Rational basis and geometry of a stack of cells.
+    """Rational basis and geometry of a stack of cells from Bernstein tables.
 
     ``B`` (m, nb) holds tensor Bernstein values at points shared by the cells,
     or (nc, m, nb) at each cell's own points, and ``dB`` (2, m, nb) or
-    (2, nc, m, nb) their parametric derivatives, rescaled per cell by
-    ``scale`` (nc, 2).  The cells are stacked as ``ophom`` (nc, nr, nb),
-    ``geo_ophom`` (nc, ng, nb) and ``geo_pts`` (nc, ng, 2).  Returns the
+    (2, nc, m, nb) their derivatives on the unit square, which cell c
+    stretches by 1 / ``scale[c]`` (nc, 2).  The cells are stacked as
+    ``ophom`` (nc, nr, nb), ``geo_ophom`` (nc, ng, nb) and ``geo_pts``
+    (nc, ng, 2).  Per Bernstein function, ``Cf`` holds the field's
+    homogeneous rows and their sum, the weight W, and ``Cg`` the geometry's
+    homogeneous Bézier control point (x w, y w, w), so every value and
+    derivative is one product of a table with these columns.  Derivatives
+    are taken on the unit square: the physical gradient does not depend on
+    the stretch, so only ``jac`` and ``detJ`` are scaled.  Returns the
     :func:`evaluate_cell` keys with a leading cell axis: ``basis`` and ``x``,
     with ``jac`` also ``jac`` and ``detJ``, with ``grad`` (which needs
     ``jac``) also ``grad_phys``.
     """
-    op_t = ophom.transpose(0, 2, 1)
-    geo_t = geo_ophom.transpose(0, 2, 1)
-    vhom = B @ op_t
-    ghom = B @ geo_t
-    W = vhom.sum(axis=2)
-    Wg = ghom.sum(axis=2)
-    basis = vhom / W[:, :, None]
-    x = (ghom @ geo_pts) / Wg[:, :, None]
+    nr = ophom.shape[1]
+    op_t = np.swapaxes(ophom, 1, 2)
+    Cf = np.concatenate([op_t, op_t @ np.ones((nr, 1))], axis=2)
+    pts1 = np.concatenate([geo_pts, np.ones_like(geo_pts[..., :1])], axis=2)
+    Cg = np.swapaxes(geo_ophom, 1, 2) @ pts1
+    V, G = B @ Cf, B @ Cg
+    W = V[..., nr:]
+    basis = V[..., :nr] / W
+    x = G[..., :2] / G[..., 2:]
     out = {"basis": basis, "x": x}
     if not jac:
         return out
-    s = scale[:, None, None, :]
-    dg = np.stack([dB[0] @ geo_t, dB[1] @ geo_t], axis=3) * s
-    dWg = dg.sum(axis=2)
-    # J[c, q, k, d] = d x_k / d xi_d
-    J = (
-        np.einsum("cqnd,cnk->cqkd", dg, geo_pts)
-        - x[..., :, None] * dWg[:, :, None, :]
-    ) / Wg[:, :, None, None]
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    dB = dB.reshape((2, -1) + B.shape[-2:])
+    dG = np.moveaxis(dB @ Cg, 0, -1)
+    # J[c, q, k, d] = d x_k / d t_d = (d(x_k w) / d t_d - x_k dw / d t_d) / w
+    J = (dG[..., :2, :] - x[..., None] * dG[..., 2:, :]) / G[..., 2:, None]
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    detJ = det * (scale[:, 0] * scale[:, 1])[:, None]
     if not np.all(detJ > 0):
         raise NumericalError("non-positive geometric Jacobian")
-    out.update({"detJ": detJ, "jac": J})
+    out.update({"detJ": detJ, "jac": J * scale[:, None, None, :]})
     if not grad:
         return out
-    dv = np.stack([dB[0] @ op_t, dB[1] @ op_t], axis=3) * s
-    dW = dv.sum(axis=2)
-    dbasis = (dv - basis[..., None] * dW[:, :, None, :]) / W[:, :, None, None]
-    # d/dx_k = sum_d d/dxi_d * dxi_d/dx_k, with J^{-1} = adj(J) / det J
+    dV = dB @ Cf
+    dbasis = np.moveaxis((dV[..., :nr] - basis * dV[..., nr:]) / W, 0, -1)
+    # d/dx_k = sum_d d/dt_d * dt_d/dx_k, with J^{-1} = adj(J) / det J
     inv = np.stack([np.stack([J[..., 1, 1], -J[..., 0, 1]], axis=-1),
                     np.stack([-J[..., 1, 0], J[..., 0, 0]], axis=-1)], axis=-2)
-    inv /= detJ[..., None, None]
+    inv /= det[..., None, None]
     out["grad_phys"] = dbasis @ inv
     return out
 
@@ -230,12 +237,18 @@ def _pattern(mesh: ExtractedMesh, ncomp: int):
     if pattern is None:
         n = mesh.ndof * ncomp
         dofs = [_local_dofs(g.rows, ncomp) for g in mesh.groups]
-        keys = np.concatenate([d[:, :, None] * n + d[:, None, :] for d in dofs], axis=None)
-        uniq, slot = np.unique(keys, return_inverse=True)
-        shell = sp.csr_matrix((np.zeros(uniq.size), uniq % n,
-                               np.searchsorted(uniq, np.arange(n + 1) * n)), shape=(n, n))
-        pattern = mesh._cache[("pattern", ncomp)] = (np.concatenate(dofs, axis=None),
-                                                     shell.indptr, shell.indices, slot)
+        flat = np.concatenate(dofs, axis=None)
+        # the pattern of R^T R, R the cells' dof incidence, with its entries
+        # numbered in CSR order and read at every local (row, column) pair
+        ptr = np.r_[0, np.cumsum(np.concatenate([np.full(len(d), d.shape[1]) for d in dofs]))]
+        R = sp.csr_matrix((np.ones(flat.size), flat, ptr), shape=(ptr.size - 1, n))
+        shell = (R.T @ R).tocsr()
+        shell.sort_indices()
+        shell.data = np.arange(shell.nnz)
+        ri = np.concatenate([np.repeat(d, d.shape[1], axis=1) for d in dofs], axis=None)
+        cj = np.concatenate([np.tile(d, d.shape[1]) for d in dofs], axis=None)
+        slot = np.asarray(shell[ri, cj]).ravel()
+        pattern = mesh._cache[("pattern", ncomp)] = (flat, shell.indptr, shell.indices, slot)
         for a in pattern:
             a.setflags(write=False)
     return pattern

@@ -12,20 +12,26 @@ __all__ = ["NumericalError", "AssembledSystem", "apply_dirichlet", "linear_solve
 
 
 # Systems of at most this many rows are solved dense (see linear_solve).  Whole
-# linear_solve calls on the benchmark cases' own systems, one BLAS thread:
+# linear_solve calls on the benchmark cases' own reduced systems (square p=2-4,
+# annulus, plate with a hole), one BLAS thread, best of 16-60 calls, SuperLU
+# ordered by minimum degree on A^T + A:
 #
 #   rows (free)   dense µs   SuperLU µs
-#     36 (27)          64          271
-#     90 (81)         163          574
-#    154 (136)        292          973
-#    282 (258)       1093         1883
-#    331 (305)       1816         2075
-#    384 (356)       1708         3388
-#    564 (540)       6586         3352
-#    974 (930)      24199         8325
+#     36 (27)          43          172
+#     92 (78)          87          379
+#    154 (136)        194          784
+#    244 (232)        571         1023
+#    282 (258)        671         1137
+#    331 (305)       1065         1987
+#    384 (356)       1720         3767
+#    564 (540)       4675         3553
+#    744 (724)       9448         5318
+#    974 (930)      18359         5136
 #
-# Dense wins below about 450 rows; the bound leaves a margin below that
-# crossover and keeps the dense copy of K under 0.75 MB.
+# Dense wins up to at least 384 rows and loses from 564 on, as it did under
+# the COLAMD column ordering: minimum degree cuts the fill of the large
+# systems, not the fixed costs of the small ones.  The bound keeps its
+# margin below that crossover and keeps the dense copy of K under 0.75 MB.
 _DENSE_ROWS = 300
 
 
@@ -99,6 +105,9 @@ def linear_solve(system: AssembledSystem) -> np.ndarray:
       order, and renumbered.  SuperLU factors the block itself, in CSC
       form: its transpose, whose CSC arrays are the block's CSR arrays,
       left relative residuals above 1e-10 on the plate saddle systems.
+      Its columns are ordered by multiple minimum degree on the pattern of
+      Aᵀ + A (Liu, ACM TOMS 11, 1985), which on the benchmark meshes,
+      symmetric in pattern, keeps about half the fill of COLAMD.
 
     Raises ValueError when a constrained row lies outside the system or its
     value is not finite, and :class:`NumericalError` when factorization
@@ -138,7 +147,7 @@ def linear_solve(system: AssembledSystem) -> np.ndarray:
         np.cumsum(np.bincount(rows, minlength=nfree), out=indptr[1:])
         block = sp.csr_matrix((K.data[keep], cols, indptr), shape=(nfree, nfree))
         try:
-            sol = spla.splu(block.tocsc()).solve(rhs)
+            sol = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
         except RuntimeError as exc:
             raise NumericalError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):

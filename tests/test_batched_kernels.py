@@ -3,6 +3,8 @@
 The references walk the cells one at a time at their tensor Gauss points
 and build the matrix through a COO triplet list, as a plain extracted-element
 code would; the batched kernels must give the same systems to rounding.
+The cell kernel both share is checked on its own against the scalar
+Cox-de Boor patch evaluation of ``tests/reference.py``.
 Boundary loads are checked the same way against a loop over 1D side cells
 (each 2D cell on the side restricted to its edge functions), and every user
 callable must see the points of a block at once.
@@ -32,6 +34,7 @@ from bezmortar import (
     l2_error,
 )
 from bezmortar.benchmarks import (
+    CASES,
     field_difference_l2,
     kirsch_cartesian,
     largedef_model,
@@ -47,12 +50,15 @@ from bezmortar.fem import (
 )
 from bezmortar.splines import (
     SIDES,
+    KnotVector,
     Patch2D,
     bernstein_derivatives,
     gauss_on,
+    greville_abscissae,
     side_index,
 )
 from cases import case_model
+from reference import patch_eval
 
 RNG = np.random.default_rng(7)
 TOL = 1e-12
@@ -117,6 +123,60 @@ def _assert_same_matrix(K, ref):
 
 def _assert_close(v, ref, tol=TOL):
     assert np.abs(v - ref).max() <= tol * np.abs(ref).max()
+
+
+# ------------------------------------------- the kernel against Cox-de Boor
+
+
+@st.composite
+def single_patches(draw):
+    """Rational patches of degree 1-4 on random open knot vectors (interior
+    knots repeated up to p times), weights in [0.5, 2] and as control net the
+    Greville grid of a gently warped unit square."""
+    kvs = []
+    for _ in range(2):
+        p = draw(st.integers(1, 4))
+        interior = draw(st.lists(st.floats(0.05, 0.95), max_size=3, unique=True))
+        vals = sorted(x for x in interior for _ in range(draw(st.integers(1, p))))
+        kvs.append(KnotVector(np.concatenate([np.zeros(p + 1), vals, np.ones(p + 1)]), p))
+    g1, g2 = np.meshgrid(*(greville_abscissae(kv) for kv in kvs), indexing="ij")
+    points = np.stack([g1 + 0.1 * g1 * g2, g2 + 0.05 * np.sin(np.pi * g1)], axis=-1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Patch2D(kvs, points, rng.uniform(0.5, 2.0, points.shape[:2]))
+
+
+def _patch_reference(patch, grid, xi):
+    """``patch_eval`` at the points ``xi`` (m, 2), the basis scattered to the
+    dofs of ``grid``: x (m, 2), jac (m, 2, 2), basis (m, ndof) and grad_phys
+    (m, ndof, 2)."""
+    ndof = grid.max() + 1
+    x, jac = np.empty((len(xi), 2)), np.empty((len(xi), 2, 2))
+    basis, grad = np.zeros((len(xi), ndof)), np.zeros((len(xi), ndof, 2))
+    for q, (xi1, xi2) in enumerate(xi):
+        x[q], jac[q], (f1, f2), vals, grads = patch_eval(patch, xi1, xi2)
+        dofs = grid[f1 : f1 + vals.shape[0], f2 : f2 + vals.shape[1]].reshape(-1)
+        basis[q, dofs] = vals.reshape(-1)
+        grad[q, dofs] = grads.reshape(-1, 2) @ np.linalg.inv(jac[q])
+    return x, jac, basis, grad
+
+
+@given(single_patches())
+def test_cell_blocks_match_cox_de_boor(patch):
+    # the batched kernel against the scalar recursions of tests/reference.py,
+    # which share none of its Bezier algebra
+    mesh = MultiPatchModel([patch], []).weak_mesh()
+    grid = mesh.grids[0]
+    for quad_extra, grad in ((1, True), (2, False)):
+        for _, rows, ev in fem.cell_blocks(mesh, quad_extra, grad=grad):
+            assert ("grad_phys" in ev) == grad
+            for c in range(len(rows)):
+                x, jac, basis, grad_phys = _patch_reference(patch, grid, ev["xi"][c])
+                _assert_close(ev["x"][c], x)
+                _assert_close(ev["jac"][c], jac)
+                _assert_close(ev["detJ"][c], np.linalg.det(jac))
+                _assert_close(ev["basis"][c], basis[:, rows[c]])
+                if grad:
+                    _assert_close(ev["grad_phys"][c], grad_phys[:, rows[c]])
 
 
 def _forcing(x, y):
@@ -310,13 +370,32 @@ def test_cached_sum_equals_the_per_call_sum(mesh, monkeypatch):
                                 _gentle_state(mesh))
     assert [args[1] for args, _ in calls] == [1, 2, 2]
     assert calls[-1][1].f is r and calls[-1][1].K is K
-    for (_, ncomp, local, loads), system in calls:
+    _assert_sums_from_scratch(calls)
+
+
+def _assert_sums_from_scratch(calls):
+    """Every recorded ``_system`` call gave bitwise the K and f of the sum
+    built from scratch on the sorted unique (row, column) pairs."""
+    for (mesh, ncomp, local, loads), system in calls:
         n = mesh.ndof * ncomp
         dofs = [fem._local_dofs(rows, ncomp) for _, rows, _ in fem.cell_blocks(mesh, grad=False)]
         ref = _csr(_sparsity(dofs, n), local, n)
         for attr in ("indptr", "indices", "data"):
             assert _same_bits(getattr(system.K, attr), getattr(ref, attr))
         assert _same_bits(system.f, _vector(dofs, loads, n))
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_every_case_system_equals_the_sum_from_scratch(case_id, monkeypatch):
+    # the cached pattern on the models of the case table, both routes, one
+    # and two components
+    model = case_model(case_id, 0 if case_id == "square-demo" else 1)
+    calls = _spy(monkeypatch, "_system")
+    for mesh in (model.mortar_mesh(), model.weak_mesh()):
+        assemble_poisson(mesh, _forcing)
+        assemble_linear_elasticity(mesh, _ELASTIC, lambda x, y: np.stack([y, x * x], axis=-1))
+    assert [args[1] for args, _ in calls] == [1, 2, 1, 2]
+    _assert_sums_from_scratch(calls)
 
 
 def test_l2_error_matches_reference(mesh):

@@ -658,6 +658,8 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
         # settings out of range for every case
         ["converge", "--case", "square-mixed", "--p", "0"],
         ["converge", "--case", "square-mixed", "--mismatched", "--seed", "-5"],
+        # a study takes no single level
+        ["converge", "--case", "square-mixed", "--level", "5", "--levels", "1"],
     ],
 )
 def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):

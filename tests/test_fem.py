@@ -433,10 +433,11 @@ def test_free_block_is_the_fancy_index_selection(case):
     K, f, constraints = case
     free = np.ones(K.shape[0], dtype=bool)
     free[list(constraints)] = False
-    seen = []
+    seen, options = [], []
 
-    def factor(A, *args):
+    def factor(A, *args, **kwargs):
         seen.append(A.copy())
+        options.append(kwargs)
         raise _Factored
 
     system = AssembledSystem(K, f, 1, constraints)
@@ -459,7 +460,9 @@ def test_free_block_is_the_fancy_index_selection(case):
         assert A.dtype == float and A.shape == ref.shape
         assert A.tobytes() == ref.toarray().tobytes()
         return
-    # K[free][:, free] itself, in CSC form for SuperLU
+    # K[free][:, free] itself, in CSC form for SuperLU, ordered by minimum
+    # degree on A^T + A
+    assert options == [{"permc_spec": "MMD_AT_PLUS_A"}]
     ref = ref.tocsc()
     assert A.format == "csc" and A.shape == ref.shape
     assert np.array_equal(A.indptr, ref.indptr)
