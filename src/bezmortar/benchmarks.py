@@ -47,7 +47,6 @@ from .model import MultiPatchModel
 from .splines import (
     OutOfDomainError,
     Patch2D,
-    gauss_on,
     gauss_on_breaks,
     greville_abscissae,
     rational_table,
@@ -70,7 +69,6 @@ __all__ = [
     "rect_patch",
     "exact_plate_stress",
     "kirsch_cartesian",
-    "plate_traction_residual",
     "manufactured_fields",
     "build_case",
     "solve_case",
@@ -305,37 +303,6 @@ def _kirsch_traction(x, n):
                      sxy * n[..., 0] + syy * n[..., 1]], axis=-1)
 
 
-def plate_traction_residual() -> float:
-    """Net force of the exact tractions over the whole quarter-plate boundary.
-
-    Includes the symmetry-plane reactions; equilibrium demands (near) zero.
-    Each edge takes a 64-point Gauss rule.
-    """
-    R, L, nq = PLATE_RADIUS, PLATE_SIDE, 64
-    total = np.zeros(2)
-
-    def edge(x, n, w):
-        return w @ _kirsch_traction(x, np.broadcast_to(n, x.shape))
-
-    # x = L edge (outward +x): y from 0 to L
-    ys, wy = gauss_on(0.0, L, nq)
-    total += edge(np.column_stack([np.full(nq, L), ys]), (1.0, 0.0), wy)
-    # y = L edge (outward +y)
-    xs, wx = gauss_on(0.0, L, nq)
-    total += edge(np.column_stack([xs, np.full(nq, L)]), (0.0, 1.0), wx)
-    # x = 0 symmetry edge (outward -x), y from R to L
-    ys, wy = gauss_on(R, L, nq)
-    total += edge(np.column_stack([np.zeros(nq), ys]), (-1.0, 0.0), wy)
-    # y = 0 symmetry edge (outward -y)
-    xs, wx = gauss_on(R, L, nq)
-    total += edge(np.column_stack([xs, np.zeros(nq)]), (0.0, -1.0), wx)
-    # hole edge (outward toward the center): traction free, contributes zero
-    angs, wa = gauss_on(0.0, math.pi / 2, nq)
-    rim = np.column_stack([np.cos(angs), np.sin(angs)])
-    total += edge(R * rim, -rim, wa * R)
-    return float(np.abs(total).max())
-
-
 # manufactured (u, grad u, f) of the Poisson cases; each takes coordinates of
 # one shape, and the gradient returns its two components as a tuple
 _HARMONIC = (
@@ -550,13 +517,6 @@ class ConvergenceReport:
             {"level": level, "h": h, "dofs": dofs, "l2_error": err,
              "rate": rate, "status": status}
         )
-
-    def observed_rate(self) -> float:
-        """The last rate entry."""
-        rates = [r["rate"] for r in self.rows if r["rate"] != ""]
-        if not rates:
-            raise ValueError("no rate: fewer than two consecutive levels solved")
-        return float(rates[-1])
 
 
 def _level_study(case: BenchmarkCase, levels: int, solve_level: Callable) -> ConvergenceReport:

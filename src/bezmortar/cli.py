@@ -49,9 +49,12 @@ def _parser() -> argparse.ArgumentParser:
     common(solve)
     solve.add_argument("--method", default="mortar",
                        choices=["mortar", "weak", "saddle"])
-    solve.add_argument("--increments", type=int, default=20)
-    solve.add_argument("--tol-factor", type=float, default=1e8)
-    solve.add_argument("--pressure", type=float, default=None,
+    # a load option is in the namespace only when given, so a case it does not apply to refuses it
+    solve.add_argument("--increments", type=int, default=argparse.SUPPRESS,
+                       help="load increments (largedef cases; default 20)")
+    solve.add_argument("--tol-factor", type=float, default=argparse.SUPPRESS,
+                       help="Newton tolerance factor (largedef cases; default 1e8)")
+    solve.add_argument("--pressure", type=float, default=argparse.SUPPRESS,
                        help="override the dead-load pressure (largedef cases)")
     solve.add_argument("-o", "--output", required=True,
                        help="output prefix (.coeffs.json and .summary.csv)")
@@ -90,12 +93,19 @@ def main(argv=None) -> int:
 
     settings = {k: v for k, v in vars(args).items()
                 if k in ("p", "ratio", "dual_refine", "seed")}
+    loading = {k: v for k, v in vars(args).items()
+               if k in ("increments", "tol_factor", "pressure")}
     try:
         if "ratio" in settings:
             settings["ratio"] = _ratio(settings["ratio"])
         case = BenchmarkCase(args.case, matched=not args.mismatched, **settings)
     except ValueError as exc:
         ap.error(str(exc))  # exits 2
+    # a given option nothing would read is refused, not ignored
+    if "seed" in settings and not args.mismatched:
+        ap.error("--seed applies only with --mismatched")
+    if loading and not CASES[case.case].loads:
+        ap.error(f"--{next(iter(loading)).replace('_', '-')} applies only to a largedef case")
 
     try:
         if args.command == "mesh":
@@ -111,9 +121,9 @@ def main(argv=None) -> int:
                 if args.method != "weak":
                     ap.error("largedef cases run on the weakly continuous mesh "
                              "(use --method weak)")
-                pressure = LARGEDEF_PRESSURE if args.pressure is None else args.pressure
-                field = run_largedef(case.case, args.level, args.increments, args.tol_factor,
-                                     pressure=pressure)
+                pressure = loading.get("pressure", LARGEDEF_PRESSURE)
+                field = run_largedef(case.case, args.level, loading.get("increments", 20),
+                                     loading.get("tol_factor", 1e8), pressure=pressure)
                 summary = [("case", case.case), ("method", "weak"), ("level", args.level),
                            ("dofs", field.mesh.ndof * 2), ("pressure", format(pressure, ".17g"))]
             else:

@@ -225,17 +225,14 @@ class MultiPatchModel:
         self.patches = list(patches)
         self.interfaces = list(interfaces)
         self.dual_refine = int(dual_refine)
-        self.couplings: list[InterfaceCoupling] = []
+        npatch = len(self.patches)
         for spec in self.interfaces:
-            mp, ms = spec.master
-            sp_, ss = spec.slave
-            coup = build_interface_coupling(
-                spec,
-                self.patches[sp_].boundary(ss),
-                self.patches[mp].boundary(ms),
-                self.dual_refine,
-            )
-            self.couplings.append(coup)
+            if not all(0 <= pi < npatch for pi, _ in (spec.master, spec.slave)):
+                raise ValueError(f"interface {spec} names a patch outside 0..{npatch - 1}")
+        self.couplings: list[InterfaceCoupling] = [
+            build_interface_coupling(spec, self.patches[spec.slave[0]].boundary(spec.slave[1]),
+                                     self.patches[spec.master[0]].boundary(spec.master[1]),
+                                     self.dual_refine) for spec in self.interfaces]
         self._build_layout()
 
     # ------------------------------------------------------------------ dofs
@@ -248,35 +245,30 @@ class MultiPatchModel:
         edges); each interface then appends one trace dof per refined
         interface function (``trace_ids``).
         """
+        if {c.spec.master for c in self.couplings} & {c.spec.slave for c in self.couplings}:
+            raise ValueError("a side is master of one interface and slave of another")
         slave = [np.zeros(p.shape, dtype=bool) for p in self.patches]
         pinned = set()  # (patch, axis) of every slave side
         for coup in self.couplings:
             pi, side = coup.spec.slave
             edge = slave[pi][side_index(side)]
             if edge.any():
-                raise ValueError(
-                    "chained slave dependency: a dof is slave on two interfaces"
-                )
+                raise ValueError("chained slave dependency: a dof is slave on two interfaces")
             # opposite slave sides of a patch one element across share its elements
             axis = SIDES[side][0]
             if (pi, axis) in pinned and len(self.patches[pi].kvs[axis].breakpoints()) == 2:
                 raise ValueError("element adjacent to two slave interfaces; refine the patch")
             pinned.add((pi, axis))
             edge[...] = True
-        self.grids: list[np.ndarray] = []
-        count = 0
-        for mask in slave:
-            grid = np.full(mask.shape, -1)
-            n = int(np.count_nonzero(~mask))
-            grid[~mask] = np.arange(count, count + n)
-            count += n
-            self.grids.append(grid)
-        self.n_retained = count
-        self.trace_ids: list[np.ndarray] = []
-        for coup in self.couplings:
-            self.trace_ids.append(np.arange(count, count + coup.refined.n))
-            count += coup.refined.n
-        self.ndof_full = count
+        # each patch's retained dofs, then each interface's trace dofs, in turn
+        ends = np.cumsum([0] + [np.count_nonzero(~m) for m in slave]
+                         + [c.refined.n for c in self.couplings]).tolist()
+        self.grids: list[np.ndarray] = [np.full(m.shape, -1) for m in slave]
+        for grid, mask, a, b in zip(self.grids, slave, ends, ends[1:]):
+            grid[~mask] = np.arange(a, b)
+        self.n_retained, self.ndof_full = ends[len(slave)], ends[-1]
+        self.trace_ids: list[np.ndarray] = [np.arange(a, b) for a, b in
+                                            zip(ends[len(slave):], ends[len(slave) + 1:])]
         masters = [c.spec.master for c in self.couplings]
         fmaps = {mp: self._function_map(mp) for mp, _ in masters}
         self._constraints = [  # G_i E_i
@@ -285,10 +277,14 @@ class MultiPatchModel:
         self.P = self._prolongation()
 
     def _function_map(self, pi: int) -> sp.csr_matrix:
-        """Every tensor function of patch ``pi`` as a row over the full dofs.
+        """Every tensor function of patch ``pi`` as the row over the full dofs
+        that gives its coefficient on a master edge.
 
-        Retained functions are unit rows; a slave-edge function is its column
-        of the interface refinement operator over that interface's trace dofs.
+        Retained functions are unit rows.  A master edge meets a slave edge
+        only at a corner (no side is both), where the refined interface
+        function of that end is the only one that does not vanish: each end
+        function of a slave edge is the unit row of its end trace dof, and the
+        other slave-edge rows, which no master edge holds, are empty.
         """
         grid = self.grids[pi].reshape(-1)
         keep = np.flatnonzero(grid >= 0)
@@ -296,37 +292,43 @@ class MultiPatchModel:
         flat = _flat(self.patches[pi])
         for ci, coup in enumerate(self.couplings):
             if coup.spec.slave[0] == pi:
-                T = coup.refined.refine_op
-                r, k = np.nonzero(T)
-                rows.append(flat[side_index(coup.spec.slave[1])][k])
-                cols.append(self.trace_ids[ci][r])
-                vals.append(T[r, k])
+                rows.append(flat[side_index(coup.spec.slave[1])][[0, -1]])
+                cols.append(self.trace_ids[ci][[0, -1]])
+                vals.append(np.ones(2))
         return sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(grid.size, self.ndof_full),
         )
 
     def _prolongation(self) -> sp.csr_matrix:
-        """P with full dofs = P @ retained dofs.
+        """P with full dofs = P @ retained dofs, stacked once from one block per interface.
 
-        Interface i's trace rows are (G_i E_i) P, so they are formed once the
-        rows of every trace dof G_i E_i reaches exist: interfaces are taken in
-        dependency order.
+        Interface i's block is (G_i E_i) P: its retained columns plus, for each
+        interface j whose trace dofs it reaches (an owner array read at its
+        columns), those columns times j's block.  Each block is formed once, in
+        dependency order (Kahn's algorithm).
         """
-        ident = sp.identity(self.n_retained, format="csr")
-        blocks = [sp.csr_matrix((ids.size, self.n_retained)) for ids in self.trace_ids]
-        deps = [{cj for cj, ids in enumerate(self.trace_ids) if GE[:, ids].nnz}
-                for GE in self._constraints]
-        done: set[int] = set()
-        while len(done) < len(self.couplings):
-            ready = [ci for ci, d in enumerate(deps) if ci not in done and d <= done]
-            if not ready:
-                raise ValueError("cyclic interface dependency; cannot condense")
-            P = sp.vstack([ident] + blocks, format="csr")
-            for ci in ready:
-                blocks[ci] = self._constraints[ci] @ P
-            done.update(ready)
-        P = sp.vstack([ident] + blocks, format="csr")
+        nr, n = self.n_retained, len(self.couplings)
+        owner = np.repeat(np.arange(-1, n), [nr] + [ids.size for ids in self.trace_ids])
+        deps = [sorted(set(owner[GE.indices].tolist()) - {-1}) for GE in self._constraints]
+        users: list[list[int]] = [[] for _ in range(n)]
+        for ci, d in enumerate(deps):
+            for cj in d:
+                users[cj].append(ci)
+        waiting = [len(d) for d in deps]
+        order = [ci for ci in range(n) if not waiting[ci]]
+        blocks: list = [None] * n
+        for ci in order:  # the order grows as the blocks it waits for are formed
+            GE = self._constraints[ci]
+            blocks[ci] = sum((GE[:, self.trace_ids[cj]] @ blocks[cj] for cj in deps[ci]),
+                             GE[:, :nr])
+            for ck in users[ci]:
+                waiting[ck] -= 1
+                if not waiting[ck]:
+                    order.append(ck)
+        if len(order) < n:
+            raise ValueError("cyclic interface dependency; cannot condense")
+        P = sp.vstack([sp.identity(nr, format="csr")] + blocks, format="csr")
         P.sort_indices()  # the sparse products leave column order unsorted
         return P
 
@@ -341,9 +343,7 @@ class MultiPatchModel:
             if np.any(self.grids[mp][side_index(ms)] < 0):
                 raise ValueError("saddle assembly requires unreplaced master edges")
         Bm = sp.vstack([sp.csr_matrix((0, self.ndof_full))] + self._constraints, format="csr")
-        trace = np.arange(self.n_retained, self.ndof_full)
-        Bs = sp.csr_matrix((np.ones(trace.size), (np.arange(trace.size), trace)),
-                           shape=(trace.size, self.ndof_full))
+        Bs = sp.eye(self.ndof_full - self.n_retained, self.ndof_full, self.n_retained, format="csr")
         Bm.sort_indices()  # the sparse product leaves column order unsorted
         if ncomp > 1:
             # the CSR route stores no zeros from the identity blocks

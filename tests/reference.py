@@ -6,11 +6,17 @@ search and the Cox-de Boor recursions for basis values and derivatives
 (Piegl & Tiller, A2.1-A2.3), and a rational patch evaluation built on them.
 They read nothing of the library but a knot vector's values, so the batched
 code they check cannot also be their source.
+
+Three checks only tests use live here too: the net force of a stress field's
+tractions over the quarter plate, the last observed rate of a convergence
+report, and a model's prolongation built by rounds, restacking P after every
+round, the way the library built it before it formed each block once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from bezmortar.splines import KnotVector, OutOfDomainError
 
@@ -142,3 +148,67 @@ def patch_eval(patch, xi1: float, xi2: float):
     point = np.einsum("ij,ijk->k", vals, P)
     jac = np.einsum("ijd,ijk->kd", grads, P)
     return point, jac, (f1, f2), vals, grads
+
+
+def plate_traction_residual(stress, radius: float, side: float, nq: int = 64) -> float:
+    """Net force of the tractions of ``stress(x, y) -> (sxx, syy, sxy)`` over the
+    whole boundary of the quarter plate [0, side]^2 with a hole of ``radius``.
+
+    Includes the symmetry-plane reactions; equilibrium demands (near) zero.
+    Each edge takes an ``nq``-point Gauss rule.
+    """
+    t, w = np.polynomial.legendre.leggauss(nq)
+    total = np.zeros(2)
+
+    def edge(x, n, lo, hi):
+        """Traction force over the points ``x`` of the parameters on (lo, hi)."""
+        sxx, syy, sxy = stress(x[:, 0], x[:, 1])
+        n = np.broadcast_to(n, x.shape)
+        traction = np.column_stack([sxx * n[:, 0] + sxy * n[:, 1], sxy * n[:, 0] + syy * n[:, 1]])
+        return 0.5 * (hi - lo) * w @ traction
+
+    on = lambda lo, hi: lo + 0.5 * (hi - lo) * (t + 1)
+    flat = np.full(nq, side)
+    total += edge(np.column_stack([flat, on(0.0, side)]), (1.0, 0.0), 0.0, side)
+    total += edge(np.column_stack([on(0.0, side), flat]), (0.0, 1.0), 0.0, side)
+    # the symmetry planes x = 0 and y = 0, from the hole to the outer side
+    total += edge(np.column_stack([np.zeros(nq), on(radius, side)]), (-1.0, 0.0), radius, side)
+    total += edge(np.column_stack([on(radius, side), np.zeros(nq)]), (0.0, -1.0), radius, side)
+    # the hole, outward normal toward the center, weighted by arc length
+    rim = np.column_stack([np.cos(on(0.0, np.pi / 2)), np.sin(on(0.0, np.pi / 2))])
+    total += radius * edge(radius * rim, -rim, 0.0, np.pi / 2)
+    return float(np.abs(total).max())
+
+
+def observed_rate(report) -> float:
+    """The last rate entry of a convergence report."""
+    rates = [r["rate"] for r in report.rows if r["rate"] != ""]
+    if not rates:
+        raise ValueError("no rate: fewer than two consecutive levels solved")
+    return float(rates[-1])
+
+
+def prolongation_by_rounds(model) -> sp.csr_matrix:
+    """P of a model, its interfaces formed round by round.
+
+    An interface depends on every interface at whose trace columns its
+    constraint rows G E have an entry.  Each round takes every interface
+    whose dependencies are formed and forms its block as G E times P
+    restacked from the blocks so far; a round that forms none means a cycle.
+    """
+    ident = sp.identity(model.n_retained, format="csr")
+    blocks = [sp.csr_matrix((ids.size, model.n_retained)) for ids in model.trace_ids]
+    deps = [{cj for cj, ids in enumerate(model.trace_ids) if GE[:, ids].nnz}
+            for GE in model._constraints]
+    done: set[int] = set()
+    while len(done) < len(blocks):
+        ready = [ci for ci, d in enumerate(deps) if ci not in done and d <= done]
+        if not ready:
+            raise ValueError("cyclic interface dependency; cannot condense")
+        P = sp.vstack([ident] + blocks, format="csr")
+        for ci in ready:
+            blocks[ci] = model._constraints[ci] @ P
+        done.update(ready)
+    P = sp.vstack([ident] + blocks, format="csr")
+    P.sort_indices()
+    return P

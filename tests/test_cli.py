@@ -598,7 +598,7 @@ def test_setting_the_case_ignores_is_a_usage_error(tmp_path, capsys):
 def test_converge_header_and_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    args = ["converge", "--case", "square-mixed", "--levels", "2", "--seed", "7"]
+    args = ["converge", "--case", "square-mixed", "--levels", "2", "--mismatched", "--seed", "7"]
     assert run_cli(args + ["-o", str(a)]) == 0
     assert run_cli(args + ["-o", str(b)]) == 0
     ta, tb = a.read_bytes(), b.read_bytes()
@@ -669,6 +669,33 @@ def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        # the load options apply only to a largedef case
+        (["solve", "--case", "square-mixed", "--level", "1", "--pressure", "5"], "--pressure"),
+        (["solve", "--case", "square-mixed", "--level", "1", "--increments", "3"],
+         "--increments"),
+        (["solve", "--case", "square-mixed", "--level", "1", "--tol-factor", "7"],
+         "--tol-factor"),
+        (["solve", "--case", "annulus", "--method", "weak", "--increments", "20"],
+         "--increments"),
+        # a matched case draws no perturbation, so no seed
+        (["solve", "--case", "square-mixed", "--level", "1", "--seed", "7"], "--seed"),
+        (["mesh", "--case", "square-mixed", "--seed", "7"], "--seed"),
+        (["converge", "--case", "square-mixed", "--levels", "1", "--seed", "9"], "--seed"),
+        (["solve", "--case", "largedef-case1", "--method", "weak", "--seed", "1234"], "--seed"),
+    ],
+)
+def test_option_that_does_not_apply_exits_2(tmp_path, args, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and option in err
     assert not list(tmp_path.iterdir())
 
 

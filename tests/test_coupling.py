@@ -42,7 +42,7 @@ from bezmortar.splines import (
     uniform_open_knots,
 )
 from cases import case_model
-from reference import bspline_basis, bspline_derivatives
+from reference import bspline_basis, bspline_derivatives, prolongation_by_rounds
 
 RNG = np.random.default_rng(515)
 
@@ -581,6 +581,90 @@ def test_pinwheel_dependency_cycle_rejected():
     ]
     with pytest.raises(ValueError, match="cyclic"):
         MultiPatchModel(patches, specs, 1)
+
+
+def test_two_interface_dependency_cycle_rejected():
+    # patch 1 wraps the outside of patch 0's corner (1, 1): its south side runs
+    # down patch 0's east side and its west side along patch 0's north side, so
+    # each master edge runs through the other interface's slave corner
+    a = rect_patch(2, 2, 2)
+    u, v = a.points[..., :1], a.points[..., 1:]
+    c = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    b = Patch2D(a.kvs, (1 - u) * (1 - v) * c[0] + u * (1 - v) * c[1]
+                + (1 - u) * v * c[2] + u * v * c[3])
+    specs = [
+        InterfaceSpec(master=(0, "east"), slave=(1, "south"), reversed=True),
+        InterfaceSpec(master=(1, "west"), slave=(0, "north"), reversed=True),
+    ]
+    with pytest.raises(ValueError, match="cyclic"):
+        MultiPatchModel([a, b], specs, 1)
+
+
+def test_side_both_master_and_slave_rejected():
+    # the second interface pairs the same two sides the other way round
+    patches = [rect_patch(2, 2, 2, (float(k), k + 1.0)) for k in range(2)]
+    specs = [InterfaceSpec(master=(0, "east"), slave=(1, "west")),
+             InterfaceSpec(master=(1, "west"), slave=(0, "east"))]
+    with pytest.raises(ValueError, match="master of one interface and slave of another"):
+        MultiPatchModel(patches, specs, 1)
+
+
+@pytest.mark.parametrize("end", ["master", "slave"])
+@pytest.mark.parametrize("index", [5, -1])
+def test_interface_patch_index_out_of_range_rejected(monkeypatch, end, index):
+    # -1 would read as the last patch; the check runs before any coupling
+    patches = [rect_patch(2, 2, 2, (float(k), k + 1.0)) for k in range(2)]
+    good = {"master": (0, "east"), "slave": (1, "west")}
+    specs = [InterfaceSpec(**good), InterfaceSpec(**{**good, end: (index, good[end][1])})]
+    built = []
+    monkeypatch.setattr("bezmortar.model.build_interface_coupling",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"interface .*names a patch outside 0\.\.1"):
+        MultiPatchModel(patches, specs, 1)
+    assert not built
+
+
+def _staircase(counts, dual_refine):
+    """Unit squares climbing a staircase, patch k with ``counts[k]`` elements:
+    each is master on its east (k even) or north (k odd) side of the next, so
+    every master edge runs through the previous interface's slave corner."""
+    patches, specs, x, y = [], [], 0.0, 0.0
+    for k, (n1, n2) in enumerate(counts):
+        patches.append(rect_patch(2, n1, n2, (x, x + 1.0), (y, y + 1.0)))
+        east = k % 2 == 0
+        specs.append(InterfaceSpec(master=(k, "east" if east else "north"),
+                                   slave=(k + 1, "west" if east else "south")))
+        x, y = (x + 1.0, y) if east else (x, y + 1.0)
+    return MultiPatchModel(patches, specs[:-1], dual_refine)
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=3, max_size=9),
+       st.integers(0, 2))
+def test_staircase_dependency_chain(counts, dual_refine):
+    model = _staircase(counts, dual_refine)
+    # interface k reaches the trace dofs of interface k - 1: a chain of depth n - 2
+    for k in range(1, len(model.couplings)):
+        assert model._constraints[k][:, model.trace_ids[k - 1]].nnz
+    ref = prolongation_by_rounds(model)
+    for a in ("indptr", "indices", "data"):
+        assert getattr(model.P, a).dtype == getattr(ref, a).dtype
+        assert getattr(model.P, a).tobytes() == getattr(ref, a).tobytes()
+    # a master edge through a slave corner takes the corner's trace dof only,
+    # so the rows of P keep the partition of unity
+    assert np.abs(model.P.sum(axis=1) - 1).max() < 1e-12
+    mesh, weak_mesh = model.mortar_mesh(), model.weak_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
+    weak = assemble_poisson(weak_mesh)
+    assert spla.norm(red.K - weak.K) / spla.norm(weak.K) < 1e-12
+    # patch test, held on every side off the interfaces: linear fields, or
+    # constants on the unrefined dual space, which reproduces no linear field
+    # across a slave coarser than its master
+    u = (lambda x, y: 3 * x - 2 * y + 1) if dual_refine else (lambda x, y: 0 * x + 2.5)
+    inner = {end for spec in model.interfaces for end in (spec.master, spec.slave)}
+    sides = [(k, s, 0, u) for k in range(len(counts))
+             for s in ("west", "east", "south", "north") if (k, s) not in inner]
+    x = linear_solve(apply_dirichlet(weak, dirichlet_rows(weak_mesh, 1, sides)))
+    assert l2_error(SolutionField(weak_mesh, x, 1), u) < 1e-10
 
 
 def _corner_chain_model():
