@@ -118,12 +118,13 @@ class CompositionalMap:
             step = -g / np.where(gp <= 0.0, tangent, gp)
             eta[todo] = np.clip(eta[todo] + step, lo, hi)
             done = np.abs(step) <= 1e-12 * (hi - lo)
-            stop = todo[done]
-            gap = np.linalg.norm(curve.point(eta[stop]) - y[stop], axis=-1)
-            if np.any(gap > 1e-8 * self._scale):
-                raise InterfaceGeometryError(
-                    "interface curves do not coincide at the projected point"
-                )
+            if done.any():
+                stop = todo[done]
+                gap = np.linalg.norm(curve.point(eta[stop]) - y[stop], axis=-1)
+                if np.any(gap > 1e-8 * self._scale):
+                    raise InterfaceGeometryError(
+                        "interface curves do not coincide at the projected point"
+                    )
             todo = todo[~done]
             if not todo.size:
                 return eta

@@ -540,14 +540,18 @@ def assemble_neo_hookean(mesh: ExtractedMesh, material: MaterialModel,
     return system.f, system.K
 
 
+# Newton steps allowed per load increment before the solve fails
+_NEWTON_STEPS = 25
+
+
 def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                          external_load: np.ndarray, constraints,
-                         increments: int = 20, tol_factor: float = 1e8,
-                         max_iter: int = 25) -> np.ndarray:
+                         increments: int = 20, tol_factor: float = 1e8) -> np.ndarray:
     """Incremental Newton solve with a dead external load; returns the solved dofs.
 
     The load is scaled in ``increments`` equal steps; each step iterates
-    until the residual drops by ``tol_factor`` (with an absolute floor).
+    until the residual drops by ``tol_factor`` (with an absolute floor), in
+    at most ``_NEWTON_STEPS`` steps.
     ``external_load`` lives in the mesh numbering.  Residuals and tangents are
     reduced to the solved dofs with :func:`~bezmortar.coupling.condense` and
     iterates are expanded back with :meth:`ExtractedMesh.expand` (both act
@@ -563,8 +567,6 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     # a factor <= 1 would accept the unsolved state of every increment
     if not (math.isfinite(tol_factor) and tol_factor > 1):
         raise ValueError("tol_factor must be finite and greater than 1")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
     dred = np.zeros(2 * (mesh.ndof if mesh.P is None else mesh.P.shape[1]))
     zero = dict.fromkeys(sorted({int(r) for r, _ in constraints}), 0.0)
     free = np.setdiff1d(np.arange(dred.size), list(zero))
@@ -576,7 +578,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
         scale = inc / increments
         fext = scale * external_load
         res0 = None
-        for it in range(max_iter + 1):
+        for it in range(_NEWTON_STEPS + 1):
             red = condense(AssembledSystem(K, rint - fext, 2), mesh)
             rred, Kred = red.f, red.K
             rnorm = np.linalg.norm(rred[free])
@@ -584,7 +586,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                 res0 = rnorm
             if rnorm <= res0 / tol_factor or rnorm <= floor:
                 break
-            if it == max_iter:
+            if it == _NEWTON_STEPS:
                 raise NumericalError(
                     f"Newton did not converge in increment {inc} "
                     f"(residual {rnorm:.3e})"

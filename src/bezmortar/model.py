@@ -416,8 +416,6 @@ class MultiPatchModel:
                 plain[elements] = False
                 counts[elements] = k
             standard = _grid_cells(pi, patch, self.grids[pi], plain)
-            if np.any(standard.rows < 0):
-                raise RuntimeError("trace dof leaked into a standard element")
             first = start + np.cumsum(counts) - counts
             for t in [standard] + traces:
                 # subcells of one element are consecutive, in interface order

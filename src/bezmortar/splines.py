@@ -169,8 +169,6 @@ class KnotVector:
         head, tail = vals[: p + 1].tolist(), vals[-p - 1 :].tolist()
         if not all([isclose(v, head[0]) for v in head] + [isclose(v, tail[-1]) for v in tail]):
             raise ValueError("knot vector is not open (end multiplicity != p+1)")
-        if self.n < p + 1:
-            raise ValueError("fewer basis functions than degree allows")
 
     @property
     def n(self) -> int:

@@ -5,15 +5,18 @@ import pytest
 
 from bezmortar import OutOfDomainError
 from bezmortar.benchmarks import (
+    CASES,
     PLATE_RADIUS,
     PLATE_SIDE,
     PLATE_TENSION,
     BenchmarkCase,
     ConvergenceReport,
+    annulus_sector_patch,
     exact_plate_stress,
     field_difference_l2,
     interface_jump_norm,
     kirsch_cartesian,
+    largedef_model,
     manufactured_fields,
     run_convergence,
     run_largedef,
@@ -22,6 +25,7 @@ from bezmortar.benchmarks import (
 )
 from bezmortar.fem import SolutionField, l2_error
 from bezmortar.linsys import NumericalError
+from bezmortar.mesh_io import CSV_COLUMNS, convergence_csv
 from bezmortar.model import MultiPatchModel
 from cases import case_model
 from reference import observed_rate, plate_traction_residual
@@ -219,6 +223,20 @@ def test_partial_report_on_failure(monkeypatch):
     assert rep.failed
     assert rep.rows[-1]["status"].startswith("failed")
     assert len(rep.rows) == 2
+    # only a failed study's CSV has the status column
+    header, *rows = convergence_csv(rep).splitlines()
+    assert header == ",".join(CSV_COLUMNS + ("status",))
+    assert [row.split(",")[-1] for row in rows] == ["ok", "failed: synthetic failure"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: annulus_sector_patch(0.0, math.pi, 0.4, 4.0, 2, 2), "sweeps below 90 degrees"),
+    (lambda: manufactured_fields("plate-hole-2patch"), "no manufactured solution"),
+    (lambda: run_largedef("square-mixed", 0, 1, 1e8, pressure=1.0), "is no pressure case"),
+], ids=["half-annulus", "plate-fields", "linear-case-pressure"])
+def test_case_builders_refuse_what_they_cannot_build(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_validation_of_case_configuration():
@@ -312,6 +330,16 @@ def test_matched_refined_jump_is_tiny():
 
 
 # ------------------------------------------------------------ large rotation
+
+
+@pytest.mark.parametrize("weak", [True, False], ids=["weak", "conforming"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_largedef_corners_land_on_retained_dofs(level, weak):
+    # run_largedef constrains each corner's dof; a trace dof there has none
+    grids = largedef_model(level, weak).weak_mesh().grids
+    for case_id in ("largedef-case1", "largedef-case2", "largedef-case3"):
+        for patch, corner, _ in CASES[case_id].loads(1.0)[2]:
+            assert grids[patch][corner] >= 0, (case_id, patch, corner)
 
 
 def test_largedef_identical_meshes_zero_difference():

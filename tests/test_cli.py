@@ -141,10 +141,16 @@ def test_non_string_side_is_a_schema_error():
         (lambda d: d.update(dual_refine="x"), "bad-dual-refine"),
         (lambda d: d.update(dual_refine=-1), "bad-dual-refine"),
         (lambda d: d["interfaces"][0].update(reversed="false"), "bad-interface"),
+        (lambda d: d.update(patches=[]), "bad-format"),
+        (lambda d: [q.append(0.0) for q in d["patches"][0]["control_points"]], "bad-format"),
+        (lambda d: d["patches"][0]["weights"].pop(), "control-net-mismatch"),
+        (lambda d: d["interfaces"][0].pop("master"), "bad-interface"),
+        (lambda d: d["interfaces"][0]["master"].__setitem__(0, 7), "bad-interface"),
     ],
     ids=["nan-point", "inf-weight", "one-knot-vector", "string-weight", "ragged-point",
          "fractional-patch-index", "fractional-dual-refine", "bool-dual-refine",
-         "string-dual-refine", "negative-dual-refine", "string-reversed"],
+         "string-dual-refine", "negative-dual-refine", "string-reversed", "no-patches",
+         "three-coordinates", "missing-weight", "no-master", "master-patch-out-of-range"],
 )
 def test_loader_rejects_malformed_input_with_a_code(mutate, code):
     doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
@@ -272,6 +278,12 @@ def test_bad_weak_cell_names_the_first_bad_cell():
     doc["weak_cells"][5]["patch"] = -1
     with pytest.raises(MeshFormatError, match="weak cell 3: patch"):
         validate_mesh_document(doc)
+
+
+def test_validator_accepts_an_empty_weak_mesh():
+    doc = _weak_document()
+    doc.update(weak_cells=[], weak_dofs=0)
+    validate_mesh_document(doc)
 
 
 def test_validator_accepts_the_array_matrices_of_a_new_document():
@@ -623,6 +635,12 @@ def test_cli_entrypoint_subprocess(tmp_path):
     proc = subprocess.run([sys.executable, "-c", env_script], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+    # the module's own entry point writes the same file
+    again = tmp_path / "again.json"
+    proc = subprocess.run([sys.executable, "-m", "bezmortar.cli", "mesh", "--case", "square-demo",
+                           "-o", str(again)], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
@@ -644,7 +662,7 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
         # would accept the unsolved (zero) state
         ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
          "--tol-factor", "0.5"],
-        # would run to max_iter and report a numerical failure
+        # would run every Newton step and report a numerical failure
         ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
          "--tol-factor", "nan"],
         ["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
@@ -660,6 +678,8 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
         ["converge", "--case", "square-mixed", "--mismatched", "--seed", "-5"],
         # a study takes no single level
         ["converge", "--case", "square-mixed", "--level", "5", "--levels", "1"],
+        # a largedef case runs only on the weakly continuous mesh
+        ["solve", "--case", "largedef-case1", "--method", "mortar"],
     ],
 )
 def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
@@ -669,6 +689,17 @@ def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    # ten times the pressure of criterion 10 in one increment inverts an
+    # element at every step length the line search tries
+    code = run_cli(["solve", "--case", "largedef-case1", "--method", "weak", "--increments", "1",
+                    "--pressure", "1e12", "-o", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: element inversion in increment 1 could not be avoided\n"
     assert not list(tmp_path.iterdir())
 
 

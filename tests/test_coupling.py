@@ -93,8 +93,15 @@ def test_phi_mismatched_benchmark_residual():
 
 
 def test_phi_rejects_noncoincident_curves():
-    with pytest.raises(InterfaceGeometryError):
+    with pytest.raises(InterfaceGeometryError, match="endpoints do not coincide"):
         build_phi(line_curve(2, 2, y=0.0), line_curve(2, 2, y=1.0))
+    # same endpoints, but the master bulges away from the straight slave
+    slave = line_curve(2, 2, y=0.0)
+    master = BoundaryCurve(slave.kv, slave.points + [[0, 0], [0, 0.3], [0, 0.3], [0, 0]],
+                           slave.weights)
+    phi = build_phi(slave, master)
+    with pytest.raises(InterfaceGeometryError, match="do not coincide at the projected point"):
+        phi(0.5)
 
 
 def test_phi_reversed_orientation():
@@ -334,6 +341,12 @@ def test_refine_level_two_bisects():
     assert inner_breaks(s2, 1 / 3, 2 / 3).size == 3
 
 
+def test_negative_dual_refinement_rejected():
+    patches = [rect_patch(2, 2, 2, (0.0, 0.5)), rect_patch(2, 3, 3, (0.5, 1.0))]
+    with pytest.raises(ValueError, match="refinement level must be non-negative"):
+        MultiPatchModel(patches, [InterfaceSpec(master=(0, "east"), slave=(1, "west"))], -1)
+
+
 def test_dof_count_invariant_under_dual_refinement():
     counts = []
     for n in (0, 1, 2):
@@ -442,6 +455,16 @@ def test_condense_reads_the_numbering_of_its_mesh(side_by_side):
     assert red.nrows == 2 * weak.ndof
     with pytest.raises(ValueError, match="does not match"):
         condense(vector, weak)
+
+
+def test_condense_refuses_a_constraint_on_an_eliminated_dof(side_by_side):
+    mortar = side_by_side.mortar_mesh()
+    # the trace dofs are numbered after the retained ones
+    trace_row = mortar.ndof - 1
+    assert trace_row >= side_by_side.n_retained
+    system = apply_dirichlet(assemble_poisson(mortar), [(trace_row, 0.0)])
+    with pytest.raises(ValueError, match="constraint on an eliminated interface dof"):
+        condense(system, mortar)
 
 
 def test_condensed_block_formula(side_by_side):

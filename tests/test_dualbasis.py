@@ -119,8 +119,11 @@ def test_reconstruction_refined_subelement():
 
 
 def test_reconstruction_rejects_singular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         reconstruction_operator(np.zeros((3, 3)))
+    # LAPACK inverts a NaN matrix without complaint
+    with pytest.raises(ValueError, match="singular"):
+        reconstruction_operator(np.diag([1.0, np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------- weights
@@ -233,8 +236,10 @@ def test_rational_dual_random_weights():
 
 def test_rational_dual_rejects_bad_weights():
     kv = random_kv(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly positive"):
         rational_dual(dual_extraction(kv), np.zeros(kv.n))
+    with pytest.raises(ValueError, match="weight count does not match"):
+        rational_dual(dual_extraction(kv), np.ones(kv.n + 1))
 
 
 def test_rational_dual_rejects_nan_weight():

@@ -24,6 +24,7 @@ from bezmortar.splines import (
     _insert,
     bspline_table,
     rational_table,
+    side_index,
 )
 from reference import bspline_basis, bspline_derivatives, find_span, patch_eval
 
@@ -140,10 +141,14 @@ def test_subdivision_rows_equal_single_transforms_bitwise():
 
 
 def test_knot_vector_invariants():
-    with pytest.raises(ValueError):
-        KnotVector([0, 0, 1, 0.5, 1, 1], 2)  # decreasing
-    with pytest.raises(ValueError):
-        KnotVector([0, 0, 0.5, 1, 1], 2)  # not open
+    with pytest.raises(ValueError, match="non-decreasing"):
+        KnotVector([0, 0, 1, 0.5, 1, 1], 2)
+    with pytest.raises(ValueError, match="too few knots"):
+        KnotVector([0, 0, 0.5, 1, 1], 2)
+    with pytest.raises(ValueError, match="not open"):
+        KnotVector([0, 0.5, 0.5, 1, 1, 1], 2)
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        KnotVector([0, 0, 1, 1], 0)
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     assert kv.n == 4
     assert kv.domain == (0.0, 1.0)
@@ -469,6 +474,20 @@ def test_patch_rejects_non_finite_weights(bad):
     w[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         Patch2D((kv, kv), np.zeros((4, 4, 2)), w)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda kv: BoundaryCurve(kv, np.zeros((3, 2)), np.ones(3)), "does not match basis size"),
+    (lambda kv: BoundaryCurve(kv, np.zeros((4, 2)), np.ones(4)).derivatives(0.5, 3),
+     "up to second order"),
+    (lambda kv: side_index("up"), "side must be one of"),
+    (lambda kv: Patch2D((kv, kv), np.zeros((4, 4, 2)), np.ones((4, 5))), "weight net shape"),
+    (lambda kv: Patch2D((kv, kv), np.zeros((4, 4, 2))).refined_uniform(-1), "non-negative"),
+], ids=["curve-too-few-points", "third-derivative", "unknown-side", "weight-net-shape",
+        "negative-refinement"])
+def test_curve_and_patch_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(uniform_open_knots(2, 2))
 
 
 def test_boundary_curve_rejects_nan_weight():
