@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import InterfaceSpec, assemble_saddle, condense
+from .coupling import MAX_DUAL_REFINE, InterfaceSpec, assemble_saddle, condense
 from .fem import (
     MaterialModel,
     SolutionField,
@@ -439,8 +439,11 @@ class BenchmarkCase:
             raise ValueError(f"the ratio takes element counts of at least 1, got {self.ratio!r}")
         if self.seed < 0:
             raise ValueError(f"the seed must be non-negative, got {self.seed}")
-        if self.dual_refine < 0:
-            raise ValueError("invalid refinement configuration")
+        if not self.matched and self.p == 1 and self.ratio == (1, 1):
+            raise ValueError("a mismatched case moves interior interface control points, "
+                             "and at p = 1 with ratio 1:1 there are none")
+        if not 0 <= self.dual_refine <= MAX_DUAL_REFINE:
+            raise ValueError(f"the dual refinement level must be in 0..{MAX_DUAL_REFINE}")
 
 
 def manufactured_fields(case: str):
@@ -505,8 +508,13 @@ class ConvergenceReport:
     """Per-level mesh sizes, errors and observed rates of one study."""
 
     case: BenchmarkCase
+    method: str = "mortar"  # the route each level is solved on
     rows: list = field(default_factory=list)  # dicts: level,h,dofs,l2_error,rate,status
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        """Whether a level failed, which ends the study."""
+        return any(row["status"] != "ok" for row in self.rows)
 
     def add(self, level, h, dofs, err, status="ok"):
         rate = ""
@@ -519,17 +527,16 @@ class ConvergenceReport:
         )
 
 
-def _level_study(case: BenchmarkCase, levels: int, solve_level: Callable) -> ConvergenceReport:
-    """One report row per level from ``solve_level(level) -> (h, dofs, error)``;
-    a ``NumericalError`` ends the report with a failed row."""
+def _level_study(report: ConvergenceReport, levels: int,
+                 solve_level: Callable) -> ConvergenceReport:
+    """``report`` with one row per level from ``solve_level(level) -> (h, dofs,
+    error)``; a ``NumericalError`` ends it with a failed row."""
     if levels < 1:
         raise ValueError("need at least one level")
-    report = ConvergenceReport(case)
     for lv in range(levels):
         try:
             h, dofs, err = solve_level(lv)
         except NumericalError as exc:
-            report.failed = True
             report.add(lv, float("nan"), 0, float("nan"), status=f"failed: {exc}")
             break
         report.add(lv, h, dofs, err)
@@ -553,7 +560,7 @@ def run_convergence(case: BenchmarkCase, levels: int,
             h0.append(mesh_size(solved["model"].patches))
         return h0[0] / 2**lv, solved["dofs"], err
 
-    return _level_study(case, levels, solve_level)
+    return _level_study(ConvergenceReport(case, method), levels, solve_level)
 
 
 # --------------------------------------------------------------------------
@@ -637,4 +644,4 @@ def weak_vs_conforming_relative_error(case_id: str, levels: int, increments: int
                                pressure=pressure) for weak in (True, False))
         return mesh_size(fw.mesh.patches), fw.mesh.ndof * 2, field_difference_l2(fw, fc)
 
-    return _level_study(BenchmarkCase(case_id), levels, solve_level)
+    return _level_study(ConvergenceReport(BenchmarkCase(case_id), "weak"), levels, solve_level)

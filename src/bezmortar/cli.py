@@ -121,15 +121,20 @@ def main(argv=None) -> int:
                 if args.method != "weak":
                     ap.error("largedef cases run on the weakly continuous mesh "
                              "(use --method weak)")
-                pressure = loading.get("pressure", LARGEDEF_PRESSURE)
-                field = run_largedef(case.case, args.level, loading.get("increments", 20),
-                                     loading.get("tol_factor", 1e8), pressure=pressure)
+                loads = {"pressure": LARGEDEF_PRESSURE, "increments": 20, "tol_factor": 1e8,
+                         **loading}
+                field = run_largedef(case.case, args.level, loads["increments"],
+                                     loads["tol_factor"], pressure=loads["pressure"])
                 summary = [("case", case.case), ("method", "weak"), ("level", args.level),
-                           ("dofs", field.mesh.ndof * 2), ("pressure", format(pressure, ".17g"))]
+                           ("dofs", field.mesh.ndof * 2),
+                           *((k, format(v, ".17g")) for k, v in loads.items())]
             else:
                 solved = solve_case(case, args.level, args.method)
                 field = solved["field"]
-                summary = [("case", case.case), ("method", args.method), ("level", args.level),
+                # n is written: on a conforming interface the first dual
+                # refinement inserts no knot, so n = 0 and n = 1 solve alike
+                summary = [("case", case.case), ("method", args.method),
+                           ("n", case.dual_refine), ("level", args.level),
                            ("dofs", solved["dofs"]),
                            ("h", format(mesh_size(solved["model"].patches), ".17g")),
                            ("l2_error", format(case_error(case, solved), ".17g"))]

@@ -18,9 +18,9 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .coupling import InterfaceSpec
+from .coupling import MAX_DUAL_REFINE, InterfaceGeometryError, InterfaceSpec
 from .model import MultiPatchModel
-from .splines import SIDES, KnotVector, Patch2D
+from .splines import SIDES, KnotVector, MeshFormatError, Patch2D
 
 __all__ = [
     "MeshFormatError",
@@ -36,16 +36,8 @@ __all__ = [
 FORMAT_NAME = "bezmortar-mesh"
 FORMAT_VERSION = 1
 
-CSV_COLUMNS = ("case", "p", "ratio", "matched", "n", "level", "h", "dofs",
+CSV_COLUMNS = ("case", "method", "p", "ratio", "matched", "n", "level", "h", "dofs",
                "l2_error", "rate")
-
-
-class MeshFormatError(ValueError):
-    """Schema violation with a stable error code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 class _Memo(dict):
@@ -229,14 +221,16 @@ def validate_mesh_document(doc) -> None:
         _validate_weak_cells(doc.get("weak_cells"), doc.get("weak_dofs"), len(doc["patches"]))
 
 
-def _validate_model_fields(doc) -> None:
+def _validate_model_fields(doc) -> tuple:
     """Schema check of the fields a model is built from: patches, interfaces
-    and ``dual_refine``."""
+    and ``dual_refine``.  Returns the patches, the interface specs and the
+    level; the spline constructors check the patches' own rules."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise MeshFormatError("bad-format", "not a mesh document")
     patches = doc.get("patches")
     if not isinstance(patches, list) or not patches:
         raise MeshFormatError("bad-format", "missing patches")
+    built = []
     for k, p in enumerate(patches):
         try:
             degrees = p["degrees"]
@@ -245,45 +239,28 @@ def _validate_model_fields(doc) -> None:
             wts = _numbers(p["weights"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshFormatError("bad-format", f"patch {k}: {exc}") from exc
-        if not (isinstance(degrees, list) and len(degrees) == 2
-                and all(_is_int(d) and d >= 1 for d in degrees)):
+        if not (isinstance(degrees, list) and len(degrees) == 2 and all(map(_is_int, degrees))):
             raise MeshFormatError("bad-degree", f"patch {k}: degrees {degrees!r} are not "
-                                  "two integers >= 1")
-        p1, p2 = degrees
+                                  "two integers")
         if len(knots) != 2 or any(kv.ndim != 1 for kv in knots):
             raise MeshFormatError("bad-format", f"patch {k}: expected two knot vectors")
         if wts.ndim != 1 or (cps.size and (cps.ndim != 2 or cps.shape[1] != 2)):
             raise MeshFormatError("bad-format", f"patch {k}: control net is not a list of 2D points")
-        if not all(np.all(np.isfinite(a)) for a in (*knots, cps, wts)):
-            raise MeshFormatError("non-finite", f"patch {k}: NaN or infinite value")
-        ns = []
-        for deg, arr in zip((p1, p2), knots):
-            if np.any(np.diff(arr) < 0):
+        try:
+            kv1, kv2 = (KnotVector(kv, deg) for kv, deg in zip(knots, degrees))
+            if not len(cps) == len(wts) == kv1.n * kv2.n:
                 raise MeshFormatError(
-                    "knots-not-nondecreasing", f"patch {k}"
-                )
-            if not (
-                len(arr) >= 2 * (deg + 1)
-                and np.allclose(arr[: deg + 1], arr[0])
-                and np.allclose(arr[-deg - 1 :], arr[-1])
-            ):
-                raise MeshFormatError("knots-not-open", f"patch {k}")
-            ns.append(len(arr) - deg - 1)
-        if len(cps) != ns[0] * ns[1]:
-            raise MeshFormatError(
-                "control-net-mismatch",
-                f"patch {k}: expected {ns[0] * ns[1]} control points, got {len(cps)}",
-            )
-        if len(wts) != ns[0] * ns[1]:
-            raise MeshFormatError(
-                "control-net-mismatch", f"patch {k}: weight count mismatch"
-            )
-        if np.any(wts <= 0):
-            raise MeshFormatError("weights-nonpositive", f"patch {k}")
+                    "control-net-mismatch", f"expected {kv1.n * kv2.n} control points and "
+                    f"weights, got {len(cps)} and {len(wts)}")
+            built.append(Patch2D((kv1, kv2), cps.reshape(kv1.n, kv2.n, 2),
+                                 wts.reshape(kv1.n, kv2.n)))
+        except MeshFormatError as exc:
+            raise MeshFormatError(exc.code, f"patch {k}: "
+                                  + str(exc).removeprefix(f"{exc.code}: ")) from exc
     interfaces = doc.get("interfaces", [])
     if not isinstance(interfaces, list):
         raise MeshFormatError("bad-interface", f"interfaces {interfaces!r} is not a list")
-    slaves = set()
+    specs, slaves = [], set()
     for s in interfaces:
         try:
             mp, mside = s["master"]
@@ -297,17 +274,21 @@ def _validate_model_fields(doc) -> None:
                 raise MeshFormatError("bad-interface", f"patch index {index!r} is not an integer")
         if not (0 <= mp < len(patches) and 0 <= spatch < len(patches)):
             raise MeshFormatError("bad-interface", "patch index out of range")
-        if not isinstance(s.get("reversed", False), bool):
-            raise MeshFormatError("bad-interface", f"reversed {s['reversed']!r} is not a bool")
+        rev = s.get("reversed", False)
+        if not isinstance(rev, bool):
+            raise MeshFormatError("bad-interface", f"reversed {rev!r} is not a bool")
         if (mp, mside) == (spatch, sside):
             raise MeshFormatError("bad-interface", f"side {mside} of patch {mp} is its own slave")
         if (spatch, sside) in slaves:
             raise MeshFormatError("bad-interface",
                                   f"side {sside} of patch {spatch} is slave on two interfaces")
         slaves.add((spatch, sside))
+        specs.append(InterfaceSpec((int(mp), mside), (int(spatch), sside), rev))
     level = doc.get("dual_refine", 0)
-    if not (_is_int(level) and level >= 0):
-        raise MeshFormatError("bad-dual-refine", f"dual_refine {level!r} is not a count")
+    if not (_is_int(level) and 0 <= level <= MAX_DUAL_REFINE):
+        raise MeshFormatError("bad-dual-refine", f"dual_refine {level!r} is not a count "
+                              f"in 0..{MAX_DUAL_REFINE}")
+    return built, specs, int(level)
 
 
 def _is_int(v) -> bool:
@@ -376,26 +357,12 @@ def _numbers(values) -> np.ndarray:
 
 def model_from_document(doc: dict) -> MultiPatchModel:
     """The model a document describes; only the fields it reads are checked."""
-    _validate_model_fields(doc)
-    patches = []
-    for p in doc["patches"]:
-        p1, p2 = p["degrees"]
-        kv1 = KnotVector(np.asarray(p["knots"][0], dtype=float), p1)
-        kv2 = KnotVector(np.asarray(p["knots"][1], dtype=float), p2)
-        pts = np.asarray(p["control_points"], dtype=float).reshape(kv1.n, kv2.n, 2)
-        wts = np.asarray(p["weights"], dtype=float).reshape(kv1.n, kv2.n)
-        patches.append(Patch2D((kv1, kv2), pts, wts))
-    specs = [
-        InterfaceSpec(
-            (int(s["master"][0]), s["master"][1]),
-            (int(s["slave"][0]), s["slave"][1]),
-            s.get("reversed", False),
-        )
-        for s in doc.get("interfaces", [])
-    ]
+    patches, specs, level = _validate_model_fields(doc)
     try:
-        return MultiPatchModel(patches, specs, doc.get("dual_refine", 0))
-    except ValueError as exc:  # the dof layout refuses the interface structure
+        return MultiPatchModel(patches, specs, level)
+    except (ValueError, InterfaceGeometryError) as exc:
+        # the dof layout refuses the interface structure, or the sides it
+        # pairs do not meet
         raise MeshFormatError("bad-interface", str(exc)) from exc
 
 
@@ -409,6 +376,7 @@ def convergence_csv(report) -> str:
     for row in report.rows:
         vals = [
             case.case,
+            report.method,
             str(case.p),
             f"{case.ratio[0]}:{case.ratio[1]}",
             "true" if case.matched else "false",

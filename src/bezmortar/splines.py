@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MeshFormatError",
     "OutOfDomainError",
     "KnotVector",
     "bernstein_derivatives",
@@ -35,6 +36,14 @@ __all__ = [
     "side_index",
     "Patch2D",
 ]
+
+
+class MeshFormatError(ValueError):
+    """Invalid patch or mesh input, with a stable error code."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
 
 
 class OutOfDomainError(ValueError):
@@ -127,11 +136,6 @@ def bernstein_transform(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 KNOT_TOL = 1e-12
 
 
-def isclose(a: float, b: float) -> bool:
-    """``np.isclose`` of two floats (NaN is never close) without numpy's call cost."""
-    return a == b or abs(a - b) <= 1e-8 + 1e-5 * abs(b)
-
-
 @dataclass(frozen=True)
 class KnotVector:
     """Open knot vector with degree ``p``.
@@ -139,9 +143,11 @@ class KnotVector:
     Attributes
     ----------
     values : ndarray
-        Finite, non-decreasing knot sequence; first and last knots must have
-        multiplicity p+1.  Knots closer than ``KNOT_TOL`` to their
-        predecessor are stored as copies of it, so they form one breakpoint.
+        Finite, non-decreasing knot sequence in which no knot appears more
+        than p+1 times and the first and last knots appear exactly p+1
+        times.  Knots closer than ``KNOT_TOL`` to their predecessor are
+        stored as copies of it, so they form one breakpoint.  Other knots
+        raise :class:`MeshFormatError`.
     degree : int
     """
 
@@ -152,12 +158,12 @@ class KnotVector:
         vals = np.asarray(self.values, dtype=float)
         p = self.degree
         if p < 1:
-            raise ValueError("degree must be at least 1")
+            raise MeshFormatError("bad-degree", "degree must be at least 1")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("knots must be finite")
+            raise MeshFormatError("non-finite", "knots must be finite")
         gaps = np.diff(vals)
         if np.any(gaps < 0):
-            raise ValueError("knots must be non-decreasing")
+            raise MeshFormatError("knots-not-nondecreasing", "knots must be non-decreasing")
         if np.any((gaps > 0) & (gaps <= KNOT_TOL)):
             # a knot within KNOT_TOL of its predecessor is another copy of it
             start = np.concatenate([[True], gaps > KNOT_TOL])
@@ -165,10 +171,13 @@ class KnotVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if len(vals) < 2 * (p + 1):
-            raise ValueError("too few knots for an open knot vector")
-        head, tail = vals[: p + 1].tolist(), vals[-p - 1 :].tolist()
-        if not all([isclose(v, head[0]) for v in head] + [isclose(v, tail[-1]) for v in tail]):
-            raise ValueError("knot vector is not open (end multiplicity != p+1)")
+            raise MeshFormatError("knots-not-open", "too few knots for an open knot vector")
+        # in sorted knots, no knot appears more than p+1 times when each is
+        # below the knot p+1 places on
+        if not (vals[0] == vals[p] and vals[-p - 1] == vals[-1]
+                and np.all(vals[p + 1:] > vals[: -p - 1])):
+            raise MeshFormatError("knots-not-open", "knot vector is not open: the end knots "
+                                  "must appear p+1 times and no knot more")
 
     @property
     def n(self) -> int:
@@ -414,16 +423,18 @@ class Patch2D:
         self.points = np.asarray(points, dtype=float)
         n1, n2 = self.kvs[0].n, self.kvs[1].n
         if self.points.shape != (n1, n2, 2):
-            raise ValueError(f"control net must have shape ({n1}, {n2}, 2)")
+            raise MeshFormatError("control-net-mismatch", f"control net is not ({n1}, {n2}, 2)")
         if not np.all(np.isfinite(self.points)):
-            raise ValueError("control points must be finite")
+            raise MeshFormatError("non-finite", "control points must be finite")
         if weights is None:
             weights = np.ones((n1, n2))
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (n1, n2):
-            raise ValueError("weight net shape mismatch")
-        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
-            raise ValueError("weights must be finite and strictly positive")
+            raise MeshFormatError("control-net-mismatch", "weight net shape mismatch")
+        if not np.all(np.isfinite(self.weights)):
+            raise MeshFormatError("non-finite", "weights must be finite")
+        if not np.all(self.weights > 0):
+            raise MeshFormatError("weights-nonpositive", "weights must be strictly positive")
         self._hom = np.concatenate(
             [self.points * self.weights[..., None], self.weights[..., None]], axis=2
         )

@@ -246,6 +246,8 @@ def test_validation_of_case_configuration():
         BenchmarkCase("annulus", p=3)
     with pytest.raises(ValueError):
         BenchmarkCase("annulus", matched=False)
+    with pytest.raises(ValueError, match="at p = 1 with ratio 1:1 there are none"):
+        BenchmarkCase("square-mixed", p=1, ratio=(1, 1), matched=False)
     with pytest.raises(ValueError):
         solve_case(BenchmarkCase("square-mixed"), 0, "bogus")
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -5,16 +7,17 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bezmortar
-from bezmortar import mesh_io
-from bezmortar.cli import main
+from bezmortar import coupling, mesh_io
+from bezmortar.cli import _parser, main
 from bezmortar.mesh_io import (
     CSV_COLUMNS,
     MeshFormatError,
@@ -25,7 +28,8 @@ from bezmortar.mesh_io import (
     validate_mesh_document,
 )
 from bezmortar import InterfaceSpec, MultiPatchModel
-from bezmortar.benchmarks import CASES, BenchmarkCase, build_case, rect_patch
+from bezmortar.benchmarks import CASES, LARGEDEF_PRESSURE, BenchmarkCase, build_case, rect_patch
+from bezmortar.coupling import MAX_DUAL_REFINE
 from cases import case_model
 
 TENSOR_9 = np.array(
@@ -126,6 +130,16 @@ def test_non_string_side_is_a_schema_error():
     assert err.value.code == "bad-side"
 
 
+def _interior_knot_p_plus_2(d):
+    # the unit square slave (p = 2) with 1/2 four times in its first knot
+    # vector, its net at the Greville points, so the interface still meets
+    patch = d["patches"][0]
+    patch["knots"][0] = [0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1]
+    patch["control_points"] = [[x, y] for x in (0, 0.25, 0.5, 0.5, 0.5, 0.75, 1)
+                               for y in (0, 0.25, 0.75, 1)]
+    patch["weights"] = [1.0] * 28
+
+
 @pytest.mark.parametrize(
     "mutate, code",
     [
@@ -146,15 +160,25 @@ def test_non_string_side_is_a_schema_error():
         (lambda d: d["patches"][0]["weights"].pop(), "control-net-mismatch"),
         (lambda d: d["interfaces"][0].pop("master"), "bad-interface"),
         (lambda d: d["interfaces"][0]["master"].__setitem__(0, 7), "bad-interface"),
+        (lambda d: d["patches"][0]["knots"].__setitem__(0, [0.0] * 8), "knots-not-open"),
+        (lambda d: d["patches"][0]["knots"].__setitem__(0, [0, 0, 0, 0, 0.5, 1, 1, 1]),
+         "knots-not-open"),
+        (_interior_knot_p_plus_2, "knots-not-open"),
+        (lambda d: d["interfaces"][0].update(reversed=True), "bad-interface"),
+        (lambda d: d.update(dual_refine=MAX_DUAL_REFINE + 1), "bad-dual-refine"),
     ],
     ids=["nan-point", "inf-weight", "one-knot-vector", "string-weight", "ragged-point",
          "fractional-patch-index", "fractional-dual-refine", "bool-dual-refine",
          "string-dual-refine", "negative-dual-refine", "string-reversed", "no-patches",
-         "three-coordinates", "missing-weight", "no-master", "master-patch-out-of-range"],
+         "three-coordinates", "missing-weight", "no-master", "master-patch-out-of-range",
+         "all-knots-equal", "end-knot-p+2-times", "interior-knot-p+2-times", "reversed-interface",
+         "dual-refine-above-the-bound"],
 )
-def test_loader_rejects_malformed_input_with_a_code(mutate, code):
+def test_loader_rejects_malformed_input_with_a_code(mutate, code, monkeypatch):
     doc = json.loads(dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0))))
     mutate(doc)
+    # each is refused before an interface space is refined
+    monkeypatch.setattr(coupling, "refine_dual_space", None)
     with pytest.raises(MeshFormatError) as err:
         model_from_document(doc)
     assert err.value.code == code
@@ -680,6 +704,9 @@ def test_largedef_zero_pressure_gives_zero_solution(tmp_path):
         ["converge", "--case", "square-mixed", "--level", "5", "--levels", "1"],
         # a largedef case runs only on the weakly continuous mesh
         ["solve", "--case", "largedef-case1", "--method", "mortar"],
+        ["mesh", "--case", "square-mixed", "--n", str(MAX_DUAL_REFINE + 1)],
+        # no interior interface control point to perturb
+        ["mesh", "--case", "square-dirichlet", "--p", "1", "--ratio", "1:1", "--mismatched"],
     ],
 )
 def test_out_of_range_sizes_exit_2(tmp_path, args, capsys):
@@ -757,3 +784,78 @@ def test_square_demo_takes_only_level_0(tmp_path, level, capsys):
     assert run_cli(["mesh", "--case", "square-demo", "--level", "0", "-o", str(out)]) == 0
     meta = {"case": "square-demo", "level": 0, "seed": 1234}
     assert out.read_text() == dump_mesh(mesh_document(case_model("square-demo", 0), meta=meta))
+
+
+# each subcommand's options, from the parser's own table; --case is drawn from
+# CASES and -o names a scratch file
+_SUBCOMMANDS = next(a for a in _parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+_OPTIONS = {command: {a.option_strings[-1]: a for a in sub._actions
+                      if a.option_strings and a.dest not in ("help", "case", "output")}
+            for command, sub in _SUBCOMMANDS.items()}
+# in-range values of each option's destination; a new option needs a row
+_VALUES = {
+    "p": st.integers(1, 3),
+    "ratio": st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    "dual_refine": st.integers(0, 2),
+    "seed": st.integers(0, 2**16),
+    "increments": st.integers(1, 2),
+    "tol_factor": st.sampled_from([1e4, 1e8, 1e12]),
+    "pressure": st.floats(0.0, 1e9),
+    "level": st.just(0),  # every run stays at level 0
+    "levels": st.integers(1, 2),
+}
+# the value an option the parser leaves out takes: the case's defaults and
+# the load defaults the help text states
+_SUPPRESSED_DEFAULTS = {**{f.name: f.default for f in dataclasses.fields(BenchmarkCase)},
+                        "increments": 20, "tol_factor": 1e8, "pressure": LARGEDEF_PRESSURE}
+
+
+def _value(action):
+    if action.nargs == 0:  # a flag
+        return st.just(True)
+    return st.sampled_from(action.choices) if action.choices else _VALUES[action.dest]
+
+
+def _default(action):
+    if action.default is argparse.SUPPRESS:
+        return _SUPPRESSED_DEFAULTS[action.dest]
+    return action.default
+
+
+def _run_cli(command: str, case_id: str, options: dict):
+    """Exit code of one in-process run and the bytes of each file it wrote."""
+    argv = [command, "--case", case_id]
+    for option, value in options.items():
+        argv.append(option)
+        if value is not True:
+            argv.append(":".join(map(str, value)) if isinstance(value, tuple) else str(value))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            code = main([*argv, "-o", os.path.join(out, "out")])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        return code, {path.name: path.read_bytes() for path in Path(out).iterdir()}
+
+
+@settings(max_examples=100)  # most draws are refused, so more than the default 30
+@given(st.data())
+def test_every_given_option_is_read_or_refused(data):
+    # a run exits 0 or 2, or 3 on a largedef case, and never raises; a
+    # solve or study that succeeds writes other bytes without any option
+    # it was given with another value than the one it takes when not given
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)), label="command")
+    case_id = data.draw(st.sampled_from(sorted(CASES)), label="case")
+    table = _OPTIONS[command]
+    # a few options at a time: a long list is nearly always refused
+    names = data.draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=4),
+                      label="options")
+    options = {name: data.draw(_value(table[name]), label=name) for name in names}
+    code, files = _run_cli(command, case_id, options)
+    assert code in (0, 2) or (code == 3 and CASES[case_id].loads)
+    if code != 0 or command == "mesh":
+        return
+    for name, value in options.items():
+        if value != _default(table[name]):
+            rest = {k: v for k, v in options.items() if k != name}
+            assert _run_cli(command, case_id, rest)[1] != files, f"{name} changed no byte"

@@ -30,6 +30,7 @@ from bezmortar.benchmarks import (
     rect_patch,
     solve_case,
 )
+from bezmortar.coupling import MAX_DUAL_REFINE
 from bezmortar.fem import SolutionField, dirichlet_rows, l2_error
 from bezmortar.splines import (
     BoundaryCurve,
@@ -345,6 +346,14 @@ def test_negative_dual_refinement_rejected():
     patches = [rect_patch(2, 2, 2, (0.0, 0.5)), rect_patch(2, 3, 3, (0.5, 1.0))]
     with pytest.raises(ValueError, match="refinement level must be non-negative"):
         MultiPatchModel(patches, [InterfaceSpec(master=(0, "east"), slave=(1, "west"))], -1)
+
+
+def test_dual_refinement_above_the_bound_is_refused():
+    kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
+    merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
+    assert refine_dual_space(kv, merged, MAX_DUAL_REFINE).refined.n > 2**MAX_DUAL_REFINE
+    with pytest.raises(ValueError, match=f"non-negative and at most {MAX_DUAL_REFINE}"):
+        refine_dual_space(kv, merged, MAX_DUAL_REFINE + 1)
 
 
 def test_dof_count_invariant_under_dual_refinement():

@@ -19,6 +19,7 @@ from bezmortar import (
 from bezmortar.benchmarks import annulus_sector_patch, rect_patch
 from bezmortar.splines import (
     BoundaryCurve,
+    MeshFormatError,
     _bernstein_unit,
     _element_tables,
     _insert,
@@ -149,6 +150,11 @@ def test_knot_vector_invariants():
         KnotVector([0, 0.5, 0.5, 1, 1, 1], 2)
     with pytest.raises(ValueError, match="degree must be at least 1"):
         KnotVector([0, 0, 1, 1], 0)
+    # all knots equal, an end knot p+2 times and an interior knot p+2 times
+    for knots in ([0] * 6, [0, 0, 0, 0, 0.5, 1, 1, 1], [0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1]):
+        with pytest.raises(MeshFormatError, match="not open") as err:
+            KnotVector(knots, 2)
+        assert err.value.code == "knots-not-open"
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     assert kv.n == 4
     assert kv.domain == (0.0, 1.0)
@@ -308,7 +314,9 @@ def open_knot_values(draw):
     """Open knot values of degree 1-4: interior knots of multiplicity 1..p,
     some of them followed by copies of a knot 1e-13 away (at most p+1 in all)."""
     p = draw(st.integers(1, 4))
-    interior = draw(st.lists(st.floats(0.02, 0.98), max_size=6, unique=True))
+    drawn = sorted(draw(st.lists(st.floats(0.02, 0.98), max_size=6, unique=True)))
+    # a value within KNOT_TOL of another would be another copy of its knot
+    interior = [x for x, prev in zip(drawn, [-1.0] + drawn) if x - prev > 1e-11]
     vals = []
     for x in interior:
         m = draw(st.integers(1, p))
