@@ -206,37 +206,47 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     return np.array([kv.values[i + 1 : i + p + 1].mean() for i in range(kv.n)])
 
 
-def _insert(knots: np.ndarray, p: int, coeffs: np.ndarray, xi: float):
-    """Boehm insertion of ``xi`` (strictly inside the domain) on raw arrays.
+def _oslo_band(kv: KnotVector, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each fine function's band of coarse coefficients, by the Oslo algorithm.
 
-    Rows up to k-p are copied, rows after k shift down by one, and the p rows
-    in between blend their two neighbours with alpha_i (Piegl & Tiller A5.1).
+    ``fine`` is a sorted knot sequence holding the knots of ``kv``.  Returns
+    ``first`` (m,) and ``a`` (m, p+1) with ``N_j = sum_i a[i, j - first[i]] B_i``
+    over the m fine functions B_i: row i is the blossom R_1(t_{i+1}) ...
+    R_p(t_{i+p}) of de Boor's triangle on the coarse span mu of t_i, for all i
+    at once in p steps (Cohen, Lyche & Riesenfeld, CGIP 14, 1980).
     """
-    k = int(np.searchsorted(knots, xi, side="right")) - 1
-    out = np.empty((coeffs.shape[0] + 1,) + coeffs.shape[1:])
-    out[: k - p + 1] = coeffs[: k - p + 1]
-    out[k + 1 :] = coeffs[k:]
-    i = np.arange(k - p + 1, k + 1)
-    alpha = ((xi - knots[i]) / (knots[i + p] - knots[i])).reshape((p,) + (1,) * (coeffs.ndim - 1))
-    out[k - p + 1 : k + 1] = alpha * coeffs[k - p + 1 : k + 1] + (1.0 - alpha) * coeffs[k - p : k]
-    return np.insert(knots, k + 1, xi), out
+    p = kv.degree
+    m = len(fine) - p - 1
+    mu = np.searchsorted(kv.values, fine[:m], side="right") - 1
+    near = kv.values[mu[:, None] + np.arange(1 - p, p + 1)]  # tau_{mu-p+1..mu+p}
+    a = np.repeat(np.eye(1, p + 1), m, axis=0)
+    for k in range(1, p + 1):
+        lo, hi = near[:, p - k : p], near[:, p : p + k]
+        aw = a[:, :k] * ((fine[k : m + k, None] - lo) / (hi - lo))
+        a[:, :k] -= aw
+        a[:, 1 : k + 1] += aw
+    return mu - p, a
 
 
 def refinement_operator(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
     """Matrix T mapping coarse control values to refined control values.
 
-    Inserting ``new_knots`` one by one; T has shape (n_fine, n_coarse) and
-    satisfies ``N_coarse = T^T N_fine`` as basis functions.
+    T has shape (n_fine, n_coarse) and satisfies ``N_coarse = T^T N_fine`` as
+    basis functions; each row holds one fine function's band of the Oslo
+    algorithm (:func:`_oslo_band`), all new knots at once.
     """
-    xs = sorted(np.atleast_1d(np.asarray(new_knots, dtype=float)))
+    xs = np.sort(np.asarray(new_knots, dtype=float).ravel())
     lo, hi = kv.domain
-    for xi in xs:
-        if not (lo < xi < hi):
-            raise OutOfDomainError(f"insertion point {xi} not strictly inside ({lo}, {hi})")
-    knots, T = kv.values, np.eye(kv.n)
-    for xi in xs:
-        knots, T = _insert(knots, kv.degree, T, float(xi))
-    return (KnotVector(knots, kv.degree) if xs else kv), T
+    outside = xs[~((lo < xs) & (xs < hi))]
+    if outside.size:
+        raise OutOfDomainError(f"insertion point {outside[0]} not strictly inside ({lo}, {hi})")
+    if not xs.size:
+        return kv, np.eye(kv.n)
+    fine = np.sort(np.concatenate([kv.values, xs]))
+    first, a = _oslo_band(kv, fine)
+    T = np.zeros((len(first), kv.n))
+    T[np.arange(len(first))[:, None], first[:, None] + np.arange(kv.degree + 1)] = a
+    return KnotVector(fine, kv.degree), T
 
 
 def bezier_extraction(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,40 +258,27 @@ def bezier_extraction(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Bernstein basis of the unit element.  Columns of C[e] sum to one and
     C[e] is invertible.
 
-    Borden et al. 2011 (IJNME 87:15-47), Algorithm 1: sweeping the
-    breakpoints left to right, each interior knot is raised to multiplicity
-    p by column blends of the current element's operator, and the overlap is
-    carried into the next element's operator; O(n_el p^2) in all.  The result
-    equals the rows of the global operator that raises every interior knot to
-    multiplicity p (the C0 form), restricted to each element.  It is computed
-    once per knot vector and kept on it, as read-only arrays.
+    Raising every interior knot to multiplicity max(m, p) (the C0 form)
+    makes the fine functions on each element its Bernstein polynomials, so
+    C[e] is read from the Oslo band of that refinement (:func:`_oslo_band`):
+    C[e][j, k] is coarse function first[e]+j in fine function k of element
+    e.  It is computed once per knot vector and kept on it, as read-only
+    arrays.
     """
     tables = kv.__dict__.get("_extraction")
     if tables is not None:
         return tables
     U, p = kv.values, kv.degree
-    n_el = len(kv.breakpoints()) - 1
-    C = np.tile(np.eye(p + 1), (n_el, 1, 1))
-    pos = np.empty(n_el + 1, dtype=int)  # a position of each breakpoint in U
-    a = p  # last copy of the element's left knot
-    for e in range(n_el):
-        pos[e] = a
-        i = b = a + 1  # first copy of the element's right knot
-        if e + 1 < n_el:
-            while U[b + 1] == U[b]:
-                b += 1
-            mult = b - i + 1
-            r = p - mult
-            if r > 0:
-                alphas = (U[b] - U[a]) / (U[a + mult + 1 : a + p + 1] - U[a])
-                for j in range(1, r + 1):
-                    s = mult + j
-                    al = alphas[: p - s + 1]
-                    C[e, :, s:] = al * C[e, :, s:] + (1.0 - al) * C[e, :, s - 1 : p]
-                    C[e + 1, r - j : r + 1, r - j] = C[e, p - j :, p]
-        a = b
-    pos[-1] = a
-    tables = U[pos], pos[:-1] - p, C
+    last = np.flatnonzero(U[1:] > U[:-1])  # last copy of each element's left knot
+    bp, c0 = np.append(U[last], U[-1]), np.maximum(np.diff(last), p)
+    first_fine, a = _oslo_band(kv, np.repeat(bp, np.pad(c0, 1, constant_values=p + 1)))
+    # an element's functions start p places before its left knot's last copy
+    rows = np.append(0, np.cumsum(c0))[:, None] + np.arange(p + 1)
+    first = last - p
+    # a row shared with the element before has its band start there: pad it
+    band = np.concatenate([a, np.zeros_like(a[:, :p])], axis=1)
+    cols = first[:, None, None] + np.arange(p + 1)[:, None] - first_fine[rows][:, None, :]
+    tables = bp, first, band[rows[:, None, :], cols]
     for t in tables:
         t.setflags(write=False)
     kv.__dict__["_extraction"] = tables
@@ -315,7 +312,7 @@ def rational_table(kv: KnotVector, weights: np.ndarray,
 
 def _element_tables(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`bezier_extraction` of ``kv``; once built it is read from the knot
-    vector without a call, so each call of the public function is one sweep."""
+    vector without a call, so each call of the public function is one build."""
     return kv.__dict__.get("_extraction") or bezier_extraction(kv)
 
 
@@ -467,13 +464,16 @@ class Patch2D:
         return Patch2D((kv1, kv2), pts, w)
 
     def refined_uniform(self, levels: int) -> "Patch2D":
+        """Bisect every element ``levels`` times, with one insertion per direction."""
         if levels < 0:
             raise ValueError("refinement level must be non-negative")
-        patch = self
-        for _ in range(levels):
-            bp1, bp2 = (kv.breakpoints() for kv in patch.kvs)
-            patch = patch.refined(0.5 * (bp1[:-1] + bp1[1:]), 0.5 * (bp2[:-1] + bp2[1:]))
-        return patch
+        new = []
+        for kv in self.kvs:
+            bp = kv.breakpoints()
+            for _ in range(levels):
+                bp = np.union1d(bp, 0.5 * (bp[:-1] + bp[1:]))
+            new.append(np.setdiff1d(bp, kv.breakpoints()))
+        return self.refined(*new) if levels else self
 
     def max_element_diameter(self) -> float:
         """Largest physical diagonal over all Bezier elements."""

@@ -2,7 +2,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bezmortar import (
@@ -22,7 +22,6 @@ from bezmortar.splines import (
     MeshFormatError,
     _bernstein_unit,
     _element_tables,
-    _insert,
     bspline_table,
     rational_table,
     side_index,
@@ -300,7 +299,10 @@ def dense_c0_extraction(kv):
     element."""
     p = kv.degree
     knots, mult = np.unique(kv.values, return_counts=True)
-    c0, T = refinement_operator(kv, np.repeat(knots[1:-1], np.maximum(p - mult[1:-1], 0)))
+    c0, T = kv, np.eye(kv.n)
+    for xi in np.repeat(knots[1:-1], np.maximum(p - mult[1:-1], 0)):
+        T = row_loop_knot_insert(c0, T, xi)
+        c0 = KnotVector(np.sort(np.append(c0.values, xi)), p)
     out = []
     for a, b in pairwise(kv.breakpoints()):
         mid = 0.5 * (a + b)
@@ -366,14 +368,38 @@ def row_loop_knot_insert(kv, coeffs, xi):
     return out
 
 
-@given(open_knot_values(), st.floats(0.01, 0.99), st.sampled_from([(), (2,), (3, 2)]))
-def test_knot_insert_equals_row_loop(knots, xi, trailing):
-    vals, p = knots
+@st.composite
+def insertions(draw):
+    """An open knot vector and 1-5 knots to insert into it: new values, some of
+    them repeated, and copies of its own interior knots, each knot at most
+    p+1 times in the refined vector."""
+    vals, p = draw(open_knot_values())
     kv = KnotVector(vals, p)
+    drawn = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5, unique=True)))
+    # a new value within KNOT_TOL of a knot would be another copy of it
+    old = kv.values
+    new = [x for x, prev in zip(drawn, [-1.0] + drawn) if x - prev > 1e-11
+           and np.abs(old - x).min() > 1e-11]
+    knots, mult = np.unique(np.concatenate([old[p + 1 : -p - 1], new]), return_counts=True)
+    room = p + 1 - mult + np.isin(knots, new)  # a new value is not in kv yet
+    xs = [x for x, r in zip(knots, room)
+          for _ in range(draw(st.integers(int(x in new), min(r, 2))))]
+    assume(xs)
+    return kv, draw(st.permutations(xs[:5]))
+
+
+@given(insertions(), st.sampled_from([(), (2,), (3, 2)]))
+def test_refinement_operator_equals_row_loop(insert, trailing):
+    # all knots at once through the band against one Boehm row loop per knot
+    kv, xs = insert
     coeffs = np.sin(np.arange(kv.n * int(np.prod(trailing))) + 1.0).reshape((kv.n,) + trailing)
-    fine, out = _insert(kv.values, p, coeffs, xi)
-    assert np.array_equal(out, row_loop_knot_insert(kv, coeffs, xi))
-    assert np.array_equal(fine, np.sort(np.append(kv.values, xi)))
+    fine, T = refinement_operator(kv, xs)
+    step, oracle = kv, coeffs
+    for xi in sorted(xs):
+        oracle = row_loop_knot_insert(step, oracle, xi)
+        step = KnotVector(np.sort(np.append(step.values, xi)), kv.degree)
+    assert np.array_equal(fine.values, step.values)
+    assert np.abs(np.tensordot(T, coeffs, axes=1) - oracle).max() <= 1e-14
 
 
 def test_extraction_is_built_once_and_read_only():
@@ -431,6 +457,23 @@ def test_patch_invariants():
     w[1, 1] = -1.0
     with pytest.raises(ValueError):
         Patch2D((kv, kv), pts, w)
+
+
+@given(open_knot_values(), open_knot_values(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_refined_uniform_equals_successive_bisections(knots1, knots2, levels, seed):
+    kvs = [KnotVector(vals, p) for vals, p in (knots1, knots2)]
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (kvs[0].n, kvs[1].n, 2))
+    patch = Patch2D(kvs, points, rng.uniform(0.5, 2.0, points.shape[:2]))
+    step = patch
+    for _ in range(levels):
+        bp1, bp2 = (kv.breakpoints() for kv in step.kvs)
+        step = step.refined(0.5 * (bp1[:-1] + bp1[1:]), 0.5 * (bp2[:-1] + bp2[1:]))
+    fine = patch.refined_uniform(levels)
+    for a, b in zip(fine.kvs, step.kvs, strict=True):
+        assert np.array_equal(a.values, b.values)
+    assert np.abs(fine.points - step.points).max() <= 1e-14
+    assert np.abs(fine.weights - step.weights).max() <= 1e-14
 
 
 def max_diagonal_per_element(patch):
