@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .coupling import InterfaceCoupling, build_interface_coupling, is_noise
+from .coupling import InterfaceCoupling, build_interface_coupling
 from .splines import (
     SIDES,
     Patch2D,
@@ -384,12 +384,6 @@ class MultiPatchModel:
             A = sp.csr_matrix((sub.data, (key, row)), shape=(keys.size, sub.shape[0]))
             op = A @ g.ophom.reshape(-1, nb)
             owner, cols = np.divmod(keys, self.n_retained)
-            # drop the rows that are noise next to their cell's largest row
-            rowmax = np.abs(op).max(axis=1)
-            cellmax = np.zeros(len(g.index))
-            np.maximum.at(cellmax, owner, rowmax)
-            keep = np.flatnonzero(~is_noise(rowmax, cellmax[owner]))
-            owner, cols, op = owner[keep], cols[keep], op[keep]
             count = np.bincount(owner, minlength=len(g.index))
             for n in np.unique(count).tolist():
                 at = count[owner] == n  # the rows of the cells with n rows, in order

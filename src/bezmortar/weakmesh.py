@@ -32,8 +32,8 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
     transverse-major order (the slave functions by transverse, then
     interface index, then the master functions along the master edge) and
     columns transverse-major; ``weak_1d`` is its master rows on the edge's
-    transverse Bernstein column group.  Used by the demo pipeline and the
-    regression tests that pin these matrices to exact rationals.
+    transverse Bernstein column group.  The regression tests pin these
+    matrices to exact rationals; no library path calls it.
     """
     coup = model.couplings[0]
     pi, side = coup.spec.slave

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bezmortar
-from bezmortar import coupling, mesh_io
+from bezmortar import cli, coupling, mesh_io
 from bezmortar.cli import _parser, main
 from bezmortar.mesh_io import (
     CSV_COLUMNS,
@@ -665,6 +666,34 @@ def test_cli_entrypoint_subprocess(tmp_path):
                            "-o", str(again)], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("before, after", [
+    ({"BEZMORTAR_THREADS": "1"},
+     {"BEZMORTAR_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+      "MKL_NUM_THREADS": "1"}),
+    ({"BEZMORTAR_THREADS": "2", "MKL_NUM_THREADS": "4"},
+     {"BEZMORTAR_THREADS": "2", "OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
+      "MKL_NUM_THREADS": "4"}),
+    ({}, {}),
+])
+def test_thread_env_caps_the_unset_blas_variables(monkeypatch, before, after):
+    # the subprocess test above runs this before numpy loads; here it runs on
+    # a stand-in environment, so the session's own is left alone
+    monkeypatch.setattr(os, "environ", dict(before))
+    cli._apply_thread_env()
+    assert os.environ == after
+
+
+def test_module_entry_point_exits_with_main(monkeypatch, capsys):
+    # run_path, not run_module: run_module warns that bezmortar.cli is
+    # already imported, and the suite turns that warning into an error
+    monkeypatch.delenv("BEZMORTAR_THREADS", raising=False)
+    monkeypatch.setattr(sys, "argv", ["bezmortar", "--help"])
+    with pytest.raises(SystemExit) as exit:
+        runpy.run_path(cli.__file__, run_name="__main__")
+    assert exit.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bezmortar")
 
 
 def test_largedef_zero_pressure_gives_zero_solution(tmp_path):

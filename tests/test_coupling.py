@@ -30,7 +30,7 @@ from bezmortar.benchmarks import (
     rect_patch,
     solve_case,
 )
-from bezmortar.coupling import MAX_DUAL_REFINE
+from bezmortar.coupling import _CUT, MAX_DUAL_REFINE
 from bezmortar.fem import SolutionField, dirichlet_rows, l2_error
 from bezmortar.splines import (
     BoundaryCurve,
@@ -39,6 +39,7 @@ from bezmortar.splines import (
     bspline_table,
     gauss_on_breaks,
     greville_abscissae,
+    rational_table,
     side_index,
     uniform_open_knots,
 )
@@ -263,16 +264,19 @@ def _tangentially_perturbed(model, seed):
         lambda: case_model("square-mixed", 2, matched=False),
         lambda: case_model("square-mixed", 1, ratio=(6, 9), matched=False, p=4, dual_refine=2),
         lambda: case_model("plate-hole-2patch", 1),
+        lambda: case_model("square-mixed", 1, ratio=(2, 2), dual_refine=0),
+        lambda: case_model("square-mixed", 1, p=3, dual_refine=0),
+        lambda: case_model("square-mixed", 1, ratio=(2, 2), p=4, dual_refine=0),
     ],
     ids=["demo", "annulus", "annulus-level-0", "square-p2-mismatched",
-         "square-p4-mismatched", "plate-2patch"],
+         "square-p4-mismatched", "plate-2patch", "square-p2-matched", "square-p3-matched",
+         "square-p4-matched"],
 )
 def test_sparsity_stable_under_tangential_perturbation(model_fn):
-    # rounding noise is cut relative to each row, so a perturbation at the
-    # rounding level does not move entries across the cut.  Not on this
-    # list: a matched p=3 model, where the perturbation moves phi off affine
-    # and so creates true coupling entries of about 1e-13 of their row
-    # (ROADMAP item 4)
+    # a perturbation at the rounding level does not move entries across the
+    # coupling's rounding cut; on the matched models it moves phi off affine
+    # by about 1e-14, and the first-order entries it creates stay under the
+    # cut with the noise
     def nnz(model):
         return (model.P.nnz,) + tuple(B.nnz for B in model.multiplier_blocks(1))
 
@@ -280,6 +284,91 @@ def test_sparsity_stable_under_tangential_perturbation(model_fn):
     want = nnz(model)
     for seed in range(4):
         assert nnz(_tangentially_perturbed(model, seed)) == want
+
+
+def _one_ulp_up(patch):
+    """The patch with every interior knot moved up by one ulp."""
+    def up(kv):
+        v = kv.values.copy()
+        inner = (v > v[0]) & (v < v[-1])
+        v[inner] = np.nextafter(v[inner], np.inf)
+        return KnotVector(v, kv.degree)
+
+    return Patch2D([up(kv) for kv in patch.kvs], patch.points, patch.weights)
+
+
+@pytest.mark.parametrize("case", ["square-mixed", "square-dirichlet"])
+@pytest.mark.parametrize("ratio", [(2, 3), (3, 2), (2, 2)], ids=["2:3", "3:2", "2:2"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("level", [1, 2])
+def test_sparsity_independent_of_rounding(case, ratio, n, level):
+    # at p=4 the matched coupling's cancellation noise reaches 8.4e-13 of its
+    # row maximum, and only a cut scaled by each entry's own terms keeps it
+    # apart from the true entries: P's pattern must not change when the
+    # bisection knots go in level by level, or when every interior knot
+    # moves one ulp
+    base = case_model(case, 0, p=4, ratio=ratio, dual_refine=n)
+
+    def pattern(patches):
+        P = MultiPatchModel(patches, base.interfaces, n).P
+        return P.indptr.tolist(), P.indices.tolist()
+
+    stepwise = base.patches
+    for _ in range(level):
+        stepwise = [q.refined_uniform(1) for q in stepwise]
+    at_once = [q.refined_uniform(level) for q in base.patches]
+    want = pattern(at_once)
+    assert pattern(stepwise) == want
+    assert pattern([_one_ulp_up(q) for q in at_once]) == want
+
+
+def _raw_coupling(coup):
+    """The coupling sum G before its rounding cut and A, the sum of its terms'
+    magnitudes, formed from the public API the way assemble_coupling forms them."""
+    master = coup.phi.master
+    dual = rational_dual(dual_extraction(coup.refined.refined), coup.refined_edge_weights)
+    x, wq = gauss_on_breaks(coup.refined.segments, max(master.kv.degree, dual.space.degree) + 1)
+    cols, Rm, _ = rational_table(master.kv, master.weights, coup.phi(x))
+    rows, dv = dual.evaluate(x)
+    terms = wq[:, None, None] * (dv[:, :, None] * Rm[:, None, :])
+    G, A = np.zeros((2, dual.n, master.kv.n))
+    np.add.at(G, (rows[:, :, None], cols[:, None, :]), terms)
+    np.add.at(A, (rows[:, :, None], cols[:, None, :]), np.abs(terms))
+    return G, A
+
+
+def _cut_models():
+    """One model of each interface geometry in the case table over a grid of
+    its free settings, at levels 0-1 (the demo has level 0 only)."""
+    for level in (0, 1):
+        for p in (1, 2, 3, 4):
+            for matched in (True, False):
+                for ratio in ((2, 3), (3, 2), (2, 2)):
+                    for n in (0, 1, 2):
+                        yield case_model("square-mixed", level, p=p, matched=matched,
+                                         ratio=ratio, dual_refine=n)
+        for case in ("annulus", "plate-hole-2patch", "plate-hole-3patch"):
+            for matched in (True,) if case == "annulus" else (True, False):
+                for n in (0, 1, 2):
+                    yield case_model(case, level, matched=matched, dual_refine=n)
+        yield case_model("largedef-case1", level)
+    for n in (0, 1, 2, 3):
+        yield case_model("square-demo", 0, dual_refine=n)
+
+
+def test_coupling_entries_clear_the_rounding_cut():
+    # every raw coupling entry is either noise well under the cut or a true
+    # entry well over it (measured: at most 681 and at least 3.6e8 eps A at
+    # these levels), so no entry's fate turns on its last bits
+    eps = np.finfo(float).eps
+    for model in _cut_models():
+        for coup in model.couplings:
+            G, A = _raw_coupling(coup)
+            cut = np.abs(G) <= _CUT * eps * A
+            assert np.array_equal(np.where(cut, 0.0, G) / coup.phi.master.weights,
+                                  coup.coupling.values)
+            r = np.abs(G[A > 0]) / (eps * A[A > 0])
+            assert np.all((r <= _CUT / 30) | (r >= 30 * _CUT))
 
 
 # ------------------------------------------------------- projected knots
