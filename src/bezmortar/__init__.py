@@ -26,7 +26,6 @@ from .dualbasis import (
     DualBasis,
     bernstein_gramian,
     dual_extraction,
-    physical_dual,
     projection_weights,
     rational_dual,
     reconstruction_operator,
@@ -56,6 +55,5 @@ from .splines import (
     refinement_operator,
     uniform_open_knots,
 )
-from .weakmesh import interface_operator_report
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Command-line interface: mesh generation, solves and convergence studies.
 
-Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures.
+Exit codes: 0 on success, 2 on usage errors (an output path that cannot be
+written among them), 3 on numerical failures.
 The environment variable BEZMORTAR_THREADS caps the BLAS thread count (it
 must be honored before numpy is first imported, which is why the heavy
 imports live inside main()).
@@ -81,6 +82,15 @@ def _ratio(text: str):
     return m, s
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     _apply_thread_env()
     ap = _parser()
@@ -111,8 +121,7 @@ def main(argv=None) -> int:
         if args.command == "mesh":
             doc = mesh_document(build_case(case, args.level), weak=args.weak,
                                 meta={"case": case.case, "level": args.level, "seed": case.seed})
-            with open(args.output, "w") as fh:
-                fh.write(dump_mesh(doc))
+            _write(args.output, dump_mesh(doc))
             print(f"wrote {args.output}")
             return 0
 
@@ -139,18 +148,15 @@ def main(argv=None) -> int:
                            ("h", format(mesh_size(solved["model"].patches), ".17g")),
                            ("l2_error", format(case_error(case, solved), ".17g"))]
             coeffs = [format(float(v), ".17g") for v in field.values]
-            with open(args.output + ".coeffs.json", "w") as fh:
-                fh.write("[\n" + ",\n".join(coeffs) + "\n]\n")
-            with open(args.output + ".summary.csv", "w") as fh:
-                fh.write(",".join(k for k, _ in summary) + "\n")
-                fh.write(",".join(str(v) for _, v in summary) + "\n")
+            _write(args.output + ".coeffs.json", "[\n" + ",\n".join(coeffs) + "\n]\n")
+            _write(args.output + ".summary.csv", ",".join(k for k, _ in summary) + "\n"
+                   + ",".join(str(v) for _, v in summary) + "\n")
             print(f"wrote {args.output}.coeffs.json and {args.output}.summary.csv")
             return 0
 
         if args.command == "converge":
             report = run_convergence(case, args.levels, args.method)
-            with open(args.output, "w") as fh:
-                fh.write(convergence_csv(report))
+            _write(args.output, convergence_csv(report))
             print(f"wrote {args.output}")
             return 3 if report.failed else 0
 

@@ -132,14 +132,6 @@ class CompositionalMap:
         """Slave parameters of master parameters: a float for a scalar, else an array."""
         return self._map(eta, self.master, self.slave)
 
-    def is_affine(self) -> bool:
-        """True when the reparameterization is linear (matched case), to 1e-10 of the span."""
-        s_lo, s_hi = self.slave.domain
-        t = np.array([0.25, 0.5, 0.75])
-        eta = self(np.concatenate([[s_lo, s_hi], s_lo + t * (s_hi - s_lo)]))
-        a, b = eta[0], eta[1]
-        return not np.any(np.abs(eta[2:] - (a + t * (b - a))) > 1e-10 * max(abs(b - a), 1.0))
-
 
 def build_phi(slave_curve: BoundaryCurve, master_curve: BoundaryCurve,
               reversed: bool = False) -> CompositionalMap:
@@ -222,16 +214,15 @@ def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
 class CouplingMatrix:
     """Coupling between slave interface functions and master interface functions.
 
-    ``values`` holds int dual_I(xi) ratmaster_J(phi(xi)) d xi, where the dual
-    is scaled by the slave weight function and the master basis is divided
-    by its weight function; ``std`` is the same map expressed on standard
-    weighted NURBS coefficients, which is the matrix used for condensation
-    (for unit edge weights the two coincide).  Rows follow the (refined)
-    slave interface functions, columns the master interface functions; both
-    hold exact zeros where :func:`assemble_coupling` cuts rounding noise.
+    ``std`` maps master to slave interface coefficients on standard weighted
+    NURBS coefficients, the matrix used for condensation: entry (I, J) is
+    int dual_I(xi) R_J(phi(xi)) d xi / w_I, with the dual scaled by the slave
+    weight function, R_J the rational master basis and w_I the refined slave
+    edge weight.  Rows follow the (refined) slave interface functions,
+    columns the master interface functions; it holds exact zeros where
+    :func:`assemble_coupling` cuts rounding noise.
     """
 
-    values: np.ndarray
     std: np.ndarray
 
     def row_sum_error(self) -> float:
@@ -271,7 +262,7 @@ def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarr
     np.add.at(G, at, terms)
     np.add.at(A, at, np.abs(terms))
     G[np.abs(G) <= _CUT * np.finfo(float).eps * A] = 0.0
-    return CouplingMatrix(G / master.weights, G / slave_weights[:, None])
+    return CouplingMatrix(G / slave_weights[:, None])
 
 
 @dataclass

@@ -1,18 +1,17 @@
 """Local dual bases built from element extraction and projection weights.
 
 A dual basis is a set of functions biorthogonal to the spline basis of an
-interface under the parametric L2 inner product; a pointwise scale makes it
-pair with the rational basis or under the arc-length measure instead.  It is
-stored like the extraction operators of :mod:`bezmortar.splines`: one small
-dense operator per element, all stacked, turning Bernstein values into
-dual-function values.
+interface under the parametric L2 inner product; scaled by the weight
+function it pairs with the rational basis instead.  It is stored like the
+extraction operators of :mod:`bezmortar.splines`: one small dense operator
+per element, all stacked, turning Bernstein values into dual-function
+values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "DualBasis",
     "dual_extraction",
     "rational_dual",
-    "physical_dual",
 ]
 
 
@@ -84,15 +82,14 @@ class DualBasis:
     ``matrices[e]`` (p+1, p+1) turns the Bernstein values on element e into
     the values of the duals of its p+1 active spline functions (the
     projection weights of :func:`projection_weights` are built into it).  The
-    assembled functions satisfy int dual_I N_J = delta_IJ.  ``scale``, when
-    set, maps an array of points to a factor applied to the values there:
-    the weight function W (:func:`rational_dual`) or 1/|J|
-    (:func:`physical_dual`).
+    assembled functions satisfy int dual_I N_J = delta_IJ.  ``weights``, when
+    set (:func:`rational_dual`), are NURBS weights of ``space``, and the
+    values are multiplied by their weight function W.
     """
 
     space: KnotVector
     matrices: np.ndarray
-    scale: Callable[[np.ndarray], np.ndarray] | None = None
+    weights: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -107,8 +104,8 @@ class DualBasis:
         x = np.asarray(xi, dtype=float)
         e, B = _bernstein_table(self.space, x, 0)
         vals = np.einsum("qb,qjb->qj", B[0], self.matrices[e])
-        if self.scale is not None:
-            vals *= self.scale(x)[:, None]
+        if self.weights is not None:
+            vals *= rational_table(self.space, self.weights, x)[2][:, None]
         first = _element_tables(self.space)[1]
         return first[e][:, None] + np.arange(self.space.degree + 1), vals
 
@@ -139,20 +136,4 @@ def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:
         raise ValueError("weight count does not match interface basis")
     if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
-    return replace(dual, scale=lambda xi: rational_table(dual.space, w, xi)[2])
-
-
-def physical_dual(dual: DualBasis, speed_fn: Callable[[np.ndarray], np.ndarray]) -> DualBasis:
-    """Rescale a dual basis for biorthogonality under the arc-length measure.
-
-    ``speed_fn`` maps an array of points to the positive arc-length rate
-    |dx/dxi| of the interface geometry map there (a scalar is broadcast).
-    """
-
-    def scale(xi: np.ndarray) -> np.ndarray:
-        j = np.broadcast_to(np.asarray(speed_fn(xi), dtype=float), xi.shape)
-        if not np.all(j > 0):
-            raise ValueError("degenerate interface Jacobian")
-        return 1.0 / j
-
-    return replace(dual, scale=scale)
+    return replace(dual, weights=w)

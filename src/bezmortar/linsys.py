@@ -57,11 +57,6 @@ class AssembledSystem:
     def nrows(self) -> int:
         return self.K.shape[0]
 
-    def symmetry_error(self) -> float:
-        d = self.K - self.K.T
-        nrm = spla.norm(self.K)
-        return spla.norm(d) / nrm if nrm > 0 else 0.0
-
 
 def apply_dirichlet(system: AssembledSystem, constraints) -> AssembledSystem:
     """Attach Dirichlet constraints, checking for conflicts.

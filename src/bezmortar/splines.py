@@ -155,7 +155,7 @@ class KnotVector:
     degree: int
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy, frozen below
         p = self.degree
         if p < 1:
             raise MeshFormatError("bad-degree", "degree must be at least 1")
@@ -332,6 +332,13 @@ def _bernstein_table(kv: KnotVector, xi, nders: int) -> tuple[np.ndarray, np.nda
     return e, D / h[None, :, None] ** np.arange(nders + 1)[:, None, None]
 
 
+def _frozen_copy(a) -> np.ndarray:
+    """A read-only float copy of ``a``: a curve or patch owns its control data."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 class BoundaryCurve:
     """Rational curve extracted from one side of a tensor-product patch.
 
@@ -342,8 +349,8 @@ class BoundaryCurve:
 
     def __init__(self, kv: KnotVector, points: np.ndarray, weights: np.ndarray):
         self.kv = kv
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
+        self.points = _frozen_copy(points)
+        self.weights = _frozen_copy(weights)
         if self.points.shape[0] != kv.n or self.weights.shape[0] != kv.n:
             raise ValueError("control data does not match basis size")
         if not np.all(self.weights > 0):
@@ -417,15 +424,13 @@ class Patch2D:
 
     def __init__(self, kvs, points, weights=None):
         self.kvs = tuple(kvs)
-        self.points = np.asarray(points, dtype=float)
+        self.points = _frozen_copy(points)
         n1, n2 = self.kvs[0].n, self.kvs[1].n
         if self.points.shape != (n1, n2, 2):
             raise MeshFormatError("control-net-mismatch", f"control net is not ({n1}, {n2}, 2)")
         if not np.all(np.isfinite(self.points)):
             raise MeshFormatError("non-finite", "control points must be finite")
-        if weights is None:
-            weights = np.ones((n1, n2))
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = _frozen_copy(np.ones((n1, n2)) if weights is None else weights)
         if self.weights.shape != (n1, n2):
             raise MeshFormatError("control-net-mismatch", "weight net shape mismatch")
         if not np.all(np.isfinite(self.weights)):

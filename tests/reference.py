@@ -7,10 +7,12 @@ search and the Cox-de Boor recursions for basis values and derivatives
 They read nothing of the library but a knot vector's values, so the batched
 code they check cannot also be their source.
 
-Three checks only tests use live here too: the net force of a stress field's
+Five checks only tests use live here too: the net force of a stress field's
 tractions over the quarter plate, the last observed rate of a convergence
-report, and a model's prolongation built by rounds, restacking P after every
-round, the way the library built it before it formed each block once.
+report, a model's prolongation built by rounds, restacking P after every
+round, the way the library built it before it formed each block once,
+whether an interface reparameterization is affine, and the relative
+asymmetry of an assembled matrix.
 """
 
 from __future__ import annotations
@@ -212,3 +214,20 @@ def prolongation_by_rounds(model) -> sp.csr_matrix:
     P = sp.vstack([ident] + blocks, format="csr")
     P.sort_indices()
     return P
+
+
+def is_affine(phi) -> bool:
+    """True when the reparameterization ``phi`` is linear (matched case), to
+    1e-10 of the span."""
+    s_lo, s_hi = phi.slave.domain
+    t = np.array([0.25, 0.5, 0.75])
+    eta = phi(np.concatenate([[s_lo, s_hi], s_lo + t * (s_hi - s_lo)]))
+    a, b = eta[0], eta[1]
+    return not np.any(np.abs(eta[2:] - (a + t * (b - a))) > 1e-10 * max(abs(b - a), 1.0))
+
+
+def symmetry_error(K) -> float:
+    """Frobenius norm of K - K^T relative to that of K, from K's dense form."""
+    A = K.toarray()
+    nrm = np.linalg.norm(A)
+    return float(np.linalg.norm(A - A.T) / nrm) if nrm > 0 else 0.0

@@ -73,8 +73,8 @@ def test_document_rebuilds_model():
     doc = json.loads(dump_mesh(mesh_document(model)))
     rebuilt = model_from_document(doc)
     assert rebuilt.n_retained == model.n_retained
-    G = rebuilt.couplings[0].coupling.values
-    assert np.abs(G - model.couplings[0].coupling.values).max() < 1e-14
+    G = rebuilt.couplings[0].coupling.std
+    assert np.abs(G - model.couplings[0].coupling.std).max() < 1e-14
 
 
 def test_weak_payload_contains_reference_tensor_operator():
@@ -756,6 +756,21 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "numerical failure: element inversion in increment 1 could not be avoided\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, written", [
+    (["mesh", "--case", "square-demo"], ""),
+    (["solve", "--case", "square-mixed", "--level", "0"], ".coeffs.json"),
+    (["converge", "--case", "square-mixed", "--levels", "1"], ""),
+], ids=["mesh", "solve", "converge"])
+def test_unwritable_output_exits_2(tmp_path, args, written, capsys):
+    # an output path in a directory that does not exist is a usage error
+    out = tmp_path / "missing" / "out"
+    assert run_cli([*args, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}{written}: No such file or directory\n"
+    assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
 

@@ -44,7 +44,13 @@ from bezmortar.splines import (
     uniform_open_knots,
 )
 from cases import case_model
-from reference import bspline_basis, bspline_derivatives, prolongation_by_rounds
+from reference import (
+    bspline_basis,
+    bspline_derivatives,
+    is_affine,
+    prolongation_by_rounds,
+    symmetry_error,
+)
 
 RNG = np.random.default_rng(515)
 
@@ -66,7 +72,7 @@ def test_phi_identity_for_matched_lines():
     phi = build_phi(line_curve(2, 3), line_curve(2, 2))
     for xi in np.linspace(0, 1, 11):
         assert abs(phi(xi) - xi) < 1e-12
-    assert phi.is_affine()
+    assert is_affine(phi)
 
 
 def test_phi_residual_for_speed_varying_master():
@@ -80,7 +86,7 @@ def test_phi_residual_for_speed_varying_master():
     slave = line_curve(2, 4)
     master = line_curve(2, 3, speeds=speeds)
     phi = build_phi(slave, master)
-    assert not phi.is_affine()
+    assert not is_affine(phi)
     for xi in np.linspace(0, 1, 50):
         r = np.linalg.norm(master.point(phi(xi)) - slave.point(xi))
         assert r < 1e-12
@@ -365,8 +371,8 @@ def test_coupling_entries_clear_the_rounding_cut():
         for coup in model.couplings:
             G, A = _raw_coupling(coup)
             cut = np.abs(G) <= _CUT * eps * A
-            assert np.array_equal(np.where(cut, 0.0, G) / coup.phi.master.weights,
-                                  coup.coupling.values)
+            assert np.array_equal(np.where(cut, 0.0, G) / coup.refined_edge_weights[:, None],
+                                  coup.coupling.std)
             r = np.abs(G[A > 0]) / (eps * A[A > 0])
             assert np.all((r <= _CUT / 30) | (r >= 30 * _CUT))
 
@@ -462,7 +468,7 @@ def test_identical_interfaces_give_identity():
     model = MultiPatchModel(
         [master, slave], [InterfaceSpec((0, "east"), (1, "west"))], 0
     )
-    G = model.couplings[0].coupling.values
+    G = model.couplings[0].coupling.std
     assert np.abs(G - np.eye(G.shape[0])).max() < 1e-13
 
 
@@ -470,11 +476,11 @@ def test_matched_coupling_is_refinement_operator(demo_model):
     coup = demo_model.couplings[0]
     master_kv = coup.phi.master.kv
     fine, T = refinement_operator(master_kv, [1 / 3, 2 / 3])
-    assert np.abs(coup.coupling.values - T).max() < 1e-13
+    assert np.abs(coup.coupling.std - T).max() < 1e-13
 
 
 def test_demo_coupling_matrix_printed_rationals(demo_model):
-    G = demo_model.couplings[0].coupling.values
+    G = demo_model.couplings[0].coupling.std
     expected = np.array(
         [
             [1, 0, 0, 0],
@@ -497,7 +503,7 @@ def test_row_sums_one():
 
 def test_master_basis_reproduced_pointwise(demo_model):
     coup = demo_model.couplings[0]
-    G = coup.coupling.values
+    G = coup.coupling.std
     rkv = coup.refined.refined
     mkv = coup.phi.master.kv
     for xi in np.linspace(0.01, 0.99, 30):
@@ -586,7 +592,7 @@ def test_condensed_symmetric_positive_definite(side_by_side):
     model = side_by_side
     mesh = model.mortar_mesh()
     red = condense(assemble_poisson(mesh), mesh)
-    assert red.symmetry_error() < 1e-12
+    assert symmetry_error(red.K) < 1e-12
     u = lambda x, y: 0.0
     rows = dirichlet_rows(model.weak_mesh(), 1, [(0, "west", 0, u), (1, "east", 0, u)])
     red = apply_dirichlet(red, rows)

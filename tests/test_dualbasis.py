@@ -7,19 +7,17 @@ from bezmortar import (
     KnotVector,
     bernstein_gramian,
     dual_extraction,
-    physical_dual,
     projection_weights,
     rational_dual,
     reconstruction_operator,
 )
-from bezmortar.benchmarks import annulus_sector_patch
 from bezmortar.splines import bernstein_derivatives, bezier_extraction, gauss_on
 from reference import bspline_basis
 
 RNG = np.random.default_rng(7130)
 
 
-def assembled_gram(dual, kv, weights=None, measure=None):
+def assembled_gram(dual, kv, weights=None):
     """Gauss-quadrature oracle for int dual_I * basis_J over the interface.
 
     The (possibly rational) basis is reconstructed point by point from the
@@ -28,17 +26,14 @@ def assembled_gram(dual, kv, weights=None, measure=None):
     p = kv.degree
     G = np.zeros((dual.n, kv.n))
     for a, b in pairwise(kv.breakpoints()):
-        cuts = np.linspace(a, b, 4) if measure is not None else [a, b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            xs, ws = gauss_on(float(lo), float(hi), p + 3)
-            index, dv = dual.evaluate(xs)
-            fd = index[0, 0]
-            for x, w, row in zip(xs, ws, dv):
-                fs, N = bspline_basis(kv, float(x))
-                if weights is not None:
-                    N = N / (N @ weights[fs : fs + p + 1])
-                scale = measure(float(x)) if measure is not None else 1.0
-                G[fd : fd + p + 1, fs : fs + p + 1] += w * scale * np.outer(row, N)
+        xs, ws = gauss_on(float(a), float(b), p + 3)
+        index, dv = dual.evaluate(xs)
+        fd = index[0, 0]
+        for x, w, row in zip(xs, ws, dv):
+            fs, N = bspline_basis(kv, float(x))
+            if weights is not None:
+                N = N / (N @ weights[fs : fs + p + 1])
+            G[fd : fd + p + 1, fs : fs + p + 1] += w * np.outer(row, N)
     return G
 
 
@@ -249,47 +244,3 @@ def test_rational_dual_rejects_nan_weight():
     with pytest.raises(ValueError, match="strictly positive"):
         rational_dual(dual_extraction(kv), w)
 
-
-# ---------------------------------------------------------------- physical
-
-
-def test_physical_dual_identity_geometry():
-    kv = random_kv(2)
-    dual = dual_extraction(kv)
-    phys = physical_dual(dual, lambda x: 1.0)
-    xs = np.array([0.02, 0.05])
-    assert np.abs(dual.evaluate(xs)[1] - phys.evaluate(xs)[1]).max() < 1e-14
-
-
-def test_physical_dual_uniform_stretch():
-    kv = random_kv(2)
-    dual = dual_extraction(kv)
-    c = 3.7
-    phys = physical_dual(dual, lambda x: c)
-    G = assembled_gram(phys, kv, measure=lambda x: c)
-    assert np.abs(G - np.eye(kv.n)).max() < 1e-11
-    xs = np.array([0.01])
-    assert np.abs(phys.evaluate(xs)[1] - dual.evaluate(xs)[1] / c).max() < 1e-13
-
-
-def test_physical_dual_curved_annulus_edge():
-    patch = annulus_sector_patch(np.pi / 2, 3 * np.pi / 4, 0.4, 4.0, 2, 3)
-    curve = patch.boundary("north")  # radial interface edge
-    kv = curve.kv
-    dual = physical_dual(dual_extraction(kv), curve.speed)
-    G = assembled_gram(dual, kv, measure=curve.speed)
-    assert np.abs(G - np.eye(kv.n)).max() < 1e-10
-
-
-def test_physical_dual_degenerate_jacobian():
-    kv = random_kv(1)
-    phys = physical_dual(dual_extraction(kv), lambda x: 0.0)
-    with pytest.raises(ValueError):
-        phys.evaluate(np.array([0.03]))
-
-
-def test_physical_dual_rejects_nan_jacobian():
-    kv = random_kv(1)
-    phys = physical_dual(dual_extraction(kv), lambda x: np.where(x < 0.5, 1.0, np.nan))
-    with pytest.raises(ValueError, match="degenerate"):
-        phys.evaluate(np.array([0.3, 0.7]))

@@ -40,7 +40,7 @@ from bezmortar.splines import (
     rational_table,
 )
 from cases import case_model
-from reference import bspline_basis
+from reference import bspline_basis, symmetry_error
 
 RNG = np.random.default_rng(99)
 
@@ -89,7 +89,7 @@ def _cell_quadrature(cell, n1, n2):
 def test_poisson_symmetry():
     mesh = MultiPatchModel([rect_patch(2, 3, 3)], []).weak_mesh()
     system = assemble_poisson(mesh)
-    assert system.symmetry_error() < 1e-12
+    assert symmetry_error(system.K) < 1e-12
 
 
 def test_multipatch_linear_patch_test():
@@ -136,7 +136,7 @@ def test_rigid_translation_zero_energy():
     system = assemble_linear_elasticity(mesh, mat)
     d = np.tile([0.7, -0.3], mesh.ndof)
     assert abs(d @ (system.K @ d)) < 1e-12
-    assert system.symmetry_error() < 1e-12
+    assert symmetry_error(system.K) < 1e-12
 
 
 def test_uniaxial_traction_exact():

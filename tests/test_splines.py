@@ -459,6 +459,33 @@ def test_patch_invariants():
         Patch2D((kv, kv), pts, w)
 
 
+def test_spline_objects_own_their_arrays():
+    # a knot vector, patch or curve copies its input arrays and freezes the
+    # copies: writing to the caller's arrays afterwards changes none of them,
+    # and the caller's arrays stay writable
+    knots = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+    kv = KnotVector(knots, 2)
+    g = greville_abscissae(kv)
+    pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)  # the identity map
+    w = np.ones((kv.n, kv.n))
+    edge_pts, edge_w = pts[-1].copy(), w[-1].copy()
+    patch = Patch2D((kv, kv), pts, w)
+    curve = BoundaryCurve(kv, edge_pts, edge_w)
+    knots[3] = 0.25
+    pts[..., 0] *= 2
+    w[1, 1] = np.nan
+    edge_pts[:, 0] *= 2
+    edge_w[1] = 3.0
+    assert np.array_equal(kv.values, [0, 0, 0, 0.5, 1, 1, 1])
+    assert np.all(np.isfinite(patch.weights))
+    for east in (patch.boundary("east"), patch.refined([0.25]).boundary("east"), curve):
+        assert np.allclose(east.point(0.5), [1.0, 0.5], rtol=0, atol=1e-15)
+    for a in (knots, pts, w, edge_pts, edge_w):
+        assert a.flags.writeable
+    for a in (kv.values, patch.points, patch.weights, curve.points, curve.weights):
+        assert not a.flags.writeable
+
+
 @given(open_knot_values(), open_knot_values(), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_refined_uniform_equals_successive_bisections(knots1, knots2, levels, seed):
     kvs = [KnotVector(vals, p) for vals, p in (knots1, knots2)]
