@@ -42,7 +42,7 @@ from .fem import (
     l2_error,
     newton_load_stepping,
 )
-from .linsys import AssembledSystem, NumericalError, apply_dirichlet, linear_solve
+from .linsys import AssembledSystem, NumericalError, linear_solve
 from .model import Cell, CellGroup, ExtractedMesh, MultiPatchModel
 from .splines import (
     KnotVector,

@@ -42,7 +42,7 @@ from .fem import (
     l2_error,
     newton_load_stepping,
 )
-from .linsys import NumericalError, apply_dirichlet, linear_solve
+from .linsys import NumericalError, linear_solve
 from .model import MultiPatchModel
 from .splines import (
     OutOfDomainError,
@@ -466,7 +466,7 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
     """Assemble and solve one benchmark level; returns field and metadata.
 
     ``saddle`` solves the mortar system with multiplier rows; ``mortar`` and
-    ``weak`` condense, constrain, solve and expand on their own meshes.
+    ``weak`` condense, solve with the constraints and expand on their own meshes.
     """
     row = CASES[case.case]
     if row.linear is None:
@@ -481,10 +481,10 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
     system.f += assemble_neumann(mesh, ncomp, problem.neumann)
     rows = dirichlet_rows(mesh, ncomp, problem.dirichlet)
     if method == "saddle":
-        x = linear_solve(apply_dirichlet(assemble_saddle(system, model), rows))
+        x = linear_solve(assemble_saddle(system, model), rows)
         values = x[: mesh.ndof * ncomp]
     else:
-        values = mesh.expand(linear_solve(apply_dirichlet(condense(system, mesh), rows)), ncomp)
+        values = mesh.expand(linear_solve(condense(system, mesh), rows), ncomp)
     return {
         "field": SolutionField(mesh, values, ncomp),
         "model": model,

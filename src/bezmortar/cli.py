@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 
 def _apply_thread_env():
@@ -82,6 +83,15 @@ def _ratio(text: str):
     return m, s
 
 
+def _check_output(path: str) -> None:
+    """Refuse ``path`` before any work unless the operating system lets its
+    directory take a new file (a temporary one, deleted at once)."""
+    try:
+        tempfile.TemporaryFile(dir=os.path.dirname(path) or os.curdir).close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write(path: str, text: str) -> None:
     """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
     try:
@@ -118,6 +128,7 @@ def main(argv=None) -> int:
         ap.error(f"--{next(iter(loading)).replace('_', '-')} applies only to a largedef case")
 
     try:
+        _check_output(args.output + (".coeffs.json" if args.command == "solve" else ""))
         if args.command == "mesh":
             doc = mesh_document(build_case(case, args.level), weak=args.weak,
                                 meta={"case": case.case, "level": args.level, "seed": case.seed})

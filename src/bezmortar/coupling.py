@@ -305,11 +305,7 @@ def condense(system: AssembledSystem, mesh) -> AssembledSystem:
     P = mesh.prolongation_vec(system.ncomp)
     K = (P.T @ system.K @ P).tocsr()
     f = P.T @ system.f
-    # retained dofs keep their row ids, so existing constraints carry over;
-    # slave interface dofs are dependent and must never be constrained
-    if any(row >= K.shape[0] for row in system.constraints):
-        raise ValueError("Dirichlet constraint on an eliminated interface dof")
-    return AssembledSystem(K, f, system.ncomp, dict(system.constraints))
+    return AssembledSystem(K, f, system.ncomp)
 
 
 def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
@@ -333,4 +329,4 @@ def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
         format="csr",
     )
     f = np.concatenate([system.f, np.zeros(nl)])
-    return AssembledSystem(K, f, ncomp, dict(system.constraints))
+    return AssembledSystem(K, f, ncomp)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .splines import KnotVector, _bernstein_table, _element_tables, rational_table
+from .splines import KnotVector, _bernstein_table, _element_tables, _frozen_copy, rational_table
 
 __all__ = [
     "bernstein_gramian",
@@ -129,9 +129,10 @@ def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:
     """Scale a parametric dual basis by the interface weight function.
 
     ``weights`` are the NURBS weights of the interface basis; the returned
-    duals pair biorthogonally with the rational functions N_J / W.
+    duals pair biorthogonally with the rational functions N_J / W.  The
+    basis keeps a read-only copy of ``weights``.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _frozen_copy(weights)
     if w.shape[0] != dual.n:
         raise ValueError("weight count does not match interface basis")
     if not np.all(w > 0):

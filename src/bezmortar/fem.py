@@ -556,7 +556,8 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     reduced to the solved dofs with :func:`~bezmortar.coupling.condense` and
     iterates are expanded back with :meth:`ExtractedMesh.expand` (both act
     only on a mesh with a prolongation, the mortar stream).  Constraints are
-    (row, 0.0) pairs in the solved numbering.
+    (row, value) pairs in the solved numbering; the iterates start at zero and
+    every step holds the constrained rows, so a nonzero value raises ``ValueError``.
 
     The feasibility guard halves an update while the assembly at the trial
     state raises on an inverted element; the assembly that succeeds is the
@@ -568,8 +569,11 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     if not (math.isfinite(tol_factor) and tol_factor > 1):
         raise ValueError("tol_factor must be finite and greater than 1")
     dred = np.zeros(2 * (mesh.ndof if mesh.P is None else mesh.P.shape[1]))
-    zero = dict.fromkeys(sorted({int(r) for r, _ in constraints}), 0.0)
-    free = np.setdiff1d(np.arange(dred.size), list(zero))
+    constraints = list(constraints)
+    held = [r for r, v in constraints if v != 0]
+    if held:
+        raise ValueError(f"Newton holds constrained rows at zero; row {held[0]} has a nonzero value")
+    free = np.setdiff1d(np.arange(dred.size), [int(r) for r, _ in constraints])
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
     # the load is dead, so the assembly at the current iterate serves every
     # increment until the iterate moves
@@ -591,7 +595,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                     f"Newton did not converge in increment {inc} "
                     f"(residual {rnorm:.3e})"
                 )
-            step = linear_solve(AssembledSystem(Kred, -rred, 2, zero))
+            step = linear_solve(AssembledSystem(Kred, -rred, 2), constraints)
             alpha = 1.0
             for _ in range(12):
                 trial = dred + alpha * step

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["NumericalError", "AssembledSystem", "apply_dirichlet", "linear_solve"]
+__all__ = ["NumericalError", "AssembledSystem", "linear_solve"]
 
 
 # Systems of at most this many rows are solved dense (see linear_solve).  Whole
@@ -44,47 +45,24 @@ class AssembledSystem:
     """Sparse symmetric stiffness (or tangent) with load vector.
 
     Rows are vector degrees of freedom: scalar dof ``d`` and component ``c``
-    map to row ``d * ncomp + c``.  ``constraints`` maps constrained rows to
-    prescribed values; it is filled by :func:`apply_dirichlet`.
+    map to row ``d * ncomp + c``.
     """
 
     K: sp.csr_matrix
     f: np.ndarray
     ncomp: int = 1
-    constraints: dict[int, float] = field(default_factory=dict)
 
     @property
     def nrows(self) -> int:
         return self.K.shape[0]
 
 
-def apply_dirichlet(system: AssembledSystem, constraints) -> AssembledSystem:
-    """Attach Dirichlet constraints, checking for conflicts.
-
-    Parameters
-    ----------
-    constraints : iterable of (row, value)
-        Vector-dof row indices with prescribed values.  A row constrained
-        twice must receive consistent values (within 1e-8 relative),
-        otherwise a ValueError is raised.
-    """
-    merged = dict(system.constraints)
-    for row, value in constraints:
-        row = int(row)
-        if row in merged:
-            scale = max(1.0, abs(merged[row]), abs(value))
-            if abs(merged[row] - value) > 1e-8 * scale:
-                raise ValueError(
-                    f"conflicting Dirichlet values on dof {row}: "
-                    f"{merged[row]} vs {value}"
-                )
-        else:
-            merged[row] = float(value)
-    return replace(system, constraints=merged)
-
-
-def linear_solve(system: AssembledSystem) -> np.ndarray:
+def linear_solve(system: AssembledSystem, constraints) -> np.ndarray:
     """Direct solve with symmetric elimination of constrained rows.
+
+    ``constraints`` is an iterable of (row, value) pairs: vector-dof rows
+    with prescribed values.  A row constrained twice must receive consistent
+    values (within 1e-8 relative), and the first one is solved for.
 
     Returns the full solution vector (constrained rows carry their
     prescribed values).  The factorization is chosen from the system's row
@@ -95,37 +73,38 @@ def linear_solve(system: AssembledSystem) -> np.ndarray:
       with partial pivoting (``numpy.linalg.solve``).  At this size
       SuperLU's fixed costs (ordering, symbolic analysis, supernode set-up)
       outweigh the dense arithmetic it saves;
-    - above it, the free block is selected in one pass over K's CSR arrays:
-      the entries whose row and column are both free are kept, in their
-      order, and renumbered.  SuperLU factors the block itself, in CSC
-      form: its transpose, whose CSC arrays are the block's CSR arrays,
-      left relative residuals above 1e-10 on the plate saddle systems.
-      Its columns are ordered by multiple minimum degree on the pattern of
-      Aᵀ + A (Liu, ACM TOMS 11, 1985), which on the benchmark meshes,
-      symmetric in pattern, keeps about half the fill of COLAMD.
+    - above it, the free block ``K[free][:, free]`` is factored by SuperLU
+      in CSC form: its transpose, whose CSC arrays are the block's CSR
+      arrays, left relative residuals above 1e-10 on the plate saddle
+      systems.  Its columns are ordered by multiple minimum degree on the
+      pattern of Aᵀ + A (Liu, ACM TOMS 11, 1985), which on the benchmark
+      meshes, symmetric in pattern, keeps about half the fill of COLAMD.
 
-    Raises ValueError when a constrained row lies outside the system or its
-    value is not finite, and :class:`NumericalError` when factorization
-    fails or the relative residual on the free rows exceeds 1e-10.
+    Raises ValueError on conflicting values for one row, a constrained row
+    outside the system or a value that is not finite, and
+    :class:`NumericalError` when factorization fails or the relative
+    residual on the free rows exceeds 1e-10.
     """
     n = system.nrows
     K = system.K.tocsr()
     f = np.asarray(system.f, dtype=float)
-    c = system.constraints
-    fixed = np.fromiter(c.keys(), dtype=np.int64, count=len(c))
-    values = np.fromiter(c.values(), dtype=float, count=len(c))
-    bad = (fixed < 0) | (fixed >= n)
-    if bad.any():
-        raise ValueError(f"Dirichlet row {fixed[bad][0]} outside the system's rows 0..{n - 1}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite Dirichlet value on row {fixed[~np.isfinite(values)][0]}")
+    prescribed: dict[int, float] = {}
+    for row, value in constraints:
+        row, value = int(row), float(value)
+        if not 0 <= row < n:
+            raise ValueError(f"Dirichlet row {row} outside the system's rows 0..{n - 1}")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite Dirichlet value on row {row}")
+        first = prescribed.setdefault(row, value)
+        if abs(first - value) > 1e-8 * max(1.0, abs(first), abs(value)):
+            raise ValueError(f"conflicting Dirichlet values on dof {row}: {first} vs {value}")
+    fixed = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
     x = np.zeros(n)
-    x[fixed] = values
+    x[fixed] = np.fromiter(prescribed.values(), dtype=float, count=len(prescribed))
+    if fixed.size == n:
+        return x
     free = np.ones(n, dtype=bool)
     free[fixed] = False
-    nfree = n - fixed.size
-    if nfree == 0:
-        return x
     rhs = (f - K @ x)[free]
     if n <= _DENSE_ROWS:
         block = K.toarray()[free][:, free]
@@ -134,13 +113,7 @@ def linear_solve(system: AssembledSystem) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"dense factorization failed: {exc}") from exc
     else:
-        renumber = np.cumsum(free, dtype=K.indices.dtype) - 1
-        row = np.repeat(np.arange(n), np.diff(K.indptr))
-        keep = free[row] & free[K.indices]
-        rows, cols = renumber[row[keep]], renumber[K.indices[keep]]
-        indptr = np.zeros(nfree + 1, dtype=K.indptr.dtype)
-        np.cumsum(np.bincount(rows, minlength=nfree), out=indptr[1:])
-        block = sp.csr_matrix((K.data[keep], cols, indptr), shape=(nfree, nfree))
+        block = K[free][:, free]
         try:
             sol = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
         except RuntimeError as exc:

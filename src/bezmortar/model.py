@@ -23,6 +23,7 @@ them.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -306,28 +307,20 @@ class MultiPatchModel:
         Interface i's block is (G_i E_i) P: its retained columns plus, for each
         interface j whose trace dofs it reaches (an owner array read at its
         columns), those columns times j's block.  Each block is formed once, in
-        dependency order (Kahn's algorithm).
+        dependency order.
         """
         nr, n = self.n_retained, len(self.couplings)
         owner = np.repeat(np.arange(-1, n), [nr] + [ids.size for ids in self.trace_ids])
         deps = [sorted(set(owner[GE.indices].tolist()) - {-1}) for GE in self._constraints]
-        users: list[list[int]] = [[] for _ in range(n)]
-        for ci, d in enumerate(deps):
-            for cj in d:
-                users[cj].append(ci)
-        waiting = [len(d) for d in deps]
-        order = [ci for ci in range(n) if not waiting[ci]]
+        try:
+            order = list(graphlib.TopologicalSorter(dict(enumerate(deps))).static_order())
+        except graphlib.CycleError:
+            raise ValueError("cyclic interface dependency; cannot condense") from None
         blocks: list = [None] * n
-        for ci in order:  # the order grows as the blocks it waits for are formed
+        for ci in order:
             GE = self._constraints[ci]
             blocks[ci] = sum((GE[:, self.trace_ids[cj]] @ blocks[cj] for cj in deps[ci]),
                              GE[:, :nr])
-            for ck in users[ci]:
-                waiting[ck] -= 1
-                if not waiting[ck]:
-                    order.append(ck)
-        if len(order) < n:
-            raise ValueError("cyclic interface dependency; cannot condense")
         P = sp.vstack([sp.identity(nr, format="csr")] + blocks, format="csr")
         P.sort_indices()  # the sparse products leave column order unsorted
         return P

@@ -774,6 +774,40 @@ def test_unwritable_output_exits_2(tmp_path, args, written, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_output_that_is_a_directory_exits_2(tmp_path, capsys):
+    # its folder takes files, so only the write itself finds the path unusable
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["mesh", "--case", "square-demo", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+    assert not list(out.iterdir())
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize("reason", ["No such file or directory", "Not a directory"])
+@pytest.mark.parametrize("args, written", [
+    (["mesh", "--case", "square-demo"], ""),
+    (["solve", "--case", "square-mixed"], ".coeffs.json"),
+    (["converge", "--case", "square-mixed"], ""),  # its default 4 levels
+], ids=["mesh", "solve", "converge"])
+def test_unwritable_output_is_refused_before_any_work(tmp_path, monkeypatch, capsys, args,
+                                                      written, reason):
+    from bezmortar import benchmarks
+
+    for name in ("build_case", "solve_case", "run_convergence", "run_largedef"):
+        monkeypatch.setattr(benchmarks, name, _no_work)
+    folder = tmp_path / "folder"
+    if reason == "Not a directory":
+        folder.write_text("")
+    out = folder / "out"
+    assert run_cli([*args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}{written}: {reason}\n"
+    assert list(tmp_path.iterdir()) == ([folder] if reason == "Not a directory" else [])
+
+
 @pytest.mark.parametrize(
     "args, option",
     [

@@ -229,6 +229,19 @@ def test_rational_dual_random_weights():
         assert np.abs(G - np.eye(kv.n)).max() < 1e-11
 
 
+def test_rational_dual_owns_its_weights():
+    # a later write to the caller's array reaches neither the basis nor its values
+    kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
+    w = np.ones(kv.n)
+    rat = rational_dual(dual_extraction(kv), w)
+    index, values = rat.evaluate(np.array([0.4]))
+    w[2] = 3.0
+    assert w.flags.writeable and not rat.weights.flags.writeable
+    assert np.array_equal(rat.weights, np.ones(kv.n))
+    after = rat.evaluate(np.array([0.4]))
+    assert np.array_equal(after[0], index) and np.array_equal(after[1], values)
+
+
 def test_rational_dual_rejects_bad_weights():
     kv = random_kv(2)
     with pytest.raises(ValueError, match="strictly positive"):

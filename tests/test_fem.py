@@ -18,7 +18,6 @@ from bezmortar import (
     assemble_neo_hookean,
     assemble_neumann,
     assemble_poisson,
-    apply_dirichlet,
     boundary_projection,
     condense,
     dirichlet_rows,
@@ -99,8 +98,7 @@ def test_multipatch_linear_patch_test():
     sides = [(0, s, 0, u) for s in ("west", "east", "south")] + [
         (1, s, 0, u) for s in ("west", "east", "north")
     ]
-    system = apply_dirichlet(assemble_poisson(mesh), dirichlet_rows(mesh, 1, sides))
-    x = linear_solve(system)
+    x = linear_solve(assemble_poisson(mesh), dirichlet_rows(mesh, 1, sides))
     assert l2_error(SolutionField(mesh, x, 1), u) < 1e-10
 
 
@@ -148,7 +146,7 @@ def test_uniaxial_traction_exact():
     system.f += assemble_neumann(mesh, 2, [(0, "east", None, lambda x, n: np.array([T, 0.0]))])
     zero = lambda x, y: 0.0
     rows = dirichlet_rows(mesh, 2, [(0, "west", 0, zero), (0, "south", 1, zero)])
-    x = linear_solve(apply_dirichlet(system, rows))
+    x = linear_solve(system, rows)
     field = SolutionField(mesh, x, 2)
     exx = T * (1 - mat.nu**2) / mat.E
     eyy = -T * mat.nu * (1 + mat.nu) / mat.E
@@ -200,7 +198,7 @@ def test_dirichlet_conflict_detection():
     mesh = MultiPatchModel([rect_patch(1, 1, 1)], []).weak_mesh()
     system = assemble_poisson(mesh)
     with pytest.raises(ValueError, match="conflict"):
-        apply_dirichlet(system, [(0, 1.0), (0, 2.0)])
+        linear_solve(system, [(0, 1.0), (0, 2.0)])
 
 
 def test_homogeneous_dirichlet_zero_trace():
@@ -209,8 +207,7 @@ def test_homogeneous_dirichlet_zero_trace():
     zero = lambda x, y: 0.0
     rows = dirichlet_rows(mesh, 1, [(0, s, 0, zero) for s in
                                            ("west", "east", "south", "north")])
-    system = apply_dirichlet(assemble_poisson(mesh, lambda x, y: 1.0), rows)
-    x = linear_solve(system)
+    x = linear_solve(assemble_poisson(mesh, lambda x, y: 1.0), rows)
     field = SolutionField(mesh, x, 1)
     t = np.linspace(0, 1, 7)
     assert np.abs(field.evaluate(0, t, np.zeros(7))).max() < 1e-12
@@ -289,8 +286,7 @@ def test_constraining_everything_returns_projection():
     mesh = MultiPatchModel([rect_patch(1, 1, 1)], []).weak_mesh()
     system = assemble_poisson(mesh)
     vals = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
-    system = apply_dirichlet(system, vals.items())
-    x = linear_solve(system)
+    x = linear_solve(system, vals.items())
     assert np.allclose(x, [1, 2, 3, 4])
 
 
@@ -379,7 +375,7 @@ def test_boundary_projection_rate():
 
 def test_linear_solve_identity():
     system = AssembledSystem(sp.eye(5, format="csr"), np.arange(5.0), 1)
-    assert np.allclose(linear_solve(system), np.arange(5.0))
+    assert np.allclose(linear_solve(system, []), np.arange(5.0))
 
 
 def test_linear_solve_vs_dense_oracle():
@@ -387,7 +383,7 @@ def test_linear_solve_vs_dense_oracle():
     A = sp.random(n, n, density=0.05, random_state=3)
     K = (A @ A.T + 10 * sp.eye(n)).tocsr()
     f = RNG.normal(size=n)
-    x = linear_solve(AssembledSystem(K, f, 1))
+    x = linear_solve(AssembledSystem(K, f, 1), [])
     assert np.abs(x - np.linalg.solve(K.toarray(), f)).max() < 1e-8
 
 
@@ -398,7 +394,7 @@ _DENSE_ROWS = linsys._DENSE_ROWS
 def test_linear_solve_singular_raises():
     for n in (2, _DENSE_ROWS + 1):  # dense and SuperLU routes
         with pytest.raises(NumericalError):
-            linear_solve(AssembledSystem(sp.csr_matrix((n, n)), np.ones(n), 1))
+            linear_solve(AssembledSystem(sp.csr_matrix((n, n)), np.ones(n), 1), [])
 
 
 @pytest.mark.parametrize("K, message", [
@@ -408,7 +404,7 @@ def test_linear_solve_singular_raises():
 ], ids=["nan-entry", "hilbert-12"])
 def test_linear_solve_refuses_an_inaccurate_solution(K, message):
     with pytest.raises(NumericalError, match=message):
-        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(len(K)), 1))
+        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(len(K)), 1), [])
 
 
 @pytest.mark.parametrize("constraints, message", [
@@ -417,9 +413,38 @@ def test_linear_solve_refuses_an_inaccurate_solution(K, message):
     ({0: float("nan")}, "non-finite Dirichlet value on row 0"),
 ], ids=["negative-row", "row-past-the-end", "nan-value"])
 def test_linear_solve_rejects_bad_constraints(constraints, message):
-    system = AssembledSystem(sp.eye(3, format="csr"), np.ones(3), 1, constraints)
+    system = AssembledSystem(sp.eye(3, format="csr"), np.ones(3), 1)
     with pytest.raises(ValueError, match=message):
-        linear_solve(system)
+        linear_solve(system, constraints.items())
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_one_constraint_rule_on_generated_pairs(seed, data):
+    # duplicates of a row within 1e-9 relative are one constraint, solved at
+    # the row's first value; the order of the pairs does not matter while
+    # each row's duplicates keep theirs; above 1e-8 relative they conflict
+    rng = np.random.default_rng(seed)
+    n = 8
+    R = rng.normal(size=(n, n))
+    system = AssembledSystem(sp.csr_matrix(R @ R.T + n * np.eye(n)), rng.normal(size=n), 1)
+    first, pairs = {}, []
+    for row in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)):
+        if row in first:
+            value = first[row] * (1 + data.draw(st.floats(-1e-9, 1e-9)))
+        else:
+            value = first[row] = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+        pairs.append((row, value))
+    x = linear_solve(system, pairs)
+    assert all(x[row] == value for row, value in first.items())
+    order = data.draw(st.permutations(range(len(pairs))))
+    queues = {row: iter([v for r, v in pairs if r == row]) for row in first}
+    shuffled = [(pairs[i][0], next(queues[pairs[i][0]])) for i in order]
+    assert linear_solve(system, shuffled).tobytes() == x.tobytes()
+    row = data.draw(st.sampled_from(sorted(first)))
+    step = data.draw(st.floats(1e-7, 1.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+    clash = first[row] + step * max(1.0, abs(first[row]))
+    with pytest.raises(ValueError, match="conflicting Dirichlet values"):
+        linear_solve(system, [*pairs, (row, clash)])
 
 
 @st.composite
@@ -459,14 +484,14 @@ def test_free_block_is_the_fancy_index_selection(case):
         options.append(kwargs)
         raise _Factored
 
-    system = AssembledSystem(K, f, 1, constraints)
+    system = AssembledSystem(K, f, 1)
     with mock.patch.object(linsys.spla, "splu", side_effect=factor), \
             mock.patch.object(linsys.np.linalg, "solve", side_effect=factor):
         if free.any():
             with pytest.raises(_Factored):
-                linear_solve(system)
+                linear_solve(system, constraints.items())
         else:
-            x = linear_solve(system)
+            x = linear_solve(system, constraints.items())
             assert np.array_equal(x, [constraints[r] for r in range(K.shape[0])])
     if not free.any():
         assert not seen
@@ -515,7 +540,7 @@ def test_linear_solve_matches_dense_solve(seed, n, m, data):
     fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 2 * m))
     constraints = {r: float(v) for r, v in zip(fixed, rng.normal(size=len(fixed)))}
     f = rng.normal(size=K.shape[0])
-    x = linear_solve(AssembledSystem(K, f, 1, constraints))
+    x = linear_solve(AssembledSystem(K, f, 1), constraints.items())
     ref = _dense_constrained_solve(K, f, constraints)
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     assert all(x[r] == v for r, v in constraints.items())
@@ -547,9 +572,9 @@ def test_dense_and_superlu_routes_agree_at_the_bound(seed, m, data):
     K1 = sp.bmat([[K, col[:, None]], [col[None, :], [[1.0]]]], format="csr")
     f1 = np.append(f + value * col, 0.0)
     with mock.patch.object(linsys.spla, "splu", wraps=linsys.spla.splu) as splu:
-        x = linear_solve(AssembledSystem(K, f, 1, constraints))
+        x = linear_solve(AssembledSystem(K, f, 1), constraints.items())
         assert splu.call_count == 0
-        x1 = linear_solve(AssembledSystem(K1, f1, 1, {**constraints, n: value}))
+        x1 = linear_solve(AssembledSystem(K1, f1, 1), [*constraints.items(), (n, value)])
         assert splu.call_count == 1
     assert np.abs(x1[:n] - x).max() <= 1e-12 * np.abs(x).max()
     assert x1[n] == value
@@ -578,6 +603,18 @@ def test_neo_hookean_refuses_a_plane_stress_material(nu):
         assemble_neo_hookean(mesh, mat, zero)
     with pytest.raises(ValueError, match="plane strain"):
         newton_load_stepping(mesh, mat, zero, [], increments=1)
+
+
+def test_newton_refuses_a_nonzero_constraint_value():
+    # the iterates start at zero and every step holds the constrained rows,
+    # so a prescribed 0.05 would be solved as 0
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
+    mat = MaterialModel(E=10.0, nu=0.3)
+    rows = dirichlet_rows(mesh, 2, [(0, "west", 1, 0.0), (0, "south", 0, 0.05)])
+    held = next(r for r, v in rows if v != 0)
+    assert rows[0][1] == 0.0
+    with pytest.raises(ValueError, match=f"row {held} has a nonzero value"):
+        newton_load_stepping(mesh, mat, np.zeros(2 * mesh.ndof), rows, increments=1)
 
 
 def test_tangent_matches_finite_differences():
