@@ -9,11 +9,9 @@ identical linear systems.
 
 from .coupling import (
     CompositionalMap,
-    CouplingMatrix,
     InterfaceCoupling,
     InterfaceGeometryError,
     InterfaceSpec,
-    RefinedDualSpace,
     assemble_coupling,
     assemble_saddle,
     build_interface_coupling,
@@ -49,7 +47,6 @@ from .splines import (
     OutOfDomainError,
     Patch2D,
     bernstein_derivatives,
-    bernstein_transform,
     bezier_extraction,
     greville_abscissae,
     refinement_operator,

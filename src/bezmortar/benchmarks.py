@@ -583,9 +583,9 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> floa
     total = 0.0
     for ci, coup in enumerate(model.couplings):
         mp, ms = coup.spec.master
-        master, rkv = coup.phi.master, coup.refined.refined
-        xs, ws = gauss_on_breaks(coup.refined.segments, rkv.degree + 2)
-        cs, Rs, _ = rational_table(rkv, coup.refined_edge_weights, xs)
+        master = coup.phi.master
+        xs, ws = gauss_on_breaks(coup.segments, coup.space.degree + 2)
+        cs, Rs, _ = rational_table(coup.space, coup.weights, xs)
         cm, Rm, _ = rational_table(master.kv, master.weights, coup.phi(xs))
         us = np.einsum("qj,qjc->qc", Rs, vals[model.trace_ids[ci]][cs])
         um = np.einsum("qj,qjc->qc", Rm, vals[model.grids[mp][side_index(ms)]][cm])

@@ -29,9 +29,7 @@ __all__ = [
     "CompositionalMap",
     "build_phi",
     "project_master_knots",
-    "RefinedDualSpace",
     "refine_dual_space",
-    "CouplingMatrix",
     "assemble_coupling",
     "InterfaceCoupling",
     "build_interface_coupling",
@@ -70,8 +68,8 @@ class CompositionalMap:
         self.master = master_curve
         self.reversed = reversed
         s_lo, s_hi = slave_curve.domain
-        self._chord = float(np.linalg.norm(slave_curve.point(s_hi) - slave_curve.point(s_lo)))
-        self._scale = max(self._chord, 1e-30)
+        self._scale = max(float(np.linalg.norm(slave_curve.point(s_hi)
+                                               - slave_curve.point(s_lo))), 1e-30)
 
     def endpoint_mismatch(self) -> float:
         s_lo, s_hi = self.slave.domain
@@ -164,38 +162,21 @@ def project_master_knots(phi: CompositionalMap) -> np.ndarray:
     return np.array(keep)
 
 
-@dataclass(frozen=True)
-class RefinedDualSpace:
-    """Refined slave interface space with quadrature subdivision data.
-
-    Level 0 keeps the original space; level 1 inserts the pulled-back master
-    knots; each further level bisects every span.  ``refine_op`` maps
-    original interface coefficients to refined ones; its rows are the
-    non-negative Oslo weights, so it carries no cancellation noise to cut.
-    ``segments`` are the quadrature breakpoints for coupling integrals.
-    """
-
-    refined: KnotVector
-    refine_op: np.ndarray
-    segments: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.refined.n
-
-
 # the deepest dual refinement: each level doubles the refined interface, and
 # at this level the two-patch demo model builds in 0.014 s on a 2-core Xeon
 MAX_DUAL_REFINE = 10
 
 
 def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
-                      level: int) -> RefinedDualSpace:
+                      level: int) -> tuple[KnotVector, np.ndarray]:
     """Refine the slave interface space ``level`` times.
 
-    The first refinement adds the projected master knots; subsequent ones
-    bisect uniformly.  The global system never sees the refined functions as
-    degrees of freedom, so refining does not change the problem size.
+    Level 0 keeps the original space; level 1 inserts the pulled-back master
+    knots; each further level bisects every span.  Returns the refined knot
+    vector and the refinement operator T from the slave interface space,
+    whose rows are the non-negative Oslo weights.  The global system never
+    sees the refined functions as degrees of freedom, so refining does not
+    change the problem size.
     """
     if not 0 <= level <= MAX_DUAL_REFINE:
         raise ValueError(f"refinement level must be non-negative and at most {MAX_DUAL_REFINE}")
@@ -205,28 +186,7 @@ def refine_dual_space(slave_kv: KnotVector, merged_breakpoints: np.ndarray,
                                    if np.min(np.abs(coarse - x)) > 1e-10])
         for _ in range(level - 1):
             fine = np.union1d(fine, 0.5 * (fine[:-1] + fine[1:]))
-    refined, T = refinement_operator(slave_kv, np.setdiff1d(fine, coarse))
-    segments = refined.breakpoints() if level >= 1 else np.asarray(merged_breakpoints)
-    return RefinedDualSpace(refined, T, segments)
-
-
-@dataclass
-class CouplingMatrix:
-    """Coupling between slave interface functions and master interface functions.
-
-    ``std`` maps master to slave interface coefficients on standard weighted
-    NURBS coefficients, the matrix used for condensation: entry (I, J) is
-    int dual_I(xi) R_J(phi(xi)) d xi / w_I, with the dual scaled by the slave
-    weight function, R_J the rational master basis and w_I the refined slave
-    edge weight.  Rows follow the (refined) slave interface functions,
-    columns the master interface functions; it holds exact zeros where
-    :func:`assemble_coupling` cuts rounding noise.
-    """
-
-    std: np.ndarray
-
-    def row_sum_error(self) -> float:
-        return float(np.abs(self.std.sum(axis=1) - 1.0).max())
+    return refinement_operator(slave_kv, np.setdiff1d(fine, coarse))
 
 
 # The coupling's rounding cut in units of eps * A, A the summed magnitude of an
@@ -238,19 +198,21 @@ class CouplingMatrix:
 _CUT = 3e5
 
 
-def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarray,
-                      slave_weights: np.ndarray) -> CouplingMatrix:
-    """Integrate the coupling matrix over the merged segments.
+def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarray) -> np.ndarray:
+    """Integrate the coupling matrix G over the quadrature segments.
 
-    ``dual`` pairs with the rational slave basis of weights
-    ``slave_weights``.  Each merged segment lies in a single dual element and
-    maps into a single master element, so a Gauss rule of max(p_m, p_s)+1
-    points integrates the matched case exactly.  phi, the rational master
-    basis and the duals are evaluated at the quadrature points of all
-    segments at once.  Beside each entry the sum of its terms' magnitudes A
-    is accumulated, and an entry within ``_CUT`` * eps * A of zero is
-    cancellation noise and set to zero.
+    ``dual`` is a rational dual (:func:`~bezmortar.dualbasis.rational_dual`);
+    one without weights raises ``ValueError``.  Each segment lies in a single
+    dual element and maps into a single master element, so a Gauss rule of
+    max(p_m, p_s)+1 points integrates the matched case exactly.  phi, the
+    rational master basis and the duals are evaluated at the quadrature
+    points of all segments at once.  Beside each entry the sum of its terms'
+    magnitudes A is accumulated, an entry within ``_CUT`` * eps * A of zero
+    is cancellation noise and set to zero, and each row is divided by the
+    dual's weight.
     """
+    if dual.weights is None:
+        raise ValueError("the coupling pairs a rational dual: the dual has no weights")
     master = phi.master
     nq = max(master.kv.degree, dual.space.degree) + 1
     x, wq = gauss_on_breaks(segments, nq)
@@ -262,29 +224,47 @@ def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarr
     np.add.at(G, at, terms)
     np.add.at(A, at, np.abs(terms))
     G[np.abs(G) <= _CUT * np.finfo(float).eps * A] = 0.0
-    return CouplingMatrix(G / slave_weights[:, None])
+    return G / dual.weights[:, None]
 
 
 @dataclass
 class InterfaceCoupling:
-    """All coupling data of one interface, driven from its slave side."""
+    """All coupling data of one interface, driven from its slave side.
+
+    ``space`` is the refined slave interface knot vector, ``weights`` its
+    NURBS weights and ``segments`` the coupling's quadrature breakpoints.
+    ``G`` maps master to slave interface coefficients, the matrix used for
+    condensation: entry (I, J) is int dual_I(xi) R_J(phi(xi)) d xi / w_I,
+    with the dual scaled by the slave weight function, R_J the rational
+    master basis and w_I the refined slave weight.  It holds exact zeros
+    where :func:`assemble_coupling` cuts rounding noise.
+    """
 
     spec: InterfaceSpec
     phi: CompositionalMap
-    refined: RefinedDualSpace
-    coupling: CouplingMatrix
-    refined_edge_weights: np.ndarray
+    space: KnotVector
+    weights: np.ndarray
+    segments: np.ndarray
+    G: np.ndarray
+
+    def row_sum_error(self) -> float:
+        return float(np.abs(self.G.sum(axis=1) - 1.0).max())
 
 
 def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
                              master_curve: BoundaryCurve, level: int) -> InterfaceCoupling:
-    """Build phi, the refined dual space and the coupling matrix of one interface."""
+    """Build phi, the refined dual space and the coupling matrix of one interface.
+
+    The quadrature segments are the refined space's breakpoints from level 1
+    on and the merged breakpoints (:func:`project_master_knots`) at level 0.
+    """
     phi = build_phi(slave_curve, master_curve, spec.reversed)
-    refined = refine_dual_space(slave_curve.kv, project_master_knots(phi), level)
-    w_refined = refined.refine_op @ slave_curve.weights
-    dual = rational_dual(dual_extraction(refined.refined), w_refined)
-    coupling = assemble_coupling(dual, phi, refined.segments, w_refined)
-    return InterfaceCoupling(spec, phi, refined, coupling, w_refined)
+    merged = project_master_knots(phi)
+    space, T = refine_dual_space(slave_curve.kv, merged, level)
+    weights = T @ slave_curve.weights
+    segments = space.breakpoints() if level else merged
+    G = assemble_coupling(rational_dual(dual_extraction(space), weights), phi, segments)
+    return InterfaceCoupling(spec, phi, space, weights, segments, G)
 
 
 def condense(system: AssembledSystem, mesh) -> AssembledSystem:
@@ -317,16 +297,7 @@ def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
     assembled on the model's mortar mesh; the multiplier rows are appended
     after its displacement dofs.
     """
-    ncomp = system.ncomp
-    Bm, Bs = model.multiplier_blocks(ncomp)
-    nl = Bm.shape[0]
-    Z = sp.csr_matrix((nl, nl))
-    K = sp.bmat(
-        [
-            [system.K, (Bm - Bs).T],
-            [Bm - Bs, Z],
-        ],
-        format="csr",
-    )
-    f = np.concatenate([system.f, np.zeros(nl)])
-    return AssembledSystem(K, f, ncomp)
+    Bm, Bs = model.multiplier_blocks(system.ncomp)
+    B, nl = Bm - Bs, Bm.shape[0]
+    K = sp.bmat([[system.K, B.T], [B, sp.csr_matrix((nl, nl))]], format="csr")
+    return AssembledSystem(K, np.concatenate([system.f, np.zeros(nl)]), system.ncomp)

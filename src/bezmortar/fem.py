@@ -22,6 +22,7 @@ from .linsys import AssembledSystem, NumericalError, linear_solve
 from .model import Cell, CellGroup, ExtractedMesh
 from .splines import (
     SIDES,
+    _is_int,
     bernstein_derivatives,
     gauss_on,
     gauss_on_breaks,
@@ -280,8 +281,8 @@ def _wgram(A: np.ndarray, B: np.ndarray, wdet: np.ndarray) -> np.ndarray:
 
 
 def _side_patch(mesh: ExtractedMesh, patch, side: str):
-    """The patch of a (patch, side) spec; a bad patch or side raises ``ValueError``."""
-    if not (isinstance(patch, (int, np.integer)) and 0 <= patch < len(mesh.patches)):
+    """The patch of a (patch, side) spec; a bad patch (a bool too) or side raises ``ValueError``."""
+    if not (_is_int(patch) and 0 <= patch < len(mesh.patches)):
         raise ValueError(f"no patch {patch!r}: the mesh has {len(mesh.patches)} patches")
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected one of {', '.join(SIDES)}")
@@ -444,15 +445,15 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
 def dirichlet_rows(mesh: ExtractedMesh, ncomp: int, specs) -> list[tuple[int, float]]:
     """Translate per-side Dirichlet specs into (row, value) pairs.
 
-    Specs are (patch, side, comp, fn); rows are in the solved numbering of
-    ``mesh.grids``.  Dofs replaced by interface traces are skipped: slave
-    interface dofs never carry Dirichlet data directly.
+    Specs are (patch, side, comp, fn) with integer patch and comp; rows are in
+    the solved numbering of ``mesh.grids``.  Dofs replaced by interface traces
+    are skipped: slave interface dofs never carry Dirichlet data directly.
     """
     out = []
     for patch, side, comp, fn in specs:
         p = _side_patch(mesh, patch, side)
-        if not 0 <= comp < ncomp:
-            raise ValueError(f"component {comp} out of range for {ncomp} components")
+        if not (_is_int(comp) and 0 <= comp < ncomp):
+            raise ValueError(f"component {comp!r} out of range for {ncomp} components")
         vals = boundary_projection(p, side, fn if callable(fn) else (lambda x, y: fn))
         for dof, val in zip(mesh.grids[patch][side_index(side)], vals):
             if dof >= 0:

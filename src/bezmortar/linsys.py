@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ def linear_solve(system: AssembledSystem, constraints) -> np.ndarray:
       pattern of Aᵀ + A (Liu, ACM TOMS 11, 1985), which on the benchmark
       meshes, symmetric in pattern, keeps about half the fill of COLAMD.
 
-    Raises ValueError on conflicting values for one row, a constrained row
-    outside the system or a value that is not finite, and
+    Raises ValueError on conflicting values for one row, a row that is no
+    integer or lies outside the system or a value that is not finite, and
     :class:`NumericalError` when factorization fails or the relative
     residual on the free rows exceeds 1e-10.
     """
@@ -90,7 +91,11 @@ def linear_solve(system: AssembledSystem, constraints) -> np.ndarray:
     f = np.asarray(system.f, dtype=float)
     prescribed: dict[int, float] = {}
     for row, value in constraints:
-        row, value = int(row), float(value)
+        try:
+            row = operator.index(row)
+        except TypeError:
+            raise ValueError(f"Dirichlet row {row!r} is not an integer") from None
+        value = float(value)
         if not 0 <= row < n:
             raise ValueError(f"Dirichlet row {row} outside the system's rows 0..{n - 1}")
         if not math.isfinite(value):

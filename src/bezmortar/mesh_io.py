@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import MAX_DUAL_REFINE, InterfaceGeometryError, InterfaceSpec
 from .model import MultiPatchModel
-from .splines import SIDES, KnotVector, MeshFormatError, Patch2D
+from .splines import SIDES, KnotVector, MeshFormatError, Patch2D, _is_int
 
 __all__ = [
     "MeshFormatError",
@@ -289,10 +289,6 @@ def _validate_model_fields(doc) -> tuple:
         raise MeshFormatError("bad-dual-refine", f"dual_refine {level!r} is not a count "
                               f"in 0..{MAX_DUAL_REFINE}")
     return built, specs, int(level)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _validate_weak_cells(cells, ndof, npatches: int) -> None:

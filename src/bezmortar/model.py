@@ -34,7 +34,7 @@ from .splines import (
     SIDES,
     Patch2D,
     _element_tables,
-    bernstein_transform,
+    _subdivision,
     side_index,
 )
 
@@ -263,7 +263,7 @@ class MultiPatchModel:
             edge[...] = True
         # each patch's retained dofs, then each interface's trace dofs, in turn
         ends = np.cumsum([0] + [np.count_nonzero(~m) for m in slave]
-                         + [c.refined.n for c in self.couplings]).tolist()
+                         + [c.space.n for c in self.couplings]).tolist()
         self.grids: list[np.ndarray] = [np.full(m.shape, -1) for m in slave]
         for grid, mask, a, b in zip(self.grids, slave, ends, ends[1:]):
             grid[~mask] = np.arange(a, b)
@@ -273,7 +273,7 @@ class MultiPatchModel:
         masters = [c.spec.master for c in self.couplings]
         fmaps = {mp: self._function_map(mp) for mp, _ in masters}
         self._constraints = [  # G_i E_i
-            sp.csr_matrix(c.coupling.std) @ fmaps[mp][_flat(self.patches[mp])[side_index(ms)]]
+            sp.csr_matrix(c.G) @ fmaps[mp][_flat(self.patches[mp])[side_index(ms)]]
             for c, (mp, ms) in zip(self.couplings, masters)]
         self.P = self._prolongation()
 
@@ -417,8 +417,9 @@ class MultiPatchModel:
         Each element is subdivided at the refined interface's breakpoints
         inside it; ``index`` is the row-major element index of every subcell,
         in increasing order.  A subcell is the tensor cell of the element's
-        transverse extraction and its interface-direction extraction pulled
-        into subcell Bernstein coordinates; its rows are put in
+        transverse extraction and its own interface-direction operator, all
+        of them from one :func:`~bezmortar.splines._subdivision` at the union
+        of the element and refined-interface breakpoints; its rows are put in
         transverse-major order and the edge row group is swapped for the
         refined interface extraction over the trace dofs.
         """
@@ -429,35 +430,26 @@ class MultiPatchModel:
         p_f, p_i = kv_f.degree, kv_i.degree
         bp_f, first_f, C_f = _element_tables(kv_f)
         e_f = first_f.size - 1 if at_end else 0
-        bp_i, first_i, C_i = _element_tables(kv_i)
-        refined = coup.refined.refined
-        bp_r = refined.breakpoints()
+        bp_i = _element_tables(kv_i)[0]
+        bp_r, first_r, C_r = _element_tables(coup.space)
         cuts = np.union1d(bp_i, bp_r)
         a, b = cuts[:-1], cuts[1:]
         owner = np.searchsorted(bp_i, a, "right") - 1
-        lo, hi = bp_i[owner], bp_i[owner + 1]
-        # a subcell that is its whole element keeps the element's operator
-        part = np.flatnonzero((np.abs(a - lo) >= 1e-14) | (np.abs(b - hi) >= 1e-14))
-        h = (hi - lo)[part]
-        M = bernstein_transform(p_i, (a - lo)[part] / h, (b - lo)[part] / h)
-        Cs = C_i[owner]
-        Cs[part] = Cs[part] @ np.swapaxes(M, 1, 2)
         e_r = np.clip(np.searchsorted(bp_r, 0.5 * (a + b), "right") - 1, 0, bp_r.size - 2)
         m = owner.size
         transverse = (np.full(m, first_f[e_f]), np.broadcast_to(C_f[e_f], (m,) + C_f.shape[1:]))
-        along = (first_i[owner], Cs)
+        along = _subdivision(kv_i, cuts)
         pairs = transverse + along if axis_f == 0 else along + transverse
         rows, geo, pts = _tensor_cells(patch, self.grids[pi], *pairs)
         perm = np.arange(rows.shape[1]).reshape(patch.degrees[0] + 1, -1)
         perm = (perm.T if axis_f else perm).reshape(-1)
         rows, op = rows[:, perm], geo[:, perm]
         # the edge row group: refined interface functions over the trace dofs
-        _, first_r, C_r = _element_tables(refined)
         r = first_r[e_r][:, None] + np.arange(p_i + 1)
         edge = p_f if at_end else 0  # local index of the side's functions
         grp = slice(edge * (p_i + 1), (edge + 1) * (p_i + 1))
         kron = np.einsum("mrl,k->mrlk" if axis_f else "mrl,k->mrkl", C_r[e_r], C_f[e_f, edge])
-        op[:, grp] = coup.refined_edge_weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
+        op[:, grp] = coup.weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
         rows[:, grp] = self.trace_ids[ci][r]
         rect = np.empty((m, 2, 2))
         rect[:, axis_f], rect[:, 1 - axis_f] = bp_f[e_f : e_f + 2], np.column_stack([a, b])

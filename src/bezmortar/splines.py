@@ -1,12 +1,12 @@
 """Univariate Bernstein/B-spline/NURBS machinery and tensor-product patches.
 
 Everything in this module is exact spline algebra in one Bezier form: the
-Bernstein functions and their subdivision matrices live on the unit
-interval, and a knot vector's extraction operators, one (p+1, p+1) operator
-per element over that basis, are stacked arrays kept on it.  On top of that
-come knot insertion and rational curve and patch geometry.  All objects are
-immutable after construction and every function is pure, so they can be
-shared freely between threads.
+Bernstein functions live on the unit interval, and a knot vector's operators
+over that basis, one (p+1, p+1) operator per element or per subinterval,
+come from one knot-insertion kernel; the element operators are stacked
+arrays kept on the knot vector.  On top of that come rational curve and
+patch geometry.  All objects are immutable after construction and every
+function is pure, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "OutOfDomainError",
     "KnotVector",
     "bernstein_derivatives",
-    "bernstein_transform",
     "bspline_table",
     "rational_table",
     "refinement_operator",
@@ -48,6 +47,11 @@ class MeshFormatError(ValueError):
 
 class OutOfDomainError(ValueError):
     """Raised when an evaluation point lies outside the parametric domain."""
+
+
+def _is_int(v) -> bool:
+    """An index or count: a Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @lru_cache(maxsize=None)
@@ -111,25 +115,6 @@ def bernstein_derivatives(p: int, t, nders: int = 1) -> np.ndarray:
             acc += math.comb(k, j) * (-1.0) ** j * low[:, j : j + p + 1]
         out[k] = fac * acc
     return out[:, 0, :] if scalar else out
-
-
-def bernstein_transform(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transformation matrices M (n, p+1, p+1) from [0, 1] to the intervals [a, b].
-
-    ``a`` and ``b`` (n,) are the interval ends in [0, 1] coordinates, and
-    ``B_[a,b](x) = M^{-T} B_[0,1](x)`` pointwise, both bases evaluated at the
-    same parameter (extended outside their interval where needed).  Entry
-    (j, k) is a product sum of Bernstein values at ``a`` and ``b``, summed in
-    the same order for every interval.
-    """
-    M = np.zeros((len(a), p + 1, p + 1))
-    for j in range(1, p + 2):
-        Bj = _bernstein_unit(j - 1, b)  # degree j-1 at b
-        Bp = _bernstein_unit(p - j + 1, a)  # degree p-j+1 at a
-        for k in range(1, p + 2):
-            for l in range(max(1, j + k - p - 1), min(j, k) + 1):
-                M[:, j - 1, k - 1] += Bj[:, l - 1] * Bp[:, k - l]
-    return M
 
 
 # knots closer than this are copies of one knot (see KnotVector)
@@ -249,6 +234,32 @@ def refinement_operator(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarr
     return KnotVector(fine, kv.degree), T
 
 
+def _subdivision(kv: KnotVector, bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First functions (n,) and operators C (n, p+1, p+1) of ``kv`` on the
+    intervals between sorted breakpoints ``bp`` that hold its knots: on
+    interval e, N^e = C[e] B with B the interval's Bernstein basis.
+
+    Raising each interior breakpoint to multiplicity max(m, p), m its
+    multiplicity in ``kv``, makes the fine functions on each interval its
+    Bernstein polynomials, so C[e][j, k], coarse function first[e]+j in fine
+    function k of interval e, is read from that refinement's Oslo band
+    (:func:`_oslo_band`).  A row reads only its interval's ends and the knot
+    spans of them and of the breakpoint before, so a whole element gets the
+    same operator, bit for bit, from any ``bp``.
+    """
+    U, p = kv.values, kv.degree
+    past = np.searchsorted(U, bp, "right")  # past the last copy of each breakpoint
+    c0 = np.maximum(past[1:-1] - np.searchsorted(U, bp[1:-1]), p)
+    first_fine, a = _oslo_band(kv, np.repeat(bp, np.pad(c0, 1, constant_values=p + 1)))
+    rows = np.append(0, np.cumsum(c0))[:, None] + np.arange(p + 1)
+    # an interval's functions start p places before the last knot at or below its left end
+    first = past[:-1] - 1 - p
+    # a row shared with the interval before has its band start there: pad it
+    band = np.concatenate([a, np.zeros_like(a[:, :p])], axis=1)
+    cols = first[:, None, None] + np.arange(p + 1)[:, None] - first_fine[rows][:, None, :]
+    return first, band[rows[:, None, :], cols]
+
+
 def bezier_extraction(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Element extraction operators of an open knot vector, stacked.
 
@@ -256,32 +267,15 @@ def bezier_extraction(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarra
     each element (n_el,) and the operators C (n_el, p+1, p+1): on element e,
     N^e = C[e] B with N^e the p+1 non-vanishing spline functions and B the
     Bernstein basis of the unit element.  Columns of C[e] sum to one and
-    C[e] is invertible.
-
-    Raising every interior knot to multiplicity max(m, p) (the C0 form)
-    makes the fine functions on each element its Bernstein polynomials, so
-    C[e] is read from the Oslo band of that refinement (:func:`_oslo_band`):
-    C[e][j, k] is coarse function first[e]+j in fine function k of element
-    e.  It is computed once per knot vector and kept on it, as read-only
-    arrays.
+    C[e] is invertible.  They are :func:`_subdivision` at the breakpoints,
+    computed once per knot vector and kept on it, as read-only arrays.
     """
     tables = kv.__dict__.get("_extraction")
-    if tables is not None:
-        return tables
-    U, p = kv.values, kv.degree
-    last = np.flatnonzero(U[1:] > U[:-1])  # last copy of each element's left knot
-    bp, c0 = np.append(U[last], U[-1]), np.maximum(np.diff(last), p)
-    first_fine, a = _oslo_band(kv, np.repeat(bp, np.pad(c0, 1, constant_values=p + 1)))
-    # an element's functions start p places before its left knot's last copy
-    rows = np.append(0, np.cumsum(c0))[:, None] + np.arange(p + 1)
-    first = last - p
-    # a row shared with the element before has its band start there: pad it
-    band = np.concatenate([a, np.zeros_like(a[:, :p])], axis=1)
-    cols = first[:, None, None] + np.arange(p + 1)[:, None] - first_fine[rows][:, None, :]
-    tables = bp, first, band[rows[:, None, :], cols]
-    for t in tables:
-        t.setflags(write=False)
-    kv.__dict__["_extraction"] = tables
+    if tables is None:
+        bp = kv.breakpoints()
+        tables = kv.__dict__["_extraction"] = (bp, *_subdivision(kv, bp))
+        for t in tables:
+            t.setflags(write=False)
     return tables
 
 

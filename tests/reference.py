@@ -3,8 +3,9 @@
 The library evaluates splines in Bezier form only, from the stacked
 extraction tables.  These are the classic scalar forms instead: the knot span
 search and the Cox-de Boor recursions for basis values and derivatives
-(Piegl & Tiller, A2.1-A2.3), and a rational patch evaluation built on them.
-They read nothing of the library but a knot vector's values, so the batched
+(Piegl & Tiller, A2.1-A2.3), a rational patch evaluation built on them, and
+the Bernstein change of basis from one interval to another by de Casteljau's
+algorithm.  They read nothing of the library but a knot vector's values, so the batched
 code they check cannot also be their source.
 
 Five checks only tests use live here too: the net force of a stress field's
@@ -118,6 +119,25 @@ def bspline_derivatives(kv: KnotVector, xi: float, nders: int = 1) -> tuple[int,
         ders[k] *= fac
         fac *= p - k
     return span - p, ders
+
+
+def bernstein_change(p: int, src, tgt) -> np.ndarray:
+    """Matrix M with B_src = M^T B_tgt for the degree-p Bernstein bases of two intervals.
+
+    Column i holds the Bernstein coefficients over ``tgt`` = (a, b) of the
+    function B_i over ``src``: its blossom at a (p-j times) and b (j times)
+    in ``src``'s unit coordinates, by p de Casteljau steps (Farin, Curves and
+    Surfaces for CAGD, ch. 4), for all i at once.
+    """
+    (lo, hi), (a, b) = src, tgt
+    ua, ub = (a - lo) / (hi - lo), (b - lo) / (hi - lo)
+    M = np.empty((p + 1, p + 1))
+    for j in range(p + 1):
+        c = np.eye(p + 1)
+        for u in [ua] * (p - j) + [ub] * j:
+            c = (1.0 - u) * c[:-1] + u * c[1:]
+        M[j] = c[0]
+    return M
 
 
 def patch_eval(patch, xi1: float, xi2: float):

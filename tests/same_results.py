@@ -1,0 +1,182 @@
+"""Compare the model quantities of this tree with those of another commit.
+
+Builds the same grid of case models from the working tree and from a
+``git archive`` of ``--against`` and reports, quantity by quantity, whether
+they are bitwise identical:
+
+- ``P``, the prolongation;
+- ``Bm`` of ``multiplier_blocks(1)``, which stacks every interface's
+  coupling matrix G against the master edge functions;
+- the cell groups of the mortar and the weak stream: their ``index``,
+  ``rows`` and operator shapes (the pattern), and their ``ophom`` values;
+- the standard cells, the mortar cells with no trace row.
+
+The grid is 87 case variants at mesh levels 0-2: ``square-mixed`` at p 1-4,
+matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
+``annulus`` at n 0-2; both plates, matched and mismatched, at n 0-2.  Each
+tree is snapshotted in its own subprocess with one BLAS thread, and the
+subprocesses stream their models to this one in step, so one model pair is
+held at a time.  For each quantity it prints one of three results:
+identical; pattern or shape moved, with the models; or the largest relative
+value move, per cell of a group or per stored entry of ``P`` and ``Bm``,
+with its model.
+
+It builds 261 models per tree, so it is a script, not a test: pytest's
+default ``test_*.py`` pattern does not collect it.  Run it from the
+repository root:
+
+    python tests/same_results.py --against <git-ref>
+
+It exits 0 when every quantity is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+QUANTITIES = ("P", "Bm", "mortar cells", "weak cells", "standard cells")
+
+
+def grid():
+    """(label, BenchmarkCase settings, level) of every model compared."""
+    variants = [dict(case="square-mixed", p=p, matched=matched, ratio=ratio, dual_refine=n)
+                for p in (1, 2, 3, 4) for matched in (True, False)
+                for ratio in ((2, 3), (3, 2), (2, 2)) for n in (0, 1, 2)]
+    variants += [dict(case="annulus", dual_refine=n) for n in (0, 1, 2)]
+    variants += [dict(case=case, matched=matched, dual_refine=n)
+                 for case in ("plate-hole-2patch", "plate-hole-3patch")
+                 for matched in (True, False) for n in (0, 1, 2)]
+    for settings in variants:
+        for level in (0, 1, 2):
+            label = " ".join([settings["case"]] + [f"{k}={v}" for k, v in settings.items()
+                                                   if k != "case"] + [f"level {level}"])
+            yield label, settings, level
+
+
+def snapshot(settings: dict, level: int) -> dict:
+    """Every compared quantity of one model, as plain arrays."""
+    from bezmortar.benchmarks import BenchmarkCase, build_case
+
+    model = build_case(BenchmarkCase(**settings), level)
+    Bm = model.multiplier_blocks(1)[0]
+    snap = {name: ((M.shape, M.indptr, M.indices), (M.data,))
+            for name, M in (("P", model.P), ("Bm", Bm))}
+    for name, mesh in (("mortar cells", model.mortar_mesh()), ("weak cells", model.weak_mesh())):
+        snap[name] = ([(g.index, g.rows, g.ophom.shape) for g in mesh.groups],
+                      [g.ophom for g in mesh.groups])
+    mortar = model.mortar_mesh().groups
+    standard = [(g.rows < model.n_retained).all(axis=1) for g in mortar]
+    snap["standard cells"] = ([(g.index[s], g.ophom[s].shape) for g, s in zip(mortar, standard)],
+                              [g.ophom[s] for g, s in zip(mortar, standard)])
+    return snap
+
+
+def worker() -> None:
+    """Pickle each model's snapshot to the original stdout, in grid order."""
+    out = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # stray prints go to stderr, not into the stream
+    for _, settings, level in grid():
+        pickle.dump(snapshot(settings, level), out)
+        out.flush()
+
+
+def _same(a, b) -> bool:
+    """Nested tuples and lists of arrays, shapes and ints, equal bit for bit."""
+    import numpy as np
+
+    if isinstance(a, (tuple, list)):
+        return (isinstance(b, (tuple, list)) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return a == b
+
+
+def _relative_move(new: list, old: list) -> float:
+    """Largest max |new - old| / max |old| over the leading axis of each array:
+    per cell of a group, per stored entry of ``P`` and ``Bm``."""
+    import numpy as np
+
+    move = 0.0
+    for x, y in zip(new, old):
+        if not y.size:
+            continue
+        diff, scale = (np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0) for a in (x - y, y))
+        move = max(move, float(np.max(diff / np.where(scale > 0, scale, 1.0), initial=0.0)))
+    return move
+
+
+def compare(ref: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        procs = []
+        for tree in (ROOT, Path(tmp)):
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
+                       OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            procs.append(subprocess.Popen([sys.executable, __file__, "--worker"],
+                                          stdout=subprocess.PIPE, env=env))
+        moved = {q: [] for q in QUANTITIES}
+        worst = {q: (0.0, None, 0) for q in QUANTITIES}  # move, its model, models bitwise
+        count = 0
+        for label, _, _ in grid():
+            try:
+                new, old = (pickle.load(p.stdout) for p in procs)
+            except EOFError:
+                raise SystemExit("a snapshot subprocess failed") from None
+            count += 1
+            for q in QUANTITIES:
+                (new_pattern, new_values), (old_pattern, old_values) = new[q], old[q]
+                if not _same(new_pattern, old_pattern):
+                    moved[q].append(label)
+                    continue
+                move, at, same = worst[q]
+                if _same(new_values, old_values):
+                    worst[q] = (move, at, same + 1)
+                    continue
+                rel = _relative_move(new_values, old_values)
+                worst[q] = (rel, label, same) if rel > move or at is None else (move, at, same)
+        if any(p.wait() for p in procs):
+            raise SystemExit("a snapshot subprocess failed")
+    print(f"{count} models, this tree against {ref}:")
+    status = 0
+    for q in QUANTITIES:
+        move, at, same = worst[q]
+        if moved[q]:
+            status = 1
+            print(f"{q}: pattern or shape moved on {len(moved[q])} models: "
+                  + "; ".join(moved[q]))
+        elif at is None:
+            print(f"{q}: identical on all {count} models")
+            continue
+        if at is not None:
+            status = 1
+            print(f"{q}: values bitwise identical on {same} of {count} models; largest "
+                  f"relative move {move:.2e} ({at})")
+    return status
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", help="git ref to compare this tree with")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        worker()
+        return 0
+    if not args.against:
+        ap.error("--against is required")
+    return compare(args.against)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

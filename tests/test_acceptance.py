@@ -257,7 +257,7 @@ def test_criterion_10_large_deformation():
 
     The dead load (p_max = 10 mu, mu = 10.1 GPa) lies past the loads that
     Newton load stepping reaches: level 0 fails in increment 10 (50 GPa,
-    residual 1.428e12), so the study ends there, and a separate run of
+    residual 5.827e10), so the study ends there, and a separate run of
     level 1 fails at 25 GPa.  The tangent eigenvalues a scratch script took
     along that path are recorded in ROADMAP item 6; no test checks them yet.
     The criterion is executed exactly as stated and reports its outcome;

@@ -2,7 +2,10 @@
 
 The reference below builds every cell on its own: one ``np.kron`` per
 standard element, and trace cells row by row, with the refined interface
-extraction in the edge row group.  The mortar stream must equal it bit for
+extraction in the edge row group and each subcell's interface-direction
+operator from ``splines._subdivision`` at the knot vector's breakpoints and
+that subcell's two ends (the kernel's arithmetic is checked against
+``bspline_table`` in test_splines).  The mortar stream must equal it bit for
 bit (cell order and every field); the weak stream, contracted cell by cell
 through ``P[c.rows]``, must give the same rows and operators to rounding.
 The blocks ``cell_blocks`` reads from the mesh's shape groups must equal,
@@ -27,7 +30,7 @@ from bezmortar.model import Cell
 from bezmortar.splines import (
     SIDES,
     Patch2D,
-    bernstein_transform,
+    _subdivision,
     bezier_extraction,
 )
 from cases import case_model
@@ -109,23 +112,24 @@ def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
     op_f, op_i = (op1, op2)[axis_f], (op1, op2)[1 - axis_f]
     p_f, p_i = patch.degrees[axis_f], patch.degrees[1 - axis_f]
     edge_global = patch.kvs[axis_f].n - 1 if at_end else 0
-    refined = coup.refined.refined
-    r_ops = elements(refined)
+    r_ops = elements(coup.space)
     r_bp = [op.span[0] for op in r_ops]
-    w_r = coup.refined_edge_weights
+    w_r = coup.weights
     tids = model.trace_ids[ci]
     lo, hi = op_i.span
     # the element's own cut: the refined breakpoints strictly inside it
-    cuts = [lo] + [x for x in refined.breakpoints().tolist() if lo < x < hi] + [hi]
+    cuts = [lo] + [x for x in coup.space.breakpoints().tolist() if lo < x < hi] + [hi]
     cells = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         r_op = r_ops[max(int(np.searchsorted(r_bp, 0.5 * (a + b), side="right")) - 1, 0)]
-        if abs(a - lo) < 1e-14 and abs(b - hi) < 1e-14:
-            Ci_cell = op_i.matrix
-        else:
-            M = bernstein_transform(p_i, np.array([(a - lo) / (hi - lo)]),
-                                    np.array([(b - lo) / (hi - lo)]))[0]
-            Ci_cell = op_i.matrix @ M.T
+        # this subcell's operator: the kernel at the knot vector's own
+        # breakpoints and the subcell's two ends
+        kv_i = patch.kvs[1 - axis_f]
+        bp = np.union1d(kv_i.breakpoints(), [a, b])
+        first, C = _subdivision(kv_i, bp)
+        k = int(np.searchsorted(bp, a))
+        assert first[k] == op_i.first
+        Ci_cell = C[k]
         rows, op_rows = [], []
         for a_f in range(p_f + 1):
             g_f = op_f.first + a_f

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from bezmortar import (
     InterfaceSpec,
     MaterialModel,
     MultiPatchModel,
+    assemble_coupling,
     assemble_linear_elasticity,
     assemble_poisson,
     assemble_saddle,
@@ -25,6 +28,7 @@ from bezmortar import (
 )
 from bezmortar.benchmarks import (
     BenchmarkCase,
+    annulus_sector_patch,
     build_case,
     rect_patch,
     solve_case,
@@ -245,7 +249,7 @@ def test_generated_coupling_rows_sum_to_one(slave, master, reverse, level):
     # the same bound as the hand-picked row-sum tests: at p=4 on refined
     # elements a few thousandths long the duals reach 1e5 and rows sum to 1
     # within about 2e-11
-    assert coup.coupling.row_sum_error() < 1e-10
+    assert coup.row_sum_error() < 1e-10
 
 
 def _tangentially_perturbed(model, seed):
@@ -331,8 +335,8 @@ def _raw_coupling(coup):
     """The coupling sum G before its rounding cut and A, the sum of its terms'
     magnitudes, formed from the public API the way assemble_coupling forms them."""
     master = coup.phi.master
-    dual = rational_dual(dual_extraction(coup.refined.refined), coup.refined_edge_weights)
-    x, wq = gauss_on_breaks(coup.refined.segments, max(master.kv.degree, dual.space.degree) + 1)
+    dual = rational_dual(dual_extraction(coup.space), coup.weights)
+    x, wq = gauss_on_breaks(coup.segments, max(master.kv.degree, dual.space.degree) + 1)
     cols, Rm, _ = rational_table(master.kv, master.weights, coup.phi(x))
     rows, dv = dual.evaluate(x)
     terms = wq[:, None, None] * (dv[:, :, None] * Rm[:, None, :])
@@ -370,8 +374,7 @@ def test_coupling_entries_clear_the_rounding_cut():
         for coup in model.couplings:
             G, A = _raw_coupling(coup)
             cut = np.abs(G) <= _CUT * eps * A
-            assert np.array_equal(np.where(cut, 0.0, G) / coup.refined_edge_weights[:, None],
-                                  coup.coupling.std)
+            assert np.array_equal(np.where(cut, 0.0, G) / coup.weights[:, None], coup.G)
             r = np.abs(G[A > 0]) / (eps * A[A > 0])
             assert np.all((r <= _CUT / 30) | (r >= 30 * _CUT))
 
@@ -406,34 +409,64 @@ def test_projected_knots_satisfy_phi_inverse():
 
 def inner_breaks(space, lo, hi):
     """The refined breakpoints strictly inside (lo, hi): the subcell cuts there."""
-    bp = space.refined.breakpoints()
+    bp = space.breakpoints()
     return bp[(bp > lo) & (bp < hi)]
 
 
 def test_refine_level_zero_unchanged():
     kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
-    space = refine_dual_space(kv, merged, 0)
-    assert space.refined is kv
+    space, T = refine_dual_space(kv, merged, 0)
+    assert space is kv and np.array_equal(T, np.eye(kv.n))
     assert inner_breaks(space, 1 / 3, 2 / 3).size == 0
-    assert np.allclose(space.segments, merged)
+    # the coupling of this slave space integrates over the merged breakpoints
+    spec = InterfaceSpec(master=(1, "west"), slave=(0, "east"))
+    coup = build_interface_coupling(spec, line_curve(2, 3), line_curve(2, 2), 0)
+    assert np.array_equal(coup.space.values, kv.values)
+    assert np.allclose(coup.segments, merged)
 
 
 def test_refine_level_one_splits_crossed_element():
     kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
-    space = refine_dual_space(kv, merged, 1)
-    assert space.refined.n == 6
+    space, _ = refine_dual_space(kv, merged, 1)
+    assert space.n == 6
     assert np.allclose(inner_breaks(space, 1 / 3, 2 / 3), [0.5])
 
 
 def test_refine_level_two_bisects():
     kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
-    s1 = refine_dual_space(kv, merged, 1)
-    s2 = refine_dual_space(kv, merged, 2)
-    assert s2.refined.n == s1.refined.n + len(s1.refined.breakpoints()) - 1
+    s1, _ = refine_dual_space(kv, merged, 1)
+    s2, _ = refine_dual_space(kv, merged, 2)
+    assert s2.n == s1.n + len(s1.breakpoints()) - 1
     assert inner_breaks(s2, 1 / 3, 2 / 3).size == 3
+
+
+def test_one_record_per_interface():
+    # on a rational arc (two ring sectors, 3 and 2 elements along it): the
+    # record's space, weights and segments are the refinement's knot vector,
+    # T @ slave weights and its breakpoints
+    inner = annulus_sector_patch(0.0, np.pi / 2, 1.0, 2.0, 2, 3)
+    outer = annulus_sector_patch(0.0, np.pi / 2, 2.0, 3.0, 2, 2)
+    spec = InterfaceSpec(master=(1, "west"), slave=(0, "east"))
+    coup = MultiPatchModel([inner, outer], [spec], 2).couplings[0]
+    assert [f.name for f in dataclasses.fields(coup)] == ["spec", "phi", "space", "weights",
+                                                          "segments", "G"]
+    space, T = refine_dual_space(coup.phi.slave.kv, project_master_knots(coup.phi), 2)
+    assert np.array_equal(coup.space.values, space.values)
+    assert np.array_equal(coup.weights, T @ coup.phi.slave.weights)
+    assert np.ptp(coup.weights) > 0.1
+    assert np.array_equal(coup.segments, space.breakpoints())
+
+
+def test_coupling_refuses_a_dual_without_weights(demo_model):
+    coup = demo_model.couplings[0]
+    dual = dual_extraction(coup.space)
+    with pytest.raises(ValueError, match="the dual has no weights"):
+        assemble_coupling(dual, coup.phi, coup.segments)
+    G = assemble_coupling(rational_dual(dual, coup.weights), coup.phi, coup.segments)
+    assert np.array_equal(G, coup.G)
 
 
 def test_negative_dual_refinement_rejected():
@@ -445,7 +478,7 @@ def test_negative_dual_refinement_rejected():
 def test_dual_refinement_above_the_bound_is_refused():
     kv = KnotVector([0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1], 2)
     merged = np.array([0, 1 / 3, 0.5, 2 / 3, 1.0])
-    assert refine_dual_space(kv, merged, MAX_DUAL_REFINE).refined.n > 2**MAX_DUAL_REFINE
+    assert refine_dual_space(kv, merged, MAX_DUAL_REFINE)[0].n > 2**MAX_DUAL_REFINE
     with pytest.raises(ValueError, match=f"non-negative and at most {MAX_DUAL_REFINE}"):
         refine_dual_space(kv, merged, MAX_DUAL_REFINE + 1)
 
@@ -467,7 +500,7 @@ def test_identical_interfaces_give_identity():
     model = MultiPatchModel(
         [master, slave], [InterfaceSpec((0, "east"), (1, "west"))], 0
     )
-    G = model.couplings[0].coupling.std
+    G = model.couplings[0].G
     assert np.abs(G - np.eye(G.shape[0])).max() < 1e-13
 
 
@@ -475,11 +508,11 @@ def test_matched_coupling_is_refinement_operator(demo_model):
     coup = demo_model.couplings[0]
     master_kv = coup.phi.master.kv
     fine, T = refinement_operator(master_kv, [1 / 3, 2 / 3])
-    assert np.abs(coup.coupling.std - T).max() < 1e-13
+    assert np.abs(coup.G - T).max() < 1e-13
 
 
 def test_demo_coupling_matrix_printed_rationals(demo_model):
-    G = demo_model.couplings[0].coupling.std
+    G = demo_model.couplings[0].G
     expected = np.array(
         [
             [1, 0, 0, 0],
@@ -497,13 +530,13 @@ def test_demo_coupling_matrix_printed_rationals(demo_model):
 def test_row_sums_one():
     for matched in (True, False):
         model = case_model("square-mixed", 0, matched=matched)
-        assert model.couplings[0].coupling.row_sum_error() < 1e-10
+        assert model.couplings[0].row_sum_error() < 1e-10
 
 
 def test_master_basis_reproduced_pointwise(demo_model):
     coup = demo_model.couplings[0]
-    G = coup.coupling.std
-    rkv = coup.refined.refined
+    G = coup.G
+    rkv = coup.space
     mkv = coup.phi.master.kv
     for xi in np.linspace(0.01, 0.99, 30):
         fr, Nr = bspline_basis(rkv, float(xi))
@@ -544,7 +577,7 @@ def test_conforming_condensation_equals_conforming_assembly():
     diff = spla.norm(red.K - weak.K) / spla.norm(weak.K)
     assert diff < 1e-13
     # identity coupling merges interface dofs exactly
-    assert np.abs(model.couplings[0].coupling.std - np.eye(4)).max() < 1e-13
+    assert np.abs(model.couplings[0].G - np.eye(4)).max() < 1e-13
 
 
 def test_condense_reads_the_numbering_of_its_mesh(side_by_side):
@@ -578,7 +611,7 @@ def test_condensed_block_formula(side_by_side):
     system = assemble_poisson(mesh)
     red = condense(system, mesh)
     m, s = interface_dofs(model)
-    G = model.couplings[0].coupling.std
+    G = model.couplings[0].G
     K = system.K.toarray()
     Kred = red.K.toarray()
     mm = np.ix_(m, m)
@@ -607,7 +640,7 @@ def test_post_solve_constraint_residual(side_by_side):
     field, u = _solve_mixed("mortar")
     vals = field.values
     m, s = interface_dofs(model)
-    G = model.couplings[0].coupling.std
+    G = model.couplings[0].G
     assert np.abs(vals[s] - G @ vals[m]).max() < 1e-10
 
 
@@ -618,7 +651,7 @@ def test_saddle_blocks(side_by_side):
     # slave block is an identity on the trace dofs
     assert np.abs(Bs[:, s].toarray() - np.eye(len(s))).max() < 1e-14
     # master block carries the coupling matrix
-    G = model.couplings[0].coupling.std
+    G = model.couplings[0].G
     assert np.abs(Bm[:, m].toarray() - G).max() < 1e-14
 
 
@@ -632,7 +665,7 @@ def test_prolongation_and_saddle_blocks_share_one_constraint_product():
         mp, ms = coup.spec.master
         ids = model.grids[mp][side_index(ms)]
         E = sp.csr_matrix((np.ones(ids.size), (np.arange(ids.size), ids)), shape=(ids.size, n))
-        GE.append(sp.csr_matrix(coup.coupling.std) @ E)
+        GE.append(sp.csr_matrix(coup.G) @ E)
     ident = sp.identity(nr, format="csr")
     P0 = sp.vstack([ident, sp.csr_matrix((n - nr, nr))], format="csr")
     P = sp.vstack([ident] + [ge @ P0 for ge in GE], format="csr")
@@ -794,6 +827,20 @@ def test_staircase_dependency_chain(counts, dual_refine):
     assert l2_error(SolutionField(weak_mesh, x, 1), u) < 1e-10
 
 
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=3, max_size=6))
+def test_dual_refinement_keeps_the_dof_count(counts):
+    # the refined dual functions are never dofs: n = 0, 1 and 2 give one
+    # numbering, and no interface's refined space shrinks as n grows
+    models = [_staircase(counts, n) for n in (0, 1, 2)]
+    base = models[0]
+    for model in models[1:]:
+        assert model.n_retained == base.n_retained
+        assert all(np.array_equal(a, b) for a, b in zip(model.grids, base.grids, strict=True))
+        assert model.weak_mesh().ndof == base.weak_mesh().ndof
+    for coarse, fine in zip(models, models[1:]):
+        assert all(cf.space.n >= cc.space.n for cc, cf in zip(coarse.couplings, fine.couplings))
+
+
 def _corner_chain_model():
     # patch 1 is slave on its west side and master on its north side; the
     # shared corner dof is substituted through the first interface
@@ -856,7 +903,7 @@ def test_reversed_interface_end_to_end():
     red = condense(assemble_poisson(mesh), mesh)
     weak = assemble_poisson(model.weak_mesh())
     assert spla.norm(red.K - weak.K) / spla.norm(weak.K) < 1e-12
-    assert model.couplings[0].coupling.row_sum_error() < 1e-10
+    assert model.couplings[0].row_sum_error() < 1e-10
     u = lambda x, y: 2 * x - 3 * y + 0.5
     sides = [(0, s, 0, u) for s in ("west", "south", "north")] + [
         (1, s, 0, u) for s in ("west", "south", "north")

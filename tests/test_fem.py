@@ -244,6 +244,22 @@ def test_neumann_rejects_bad_specs(spec, message):
         assemble_neumann(mesh, 1, [spec[:3] + (lambda x, n: 1.0,)])
 
 
+@pytest.mark.parametrize("spec, message", [
+    ((0, "south", 0.5, 1.0), "component 0.5 out of range"),
+    ((0, "south", True, 1.0), "component True out of range"),
+    ((True, "south", 0, 1.0), "no patch True"),
+    ((0.0, "south", 0, 1.0), "no patch 0.0"),
+], ids=["fractional-component", "bool-component", "bool-patch", "float-patch"])
+def test_specs_refuse_a_component_or_patch_that_is_not_an_integer(spec, message):
+    # a fractional component once gave rows 0.5, 8.5, ..., and True was patch 1
+    mesh = MultiPatchModel([rect_patch(2, 2, 2), rect_patch(2, 2, 2, (1.0, 2.0))], []).weak_mesh()
+    with pytest.raises(ValueError, match=message):
+        dirichlet_rows(mesh, 2, [spec])
+    if spec[2] == 0:
+        with pytest.raises(ValueError, match=message):
+            assemble_neumann(mesh, 2, [(spec[0], "south", None, lambda x, n: (1.0, 0.0))])
+
+
 @pytest.mark.parametrize("where", ["forcing", "body_force", "traction", "exact", "quantity",
                                    "boundary"])
 def test_non_finite_user_values_are_rejected(where):
@@ -411,7 +427,11 @@ def test_linear_solve_refuses_an_inaccurate_solution(K, message):
     ({-1: 2.0}, "row -1 outside"),
     ({5: 2.0}, "row 5 outside"),
     ({0: float("nan")}, "non-finite Dirichlet value on row 0"),
-], ids=["negative-row", "row-past-the-end", "nan-value"])
+    ({1.7: 5.0}, "row 1.7 is not an integer"),
+    ({np.float64(1.0): 5.0}, r"row np\.float64\(1\.0\) is not an integer"),
+    ({"1": 5.0}, "row '1' is not an integer"),
+], ids=["negative-row", "row-past-the-end", "nan-value", "fractional-row", "float-row",
+        "string-row"])
 def test_linear_solve_rejects_bad_constraints(constraints, message):
     system = AssembledSystem(sp.eye(3, format="csr"), np.ones(3), 1)
     with pytest.raises(ValueError, match=message):

@@ -10,7 +10,6 @@ from bezmortar import (
     OutOfDomainError,
     Patch2D,
     bernstein_derivatives,
-    bernstein_transform,
     bezier_extraction,
     greville_abscissae,
     refinement_operator,
@@ -20,13 +19,13 @@ from bezmortar.benchmarks import annulus_sector_patch, rect_patch
 from bezmortar.splines import (
     BoundaryCurve,
     MeshFormatError,
-    _bernstein_unit,
     _element_tables,
+    _subdivision,
     bspline_table,
     rational_table,
     side_index,
 )
-from reference import bspline_basis, bspline_derivatives, find_span, patch_eval
+from reference import bernstein_change, bspline_basis, bspline_derivatives, find_span, patch_eval
 
 RNG = np.random.default_rng(20240917)
 
@@ -34,13 +33,6 @@ RNG = np.random.default_rng(20240917)
 def bernstein_on(p, lo, hi, x):
     """Degree-p Bernstein values on [lo, hi]: the unit basis at (x - lo) / (hi - lo)."""
     return bernstein_derivatives(p, (np.asarray(x, dtype=float) - lo) / (hi - lo), 0)[0]
-
-
-def transform_between(p, src, tgt):
-    """Transformation matrix from the Bernstein basis on ``src`` to that on ``tgt``."""
-    (lo, hi), (a, b) = src, tgt
-    return bernstein_transform(p, np.array([(a - lo) / (hi - lo)]),
-                               np.array([(b - lo) / (hi - lo)]))[0]
 
 
 # ---------------------------------------------------------------- Bernstein
@@ -83,20 +75,23 @@ def test_bernstein_derivatives_match_finite_differences():
 
 
 # ------------------------------------------------------------ transformation
+#
+# the reference change of basis between intervals that the trace-cell tests
+# build their expected operators from
 
 
 def test_transform_identity():
-    assert np.allclose(transform_between(3, (0.0, 1.0), (0.0, 1.0)), np.eye(4), atol=1e-14)
+    assert np.allclose(bernstein_change(3, (0.0, 1.0), (0.0, 1.0)), np.eye(4), atol=1e-14)
 
 
 def test_transform_first_half_quadratic():
-    M = transform_between(2, (0, 1), (0, 0.5))
+    M = bernstein_change(2, (0, 1), (0, 0.5))
     expected = np.array([[1, 0, 0], [0.5, 0.5, 0], [0.25, 0.5, 0.25]])
     assert np.abs(M - expected).max() < 1e-15
 
 
 def test_transform_second_half_by_sampling():
-    M = transform_between(1, (0.0, 1.0), (0.5, 1.0))
+    M = bernstein_change(1, (0.0, 1.0), (0.5, 1.0))
     for x in np.linspace(0.5, 1.0, 5):
         lhs = bernstein_on(1, 0.5, 1.0, x)
         rhs = np.linalg.solve(M.T, bernstein_on(1, 0.0, 1.0, x))
@@ -105,36 +100,11 @@ def test_transform_second_half_by_sampling():
 
 def test_transform_pointwise_identity_random():
     for p in range(1, 5):
-        M = transform_between(p, (0.1, 1.4), (0.35, 0.9))
+        M = bernstein_change(p, (0.1, 1.4), (0.35, 0.9))
         xs = RNG.uniform(0.35, 0.9, 20)
         lhs = bernstein_on(p, 0.35, 0.9, xs)
         rhs = np.linalg.solve(M.T, bernstein_on(p, 0.1, 1.4, xs).T).T
         assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def _transform_entries(p, a, b):
-    """One transform's product sums written out entry by entry, in Python."""
-    M = np.zeros((p + 1, p + 1))
-    for j in range(1, p + 2):
-        Bj = _bernstein_unit(j - 1, np.array([b]))[0]
-        Bp = _bernstein_unit(p - j + 1, np.array([a]))[0]
-        for k in range(1, p + 2):
-            M[j - 1, k - 1] = sum(Bj[l - 1] * Bp[k - l]
-                                  for l in range(max(1, j + k - p - 1), min(j, k) + 1))
-    return M
-
-
-def test_subdivision_rows_equal_single_transforms_bitwise():
-    rng = np.random.default_rng(11)
-    for p in range(6):
-        a = rng.uniform(-0.5, 1.0, 40)
-        b = a + rng.uniform(1e-6, 1.0, 40)
-        M = bernstein_transform(p, a, b)
-        assert M.shape == (40, p + 1, p + 1)
-        for k in range(40):
-            one = bernstein_transform(p, a[k : k + 1], b[k : k + 1])[0]
-            assert M[k].tobytes() == one.tobytes()
-            assert M[k].tobytes() == _transform_entries(p, a[k], b[k]).tobytes()
 
 
 # ------------------------------------------------------------------ B-spline
@@ -338,6 +308,34 @@ def test_extraction_equals_dense_c0_insertion(knots):
     for f, Ce, (first, block) in zip(firsts, C, oracle, strict=True):
         assert f == first
         assert np.abs(Ce - block).max() <= 1e-14
+
+
+@given(open_knot_values(), st.lists(st.floats(0.01, 0.99), max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_subdivision_reproduces_the_basis(knots, extra, seed):
+    # the kernel at the knots and extra cuts (kept 1e-10 apart, as the dual
+    # refinement keeps its knots) against the Bezier-form basis table at
+    # random points of every interval; on each interval that is a whole
+    # element it gives bezier_extraction's first function and operator
+    vals, p = knots
+    kv = KnotVector(vals, p)
+    bp = kv.breakpoints()
+    for x in extra:
+        if np.abs(bp - x).min() > 1e-10:
+            bp = np.union1d(bp, [x])
+    first, C = _subdivision(kv, bp)
+    lo, h = bp[:-1, None], np.diff(bp)[:, None]
+    x = (lo + h * np.random.default_rng(seed).uniform(0.01, 0.99, (len(h), 3))).reshape(-1)
+    e = np.repeat(np.arange(len(h)), 3)
+    B = bernstein_derivatives(p, (x - lo[e, 0]) / h[e, 0], 0)[0]
+    index, N = bspline_table(kv, x)
+    assert np.array_equal(index, first[e][:, None] + np.arange(p + 1))
+    assert np.abs(np.einsum("qb,qjb->qj", B, C[e]) - N).max() <= 1e-14
+    bp_e, first_e, C_e = bezier_extraction(kv)
+    at = np.searchsorted(bp, bp_e)
+    whole = np.flatnonzero(np.diff(at) == 1)
+    assert np.array_equal(first[at[whole]], first_e[whole])
+    assert C[at[whole]].tobytes() == C_e[whole].tobytes()
 
 
 @given(open_knot_values())

@@ -12,9 +12,9 @@ from bezmortar.benchmarks import (
     rect_patch,
 )
 from bezmortar.fem import evaluate_cell
-from bezmortar.splines import SIDES, _element_tables, bernstein_transform, bspline_table, side_index
+from bezmortar.splines import SIDES, _element_tables, bspline_table, side_index
 from cases import case_model
-from reference import bspline_basis, find_span
+from reference import bernstein_change, bspline_basis, find_span
 from test_splines import bernstein_on
 
 # ------------------------------------------------- the weak-operator report
@@ -38,8 +38,7 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
     interface index, then the master functions along the master edge) and
     columns transverse-major; ``weak_1d`` is its master rows on the edge's
     transverse Bernstein column group; ``coupling`` is the interface's
-    ``CouplingMatrix.std``.  The regression tests pin these matrices to
-    exact rationals.
+    ``G``.  The regression tests pin these matrices to exact rationals.
     """
     coup = model.couplings[0]
     pi, side = coup.spec.slave
@@ -49,17 +48,17 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
     kv_i, kv_f = patch.kvs[1 - axis_f], patch.kvs[axis_f]
     p_i = kv_i.degree
     bp_i, _, C_i = _element_tables(kv_i)
-    bp_r, first_r, C_r = _element_tables(coup.refined.refined)
+    bp_r, first_r, C_r = _element_tables(coup.space)
     # the first refined breakpoint inside a slave element ends its first subcell
     cuts = np.setdiff1d(bp_r, bp_i)
     element = int(np.searchsorted(bp_i, cuts[0])) - 1 if cuts.size else 0
     lo, hi = bp_i[element], bp_i[element + 1]
     a, b = lo, (cuts[0] if cuts.size else hi)
-    M = bernstein_transform(p_i, *(np.array([(t - lo) / (hi - lo)]) for t in (a, b)))[0]
+    M = bernstein_change(p_i, (lo, hi), (a, b))
     e_r = np.searchsorted(bp_r, 0.5 * (a + b)) - 1
     mkv = coup.phi.master.kv
     m_first = bspline_table(mkv, np.array([coup.phi(0.5 * (a + b))]))[0][0, 0]
-    G = coup.coupling.std
+    G = coup.G
     G_local = G[first_r[e_r] : first_r[e_r] + p_i + 1, m_first : m_first + mkv.degree + 1]
     # transverse factor: the element layer adjacent to the interface
     bp_f, _, C_f = _element_tables(kv_f)
@@ -263,8 +262,8 @@ def test_weak_trace_sampling_both_sides(demo_model):
     # weak basis continuity: master trace equals the coupled combination of
     # refined slave traces along the whole interface
     coup = demo_model.couplings[0]
-    G = coup.coupling.std
-    rkv = coup.refined.refined
+    G = coup.G
+    rkv = coup.space
     mkv = coup.phi.master.kv
     for xi in np.linspace(0.001, 0.999, 50):
         fr, Nr = bspline_basis(rkv, float(xi))
@@ -319,7 +318,7 @@ def test_weak_assembly_equals_condensed_mortar(model_fn):
     for ids, coup in zip(model.trace_ids, model.couplings):
         mp, ms = coup.spec.master
         master = model.grids[mp][side_index(ms)]
-        assert np.abs(P[ids] - coup.coupling.std @ P[master]).max() <= 1e-15
+        assert np.abs(P[ids] - coup.G @ P[master]).max() <= 1e-15
     mesh = model.mortar_mesh()
     red = condense(assemble_poisson(mesh), mesh)
     weak = assemble_poisson(model.weak_mesh())
