@@ -80,8 +80,12 @@ class CellGroup:
     degrees: tuple[int, int]
 
     def take(self, sel, **fields) -> CellGroup:
-        """The cells ``sel``; ``fields`` replace stacked fields (already selected)."""
-        return CellGroup(*(fields[f] if f in fields else getattr(self, f)[sel] for f in _STACKED),
+        """The cells ``sel``; ``fields`` replace stacked fields (already selected).
+        Fields that are one array, as the standard cells' ``ophom`` and
+        ``geo_ophom`` are, stay one array."""
+        keys = {f: id(getattr(self, f)) for f in _STACKED if f not in fields}
+        taken = {k: getattr(self, f)[sel] for k, f in {k: f for f, k in keys.items()}.items()}
+        return CellGroup(*(fields[f] if f in fields else taken[keys[f]] for f in _STACKED),
                          self.degrees)
 
 
@@ -118,8 +122,13 @@ class ExtractedMesh:
         self.groups: list[CellGroup] = []
         for ps in by_shape.values():
             ps.sort(key=lambda p: p.index[0])
-            g = ps[0] if len(ps) == 1 else CellGroup(
-                *(np.concatenate([getattr(p, f) for p in ps]) for f in _STACKED), ps[0].degrees)
+            if len(ps) == 1:
+                g = ps[0]
+            else:  # one concatenation per distinct list of arrays
+                keys = {f: tuple(id(getattr(p, f)) for p in ps) for f in _STACKED}
+                stacked = {k: np.concatenate([getattr(p, f) for p in ps])
+                           for k, f in {k: f for f, k in keys.items()}.items()}
+                g = CellGroup(*(stacked[keys[f]] for f in _STACKED), ps[0].degrees)
             if np.any(np.diff(g.index) < 0):  # interleaved pieces
                 g = g.take(np.argsort(g.index))
             for f in _STACKED:

@@ -1,4 +1,4 @@
-"""Compare the model quantities of this tree with those of another commit.
+"""Compare the model quantities and CLI outputs of this tree with those of another commit.
 
 Builds the same grid of case models from the working tree and from a
 ``git archive`` of ``--against`` and reports, quantity by quantity, whether
@@ -21,13 +21,22 @@ identical; pattern or shape moved, with the models; or the largest relative
 value move, per cell of a group or per stored entry of ``P`` and ``Bm``,
 with its model.
 
+Then it runs a fixed list of command-line calls in both trees, each tree in
+one subprocess with ``BEZMORTAR_THREADS=1`` (see :func:`commands`), and
+compares their output files byte for byte.  For an output whose bytes moved
+it prints the largest relative move of its numbers (per number in a CSV
+file, against the file's largest magnitude in a JSON file), or that its text
+moved.  Last it prints the criterion-10 outcome of both trees: the pinned
+large-deformation protocol of ``tests/test_acceptance.py``, whose failure
+message carries the Newton residual.
+
 It builds 261 models per tree, so it is a script, not a test: pytest's
 default ``test_*.py`` pattern does not collect it.  Run it from the
 repository root:
 
     python tests/same_results.py --against <git-ref>
 
-It exits 0 when every quantity is identical and 1 otherwise.
+It exits 0 when every quantity and every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +52,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 QUANTITIES = ("P", "Bm", "mortar cells", "weak cells", "standard cells")
+CASES = ("square-dirichlet", "square-mixed", "annulus", "plate-hole-2patch", "plate-hole-3patch",
+         "largedef-case1", "largedef-case2", "largedef-case3", "square-demo")
+LINEAR, LARGEDEF = CASES[:5], CASES[5:8]
 
 
 def grid():
@@ -76,6 +89,89 @@ def snapshot(settings: dict, level: int) -> dict:
     snap["standard cells"] = ([(g.index[s], g.ophom[s].shape) for g, s in zip(mortar, standard)],
                               [g.ophom[s] for g, s in zip(mortar, standard)])
     return snap
+
+
+def commands():
+    """(output name, arguments) of every compared command-line call: ``mesh
+    --weak`` on every case; ``solve`` by the three methods at level 1 on the
+    linear cases; the mismatched ``square-mixed`` convergence study over three
+    levels; and the large-deformation cases at 12 GPa in five increments."""
+    for case in CASES:
+        yield f"mesh-{case}.json", ["mesh", "--case", case, "--weak"]
+    for case in LINEAR:
+        for method in ("mortar", "weak", "saddle"):
+            yield f"solve-{case}-{method}", ["solve", "--case", case, "--method", method,
+                                             "--level", "1"]
+    yield "converge.csv", ["converge", "--case", "square-mixed", "--mismatched", "--levels", "3"]
+    for case in LARGEDEF:
+        yield f"solve-{case}", ["solve", "--case", case, "--method", "weak", "--increments", "5",
+                                "--pressure", "12e9"]
+
+
+def cli_worker(out: Path) -> None:
+    """Run every command into ``out``, then print the criterion-10 outcome."""
+    from bezmortar import cli
+    from bezmortar.benchmarks import LARGEDEF_PRESSURE, weak_vs_conforming_relative_error
+    from bezmortar.linsys import NumericalError
+
+    result = os.fdopen(os.dup(1), "w")
+    os.dup2(2, 1)  # the commands' messages go to stderr
+    for name, args in commands():
+        if cli.main([*args, "-o", str(out / name)]):
+            raise SystemExit(f"{' '.join(args)} failed")
+    try:  # the protocol of test_criterion_10_large_deformation
+        rep = weak_vs_conforming_relative_error("largedef-case1", 3, increments=20,
+                                                tol_factor=1e8, pressure=LARGEDEF_PRESSURE)
+        outcome = "; ".join(r["status"] for r in rep.rows)
+    except NumericalError as exc:
+        outcome = str(exc)
+    print(outcome, file=result, flush=True)
+
+
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _number_move(new: str, old: str, per_number: bool) -> float | None:
+    """Largest relative move of the numbers of two outputs, or None when the
+    text between the numbers moved."""
+    if _NUMBER.split(new) != _NUMBER.split(old):
+        return None
+    a, b = ([float(x) for x in _NUMBER.findall(text)] for text in (new, old))
+    if per_number:
+        return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
+                   default=0.0)
+    scale = max(map(abs, b), default=0.0)
+    return max(abs(x - y) for x, y in zip(a, b)) / scale if scale else float(a != b)
+
+
+def compare_cli(ref_tree: Path) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / side for side in ("this", "ref")]
+        procs = []
+        for tree, out in zip((ROOT, ref_tree), outs):
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), BEZMORTAR_THREADS="1")
+            procs.append(subprocess.Popen([sys.executable, __file__, "--cli-worker", str(out)],
+                                          stdout=subprocess.PIPE, text=True, env=env))
+        outcomes = [p.communicate()[0].strip() for p in procs]
+        if any(p.returncode for p in procs):
+            raise SystemExit("a command-line subprocess failed")
+        new, old = ({f.name: f.read_bytes() for f in out.iterdir()} for out in outs)
+    if sorted(new) != sorted(old):
+        raise SystemExit("the trees wrote different output files")
+    moved = []
+    for name in sorted(new):
+        if new[name] != old[name]:
+            move = _number_move(new[name].decode(), old[name].decode(), name.endswith(".csv"))
+            moved.append(f"{name}: " + ("text moved" if move is None
+                                        else f"largest relative move {move:.2e}"))
+    print(f"{len(new)} output files of {sum(1 for _ in commands())} commands: "
+          f"{len(new) - len(moved)} bytes identical")
+    for line in moved:
+        print(line)
+    print(f"criterion 10, this tree: {outcomes[0]}")
+    print(f"criterion 10, reference: {outcomes[1]}")
+    return int(bool(moved) or outcomes[0] != outcomes[1])
 
 
 def worker() -> None:
@@ -147,7 +243,13 @@ def compare(ref: str) -> int:
                 worst[q] = (rel, label, same) if rel > move or at is None else (move, at, same)
         if any(p.wait() for p in procs):
             raise SystemExit("a snapshot subprocess failed")
-    print(f"{count} models, this tree against {ref}:")
+        print(f"{count} models, this tree against {ref}:")
+        status = _report(count, moved, worst)
+        print(f"command-line outputs, this tree against {ref}:")
+        return max(status, compare_cli(Path(tmp)))
+
+
+def _report(count: int, moved: dict, worst: dict) -> int:
     status = 0
     for q in QUANTITIES:
         move, at, same = worst[q]
@@ -169,9 +271,13 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", help="git ref to compare this tree with")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--cli-worker", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         worker()
+        return 0
+    if args.cli_worker:
+        cli_worker(args.cli_worker)
         return 0
     if not args.against:
         ap.error("--against is required")

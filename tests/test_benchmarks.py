@@ -1,9 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bezmortar import OutOfDomainError
+from bezmortar import OutOfDomainError, linsys
 from bezmortar.benchmarks import (
     CASES,
     PLATE_RADIUS,
@@ -291,11 +292,15 @@ def test_studies_need_a_level():
 
 @pytest.mark.parametrize("case_id", ["plate-hole-2patch", "plate-hole-3patch"])
 def test_saddle_route_solves_the_sparse_plate_systems(case_id):
-    # level 2 puts the saddle system (636 and 888 rows) on the SuperLU route,
-    # where factoring the transposed free block left relative residuals of
-    # 1.05e-10 and 1.65e-10, above the solver's 1e-10 bound
+    # level 2 puts the saddle system (636 and 888 rows, band work 1.9e8 and
+    # 5.3e8, over the band budget) on the SuperLU route, where factoring the
+    # transposed free block left relative residuals of 1.05e-10 and
+    # 1.65e-10, above the solver's 1e-10 bound
     case = BenchmarkCase(case_id)
-    saddle = solve_case(case, 2, "saddle")["field"].values
+    with mock.patch.object(linsys.sla, "solveh_banded") as banded, \
+            mock.patch.object(linsys.spla, "splu", wraps=linsys.spla.splu) as superlu:
+        saddle = solve_case(case, 2, "saddle")["field"].values
+    assert (banded.call_count, superlu.call_count) == (0, 1)
     mortar = solve_case(case, 2, "mortar")["field"].values
     assert np.abs(saddle - mortar).max() <= 1e-8 * np.abs(mortar).max()
 

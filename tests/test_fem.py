@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from itertools import pairwise
@@ -25,7 +26,13 @@ from bezmortar import (
     linear_solve,
     newton_load_stepping,
 )
-from bezmortar.benchmarks import manufactured_fields, rect_patch, run_largedef
+from bezmortar.benchmarks import (
+    BenchmarkCase,
+    manufactured_fields,
+    rect_patch,
+    run_largedef,
+    solve_case,
+)
 from bezmortar.fem import evaluate_cell
 from bezmortar import linsys
 from bezmortar.linsys import AssembledSystem
@@ -403,14 +410,36 @@ def test_linear_solve_vs_dense_oracle():
     assert np.abs(x - np.linalg.solve(K.toarray(), f)).max() < 1e-8
 
 
-# the row bound between linear_solve's dense and SuperLU routes
+# the row bound between linear_solve's dense and sparse routes
 _DENSE_ROWS = linsys._DENSE_ROWS
 
 
+@contextlib.contextmanager
+def _routes():
+    """Spies on linear_solve's three factorizations, by route name."""
+    with mock.patch.object(linsys.np.linalg, "solve", wraps=np.linalg.solve) as dense, \
+            mock.patch.object(linsys.sla, "solveh_banded",
+                              wraps=linsys.sla.solveh_banded) as banded, \
+            mock.patch.object(linsys.spla, "splu", wraps=linsys.spla.splu) as superlu:
+        yield {"dense": dense, "banded": banded, "superlu": superlu}
+
+
+def _ran(spies) -> dict:
+    return {route: spy.call_count for route, spy in spies.items()}
+
+
+def _cholesky_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
 def test_linear_solve_singular_raises():
-    for n in (2, _DENSE_ROWS + 1):  # dense and SuperLU routes
-        with pytest.raises(NumericalError):
+    # above the dense bound the zero matrix is symmetric and within the band
+    # budget, but its zero diagonal sends it to SuperLU, which fails too
+    for n, ran in ((2, {"dense": 1, "banded": 0, "superlu": 0}),
+                   (_DENSE_ROWS + 1, {"dense": 0, "banded": 0, "superlu": 1})):
+        with _routes() as spies, pytest.raises(NumericalError):
             linear_solve(AssembledSystem(sp.csr_matrix((n, n)), np.ones(n), 1), [])
+        assert _ran(spies) == ran
 
 
 @pytest.mark.parametrize("K, message", [
@@ -472,15 +501,18 @@ def constrained_systems(draw):
     """A random square CSR matrix and load with constrained rows (none to all).
 
     The matrix is small or has ``_DENSE_ROWS`` rows (dense route), or has a
-    few rows more (SuperLU route).  Rows may hold explicit zeros and may list
-    their columns in descending order, as a non-canonical CSR array does.
+    few rows more (banded route when its free block is symmetric, SuperLU
+    otherwise).  It may be symmetric; rows may hold explicit zeros and may
+    list their columns in descending order, as a non-canonical CSR array does.
     """
     n = draw(st.one_of(st.integers(1, 25), st.just(_DENSE_ROWS),
                        st.integers(_DENSE_ROWS + 1, _DENSE_ROWS + 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     K = sp.random(n, n, density=draw(st.floats(0.05, 0.7)), random_state=rng, format="csr")
-    if draw(st.booleans()):
-        K.data[::3] = 0.0
+    if draw(st.booleans()):  # symmetric, for the banded route
+        K = (K + K.T).tocsr()
+    if draw(st.booleans()):  # zeros symmetric entries in pairs
+        K.data[K.data < 0.3] = 0.0
     if draw(st.booleans()):
         order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(K.indptr, K.indptr[1:])])
         K = sp.csr_matrix((K.data[order], K.indices[order], K.indptr), shape=K.shape)
@@ -492,21 +524,39 @@ class _Factored(Exception):
     pass
 
 
+def _upper_band(A: sp.csr_matrix):
+    """LAPACK's upper band storage of a symmetric matrix, ``[b + i - j, j]``
+    holding entry (i, j), b the largest distance of a stored entry from the
+    diagonal, and the band work m (b + 1)²."""
+    coo = A.tocoo()
+    m = A.shape[0]
+    b = int(np.abs(coo.row - coo.col).max(initial=0))
+    dense = A.toarray()
+    ab = np.zeros((b + 1, m))
+    for d in range(b + 1):
+        ab[b - d, d:] = np.diagonal(dense, d)
+    return ab, m * (b + 1) ** 2
+
+
 @given(constrained_systems())
 def test_free_block_is_the_fancy_index_selection(case):
     K, f, constraints = case
     free = np.ones(K.shape[0], dtype=bool)
     free[list(constraints)] = False
-    seen, options = [], []
+    seen, options, routes = [], [], []
 
-    def factor(A, *args, **kwargs):
-        seen.append(A.copy())
-        options.append(kwargs)
-        raise _Factored
+    def factor(route):
+        def record(A, *args, **kwargs):
+            seen.append(A.copy())
+            options.append(kwargs)
+            routes.append(route)
+            raise _Factored
+        return record
 
     system = AssembledSystem(K, f, 1)
-    with mock.patch.object(linsys.spla, "splu", side_effect=factor), \
-            mock.patch.object(linsys.np.linalg, "solve", side_effect=factor):
+    with mock.patch.object(linsys.spla, "splu", side_effect=factor("superlu")), \
+            mock.patch.object(linsys.sla, "solveh_banded", side_effect=factor("banded")), \
+            mock.patch.object(linsys.np.linalg, "solve", side_effect=factor("dense")):
         if free.any():
             with pytest.raises(_Factored):
                 linear_solve(system, constraints.items())
@@ -520,12 +570,24 @@ def test_free_block_is_the_fancy_index_selection(case):
     (A,) = seen
     if K.shape[0] <= _DENSE_ROWS:
         # K[free][:, free] as a dense array, for LAPACK
+        assert routes == ["dense"]
         assert isinstance(A, np.ndarray)
         assert A.dtype == float and A.shape == ref.shape
         assert A.tobytes() == ref.toarray().tobytes()
         return
+    dense = ref.toarray()
+    ab, work = _upper_band(ref)
+    if (np.abs(dense - dense.T).max() <= linsys._SYMMETRY_RTOL * np.abs(np.triu(dense)).max()
+            and np.all(np.diagonal(dense) > 0) and work <= linsys._BAND_WORK):
+        # the upper band of K[free][:, free], for LAPACK's banded Cholesky
+        assert routes == ["banded"]
+        assert options == [{"overwrite_ab": True, "check_finite": False}]
+        assert A.dtype == float and A.shape == ab.shape
+        assert A.tobytes() == ab.tobytes()
+        return
     # K[free][:, free] itself, in CSC form for SuperLU, ordered by minimum
     # degree on A^T + A
+    assert routes == ["superlu"]
     assert options == [{"permc_spec": "MMD_AT_PLUS_A"}]
     ref = ref.tocsc()
     assert A.format == "csc" and A.shape == ref.shape
@@ -579,8 +641,11 @@ def _spd_or_saddle(rng, n, m):
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.data())
 def test_dense_and_superlu_routes_agree_at_the_bound(seed, m, data):
-    # the same free system, solved dense at _DENSE_ROWS rows and by SuperLU
-    # with one more row, coupled to every other row and constrained
+    # the same free system, solved dense at _DENSE_ROWS rows and, with one more
+    # row coupled to every other row and constrained, by banded Cholesky when
+    # it is SPD (m = 0), or by SuperLU when it is the saddle system, whose
+    # zero diagonal entries rule Cholesky out; the SPD system also agrees with
+    # SuperLU, reached by a Cholesky that fails
     rng = np.random.default_rng(seed)
     n = _DENSE_ROWS
     K = _spd_or_saddle(rng, n, m)
@@ -591,13 +656,93 @@ def test_dense_and_superlu_routes_agree_at_the_bound(seed, m, data):
     col, value = rng.normal(size=n), float(rng.normal())
     K1 = sp.bmat([[K, col[:, None]], [col[None, :], [[1.0]]]], format="csr")
     f1 = np.append(f + value * col, 0.0)
-    with mock.patch.object(linsys.spla, "splu", wraps=linsys.spla.splu) as splu:
+    system1, constraints1 = AssembledSystem(K1, f1, 1), [*constraints.items(), (n, value)]
+    with _routes() as spies:
         x = linear_solve(AssembledSystem(K, f, 1), constraints.items())
-        assert splu.call_count == 0
-        x1 = linear_solve(AssembledSystem(K1, f1, 1), [*constraints.items(), (n, value)])
-        assert splu.call_count == 1
+    assert _ran(spies) == {"dense": 1, "banded": 0, "superlu": 0}
+    with _routes() as spies:
+        x1 = linear_solve(system1, constraints1)
+    assert _ran(spies) == {"dense": 0, "banded": int(m == 0), "superlu": int(m > 0)}
     assert np.abs(x1[:n] - x).max() <= 1e-12 * np.abs(x).max()
     assert x1[n] == value
+    if not m:
+        with mock.patch.object(linsys.sla, "solveh_banded", side_effect=_cholesky_fails), \
+                mock.patch.object(linsys.spla, "splu", wraps=linsys.spla.splu) as superlu:
+            x2 = linear_solve(system1, constraints1)
+        assert superlu.call_count == 1
+        assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x2).max()
+
+
+@pytest.mark.parametrize("skew, ran", [
+    (1e-15, {"dense": 0, "banded": 1, "superlu": 0}),
+    (1e-12, {"dense": 0, "banded": 0, "superlu": 1}),
+], ids=["within-tolerance", "beyond-tolerance"])
+def test_symmetry_tolerance_picks_the_route(skew, ran):
+    # an SPD block above the dense bound with one entry of its upper triangle
+    # moved by skew times the largest entry: within _SYMMETRY_RTOL (1e-14) it
+    # takes banded Cholesky, beyond it SuperLU, with a positive diagonal on both
+    rng = np.random.default_rng(7)
+    n = _DENSE_ROWS + 5
+    K = _spd_or_saddle(rng, n, 0).toarray()
+    K[0, 1] += skew * np.abs(K).max()
+    f = rng.normal(size=n)
+    with _routes() as spies:
+        x = linear_solve(AssembledSystem(sp.csr_matrix(K), f, 1), [])
+    assert _ran(spies) == ran
+    ref = np.linalg.solve(K, f)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_plate_saddle_system_falls_back_to_superlu():
+    # level 1 puts the 3-patch plate's saddle system (324 rows) above the
+    # dense bound and within the band budget: symmetric, but with a zero
+    # diagonal block, it is solved by SuperLU without a Cholesky attempt
+    case = BenchmarkCase("plate-hole-3patch")
+    with _routes() as spies:
+        saddle = solve_case(case, 1, "saddle")["field"].values
+    assert _ran(spies) == {"dense": 0, "banded": 0, "superlu": 1}
+    mortar = solve_case(case, 1, "mortar")["field"].values
+    assert np.abs(saddle - mortar).max() <= 1e-8 * np.abs(mortar).max()
+
+
+def _neo_hookean_tangent():
+    """A neo-Hookean tangent and out-of-balance load of a stretched and sheared
+    14 x 14 net (392 rows), with its west side held."""
+    mesh = MultiPatchModel([rect_patch(2, 12, 12)], []).weak_mesh()
+    xy = mesh.patches[0].points.reshape(-1, 2)
+    u = np.column_stack([0.05 * xy[:, 0] + 0.02 * xy[:, 1] ** 2, -0.03 * xy[:, 0] * xy[:, 1]])
+    r, K = assemble_neo_hookean(mesh, MaterialModel(E=10.0, nu=0.3), u.reshape(-1))
+    zero = lambda x, y: 0.0
+    rows = dirichlet_rows(mesh, 2, [(0, "west", 0, zero), (0, "west", 1, zero)])
+    return AssembledSystem(K, -r, 2), rows
+
+
+def test_neo_hookean_tangent_above_the_dense_bound_takes_the_banded_route():
+    system, rows = _neo_hookean_tangent()
+    assert system.nrows > _DENSE_ROWS
+    with _routes() as spies:
+        x = linear_solve(system, rows)
+    assert _ran(spies) == {"dense": 0, "banded": 1, "superlu": 0}
+    with mock.patch.object(linsys.sla, "solveh_banded", side_effect=_cholesky_fails):
+        ref = linear_solve(system, rows)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_indefinite_symmetric_tangent_falls_back_to_superlu():
+    # the tangent shifted between its two lowest free eigenvalues: symmetric,
+    # within the band budget and with a positive diagonal, but not positive
+    # definite, so Cholesky is tried and fails
+    system, rows = _neo_hookean_tangent()
+    free = np.setdiff1d(np.arange(system.nrows), [r for r, _ in rows])
+    low = np.linalg.eigvalsh(system.K.toarray()[np.ix_(free, free)])[:2]
+    shifted = AssembledSystem((system.K - low.mean() * sp.eye(system.nrows)).tocsr(),
+                              system.f, 2)
+    with _routes() as spies:
+        x = linear_solve(shifted, rows)
+    assert _ran(spies) == {"dense": 0, "banded": 1, "superlu": 1}
+    Kd = shifted.K.toarray()[np.ix_(free, free)]
+    ref = np.linalg.solve(Kd, shifted.f[free])
+    assert np.abs(x[free] - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # -------------------------------------------------------------- neo-Hookean
