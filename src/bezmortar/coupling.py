@@ -295,9 +295,14 @@ def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
     master interface basis (the coupling matrix) and with the slave
     interface basis (an identity block, by biorthogonality).  ``system`` is
     assembled on the model's mortar mesh; the multiplier rows are appended
-    after its displacement dofs.
+    after its displacement dofs.  Both blocks are scaled by the square root
+    of K's largest diagonal entry, so that the multiplier unknowns (the
+    multipliers divided by that factor) are on the scale of the
+    displacements (Benzi, Golub & Liesen, Acta Numerica 14, 2005, §10):
+    unscaled, SuperLU's displacements on the plates differed from the
+    condensed ones by up to 5.4e-11 relative, at residuals of 1e-14.
     """
     Bm, Bs = model.multiplier_blocks(system.ncomp)
-    B, nl = Bm - Bs, Bm.shape[0]
+    B, nl = (Bm - Bs) * np.sqrt(system.K.diagonal().max()), Bm.shape[0]
     K = sp.bmat([[system.K, B.T], [B, sp.csr_matrix((nl, nl))]], format="csr")
     return AssembledSystem(K, np.concatenate([system.f, np.zeros(nl)]), system.ncomp)

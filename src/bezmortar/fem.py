@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
 from .coupling import condense
-from .linsys import AssembledSystem, NumericalError, linear_solve
+from .linsys import AssembledSystem, NumericalError, _prescribed, linear_solve
 from .model import Cell, CellGroup, ExtractedMesh
 from .splines import (
     SIDES,
@@ -557,8 +557,10 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     reduced to the solved dofs with :func:`~bezmortar.coupling.condense` and
     iterates are expanded back with :meth:`ExtractedMesh.expand` (both act
     only on a mesh with a prolongation, the mortar stream).  Constraints are
-    (row, value) pairs in the solved numbering; the iterates start at zero and
-    every step holds the constrained rows, so a nonzero value raises ``ValueError``.
+    (row, value) pairs in the solved numbering, checked once before any step
+    by the rule of :func:`~bezmortar.linsys.linear_solve`; the iterates start
+    at zero and every step holds the constrained rows, so a nonzero value
+    raises ``ValueError`` too.
 
     The feasibility guard halves an update while the assembly at the trial
     state raises on an inverted element; the assembly that succeeds is the
@@ -570,11 +572,11 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     if not (math.isfinite(tol_factor) and tol_factor > 1):
         raise ValueError("tol_factor must be finite and greater than 1")
     dred = np.zeros(2 * (mesh.ndof if mesh.P is None else mesh.P.shape[1]))
-    constraints = list(constraints)
-    held = [r for r, v in constraints if v != 0]
+    prescribed = _prescribed(constraints, dred.size)
+    held = [r for r, v in prescribed.items() if v != 0]
     if held:
         raise ValueError(f"Newton holds constrained rows at zero; row {held[0]} has a nonzero value")
-    free = np.setdiff1d(np.arange(dred.size), [int(r) for r, _ in constraints])
+    free = np.setdiff1d(np.arange(dred.size), list(prescribed))
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
     # the load is dead, so the assembly at the current iterate serves every
     # increment until the iterate moves
@@ -596,7 +598,7 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                     f"Newton did not converge in increment {inc} "
                     f"(residual {rnorm:.3e})"
                 )
-            step = linear_solve(AssembledSystem(Kred, -rred, 2), constraints)
+            step = linear_solve(AssembledSystem(Kred, -rred, 2), prescribed.items())
             alpha = 1.0
             for _ in range(12):
                 trial = dred + alpha * step

@@ -14,6 +14,10 @@ report, a model's prolongation built by rounds, restacking P after every
 round, the way the library built it before it formed each block once,
 whether an interface reparameterization is affine, and the relative
 asymmetry of an assembled matrix.
+
+A reader of the mesh file format assembles the Poisson and elasticity
+systems of a document's weak cells from the document alone, with
+``patch_eval`` for the geometry of its patches.
 """
 
 from __future__ import annotations
@@ -251,3 +255,77 @@ def symmetry_error(K) -> float:
     A = K.toarray()
     nrm = np.linalg.norm(A)
     return float(np.linalg.norm(A - A.T) / nrm) if nrm > 0 else 0.0
+
+
+def _bernstein(p: int, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-p Bernstein values on [0, 1] at u and their derivatives in u,
+    by the recursion B_k^q = (1 - u) B_k^(q-1) + u B_(k-1)^(q-1)."""
+    lower, values = None, np.ones(1)
+    for _ in range(p):
+        lower, values = values, np.append(values * (1 - u), 0.0) + np.append(0.0, values * u)
+    return values, p * (np.append(0.0, lower) - np.append(lower, 0.0))
+
+
+class _DocumentPatch:
+    """A mesh document's patch, as ``patch_eval`` reads it."""
+
+    def __init__(self, q: dict):
+        self.degrees = tuple(q["degrees"])
+        self.kvs = tuple(KnotVector(np.array(v, dtype=float), p)
+                         for v, p in zip(q["knots"], self.degrees))
+        shape = (self.kvs[0].n, self.kvs[1].n)
+        self.weights = np.reshape(q["weights"], shape)
+        self.points = np.reshape(q["control_points"], shape + (2,))
+
+
+def weak_document_system(doc: dict, ncomp: int, forcing=None, D=None):
+    """K (CSR) and f of a mesh document's weak cells, read as the README's
+    "Mesh file format" section states them.
+
+    Each cell's basis is (matrix @ B) / sum(matrix @ B), B the tensor
+    Bernstein basis of the patch's degrees on the cell's ``rect`` with index
+    i (p2 + 1) + j, the first direction slowest; the geometry is the patch's
+    own NURBS map at the point of ``rect`` (``patch_eval``).  Integrals use
+    p + 1 Gauss points per direction.  With ``ncomp`` 1 this is the Laplace
+    stiffness and the load of ``forcing(x, y)``; with 2 it is small-strain
+    elasticity with the Voigt matrix ``D`` (3, 3) and no body force, rows
+    d * 2 + c for dof d and component c.
+    """
+    patches = [_DocumentPatch(q) for q in doc["patches"]]
+    n = doc["weak_dofs"] * ncomp
+    K, f = sp.lil_matrix((n, n)), np.zeros(n)
+    for cell in doc["weak_cells"]:
+        patch = patches[cell["patch"]]
+        p1, p2 = patch.degrees
+        M = np.array(cell["matrix"], dtype=float)
+        (a1, b1), (a2, b2) = cell["rect"]
+        rows = (np.array(cell["rows"])[:, None] * ncomp + np.arange(ncomp)).reshape(-1)
+        t1, w1 = np.polynomial.legendre.leggauss(p1 + 1)
+        t2, w2 = np.polynomial.legendre.leggauss(p2 + 1)
+        Ke, fe = np.zeros((rows.size, rows.size)), np.zeros(rows.size)
+        for s1, v1 in zip(t1, w1):
+            for s2, v2 in zip(t2, w2):
+                u1, u2 = (1 + s1) / 2, (1 + s2) / 2
+                xi1, xi2 = a1 + (b1 - a1) * u1, a2 + (b2 - a2) * u2
+                B1, dB1 = _bernstein(p1, u1)
+                B2, dB2 = _bernstein(p2, u2)
+                R = M @ np.outer(B1, B2).reshape(-1)
+                dR = np.stack([M @ np.outer(dB1, B2).reshape(-1) / (b1 - a1),
+                               M @ np.outer(B1, dB2).reshape(-1) / (b2 - a2)], axis=1)
+                N = R / R.sum()
+                dN = (dR - N[:, None] * dR.sum(axis=0)) / R.sum()
+                x, jac = patch_eval(patch, xi1, xi2)[:2]
+                grad = dN @ np.linalg.inv(jac)  # d N / d x_k = sum_d dN/dxi_d dxi_d/dx_k
+                wdet = v1 * v2 * (b1 - a1) * (b2 - a2) / 4 * np.linalg.det(jac)
+                if ncomp == 1:
+                    Ke += wdet * grad @ grad.T
+                    if forcing is not None:
+                        fe += wdet * forcing(x[0], x[1]) * N
+                else:
+                    Bv = np.zeros((3, rows.size))
+                    Bv[0, 0::2], Bv[1, 1::2] = grad[:, 0], grad[:, 1]
+                    Bv[2, 0::2], Bv[2, 1::2] = grad[:, 1], grad[:, 0]
+                    Ke += wdet * Bv.T @ D @ Bv
+        K[np.ix_(rows, rows)] += Ke
+        f[rows] += fe
+    return K.tocsr(), f

@@ -11,10 +11,12 @@ they are bitwise identical:
   ``rows`` and operator shapes (the pattern), and their ``ophom`` values;
 - the standard cells, the mortar cells with no trace row.
 
-The grid is 87 case variants at mesh levels 0-2: ``square-mixed`` at p 1-4,
-matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
-``annulus`` at n 0-2; both plates, matched and mismatched, at n 0-2.  Each
-tree is snapshotted in its own subprocess with one BLAS thread, and the
+The grid is 93 case variants.  At mesh levels 0-2: ``square-mixed`` at p
+1-4, matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
+``annulus`` at n 0-2; both plates, matched and mismatched, at n 0-2; the
+weak and the conforming model of ``largedef_model``, which the three
+large-deformation cases share.  At level 0, which is its only level:
+``square-demo`` at n 0-3.  Each tree is snapshotted in its own subprocess with one BLAS thread, and the
 subprocesses stream their models to this one in step, so one model pair is
 held at a time.  For each quantity it prints one of three results:
 identical; pattern or shape moved, with the models; or the largest relative
@@ -30,7 +32,7 @@ moved.  Last it prints the criterion-10 outcome of both trees: the pinned
 large-deformation protocol of ``tests/test_acceptance.py``, whose failure
 message carries the Newton residual.
 
-It builds 261 models per tree, so it is a script, not a test: pytest's
+It builds 271 models per tree, so it is a script, not a test: pytest's
 default ``test_*.py`` pattern does not collect it.  Run it from the
 repository root:
 
@@ -66,8 +68,11 @@ def grid():
     variants += [dict(case=case, matched=matched, dual_refine=n)
                  for case in ("plate-hole-2patch", "plate-hole-3patch")
                  for matched in (True, False) for n in (0, 1, 2)]
-    for settings in variants:
-        for level in (0, 1, 2):
+    variants += [dict(case="largedef", weak=weak) for weak in (True, False)]
+    variants = [(settings, (0, 1, 2)) for settings in variants]
+    variants += [(dict(case="square-demo", dual_refine=n), (0,)) for n in (0, 1, 2, 3)]
+    for settings, levels in variants:
+        for level in levels:
             label = " ".join([settings["case"]] + [f"{k}={v}" for k, v in settings.items()
                                                    if k != "case"] + [f"level {level}"])
             yield label, settings, level
@@ -75,9 +80,12 @@ def grid():
 
 def snapshot(settings: dict, level: int) -> dict:
     """Every compared quantity of one model, as plain arrays."""
-    from bezmortar.benchmarks import BenchmarkCase, build_case
+    from bezmortar.benchmarks import BenchmarkCase, build_case, largedef_model
 
-    model = build_case(BenchmarkCase(**settings), level)
+    if "weak" in settings:  # the model every large-deformation case builds
+        model = largedef_model(level, settings["weak"])
+    else:
+        model = build_case(BenchmarkCase(**settings), level)
     Bm = model.multiplier_blocks(1)[0]
     snap = {name: ((M.shape, M.indptr, M.indices), (M.data,))
             for name, M in (("P", model.P), ("Bm", Bm))}

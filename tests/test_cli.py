@@ -605,7 +605,7 @@ def test_solve_methods_agree(tmp_path):
         row = dict(zip(header, lines[1].split(",")))
         errs[method] = float(row["l2_error"])
     assert abs(errs["mortar"] - errs["weak"]) < 1e-10
-    assert abs(errs["mortar"] - errs["saddle"]) < 1e-9
+    assert abs(errs["mortar"] - errs["saddle"]) < 1e-12
 
 
 def test_unknown_method_usage_error(tmp_path):

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,7 +28,10 @@ from bezmortar import (
     newton_load_stepping,
 )
 from bezmortar.benchmarks import (
+    CASES,
     BenchmarkCase,
+    build_case,
+    largedef_model,
     manufactured_fields,
     rect_patch,
     run_largedef,
@@ -524,18 +528,35 @@ class _Factored(Exception):
     pass
 
 
-def _upper_band(A: sp.csr_matrix):
+def _band_storage(coo: sp.coo_matrix) -> np.ndarray:
     """LAPACK's upper band storage of a symmetric matrix, ``[b + i - j, j]``
     holding entry (i, j), b the largest distance of a stored entry from the
-    diagonal, and the band work m (b + 1)²."""
-    coo = A.tocoo()
-    m = A.shape[0]
+    diagonal."""
+    m = coo.shape[0]
     b = int(np.abs(coo.row - coo.col).max(initial=0))
-    dense = A.toarray()
+    dense = coo.toarray()
     ab = np.zeros((b + 1, m))
     for d in range(b + 1):
         ab[b - d, d:] = np.diagonal(dense, d)
-    return ab, m * (b + 1) ** 2
+    return ab
+
+
+def _rcm_place(A: sp.csr_matrix) -> np.ndarray:
+    """Each row's place in the reverse Cuthill-McKee order of A's pattern,
+    duplicates summed."""
+    A = A.tocsr(copy=True)
+    A.sum_duplicates()
+    return np.argsort(reverse_cuthill_mckee(A, symmetric_mode=True))
+
+
+def _upper_band(A: sp.csr_matrix) -> np.ndarray:
+    """The band storage of a symmetric matrix in the narrower of its natural
+    and reverse Cuthill-McKee orders, natural on a tie."""
+    coo = A.tocsr().tocoo()
+    at = _rcm_place(A)
+    if np.abs(at[coo.row] - at[coo.col]).max() < np.abs(coo.row - coo.col).max():
+        coo = sp.coo_matrix((coo.data, (at[coo.row], at[coo.col])), shape=A.shape)
+    return _band_storage(coo)
 
 
 @given(constrained_systems())
@@ -576,10 +597,11 @@ def test_free_block_is_the_fancy_index_selection(case):
         assert A.tobytes() == ref.toarray().tobytes()
         return
     dense = ref.toarray()
-    ab, work = _upper_band(ref)
+    ab = _upper_band(ref)
     if (np.abs(dense - dense.T).max() <= linsys._SYMMETRY_RTOL * np.abs(np.triu(dense)).max()
-            and np.all(np.diagonal(dense) > 0) and work <= linsys._BAND_WORK):
-        # the upper band of K[free][:, free], for LAPACK's banded Cholesky
+            and np.all(np.diagonal(dense) > 0)):
+        # the upper band of K[free][:, free] in the narrower of its natural and
+        # RCM orders, for LAPACK's banded Cholesky
         assert routes == ["banded"]
         assert options == [{"overwrite_ab": True, "check_finite": False}]
         assert A.dtype == float and A.shape == ab.shape
@@ -695,14 +717,28 @@ def test_symmetry_tolerance_picks_the_route(skew, ran):
 
 def test_plate_saddle_system_falls_back_to_superlu():
     # level 1 puts the 3-patch plate's saddle system (324 rows) above the
-    # dense bound and within the band budget: symmetric, but with a zero
-    # diagonal block, it is solved by SuperLU without a Cholesky attempt
+    # dense bound: symmetric, but with a zero diagonal block, it is solved
+    # by SuperLU without a Cholesky attempt
     case = BenchmarkCase("plate-hole-3patch")
     with _routes() as spies:
         saddle = solve_case(case, 1, "saddle")["field"].values
     assert _ran(spies) == {"dense": 0, "banded": 0, "superlu": 1}
     mortar = solve_case(case, 1, "mortar")["field"].values
-    assert np.abs(saddle - mortar).max() <= 1e-8 * np.abs(mortar).max()
+    assert np.abs(saddle - mortar).max() <= 1e-12 * np.abs(mortar).max()
+
+
+@pytest.mark.parametrize("case, level", [
+    (BenchmarkCase("plate-hole-3patch", matched=False), 1),
+    (BenchmarkCase("plate-hole-3patch", matched=False), 2),
+    (BenchmarkCase("square-mixed", matched=False), 2),
+], ids=["plate-3patch-1", "plate-3patch-2", "square-2"])
+def test_saddle_displacements_match_the_condensed_ones(case, level):
+    # with the multiplier blocks scaled by sqrt(max diag K), the saddle route
+    # keeps the condensed routes' precision: unscaled, the plate differed by
+    # 5.4e-11 and 2.6e-11 relative at residuals near 1e-14
+    saddle = solve_case(case, level, "saddle")["field"].values
+    mortar = solve_case(case, level, "mortar")["field"].values
+    assert np.abs(saddle - mortar).max() <= 1e-12 * np.abs(mortar).max()
 
 
 def _neo_hookean_tangent():
@@ -730,7 +766,7 @@ def test_neo_hookean_tangent_above_the_dense_bound_takes_the_banded_route():
 
 def test_indefinite_symmetric_tangent_falls_back_to_superlu():
     # the tangent shifted between its two lowest free eigenvalues: symmetric,
-    # within the band budget and with a positive diagonal, but not positive
+    # with a positive diagonal, but not positive
     # definite, so Cholesky is tried and fails
     system, rows = _neo_hookean_tangent()
     free = np.setdiff1d(np.arange(system.nrows), [r for r, _ in rows])
@@ -743,6 +779,64 @@ def test_indefinite_symmetric_tangent_falls_back_to_superlu():
     Kd = shifted.K.toarray()[np.ix_(free, free)]
     ref = np.linalg.solve(Kd, shifted.f[free])
     assert np.abs(x[free] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _condensed(case: BenchmarkCase, level: int):
+    """The condensed system and Dirichlet rows that ``solve_case`` solves on
+    the mortar route, and the free block of that system."""
+    problem = CASES[case.case].linear
+    mesh = build_case(case, level).mortar_mesh()
+    system = problem.assemble(mesh)
+    system.f += assemble_neumann(mesh, problem.ncomp, problem.neumann)
+    rows = dirichlet_rows(mesh, problem.ncomp, problem.dirichlet)
+    red = condense(system, mesh)
+    free = np.ones(red.nrows, dtype=bool)
+    free[[r for r, _ in rows]] = False
+    return red, rows, red.K.tocsr()[free][:, free]
+
+
+@pytest.mark.parametrize("case", [BenchmarkCase("plate-hole-2patch", matched=False),
+                                  BenchmarkCase("plate-hole-3patch", matched=False),
+                                  BenchmarkCase("annulus")], ids=lambda case: case.case)
+def test_patchwise_numbered_block_takes_the_band_in_rcm_order(case):
+    # numbered patch by patch, the plates' and the annulus's free blocks have
+    # bands of 0.5-0.7 m at level 2; RCM narrows them, and the banded solution
+    # equals SuperLU's, reached by a Cholesky that fails
+    system, rows, block = _condensed(case, 2)
+    coo = block.tocoo()
+    natural = int(np.abs(coo.row - coo.col).max())
+    at = _rcm_place(block)
+    rcm = int(np.abs(at[coo.row] - at[coo.col]).max())
+    assert system.nrows > _DENSE_ROWS and rcm < natural / 2
+    with _routes() as spies:
+        x = linear_solve(system, rows)
+    assert _ran(spies) == {"dense": 0, "banded": 1, "superlu": 0}
+    assert spies["banded"].call_args.args[0].shape == (rcm + 1, block.shape[0])
+    with mock.patch.object(linsys.sla, "solveh_banded", side_effect=_cholesky_fails):
+        ref = linear_solve(system, rows)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_square_block_keeps_its_natural_band():
+    # the square, numbered row by row, is narrower in its own order than in
+    # RCM's: the band LAPACK receives is the natural one, bit for bit
+    system, rows, block = _condensed(BenchmarkCase("square-mixed", matched=False), 3)
+    coo = block.tocoo()
+    at = _rcm_place(block)
+    assert np.abs(at[coo.row] - at[coo.col]).max() > np.abs(coo.row - coo.col).max()
+    seen, solve = [], linsys.sla.solveh_banded
+
+    def record(ab, *args, **kwargs):
+        seen.append(ab.copy())
+        return solve(ab, *args, **kwargs)
+
+    with mock.patch.object(linsys.sla, "solveh_banded", side_effect=record):
+        x = linear_solve(system, rows)
+    (ab,) = seen
+    assert ab.tobytes() == _band_storage(coo).tobytes()
+    with mock.patch.object(linsys.sla, "solveh_banded", side_effect=_cholesky_fails):
+        ref = linear_solve(system, rows)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # -------------------------------------------------------------- neo-Hookean
@@ -780,6 +874,23 @@ def test_newton_refuses_a_nonzero_constraint_value():
     assert rows[0][1] == 0.0
     with pytest.raises(ValueError, match=f"row {held} has a nonzero value"):
         newton_load_stepping(mesh, mat, np.zeros(2 * mesh.ndof), rows, increments=1)
+
+
+@pytest.mark.parametrize("load", [0.0, 1e9], ids=["zero-load", "nonzero-load"])
+@pytest.mark.parametrize("pair, message", [
+    ((1.7, 0.0), "row 1.7 is not an integer"),
+    ((-1, 0.0), "row -1 outside"),
+    ((10**6, 0.0), "row 1000000 outside"),
+    ((0, float("nan")), "non-finite Dirichlet value on row 0"),
+], ids=["fractional-row", "negative-row", "row-past-the-end", "nan-value"])
+def test_newton_checks_its_constraints_by_the_solve_rule(pair, message, load):
+    # at zero load no step is solved, so Newton checks the pairs itself, before
+    # any step, with linear_solve's rule and messages: nothing is truncated
+    # or accepted silently
+    mesh = largedef_model(0, True).mortar_mesh()
+    with pytest.raises(ValueError, match=message):
+        newton_load_stepping(mesh, MaterialModel(E=30e9, nu=0.48), np.full(2 * mesh.ndof, load),
+                             [pair], increments=1)
 
 
 def test_tangent_matches_finite_differences():

@@ -5,16 +5,26 @@ import scipy.sparse.linalg as spla
 from bezmortar import (
     InterfaceSpec,
     MultiPatchModel,
+    assemble_neumann,
     assemble_poisson,
     condense,
+    dirichlet_rows,
+    linear_solve,
 )
 from bezmortar.benchmarks import (
+    CASES,
+    PLATE_MATERIAL,
+    BenchmarkCase,
+    build_case,
     rect_patch,
+    solve_case,
 )
+from bezmortar.linsys import AssembledSystem
+from bezmortar.mesh_io import dump_mesh, load_mesh, mesh_document
 from bezmortar.fem import evaluate_cell
 from bezmortar.splines import SIDES, _element_tables, bspline_table, side_index
 from cases import case_model
-from reference import bernstein_change, bspline_basis, find_span
+from reference import bernstein_change, bspline_basis, find_span, weak_document_system
 from test_splines import bernstein_on
 
 # ------------------------------------------------- the weak-operator report
@@ -324,3 +334,31 @@ def test_weak_assembly_equals_condensed_mortar(model_fn):
     weak = assemble_poisson(model.weak_mesh())
     rel = spla.norm(red.K - weak.K) / spla.norm(weak.K)
     assert rel < 1e-12
+
+
+# ---------------------------------------------------------- the file alone
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("case_id", [c for c, row in CASES.items() if row.linear is not None])
+def test_weak_mesh_file_alone_gives_the_library_system(case_id, level):
+    # a reader that knows only the README's format section and the patches'
+    # NURBS maps assembles the library's K and f from a dumped and reloaded
+    # document; with the library's boundary rows and loads, its solution is
+    # the weak route's
+    case = BenchmarkCase(case_id)
+    problem = CASES[case_id].linear
+    model = build_case(case, level)
+    doc = load_mesh(dump_mesh(mesh_document(model, weak=True)))
+    lam, mu = PLATE_MATERIAL.lam, PLATE_MATERIAL.mu
+    D = np.array([[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0], [0.0, 0.0, mu]])
+    K, f = weak_document_system(doc, problem.ncomp, problem.fields and problem.fields[2], D)
+    mesh = model.weak_mesh()
+    system = problem.assemble(mesh)
+    assert abs(K - system.K).max() <= 1e-14 * abs(system.K).max()
+    assert np.abs(f - system.f).max() <= 1e-14 * max(np.abs(system.f).max(), 1e-300)
+    f += assemble_neumann(mesh, problem.ncomp, problem.neumann)
+    x = linear_solve(AssembledSystem(K, f, problem.ncomp),
+                     dirichlet_rows(mesh, problem.ncomp, problem.dirichlet))
+    ref = solve_case(case, level, "weak")["field"].values
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
