@@ -25,7 +25,6 @@ from .dualbasis import (
     bernstein_gramian,
     dual_extraction,
     projection_weights,
-    rational_dual,
     reconstruction_operator,
 )
 from .fem import (

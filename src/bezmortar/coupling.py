@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dualbasis import DualBasis, dual_extraction, rational_dual
+from .dualbasis import DualBasis, dual_extraction
 from .linsys import AssembledSystem, NumericalError
 from .splines import (
     BoundaryCurve,
@@ -201,18 +201,16 @@ _CUT = 3e5
 def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarray) -> np.ndarray:
     """Integrate the coupling matrix G over the quadrature segments.
 
-    ``dual`` is a rational dual (:func:`~bezmortar.dualbasis.rational_dual`);
-    one without weights raises ``ValueError``.  Each segment lies in a single
-    dual element and maps into a single master element, so a Gauss rule of
-    max(p_m, p_s)+1 points integrates the matched case exactly.  phi, the
-    rational master basis and the duals are evaluated at the quadrature
-    points of all segments at once.  Beside each entry the sum of its terms'
-    magnitudes A is accumulated, an entry within ``_CUT`` * eps * A of zero
-    is cancellation noise and set to zero, and each row is divided by the
-    dual's weight.
+    ``dual`` pairs with the slave's rational basis: its weight function
+    scales the duals (:class:`~bezmortar.dualbasis.DualBasis`).  Each segment
+    lies in a single dual element and maps into a single master element, so
+    a Gauss rule of max(p_m, p_s)+1 points integrates the matched case
+    exactly.  phi, the rational master basis and the duals are evaluated at
+    the quadrature points of all segments at once.  Beside each entry the
+    sum of its terms' magnitudes A is accumulated, an entry within ``_CUT`` *
+    eps * A of zero is cancellation noise and set to zero, and each row is
+    divided by the dual's weight.
     """
-    if dual.weights is None:
-        raise ValueError("the coupling pairs a rational dual: the dual has no weights")
     master = phi.master
     nq = max(master.kv.degree, dual.space.degree) + 1
     x, wq = gauss_on_breaks(segments, nq)
@@ -263,7 +261,7 @@ def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
     space, T = refine_dual_space(slave_curve.kv, merged, level)
     weights = T @ slave_curve.weights
     segments = space.breakpoints() if level else merged
-    G = assemble_coupling(rational_dual(dual_extraction(space), weights), phi, segments)
+    G = assemble_coupling(dual_extraction(space, weights), phi, segments)
     return InterfaceCoupling(spec, phi, space, weights, segments, G)
 
 

@@ -11,7 +11,7 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "projection_weights",
     "DualBasis",
     "dual_extraction",
-    "rational_dual",
 ]
 
 
@@ -77,19 +76,20 @@ def projection_weights(kv: KnotVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualBasis:
-    """Dual basis of an interface spline space, as stacked element operators.
+    """Dual basis of a rational interface spline space, as element operators.
 
     ``matrices[e]`` (p+1, p+1) turns the Bernstein values on element e into
     the values of the duals of its p+1 active spline functions (the
     projection weights of :func:`projection_weights` are built into it).  The
-    assembled functions satisfy int dual_I N_J = delta_IJ.  ``weights``, when
-    set (:func:`rational_dual`), are NURBS weights of ``space``, and the
-    values are multiplied by their weight function W.
+    assembled functions satisfy int dual_I N_J = delta_IJ.  ``weights`` are
+    the NURBS weights of ``space``, and the values are multiplied by their
+    weight function W, so the duals pair biorthogonally with the rational
+    functions N_J / W; unit weights give the parametric dual.
     """
 
     space: KnotVector
     matrices: np.ndarray
-    weights: np.ndarray | None = None
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -104,37 +104,27 @@ class DualBasis:
         x = np.asarray(xi, dtype=float)
         e, B = _bernstein_table(self.space, x, 0)
         vals = np.einsum("qb,qjb->qj", B[0], self.matrices[e])
-        if self.weights is not None:
-            vals *= rational_table(self.space, self.weights, x)[2][:, None]
+        vals *= rational_table(self.space, self.weights, x)[2][:, None]
         first = _element_tables(self.space)[1]
         return first[e][:, None] + np.arange(self.space.degree + 1), vals
 
 
-def dual_extraction(kv: KnotVector) -> DualBasis:
-    """Build the biorthogonal dual basis of an interface spline space.
+def dual_extraction(kv: KnotVector, weights: np.ndarray) -> DualBasis:
+    """Build the biorthogonal dual basis of a rational interface spline space.
 
     All element operators at once: diag(w^e) (C^e)^-T inv(Gram) / h_e, with
     Gram the Bernstein Gramian of the unit interval and h_e the element
     length; assembling the element contributions makes
-    int dual_I N_J = delta_IJ over the whole interface.
+    int dual_I N_J = delta_IJ over the whole interface.  ``weights`` are the
+    NURBS weights of ``kv``'s functions; the basis keeps a read-only copy.
     """
+    weights = _frozen_copy(weights)
+    if weights.shape != (kv.n,):
+        raise ValueError("weight count does not match interface basis")
+    if not np.all(weights > 0):
+        raise ValueError("weights must be strictly positive")
     bp, _, C = _element_tables(kv)
     gram = bernstein_gramian(kv.degree)
     w = projection_weights(kv)[:, :, None]
     RT = np.swapaxes(reconstruction_operator(C), 1, 2)
-    return DualBasis(kv, w * (RT @ np.linalg.inv(gram)) / np.diff(bp)[:, None, None])
-
-
-def rational_dual(dual: DualBasis, weights: np.ndarray) -> DualBasis:
-    """Scale a parametric dual basis by the interface weight function.
-
-    ``weights`` are the NURBS weights of the interface basis; the returned
-    duals pair biorthogonally with the rational functions N_J / W.  The
-    basis keeps a read-only copy of ``weights``.
-    """
-    w = _frozen_copy(weights)
-    if w.shape[0] != dual.n:
-        raise ValueError("weight count does not match interface basis")
-    if not np.all(w > 0):
-        raise ValueError("weights must be strictly positive")
-    return replace(dual, weights=w)
+    return DualBasis(kv, w * (RT @ np.linalg.inv(gram)) / np.diff(bp)[:, None, None], weights)

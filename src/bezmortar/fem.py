@@ -81,9 +81,9 @@ class MaterialModel:
 # A cell is the tensor Bernstein basis B of its rectangle, tabled on the unit
 # square, times its extraction operators (Borden et al., IJNME 2011): its
 # basis is (ophom @ B) / W, with the weight W = (1^T ophom) @ B, and its
-# geometry is rational in the homogeneous Bézier control points
-# (x w, y w, w) = geo_ophom^T @ (geo_pts, 1), one per Bernstein function.
-# Every value and derivative is then a product of B or its derivatives with
+# geometry is rational in the homogeneous Bézier control points ``geo``,
+# one (x w, y w, w) per Bernstein function, built with the cell.  Every
+# value and derivative is then a product of B or its derivatives with
 # per-cell columns.  Cells of one degree share B at the reference Gauss
 # points, so same-shaped cells take a few batched products; boundary loads
 # and point evaluation take cells of a group at their own points, and
@@ -121,20 +121,20 @@ def _reference_tables(p1: int, p2: int, n1: int, n2: int):
     return tables
 
 
-def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool, jac: bool) -> dict:
+def _rational(B, dB, scale, ophom, geo, grad: bool, jac: bool) -> dict:
     """Rational basis and geometry of a stack of cells from Bernstein tables.
 
     ``B`` (m, nb) holds tensor Bernstein values at points shared by the cells,
     or (nc, m, nb) at each cell's own points, and ``dB`` (2, m, nb) or
     (2, nc, m, nb) their derivatives on the unit square, which cell c
     stretches by 1 / ``scale[c]`` (nc, 2).  The cells are stacked as
-    ``ophom`` (nc, nr, nb), ``geo_ophom`` (nc, ng, nb) and ``geo_pts``
-    (nc, ng, 2).  Per Bernstein function, ``Cf`` holds the field's
-    homogeneous rows and their sum, the weight W, and ``Cg`` the geometry's
-    homogeneous Bézier control point (x w, y w, w), so every value and
-    derivative is one product of a table with these columns.  Derivatives
-    are taken on the unit square: the physical gradient does not depend on
-    the stretch, so only ``jac`` and ``detJ`` are scaled.  Returns the
+    ``ophom`` (nc, nr, nb) and ``geo`` (nc, nb, 3).  Per Bernstein function,
+    ``Cf`` holds the field's homogeneous rows and their sum, the weight W,
+    and ``geo`` the geometry's homogeneous Bézier control point
+    (x w, y w, w), so every value and derivative is one product of a table
+    with these columns.  Derivatives are taken on the unit square: the
+    physical gradient does not depend on the stretch, so only ``jac`` and
+    ``detJ`` are scaled.  Returns the
     :func:`evaluate_cell` keys with a leading cell axis: ``basis`` and ``x``,
     with ``jac`` also ``jac`` and ``detJ``, with ``grad`` (which needs
     ``jac``) also ``grad_phys``.
@@ -142,9 +142,7 @@ def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool, jac: bool) ->
     nr = ophom.shape[1]
     op_t = np.swapaxes(ophom, 1, 2)
     Cf = np.concatenate([op_t, op_t @ np.ones((nr, 1))], axis=2)
-    pts1 = np.concatenate([geo_pts, np.ones_like(geo_pts[..., :1])], axis=2)
-    Cg = np.swapaxes(geo_ophom, 1, 2) @ pts1
-    V, G = B @ Cf, B @ Cg
+    V, G = B @ Cf, B @ geo
     W = V[..., nr:]
     basis = V[..., :nr] / W
     x = G[..., :2] / G[..., 2:]
@@ -152,7 +150,7 @@ def _rational(B, dB, scale, ophom, geo_ophom, geo_pts, grad: bool, jac: bool) ->
     if not jac:
         return out
     dB = dB.reshape((2, -1) + B.shape[-2:])
-    dG = np.moveaxis(dB @ Cg, 0, -1)
+    dG = np.moveaxis(dB @ geo, 0, -1)
     # J[c, q, k, d] = d x_k / d t_d = (d(x_k w) / d t_d - x_k dw / d t_d) / w
     J = (dG[..., :2, :] - x[..., None] * dG[..., 2:, :]) / G[..., 2:, None]
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
@@ -176,20 +174,23 @@ def _group_at(g: CellGroup, sel: np.ndarray, xi: np.ndarray, grad: bool, jac: bo
     """:func:`_rational` of a group's cells ``sel`` at their own points ``xi`` (nsel, m, 2)."""
     lo, h = g.rect[sel, :, 0], g.rect[sel, :, 1] - g.rect[sel, :, 0]
     B, dB = _tensor_tables(*g.degrees, (xi - lo[:, None]) / h[:, None], jac)
-    return _rational(B, dB, 1.0 / h, g.ophom[sel], g.geo_ophom[sel], g.geo_pts[sel], grad, jac)
+    return _rational(B, dB, 1.0 / h, g.ophom[sel], g.geo[sel], grad, jac)
 
 
 def evaluate_cell(cell: Cell, x1: np.ndarray, x2: np.ndarray, grad: bool = True):
     """Basis, geometry and Jacobians of one cell at parametric points.
 
+    The basis is ``(ophom @ B) / sum(ophom @ B)`` and the point
+    ``(B @ geo)[:2] / (B @ geo)[2]``, B the tensor Bernstein basis on the
+    cell's ``rect``: the batched kernel of :func:`cell_blocks` on one cell.
     Returns a dict with keys ``basis`` (m, nrows), ``x`` (m, 2) and, when
     ``grad`` is set, ``grad_phys`` (m, nrows, 2), ``detJ`` (m,) and ``jac``.
     """
     (a1, b1), (a2, b2) = cell.rect
     h1, h2 = b1 - a1, b2 - a2
     B, dB = _tensor_tables(*cell.degrees, np.column_stack([(x1 - a1) / h1, (x2 - a2) / h2]), grad)
-    ev = _rational(B, dB, np.array([[1.0 / h1, 1.0 / h2]]), cell.ophom[None],
-                   cell.geo_ophom[None], cell.geo_pts[None], grad, grad)
+    ev = _rational(B, dB, np.array([[1.0 / h1, 1.0 / h2]]), cell.ophom[None], cell.geo[None],
+                   grad, grad)
     return {k: v[0] for k, v in ev.items()}
 
 
@@ -211,8 +212,7 @@ def cell_blocks(mesh: ExtractedMesh, quad_extra: int = 1, grad: bool = True):
             blk = slice(start, start + _BLOCK)
             rect = g.rect[blk]
             lo, h = rect[:, :, 0], rect[:, :, 1] - rect[:, :, 0]
-            ev = _rational(B, dB, 1.0 / h, g.ophom[blk], g.geo_ophom[blk], g.geo_pts[blk], grad,
-                           True)
+            ev = _rational(B, dB, 1.0 / h, g.ophom[blk], g.geo[blk], grad, True)
             ev["xi"] = lo[:, None, :] + h[:, None, :] * t
             ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
             yield g.index[blk], g.rows[blk], ev

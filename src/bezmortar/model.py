@@ -46,17 +46,18 @@ class Cell:
     """One quadrature cell of an extracted element stream.
 
     Field basis values at a point are ``(ophom @ B) / sum(ophom @ B)`` with B
-    the tensor Bernstein basis on ``rect``; geometry comes from ``geo_ophom``
-    and ``geo_pts`` the same way.  ``rows`` are scalar dof ids of the owning
-    mesh.  :attr:`ExtractedMesh.cells` holds one read-only view per cell.
+    the tensor Bernstein basis on ``rect``; the geometry is rational in the
+    homogeneous Bézier control points ``geo`` (nb, 3), one (x w, y w, w) per
+    Bernstein function: x = (B @ geo)[:2] / (B @ geo)[2].  ``rows`` are
+    scalar dof ids of the owning mesh.  :attr:`ExtractedMesh.cells` holds one
+    read-only view per cell.
     """
 
     patch: int
     rect: tuple[tuple[float, float], tuple[float, float]]
     rows: np.ndarray
     ophom: np.ndarray
-    geo_pts: np.ndarray
-    geo_ophom: np.ndarray
+    geo: np.ndarray
     degrees: tuple[int, int]
 
 
@@ -66,8 +67,8 @@ class CellGroup:
 
     ``index`` (nc,) holds their positions in the stream, ``patch`` (nc,) and
     ``rect`` (nc, 2, 2) their patches and parameter rectangles; ``rows``
-    (nc, nr), ``ophom`` (nc, nr, nb), ``geo_pts`` (nc, ng, 2) and
-    ``geo_ophom`` (nc, ng, nb) are the :class:`Cell` fields stacked.
+    (nc, nr), ``ophom`` (nc, nr, nb) and ``geo`` (nc, nb, 3) are the
+    :class:`Cell` fields stacked.
     """
 
     index: np.ndarray
@@ -75,21 +76,16 @@ class CellGroup:
     rect: np.ndarray
     rows: np.ndarray
     ophom: np.ndarray
-    geo_pts: np.ndarray
-    geo_ophom: np.ndarray
+    geo: np.ndarray
     degrees: tuple[int, int]
 
     def take(self, sel, **fields) -> CellGroup:
-        """The cells ``sel``; ``fields`` replace stacked fields (already selected).
-        Fields that are one array, as the standard cells' ``ophom`` and
-        ``geo_ophom`` are, stay one array."""
-        keys = {f: id(getattr(self, f)) for f in _STACKED if f not in fields}
-        taken = {k: getattr(self, f)[sel] for k, f in {k: f for f, k in keys.items()}.items()}
-        return CellGroup(*(fields[f] if f in fields else taken[keys[f]] for f in _STACKED),
+        """The cells ``sel``; ``fields`` replace stacked fields (already selected)."""
+        return CellGroup(*(fields[f] if f in fields else getattr(self, f)[sel] for f in _STACKED),
                          self.degrees)
 
 
-_STACKED = ("index", "patch", "rect", "rows", "ophom", "geo_pts", "geo_ophom")
+_STACKED = ("index", "patch", "rect", "rows", "ophom", "geo")
 
 
 class ExtractedMesh:
@@ -99,7 +95,7 @@ class ExtractedMesh:
     the scalar prolongation from the solved dofs to the ``ndof`` mesh dofs,
     or None where the cells use the solved dofs (the weak stream).  The
     stream is held as shape groups: ``pieces`` that share degrees and
-    operator shapes are merged into one :class:`CellGroup`, ordered by
+    operator shape are merged into one :class:`CellGroup`, ordered by
     position, and the groups are ordered by their first position.  ``_cache``
     holds data derived from the groups and ``P`` on first use (the cell views,
     the breakpoint grids of :meth:`cell_index`, the assembly pattern and the
@@ -117,18 +113,12 @@ class ExtractedMesh:
         by_shape: dict = {}
         for p in pieces:
             if len(p.index):
-                key = (p.degrees, p.ophom.shape[1:], p.geo_ophom.shape[1:])
-                by_shape.setdefault(key, []).append(p)
+                by_shape.setdefault((p.degrees, p.ophom.shape[1:]), []).append(p)
         self.groups: list[CellGroup] = []
         for ps in by_shape.values():
             ps.sort(key=lambda p: p.index[0])
-            if len(ps) == 1:
-                g = ps[0]
-            else:  # one concatenation per distinct list of arrays
-                keys = {f: tuple(id(getattr(p, f)) for p in ps) for f in _STACKED}
-                stacked = {k: np.concatenate([getattr(p, f) for p in ps])
-                           for k, f in {k: f for f, k in keys.items()}.items()}
-                g = CellGroup(*(stacked[keys[f]] for f in _STACKED), ps[0].degrees)
+            g = ps[0] if len(ps) == 1 else CellGroup(
+                *(np.concatenate([getattr(p, f) for p in ps]) for f in _STACKED), ps[0].degrees)
             if np.any(np.diff(g.index) < 0):  # interleaved pieces
                 g = g.take(np.argsort(g.index))
             for f in _STACKED:
@@ -160,8 +150,7 @@ class ExtractedMesh:
             cells = [None] * len(self)
             for g in self.groups:
                 for k, patch, rect, *arrays in zip(g.index.tolist(), g.patch.tolist(),
-                                                   g.rect.tolist(), g.rows, g.ophom,
-                                                   g.geo_pts, g.geo_ophom):
+                                                   g.rect.tolist(), g.rows, g.ophom, g.geo):
                     cells[k] = Cell(patch, tuple(map(tuple, rect)), *arrays, g.degrees)
             self._cache["cells"] = tuple(cells)
         return self._cache["cells"]
@@ -449,10 +438,10 @@ class MultiPatchModel:
         transverse = (np.full(m, first_f[e_f]), np.broadcast_to(C_f[e_f], (m,) + C_f.shape[1:]))
         along = _subdivision(kv_i, cuts)
         pairs = transverse + along if axis_f == 0 else along + transverse
-        rows, geo, pts = _tensor_cells(patch, self.grids[pi], *pairs)
+        rows, op, geo = _tensor_cells(patch, self.grids[pi], *pairs)
         perm = np.arange(rows.shape[1]).reshape(patch.degrees[0] + 1, -1)
         perm = (perm.T if axis_f else perm).reshape(-1)
-        rows, op = rows[:, perm], geo[:, perm]
+        rows, op = rows[:, perm], op[:, perm]
         # the edge row group: refined interface functions over the trace dofs
         r = first_r[e_r][:, None] + np.arange(p_i + 1)
         edge = p_f if at_end else 0  # local index of the side's functions
@@ -464,25 +453,28 @@ class MultiPatchModel:
         rect[:, axis_f], rect[:, 1 - axis_f] = bp_f[e_f : e_f + 2], np.column_stack([a, b])
         n2 = _element_tables(patch.kvs[1])[1].size
         elements = owner * n2 + e_f if axis_f else e_f * n2 + owner
-        return CellGroup(elements, np.full(m, pi), rect, rows, op, pts, geo, patch.degrees)
+        return CellGroup(elements, np.full(m, pi), rect, rows, op, geo, patch.degrees)
 
 
 def _tensor_cells(patch: Patch2D, grid: np.ndarray, first1, C1, first2, C2):
-    """Rows, operators and control points of stacked tensor-product cells.
+    """Rows, operators and Bézier geometry ``geo`` of stacked tensor-product cells.
 
     Cell k pairs the element with first function ``first1[k]`` and extraction
     operator ``C1[k]`` in direction 1 with ``first2[k]``, ``C2[k]`` in
     direction 2.  Its rows are the ``grid`` entries of the (p1+1) x (p2+1)
-    active functions in row-major order and its operator is
-    ``w * (C1[k] kron C2[k])`` with ``w`` their weights.
+    active functions in row-major order, its operator is
+    ``w * (C1[k] kron C2[k])`` with ``w`` their weights, and its geometry the
+    operator's transpose times their control points (x, y, 1).
     """
     p1, p2 = patch.degrees
     n = (p1 + 1) * (p2 + 1)
     i = first1[:, None, None] + np.arange(p1 + 1)[:, None]
     j = first2[:, None, None] + np.arange(p2 + 1)
     kron = np.einsum("mik,mjl->mijkl", C1, C2).reshape(-1, n, n)
-    return (grid[i, j].reshape(-1, n), patch.weights[i, j].reshape(-1, n, 1) * kron,
-            patch.points[i, j].reshape(-1, n, 2))
+    op = patch.weights[i, j].reshape(-1, n, 1) * kron
+    pts = patch.points[i, j].reshape(-1, n, 2)
+    geo = np.swapaxes(op, 1, 2) @ np.concatenate([pts, np.ones_like(pts[..., :1])], axis=2)
+    return grid[i, j].reshape(-1, n), op, geo
 
 
 def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray, keep) -> CellGroup:
@@ -491,10 +483,10 @@ def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray, keep) -> CellGroup:
     (bp1, first1, C1), (bp2, first2, C2) = (_element_tables(kv) for kv in patch.kvs)
     elements = np.arange(first1.size * first2.size)[keep]
     e1, e2 = np.divmod(elements, first2.size)
-    rows, geo, pts = _tensor_cells(patch, grid, first1[e1], C1[e1], first2[e2], C2[e2])
+    cells = _tensor_cells(patch, grid, first1[e1], C1[e1], first2[e2], C2[e2])
     rect = np.stack([np.column_stack([bp[:-1], bp[1:]])[e] for bp, e in ((bp1, e1), (bp2, e2))],
                     axis=1)
-    return CellGroup(elements, np.full(e1.size, pi), rect, rows, geo, pts, geo, patch.degrees)
+    return CellGroup(elements, np.full(e1.size, pi), rect, *cells, patch.degrees)
 
 
 def _flat(patch: Patch2D) -> np.ndarray:

@@ -631,8 +631,7 @@ class SideCell:
     interval: tuple[float, float]
     rows: np.ndarray
     ophom: np.ndarray
-    geo_pts: np.ndarray
-    geo_ophom: np.ndarray
+    geo: np.ndarray
     degree: int
     ccw_normal: bool
 
@@ -647,7 +646,7 @@ def _restrict(cell: Cell, side: str) -> SideCell:
     # north sides, cw (b,-a) on the east and south sides
     return SideCell(
         cell.patch, side, cell.rect[1 - axis], cell.rows[keep], op[keep],
-        cell.geo_pts, cell.geo_ophom[:, sel], cell.degrees[1 - axis], at_end == (axis == 1),
+        cell.geo[sel], cell.degrees[1 - axis], at_end == (axis == 1),
     )
 
 
@@ -676,11 +675,9 @@ def _side_cell_reference(side, xs):
     D = bernstein_derivatives(side.degree, (xs - a) / h, 1) / np.array([1.0, h])[:, None, None]
     vhom = D[0] @ side.ophom.T
     basis = vhom / vhom.sum(axis=1)[:, None]
-    ghom = D[0] @ side.geo_ophom.T
-    Wg = ghom.sum(axis=1)
-    x = (ghom @ side.geo_pts) / Wg[:, None]
-    dg = D[1] @ side.geo_ophom.T
-    tangent = (dg @ side.geo_pts - x * dg.sum(axis=1)[:, None]) / Wg[:, None]
+    ghom, dg = D[0] @ side.geo, D[1] @ side.geo
+    x = ghom[:, :2] / ghom[:, 2:]
+    tangent = (dg[:, :2] - x * dg[:, 2:]) / ghom[:, 2:]
     speed = np.linalg.norm(tangent, axis=1)
     if side.ccw_normal:
         normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])

@@ -5,19 +5,20 @@ standard element, and trace cells row by row, with the refined interface
 extraction in the edge row group and each subcell's interface-direction
 operator from ``splines._subdivision`` at the knot vector's breakpoints and
 that subcell's two ends (the kernel's arithmetic is checked against
-``bspline_table`` in test_splines).  The mortar stream must equal it bit for
-bit (cell order and every field); the weak stream, contracted cell by cell
-through ``P[c.rows]``, must give the same rows and operators to rounding.
-The blocks ``cell_blocks`` reads from the mesh's shape groups must equal,
-bit for bit, those of regrouping the cells by shape.
+``bspline_table`` in test_splines); each cell's geometry is the transpose of
+its patch's operator ``w (C1 kron C2)`` times the control points (x, y, 1).
+The mortar stream must equal it bit for bit (cell order and every field);
+the weak stream, contracted cell by cell through ``P[c.rows]``, must give
+the same rows and operators to rounding.  The blocks ``cell_blocks`` reads
+from the mesh's shape groups must equal, bit for bit, those of regrouping
+the cells by shape.
 """
 
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
-from hypothesis import strategies as st
+from hypothesis import given
 
 from bezmortar import InterfaceSpec, MultiPatchModel
 from bezmortar import fem
@@ -25,7 +26,6 @@ from bezmortar.benchmarks import (
     largedef_model,
     rect_patch,
 )
-from bezmortar.coupling import InterfaceGeometryError
 from bezmortar.model import Cell
 from bezmortar.splines import (
     SIDES,
@@ -33,7 +33,7 @@ from bezmortar.splines import (
     _subdivision,
     bezier_extraction,
 )
-from cases import case_model
+from cases import case_model, two_patch_models
 
 # ------------------------------------------------------- reference builder
 
@@ -75,8 +75,7 @@ def reference_weak_cells(model) -> list[Cell]:
         cols = np.unique(sub.indices)
         op = np.asarray(sub[:, cols].T @ c.ophom)
         keep = np.abs(op).max(axis=1) > 1e-13 * max(np.abs(op).max(), 1.0)
-        cells.append(Cell(c.patch, c.rect, cols[keep], op[keep], c.geo_pts, c.geo_ophom,
-                          c.degrees))
+        cells.append(Cell(c.patch, c.rect, cols[keep], op[keep], c.geo, c.degrees))
     return cells
 
 
@@ -99,9 +98,9 @@ def _standard_cell(model, pi, op1, op2) -> Cell:
     f1, f2 = op1.first, op2.first
     w = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
     pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
-    geo = w[:, None] * np.kron(op1.matrix, op2.matrix)
+    op = w[:, None] * np.kron(op1.matrix, op2.matrix)
     rows = model.grids[pi][f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
-    return Cell(pi, (op1.span, op2.span), rows.copy(), geo, pts, geo, (p1, p2))
+    return Cell(pi, (op1.span, op2.span), rows.copy(), op, _geo(op, pts), (p1, p2))
 
 
 def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
@@ -154,9 +153,15 @@ def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
             rect = ((a, b), op_f.span)
         wg = patch.weights[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1)
         pts = patch.points[f1 : f1 + p1 + 1, f2 : f2 + p2 + 1].reshape(-1, 2)
-        cells.append(Cell(pi, rect, np.array(rows), np.array(op_rows), pts,
-                          wg[:, None] * kron, (p1, p2)))
+        cells.append(Cell(pi, rect, np.array(rows), np.array(op_rows),
+                          _geo(wg[:, None] * kron, pts), (p1, p2)))
     return cells
+
+
+def _geo(op, pts):
+    """Homogeneous Bézier control points (x w, y w, w) of one cell: its
+    geometric operator's transpose times the control points (x, y, 1)."""
+    return op.T @ np.column_stack([pts, np.ones(len(pts))])
 
 
 def _axis_kron(row_f, row_i, axis_f):
@@ -167,18 +172,16 @@ def reference_cell_blocks(mesh, quad_extra=1, grad=True):
     """``cell_blocks`` over cells regrouped by shape in stream order."""
     groups: dict = {}
     for k, c in enumerate(mesh.cells):
-        groups.setdefault((c.degrees, c.ophom.shape, c.geo_ophom.shape), []).append(k)
-    for ((p1, p2), _, _), members in groups.items():
+        groups.setdefault((c.degrees, c.ophom.shape), []).append(k)
+    for ((p1, p2), _), members in groups.items():
         t, w, B, dB = fem._reference_tables(p1, p2, p1 + quad_extra, p2 + quad_extra)
         for start in range(0, len(members), fem._BLOCK):
             index = np.array(members[start : start + fem._BLOCK])
             cells = [mesh.cells[k] for k in index]
             rect = np.array([c.rect for c in cells])
             lo, h = rect[:, :, 0], rect[:, :, 1] - rect[:, :, 0]
-            ev = fem._rational(B, dB, 1.0 / h,
-                               np.stack([c.ophom for c in cells]),
-                               np.stack([c.geo_ophom for c in cells]),
-                               np.stack([c.geo_pts for c in cells]), grad, True)
+            ev = fem._rational(B, dB, 1.0 / h, np.stack([c.ophom for c in cells]),
+                               np.stack([c.geo for c in cells]), grad, True)
             ev["xi"] = lo[:, None, :] + h[:, None, :] * t
             ev["wdet"] = (h[:, 0] * h[:, 1])[:, None] * w * ev["detJ"]
             yield index, np.stack([c.rows for c in cells]), ev
@@ -197,7 +200,7 @@ def assert_streams_match(model):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.patch, g.rect, g.degrees) == (w.patch, w.rect, w.degrees)
-        for name in ("rows", "ophom", "geo_pts", "geo_ophom"):
+        for name in ("rows", "ophom", "geo"):
             assert _bitwise(getattr(g, name), getattr(w, name)), name
     got, want = model.weak_mesh().cells, reference_weak_cells(model)
     assert len(got) == len(want)
@@ -206,7 +209,7 @@ def assert_streams_match(model):
         assert np.array_equal(g.rows, w.rows)
         assert g.ophom.shape == w.ophom.shape
         assert np.abs(g.ophom - w.ophom).max() <= 1e-15 * np.abs(w.ophom).max()
-        assert _bitwise(g.geo_ophom, w.geo_ophom) and _bitwise(g.geo_pts, w.geo_pts)
+        assert _bitwise(g.geo, w.geo)
 
 
 def assert_blocks_match(mesh):
@@ -223,41 +226,6 @@ def assert_blocks_match(mesh):
 
 # ------------------------------------------------------------------ models
 
-# the master sits across the slave side; ``reversed`` turns it by 180
-# degrees, so its interface side is the opposite one and runs backwards
-_OFFSET = {"west": (-1, 0), "east": (1, 0), "south": (0, -1), "north": (0, 1)}
-_OPPOSITE = {"west": "east", "east": "west", "south": "north", "north": "south"}
-
-
-def _weighted(patch: Patch2D, weights: np.ndarray, turned: bool) -> Patch2D:
-    points = patch.points[::-1, ::-1] if turned else patch.points
-    return Patch2D(patch.kvs, points, weights)
-
-
-@st.composite
-def two_patch_models(draw):
-    side = draw(st.sampled_from(sorted(SIDES)))
-    turned = draw(st.booleans())
-    ps = [draw(st.integers(1, 3)) for _ in range(2)]
-    ns = [(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(2)]
-    dx, dy = _OFFSET[side]
-    slave = rect_patch(ps[0], *ns[0])
-    master = rect_patch(ps[1], *ns[1], (dx, dx + 1.0), (dy, dy + 1.0))
-    patches = []
-    for patch, turn in ((slave, False), (master, turned)):
-        w = draw(st.lists(st.floats(0.5, 2.0), min_size=patch.weights.size,
-                          max_size=patch.weights.size))
-        patches.append(_weighted(patch, np.reshape(w, patch.weights.shape), turn))
-    master_side = side if turned else _OPPOSITE[side]
-    spec = InterfaceSpec(master=(1, master_side), slave=(0, side), reversed=turned)
-    try:
-        return MultiPatchModel(patches, [spec], draw(st.integers(0, 2)))
-    except InterfaceGeometryError:
-        # the phi projection may stop at a speed jump of a rational C0 edge;
-        # that model has no cell stream (test_coupling covers the failure)
-        reject()
-
-
 @given(two_patch_models())
 def test_batched_streams_match_reference(model):
     assert_streams_match(model)
@@ -273,7 +241,8 @@ def _reversed_model():
     # the slave turned by 180 degrees: its interface parameter runs backwards
     master = rect_patch(2, 2, 2, (0.0, 0.5), (0.0, 1.0))
     slave = rect_patch(2, 3, 3, (0.5, 1.0), (0.0, 1.0))
-    return MultiPatchModel([master, _weighted(slave, slave.weights, True)],
+    turned = Patch2D(slave.kvs, slave.points[::-1, ::-1], slave.weights)
+    return MultiPatchModel([master, turned],
                            [InterfaceSpec(master=(0, "east"), slave=(1, "east"), reversed=True)], 1)
 
 
@@ -325,7 +294,7 @@ def test_uncoupled_patch_has_one_stream():
     assert len(mortar.groups) == len(weak.groups)
     for g, w in zip(mortar.groups, weak.groups):
         assert g.degrees == w.degrees
-        for name in ("index", "patch", "rect", "rows", "ophom", "geo_pts", "geo_ophom"):
+        for name in ("index", "patch", "rect", "rows", "ophom", "geo"):
             assert _bitwise(getattr(g, name), getattr(w, name)), name
     assert _bitwise(weak.grids[0], np.arange(patch.weights.size).reshape(patch.shape))
     assert weak.P is None and weak.prolongation_vec(2) is None

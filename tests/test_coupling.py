@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, reject
+from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 
 from bezmortar import (
@@ -22,7 +22,6 @@ from bezmortar import (
     dual_extraction,
     linear_solve,
     project_master_knots,
-    rational_dual,
     refine_dual_space,
     refinement_operator,
 )
@@ -36,6 +35,7 @@ from bezmortar.benchmarks import (
 from bezmortar.coupling import _CUT, MAX_DUAL_REFINE
 from bezmortar.fem import SolutionField, dirichlet_rows, l2_error
 from bezmortar.splines import (
+    SIDES,
     BoundaryCurve,
     KnotVector,
     Patch2D,
@@ -46,7 +46,7 @@ from bezmortar.splines import (
     side_index,
     uniform_open_knots,
 )
-from cases import case_model
+from cases import case_model, two_patch_models
 from reference import (
     bspline_basis,
     bspline_derivatives,
@@ -212,7 +212,7 @@ def positive_weights(draw, n):
 def test_generated_stacked_dual_is_biorthogonal(data):
     kv = data.draw(open_knots())
     w = positive_weights(data.draw, kv.n)
-    dual = rational_dual(dual_extraction(kv), w)
+    dual = dual_extraction(kv, w)
     # one call over the Gauss points of every element
     x, wq = gauss_on_breaks(kv.breakpoints(), kv.degree + 3)
     rows, dv = dual.evaluate(x)
@@ -335,7 +335,7 @@ def _raw_coupling(coup):
     """The coupling sum G before its rounding cut and A, the sum of its terms'
     magnitudes, formed from the public API the way assemble_coupling forms them."""
     master = coup.phi.master
-    dual = rational_dual(dual_extraction(coup.space), coup.weights)
+    dual = dual_extraction(coup.space, coup.weights)
     x, wq = gauss_on_breaks(coup.segments, max(master.kv.degree, dual.space.degree) + 1)
     cols, Rm, _ = rational_table(master.kv, master.weights, coup.phi(x))
     rows, dv = dual.evaluate(x)
@@ -460,12 +460,9 @@ def test_one_record_per_interface():
     assert np.array_equal(coup.segments, space.breakpoints())
 
 
-def test_coupling_refuses_a_dual_without_weights(demo_model):
+def test_coupling_of_the_record_dual_is_the_record_g(demo_model):
     coup = demo_model.couplings[0]
-    dual = dual_extraction(coup.space)
-    with pytest.raises(ValueError, match="the dual has no weights"):
-        assemble_coupling(dual, coup.phi, coup.segments)
-    G = assemble_coupling(rational_dual(dual, coup.weights), coup.phi, coup.segments)
+    G = assemble_coupling(dual_extraction(coup.space, coup.weights), coup.phi, coup.segments)
     assert np.array_equal(G, coup.G)
 
 
@@ -825,6 +822,30 @@ def test_staircase_dependency_chain(counts, dual_refine):
              for s in ("west", "east", "south", "north") if (k, s) not in inner]
     x = linear_solve(weak, dirichlet_rows(weak_mesh, 1, sides))
     assert l2_error(SolutionField(weak_mesh, x, 1), u) < 1e-10
+
+
+@given(two_patch_models())
+def test_generated_mortar_condenses_to_the_weak_system(model):
+    # random weights, reversed interfaces and degrees 1-3 on either side
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
+    weak = assemble_poisson(model.weak_mesh())
+    assert abs(red.K - weak.K).max() <= 1e-12 * abs(weak.K).max()
+
+
+@given(two_patch_models(unit_weights=True))
+def test_generated_linear_patch_test(model):
+    # a refined dual reproduces linear fields across a slave of at least the
+    # master's degree; with random weights, or a slave of lower degree, the
+    # linear patch test fails (ROADMAP item 4)
+    assume(model.dual_refine >= 1
+           and model.patches[0].degrees[0] >= model.patches[1].degrees[0])
+    u = lambda x, y: 3 * x - 2 * y + 1
+    inner = {end for spec in model.interfaces for end in (spec.master, spec.slave)}
+    sides = [(k, s, 0, u) for k in range(2) for s in SIDES if (k, s) not in inner]
+    mesh = model.weak_mesh()
+    x = linear_solve(assemble_poisson(mesh), dirichlet_rows(mesh, 1, sides))
+    assert l2_error(SolutionField(mesh, x, 1), u) < 1e-10
 
 
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=3, max_size=6))

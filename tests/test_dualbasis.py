@@ -8,7 +8,6 @@ from bezmortar import (
     bernstein_gramian,
     dual_extraction,
     projection_weights,
-    rational_dual,
     reconstruction_operator,
 )
 from bezmortar.splines import bernstein_derivatives, bezier_extraction, gauss_on
@@ -163,13 +162,13 @@ def test_weights_quadrature_oracle_and_partition():
 
 
 def test_single_linear_element_dual():
-    dual = dual_extraction(KnotVector([0, 0, 1, 1], 1))
+    dual = dual_extraction(KnotVector([0, 0, 1, 1], 1), np.ones(2))
     assert np.abs(dual.matrices[0] - np.array([[4, -2], [-2, 4]])).max() < 1e-13
 
 
 def test_elementwise_product_is_weight_diagonal():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    dual = dual_extraction(kv)
+    dual = dual_extraction(kv, np.ones(kv.n))
     bp = bezier_extraction(kv)[0]
     for w_e, a, b in zip(projection_weights(kv), bp[:-1], bp[1:], strict=True):
         xs, ws = gauss_on(a, b, 4)
@@ -186,14 +185,14 @@ def test_biorthogonality_random_knots():
         for seed in range(10):
             rng = np.random.default_rng(100 * p + seed)
             kv = random_kv(p, rng=rng)
-            dual = dual_extraction(kv)
+            dual = dual_extraction(kv, np.ones(kv.n))
             G = assembled_gram(dual, kv)
             assert np.abs(G - np.eye(kv.n)).max() < 1e-11
 
 
 def test_constant_reproduction():
     kv = random_kv(3)
-    dual = dual_extraction(kv)
+    dual = dual_extraction(kv, np.ones(kv.n))
     G = assembled_gram(dual, kv)
     # integral of each dual function = row sum against partition of unity
     assert np.abs(G.sum(axis=1) - 1.0).max() < 1e-11
@@ -203,19 +202,21 @@ def test_constant_reproduction():
 
 
 def test_rational_dual_unit_weights_unchanged():
+    # unit weights leave the element operators' values: the parametric dual
     kv = random_kv(2)
-    dual = dual_extraction(kv)
-    rat = rational_dual(dual, np.ones(kv.n))
+    dual = dual_extraction(kv, np.ones(kv.n))
     xs = np.array([0.03, 0.04])
-    f1, v1 = dual.evaluate(xs)
-    f2, v2 = rat.evaluate(xs)
-    assert np.array_equal(f1, f2) and np.abs(v1 - v2).max() < 1e-14
+    index, values = dual.evaluate(xs)
+    first = bezier_extraction(kv)[1][0]
+    B = bernstein_derivatives(2, xs / kv.breakpoints()[1], 0)[0]
+    assert np.array_equal(index, first + np.tile(np.arange(3), (2, 1)))
+    assert np.abs(values - B @ dual.matrices[0].T).max() < 1e-14
 
 
 def test_rational_dual_quarter_arc_weights():
     kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
     w = np.array([1.0, np.sqrt(2) / 2, 1.0])
-    rat = rational_dual(dual_extraction(kv), w)
+    rat = dual_extraction(kv, w)
     G = assembled_gram(rat, kv, weights=w)
     assert np.abs(G - np.eye(3)).max() < 1e-11
 
@@ -224,7 +225,7 @@ def test_rational_dual_random_weights():
     for p in (1, 2, 3, 4):
         kv = random_kv(p)
         w = RNG.uniform(0.4, 2.5, kv.n)
-        rat = rational_dual(dual_extraction(kv), w)
+        rat = dual_extraction(kv, w)
         G = assembled_gram(rat, kv, weights=w)
         assert np.abs(G - np.eye(kv.n)).max() < 1e-11
 
@@ -233,7 +234,7 @@ def test_rational_dual_owns_its_weights():
     # a later write to the caller's array reaches neither the basis nor its values
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     w = np.ones(kv.n)
-    rat = rational_dual(dual_extraction(kv), w)
+    rat = dual_extraction(kv, w)
     index, values = rat.evaluate(np.array([0.4]))
     w[2] = 3.0
     assert w.flags.writeable and not rat.weights.flags.writeable
@@ -245,9 +246,9 @@ def test_rational_dual_owns_its_weights():
 def test_rational_dual_rejects_bad_weights():
     kv = random_kv(2)
     with pytest.raises(ValueError, match="strictly positive"):
-        rational_dual(dual_extraction(kv), np.zeros(kv.n))
+        dual_extraction(kv, np.zeros(kv.n))
     with pytest.raises(ValueError, match="weight count does not match"):
-        rational_dual(dual_extraction(kv), np.ones(kv.n + 1))
+        dual_extraction(kv, np.ones(kv.n + 1))
 
 
 def test_rational_dual_rejects_nan_weight():
@@ -255,5 +256,5 @@ def test_rational_dual_rejects_nan_weight():
     w = np.ones(kv.n)
     w[1] = np.nan
     with pytest.raises(ValueError, match="strictly positive"):
-        rational_dual(dual_extraction(kv), w)
+        dual_extraction(kv, w)
 

@@ -79,8 +79,7 @@ def test_cell_evaluation_geometry():
 
 def test_nan_jacobian_raises():
     cell = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh().cells[0]
-    bad = dataclasses.replace(cell, geo_pts=np.where(np.arange(9)[:, None] == 4, np.nan,
-                                                     cell.geo_pts))
+    bad = dataclasses.replace(cell, geo=np.where(np.arange(9)[:, None] == 4, np.nan, cell.geo))
     with pytest.raises(NumericalError, match="Jacobian"):
         evaluate_cell(bad, np.array([0.2]), np.array([0.3]))
 

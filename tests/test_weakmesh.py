@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given
 
 from bezmortar import (
     InterfaceSpec,
     MultiPatchModel,
+    assemble_linear_elasticity,
     assemble_neumann,
     assemble_poisson,
     condense,
@@ -23,7 +25,7 @@ from bezmortar.linsys import AssembledSystem
 from bezmortar.mesh_io import dump_mesh, load_mesh, mesh_document
 from bezmortar.fem import evaluate_cell
 from bezmortar.splines import SIDES, _element_tables, bspline_table, side_index
-from cases import case_model
+from cases import case_model, two_patch_models
 from reference import bernstein_change, bspline_basis, find_span, weak_document_system
 from test_splines import bernstein_on
 
@@ -339,6 +341,11 @@ def test_weak_assembly_equals_condensed_mortar(model_fn):
 # ---------------------------------------------------------- the file alone
 
 
+def _voigt(material):
+    lam, mu = material.lam, material.mu
+    return np.array([[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0], [0.0, 0.0, mu]])
+
+
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("case_id", [c for c, row in CASES.items() if row.linear is not None])
 def test_weak_mesh_file_alone_gives_the_library_system(case_id, level):
@@ -350,9 +357,8 @@ def test_weak_mesh_file_alone_gives_the_library_system(case_id, level):
     problem = CASES[case_id].linear
     model = build_case(case, level)
     doc = load_mesh(dump_mesh(mesh_document(model, weak=True)))
-    lam, mu = PLATE_MATERIAL.lam, PLATE_MATERIAL.mu
-    D = np.array([[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0], [0.0, 0.0, mu]])
-    K, f = weak_document_system(doc, problem.ncomp, problem.fields and problem.fields[2], D)
+    K, f = weak_document_system(doc, problem.ncomp, problem.fields and problem.fields[2],
+                                _voigt(PLATE_MATERIAL))
     mesh = model.weak_mesh()
     system = problem.assemble(mesh)
     assert abs(K - system.K).max() <= 1e-14 * abs(system.K).max()
@@ -362,3 +368,16 @@ def test_weak_mesh_file_alone_gives_the_library_system(case_id, level):
                      dirichlet_rows(mesh, problem.ncomp, problem.dirichlet))
     ref = solve_case(case, level, "weak")["field"].values
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(two_patch_models())
+def test_generated_weak_mesh_file_gives_the_library_stiffness(model):
+    # random weights and reversed interfaces: the stored cells, read with the
+    # patches' own NURBS maps, give the library's Poisson and elasticity K
+    doc = load_mesh(dump_mesh(mesh_document(model, weak=True)))
+    mesh = model.weak_mesh()
+    want = assemble_poisson(mesh).K
+    assert abs(weak_document_system(doc, 1)[0] - want).max() <= 1e-14 * abs(want).max()
+    want = assemble_linear_elasticity(mesh, PLATE_MATERIAL).K
+    K = weak_document_system(doc, 2, D=_voigt(PLATE_MATERIAL))[0]
+    assert abs(K - want).max() <= 1e-14 * abs(want).max()
