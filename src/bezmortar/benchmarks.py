@@ -621,7 +621,10 @@ def run_largedef(case_id: str, level: int, increments: int, tol_factor: float,
 
 def field_difference_l2(field_a: SolutionField, field_b: SolutionField) -> float:
     """L2 norm of the difference of two fields on identically parameterized patches,
-    at Gauss rules of order degree + 2."""
+    at Gauss rules of order degree + 2.  Fields of different component counts
+    raise ``ValueError``."""
+    if field_a.ncomp != field_b.ncomp:
+        raise ValueError(f"fields of {field_a.ncomp} and {field_b.ncomp} components")
     total = 0.0
     da = field_a.values.reshape(-1, field_a.ncomp)
     patch_of = np.empty(len(field_a.mesh), dtype=int)

@@ -67,25 +67,23 @@ class CompositionalMap:
         self.slave = slave_curve
         self.master = master_curve
         self.reversed = reversed
-        s_lo, s_hi = slave_curve.domain
-        self._scale = max(float(np.linalg.norm(slave_curve.point(s_hi)
-                                               - slave_curve.point(s_lo))), 1e-30)
+        ends = slave_curve.point(np.array(slave_curve.domain))
+        self._scale = max(float(np.linalg.norm(ends[1] - ends[0])), 1e-30)
 
     def endpoint_mismatch(self) -> float:
-        s_lo, s_hi = self.slave.domain
-        m_lo, m_hi = self.master.domain
-        if self.reversed:
-            m_lo, m_hi = m_hi, m_lo
-        a = np.linalg.norm(self.slave.point(s_lo) - self.master.point(m_lo))
-        b = np.linalg.norm(self.slave.point(s_hi) - self.master.point(m_hi))
-        return float(max(a, b)) / self._scale
+        m = np.array(self.master.domain)
+        gap = (self.slave.point(np.array(self.slave.domain))
+               - self.master.point(m[::-1] if self.reversed else m))
+        return float(np.linalg.norm(gap, axis=1).max()) / self._scale
 
     def _project(self, curve: BoundaryCurve, y: np.ndarray, eta0: np.ndarray) -> np.ndarray:
         """Closest-point Newton iteration for all points ``y`` (m, 2) at once.
 
         Each point stops at its first step within 1e-12 of the curve's
         parameter span, within 50 steps; the iterates are clamped to the
-        curve's domain.
+        curve's domain.  Once every point has stopped, the curve is
+        evaluated at all of them in one call, and a point farther than 1e-8
+        chords from ``y`` raises :class:`InterfaceGeometryError`.
         """
         lo, hi = curve.domain
         eta = np.clip(eta0, lo, hi)
@@ -98,18 +96,14 @@ class CompositionalMap:
             gp = tangent + np.einsum("qc,qc->q", r, d[2])
             step = -g / np.where(gp <= 0.0, tangent, gp)
             eta[todo] = np.clip(eta[todo] + step, lo, hi)
-            done = np.abs(step) <= 1e-12 * (hi - lo)
-            if done.any():
-                stop = todo[done]
-                gap = np.linalg.norm(curve.point(eta[stop]) - y[stop], axis=-1)
-                if np.any(gap > 1e-8 * self._scale):
-                    raise InterfaceGeometryError(
-                        "interface curves do not coincide at the projected point"
-                    )
-            todo = todo[~done]
+            todo = todo[np.abs(step) > 1e-12 * (hi - lo)]
             if not todo.size:
-                return eta
-        raise InterfaceGeometryError("Newton projection did not converge")
+                break
+        else:
+            raise InterfaceGeometryError("Newton projection did not converge")
+        if np.any(np.linalg.norm(curve.point(eta) - y, axis=-1) > 1e-8 * self._scale):
+            raise InterfaceGeometryError("interface curves do not coincide at the projected point")
+        return eta
 
     def _map(self, xi, source: BoundaryCurve, target: BoundaryCurve):
         x = np.asarray(xi, dtype=float)
@@ -206,21 +200,20 @@ def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarr
     lies in a single dual element and maps into a single master element, so
     a Gauss rule of max(p_m, p_s)+1 points integrates the matched case
     exactly.  phi, the rational master basis and the duals are evaluated at
-    the quadrature points of all segments at once.  Beside each entry the
-    sum of its terms' magnitudes A is accumulated, an entry within ``_CUT`` *
-    eps * A of zero is cancellation noise and set to zero, and each row is
-    divided by the dual's weight.
+    the quadrature points of all segments at once.  Each entry and beside it
+    the sum A of its terms' magnitudes is one ``bincount`` over row * n + col,
+    an entry within ``_CUT`` * eps * A of zero is cancellation noise and set
+    to zero, and each row is divided by the dual's weight.
     """
     master = phi.master
     nq = max(master.kv.degree, dual.space.degree) + 1
     x, wq = gauss_on_breaks(segments, nq)
     cols, Rm, _ = rational_table(master.kv, master.weights, phi(x))
     rows, dv = dual.evaluate(x)
-    at = (rows[:, :, None], cols[:, None, :])
-    terms = wq[:, None, None] * (dv[:, :, None] * Rm[:, None, :])
-    G, A = np.zeros((2, dual.n, master.kv.n))
-    np.add.at(G, at, terms)
-    np.add.at(A, at, np.abs(terms))
+    n = master.kv.n
+    at = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)
+    terms = (wq[:, None, None] * (dv[:, :, None] * Rm[:, None, :])).reshape(-1)
+    G, A = (np.bincount(at, t, dual.n * n).reshape(dual.n, n) for t in (terms, np.abs(terms)))
     G[np.abs(G) <= _CUT * np.finfo(float).eps * A] = 0.0
     return G / dual.weights[:, None]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splines import KnotVector, _bernstein_table, _element_tables, _frozen_copy, rational_table
+from .splines import KnotVector, _bernstein_table, _element_tables, _frozen_copy
 
 __all__ = [
     "bernstein_gramian",
@@ -99,14 +99,14 @@ class DualBasis:
         """Dual function values at the points of a 1-D array, in any elements.
 
         Returns ``index`` and ``values``, both of shape (m, p+1), as
-        :func:`~bezmortar.splines.bspline_table` does.
+        :func:`~bezmortar.splines.bspline_table` does; one Bernstein table
+        gives the duals and W = sum_j N_j w_j, the sum ``rational_table`` forms.
         """
-        x = np.asarray(xi, dtype=float)
-        e, B = _bernstein_table(self.space, x, 0)
-        vals = np.einsum("qb,qjb->qj", B[0], self.matrices[e])
-        vals *= rational_table(self.space, self.weights, x)[2][:, None]
-        first = _element_tables(self.space)[1]
-        return first[e][:, None] + np.arange(self.space.degree + 1), vals
+        e, B = _bernstein_table(self.space, np.asarray(xi, dtype=float), 0)
+        _, first, C = _element_tables(self.space)
+        index = first[e][:, None] + np.arange(self.space.degree + 1)
+        W = (np.einsum("qb,qjb->qj", B[0], C[e]) * self.weights[index]).sum(axis=1)
+        return index, np.einsum("qb,qjb->qj", B[0], self.matrices[e]) * W[:, None]
 
 
 def dual_extraction(kv: KnotVector, weights: np.ndarray) -> DualBasis:

@@ -407,8 +407,9 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     Corner coefficients are set by interpolation (the basis is interpolatory
     at open-knot endpoints) and the interior coefficients solve the
     constrained L2 projection under the physical arc-length measure, so
-    adjacent sides agree at shared corners.  The mass matrix is SPD with
-    bandwidth p; it is summed in banded form and its interior block is
+    adjacent sides agree at shared corners.  The curve is evaluated once,
+    at the Gauss points and both corners together.  The mass matrix is SPD
+    with bandwidth p; it is summed in banded form and its interior block is
     solved by a banded Cholesky factorization.
     """
     curve = patch.boundary(side)
@@ -416,11 +417,9 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     n, p = kv.n, kv.degree
     xs, ws = gauss_on_breaks(kv.breakpoints(), p + 2)
     cols, R, _ = rational_table(kv, curve.weights, xs)
-    d = curve.derivatives(xs, 1)
-    c = ws * np.linalg.norm(d[1], axis=1)
-    lo, hi = kv.domain
     # the quadrature points, then the two corners
-    x = np.vstack([d[0], curve.point(lo), curve.point(hi)])
+    x, dx = curve.derivatives(np.append(xs, kv.domain), 1)
+    c = ws * np.linalg.norm(dx[:-2], axis=1)
     f = _at_points(fn(x[:, 0], x[:, 1]), (len(x),), 1)[:, 0]
     vals = np.zeros(n)
     vals[0], vals[-1] = f[-2:]

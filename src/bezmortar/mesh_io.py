@@ -216,9 +216,10 @@ def load_mesh(text: str) -> dict:
 
 def validate_mesh_document(doc) -> None:
     """Schema check; raises MeshFormatError with a specific code."""
-    _validate_model_fields(doc)
+    patches = _validate_model_fields(doc)[0]
     if "weak_cells" in doc or "weak_dofs" in doc:
-        _validate_weak_cells(doc.get("weak_cells"), doc.get("weak_dofs"), len(doc["patches"]))
+        _validate_weak_cells(doc.get("weak_cells"), doc.get("weak_dofs"),
+                             [(p1 + 1) * (p2 + 1) for p1, p2 in (p.degrees for p in patches)])
 
 
 def _validate_model_fields(doc) -> tuple:
@@ -291,21 +292,22 @@ def _validate_model_fields(doc) -> tuple:
     return built, specs, int(level)
 
 
-def _validate_weak_cells(cells, ndof, npatches: int) -> None:
-    """Structure of the compiled weak cells; the matrix entries are not read."""
+def _validate_weak_cells(cells, ndof, widths: list) -> None:
+    """Structure of the compiled weak cells, ``widths`` the Bernstein function
+    count of each patch; the matrix entries are not read."""
     if not (_is_int(ndof) and ndof >= 0):
         raise MeshFormatError("bad-weak-cell", f"weak_dofs {ndof!r} is not a count")
     if not isinstance(cells, list):
         raise MeshFormatError("bad-weak-cell", "weak_cells is not a list")
     # all cells are checked at once; only a failure is looked up cell by cell
-    if _weak_cell_problem(cells, ndof, npatches):
+    if _weak_cell_problem(cells, ndof, widths):
         for k, c in enumerate(cells):
-            problem = _weak_cell_problem([c], ndof, npatches)
+            problem = _weak_cell_problem([c], ndof, widths)
             if problem:
                 raise MeshFormatError("bad-weak-cell", f"weak cell {k}: {problem}")
 
 
-def _weak_cell_problem(cells: list, ndof: int, npatches: int) -> str:
+def _weak_cell_problem(cells: list, ndof: int, widths: list) -> str:
     """What is wrong with some of ``cells``, or '' if nothing is."""
     if not cells:
         return ""
@@ -313,8 +315,8 @@ def _weak_cell_problem(cells: list, ndof: int, npatches: int) -> str:
         return "not an object"
     patch, rect, rows, matrix = ([c.get(k) for c in cells]
                                  for k in ("patch", "rect", "rows", "matrix"))
-    if not (all(map(_is_int, patch)) and min(patch) >= 0 and max(patch) < npatches):
-        return f"patch index not in [0, {npatches})"
+    if not (all(map(_is_int, patch)) and min(patch) >= 0 and max(patch) < len(widths)):
+        return f"patch index not in [0, {len(widths)})"
     if not (set(map(type, rect)) == {list} and set(map(len, rect)) == {2}
             and set(map(type, pairs := list(chain.from_iterable(rect)))) == {list}
             and set(map(len, pairs)) == {2}
@@ -324,23 +326,23 @@ def _weak_cell_problem(cells: list, ndof: int, npatches: int) -> str:
             and set(map(type, ids := list(chain.from_iterable(rows)))) <= {int}
             and (not ids or (min(ids) >= 0 and max(ids) < ndof))):
         return f"rows not in [0, {ndof})"
-    if not _matrices_fit(matrix, rows):
-        return "matrix is not one row of one length per row id"
+    if not _matrices_fit(matrix, rows, [widths[k] for k in patch]):
+        return "matrix is not one row of (p1+1)(p2+1) entries per row id"
     return ""
 
 
-def _matrices_fit(matrix: list, rows: list) -> bool:
-    """Whether each matrix has one row of one length per row id: a list of
-    lists as a file holds it, or a 2-D float64 array as :func:`mesh_document`
-    gives it."""
+def _matrices_fit(matrix: list, rows: list, widths: list) -> bool:
+    """Whether each matrix has one row per row id, each of its width of
+    entries: a list of lists as a file holds it, or a 2-D float64 array as
+    :func:`mesh_document` gives it."""
     if not any(isinstance(m, np.ndarray) for m in matrix):
         return (set(map(type, matrix)) == {list}
                 and list(map(len, matrix)) == list(map(len, rows))
                 and set(map(type, chain.from_iterable(matrix))) <= {list}
-                and all(len(set(map(len, m))) <= 1 for m in matrix))
-    return all(m.ndim == 2 and m.dtype == np.float64 and len(m) == len(r)
-               if isinstance(m, np.ndarray) else _matrices_fit([m], [r])
-               for m, r in zip(matrix, rows))
+                and all(set(map(len, m)) <= {w} for m, w in zip(matrix, widths)))
+    return all(m.shape == (len(r), w) and m.dtype == np.float64
+               if isinstance(m, np.ndarray) else _matrices_fit([m], [r], [w])
+               for m, r, w in zip(matrix, rows, widths))
 
 
 def _numbers(values) -> np.ndarray:

@@ -475,16 +475,14 @@ class Patch2D:
         return self.refined(*new) if levels else self
 
     def max_element_diameter(self) -> float:
-        """Largest physical diagonal over all Bezier elements."""
-        # every function of each direction at its breakpoints, dense: there an
-        # element's Bernstein basis is its first unit vector (the last one at
-        # the domain end), so the values are columns of the extraction operators
+        """Largest physical diagonal over all Bezier elements, at their corners."""
+        # every function of each direction at its breakpoints, dense: there the
+        # Bernstein row is a unit vector, so these are extraction-operator columns
         tables = []
         for kv in self.kvs:
-            _, first, C = _element_tables(kv)
-            B = np.zeros((len(first) + 1, kv.n))
-            B[np.arange(len(first))[:, None], first[:, None] + np.arange(kv.degree + 1)] = C[..., 0]
-            B[-1, -kv.degree - 1:] = C[-1, :, -1]
+            index, N = bspline_table(kv, kv.breakpoints())
+            B = np.zeros((len(index), kv.n))
+            np.put_along_axis(B, index, N, axis=1)
             tables.append(B)
         B1, B2 = tables
         # homogeneous points on the grid of element corners, then projected

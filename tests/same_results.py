@@ -8,8 +8,11 @@ they are bitwise identical:
 - ``Bm`` of ``multiplier_blocks(1)``, which stacks every interface's
   coupling matrix G against the master edge functions;
 - the cell groups of the mortar and the weak stream: their ``index``,
-  ``rows`` and operator shapes (the pattern), and their ``ophom`` values;
-- the standard cells, the mortar cells with no trace row.
+  ``rows`` and the shapes of their operators and geometry (the pattern),
+  and the values of their operators ``ophom`` and of their geometry
+  ``geo``, the homogeneous Bezier control points;
+- the standard cells, the mortar cells with no trace row, with the same
+  fields.
 
 The grid is 93 case variants.  At mesh levels 0-2: ``square-mixed`` at p
 1-4, matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
@@ -89,13 +92,14 @@ def snapshot(settings: dict, level: int) -> dict:
     Bm = model.multiplier_blocks(1)[0]
     snap = {name: ((M.shape, M.indptr, M.indices), (M.data,))
             for name, M in (("P", model.P), ("Bm", Bm))}
-    for name, mesh in (("mortar cells", model.mortar_mesh()), ("weak cells", model.weak_mesh())):
-        snap[name] = ([(g.index, g.rows, g.ophom.shape) for g in mesh.groups],
-                      [g.ophom for g in mesh.groups])
     mortar = model.mortar_mesh().groups
     standard = [(g.rows < model.n_retained).all(axis=1) for g in mortar]
-    snap["standard cells"] = ([(g.index[s], g.ophom[s].shape) for g, s in zip(mortar, standard)],
-                              [g.ophom[s] for g, s in zip(mortar, standard)])
+    for name, cells in (("mortar cells", [(g, slice(None)) for g in mortar]),
+                        ("weak cells", [(g, slice(None)) for g in model.weak_mesh().groups]),
+                        ("standard cells", list(zip(mortar, standard)))):
+        snap[name] = ([(g.index[s], g.rows[s], g.ophom[s].shape, g.geo[s].shape)
+                       for g, s in cells],
+                      [a for g, s in cells for a in (g.ophom[s], g.geo[s])])
     return snap
 
 

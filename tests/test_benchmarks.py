@@ -19,6 +19,7 @@ from bezmortar.benchmarks import (
     kirsch_cartesian,
     largedef_model,
     manufactured_fields,
+    rect_patch,
     run_convergence,
     run_largedef,
     solve_case,
@@ -166,7 +167,6 @@ def test_manufactured_annulus_forcing():
 
 
 def test_l2_error_of_exact_interpolant_is_zero():
-    from bezmortar.benchmarks import rect_patch
     from bezmortar.splines import greville_abscissae
 
     patch = rect_patch(1, 2, 2)
@@ -352,6 +352,15 @@ def test_largedef_corners_land_on_retained_dofs(level, weak):
 def test_largedef_identical_meshes_zero_difference():
     f = run_largedef("largedef-case1", 0, increments=4, tol_factor=1e8, pressure=2e9)
     assert field_difference_l2(f, f) < 1e-14
+
+
+def test_field_difference_refuses_unequal_component_counts():
+    # a 2-component field against a 1-component one would broadcast
+    mesh = MultiPatchModel([rect_patch(2, 2, 2)], []).weak_mesh()
+    one, two = (SolutionField(mesh, np.ones(mesh.ndof * k), k) for k in (1, 2))
+    with pytest.raises(ValueError, match="fields of 2 and 1 components"):
+        field_difference_l2(two, one)
+    assert field_difference_l2(two, two) < 1e-14
 
 
 def test_largedef_small_pressure_runs_and_compares():

@@ -265,6 +265,13 @@ def _ragged_negative_rows(d):
     d["weak_cells"][0]["matrix"] = [[1.0, 2.0], [3.0]]
 
 
+def _three_columns_of_nine(d):
+    # a p = 2 patch has nine Bernstein functions; the entries are not read
+    cell = d["weak_cells"][4]
+    assert d["patches"][cell["patch"]]["degrees"] == [2, 2]
+    cell["matrix"] = [["x", None, True] for _ in cell["rows"]]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -281,11 +288,12 @@ def _ragged_negative_rows(d):
         lambda d: d["weak_cells"][2].pop("matrix"),
         lambda d: d.pop("weak_dofs"),
         lambda d: d["weak_cells"].append(5),
+        _three_columns_of_nine,
     ],
     ids=["junk-cells", "negative-dofs", "patch-out-of-range", "negative-row-ragged-matrix",
          "missing-matrix-row", "short-matrix-row", "row-past-dofs", "bool-row",
          "one-rect-interval", "string-rect-bound", "no-matrix", "cells-without-dofs",
-         "cell-not-an-object"],
+         "cell-not-an-object", "three-columns-of-nine"],
 )
 def test_loader_rejects_malformed_weak_cells(mutate):
     doc = _weak_document()
@@ -322,8 +330,10 @@ def test_validator_accepts_the_array_matrices_of_a_new_document():
 @pytest.mark.parametrize(
     "bad",
     [lambda m: m[0], lambda m: m[1:], lambda m: np.vstack([m, m[:1]]),
-     lambda m: m.astype(np.float32), lambda m: m.astype(np.int64), lambda m: m[None]],
-    ids=["1-d", "missing-row", "extra-row", "float32", "int", "3-d"],
+     lambda m: m.astype(np.float32), lambda m: m.astype(np.int64), lambda m: m[None],
+     lambda m: m[:, :3], lambda m: np.hstack([m, m[:, :1]])],
+    ids=["1-d", "missing-row", "extra-row", "float32", "int", "3-d", "three-columns",
+         "extra-column"],
 )
 def test_validator_rejects_a_malformed_array_matrix(bad):
     doc = mesh_document(case_model("square-demo", 0), weak=True)
@@ -506,13 +516,13 @@ def _finite_floats():
 
 
 @given(
-    st.lists(st.lists(_finite_floats(), max_size=6), min_size=1, max_size=5),
+    st.lists(st.lists(_finite_floats(), min_size=9, max_size=9), min_size=1, max_size=5),
     st.lists(st.tuples(_finite_floats(), _finite_floats()), min_size=1, max_size=12),
 )
 def test_generated_document_round_trip_is_byte_identical(matrix, points):
     # integral floats are written without a fraction and read back as ints;
-    # the next dump writes them the same way.  The rows have many lengths,
-    # and a weak cell's matrix rows share one, so each row is its own cell.
+    # the next dump writes them the same way.  Each row is its own cell, with
+    # one entry per Bernstein function of the p = 2 patch.
     doc = mesh_document(case_model("square-demo", 0, dual_refine=0))
     doc["patches"][0]["control_points"][:len(points)] = [list(p) for p in points]
     doc["weak_cells"] = [{"patch": 0, "rect": [[0.0, 0.5], [0.0, 1.0]],

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def test_phi_rejects_noncoincident_curves():
     phi = build_phi(slave, master)
     with pytest.raises(InterfaceGeometryError, match="do not coincide at the projected point"):
         phi(0.5)
+
+
+def test_phi_samples_the_curves_once_per_point_set():
+    # one call for the source points and one gap check after the last point
+    # stops, however many Newton steps its points take
+    phi = case_model("plate-hole-2patch", 1, matched=False).couplings[0].phi
+    x = gauss_on_breaks(phi.slave.kv.breakpoints(), 3)[0]
+    with mock.patch.object(BoundaryCurve, "point", autospec=True,
+                           side_effect=BoundaryCurve.point) as point:
+        eta = phi(x)
+    assert point.call_count == 2
+    assert np.abs(phi.master.point(eta) - phi.slave.point(x)).max() < 1e-10
 
 
 def test_phi_reversed_orientation():

@@ -1,4 +1,5 @@
 from itertools import pairwise
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bezmortar import (
     projection_weights,
     reconstruction_operator,
 )
+from bezmortar import splines
 from bezmortar.splines import bernstein_derivatives, bezier_extraction, gauss_on
 from reference import bspline_basis
 
@@ -211,6 +213,15 @@ def test_rational_dual_unit_weights_unchanged():
     B = bernstein_derivatives(2, xs / kv.breakpoints()[1], 0)[0]
     assert np.array_equal(index, first + np.tile(np.arange(3), (2, 1)))
     assert np.abs(values - B @ dual.matrices[0].T).max() < 1e-14
+
+
+def test_dual_values_and_weights_share_one_bernstein_table():
+    kv = KnotVector([0, 0, 0, 0, 0.3, 0.6, 1, 1, 1, 1], 3)
+    dual = dual_extraction(kv, np.linspace(0.5, 2.0, kv.n))
+    with mock.patch.object(splines, "bernstein_derivatives",
+                           wraps=splines.bernstein_derivatives) as tables:
+        dual.evaluate(np.linspace(0.0, 1.0, 7))
+    assert tables.call_count == 1
 
 
 def test_rational_dual_quarter_arc_weights():

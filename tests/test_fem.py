@@ -42,6 +42,7 @@ from bezmortar import linsys
 from bezmortar.linsys import AssembledSystem
 from bezmortar.splines import (
     SIDES,
+    BoundaryCurve,
     KnotVector,
     Patch2D,
     gauss_on,
@@ -374,6 +375,20 @@ def test_banded_boundary_projection_matches_dense(patch):
         got = boundary_projection(patch, side, fn)
         ref = _dense_boundary_projection(patch, side, fn)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_boundary_projection_evaluates_its_curve_once():
+    # the Gauss points and both corners in one derivatives call, no point call
+    patch = rect_patch(2, 3, 2)
+    with mock.patch.object(BoundaryCurve, "derivatives", autospec=True,
+                           side_effect=BoundaryCurve.derivatives) as derivatives, \
+            mock.patch.object(BoundaryCurve, "point", autospec=True,
+                              side_effect=BoundaryCurve.point) as point:
+        vals = boundary_projection(patch, "north", lambda x, y: x + 2 * y)
+    assert derivatives.call_count == 1 and point.call_count == 0
+    # linear data is in the space: the corners interpolate, the rest is exact
+    g = greville_abscissae(patch.kvs[0])
+    assert np.abs(vals - (g + 2.0)).max() < 1e-13
 
 
 def test_boundary_projection_rate():

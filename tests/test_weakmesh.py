@@ -381,3 +381,22 @@ def test_generated_weak_mesh_file_gives_the_library_stiffness(model):
     want = assemble_linear_elasticity(mesh, PLATE_MATERIAL).K
     K = weak_document_system(doc, 2, D=_voigt(PLATE_MATERIAL))[0]
     assert abs(K - want).max() <= 1e-14 * abs(want).max()
+
+
+@given(two_patch_models())
+def test_generated_weak_mesh_file_gives_the_library_load_and_solution(model):
+    # the reader's Poisson load of a forcing is the library's, and so is its
+    # solution with Dirichlet data on every side that no interface uses
+    doc = load_mesh(dump_mesh(mesh_document(model, weak=True)))
+    mesh = model.weak_mesh()
+    forcing = lambda x, y: np.sin(3.0 * x) * y + 1.0
+    want = assemble_poisson(mesh, forcing)
+    K, f = weak_document_system(doc, 1, forcing)
+    assert np.abs(f - want.f).max() <= 1e-14 * np.abs(want.f).max()
+    used = {side for spec in model.interfaces for side in (spec.master, spec.slave)}
+    rows = dirichlet_rows(mesh, 1, [(k, side, 0, lambda x, y: x - 2.0 * y)
+                                    for k in range(2) for side in SIDES
+                                    if (k, side) not in used])
+    ref = linear_solve(want, rows)
+    x = linear_solve(AssembledSystem(K, f), rows)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
