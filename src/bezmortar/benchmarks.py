@@ -49,7 +49,6 @@ from .splines import (
     Patch2D,
     gauss_on_breaks,
     greville_abscissae,
-    rational_table,
     side_index,
     uniform_open_knots,
 )
@@ -583,13 +582,12 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> floa
     total = 0.0
     for ci, coup in enumerate(model.couplings):
         mp, ms = coup.spec.master
-        master = coup.phi.master
-        xs, ws = gauss_on_breaks(coup.segments, coup.space.degree + 2)
-        cs, Rs, _ = rational_table(coup.space, coup.weights, xs)
-        cm, Rm, _ = rational_table(master.kv, master.weights, coup.phi(xs))
+        xs, ws = gauss_on_breaks(coup.segments, coup.trace.kv.degree + 2)
+        cs, Rs, _, dx = coup.trace.table(xs)
+        cm, Rm, _, _ = coup.phi.master.table(coup.phi(xs))
         us = np.einsum("qj,qjc->qc", Rs, vals[model.trace_ids[ci]][cs])
         um = np.einsum("qj,qjc->qc", Rm, vals[model.grids[mp][side_index(ms)]][cm])
-        total += float(np.sum(ws * coup.phi.slave.speed(xs) * np.sum((um - us) ** 2, axis=1)))
+        total += float(np.sum(ws * np.linalg.norm(dx, axis=1) * np.sum((um - us) ** 2, axis=1)))
     return math.sqrt(total)
 
 

@@ -19,7 +19,6 @@ from .splines import (
     BoundaryCurve,
     KnotVector,
     gauss_on_breaks,
-    rational_table,
     refinement_operator,
 )
 
@@ -208,7 +207,7 @@ def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarr
     master = phi.master
     nq = max(master.kv.degree, dual.space.degree) + 1
     x, wq = gauss_on_breaks(segments, nq)
-    cols, Rm, _ = rational_table(master.kv, master.weights, phi(x))
+    cols, Rm, _, _ = master.table(phi(x))
     rows, dv = dual.evaluate(x)
     n = master.kv.n
     at = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)
@@ -222,19 +221,19 @@ def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarr
 class InterfaceCoupling:
     """All coupling data of one interface, driven from its slave side.
 
-    ``space`` is the refined slave interface knot vector, ``weights`` its
-    NURBS weights and ``segments`` the coupling's quadrature breakpoints.
-    ``G`` maps master to slave interface coefficients, the matrix used for
-    condensation: entry (I, J) is int dual_I(xi) R_J(phi(xi)) d xi / w_I,
-    with the dual scaled by the slave weight function, R_J the rational
-    master basis and w_I the refined slave weight.  It holds exact zeros
-    where :func:`assemble_coupling` cuts rounding noise.
+    ``trace`` is the slave interface curve on the refined knots ``trace.kv``,
+    with the refined NURBS ``trace.weights``; ``segments`` are the coupling's
+    quadrature breakpoints.  ``G`` maps master to slave interface
+    coefficients, the matrix used for condensation: entry (I, J) is
+    int dual_I(xi) R_J(phi(xi)) d xi / w_I, with the dual scaled by the slave
+    weight function, R_J the rational master basis and w_I the refined slave
+    weight.  It holds exact zeros where :func:`assemble_coupling` cuts
+    rounding noise.
     """
 
     spec: InterfaceSpec
     phi: CompositionalMap
-    space: KnotVector
-    weights: np.ndarray
+    trace: BoundaryCurve
     segments: np.ndarray
     G: np.ndarray
 
@@ -244,7 +243,7 @@ class InterfaceCoupling:
 
 def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
                              master_curve: BoundaryCurve, level: int) -> InterfaceCoupling:
-    """Build phi, the refined dual space and the coupling matrix of one interface.
+    """Build phi, the refined slave trace, its duals and the coupling matrix of an interface.
 
     The quadrature segments are the refined space's breakpoints from level 1
     on and the merged breakpoints (:func:`project_master_knots`) at level 0.
@@ -252,10 +251,11 @@ def build_interface_coupling(spec: InterfaceSpec, slave_curve: BoundaryCurve,
     phi = build_phi(slave_curve, master_curve, spec.reversed)
     merged = project_master_knots(phi)
     space, T = refine_dual_space(slave_curve.kv, merged, level)
-    weights = T @ slave_curve.weights
+    w = T @ slave_curve.weights
+    trace = BoundaryCurve(space, (T * slave_curve.weights) @ slave_curve.points / w[:, None], w)
     segments = space.breakpoints() if level else merged
-    G = assemble_coupling(dual_extraction(space, weights), phi, segments)
-    return InterfaceCoupling(spec, phi, space, weights, segments, G)
+    G = assemble_coupling(dual_extraction(trace.kv, trace.weights), phi, segments)
+    return InterfaceCoupling(spec, phi, trace, segments, G)
 
 
 def condense(system: AssembledSystem, mesh) -> AssembledSystem:

@@ -100,7 +100,8 @@ class DualBasis:
 
         Returns ``index`` and ``values``, both of shape (m, p+1), as
         :func:`~bezmortar.splines.bspline_table` does; one Bernstein table
-        gives the duals and W = sum_j N_j w_j, the sum ``rational_table`` forms.
+        gives the duals and W = sum_j N_j w_j, the sum that
+        :meth:`~bezmortar.splines.BoundaryCurve.table` forms.
         """
         e, B = _bernstein_table(self.space, np.asarray(xi, dtype=float), 0)
         _, first, C = _element_tables(self.space)

@@ -26,7 +26,6 @@ from .splines import (
     bernstein_derivatives,
     gauss_on,
     gauss_on_breaks,
-    rational_table,
     side_index,
 )
 
@@ -407,18 +406,18 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     Corner coefficients are set by interpolation (the basis is interpolatory
     at open-knot endpoints) and the interior coefficients solve the
     constrained L2 projection under the physical arc-length measure, so
-    adjacent sides agree at shared corners.  The curve is evaluated once,
-    at the Gauss points and both corners together.  The mass matrix is SPD
-    with bandwidth p; it is summed in banded form and its interior block is
-    solved by a banded Cholesky factorization.
+    adjacent sides agree at shared corners.  The curve's basis, points and
+    tangents come from one table, at the Gauss points and both corners
+    together.  The mass matrix is SPD with bandwidth p; it is summed in
+    banded form and its interior block is solved by a banded Cholesky
+    factorization.
     """
     curve = patch.boundary(side)
     kv = curve.kv
     n, p = kv.n, kv.degree
     xs, ws = gauss_on_breaks(kv.breakpoints(), p + 2)
-    cols, R, _ = rational_table(kv, curve.weights, xs)
-    # the quadrature points, then the two corners
-    x, dx = curve.derivatives(np.append(xs, kv.domain), 1)
+    cols, R, x, dx = curve.table(np.append(xs, kv.domain))  # the Gauss points, then both corners
+    cols, R = cols[:-2], R[:-2]
     c = ws * np.linalg.norm(dx[:-2], axis=1)
     f = _at_points(fn(x[:, 0], x[:, 1]), (len(x),), 1)[:, 0]
     vals = np.zeros(n)

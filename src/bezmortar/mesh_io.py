@@ -14,6 +14,7 @@ import io
 import json
 import math
 import struct
+import sys
 from itertools import chain, islice
 
 import numpy as np
@@ -189,6 +190,14 @@ def _json_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+def _json_float(token: str) -> float:
+    # a token past the float range, such as 1e400, would read as infinity
+    value = float(token)
+    if not math.isfinite(value):
+        raise MeshFormatError("non-finite", f"{token} in the document overflows a float")
+    return value
+
+
 def _json_constant(token: str):
     raise MeshFormatError("non-finite", f"{token} in the document")
 
@@ -200,7 +209,7 @@ def load_mesh(text: str) -> dict:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(text, parse_float=_Memo(float).__getitem__,
+        doc = json.loads(text, parse_float=_Memo(_json_float).__getitem__,
                          parse_int=_Memo(_json_int).__getitem__,
                          parse_constant=_json_constant)
     except MeshFormatError:
@@ -322,6 +331,10 @@ def _weak_cell_problem(cells: list, ndof: int, widths: list) -> str:
             and set(map(len, pairs)) == {2}
             and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
         return "rect is not 2x2 numbers"
+    # a JSON int past the float range is no finite bound either
+    big = sys.float_info.max
+    if not all(-big <= a < b <= big for a, b in pairs):
+        return "rect is not two finite intervals a < b"
     if not (set(map(type, rows)) == {list}
             and set(map(type, ids := list(chain.from_iterable(rows)))) <= {int}
             and (not ids or (min(ids) >= 0 and max(ids) < ndof))):

@@ -261,7 +261,7 @@ class MultiPatchModel:
             edge[...] = True
         # each patch's retained dofs, then each interface's trace dofs, in turn
         ends = np.cumsum([0] + [np.count_nonzero(~m) for m in slave]
-                         + [c.space.n for c in self.couplings]).tolist()
+                         + [c.trace.kv.n for c in self.couplings]).tolist()
         self.grids: list[np.ndarray] = [np.full(m.shape, -1) for m in slave]
         for grid, mask, a, b in zip(self.grids, slave, ends, ends[1:]):
             grid[~mask] = np.arange(a, b)
@@ -429,7 +429,7 @@ class MultiPatchModel:
         bp_f, first_f, C_f = _element_tables(kv_f)
         e_f = first_f.size - 1 if at_end else 0
         bp_i = _element_tables(kv_i)[0]
-        bp_r, first_r, C_r = _element_tables(coup.space)
+        bp_r, first_r, C_r = _element_tables(coup.trace.kv)
         cuts = np.union1d(bp_i, bp_r)
         a, b = cuts[:-1], cuts[1:]
         owner = np.searchsorted(bp_i, a, "right") - 1
@@ -447,7 +447,7 @@ class MultiPatchModel:
         edge = p_f if at_end else 0  # local index of the side's functions
         grp = slice(edge * (p_i + 1), (edge + 1) * (p_i + 1))
         kron = np.einsum("mrl,k->mrlk" if axis_f else "mrl,k->mrkl", C_r[e_r], C_f[e_f, edge])
-        op[:, grp] = coup.weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
+        op[:, grp] = coup.trace.weights[r][..., None] * kron.reshape(m, p_i + 1, -1)
         rows[:, grp] = self.trace_ids[ci][r]
         rect = np.empty((m, 2, 2))
         rect[:, axis_f], rect[:, 1 - axis_f] = bp_f[e_f : e_f + 2], np.column_stack([a, b])

@@ -23,7 +23,6 @@ __all__ = [
     "KnotVector",
     "bernstein_derivatives",
     "bspline_table",
-    "rational_table",
     "refinement_operator",
     "bezier_extraction",
     "greville_abscissae",
@@ -291,19 +290,6 @@ def bspline_table(kv: KnotVector, xi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return first[e][:, None] + np.arange(kv.degree + 1), np.einsum("qb,qjb->qj", D[0], C[e])
 
 
-def rational_table(kv: KnotVector, weights: np.ndarray,
-                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Non-vanishing rational functions N_j w_j / W at the points of a 1-D array.
-
-    Returns ``index`` and ``values`` as :func:`bspline_table` does, with the
-    functions divided by the weight function W, and W itself, shape (m,).
-    """
-    index, N = bspline_table(kv, xi)
-    R = N * weights[index]
-    W = R.sum(axis=1)
-    return index, R / W[:, None], W
-
-
 def _element_tables(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`bezier_extraction` of ``kv``; once built it is read from the knot
     vector without a call, so each call of the public function is one build."""
@@ -334,7 +320,7 @@ def _frozen_copy(a) -> np.ndarray:
 
 
 class BoundaryCurve:
-    """Rational curve extracted from one side of a tensor-product patch.
+    """Rational curve: one side of a tensor-product patch, or an interface trace.
 
     It is evaluated in Bezier form: per element, the homogeneous Bezier
     control points are the extraction operator applied to the element's
@@ -345,10 +331,14 @@ class BoundaryCurve:
         self.kv = kv
         self.points = _frozen_copy(points)
         self.weights = _frozen_copy(weights)
-        if self.points.shape[0] != kv.n or self.weights.shape[0] != kv.n:
+        if self.points.shape[:1] != (kv.n,) or self.weights.shape != (kv.n,):
             raise ValueError("control data does not match basis size")
-        if not np.all(self.weights > 0):
-            raise ValueError("weights must be strictly positive")
+        if self.points.shape != (kv.n, 2):
+            raise ValueError(f"control points must have shape ({kv.n}, 2), not {self.points.shape}")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("control points must be finite")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("weights must be finite and strictly positive")
         hom = np.column_stack([self.points * self.weights[:, None], self.weights])
         _, first, C = _element_tables(kv)
         local = hom[first[:, None] + np.arange(kv.degree + 1)]
@@ -381,10 +371,18 @@ class BoundaryCurve:
             out[2] = (A[2] - 2.0 * out[1] * W[1] - out[0] * W[2]) / W[0]
         return out[:, 0] if x.ndim == 0 else out
 
-    def speed(self, xi):
-        """Arc-length rate |dx/dxi|: a float for scalar ``xi``, else an array."""
-        v = np.linalg.norm(self.derivatives(xi, 1)[1], axis=-1)
-        return float(v) if np.ndim(xi) == 0 else v
+    def table(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Basis, points and tangents at the points of a 1-D array, from one
+        Bernstein table: ``index`` and ``R`` as :func:`bspline_table` gives its
+        index and values, R the rational functions N_j w_j / W, then x and
+        dx/dxi (m, 2), as :meth:`derivatives` forms them."""
+        e, D = _bernstein_table(self.kv, xi, 1)
+        _, first, C = _element_tables(self.kv)
+        index = first[e][:, None] + np.arange(self.kv.degree + 1)
+        R = np.einsum("qb,qjb->qj", D[0], C[e]) * self.weights[index]
+        h = np.einsum("kqj,qjc->kqc", D, self._bezier[e])
+        x = h[0, :, :2] / h[0, :, 2:]
+        return index, R / R.sum(axis=1)[:, None], x, (h[1, :, :2] - x * h[1, :, 2:]) / h[0, :, 2:]
 
 
 # patch side -> (parametric axis the side fixes, whether at that axis's end)

@@ -12,7 +12,11 @@ they are bitwise identical:
   and the values of their operators ``ophom`` and of their geometry
   ``geo``, the homogeneous Bezier control points;
 - the standard cells, the mortar cells with no trace row, with the same
-  fields.
+  fields;
+- each interface's coupling record: its quadrature ``segments`` and its
+  coupling matrix ``G``;
+- the jump norm ``interface_jump_norm(model, v)`` of the fixed
+  two-component field v_k = sin(0.37 k), k < 2 ``ndof_full``.
 
 The grid is 93 case variants.  At mesh levels 0-2: ``square-mixed`` at p
 1-4, matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
@@ -56,7 +60,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-QUANTITIES = ("P", "Bm", "mortar cells", "weak cells", "standard cells")
+QUANTITIES = ("P", "Bm", "mortar cells", "weak cells", "standard cells", "segments", "G",
+              "jump norm")
 CASES = ("square-dirichlet", "square-mixed", "annulus", "plate-hole-2patch", "plate-hole-3patch",
          "largedef-case1", "largedef-case2", "largedef-case3", "square-demo")
 LINEAR, LARGEDEF = CASES[:5], CASES[5:8]
@@ -83,7 +88,10 @@ def grid():
 
 def snapshot(settings: dict, level: int) -> dict:
     """Every compared quantity of one model, as plain arrays."""
-    from bezmortar.benchmarks import BenchmarkCase, build_case, largedef_model
+    import numpy as np
+
+    from bezmortar.benchmarks import (BenchmarkCase, build_case, interface_jump_norm,
+                                      largedef_model)
 
     if "weak" in settings:  # the model every large-deformation case builds
         model = largedef_model(level, settings["weak"])
@@ -100,6 +108,11 @@ def snapshot(settings: dict, level: int) -> dict:
         snap[name] = ([(g.index[s], g.rows[s], g.ophom[s].shape, g.geo[s].shape)
                        for g, s in cells],
                       [a for g, s in cells for a in (g.ophom[s], g.geo[s])])
+    for name in ("segments", "G"):
+        arrays = [getattr(c, name) for c in model.couplings]
+        snap[name] = ([a.shape for a in arrays], arrays)
+    v = np.sin(0.37 * np.arange(2 * model.ndof_full))
+    snap["jump norm"] = ((), [np.array([interface_jump_norm(model, v)])])
     return snap
 
 

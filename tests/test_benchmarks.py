@@ -29,6 +29,7 @@ from bezmortar.fem import SolutionField, l2_error
 from bezmortar.linsys import NumericalError
 from bezmortar.mesh_io import CSV_COLUMNS, convergence_csv
 from bezmortar.model import MultiPatchModel
+from bezmortar.splines import BoundaryCurve
 from cases import case_model
 from reference import is_affine, observed_rate, plate_traction_residual
 
@@ -327,6 +328,19 @@ def test_jump_norm_reads_the_component_count_from_the_values():
     assert abs(both - math.hypot(x, y)) <= 1e-12 * both
     with pytest.raises(ValueError, match="full dofs"):
         interface_jump_norm(model, values[:-1])
+
+
+def test_jump_norm_reads_one_table_per_side():
+    # per interface one table call on the refined trace, for its basis and its
+    # speed, and one on the master curve at the mapped points
+    model = case_model("plate-hole-3patch", 0)
+    v = np.sin(0.37 * np.arange(2 * model.ndof_full))
+    with mock.patch.object(BoundaryCurve, "table", autospec=True,
+                           side_effect=BoundaryCurve.table) as table:
+        jump = interface_jump_norm(model, v)
+    assert jump > 0 and len(model.couplings) == 2
+    assert [call.args[0] for call in table.call_args_list] == [
+        curve for c in model.couplings for curve in (c.trace, c.phi.master)]
 
 
 def test_matched_refined_jump_is_tiny():

@@ -111,13 +111,13 @@ def _trace_cells(model, pi, ci, side, op1, op2) -> list[Cell]:
     op_f, op_i = (op1, op2)[axis_f], (op1, op2)[1 - axis_f]
     p_f, p_i = patch.degrees[axis_f], patch.degrees[1 - axis_f]
     edge_global = patch.kvs[axis_f].n - 1 if at_end else 0
-    r_ops = elements(coup.space)
+    r_ops = elements(coup.trace.kv)
     r_bp = [op.span[0] for op in r_ops]
-    w_r = coup.weights
+    w_r = coup.trace.weights
     tids = model.trace_ids[ci]
     lo, hi = op_i.span
     # the element's own cut: the refined breakpoints strictly inside it
-    cuts = [lo] + [x for x in coup.space.breakpoints().tolist() if lo < x < hi] + [hi]
+    cuts = [lo] + [x for x in coup.trace.kv.breakpoints().tolist() if lo < x < hi] + [hi]
     cells = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         r_op = r_ops[max(int(np.searchsorted(r_bp, 0.5 * (a + b), side="right")) - 1, 0)]

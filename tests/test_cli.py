@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import runpy
 import struct
 import subprocess
@@ -285,6 +286,9 @@ def _three_columns_of_nine(d):
         lambda d: d["weak_cells"][1]["rows"].__setitem__(0, True),
         lambda d: d["weak_cells"][2]["rect"].pop(),
         lambda d: d["weak_cells"][2]["rect"][1].__setitem__(0, "0"),
+        lambda d: d["weak_cells"][2].update(rect=[[1, 0], [0, 1]]),
+        lambda d: d["weak_cells"][2]["rect"][0].__setitem__(1, d["weak_cells"][2]["rect"][0][0]),
+        lambda d: d["weak_cells"][2]["rect"][1].__setitem__(1, 10**400),
         lambda d: d["weak_cells"][2].pop("matrix"),
         lambda d: d.pop("weak_dofs"),
         lambda d: d["weak_cells"].append(5),
@@ -292,7 +296,8 @@ def _three_columns_of_nine(d):
     ],
     ids=["junk-cells", "negative-dofs", "patch-out-of-range", "negative-row-ragged-matrix",
          "missing-matrix-row", "short-matrix-row", "row-past-dofs", "bool-row",
-         "one-rect-interval", "string-rect-bound", "no-matrix", "cells-without-dofs",
+         "one-rect-interval", "string-rect-bound", "reversed-rect", "empty-rect-interval",
+         "rect-bound-past-the-float-range", "no-matrix", "cells-without-dofs",
          "cell-not-an-object", "three-columns-of-nine"],
 )
 def test_loader_rejects_malformed_weak_cells(mutate):
@@ -301,6 +306,15 @@ def test_loader_rejects_malformed_weak_cells(mutate):
     mutate(doc)
     with pytest.raises(MeshFormatError) as err:
         load_mesh(json.dumps(doc))
+    assert err.value.code == "bad-weak-cell"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validator_refuses_a_non_finite_rect(bad):
+    doc = _weak_document()
+    doc["weak_cells"][3]["rect"][1][0] = bad
+    with pytest.raises(MeshFormatError, match="weak cell 3: rect is not two finite") as err:
+        validate_mesh_document(doc)
     assert err.value.code == "bad-weak-cell"
 
 
@@ -360,7 +374,9 @@ def test_document_matrices_are_read_only():
     assert _weak_mesh_bytes(model) == before
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+# a number past the float range, such as 1e400, would read as infinity,
+# which dump_mesh could not write back
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "2E+308"])
 def test_loader_reports_non_finite_tokens(token):
     text = dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0), weak=True))
     for key in ('"weights": [', '"matrix": ['):
@@ -369,6 +385,14 @@ def test_loader_reports_non_finite_tokens(token):
         with pytest.raises(MeshFormatError) as err:
             load_mesh(bad)
         assert err.value.code == "non-finite"
+
+
+def test_the_largest_float_reloads_to_the_same_bytes():
+    # the edge of the float range is finite: it loads and dumps back unchanged
+    text = dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0), weak=True))
+    edge = re.sub(r'("matrix": \[\s*\[)[^,]+', r"\g<1>1.7976931348623157e+308", text, count=1)
+    assert edge != text
+    assert dump_mesh(load_mesh(edge)) == edge
 
 
 @pytest.mark.parametrize("text", ["", "{", '{"format": "bezmortar-mesh",}', "[1, 2"],

@@ -43,7 +43,6 @@ from bezmortar.splines import (
     bspline_table,
     gauss_on_breaks,
     greville_abscissae,
-    rational_table,
     side_index,
     uniform_open_knots,
 )
@@ -348,9 +347,9 @@ def _raw_coupling(coup):
     """The coupling sum G before its rounding cut and A, the sum of its terms'
     magnitudes, formed from the public API the way assemble_coupling forms them."""
     master = coup.phi.master
-    dual = dual_extraction(coup.space, coup.weights)
+    dual = dual_extraction(coup.trace.kv, coup.trace.weights)
     x, wq = gauss_on_breaks(coup.segments, max(master.kv.degree, dual.space.degree) + 1)
-    cols, Rm, _ = rational_table(master.kv, master.weights, coup.phi(x))
+    cols, Rm, _, _ = master.table(coup.phi(x))
     rows, dv = dual.evaluate(x)
     terms = wq[:, None, None] * (dv[:, :, None] * Rm[:, None, :])
     G, A = np.zeros((2, dual.n, master.kv.n))
@@ -387,7 +386,8 @@ def test_coupling_entries_clear_the_rounding_cut():
         for coup in model.couplings:
             G, A = _raw_coupling(coup)
             cut = np.abs(G) <= _CUT * eps * A
-            assert np.array_equal(np.where(cut, 0.0, G) / coup.weights[:, None], coup.G)
+            w = coup.trace.weights
+            assert np.array_equal(np.where(cut, 0.0, G) / w[:, None], coup.G)
             r = np.abs(G[A > 0]) / (eps * A[A > 0])
             assert np.all((r <= _CUT / 30) | (r >= 30 * _CUT))
 
@@ -435,7 +435,7 @@ def test_refine_level_zero_unchanged():
     # the coupling of this slave space integrates over the merged breakpoints
     spec = InterfaceSpec(master=(1, "west"), slave=(0, "east"))
     coup = build_interface_coupling(spec, line_curve(2, 3), line_curve(2, 2), 0)
-    assert np.array_equal(coup.space.values, kv.values)
+    assert np.array_equal(coup.trace.kv.values, kv.values)
     assert np.allclose(coup.segments, merged)
 
 
@@ -458,24 +458,28 @@ def test_refine_level_two_bisects():
 
 def test_one_record_per_interface():
     # on a rational arc (two ring sectors, 3 and 2 elements along it): the
-    # record's space, weights and segments are the refinement's knot vector,
-    # T @ slave weights and its breakpoints
+    # record's trace is the slave curve on the refinement's knot vector, with
+    # weights T @ slave weights, and its segments are that vector's breakpoints
     inner = annulus_sector_patch(0.0, np.pi / 2, 1.0, 2.0, 2, 3)
     outer = annulus_sector_patch(0.0, np.pi / 2, 2.0, 3.0, 2, 2)
     spec = InterfaceSpec(master=(1, "west"), slave=(0, "east"))
     coup = MultiPatchModel([inner, outer], [spec], 2).couplings[0]
-    assert [f.name for f in dataclasses.fields(coup)] == ["spec", "phi", "space", "weights",
-                                                          "segments", "G"]
-    space, T = refine_dual_space(coup.phi.slave.kv, project_master_knots(coup.phi), 2)
-    assert np.array_equal(coup.space.values, space.values)
-    assert np.array_equal(coup.weights, T @ coup.phi.slave.weights)
-    assert np.ptp(coup.weights) > 0.1
+    assert [f.name for f in dataclasses.fields(coup)] == ["spec", "phi", "trace", "segments", "G"]
+    slave = coup.phi.slave
+    space, T = refine_dual_space(slave.kv, project_master_knots(coup.phi), 2)
+    assert np.array_equal(coup.trace.kv.values, space.values)
+    assert np.array_equal(coup.trace.weights, T @ slave.weights)
+    assert np.ptp(coup.trace.weights) > 0.1
     assert np.array_equal(coup.segments, space.breakpoints())
+    xs = np.linspace(*slave.domain, 41)
+    got, want = coup.trace.derivatives(xs, 2), slave.derivatives(xs, 2)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_coupling_of_the_record_dual_is_the_record_g(demo_model):
     coup = demo_model.couplings[0]
-    G = assemble_coupling(dual_extraction(coup.space, coup.weights), coup.phi, coup.segments)
+    dual = dual_extraction(coup.trace.kv, coup.trace.weights)
+    G = assemble_coupling(dual, coup.phi, coup.segments)
     assert np.array_equal(G, coup.G)
 
 
@@ -546,7 +550,7 @@ def test_row_sums_one():
 def test_master_basis_reproduced_pointwise(demo_model):
     coup = demo_model.couplings[0]
     G = coup.G
-    rkv = coup.space
+    rkv = coup.trace.kv
     mkv = coup.phi.master.kv
     for xi in np.linspace(0.01, 0.99, 30):
         fr, Nr = bspline_basis(rkv, float(xi))
@@ -872,7 +876,8 @@ def test_dual_refinement_keeps_the_dof_count(counts):
         assert all(np.array_equal(a, b) for a, b in zip(model.grids, base.grids, strict=True))
         assert model.weak_mesh().ndof == base.weak_mesh().ndof
     for coarse, fine in zip(models, models[1:]):
-        assert all(cf.space.n >= cc.space.n for cc, cf in zip(coarse.couplings, fine.couplings))
+        assert all(cf.trace.kv.n >= cc.trace.kv.n
+                   for cc, cf in zip(coarse.couplings, fine.couplings))
 
 
 def _corner_chain_model():

@@ -48,7 +48,6 @@ from bezmortar.splines import (
     gauss_on,
     gauss_on_breaks,
     greville_abscissae,
-    rational_table,
 )
 from cases import case_model
 from reference import bspline_basis, symmetry_error
@@ -324,10 +323,9 @@ def _dense_boundary_projection(patch, side, fn):
     kv = curve.kv
     n = kv.n
     xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
-    cols, R, _ = rational_table(kv, curve.weights, xs)
-    d = curve.derivatives(xs, 1)
-    c = ws * np.linalg.norm(d[1], axis=1)
-    x = np.vstack([d[0], curve.point(kv.domain[0]), curve.point(kv.domain[1])])
+    cols, R, x, dx = curve.table(xs)
+    c = ws * np.linalg.norm(dx, axis=1)
+    x = np.vstack([x, curve.point(kv.domain[0]), curve.point(kv.domain[1])])
     f = fn(x[:, 0], x[:, 1])
     M = np.zeros((n, n))
     np.add.at(M, (cols[:, :, None], cols[:, None, :]),
@@ -378,14 +376,15 @@ def test_banded_boundary_projection_matches_dense(patch):
 
 
 def test_boundary_projection_evaluates_its_curve_once():
-    # the Gauss points and both corners in one derivatives call, no point call
+    # basis, points and tangents at the Gauss points and both corners in one
+    # table call, so one Bernstein table; no derivatives or point call
     patch = rect_patch(2, 3, 2)
-    with mock.patch.object(BoundaryCurve, "derivatives", autospec=True,
-                           side_effect=BoundaryCurve.derivatives) as derivatives, \
-            mock.patch.object(BoundaryCurve, "point", autospec=True,
-                              side_effect=BoundaryCurve.point) as point:
+    spies = {name: mock.patch.object(BoundaryCurve, name, autospec=True,
+                                     side_effect=getattr(BoundaryCurve, name))
+             for name in ("table", "derivatives", "point")}
+    with spies["table"] as table, spies["derivatives"] as derivatives, spies["point"] as point:
         vals = boundary_projection(patch, "north", lambda x, y: x + 2 * y)
-    assert derivatives.call_count == 1 and point.call_count == 0
+    assert (table.call_count, derivatives.call_count, point.call_count) == (1, 0, 0)
     # linear data is in the space: the corners interpolate, the rest is exact
     g = greville_abscissae(patch.kvs[0])
     assert np.abs(vals - (g + 2.0)).max() < 1e-13

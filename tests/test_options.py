@@ -15,9 +15,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bezmortar"
 # parameters with a default, over every function and lambda in src/bezmortar
 DEFAULTED_PARAMETERS = 26
 # fields of every @dataclass and typing.NamedTuple class in src/bezmortar;
-# 45 dataclass fields and the 10 of the case table's row types, CaseRow (4)
-# and LinearProblem (6), which only the table fills
-DATACLASS_FIELDS = 55
+# 44 dataclass fields and the 10 of the case table's row types, CaseRow (4)
+# and LinearProblem (6), which only the table fills; InterfaceCoupling's
+# refined knot vector and weights are one field, its refined trace curve
+DATACLASS_FIELDS = 54
 
 
 def defaulted_parameters(source: str) -> int:

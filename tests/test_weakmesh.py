@@ -60,7 +60,7 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
     kv_i, kv_f = patch.kvs[1 - axis_f], patch.kvs[axis_f]
     p_i = kv_i.degree
     bp_i, _, C_i = _element_tables(kv_i)
-    bp_r, first_r, C_r = _element_tables(coup.space)
+    bp_r, first_r, C_r = _element_tables(coup.trace.kv)
     # the first refined breakpoint inside a slave element ends its first subcell
     cuts = np.setdiff1d(bp_r, bp_i)
     element = int(np.searchsorted(bp_i, cuts[0])) - 1 if cuts.size else 0
@@ -275,7 +275,7 @@ def test_weak_trace_sampling_both_sides(demo_model):
     # refined slave traces along the whole interface
     coup = demo_model.couplings[0]
     G = coup.G
-    rkv = coup.space
+    rkv = coup.trace.kv
     mkv = coup.phi.master.kv
     for xi in np.linspace(0.001, 0.999, 50):
         fr, Nr = bspline_basis(rkv, float(xi))
