@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
 
 from .coupling import condense
 from .linsys import AssembledSystem, NumericalError, _prescribed, linear_solve
@@ -408,36 +407,31 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     constrained L2 projection under the physical arc-length measure, so
     adjacent sides agree at shared corners.  The curve's basis, points and
     tangents come from one table, at the Gauss points and both corners
-    together.  The mass matrix is SPD with bandwidth p; it is summed in
-    banded form and its interior block is solved by a banded Cholesky
-    factorization.
+    together.  The side's mass matrix and load are solved by
+    :func:`linear_solve` with the two corner values as its constraints.
     """
     curve = patch.boundary(side)
     kv = curve.kv
-    n, p = kv.n, kv.degree
-    xs, ws = gauss_on_breaks(kv.breakpoints(), p + 2)
+    n = kv.n
+    xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
     cols, R, x, dx = curve.table(np.append(xs, kv.domain))  # the Gauss points, then both corners
     cols, R = cols[:-2], R[:-2]
     c = ws * np.linalg.norm(dx[:-2], axis=1)
     f = _at_points(fn(x[:, 0], x[:, 1]), (len(x),), 1)[:, 0]
-    vals = np.zeros(n)
-    vals[0], vals[-1] = f[-2:]
-    if n > 2:
-        # upper band: M[i, j] (i <= j) at band[p + i - j, j]; a point's
-        # functions are consecutive, so j - i = b - a
-        a, b = np.triu_indices(p + 1)
-        band = np.bincount(((p - b + a) * n + cols[:, b]).reshape(-1),
-                           (c[:, None] * R[:, a] * R[:, b]).reshape(-1),
-                           minlength=(p + 1) * n).reshape(p + 1, n)
-        # the load minus the corner columns of M, (f - R . vals) tested at
-        # every point
-        resid = c * (f[:-2] - np.sum(R * vals[cols], axis=1))
-        rhs = np.bincount(cols.reshape(-1), (resid[:, None] * R).reshape(-1), minlength=n)
-        # no wider band than the interior block can hold (a 1x1 block with
-        # two band rows would take the tridiagonal path, which rejects it)
-        k = min(p, n - 3)
-        vals[1:-1] = solveh_banded(band[p - k:, 1:-1], rhs[1:-1])
-    return vals
+    # the interior functions scaled to unit L2 norm: the solved block's unit
+    # diagonal is within a factor n of its best-conditioned diagonal scaling
+    # (van der Sluis, Numer. Math. 1969), which LU, unlike Cholesky (Higham
+    # 2002, §10.1), does not find by itself; the corner functions keep theirs
+    norm = np.sqrt(np.bincount(cols.ravel(), (c[:, None] * R * R).ravel(), minlength=n))
+    norm[[0, -1]] = 1.0
+    R = R / norm[cols]
+    cR = c[:, None] * R
+    # every pair of a point's functions; the CSR conversion sums them
+    i, j = np.broadcast_arrays(cols[:, :, None], cols[:, None, :])
+    M = sp.csr_matrix(((cR[:, :, None] * R[:, None, :]).ravel(), (i.ravel(), j.ravel())),
+                      shape=(n, n))
+    load = np.bincount(cols.ravel(), (f[:-2, None] * cR).ravel(), minlength=n)
+    return linear_solve(AssembledSystem(M, load), [(0, f[-2]), (n - 1, f[-1])]) / norm
 
 
 def dirichlet_rows(mesh: ExtractedMesh, ncomp: int, specs) -> list[tuple[int, float]]:

@@ -81,8 +81,10 @@ def linear_solve(system: AssembledSystem, constraints) -> np.ndarray:
 
     Raises ValueError on a bad constraint (see :func:`_prescribed`) and
     :class:`NumericalError` when factorization fails or the relative
-    residual, (K x - f) on the free rows against the load the free block is
-    solved for, exceeds 1e-10.
+    residual exceeds 1e-10: (K x - f) on the free rows against ‖f[free]‖ +
+    ‖K[free][:, fixed]‖_F ‖x[fixed]‖, which unlike the eliminated load
+    (f - K x)[free] cannot cancel (Higham 2002, §7.1); its second term is read
+    from K's stored entries, and only when some constrained value is nonzero.
     """
     n = system.nrows
     K = system.K.tocsr()
@@ -113,7 +115,10 @@ def linear_solve(system: AssembledSystem, constraints) -> np.ndarray:
         raise NumericalError("singular system (non-finite solution)")
     x[free] = sol
     resid = np.linalg.norm((K @ x - f)[free])
-    scale = np.linalg.norm(rhs)
+    scale = np.linalg.norm(f[free])
+    if np.any(x[fixed]):  # K[free][:, fixed] by a row and a column mask on K's entries
+        cross = np.repeat(free, np.diff(K.indptr)) & ~free[K.indices]
+        scale += np.linalg.norm(K.data[cross]) * np.linalg.norm(x[fixed])
     if scale > 0 and resid / scale > 1e-10:
         raise NumericalError(f"solver residual {resid / scale:.2e} exceeds 1e-10")
     return x

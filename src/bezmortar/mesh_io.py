@@ -117,6 +117,8 @@ def _write_rows(rows: list, out: io.StringIO, pad: str):
 
 
 def _scalar(v) -> str:
+    if v is None:
+        return "null"
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (bool, np.bool_)):
@@ -190,14 +192,6 @@ def _json_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
-def _json_float(token: str) -> float:
-    # a token past the float range, such as 1e400, would read as infinity
-    value = float(token)
-    if not math.isfinite(value):
-        raise MeshFormatError("non-finite", f"{token} in the document overflows a float")
-    return value
-
-
 def _json_constant(token: str):
     raise MeshFormatError("non-finite", f"{token} in the document")
 
@@ -206,10 +200,10 @@ def load_mesh(text: str) -> dict:
     """Parse and validate a mesh document; each distinct number token is read once."""
     # the parser's many lists and dicts hold no cycles: the cyclic collector
     # is paused while it runs, and the caller's setting restored
-    enabled = gc.isenabled()
+    enabled, floats = gc.isenabled(), _Memo(float)
     gc.disable()
     try:
-        doc = json.loads(text, parse_float=_Memo(_json_float).__getitem__,
+        doc = json.loads(text, parse_float=floats.__getitem__,
                          parse_int=_Memo(_json_int).__getitem__,
                          parse_constant=_json_constant)
     except MeshFormatError:
@@ -219,6 +213,9 @@ def load_mesh(text: str) -> dict:
     finally:
         if enabled:
             gc.enable()
+    if not all(map(math.isfinite, floats.values())):  # a token past the range, such as 1e400
+        token = next(t for t, v in floats.items() if not math.isfinite(v))
+        raise MeshFormatError("non-finite", f"{token} in the document overflows a float")
     validate_mesh_document(doc)
     return doc
 

@@ -16,7 +16,10 @@ they are bitwise identical:
 - each interface's coupling record: its quadrature ``segments`` and its
   coupling matrix ``G``;
 - the jump norm ``interface_jump_norm(model, v)`` of the fixed
-  two-component field v_k = sin(0.37 k), k < 2 ``ndof_full``.
+  two-component field v_k = sin(0.37 k), k < 2 ``ndof_full``;
+- on the linear cases, the Dirichlet rows ``dirichlet_rows(mortar mesh,
+  ncomp, dirichlet)`` of the case's problem: their rows (the pattern) and
+  their values, whose move is read against the largest value.
 
 The grid is 93 case variants.  At mesh levels 0-2: ``square-mixed`` at p
 1-4, matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
@@ -61,7 +64,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 QUANTITIES = ("P", "Bm", "mortar cells", "weak cells", "standard cells", "segments", "G",
-              "jump norm")
+              "jump norm", "Dirichlet rows")
 CASES = ("square-dirichlet", "square-mixed", "annulus", "plate-hole-2patch", "plate-hole-3patch",
          "largedef-case1", "largedef-case2", "largedef-case3", "square-demo")
 LINEAR, LARGEDEF = CASES[:5], CASES[5:8]
@@ -90,8 +93,9 @@ def snapshot(settings: dict, level: int) -> dict:
     """Every compared quantity of one model, as plain arrays."""
     import numpy as np
 
-    from bezmortar.benchmarks import (BenchmarkCase, build_case, interface_jump_norm,
+    from bezmortar.benchmarks import (CASES, BenchmarkCase, build_case, interface_jump_norm,
                                       largedef_model)
+    from bezmortar.fem import dirichlet_rows
 
     if "weak" in settings:  # the model every large-deformation case builds
         model = largedef_model(level, settings["weak"])
@@ -113,6 +117,10 @@ def snapshot(settings: dict, level: int) -> dict:
         snap[name] = ([a.shape for a in arrays], arrays)
     v = np.sin(0.37 * np.arange(2 * model.ndof_full))
     snap["jump norm"] = ((), [np.array([interface_jump_norm(model, v)])])
+    problem = CASES[settings["case"]].linear if settings["case"] in CASES else None
+    rows = (dirichlet_rows(model.mortar_mesh(), problem.ncomp, problem.dirichlet)
+            if problem else [])
+    snap["Dirichlet rows"] = ([r for r, _ in rows], [np.array([[v for _, v in rows]])])
     return snap
 
 

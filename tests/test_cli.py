@@ -387,6 +387,17 @@ def test_loader_reports_non_finite_tokens(token):
         assert err.value.code == "non-finite"
 
 
+def test_a_loaded_null_dumps_again():
+    # the loader accepts null in meta, so the writer writes it back: a
+    # document read from a file can always be written again, byte for byte
+    doc = mesh_document(case_model("square-demo", 0), meta={"case": "square-demo"})
+    text = dump_mesh(doc).replace('"case": "square-demo"', '"case": null')
+    assert '"case": null' in text
+    first = dump_mesh(load_mesh(text))
+    assert first == text
+    assert dump_mesh(load_mesh(first)) == first
+
+
 def test_the_largest_float_reloads_to_the_same_bytes():
     # the edge of the float range is finite: it loads and dumps back unchanged
     text = dump_mesh(mesh_document(case_model("square-demo", 0, dual_refine=0), weak=True))

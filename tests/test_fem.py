@@ -318,7 +318,7 @@ def test_constraining_everything_returns_projection():
 
 def _dense_boundary_projection(patch, side, fn):
     """boundary_projection through a dense mass matrix and a dense solve,
-    refined until its own rounding is far below the banded solve's."""
+    refined until its own rounding is far below the library's solve."""
     curve = patch.boundary(side)
     kv = curve.kv
     n = kv.n
@@ -367,7 +367,7 @@ def rational_patches(draw):
 
 
 @given(rational_patches())
-def test_banded_boundary_projection_matches_dense(patch):
+def test_boundary_projection_matches_refined_dense_solve(patch):
     fn = lambda x, y: np.sin(2 * x) + y * y + 1.0
     for side in SIDES:
         got = boundary_projection(patch, side, fn)
@@ -467,6 +467,46 @@ def test_linear_solve_singular_raises():
 def test_linear_solve_refuses_an_inaccurate_solution(K, message):
     with pytest.raises(NumericalError, match=message):
         linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(len(K)), 1), [])
+
+
+def test_constrained_hilbert_block_is_still_refused():
+    # the free block is the 12x12 Hilbert matrix, coupled by its first column
+    # to one row held at 1: the scale gains ‖K[free][:, fixed]‖ ‖x[fixed]‖,
+    # and the relative residual, 1.7e-9, stays above the gate
+    H = 1.0 / (np.arange(1, 13)[:, None] + np.arange(12))
+    K = np.block([[H, H[:, :1]], [H[:1], np.ones((1, 1))]])
+    with pytest.raises(NumericalError, match="residual .* exceeds 1e-10"):
+        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(13), 1), [(12, 1.0)])
+
+
+def test_residual_gate_accepts_a_cancelled_load():
+    # the mass matrix and load of u = 1 - 2y on the west side of a one-element
+    # p = 2 square, at 4 Gauss points: u is in the space and its interior
+    # coefficient is 0, so the eliminated load (f - K x)[free] cancels to
+    # rounding, and against it the backward-stable solve read as a relative
+    # residual of 1.0; against ‖f[free]‖ + ‖K[free][:, fixed]‖ ‖x[fixed]‖ it
+    # is accepted
+    curve = rect_patch(2, 1, 1).boundary("west")
+    xs, ws = gauss_on_breaks(curve.kv.breakpoints(), 4)
+    cols, R, x, dx = curve.table(xs)
+    c = ws * np.linalg.norm(dx, axis=1)
+    M, f = np.zeros((3, 3)), np.zeros(3)
+    np.add.at(M, (cols[:, :, None], cols[:, None, :]),
+              c[:, None, None] * R[:, :, None] * R[:, None, :])
+    np.add.at(f, cols, (c * (1 - 2 * x[:, 1]))[:, None] * R)
+    x = linear_solve(AssembledSystem(sp.csr_matrix(M), f, 1), [(0, 1.0), (2, -1.0)])
+    assert (x[0], x[2]) == (1.0, -1.0)
+    assert abs(x[1]) <= 1e-15
+
+
+def test_dirichlet_rows_of_data_in_the_space():
+    # the same side through the library's projection: corners 1 and -1, and
+    # the interior coefficient of the linear data 0 to rounding
+    mesh = MultiPatchModel([rect_patch(2, 1, 1)], []).weak_mesh()
+    rows = dirichlet_rows(mesh, 1, [(0, "west", 0, lambda x, y: 1 - 2 * y)])
+    (_, first), (_, middle), (_, last) = rows
+    assert (first, last) == (1.0, -1.0)
+    assert abs(middle) <= 1e-15
 
 
 @pytest.mark.parametrize("constraints, message", [
@@ -731,11 +771,12 @@ def test_symmetry_tolerance_picks_the_route(skew, ran):
 def test_plate_saddle_system_falls_back_to_superlu():
     # level 1 puts the 3-patch plate's saddle system (324 rows) above the
     # dense bound: symmetric, but with a zero diagonal block, it is solved
-    # by SuperLU without a Cholesky attempt
+    # by SuperLU without a Cholesky attempt; the two dense solves are the
+    # projections of its two Dirichlet sides
     case = BenchmarkCase("plate-hole-3patch")
     with _routes() as spies:
         saddle = solve_case(case, 1, "saddle")["field"].values
-    assert _ran(spies) == {"dense": 0, "banded": 0, "superlu": 1}
+    assert _ran(spies) == {"dense": 2, "banded": 0, "superlu": 1}
     mortar = solve_case(case, 1, "mortar")["field"].values
     assert np.abs(saddle - mortar).max() <= 1e-12 * np.abs(mortar).max()
 
