@@ -488,7 +488,6 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
         "field": SolutionField(mesh, values, ncomp),
         "model": model,
         "dofs": model.n_retained * ncomp,
-        "exact": problem.fields and problem.fields[0],
     }
 
 
@@ -583,8 +582,8 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> floa
     for ci, coup in enumerate(model.couplings):
         mp, ms = coup.spec.master
         xs, ws = gauss_on_breaks(coup.segments, coup.trace.kv.degree + 2)
-        cs, Rs, _, dx = coup.trace.table(xs)
-        cm, Rm, _, _ = coup.phi.master.table(coup.phi(xs))
+        cs, Rs, (_, dx) = coup.trace.table(xs, 1)
+        cm, Rm, _ = coup.phi.master.table(coup.phi(xs), 0)
         us = np.einsum("qj,qjc->qc", Rs, vals[model.trace_ids[ci]][cs])
         um = np.einsum("qj,qjc->qc", Rm, vals[model.grids[mp][side_index(ms)]][cm])
         total += float(np.sum(ws * np.linalg.norm(dx, axis=1) * np.sum((um - us) ** 2, axis=1)))

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 on usage errors (an output path that cannot be
 written among them), 3 on numerical failures.
-The environment variable BEZMORTAR_THREADS caps the BLAS thread count (it
-must be honored before numpy is first imported, which is why the heavy
-imports live inside main()).
+The library is imported inside main(), after the arguments are parsed, so
+``--help`` and a malformed command line answer without loading numpy and
+scipy.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ import argparse
 import os
 import sys
 import tempfile
-
-
-def _apply_thread_env():
-    n = os.environ.get("BEZMORTAR_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -102,7 +95,6 @@ def _write(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     ap = _parser()
     args = ap.parse_args(argv)
 

@@ -88,7 +88,7 @@ class CompositionalMap:
         eta = np.clip(eta0, lo, hi)
         todo = np.arange(eta.size)
         for _ in range(50):
-            d = curve.derivatives(eta[todo], 2)
+            d = curve.table(eta[todo], 2)[2]
             r = d[0] - y[todo]
             g = np.einsum("qc,qc->q", r, d[1])
             tangent = np.einsum("qc,qc->q", d[1], d[1])
@@ -207,7 +207,7 @@ def assemble_coupling(dual: DualBasis, phi: CompositionalMap, segments: np.ndarr
     master = phi.master
     nq = max(master.kv.degree, dual.space.degree) + 1
     x, wq = gauss_on_breaks(segments, nq)
-    cols, Rm, _, _ = master.table(phi(x))
+    cols, Rm, _ = master.table(phi(x), 0)
     rows, dv = dual.evaluate(x)
     n = master.kv.n
     at = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)

@@ -98,10 +98,10 @@ class DualBasis:
     def evaluate(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Dual function values at the points of a 1-D array, in any elements.
 
-        Returns ``index`` and ``values``, both of shape (m, p+1), as
-        :func:`~bezmortar.splines.bspline_table` does; one Bernstein table
-        gives the duals and W = sum_j N_j w_j, the sum that
-        :meth:`~bezmortar.splines.BoundaryCurve.table` forms.
+        Returns ``index`` and ``values``, both of shape (m, p+1), indexed as
+        :meth:`~bezmortar.splines.BoundaryCurve.table` indexes its basis; one
+        Bernstein table gives the duals and W = sum_j N_j w_j, the sum that
+        ``table`` forms.
         """
         e, B = _bernstein_table(self.space, np.asarray(xi, dtype=float), 0)
         _, first, C = _element_tables(self.space)

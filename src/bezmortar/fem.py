@@ -23,8 +23,8 @@ from .splines import (
     SIDES,
     _is_int,
     bernstein_derivatives,
-    gauss_on,
     gauss_on_breaks,
+    gauss_rule,
     side_index,
 )
 
@@ -109,8 +109,8 @@ def _tensor_tables(p1: int, p2: int, u: np.ndarray, grad: bool):
 @lru_cache(maxsize=None)
 def _reference_tables(p1: int, p2: int, n1: int, n2: int):
     """Gauss points (m, 2), weights (m,) and Bernstein tables on the unit square."""
-    t1, w1 = gauss_on(0.0, 1.0, n1)
-    t2, w2 = gauss_on(0.0, 1.0, n2)
+    t1, w1 = gauss_rule(n1)
+    t2, w2 = gauss_rule(n2)
     t = np.column_stack([np.repeat(t1, n2), np.tile(t2, n1)])
     B, dB = _tensor_tables(p1, p2, t, True)
     tables = (t, np.outer(w1, w2).reshape(-1), B, dB)
@@ -372,7 +372,7 @@ def assemble_neumann(mesh: ExtractedMesh, ncomp: int, specs) -> np.ndarray:
             if keep.size == 0:
                 continue
             sel, a, b = on[keep], a[keep, None], b[keep, None]
-            pts, wts = gauss_on(0.0, 1.0, g.degrees[along] + 2)
+            pts, wts = gauss_rule(g.degrees[along] + 2)
             # on the cells' edge, at the clipped Gauss points
             xi = np.empty((sel.size, pts.size, 2))
             xi[..., axis] = g.rect[sel, axis, int(at_end), None]
@@ -414,7 +414,7 @@ def boundary_projection(patch, side: str, fn) -> np.ndarray:
     kv = curve.kv
     n = kv.n
     xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
-    cols, R, x, dx = curve.table(np.append(xs, kv.domain))  # the Gauss points, then both corners
+    cols, R, (x, dx) = curve.table(np.append(xs, kv.domain), 1)  # Gauss points, then corners
     cols, R = cols[:-2], R[:-2]
     c = ws * np.linalg.norm(dx[:-2], axis=1)
     f = _at_points(fn(x[:, 0], x[:, 1]), (len(x),), 1)[:, 0]

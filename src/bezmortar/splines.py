@@ -22,7 +22,6 @@ __all__ = [
     "OutOfDomainError",
     "KnotVector",
     "bernstein_derivatives",
-    "bspline_table",
     "refinement_operator",
     "bezier_extraction",
     "greville_abscissae",
@@ -62,12 +61,6 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     wts = 0.5 * w
     wts.setflags(write=False)
     return pts, wts
-
-
-def gauss_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped onto [lo, hi]."""
-    pts, wts = gauss_rule(n)
-    return lo + (hi - lo) * pts, (hi - lo) * wts
 
 
 def gauss_on_breaks(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,18 +271,6 @@ def bezier_extraction(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return tables
 
 
-def bspline_table(kv: KnotVector, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-vanishing basis functions at the points of a 1-D array, in Bezier form.
-
-    Returns ``index`` and ``values``, both of shape (m, p+1): ``values[q, j]``
-    is function ``index[q, j]`` at ``xi[q]``, the Bernstein values of the
-    point's element times its extraction operator.
-    """
-    e, D = _bernstein_table(kv, xi, 0)
-    _, first, C = _element_tables(kv)
-    return first[e][:, None] + np.arange(kv.degree + 1), np.einsum("qb,qjb->qj", D[0], C[e])
-
-
 def _element_tables(kv: KnotVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`bezier_extraction` of ``kv``; once built it is read from the knot
     vector without a call, so each call of the public function is one build."""
@@ -350,39 +331,35 @@ class BoundaryCurve:
 
     def point(self, xi) -> np.ndarray:
         """Curve point, shape (2,) for scalar ``xi`` or (m, 2) for an array."""
-        return self.derivatives(xi, 0)[0]
+        return self.table(np.reshape(xi, -1), 0)[2][0].reshape(np.shape(xi) + (2,))
 
-    def derivatives(self, xi, nders: int = 2) -> np.ndarray:
-        """Curve point and derivatives d^k x / d xi^k, k = 0..nders (at most 2).
+    def table(self, xi, nders: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Basis, points and their derivatives at the points of a 1-D array,
+        from one Bernstein table.
 
-        Shape (nders+1, 2) for scalar ``xi`` or (nders+1, m, 2) for an array.
+        Returns ``index`` and ``R``, both (m, p+1): ``R[q, j]`` is the rational
+        function N_j w_j / W of index ``index[q, j]`` at ``xi[q]``, the
+        Bernstein values of the point's element times its extraction operator
+        and the weights.  ``X`` (nders+1, m, 2) holds the curve point and its
+        derivatives d^k x / d xi^k, k = 0..nders (at most 2), by the quotient
+        rule on the homogeneous Bezier points (Piegl & Tiller, The NURBS Book,
+        eq. 4.8).
         """
         if nders > 2:
             raise ValueError("curve derivatives are available up to second order")
-        x = np.asarray(xi, dtype=float)
-        e, D = _bernstein_table(self.kv, x.reshape(-1), nders)
-        h = np.einsum("kqj,qjc->kqc", D, self._bezier[e])
-        A, W = h[..., :2], h[..., 2:]
-        out = np.empty_like(A)
-        out[0] = A[0] / W[0]
-        if nders >= 1:
-            out[1] = (A[1] - out[0] * W[1]) / W[0]
-        if nders >= 2:
-            out[2] = (A[2] - 2.0 * out[1] * W[1] - out[0] * W[2]) / W[0]
-        return out[:, 0] if x.ndim == 0 else out
-
-    def table(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Basis, points and tangents at the points of a 1-D array, from one
-        Bernstein table: ``index`` and ``R`` as :func:`bspline_table` gives its
-        index and values, R the rational functions N_j w_j / W, then x and
-        dx/dxi (m, 2), as :meth:`derivatives` forms them."""
-        e, D = _bernstein_table(self.kv, xi, 1)
+        e, D = _bernstein_table(self.kv, xi, nders)
         _, first, C = _element_tables(self.kv)
         index = first[e][:, None] + np.arange(self.kv.degree + 1)
         R = np.einsum("qb,qjb->qj", D[0], C[e]) * self.weights[index]
         h = np.einsum("kqj,qjc->kqc", D, self._bezier[e])
-        x = h[0, :, :2] / h[0, :, 2:]
-        return index, R / R.sum(axis=1)[:, None], x, (h[1, :, :2] - x * h[1, :, 2:]) / h[0, :, 2:]
+        A, W = h[..., :2], h[..., 2:]
+        X = np.empty_like(A)
+        X[0] = A[0] / W[0]
+        if nders >= 1:
+            X[1] = (A[1] - X[0] * W[1]) / W[0]
+        if nders >= 2:
+            X[2] = (A[2] - 2.0 * X[1] * W[1] - X[0] * W[2]) / W[0]
+        return index, R / R.sum(axis=1)[:, None], X
 
 
 # patch side -> (parametric axis the side fixes, whether at that axis's end)
@@ -475,12 +452,14 @@ class Patch2D:
     def max_element_diameter(self) -> float:
         """Largest physical diagonal over all Bezier elements, at their corners."""
         # every function of each direction at its breakpoints, dense: there the
-        # Bernstein row is a unit vector, so these are extraction-operator columns
+        # Bernstein row is a unit vector, so they are each element's first
+        # operator column, and the last element's last column at the end
         tables = []
         for kv in self.kvs:
-            index, N = bspline_table(kv, kv.breakpoints())
+            _, first, C = _element_tables(kv)
+            index = np.append(first, first[-1])[:, None] + np.arange(kv.degree + 1)
             B = np.zeros((len(index), kv.n))
-            np.put_along_axis(B, index, N, axis=1)
+            np.put_along_axis(B, index, np.concatenate([C[:, :, 0], C[-1:, :, -1]]), axis=1)
             tables.append(B)
         B1, B2 = tables
         # homogeneous points on the grid of element corners, then projected

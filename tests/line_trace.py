@@ -4,8 +4,8 @@ Runs the suite in this process under ``sys.settrace`` and
 ``threading.settrace``, with the criterion 10 acceptance test deselected
 (its pinned protocol is slow and is left red by design), and prints each
 line that no test reached as ``module.py:line``.  Subprocesses are not
-traced, so every line a subprocess test runs (the CLI's ``BEZMORTAR_THREADS``
-branch, its ``__main__`` guard) must also run in process.
+traced, so every line a subprocess test runs (the CLI's ``__main__`` guard,
+for one) must also run in process.
 
 The tracer roughly doubles the suite's time, so it is a script, not a test:
 pytest's default ``test_*.py`` pattern does not collect it.  Run it from the

@@ -34,7 +34,7 @@ value move, per cell of a group or per stored entry of ``P`` and ``Bm``,
 with its model.
 
 Then it runs a fixed list of command-line calls in both trees, each tree in
-one subprocess with ``BEZMORTAR_THREADS=1`` (see :func:`commands`), and
+one subprocess with one BLAS thread (see :func:`commands`), and
 compares their output files byte for byte.  For an output whose bytes moved
 it prints the largest relative move of its numbers (per number in a CSV
 file, against the file's largest magnitude in a JSON file), or that its text
@@ -183,7 +183,8 @@ def compare_cli(ref_tree: Path) -> int:
         procs = []
         for tree, out in zip((ROOT, ref_tree), outs):
             out.mkdir()
-            env = dict(os.environ, PYTHONPATH=str(tree / "src"), BEZMORTAR_THREADS="1")
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
+                       OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
             procs.append(subprocess.Popen([sys.executable, __file__, "--cli-worker", str(out)],
                                           stdout=subprocess.PIPE, text=True, env=env))
         outcomes = [p.communicate()[0].strip() for p in procs]

@@ -53,7 +53,7 @@ from bezmortar.splines import (
     KnotVector,
     Patch2D,
     bernstein_derivatives,
-    gauss_on,
+    gauss_on_breaks,
     greville_abscissae,
     side_index,
 )
@@ -90,8 +90,8 @@ def mesh(request):
 def _cell_quadrature(cell, n1, n2):
     """Tensor Gauss points and weights on the cell rectangle."""
     (a1, b1), (a2, b2) = cell.rect
-    x1, w1 = gauss_on(a1, b1, n1)
-    x2, w2 = gauss_on(a2, b2, n2)
+    x1, w1 = gauss_on_breaks((a1, b1), n1)
+    x2, w2 = gauss_on_breaks((a2, b2), n2)
     return np.repeat(x1, n2), np.tile(x2, n1), np.outer(w1, w2).reshape(-1)
 
 
@@ -696,7 +696,7 @@ def _neumann_reference(mesh, specs, ncomp):
                 a, b = max(a, span[0]), min(b, span[1])
                 if b - a <= 1e-14:
                     continue
-            xs, ws = gauss_on(a, b, sc.degree + 2)
+            xs, ws = gauss_on_breaks((a, b), sc.degree + 2)
             ev = _side_cell_reference(sc, xs)
             t = np.array([np.broadcast_to(traction(x, n), (ncomp,))
                           for x, n in zip(ev["x"], ev["normal"])])

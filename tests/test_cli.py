@@ -693,7 +693,6 @@ def test_converge_header_and_determinism(tmp_path):
 def test_cli_entrypoint_subprocess(tmp_path):
     out = tmp_path / "m.json"
     env_script = (
-        "import os; os.environ['BEZMORTAR_THREADS']='1'; "
         "from bezmortar.cli import main; "
         f"raise SystemExit(main(['mesh','--case','square-demo','-o', r'{out}']))"
     )
@@ -712,27 +711,9 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize("before, after", [
-    ({"BEZMORTAR_THREADS": "1"},
-     {"BEZMORTAR_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-      "MKL_NUM_THREADS": "1"}),
-    ({"BEZMORTAR_THREADS": "2", "MKL_NUM_THREADS": "4"},
-     {"BEZMORTAR_THREADS": "2", "OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
-      "MKL_NUM_THREADS": "4"}),
-    ({}, {}),
-])
-def test_thread_env_caps_the_unset_blas_variables(monkeypatch, before, after):
-    # the subprocess test above runs this before numpy loads; here it runs on
-    # a stand-in environment, so the session's own is left alone
-    monkeypatch.setattr(os, "environ", dict(before))
-    cli._apply_thread_env()
-    assert os.environ == after
-
-
 def test_module_entry_point_exits_with_main(monkeypatch, capsys):
     # run_path, not run_module: run_module warns that bezmortar.cli is
     # already imported, and the suite turns that warning into an error
-    monkeypatch.delenv("BEZMORTAR_THREADS", raising=False)
     monkeypatch.setattr(sys, "argv", ["bezmortar", "--help"])
     with pytest.raises(SystemExit) as exit:
         runpy.run_path(cli.__file__, run_name="__main__")

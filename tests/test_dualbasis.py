@@ -12,7 +12,7 @@ from bezmortar import (
     reconstruction_operator,
 )
 from bezmortar import splines
-from bezmortar.splines import bernstein_derivatives, bezier_extraction, gauss_on
+from bezmortar.splines import bernstein_derivatives, bezier_extraction, gauss_on_breaks
 from reference import bspline_basis
 
 RNG = np.random.default_rng(7130)
@@ -27,7 +27,7 @@ def assembled_gram(dual, kv, weights=None):
     p = kv.degree
     G = np.zeros((dual.n, kv.n))
     for a, b in pairwise(kv.breakpoints()):
-        xs, ws = gauss_on(float(a), float(b), p + 3)
+        xs, ws = gauss_on_breaks((a, b), p + 3)
         index, dv = dual.evaluate(xs)
         fd = index[0, 0]
         for x, w, row in zip(xs, ws, dv):
@@ -69,7 +69,7 @@ def test_gramian_quadratic():
 def interval_gramian(p, lo, hi, n):
     """int B_i B_j over [lo, hi] by an n-point Gauss rule, B the Bernstein basis there."""
     G = np.zeros((p + 1, p + 1))
-    xs, ws = gauss_on(lo, hi, n)
+    xs, ws = gauss_on_breaks((lo, hi), n)
     for x, w in zip(xs, ws):
         B = bernstein_derivatives(p, (x - lo) / (hi - lo), 0)[0]
         G += w * np.outer(B, B)
@@ -143,7 +143,7 @@ def test_weights_quadrature_oracle_and_partition():
     bp, firsts, _ = bezier_extraction(kv)
     ints = np.zeros((len(firsts), kv.n))
     for e, (a, b) in enumerate(zip(bp[:-1], bp[1:])):
-        xs, ws = gauss_on(a, b, 4)
+        xs, ws = gauss_on_breaks((a, b), 4)
         for x, w in zip(xs, ws):
             first, N = bspline_basis(kv, float(x))
             ints[e, first : first + 3] += w * N
@@ -173,7 +173,7 @@ def test_elementwise_product_is_weight_diagonal():
     dual = dual_extraction(kv, np.ones(kv.n))
     bp = bezier_extraction(kv)[0]
     for w_e, a, b in zip(projection_weights(kv), bp[:-1], bp[1:], strict=True):
-        xs, ws = gauss_on(a, b, 4)
+        xs, ws = gauss_on_breaks((a, b), 4)
         M = np.zeros((3, 3))
         for x, w in zip(xs, ws):
             _, dv = dual.evaluate(np.array([x]))

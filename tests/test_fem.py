@@ -45,7 +45,6 @@ from bezmortar.splines import (
     BoundaryCurve,
     KnotVector,
     Patch2D,
-    gauss_on,
     gauss_on_breaks,
     greville_abscissae,
 )
@@ -87,8 +86,8 @@ def test_nan_jacobian_raises():
 def _cell_quadrature(cell, n1, n2):
     """Tensor Gauss points and weights on the cell rectangle."""
     (a1, b1), (a2, b2) = cell.rect
-    x1, w1 = gauss_on(a1, b1, n1)
-    x2, w2 = gauss_on(a2, b2, n2)
+    x1, w1 = gauss_on_breaks((a1, b1), n1)
+    x2, w2 = gauss_on_breaks((a2, b2), n2)
     return np.repeat(x1, n2), np.tile(x2, n1), np.outer(w1, w2).reshape(-1)
 
 
@@ -323,7 +322,7 @@ def _dense_boundary_projection(patch, side, fn):
     kv = curve.kv
     n = kv.n
     xs, ws = gauss_on_breaks(kv.breakpoints(), kv.degree + 2)
-    cols, R, x, dx = curve.table(xs)
+    cols, R, (x, dx) = curve.table(xs, 1)
     c = ws * np.linalg.norm(dx, axis=1)
     x = np.vstack([x, curve.point(kv.domain[0]), curve.point(kv.domain[1])])
     f = fn(x[:, 0], x[:, 1])
@@ -377,14 +376,15 @@ def test_boundary_projection_matches_refined_dense_solve(patch):
 
 def test_boundary_projection_evaluates_its_curve_once():
     # basis, points and tangents at the Gauss points and both corners in one
-    # table call, so one Bernstein table; no derivatives or point call
+    # table call of first order, so one Bernstein table; no point call
     patch = rect_patch(2, 3, 2)
     spies = {name: mock.patch.object(BoundaryCurve, name, autospec=True,
                                      side_effect=getattr(BoundaryCurve, name))
-             for name in ("table", "derivatives", "point")}
-    with spies["table"] as table, spies["derivatives"] as derivatives, spies["point"] as point:
+             for name in ("table", "point")}
+    with spies["table"] as table, spies["point"] as point:
         vals = boundary_projection(patch, "north", lambda x, y: x + 2 * y)
-    assert (table.call_count, derivatives.call_count, point.call_count) == (1, 0, 0)
+    assert (table.call_count, point.call_count) == (1, 0)
+    assert table.call_args.args[2] == 1
     # linear data is in the space: the corners interpolate, the rest is exact
     g = greville_abscissae(patch.kvs[0])
     assert np.abs(vals - (g + 2.0)).max() < 1e-13
@@ -399,7 +399,7 @@ def test_boundary_projection_rate():
         curve = patch.boundary("east")
         err = 0.0
         for a, b in pairwise(curve.kv.breakpoints()):
-            xs, ws = gauss_on(a, b, 5)
+            xs, ws = gauss_on_breaks((a, b), 5)
             for xq, wq in zip(xs, ws):
                 first, N = bspline_basis(curve.kv, float(xq))
                 uh = N @ vals[first : first + 3]
@@ -488,7 +488,7 @@ def test_residual_gate_accepts_a_cancelled_load():
     # is accepted
     curve = rect_patch(2, 1, 1).boundary("west")
     xs, ws = gauss_on_breaks(curve.kv.breakpoints(), 4)
-    cols, R, x, dx = curve.table(xs)
+    cols, R, (x, dx) = curve.table(xs, 1)
     c = ws * np.linalg.norm(dx, axis=1)
     M, f = np.zeros((3, 3)), np.zeros(3)
     np.add.at(M, (cols[:, :, None], cols[:, None, :]),
@@ -1031,8 +1031,8 @@ def test_quadrature_subdivision_is_necessary():
     for (patch, span1), cells in by_parent.items():
         lo2 = min(c.rect[1][0] for c in cells)
         hi2 = max(c.rect[1][1] for c in cells)
-        x1, w1 = gauss_on(span1[0], span1[1], 3)
-        x2, w2 = gauss_on(lo2, hi2, 3)
+        x1, w1 = gauss_on_breaks(span1, 3)
+        x2, w2 = gauss_on_breaks((lo2, hi2), 3)
         for i1, (xq1, wq1) in enumerate(zip(x1, w1)):
             for xq2, wq2 in zip(x2, w2):
                 cell = next(c for c in cells

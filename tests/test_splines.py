@@ -21,7 +21,6 @@ from bezmortar.splines import (
     MeshFormatError,
     _element_tables,
     _subdivision,
-    bspline_table,
     side_index,
 )
 from reference import bernstein_change, bspline_basis, bspline_derivatives, find_span, patch_eval
@@ -62,7 +61,8 @@ def test_bernstein_partition_of_unity_and_positivity():
 
 def test_bernstein_out_of_domain():
     with pytest.raises(OutOfDomainError):
-        bspline_table(KnotVector([0, 0, 0, 1, 1, 1], 2), np.array([1.5]))
+        BoundaryCurve(KnotVector([0, 0, 0, 1, 1, 1], 2), np.zeros((3, 2)), np.ones(3)).table(
+            np.array([1.5]), 0)
 
 
 def test_bernstein_derivatives_match_finite_differences():
@@ -327,9 +327,9 @@ def test_subdivision_reproduces_the_basis(knots, extra, seed):
     x = (lo + h * np.random.default_rng(seed).uniform(0.01, 0.99, (len(h), 3))).reshape(-1)
     e = np.repeat(np.arange(len(h)), 3)
     B = bernstein_derivatives(p, (x - lo[e, 0]) / h[e, 0], 0)[0]
-    index, N = bspline_table(kv, x)
-    assert np.array_equal(index, first[e][:, None] + np.arange(p + 1))
-    assert np.abs(np.einsum("qb,qjb->qj", B, C[e]) - N).max() <= 1e-14
+    ref = [bspline_basis(kv, float(xq)) for xq in x]
+    assert [f for f, _ in ref] == first[e].tolist()
+    assert np.abs(np.einsum("qb,qjb->qj", B, C[e]) - [N for _, N in ref]).max() <= 1e-14
     bp_e, first_e, C_e = bezier_extraction(kv)
     at = np.searchsorted(bp, bp_e)
     whole = np.flatnonzero(np.diff(at) == 1)
@@ -566,7 +566,7 @@ def test_patch_rejects_non_finite_weights(bad):
     (lambda kv: BoundaryCurve(kv, np.arange(4.0), np.ones(4)),
      r"control points must have shape \(4, 2\), not \(4,\)"),
     (lambda kv: BoundaryCurve(kv, np.zeros((4, 2)), np.ones((4, 1))), "does not match basis size"),
-    (lambda kv: BoundaryCurve(kv, np.zeros((4, 2)), np.ones(4)).derivatives(0.5, 3),
+    (lambda kv: BoundaryCurve(kv, np.zeros((4, 2)), np.ones(4)).table(np.array([0.5]), 3),
      "up to second order"),
     (lambda kv: side_index("up"), "side must be one of"),
     (lambda kv: Patch2D((kv, kv), np.zeros((4, 4, 2)), np.ones((4, 5))), "weight net shape"),
@@ -581,27 +581,49 @@ def test_curve_and_patch_input_is_refused(call, message):
 
 @given(open_knot_values(), st.integers(0, 2**32 - 1))
 def test_curve_table_matches_cox_de_boor(knots, seed):
-    # basis, points and tangents from one Bernstein table against the
-    # Cox-de Boor recursion and the quotient rule; on 300 random rational
-    # curves at p 1-4 they differed by at most 7.8e-16 (basis and points)
-    # and 8.8e-15 (tangents) relative, so 1e-13 leaves a wide margin
+    # basis, points and their first and second derivatives from one
+    # Bernstein table against the Cox-de Boor recursion and the quotient
+    # rule.  Every order asked for gives the same index, basis and lower
+    # orders, bit for bit, and a third order is refused
     kv = KnotVector(*knots)
     rng = np.random.default_rng(seed)
     points, w = rng.uniform(-1.0, 1.0, (kv.n, 2)), rng.uniform(0.5, 2.0, kv.n)
     xs = np.concatenate([kv.breakpoints(), rng.uniform(*kv.domain, 20)])
-    index, R, x, dx = BoundaryCurve(kv, points, w).table(xs)
-    dense, want = np.zeros((len(xs), kv.n)), np.zeros((2, len(xs), kv.n))
+    curve = BoundaryCurve(kv, points, w)
+    index, R, X = curve.table(xs, 2)
+    for nders in (0, 1):
+        i, R_k, X_k = curve.table(xs, nders)
+        assert np.array_equal(i, index) and R_k.tobytes() == R.tobytes()
+        assert X_k.shape == (nders + 1, len(xs), 2) and X_k.tobytes() == X[: nders + 1].tobytes()
+    with pytest.raises(ValueError, match="up to second order"):
+        curve.table(xs, 3)
+    dense, want = np.zeros((len(xs), kv.n)), np.zeros((3, len(xs), kv.n))
     np.put_along_axis(dense, index, R, axis=1)
     for q, xi in enumerate(xs):
-        first, (N, dN) = bspline_derivatives(kv, float(xi), 1)
+        first, (N, dN, d2N) = bspline_derivatives(kv, float(xi), 2)
         cols = slice(first, first + kv.degree + 1)
-        Nw, dNw = N * w[cols], dN * w[cols]
-        want[0, q, cols] = Nw / Nw.sum()
-        want[1, q, cols] = (dNw - want[0, q, cols] * dNw.sum()) / Nw.sum()
+        Nw, dNw, d2Nw = N * w[cols], dN * w[cols], d2N * w[cols]
+        R0 = Nw / Nw.sum()
+        R1 = (dNw - R0 * dNw.sum()) / Nw.sum()
+        want[:, q, cols] = R0, R1, (d2Nw - 2.0 * R1 * dNw.sum() - R0 * d2Nw.sum()) / Nw.sum()
+    # on 300 random rational curves at p 1-4 the basis, points and tangents
+    # differed by at most 7.8e-16, 7.8e-16 and 8.8e-15 relative, so 1e-13
+    # leaves a wide margin
     assert np.abs(dense - want[0]).max() <= 1e-13
-    for got, basis in ((x, want[0]), (dx, want[1])):
-        ref = basis @ points
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    for k in (0, 1):
+        ref = want[k] @ points
+        assert np.abs(X[k] - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a second derivative is Bezier points of rounding eps |P| times Bernstein
+    # derivatives of size (p / h)^2 on an element of length h, so it loses
+    # digits as h shrinks: on 3,000 random curves with clustered knots the
+    # excess over 1e-13 relative stayed below 2.2 eps max|P| (p / h)^2, and
+    # the error reached 6.9 relative on a curve whose shortest element was 2e-10
+    bp = kv.breakpoints()
+    h = np.diff(bp)[np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(bp) - 2)]
+    ref = want[2] @ points
+    bound = (1e-13 * np.abs(ref).max()
+             + 16 * np.finfo(float).eps * np.abs(points).max() * (kv.degree / h) ** 2)
+    assert np.all(np.abs(X[2] - ref).max(axis=1) <= bound)
 
 
 def test_boundary_curve_rejects_nan_weight():
@@ -621,9 +643,8 @@ def test_greville_linear_reproduction():
 def test_non_finite_parameters_are_out_of_domain(bad):
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     curve = BoundaryCurve(kv, np.column_stack([np.arange(4.0), np.zeros(4)]), np.ones(4))
-    calls = [lambda: bspline_table(kv, np.array([0.2, bad])),
-             lambda: curve.table(np.array([0.2, bad])),
-             lambda: curve.point(bad), lambda: curve.derivatives(np.array([bad, 0.3]), 2),
+    calls = [lambda: curve.table(np.array([0.2, bad]), 0),
+             lambda: curve.point(bad), lambda: curve.table(np.array([bad, 0.3]), 2),
              lambda: find_span(kv, bad), lambda: bspline_basis(kv, bad),
              lambda: bspline_derivatives(kv, bad)]
     for call in calls:

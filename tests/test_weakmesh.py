@@ -24,7 +24,7 @@ from bezmortar.benchmarks import (
 from bezmortar.linsys import AssembledSystem
 from bezmortar.mesh_io import dump_mesh, load_mesh, mesh_document
 from bezmortar.fem import evaluate_cell
-from bezmortar.splines import SIDES, _element_tables, bspline_table, side_index
+from bezmortar.splines import SIDES, _element_tables, side_index
 from cases import case_model, two_patch_models
 from reference import bernstein_change, bspline_basis, find_span, weak_document_system
 from test_splines import bernstein_on
@@ -69,7 +69,7 @@ def interface_operator_report(model: MultiPatchModel) -> dict[str, np.ndarray]:
     M = bernstein_change(p_i, (lo, hi), (a, b))
     e_r = np.searchsorted(bp_r, 0.5 * (a + b)) - 1
     mkv = coup.phi.master.kv
-    m_first = bspline_table(mkv, np.array([coup.phi(0.5 * (a + b))]))[0][0, 0]
+    m_first = coup.phi.master.table(np.array([coup.phi(0.5 * (a + b))]), 0)[0][0, 0]
     G = coup.G
     G_local = G[first_r[e_r] : first_r[e_r] + p_i + 1, m_first : m_first + mkv.degree + 1]
     # transverse factor: the element layer adjacent to the interface
