@@ -483,7 +483,7 @@ def solve_case(case: BenchmarkCase, level: int, method: str = "mortar") -> dict:
         x = linear_solve(assemble_saddle(system, model), rows)
         values = x[: mesh.ndof * ncomp]
     else:
-        values = mesh.expand(linear_solve(condense(system, mesh), rows), ncomp)
+        values = mesh.expand(linear_solve(condense(system, mesh), rows))
     return {
         "field": SolutionField(mesh, values, ncomp),
         "model": model,
@@ -568,8 +568,9 @@ def run_convergence(case: BenchmarkCase, levels: int,
 def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> float:
     """L2(arc-length) norm of the master-slave trace mismatch.
 
-    Evaluates the solved master trace composed with phi against the slave
-    trace (held by the refined interface dofs) over the merged quadrature
+    Evaluates the solved master trace (held by the master edge's full dofs,
+    the model's ``master_ids``) composed with phi against the slave trace
+    (held by the refined interface dofs) over the merged quadrature
     segments.  ``full_values`` holds ncomp values per full dof, component
     fastest; a size that is no such multiple raises ``ValueError``.
     """
@@ -580,12 +581,11 @@ def interface_jump_norm(model: MultiPatchModel, full_values: np.ndarray) -> floa
     vals = full_values.reshape(-1, ncomp)
     total = 0.0
     for ci, coup in enumerate(model.couplings):
-        mp, ms = coup.spec.master
         xs, ws = gauss_on_breaks(coup.segments, coup.trace.kv.degree + 2)
         cs, Rs, (_, dx) = coup.trace.table(xs, 1)
         cm, Rm, _ = coup.phi.master.table(coup.phi(xs), 0)
         us = np.einsum("qj,qjc->qc", Rs, vals[model.trace_ids[ci]][cs])
-        um = np.einsum("qj,qjc->qc", Rm, vals[model.grids[mp][side_index(ms)]][cm])
+        um = np.einsum("qj,qjc->qc", Rm, vals[model.master_ids[ci]][cm])
         total += float(np.sum(ws * np.linalg.norm(dx, axis=1) * np.sum((um - us) ** 2, axis=1)))
     return math.sqrt(total)
 

@@ -264,19 +264,15 @@ def condense(system: AssembledSystem, mesh) -> AssembledSystem:
     On a mesh that carries a prolongation P (d_mesh = P d_solved, the mortar
     stream) the reduced operator is P^T K P and the load P^T f, which
     reproduces the familiar master-block formulas K^m_cc + G^T K^s_cc G,
-    G^T K^s_cd, ... while preserving sparsity.  A mesh without one (the weak
-    stream) is solved in its own numbering, and the system is returned as it
-    is.  A system of another size than the mesh raises ``ValueError``.
+    G^T K^s_cd, ... while preserving sparsity; with ncomp components per dof
+    P becomes P kron I_ncomp.  A mesh without one (the weak stream) is solved
+    in its own numbering, and the system is returned as it is.
     """
-    n = mesh.ndof * system.ncomp
-    if system.nrows != n:
-        raise ValueError(f"system size {system.nrows} does not match the mesh's {n} rows")
+    ncomp = _components(system, mesh.ndof)
     if mesh.P is None:
         return system
-    P = mesh.prolongation_vec(system.ncomp)
-    K = (P.T @ system.K @ P).tocsr()
-    f = P.T @ system.f
-    return AssembledSystem(K, f, system.ncomp)
+    P = mesh.P if ncomp == 1 else sp.kron(mesh.P, sp.eye(ncomp), format="csr")
+    return AssembledSystem((P.T @ system.K @ P).tocsr(), P.T @ system.f)
 
 
 def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
@@ -291,9 +287,22 @@ def assemble_saddle(system: AssembledSystem, model) -> AssembledSystem:
     multipliers divided by that factor) are on the scale of the
     displacements (Benzi, Golub & Liesen, Acta Numerica 14, 2005, §10):
     unscaled, SuperLU's displacements on the plates differed from the
-    condensed ones by up to 5.4e-11 relative, at residuals of 1e-14.
+    condensed ones by up to 5.4e-11 relative, at residuals of 1e-14.  With
+    ncomp components per dof both blocks are kron I_ncomp.
     """
-    Bm, Bs = model.multiplier_blocks(system.ncomp)
-    B, nl = (Bm - Bs) * np.sqrt(system.K.diagonal().max()), Bm.shape[0]
+    ncomp = _components(system, model.ndof_full)
+    Bm, Bs = model.multiplier_blocks()
+    B = sp.kron(Bm - Bs, sp.eye(ncomp), format="csr") * np.sqrt(system.K.diagonal().max())
+    nl = B.shape[0]
     K = sp.bmat([[system.K, B.T], [B, sp.csr_matrix((nl, nl))]], format="csr")
-    return AssembledSystem(K, np.concatenate([system.f, np.zeros(nl)]), system.ncomp)
+    return AssembledSystem(K, np.concatenate([system.f, np.zeros(nl)]))
+
+
+def _components(system: AssembledSystem, ndof: int) -> int:
+    """Components per dof of a system over ``ndof`` dofs; a size that is no
+    positive multiple of ``ndof`` raises ``ValueError``."""
+    ncomp, rest = divmod(system.nrows, ndof)
+    if rest or not ncomp:
+        raise ValueError(f"system size {system.nrows} does not match a positive multiple "
+                         f"of the mesh's {ndof} dofs")
+    return ncomp

@@ -260,7 +260,7 @@ def _system(mesh: ExtractedMesh, ncomp: int, local: list, loads: list) -> Assemb
     n = mesh.ndof * ncomp
     data = np.bincount(slot, np.concatenate(local, axis=None), minlength=indices.size)
     f = np.bincount(dofs, np.concatenate(loads, axis=None), minlength=n) if loads else np.zeros(n)
-    return AssembledSystem(sp.csr_matrix((data, indices, indptr), shape=(n, n)), f, ncomp)
+    return AssembledSystem(sp.csr_matrix((data, indices, indptr), shape=(n, n)), f)
 
 
 def _load(basis: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -572,13 +572,13 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
     floor = 1e-12 * (np.linalg.norm(external_load) + 1.0)
     # the load is dead, so the assembly at the current iterate serves every
     # increment until the iterate moves
-    rint, K = assemble_neo_hookean(mesh, material, mesh.expand(dred, 2))
+    rint, K = assemble_neo_hookean(mesh, material, mesh.expand(dred))
     for inc in range(1, increments + 1):
         scale = inc / increments
         fext = scale * external_load
         res0 = None
         for it in range(_NEWTON_STEPS + 1):
-            red = condense(AssembledSystem(K, rint - fext, 2), mesh)
+            red = condense(AssembledSystem(K, rint - fext), mesh)
             rred, Kred = red.f, red.K
             rnorm = np.linalg.norm(rred[free])
             if res0 is None:
@@ -590,12 +590,12 @@ def newton_load_stepping(mesh: ExtractedMesh, material: MaterialModel,
                     f"Newton did not converge in increment {inc} "
                     f"(residual {rnorm:.3e})"
                 )
-            step = linear_solve(AssembledSystem(Kred, -rred, 2), prescribed.items())
+            step = linear_solve(AssembledSystem(Kred, -rred), prescribed.items())
             alpha = 1.0
             for _ in range(12):
                 trial = dred + alpha * step
                 try:
-                    rint, K = assemble_neo_hookean(mesh, material, mesh.expand(trial, 2))
+                    rint, K = assemble_neo_hookean(mesh, material, mesh.expand(trial))
                     break
                 except NumericalError:
                     alpha *= 0.5

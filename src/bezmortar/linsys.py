@@ -39,13 +39,12 @@ class NumericalError(RuntimeError):
 class AssembledSystem:
     """Sparse symmetric stiffness (or tangent) with load vector.
 
-    Rows are vector degrees of freedom: scalar dof ``d`` and component ``c``
-    map to row ``d * ncomp + c``.
+    Rows are vector degrees of freedom: with ncomp components per dof, scalar
+    dof ``d`` and component ``c`` map to row ``d * ncomp + c``.
     """
 
     K: sp.csr_matrix
     f: np.ndarray
-    ncomp: int = 1
 
     @property
     def nrows(self) -> int:

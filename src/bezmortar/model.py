@@ -16,9 +16,9 @@ for the refined interface extraction.  A stream is held as stacked cell
 groups, one per cell shape.
 
 The layout rests on one sparse operator per interface, its constraint rows
-G E: the coupling matrix G times the master edge's functions E as rows over
-the full dofs.  The prolongation P multiplies them, the saddle block stacks
-them.
+G E: the coupling matrix G times the unit rows E of the master edge's full
+dof ids (``master_ids``).  The prolongation P multiplies them, the saddle
+block stacks them.
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ class ExtractedMesh:
     stream is held as shape groups: ``pieces`` that share degrees and
     operator shape are merged into one :class:`CellGroup`, ordered by
     position, and the groups are ordered by their first position.  ``_cache``
-    holds data derived from the groups and ``P`` on first use (the cell views,
-    the breakpoint grids of :meth:`cell_index`, the assembly pattern and the
-    prolongation per component count and the neo-Hookean kernel's quadrature
-    geometry), so the groups are read-only.
+    holds data derived from the groups on first use (the cell views, the
+    breakpoint grids of :meth:`cell_index`, the assembly pattern per component
+    count and the neo-Hookean kernel's quadrature geometry), so the groups
+    are read-only.
     """
 
     def __init__(self, patches: list[Patch2D], pieces, ndof: int, grids: list[np.ndarray],
@@ -129,19 +129,10 @@ class ExtractedMesh:
     def __len__(self) -> int:
         return sum(len(g.index) for g in self.groups)
 
-    def prolongation_vec(self, ncomp: int) -> sp.csr_matrix:
-        """``P`` with ``ncomp`` components per dof, component fastest (cached);
-        None on a mesh without ``P``."""
-        if self.P is None or ncomp == 1:
-            return self.P
-        key = ("prolongation", ncomp)
-        if key not in self._cache:
-            self._cache[key] = sp.kron(self.P, sp.eye(ncomp), format="csr")
-        return self._cache[key]
-
-    def expand(self, x: np.ndarray, ncomp: int) -> np.ndarray:
-        """Mesh-dof values of solved values ``x`` with ``ncomp`` components."""
-        return x if self.P is None else self.prolongation_vec(ncomp) @ x
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """Mesh-dof values of solved values ``x``, any number of components
+        per dof, component fastest."""
+        return x if self.P is None else (self.P @ x.reshape(self.P.shape[1], -1)).reshape(-1)
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -242,7 +233,11 @@ class MultiPatchModel:
         Retained dofs are the patch functions off the slave edges, numbered
         patch by patch in row-major order (``grids`` holds them, -1 on slave
         edges); each interface then appends one trace dof per refined
-        interface function (``trace_ids``).
+        interface function (``trace_ids``).  ``master_ids`` holds the full dof
+        of each master edge function.  A master edge meets a slave edge only
+        at a corner (no side is both), where the refined interface function
+        of that end is the only one that does not vanish, so there it holds
+        the end trace dof.
         """
         if {c.spec.master for c in self.couplings} & {c.spec.slave for c in self.couplings}:
             raise ValueError("a side is master of one interface and slave of another")
@@ -268,36 +263,17 @@ class MultiPatchModel:
         self.n_retained, self.ndof_full = ends[len(slave)], ends[-1]
         self.trace_ids: list[np.ndarray] = [np.arange(a, b) for a, b in
                                             zip(ends[len(slave):], ends[len(slave) + 1:])]
-        masters = [c.spec.master for c in self.couplings]
-        fmaps = {mp: self._function_map(mp) for mp, _ in masters}
+        ids = [grid.copy() for grid in self.grids]
+        for coup, tids in zip(self.couplings, self.trace_ids):
+            pi, side = coup.spec.slave
+            ids[pi][side_index(side)][[0, -1]] = tids[[0, -1]]
+        self.master_ids: list[np.ndarray] = [ids[mp][side_index(ms)]
+                                             for mp, ms in (c.spec.master for c in self.couplings)]
         self._constraints = [  # G_i E_i
-            sp.csr_matrix(c.G) @ fmaps[mp][_flat(self.patches[mp])[side_index(ms)]]
-            for c, (mp, ms) in zip(self.couplings, masters)]
+            sp.csr_matrix(c.G) @ sp.csr_matrix((np.ones(m.size), m, np.arange(m.size + 1)),
+                                               shape=(m.size, self.ndof_full))
+            for c, m in zip(self.couplings, self.master_ids)]
         self.P = self._prolongation()
-
-    def _function_map(self, pi: int) -> sp.csr_matrix:
-        """Every tensor function of patch ``pi`` as the row over the full dofs
-        that gives its coefficient on a master edge.
-
-        Retained functions are unit rows.  A master edge meets a slave edge
-        only at a corner (no side is both), where the refined interface
-        function of that end is the only one that does not vanish: each end
-        function of a slave edge is the unit row of its end trace dof, and the
-        other slave-edge rows, which no master edge holds, are empty.
-        """
-        grid = self.grids[pi].reshape(-1)
-        keep = np.flatnonzero(grid >= 0)
-        rows, cols, vals = [keep], [grid[keep]], [np.ones(keep.size)]
-        flat = _flat(self.patches[pi])
-        for ci, coup in enumerate(self.couplings):
-            if coup.spec.slave[0] == pi:
-                rows.append(flat[side_index(coup.spec.slave[1])][[0, -1]])
-                cols.append(self.trace_ids[ci][[0, -1]])
-                vals.append(np.ones(2))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(grid.size, self.ndof_full),
-        )
 
     def _prolongation(self) -> sp.csr_matrix:
         """P with full dofs = P @ retained dofs, stacked once from one block per interface.
@@ -323,25 +299,15 @@ class MultiPatchModel:
         P.sort_indices()  # the sparse products leave column order unsorted
         return P
 
-    def multiplier_blocks(self, ncomp: int):
-        """Constraint blocks (master side, slave side) for the saddle system.
+    def multiplier_blocks(self):
+        """Scalar constraint blocks (master side, slave side) for the saddle system.
 
         Interface i contributes the rows G_i E_i to ``Bm`` and the selection of
         its trace dofs to ``Bs``.
         """
-        for coup in self.couplings:
-            mp, ms = coup.spec.master
-            if np.any(self.grids[mp][side_index(ms)] < 0):
-                raise ValueError("saddle assembly requires unreplaced master edges")
         Bm = sp.vstack([sp.csr_matrix((0, self.ndof_full))] + self._constraints, format="csr")
         Bs = sp.eye(self.ndof_full - self.n_retained, self.ndof_full, self.n_retained, format="csr")
         Bm.sort_indices()  # the sparse product leaves column order unsorted
-        if ncomp > 1:
-            # the CSR route stores no zeros from the identity blocks
-            Bm = sp.kron(Bm, sp.eye(ncomp), format="csr")
-            Bs = sp.kron(Bs, sp.eye(ncomp), format="csr")
-            Bm.eliminate_zeros()
-            Bs.eliminate_zeros()
         return Bm, Bs
 
     # ----------------------------------------------------------------- cells
@@ -487,9 +453,3 @@ def _grid_cells(pi: int, patch: Patch2D, grid: np.ndarray, keep) -> CellGroup:
     rect = np.stack([np.column_stack([bp[:-1], bp[1:]])[e] for bp, e in ((bp1, e1), (bp2, e2))],
                     axis=1)
     return CellGroup(elements, np.full(e1.size, pi), rect, *cells, patch.degrees)
-
-
-def _flat(patch: Patch2D) -> np.ndarray:
-    """Row-major index of every tensor function of a patch, shaped like its net."""
-    return np.arange(patch.shape[0] * patch.shape[1]).reshape(patch.shape)
-

@@ -1,5 +1,5 @@
 """Models the tests share: a benchmark model built the way the library
-builds it, from its case, and generated two-patch models."""
+builds it, from its case, and generated two- and three-patch models."""
 
 import numpy as np
 from hypothesis import reject
@@ -49,3 +49,29 @@ def two_patch_models(draw, unit_weights: bool = False):
         # the phi projection may stop at a speed jump of a rational C0 edge;
         # that model has no cell stream (test_coupling covers the failure)
         reject()
+
+
+
+def corner_chain(slave: str, master: str, degrees, counts, dual_refine: int):
+    """Three unit squares with unit weights.  Patch 1 is slave on side
+    ``slave``, to patch 0 across it, and master on the adjacent side
+    ``master``, to patch 2 across that, so its master edge runs through the
+    first interface's slave corner.  Patch k has degree ``degrees[k]`` and
+    ``counts[k]`` elements per direction."""
+    patches = [rect_patch(p, n1, n2, (dx, dx + 1.0), (dy, dy + 1.0))
+               for p, (n1, n2), (dx, dy) in zip(degrees, counts,
+                                                (_OFFSET[slave], (0, 0), _OFFSET[master]))]
+    specs = [InterfaceSpec(master=(0, _OPPOSITE[slave]), slave=(1, slave)),
+             InterfaceSpec(master=(1, master), slave=(2, _OPPOSITE[master]))]
+    return MultiPatchModel(patches, specs, dual_refine)
+
+
+@st.composite
+def corner_chain_models(draw):
+    """A :func:`corner_chain` of drawn sides, with degrees 1-3, a master's at
+    most its slave's, 1-3 elements per direction and dual refinement 0-2."""
+    slave = draw(st.sampled_from(sorted(SIDES)))
+    master = draw(st.sampled_from([s for s in sorted(SIDES) if SIDES[s][0] != SIDES[slave][0]]))
+    degrees = sorted(draw(st.integers(1, 3)) for _ in range(3))
+    counts = [(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(3)]
+    return corner_chain(slave, master, degrees, counts, draw(st.integers(0, 2)))

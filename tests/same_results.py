@@ -5,7 +5,7 @@ Builds the same grid of case models from the working tree and from a
 they are bitwise identical:
 
 - ``P``, the prolongation;
-- ``Bm`` of ``multiplier_blocks(1)``, which stacks every interface's
+- ``Bm`` of ``multiplier_blocks()``, which stacks every interface's
   coupling matrix G against the master edge functions;
 - the cell groups of the mortar and the weak stream: their ``index``,
   ``rows`` and the shapes of their operators and geometry (the pattern),
@@ -21,14 +21,17 @@ they are bitwise identical:
   ncomp, dirichlet)`` of the case's problem: their rows (the pattern) and
   their values, whose move is read against the largest value.
 
-The grid is 93 case variants.  At mesh levels 0-2: ``square-mixed`` at p
-1-4, matched and mismatched, ratios 2:3, 3:2 and 2:2, dual levels n 0-2;
-``annulus`` at n 0-2; both plates, matched and mismatched, at n 0-2; the
-weak and the conforming model of ``largedef_model``, which the three
-large-deformation cases share.  At level 0, which is its only level:
-``square-demo`` at n 0-3.  Each tree is snapshotted in its own subprocess with one BLAS thread, and the
-subprocesses stream their models to this one in step, so one model pair is
-held at a time.  For each quantity it prints one of three results:
+The grid is 93 case variants and 24 corner chains.  At mesh levels 0-2:
+``square-mixed`` at p 1-4, matched and mismatched, ratios 2:3, 3:2 and
+2:2, dual levels n 0-2; ``annulus`` at n 0-2; both plates, matched and
+mismatched, at n 0-2; the weak and the conforming model of
+``largedef_model``, which the three large-deformation cases share.  At
+level 0, which is its only level: ``square-demo`` at n 0-3.  The corner
+chains are ``cases.corner_chain`` on each of the 8 pairs of a slave side
+and an adjacent master side, at degrees 1, 2, 3 and n 0-2: each has a
+master edge through a slave corner.  Each tree is snapshotted in its own
+subprocess with one BLAS thread, and the subprocesses stream their models
+to this one in step, so one model pair is held at a time.  For each quantity it prints one of three results:
 identical; pattern or shape moved, with the models; or the largest relative
 value move, per cell of a group or per stored entry of ``P`` and ``Bm``,
 with its model.
@@ -42,7 +45,7 @@ moved.  Last it prints the criterion-10 outcome of both trees: the pinned
 large-deformation protocol of ``tests/test_acceptance.py``, whose failure
 message carries the Newton residual.
 
-It builds 271 models per tree, so it is a script, not a test: pytest's
+It builds 295 models per tree, so it is a script, not a test: pytest's
 default ``test_*.py`` pattern does not collect it.  Run it from the
 repository root:
 
@@ -65,6 +68,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 QUANTITIES = ("P", "Bm", "mortar cells", "weak cells", "standard cells", "segments", "G",
               "jump norm", "Dirichlet rows")
+SIDES = ("west", "east", "south", "north")  # side k pins direction k // 2
 CASES = ("square-dirichlet", "square-mixed", "annulus", "plate-hole-2patch", "plate-hole-3patch",
          "largedef-case1", "largedef-case2", "largedef-case3", "square-demo")
 LINEAR, LARGEDEF = CASES[:5], CASES[5:8]
@@ -82,6 +86,9 @@ def grid():
     variants += [dict(case="largedef", weak=weak) for weak in (True, False)]
     variants = [(settings, (0, 1, 2)) for settings in variants]
     variants += [(dict(case="square-demo", dual_refine=n), (0,)) for n in (0, 1, 2, 3)]
+    variants += [(dict(case="corner-chain", slave=slave, master=master, dual_refine=n), (0,))
+                 for slave in SIDES for master in SIDES
+                 if SIDES.index(slave) // 2 != SIDES.index(master) // 2 for n in (0, 1, 2)]
     for settings, levels in variants:
         for level in levels:
             label = " ".join([settings["case"]] + [f"{k}={v}" for k, v in settings.items()
@@ -92,16 +99,26 @@ def grid():
 def snapshot(settings: dict, level: int) -> dict:
     """Every compared quantity of one model, as plain arrays."""
     import numpy as np
+    import scipy.sparse as sp
 
     from bezmortar.benchmarks import (CASES, BenchmarkCase, build_case, interface_jump_norm,
                                       largedef_model)
     from bezmortar.fem import dirichlet_rows
+    from cases import corner_chain
 
     if "weak" in settings:  # the model every large-deformation case builds
         model = largedef_model(level, settings["weak"])
+    elif settings["case"] == "corner-chain":
+        model = corner_chain(settings["slave"], settings["master"], (1, 2, 3),
+                             ((2, 2), (2, 3), (3, 2)), settings["dual_refine"])
     else:
         model = build_case(BenchmarkCase(**settings), level)
-    Bm = model.multiplier_blocks(1)[0]
+    try:
+        Bm = model.multiplier_blocks()[0]
+    except TypeError:  # multiplier_blocks(ncomp) refused a master edge through a
+        # slave corner; its scalar Bm was the sorted stack of the rows G E
+        Bm = sp.vstack([sp.csr_matrix((0, model.ndof_full))] + model._constraints, format="csr")
+        Bm.sort_indices()
     snap = {name: ((M.shape, M.indptr, M.indices), (M.data,))
             for name, M in (("P", model.P), ("Bm", Bm))}
     mortar = model.mortar_mesh().groups

@@ -92,7 +92,7 @@ def build(settings: dict, level: int, path: Path) -> dict:
     fixed = np.array([r for r, _ in rows], dtype=np.int64)
     values = np.array([v for _, v in rows], dtype=float)
     np.savez(path, data=K.data, indices=K.indices, indptr=K.indptr, f=red.f, fixed=fixed,
-             values=values, ncomp=red.ncomp)
+             values=values)
     free = np.ones(K.shape[0], dtype=bool)
     free[fixed] = False
     B = K[free][:, free].tocoo().tocsr()  # duplicates summed, as linsys sums them
@@ -126,7 +126,7 @@ def time_route(path: str, route: str) -> dict:
     z = np.load(path)
     n = len(z["indptr"]) - 1
     K = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, n))
-    system = linsys.AssembledSystem(K, z["f"], int(z["ncomp"]))
+    system = linsys.AssembledSystem(K, z["f"])
     constraints = list(zip(z["fixed"].tolist(), z["values"].tolist()))
     force = {"_DENSE_ROWS": n if route == "dense" else 0}
     if route == "superlu":

@@ -300,5 +300,6 @@ def test_uncoupled_patch_has_one_stream():
         for name in ("index", "patch", "rect", "rows", "ophom", "geo"):
             assert _bitwise(getattr(g, name), getattr(w, name)), name
     assert _bitwise(weak.grids[0], np.arange(patch.weights.size).reshape(patch.shape))
-    assert weak.P is None and weak.prolongation_vec(2) is None
+    x = np.arange(2.0 * weak.ndof)
+    assert weak.P is None and weak.expand(x) is x
     assert np.array_equal(mortar.P.toarray(), np.eye(mortar.ndof))

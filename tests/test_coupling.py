@@ -30,6 +30,7 @@ from bezmortar.benchmarks import (
     BenchmarkCase,
     annulus_sector_patch,
     build_case,
+    interface_jump_norm,
     manufactured_fields,
     rect_patch,
     solve_case,
@@ -46,7 +47,7 @@ from bezmortar.splines import (
     side_index,
     uniform_open_knots,
 )
-from cases import case_model, two_patch_models
+from cases import case_model, corner_chain_models, two_patch_models
 from reference import (
     bspline_basis,
     bspline_derivatives,
@@ -300,7 +301,7 @@ def test_sparsity_stable_under_tangential_perturbation(model_fn):
     # by about 1e-14, and the first-order entries it creates stay under the
     # cut with the noise
     def nnz(model):
-        return (model.P.nnz,) + tuple(B.nnz for B in model.multiplier_blocks(1))
+        return (model.P.nnz,) + tuple(B.nnz for B in model.multiplier_blocks())
 
     model = model_fn()
     want = nnz(model)
@@ -606,6 +607,9 @@ def test_condense_reads_the_numbering_of_its_mesh(side_by_side):
     assert red.nrows == 2 * weak.ndof
     with pytest.raises(ValueError, match="does not match"):
         condense(vector, weak)
+    # the saddle system reads its component count against the full dofs
+    with pytest.raises(ValueError, match="does not match"):
+        assemble_saddle(system, side_by_side)
 
 
 def test_condense_refuses_a_constraint_on_an_eliminated_dof(side_by_side):
@@ -661,7 +665,7 @@ def test_post_solve_constraint_residual(side_by_side):
 
 def test_saddle_blocks(side_by_side):
     model = side_by_side
-    Bm, Bs = model.multiplier_blocks(1)
+    Bm, Bs = model.multiplier_blocks()
     m, s = interface_dofs(model)
     # slave block is an identity on the trace dofs
     assert np.abs(Bs[:, s].toarray() - np.eye(len(s))).max() < 1e-14
@@ -671,14 +675,12 @@ def test_saddle_blocks(side_by_side):
 
 
 def test_prolongation_and_saddle_blocks_share_one_constraint_product():
-    # P's trace rows are (G_i E_i) P and Bm stacks G_i E_i, bit for bit; on
-    # this plate every master edge function is retained, so E_i selects them
+    # P's trace rows are (G_i E_i) P and Bm stacks G_i E_i, bit for bit, with
+    # E_i the unit rows of the master edge's full dofs
     model = case_model("plate-hole-3patch", 1, matched=False)
     n, nr = model.ndof_full, model.n_retained
     GE = []
-    for coup in model.couplings:
-        mp, ms = coup.spec.master
-        ids = model.grids[mp][side_index(ms)]
+    for coup, ids in zip(model.couplings, model.master_ids, strict=True):
         E = sp.csr_matrix((np.ones(ids.size), (np.arange(ids.size), ids)), shape=(ids.size, n))
         GE.append(sp.csr_matrix(coup.G) @ E)
     ident = sp.identity(nr, format="csr")
@@ -689,19 +691,25 @@ def test_prolongation_and_saddle_blocks_share_one_constraint_product():
                        shape=(n - nr, n))
     P.sort_indices()
     Bm.sort_indices()
-    for got, want in zip((model.P, *model.multiplier_blocks(1)), (P, Bm, Bs)):
+    for got, want in zip((model.P, *model.multiplier_blocks()), (P, Bm, Bs)):
         assert got.shape == want.shape
         for a in ("indptr", "indices", "data"):
             assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
 
 
 def test_vector_saddle_blocks_store_no_zeros():
+    # the saddle system's multiplier block is (Bm - Bs) kron I, one stored
+    # entry per nonzero, for one and for two components
     model = build_case(BenchmarkCase("plate-hole-3patch", dual_refine=2), 1)
-    for block in model.multiplier_blocks(2):
+    mesh = model.mortar_mesh()
+    Bm, Bs = model.multiplier_blocks()
+    for block in (Bm, Bs):
         assert block.nnz == np.count_nonzero(block.toarray())
-    Bm, _ = model.multiplier_blocks(1)
-    Bm2, _ = model.multiplier_blocks(2)
-    assert Bm2.nnz == 2 * Bm.nnz
+    for ncomp, system in ((1, assemble_poisson(mesh)),
+                          (2, assemble_linear_elasticity(mesh, MaterialModel()))):
+        n = ncomp * model.ndof_full
+        B = assemble_saddle(system, model).K[n:, :n]
+        assert B.nnz == np.count_nonzero(B.toarray()) == ncomp * (Bm - Bs).nnz
 
 
 def test_saddle_equals_condensed():
@@ -910,11 +918,60 @@ def test_master_edge_through_condensed_corner():
     assert l2_error(field, u) < 1e-10
 
 
-def test_saddle_rejects_master_edge_through_condensed_corner():
+def _outer_sides(model):
+    """(patch, side) of every side off the model's interfaces."""
+    inner = {end for spec in model.interfaces for end in (spec.master, spec.slave)}
+    return [(k, s) for k in range(len(model.patches)) for s in SIDES if (k, s) not in inner]
+
+
+def _saddle_and_mortar(model, ncomp):
+    """Mortar-mesh values of the saddle and the condensed solve of Poisson
+    (one component) or linear elasticity (two), held on the outer sides."""
+    mesh = model.mortar_mesh()
+    system = (assemble_poisson(mesh) if ncomp == 1
+              else assemble_linear_elasticity(mesh, MaterialModel()))
+    u = lambda x, y: np.sin(2 * x) + x * y
+    rows = dirichlet_rows(mesh, ncomp, [(k, s, c, u) for k, s in _outer_sides(model)
+                                        for c in range(ncomp)])
+    saddle = linear_solve(assemble_saddle(system, model), rows)[: mesh.ndof * ncomp]
+    return saddle, mesh.expand(linear_solve(condense(system, mesh), rows))
+
+
+def _linear_jump(model):
+    """Jump norm of P u, u = 3x - 2y + 1 at the retained control points."""
+    u = np.empty(model.n_retained)
+    for grid, patch in zip(model.grids, model.patches):
+        keep = grid >= 0
+        x, y = patch.points[keep].T
+        u[grid[keep]] = 3 * x - 2 * y + 1
+    return interface_jump_norm(model, model.P @ u)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_saddle_equals_mortar_through_condensed_corner(ncomp):
+    # Bm's rows are the G E that P multiplies, so a master edge through a
+    # slave corner takes the corner's trace dof in both
+    saddle, mortar = _saddle_and_mortar(_corner_chain_model(), ncomp)
+    assert np.abs(saddle - mortar).max() <= 1e-12 * np.abs(mortar).max()
+
+
+def test_jump_norm_reads_the_corner_trace_dof():
+    # the master edge of the second interface ends in the first one's slave
+    # corner, whose value is that interface's end trace dof
     model = _corner_chain_model()
-    system = assemble_poisson(model.mortar_mesh())
-    with pytest.raises(ValueError, match="unreplaced"):
-        assemble_saddle(system, model)
+    assert model.master_ids[1][0] == model.trace_ids[0][-1]
+    assert _linear_jump(model) <= 1e-12
+
+
+@given(corner_chain_models())
+def test_generated_corner_chains(model):
+    mesh = model.mortar_mesh()
+    red = condense(assemble_poisson(mesh), mesh)
+    weak = assemble_poisson(model.weak_mesh())
+    assert abs(red.K - weak.K).max() <= 1e-12 * abs(weak.K).max()
+    saddle, mortar = _saddle_and_mortar(model, 1)
+    assert np.abs(saddle - mortar).max() <= 1e-12 * np.abs(mortar).max()
+    assert _linear_jump(model) <= 1e-12
 
 
 def test_sparsity_stays_local(side_by_side):

@@ -414,7 +414,7 @@ def test_boundary_projection_rate():
 
 
 def test_linear_solve_identity():
-    system = AssembledSystem(sp.eye(5, format="csr"), np.arange(5.0), 1)
+    system = AssembledSystem(sp.eye(5, format="csr"), np.arange(5.0))
     assert np.allclose(linear_solve(system, []), np.arange(5.0))
 
 
@@ -423,7 +423,7 @@ def test_linear_solve_vs_dense_oracle():
     A = sp.random(n, n, density=0.05, random_state=3)
     K = (A @ A.T + 10 * sp.eye(n)).tocsr()
     f = RNG.normal(size=n)
-    x = linear_solve(AssembledSystem(K, f, 1), [])
+    x = linear_solve(AssembledSystem(K, f), [])
     assert np.abs(x - np.linalg.solve(K.toarray(), f)).max() < 1e-8
 
 
@@ -455,7 +455,7 @@ def test_linear_solve_singular_raises():
     for n, ran in ((2, {"dense": 1, "banded": 0, "superlu": 0}),
                    (_DENSE_ROWS + 1, {"dense": 0, "banded": 0, "superlu": 1})):
         with _routes() as spies, pytest.raises(NumericalError):
-            linear_solve(AssembledSystem(sp.csr_matrix((n, n)), np.ones(n), 1), [])
+            linear_solve(AssembledSystem(sp.csr_matrix((n, n)), np.ones(n)), [])
         assert _ran(spies) == ran
 
 
@@ -466,7 +466,7 @@ def test_linear_solve_singular_raises():
 ], ids=["nan-entry", "hilbert-12"])
 def test_linear_solve_refuses_an_inaccurate_solution(K, message):
     with pytest.raises(NumericalError, match=message):
-        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(len(K)), 1), [])
+        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(len(K))), [])
 
 
 def test_constrained_hilbert_block_is_still_refused():
@@ -476,7 +476,7 @@ def test_constrained_hilbert_block_is_still_refused():
     H = 1.0 / (np.arange(1, 13)[:, None] + np.arange(12))
     K = np.block([[H, H[:, :1]], [H[:1], np.ones((1, 1))]])
     with pytest.raises(NumericalError, match="residual .* exceeds 1e-10"):
-        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(13), 1), [(12, 1.0)])
+        linear_solve(AssembledSystem(sp.csr_matrix(K), np.ones(13)), [(12, 1.0)])
 
 
 def test_residual_gate_accepts_a_cancelled_load():
@@ -494,7 +494,7 @@ def test_residual_gate_accepts_a_cancelled_load():
     np.add.at(M, (cols[:, :, None], cols[:, None, :]),
               c[:, None, None] * R[:, :, None] * R[:, None, :])
     np.add.at(f, cols, (c * (1 - 2 * x[:, 1]))[:, None] * R)
-    x = linear_solve(AssembledSystem(sp.csr_matrix(M), f, 1), [(0, 1.0), (2, -1.0)])
+    x = linear_solve(AssembledSystem(sp.csr_matrix(M), f), [(0, 1.0), (2, -1.0)])
     assert (x[0], x[2]) == (1.0, -1.0)
     assert abs(x[1]) <= 1e-15
 
@@ -519,7 +519,7 @@ def test_dirichlet_rows_of_data_in_the_space():
 ], ids=["negative-row", "row-past-the-end", "nan-value", "fractional-row", "float-row",
         "string-row"])
 def test_linear_solve_rejects_bad_constraints(constraints, message):
-    system = AssembledSystem(sp.eye(3, format="csr"), np.ones(3), 1)
+    system = AssembledSystem(sp.eye(3, format="csr"), np.ones(3))
     with pytest.raises(ValueError, match=message):
         linear_solve(system, constraints.items())
 
@@ -532,7 +532,7 @@ def test_one_constraint_rule_on_generated_pairs(seed, data):
     rng = np.random.default_rng(seed)
     n = 8
     R = rng.normal(size=(n, n))
-    system = AssembledSystem(sp.csr_matrix(R @ R.T + n * np.eye(n)), rng.normal(size=n), 1)
+    system = AssembledSystem(sp.csr_matrix(R @ R.T + n * np.eye(n)), rng.normal(size=n))
     first, pairs = {}, []
     for row in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)):
         if row in first:
@@ -627,7 +627,7 @@ def test_free_block_is_the_fancy_index_selection(case):
             raise _Factored
         return record
 
-    system = AssembledSystem(K, f, 1)
+    system = AssembledSystem(K, f)
     with mock.patch.object(linsys.spla, "splu", side_effect=factor("superlu")), \
             mock.patch.object(linsys.sla, "solveh_banded", side_effect=factor("banded")), \
             mock.patch.object(linsys.np.linalg, "solve", side_effect=factor("dense")):
@@ -697,7 +697,7 @@ def test_linear_solve_matches_dense_solve(seed, n, m, data):
     fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 2 * m))
     constraints = {r: float(v) for r, v in zip(fixed, rng.normal(size=len(fixed)))}
     f = rng.normal(size=K.shape[0])
-    x = linear_solve(AssembledSystem(K, f, 1), constraints.items())
+    x = linear_solve(AssembledSystem(K, f), constraints.items())
     ref = _dense_constrained_solve(K, f, constraints)
     assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     assert all(x[r] == v for r, v in constraints.items())
@@ -731,9 +731,9 @@ def test_dense_and_superlu_routes_agree_at_the_bound(seed, m, data):
     col, value = rng.normal(size=n), float(rng.normal())
     K1 = sp.bmat([[K, col[:, None]], [col[None, :], [[1.0]]]], format="csr")
     f1 = np.append(f + value * col, 0.0)
-    system1, constraints1 = AssembledSystem(K1, f1, 1), [*constraints.items(), (n, value)]
+    system1, constraints1 = AssembledSystem(K1, f1), [*constraints.items(), (n, value)]
     with _routes() as spies:
-        x = linear_solve(AssembledSystem(K, f, 1), constraints.items())
+        x = linear_solve(AssembledSystem(K, f), constraints.items())
     assert _ran(spies) == {"dense": 1, "banded": 0, "superlu": 0}
     with _routes() as spies:
         x1 = linear_solve(system1, constraints1)
@@ -762,7 +762,7 @@ def test_symmetry_tolerance_picks_the_route(skew, ran):
     K[0, 1] += skew * np.abs(K).max()
     f = rng.normal(size=n)
     with _routes() as spies:
-        x = linear_solve(AssembledSystem(sp.csr_matrix(K), f, 1), [])
+        x = linear_solve(AssembledSystem(sp.csr_matrix(K), f), [])
     assert _ran(spies) == ran
     ref = np.linalg.solve(K, f)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -804,7 +804,7 @@ def _neo_hookean_tangent():
     r, K = assemble_neo_hookean(mesh, MaterialModel(E=10.0, nu=0.3), u.reshape(-1))
     zero = lambda x, y: 0.0
     rows = dirichlet_rows(mesh, 2, [(0, "west", 0, zero), (0, "west", 1, zero)])
-    return AssembledSystem(K, -r, 2), rows
+    return AssembledSystem(K, -r), rows
 
 
 def test_neo_hookean_tangent_above_the_dense_bound_takes_the_banded_route():
@@ -826,7 +826,7 @@ def test_indefinite_symmetric_tangent_falls_back_to_superlu():
     free = np.setdiff1d(np.arange(system.nrows), [r for r, _ in rows])
     low = np.linalg.eigvalsh(system.K.toarray()[np.ix_(free, free)])[:2]
     shifted = AssembledSystem((system.K - low.mean() * sp.eye(system.nrows)).tocsr(),
-                              system.f, 2)
+                              system.f)
     with _routes() as spies:
         x = linear_solve(shifted, rows)
     assert _ran(spies) == {"dense": 0, "banded": 1, "superlu": 1}

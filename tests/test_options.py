@@ -17,10 +17,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bezmortar"
 # takes the order with no default, since every caller names the one it reads
 DEFAULTED_PARAMETERS = 25
 # fields of every @dataclass and typing.NamedTuple class in src/bezmortar;
-# 44 dataclass fields and the 10 of the case table's row types, CaseRow (4)
+# 43 dataclass fields and the 10 of the case table's row types, CaseRow (4)
 # and LinearProblem (6), which only the table fills; InterfaceCoupling's
-# refined knot vector and weights are one field, its refined trace curve
-DATACLASS_FIELDS = 54
+# refined knot vector and weights are one field, its refined trace curve;
+# AssembledSystem holds no component count, which condense and
+# assemble_saddle read from K's size against the dofs of the mesh or model
+DATACLASS_FIELDS = 53
 
 
 def defaulted_parameters(source: str) -> int:

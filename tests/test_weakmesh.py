@@ -364,7 +364,7 @@ def test_weak_mesh_file_alone_gives_the_library_system(case_id, level):
     assert abs(K - system.K).max() <= 1e-14 * abs(system.K).max()
     assert np.abs(f - system.f).max() <= 1e-14 * max(np.abs(system.f).max(), 1e-300)
     f += assemble_neumann(mesh, problem.ncomp, problem.neumann)
-    x = linear_solve(AssembledSystem(K, f, problem.ncomp),
+    x = linear_solve(AssembledSystem(K, f),
                      dirichlet_rows(mesh, problem.ncomp, problem.dirichlet))
     ref = solve_case(case, level, "weak")["field"].values
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
